@@ -97,28 +97,38 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
     staged collective's action) and the flat backend (called directly on
     a synthesized stage); see :func:`exchange_sync_fused` for the
     exactness audit.
+
+    Cell-sparse (CSR): of the p x p ``(src, dst)`` chunks at most
+    ``N + p`` are non-empty and only those are addressed, so apart from
+    the stacked displacements and one boolean mask over them every
+    array here is O(N + p).
     """
     start = max(e[1] for e in stage)
     batches = [e[0][0] for e in stage]
     D = np.stack([e[0][1] for e in stage])            # (p, p+1) bounds
-    C = np.diff(D, axis=1)                            # counts[src, dst]
     widths = np.array([b.row_nbytes for b in batches], dtype=np.int64)
-    S = C * widths[:, None]                           # bytes[src, dst]
-    max_send, max_recv, total, send_tot, recv_tot = \
-        Comm.size_scan_matrix(S)
     all_keys, all_cols, offs = concat_batch_arrays(batches)
-
-    # -- gather indices, destination-major in source order --
-    starts = offs[:-1][None, :] + D[:, :p].T          # (dst, src)
-    lens = C.T                                        # (dst, src)
-    flat_lens = lens.ravel()
     N = int(offs[-1])
-    excl = np.cumsum(flat_lens) - flat_lens
-    G = (np.repeat(starts.ravel() - excl, flat_lens)
+
+    # -- non-empty cells, destination-major in source order --
+    src, dst = np.nonzero(D[:, 1:] != D[:, :-1])      # source-major
+    by_dst = np.argsort(dst, kind="stable")           # keeps source order
+    src, dst = src[by_dst], dst[by_dst]
+    first = D[src, dst]
+    cnt = D[src, dst + 1] - first
+    cell = np.searchsorted(dst, np.arange(p + 1))     # first cell per dst
+    excl = np.concatenate(([0], np.cumsum(cnt)))      # records before cell
+    G = (np.repeat(offs[src] + first - excl[:-1], cnt)
          + np.arange(N, dtype=np.int64))
-    m_per_dst = C.sum(axis=0)
-    bounds = np.zeros(p + 1, dtype=np.int64)
-    np.cumsum(m_per_dst, out=bounds[1:])
+    bounds = excl[cell]
+    nbytes = np.concatenate(([0], np.cumsum(cnt * widths[src])))
+    recv_all = np.diff(nbytes[cell])                  # includes own chunk
+
+    # -- alltoallv accounting (the integers of Comm.size_scan_matrix):
+    #    per-rank totals exclude the rank's chunk to itself --
+    sent = (D[:, p] - D[:, 0]) * widths
+    own = (np.diagonal(D, 1) - np.diagonal(D)) * widths
+    send_tot, recv_tot = sent - own, recv_all - own
 
     # -- final local ordering of every destination, once --
     keys_g = all_keys[G]
@@ -135,11 +145,11 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
         final[lo:hi] = G[lo:hi][perm]
     return {
         "t": start,
-        "max_send": max_send, "max_recv": max_recv, "total": total,
-        "send_tot": send_tot, "recv_tot": recv_tot,
-        "recv_all": S.sum(axis=0),                    # includes own chunk
-        "S": S,                                       # bytes[src, dst]
-        "m": m_per_dst,
+        "max_send": int(send_tot.max()), "max_recv": int(recv_tot.max()),
+        "total": int(sent.sum()),
+        "send_tot": send_tot, "recv_tot": recv_tot, "recv_all": recv_all,
+        "D": D, "widths": widths,                     # traced edge rows
+        "m": np.diff(bounds),
         "keys": all_keys, "cols": all_cols,
         "final": final, "bounds": bounds,
     }
@@ -168,7 +178,7 @@ def _sync_exchange_network(comm: Comm, shared: dict,
         comm.trace_collective(
             "alltoallv", shared["t"], dt, comm.cost.alltoallv_time(
                 p, 0, ranks_per_node=comm.ranks_per_node, total_bytes=0))
-        comm.trace_edges(shared["S"][me])
+        comm.trace_edges(np.diff(shared["D"][me]) * shared["widths"][me])
     comm.count("coll.alltoallv")
     comm.count("bytes.recv", recv_bytes)
     comm.count("bytes.sent", int(shared["send_tot"][me]))
@@ -230,12 +240,12 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
     :func:`exchange_sync` (``alltoallv``) followed by
     :func:`order_received`, but none of the seed-era per-rank costs are
     paid: the p^2 ``RecordBatch`` sub-batches are never materialised,
-    the p x p size matrix is derived once from the ``(batch, displs)``
-    deposits (counts x row bytes — the same integers
-    ``RecordBatch.split`` pre-computes), and the final ordering of
-    every destination happens once, inside the designated-rank action.
-    Each rank then reads back its clock, counters, memory charges and
-    output slice in O(m + p).
+    the sizes are derived once from the ``(batch, displs)`` deposits,
+    over the non-empty ``(src, dst)`` cells only (counts x row bytes —
+    the same integers ``RecordBatch.split`` pre-computes), and the
+    final ordering of every destination happens once, inside the
+    designated-rank action.  Each rank then reads back its clock,
+    counters, memory charges and output slice in O(m + p).
 
     ``stable`` and ``tau_s`` must be SPMD-uniform (they are fields of
     the communicator-uniform ``SdsParams``); ``delta_hint`` is per-rank
@@ -243,13 +253,25 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
 
     Exactness notes (audited against the per-rank formulation):
 
-    * ``alltoallv`` accounting reuses :meth:`Comm.size_scan_matrix` —
-      the exact quantities ``Comm._size_scan`` derives from staged size
-      vectors — and each rank replays the same scalar
-      ``alltoallv_time`` / ordering-cost calls the unfused path makes,
-      so every IEEE operation sequence is unchanged;
+    * ``alltoallv`` accounting reproduces the integers
+      :meth:`Comm.size_scan_matrix` yields on the byte matrix
+      ``S[s, d] = (D[s, d+1] - D[s, d]) * row_nbytes[s]`` without
+      building it: gross received bytes per destination are segment
+      differences of one running sum over the non-empty cells, sent
+      bytes per rank are ``(D[r, p] - D[r, 0]) * row_nbytes[r]`` (a row
+      of counts telescopes), the diagonal is read as
+      ``D[r, r+1] - D[r, r]`` and subtracted from both, and the gross
+      total is the sum of the sent bytes.  All of it is int64, where
+      addition is associative and empty cells add zero, so each value
+      equals the matrix reduction exactly; each rank then replays the
+      same scalar ``alltoallv_time`` / ordering-cost calls the unfused
+      path makes, so every IEEE operation sequence is unchanged;
     * destination ``d``'s input is its chunks concatenated in **source
-      order** (the ``alltoallv`` delivery-order guarantee);
+      order** (the ``alltoallv`` delivery-order guarantee): ``nonzero``
+      lists the non-empty cells source-major, and a *stable* argsort on
+      ``dst`` keeps each destination's sources ascending — the
+      row-major walk of the transposed ``(dst, src)`` layout with the
+      empty cells, which hold no records, left out;
     * for the ``merge`` branch (``p < tau_s``) the k-way merge of
       sorted source runs with earlier-chunk tie-breaking produces the
       unique stable permutation, so one ``np.argsort(kind="stable")``

@@ -2,9 +2,9 @@
 
 Two implementation strategies are provided:
 
-* vectorised merges built on :func:`numpy.searchsorted` (the fast path
-  used by the simulators; O(n log n) python-level work but constant
-  python overhead), and
+* vectorised merges — :func:`numpy.searchsorted` for two chunks, one
+  stable argsort of the concatenation for ``k`` (the fast path used by
+  the simulators; O(n log n) work but constant python overhead), and
 * a :class:`LoserTree` reference implementation of tournament k-way
   merging (the structure whose ``n log2(k)`` comparison count the cost
   model charges), used for small inputs and as a test oracle.
@@ -60,50 +60,27 @@ def kway_merge(chunks: Sequence[np.ndarray]) -> np.ndarray:
     return merged
 
 
-#: Chunk count above which the tree of pairwise merges is replaced by
-#: one stable argsort of the concatenation.  The stable permutation of
-#: sorted chunks is unique (equal keys in ascending input position), so
-#: both strategies return bit-identical results; at large ``k`` the
-#: argsort avoids ``k - 1`` python-level merge calls, which is what the
-#: engine's per-rank ordering of ``p`` received runs hits at scale.
-_ARGSORT_K = 32
-
-
 def kway_merge_perm(chunks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     """Stably k-way merge, returning the permutation into the concatenation.
 
-    Performs a balanced tree of pairwise merges (``ceil(log2 k)``
-    passes), matching the cost model's ``n log2(k)`` charge; above
-    :data:`_ARGSORT_K` chunks it switches to a stable argsort of the
-    concatenation, which yields the identical permutation.  The key
-    dtype of the inputs is preserved, including when every chunk is
-    empty (int-keyed workloads must not come back as float64).
+    Two chunks go through :func:`merge_two_perm`; any other count is one
+    stable argsort of the concatenation.  The stable permutation of
+    sorted chunks is unique (equal keys in ascending input position), so
+    this is the permutation a tree of ``k - 1`` pairwise merges yields,
+    without the ``k - 1`` python-level merge calls.  The cost model's
+    ``n log2(k)`` charge for a k-way merge is modelled by the callers,
+    not enacted here.  The key dtype of the inputs is preserved,
+    including when every chunk is empty (int-keyed workloads must not
+    come back as float64).
     """
     chunks = [np.asarray(c) for c in chunks]
     if not chunks:
         return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64)
-    if sum(len(c) for c in chunks) == 0:
-        dtype = np.result_type(*chunks)
-        return np.zeros(0, dtype=dtype), np.zeros(0, dtype=np.int64)
-    if len(chunks) >= _ARGSORT_K:
-        cat = np.concatenate(chunks)
-        perm = np.argsort(cat, kind="stable").astype(np.int64, copy=False)
-        return cat[perm], perm
-    offsets = np.cumsum([0] + [len(c) for c in chunks[:-1]])
-    items: list[tuple[np.ndarray, np.ndarray]] = [
-        (c, off + np.arange(len(c), dtype=np.int64))
-        for c, off in zip(chunks, offsets)
-    ]
-    while len(items) > 1:
-        nxt: list[tuple[np.ndarray, np.ndarray]] = []
-        for i in range(0, len(items) - 1, 2):
-            (ka, ia), (kb, ib) = items[i], items[i + 1]
-            merged, perm = merge_two_perm(ka, kb)
-            nxt.append((merged, np.concatenate([ia, ib])[perm]))
-        if len(items) % 2:
-            nxt.append(items[-1])
-        items = nxt
-    return items[0]
+    if len(chunks) == 2:
+        return merge_two_perm(*chunks)
+    cat = np.concatenate(chunks)
+    perm = np.argsort(cat, kind="stable").astype(np.int64, copy=False)
+    return cat[perm], perm
 
 
 class LoserTree:

@@ -10,8 +10,12 @@ from repro.core import (
     order_received,
     split_for_sends,
 )
+from repro.core.exchange import check_displs, sync_exchange_compute
 from repro.mpi import run_spmd
+from repro.obs import Tracer
 from repro.records import RecordBatch
+
+from .oracles_exchange import sync_exchange_compute_dense
 
 
 def _sorted_shard(rank, n=40):
@@ -124,6 +128,126 @@ class TestFusedSyncExchange:
                 == [{k: v for k, v in c.items() if k not in wall}
                     for c in b.counters])
         assert a.mem_peaks == b.mem_peaks
+
+
+def _stage(p, lens, *, seed, int_keys=False, span=50, cuts="random"):
+    """One ``((batch, displs), clock)`` deposit per rank.
+
+    ``cuts``: ``"random"`` (sorted random bounds, many empty cells),
+    ``"splitters"`` (global value splitters, the realistic layout) or an
+    int ``d`` (every record goes to destination ``d``).
+    """
+    rng = np.random.default_rng(seed)
+    split = np.sort(rng.integers(0, span + 1, p - 1))
+    stage = []
+    for r in range(p):
+        n = int(lens[r])
+        keys = np.sort(rng.integers(0, span, n))
+        if not int_keys:
+            keys = keys.astype(np.float64)
+        batch = RecordBatch(keys, {"src": np.full(n, r),
+                                   "pos": np.arange(n, dtype=np.int32)})
+        d = np.zeros(p + 1, dtype=np.int64)
+        d[-1] = n
+        if isinstance(cuts, int):
+            d[cuts + 1:] = n
+        elif cuts == "splitters":
+            d[1:-1] = np.searchsorted(keys, split)
+        else:
+            d[1:-1] = np.sort(rng.integers(0, n + 1, p - 1))
+        stage.append(((batch, check_displs(d, p, n)), float(rng.random())))
+    return stage
+
+
+def _assert_same(got, want):
+    assert type(got) is type(want)
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    else:
+        assert got == want
+
+
+class TestSparseSyncExchangeCompute:
+    """The cell-sparse sync_exchange_compute against the dense p x p
+    oracle: every key of the returned dict, value and dtype."""
+
+    ORDERINGS = [(True, False), (True, True), (False, True), (False, False)]
+
+    @staticmethod
+    def _check(stage, p, merge, stable):
+        got = sync_exchange_compute(stage, p=p, merge=merge, stable=stable)
+        want = sync_exchange_compute_dense(stage, p=p, merge=merge,
+                                           stable=stable)
+        S = want.pop("S")
+        D, widths = got.pop("D"), got.pop("widths")
+        assert sorted(got) == sorted(want)
+        cols, want_cols = got.pop("cols"), want.pop("cols")
+        assert sorted(cols) == sorted(want_cols)
+        for name in want_cols:
+            _assert_same(cols[name], want_cols[name])
+        for name in want:
+            _assert_same(got[name], want[name])
+        # what _sync_exchange_network hands the tracer for rank r
+        for r in range(p):
+            _assert_same(np.diff(D[r]) * widths[r], S[r])
+
+    @pytest.mark.parametrize("merge,stable", ORDERINGS)
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 32, 257])
+    @pytest.mark.parametrize("cuts", ["random", "splitters"])
+    def test_ragged_shards(self, p, cuts, merge, stable):
+        rng = np.random.default_rng(p)
+        lens = rng.integers(0, 9, p)          # p^2 >> N at p=257
+        lens[rng.integers(0, p, max(1, p // 4))] = 0
+        self._check(_stage(p, lens, seed=p, cuts=cuts,
+                           int_keys=bool(p % 2)), p, merge, stable)
+
+    @pytest.mark.parametrize("merge,stable", ORDERINGS)
+    @pytest.mark.parametrize("p,n", [(2, 5000), (7, 3000), (32, 2000)])
+    def test_deep_shards(self, p, n, merge, stable):
+        lens = np.full(p, n)                  # N >> p^2
+        lens[p // 2] = 0
+        self._check(_stage(p, lens, seed=n, span=10**6, cuts="splitters"),
+                    p, merge, stable)
+        self._check(_stage(p, lens, seed=n + 1, span=40, int_keys=True),
+                    p, merge, stable)
+
+    @pytest.mark.parametrize("merge,stable", ORDERINGS)
+    @pytest.mark.parametrize("p,dst", [(1, 0), (3, 2), (32, 0), (257, 100)])
+    def test_everything_to_one_destination(self, p, dst, merge, stable):
+        lens = np.random.default_rng(dst).integers(0, 20, p)
+        self._check(_stage(p, lens, seed=3, cuts=dst), p, merge, stable)
+
+    @pytest.mark.parametrize("merge,stable", ORDERINGS)
+    @pytest.mark.parametrize("int_keys", [False, True])
+    def test_all_equal_keys(self, int_keys, merge, stable):
+        p = 32
+        lens = np.random.default_rng(1).integers(0, 60, p)
+        self._check(_stage(p, lens, seed=4, span=1, int_keys=int_keys),
+                    p, merge, stable)
+
+    def test_empty_world(self):
+        for p in (1, 7):
+            self._check(_stage(p, np.zeros(p, dtype=int), seed=0), p,
+                        True, False)
+
+    def test_traced_edge_rows_match_oracle(self):
+        """Traced sync edge rows are derived per rank from the stacked
+        displacements; together they must be the oracle's matrix."""
+        p = 12
+        stage = _stage(p, np.random.default_rng(8).integers(0, 40, p),
+                       seed=8, cuts="splitters")
+
+        def prog(comm):
+            batch, displs = stage[comm.rank][0]
+            comm.mem.alloc(batch.nbytes)
+            exchange_sync_fused(comm, batch, displs, stable=True, tau_s=1)
+
+        tracer = Tracer(p)
+        assert run_spmd(prog, p, tracer=tracer).ok
+        want = sync_exchange_compute_dense(stage, p=p, merge=False,
+                                           stable=True)["S"]
+        _assert_same(tracer.edge_matrix(), want)
 
 
 class TestOverlappedExchange:

@@ -80,6 +80,23 @@ class TestKwayMerge:
         merged, perm = kway_merge_perm(chunks)
         assert np.array_equal(np.concatenate(chunks)[perm], merged)
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 8, 31, 40])
+    def test_perm_equals_pairwise_merges(self, rng, k):
+        """The argsort-of-concatenation permutation is the one k - 1
+        pairwise stable merges produce, duplicates and empties included."""
+        chunks = [np.sort(rng.integers(0, 6, rng.integers(0, 12)))
+                  for _ in range(k)]
+        merged, perm = kway_merge_perm(chunks)
+        want, want_perm = chunks[0], np.arange(len(chunks[0]))
+        for c in chunks[1:]:
+            idx = np.concatenate([want_perm,
+                                  len(want_perm) + np.arange(len(c))])
+            want, two = merge_two_perm(want, c)
+            want_perm = idx[two]
+        assert merged.dtype == want.dtype
+        assert np.array_equal(merged, want)
+        assert np.array_equal(perm, want_perm)
+
     @settings(max_examples=30, deadline=None)
     @given(st.lists(sorted_floats, max_size=6))
     def test_property_matches_np(self, chunks):
