@@ -1,20 +1,22 @@
-"""Backend scaling: thread ceiling, proc crossover, flat wall, hybrid giant-p.
+"""Backend scaling: thread ceiling, flat wall, hybrid giant-p.
 
 Tracks the host wall-clock of full functional `sds` runs through
 ``run_sort`` on the functional backends, and the hybrid backend's
-modelled points with their validation evidence.  On the 1-core
-reference host thread and proc are at parity through a few Ki ranks
-(both are bound by the same per-collective thread wakeups; the proc
-backend's IPC stays in the noise).  The thread backend's GIL traffic
-becomes the bottleneck at p=16Ki: the proc run completes in ~23 min
-while the thread run was capped still running at 95 min
-(:data:`THREAD_16KI_FLOOR`).  The columnar **flat** backend removes
-thread hosting altogether and turns the same p=16Ki world into ~2 s
-(hundreds of times faster than the recorded proc wall,
-:data:`PROC_16KI_RECORDED`) and an exact p=64Ki world into seconds —
-the point past every threaded ceiling where the functional
-reproduction still runs whole.  Beyond that, the hybrid backend
-covers p = 64Ki / 128Ki analytically with a sampled functional leg.
+modelled points with their validation evidence.  The thread backend's
+per-collective wakeups and GIL traffic become the bottleneck as p
+grows: at p=16Ki the thread run was capped still running at 95 min on
+the 1-core reference host (:data:`THREAD_16KI_FLOOR`).  The columnar
+**flat** backend removes thread hosting altogether and turns the same
+p=16Ki world into ~2 s and an exact p=64Ki world into seconds — the
+point past every threaded ceiling where the functional reproduction
+still runs whole.  Beyond that, the hybrid backend covers p = 64Ki /
+128Ki analytically with a sampled functional leg.
+
+The process-sharded ``proc`` backend this bench used to measure is
+gone (it matched thread at 0.94-1.01x through p=4Ki and took 1372 s at
+p=16Ki, :data:`PROC_16KI_RECORDED`, against flat's ~2 s); its recorded
+rows stay in ``BENCH_engine.json`` as history and the p=16Ki wall
+stays here as the named baseline the flat series quotes.
 
 Since the World refactor every registered algorithm runs columnar, so
 the flat series carries a PSRS leg next to the SDS one — the
@@ -25,17 +27,13 @@ Results land in the ``backend_scaling`` section of
 ``BENCH_engine.json`` (schema v8).  This bench and the other
 ``bench_engine_walltime``-family benches read-modify-write the file,
 each preserving the others' sections; within ``backend_scaling`` the
-measured runs merge over the recorded ones, so skipping the
-tens-of-minutes proc/thread points keeps their recorded entries.
+measured runs merge over the recorded ones, so unmeasured points keep
+their recorded entries.
 
-Wall times are best-of-2 per configuration, so proc numbers reflect a
-warm ``ProcPool`` (the first repetition pays the one-time spawn).
-``REPRO_BENCH_QUICK`` keeps only the p=1024 functional pair, the flat
-series to p=16Ki and the p=64Ki hybrid point;
-``REPRO_BENCH_FLAT_ONLY`` measures just the flat series (minutes, not
-hours — the slow proc points keep their recorded values).  Run
-directly or via pytest; direct runs need the ``__main__`` guard below
-(the proc backend spawns workers, and spawn re-imports ``__main__``).
+Wall times are best-of-2 per configuration.  ``REPRO_BENCH_QUICK``
+keeps only the p=1024 thread point, the flat series to p=16Ki and the
+p=64Ki hybrid point; ``REPRO_BENCH_FLAT_ONLY`` measures just the flat
+series.  Run directly or via pytest.
 """
 
 from __future__ import annotations
@@ -56,20 +54,12 @@ ROOT = Path(__file__).resolve().parent.parent
 JSON_PATH = ROOT / "BENCH_engine.json"
 SCHEMA = "bench_engine_walltime/v10"
 
-#: (name, p, n_per_rank, measure_thread, reps).  The p=16Ki proc point
-#: runs once (a repetition costs tens of minutes: at that scale both
-#: backends are dominated by waking 16Ki rank threads per collective
-#: on the reference host's single core; the proc wall includes the
-#: 8-worker pool spawn, a few seconds of it).  The thread backend at
-#: p=16Ki is not re-measured per run: on the reference host it was
-#: still running after 95 minutes when the measurement was capped
-#: (:data:`THREAD_16KI_FLOOR`), > 4x the proc wall — one interpreter
-#: hand-carrying 16Ki threads through every GIL switch loses to eight
-#: interpreters carrying 2Ki each even on a single core.
-FUNCTIONAL = [
-    ("p1024", 1024, 64, True, 2),
-    ("p4096", 4096, 64, True, 2),
-    ("p16384", 16384, 64, False, 1),
+#: Thread-backend points: (name, p, n_per_rank, reps).  p=16Ki is not
+#: measured: on the reference host it was still running after 95
+#: minutes when the measurement was capped (:data:`THREAD_16KI_FLOOR`).
+THREAD = [
+    ("p1024_thread", 1024, 64, 2),
+    ("p4096_thread", 4096, 64, 2),
 ]
 
 #: Lower bound on the thread-backend wall at p=16Ki, n=64/rank on the
@@ -78,10 +68,9 @@ FUNCTIONAL = [
 #: not recomputed per run).
 THREAD_16KI_FLOOR = 5700.0
 
-#: Recorded proc-backend wall at p=16Ki, n=64/rank on the reference
-#: host (the ~23 min measurement behind the v6 crossover claim).  Like
-#: THREAD_16KI_FLOOR it is a recorded measurement, not recomputed per
-#: run — the flat series quotes its speedup against it.
+#: Recorded wall of the removed proc backend at p=16Ki, n=64/rank on
+#: the reference host (~23 min).  History, not recomputable — the flat
+#: series quotes its speedup against it.
 PROC_16KI_RECORDED = 1371.6474
 
 #: Flat-backend points: (name, p, n_per_rank, reps).  All cheap — the
@@ -132,24 +121,12 @@ def _wall(backend: str, p: int, n: int, reps: int = 2,
 
 def measure() -> dict:
     runs = {}
-    functional = [c for c in FUNCTIONAL
-                  if not (quick() and c[1] > 1024) and not flat_only()]
-    for name, p, n, with_thread, reps in functional:
-        proc_wall, r = _wall("proc", p, n, reps=reps)
-        entry = {"backend": "proc", "p": p, "n_per_rank": n,
-                 "workers": r.extras["engine"]["workers"],
-                 "wall_seconds": proc_wall,
-                 "thread_wall_seconds": None,
-                 "speedup_vs_thread": None}
-        if with_thread:
-            thread_wall, _ = _wall("thread", p, n, reps=reps)
-            entry["thread_wall_seconds"] = thread_wall
-            entry["speedup_vs_thread"] = round(thread_wall / proc_wall, 2)
-        elif p == 16384:
-            entry["thread_wall_floor_seconds"] = THREAD_16KI_FLOOR
-            entry["speedup_vs_thread_floor"] = round(
-                THREAD_16KI_FLOOR / proc_wall, 2)
-        runs[name] = entry
+    thread = [c for c in THREAD
+              if not (quick() and c[1] > 1024) and not flat_only()]
+    for name, p, n, reps in thread:
+        thread_wall, _ = _wall("thread", p, n, reps=reps)
+        runs[name] = {"backend": "thread", "p": p, "n_per_rank": n,
+                      "wall_seconds": thread_wall}
     for name, p, n, reps in FLAT:
         flat_wall, r = _wall("flat", p, n, reps=reps)
         entry = {"backend": "flat", "p": p, "n_per_rank": n,
@@ -234,23 +211,13 @@ def test_backend_scaling():
     runs = measure()
     merged = write_report(runs)
     emit("backend_scaling", report_rows(merged))
-    # On a single-core host proc and thread are both bound by the same
-    # per-collective wakeups up to a few Ki ranks — the contract there
-    # is parity (IPC overhead must stay in the noise).  The outright
-    # win appears where the single interpreter's GIL traffic becomes
-    # the bottleneck: p=16Ki proc completes in ~23 min against a
-    # capped >95 min thread run (THREAD_16KI_FLOOR).  Multi-core hosts
-    # move the crossover down — host_cores is recorded for that.
-    if "p1024" in runs:
-        assert (runs["p1024"]["wall_seconds"]
-                < runs["p1024"]["thread_wall_seconds"] * 1.5)
-    if "p4096" in runs:
-        assert (runs["p4096"]["wall_seconds"]
-                < runs["p4096"]["thread_wall_seconds"] * 1.25)
-    if "p16384" in runs:
-        assert runs["p16384"]["wall_seconds"] < THREAD_16KI_FLOOR
-    # The flat backend's acceptance bar: >= 5x over the recorded proc
-    # wall at p=16Ki (it lands orders of magnitude past that), and the
+    # flat must beat the rank threads wherever both are measured
+    for name, _p, _n, _reps in THREAD:
+        if name in runs:
+            flat = runs[name.replace("_thread", "_flat")]
+            assert flat["wall_seconds"] < runs[name]["wall_seconds"]
+    # The flat backend's acceptance bar: >= 5x over the removed proc
+    # backend's recorded wall at p=16Ki (it lands orders of magnitude past that), and the
     # p=64Ki exact world must complete.
     assert (runs["p16384_flat"]["wall_seconds"]
             < PROC_16KI_RECORDED / 5.0)

@@ -24,7 +24,8 @@ from typing import Sequence
 from .core.tuning import derive_tau_m, derive_tau_o, derive_tau_s
 from .machine import PRESETS, get_machine
 from .metrics import rdfa
-from .runner import ALGORITHMS, run_sort
+from .mpi import ENGINE_BACKENDS
+from .runner import ALGORITHMS, BACKENDS, run_sort
 from .simfast import UniverseModel, countspace_loads, fmt_p, weak_scaling_series
 from .workloads import by_name
 
@@ -154,7 +155,7 @@ def cmd_sort(args: argparse.Namespace) -> int:
                  mem_factor=None if args.no_mem_limit else args.mem_factor,
                  algo_opts=opts, faults=args.fault_spec,
                  fault_seed=args.fault_seed, trace=want_trace,
-                 backend=args.backend, procs=args.procs)
+                 backend=args.backend)
     report = r.extras.get("trace")
     if args.trace is not None and report is not None:
         from .obs import write_chrome_trace
@@ -177,9 +178,6 @@ def cmd_sort(args: argparse.Namespace) -> int:
         why = (f" — {resolved['reason']}"
                if resolved.get("requested") == "auto" else "")
         print(f"backend   : flat (batched columnar phases, 0 threads){why}")
-    elif engine.get("backend") == "proc":
-        print(f"backend   : proc ({engine['workers']} workers, "
-              f"shards {engine['shards']})")
     elif engine.get("backend") == "hybrid":
         hyb = r.extras.get("hybrid", {})
         print(f"backend   : hybrid (analytic at p={args.p}, functional "
@@ -444,7 +442,7 @@ def cmd_chaos(args: argparse.Namespace) -> int:
         specs=args.specs.split(",") if args.specs else None,
         algorithms=args.algorithms.split(","),
         workload=args.workload, machine=machine,
-        backend=args.backend, procs=args.procs)
+        backend=args.backend)
     for line in render_report(report):
         print(line)
     if args.json:
@@ -504,7 +502,6 @@ def _submit_spec(args: argparse.Namespace) -> dict:
         "p": args.p,
         "n_per_rank": args.n,
         "backend": args.backend,
-        "procs": args.procs,
         "machine": args.machine,
         "seed": args.seed,
         "mem_factor": None if args.no_mem_limit else args.mem_factor,
@@ -713,17 +710,13 @@ def build_parser() -> argparse.ArgumentParser:
                     help="simulated ranks")
     ps.add_argument("--machine", default="edison")
     ps.add_argument("--backend", default="thread",
-                    choices=["thread", "proc", "hybrid", "flat", "auto"],
-                    help="engine backend: rank threads in-process, rank "
-                         "blocks sharded over worker processes "
-                         "(bit-for-bit identical), analytic+sampled "
-                         "hybrid for giant p (4Ki..128Ki+), whole-world "
-                         "batched columnar phases with no rank threads "
-                         "(bit-for-bit identical, SDS algorithms only), "
-                         "or auto (flat when eligible, else thread)")
-    ps.add_argument("--procs", type=_positive_int, default=None,
-                    help="worker processes for --backend proc "
-                         "(default: scale heuristic)")
+                    choices=BACKENDS,
+                    help="engine backend: rank threads in-process, "
+                         "whole-world batched columnar phases with no "
+                         "rank threads (flat: bit-for-bit identical, "
+                         "every algorithm), analytic+sampled hybrid for "
+                         "giant p (4Ki..128Ki+), or auto (flat when "
+                         "eligible, else thread)")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--mem-factor", type=_positive_float, default=6.7,
                     help="per-rank memory capacity as multiple of input")
@@ -827,10 +820,8 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--workload", default="uniform")
     px.add_argument("--machine", default="edison")
     px.add_argument("--backend", default="thread",
-                    choices=["thread", "proc", "flat"],
+                    choices=ENGINE_BACKENDS,
                     help="engine backend (report hash is backend-invariant)")
-    px.add_argument("--procs", type=_positive_int, default=None,
-                    help="worker processes for --backend proc")
     px.add_argument("--json", default=None, metavar="PATH",
                     help="also write the full report as JSON")
     px.set_defaults(fn=cmd_chaos)
@@ -883,9 +874,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--p", type=_positive_int, default=16,
                     help="simulated ranks")
     pm.add_argument("--machine", default="edison")
-    pm.add_argument("--backend", default="thread",
-                    choices=["thread", "proc", "hybrid", "flat", "auto"])
-    pm.add_argument("--procs", type=_positive_int, default=None)
+    pm.add_argument("--backend", default="thread", choices=BACKENDS)
     pm.add_argument("--seed", type=int, default=0)
     pm.add_argument("--mem-factor", type=_positive_float, default=6.7)
     pm.add_argument("--no-mem-limit", action="store_true")

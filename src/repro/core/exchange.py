@@ -93,7 +93,7 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
 
     ``stage`` holds one ``((batch, displs), clock)`` deposit per rank in
     group-rank order — exactly what :meth:`Comm.staged` hands the
-    designated-rank action.  Shared by the thread/proc backends (as the
+    designated-rank action.  Shared by the thread backend (as the
     staged collective's action) and the flat backend (called directly on
     a synthesized stage); see :func:`exchange_sync_fused` for the
     exactness audit.
@@ -332,7 +332,7 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
     group-rank order; ``group`` is the communicator's global-rank tuple,
     ``spec`` the machine, ``rate`` the per-element merge cost and
     ``progress`` the (SPMD-uniform) ``async_progress_overhead(p)``.
-    Shared by the thread/proc backends (as the staged collective's
+    Shared by the thread backend (as the staged collective's
     action) and the flat backend; see :func:`exchange_overlapped_fused`
     for the exactness audit.
     """

@@ -16,7 +16,7 @@ which records it into the run's decision trace.
 
 Phases are written once, in *world form*: ``run(world, ctxs)`` where
 ``world`` is a :class:`~repro.mpi.world.World` view and ``ctxs`` the
-contexts it drives.  On the thread/proc backends the view is a
+contexts it drives.  On the thread backend the view is a
 :class:`~repro.mpi.world.LaneWorld` over a single rank's ``Comm`` (the
 staged protocol does the synchronising); on the flat backend it is a
 :class:`~repro.mpi.flatworld.ColumnarWorld` over the whole membership,

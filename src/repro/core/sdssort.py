@@ -30,8 +30,8 @@ as in the paper (the effective process count drops to ``p/c``).
 
 The driver is written once, in world form (:func:`sds_sort_world`):
 the same phase sequence runs over a
-:class:`~repro.mpi.world.LaneWorld` (one logical rank; thread/proc
-backends) or a :class:`~repro.mpi.flatworld.ColumnarWorld` (the whole
+:class:`~repro.mpi.world.LaneWorld` (one logical rank; thread
+backend) or a :class:`~repro.mpi.flatworld.ColumnarWorld` (the whole
 world batched; flat backend).  :func:`sds_sort` is the per-rank entry
 point over the lane view.
 """

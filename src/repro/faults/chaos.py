@@ -76,7 +76,7 @@ def run_chaos(*, p: int, n_per_rank: int = 256,
               machine: MachineSpec = EDISON,
               mem_factor: float | None = None,
               extra_specs: Mapping[str, FaultSpec] | None = None,
-              backend: str = "thread", procs: int | None = None,
+              backend: str = "thread",
               ) -> ChaosReport:
     """Run a seeded fault matrix and aggregate the resilience report.
 
@@ -87,9 +87,9 @@ def run_chaos(*, p: int, n_per_rank: int = 256,
     ``mem_factor=None`` disables the OOM model — chaos campaigns probe
     fault tolerance, not capacity.
 
-    ``backend``/``procs`` select the engine backend per cell; the
-    report hash is backend-invariant (the determinism contract the
-    cross-backend tests pin down).
+    ``backend`` selects the engine backend per cell; the report hash is
+    backend-invariant (the determinism contract the cross-backend tests
+    pin down).
     """
     seeds = list(seeds)
     chosen = resolve_specs(specs, extra_specs)
@@ -102,8 +102,7 @@ def run_chaos(*, p: int, n_per_rank: int = 256,
         for seed in seeds:
             base = run_sort(algorithm, wl, n_per_rank=n_per_rank, p=p,
                             machine=machine, seed=seed,
-                            mem_factor=mem_factor,
-                            backend=backend, procs=procs)
+                            mem_factor=mem_factor, backend=backend)
             baselines[(algorithm, seed)] = base.elapsed
 
     for spec_name, spec in chosen.items():
@@ -114,7 +113,7 @@ def run_chaos(*, p: int, n_per_rank: int = 256,
                                    p=p, machine=machine, seed=seed,
                                    mem_factor=mem_factor,
                                    faults=spec, fault_seed=seed,
-                                   backend=backend, procs=procs)
+                                   backend=backend)
                     ok = res.ok
                     failure = res.failure
                     elapsed = res.elapsed

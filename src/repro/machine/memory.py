@@ -35,7 +35,7 @@ class SimOOMError(MemoryError):
         # default exception pickling replays __init__ with self.args (the
         # formatted message), which doesn't match the 4-argument
         # signature; reconstruct from the structured fields instead so
-        # process-sharded runs can ship the failure back to the parent
+        # a failure survives a pickle round trip
         return (SimOOMError,
                 (self.rank, self.requested, self.in_use, self.capacity))
 

@@ -5,14 +5,20 @@ plain functions over a :class:`Comm`; see DESIGN.md section 6.
 
 Phase code is written once against the :class:`World` execution
 protocol (`mpi/world.py`): :class:`LaneWorld` runs it per rank over a
-single :class:`Comm` (thread and proc backends) and
+single :class:`Comm` (thread backend) and
 :class:`ColumnarWorld` (`mpi/flatworld.py`) runs the whole world as
 batched columnar passes without rank threads (flat backend).
 """
 
 from .comm import Comm, Request, SimWorld, payload_nbytes
 from .context import AbortFlag, Channel, CommContext
-from .engine import SpmdPool, SpmdResult, default_pool, run_spmd
+from .engine import (
+    ENGINE_BACKENDS,
+    SpmdPool,
+    SpmdResult,
+    default_pool,
+    run_spmd,
+)
 from .errors import MessageLostError, RankFailure, SimAbort
 from .flatworld import (
     ColumnarWorld,
@@ -20,7 +26,6 @@ from .flatworld import (
     make_world_comms,
     run_spmd_flat,
 )
-from .procpool import ProcPool, default_proc_pool
 from .world import LANE, LaneWorld, World
 
 __all__ = [
@@ -32,15 +37,14 @@ __all__ = [
     "Channel",
     "CommContext",
     "ColumnarWorld",
+    "ENGINE_BACKENDS",
     "FlatAbort",
     "LANE",
     "LaneWorld",
     "World",
     "SpmdPool",
     "SpmdResult",
-    "ProcPool",
     "default_pool",
-    "default_proc_pool",
     "make_world_comms",
     "run_spmd",
     "run_spmd_flat",

@@ -88,7 +88,7 @@ def split_contexts(stage: Sequence[tuple[Any, float]], ctx: CommContext,
     for col, members in sorted(groups.items()):
         members.sort()
         gids = [ctx.group[r] for _, r in members]
-        contexts[col] = world.make_context(gids, parent=ctx, key=col)
+        contexts[col] = world.make_context(gids)
     return contexts
 
 
@@ -108,7 +108,7 @@ class SimWorld:
             raise ValueError(f"tracer allocated for p={tracer.p}, "
                              f"world has p={p}")
         self.tracer = tracer
-        self.abort = self._make_abort()
+        self.abort = AbortFlag()
         self.clocks: list[float] = [0.0] * p
         self.mem = [MemoryTracker(capacity=mem_capacity, rank=r) for r in range(p)]
         self.phase_times: list[dict[str, float]] = [dict() for _ in range(p)]
@@ -132,18 +132,8 @@ class SimWorld:
             self.p2p_recv_seq: list[dict[tuple[int, int], int]] = \
                 [dict() for _ in range(p)]
 
-    def _make_abort(self) -> AbortFlag:
-        """Abort-flag factory (hook for backends with wider failure fan-out)."""
-        return AbortFlag()
-
-    def make_context(self, group: Sequence[int],
-                     parent: Any = None, key: Any = None) -> CommContext:
-        """Shared-context factory for new communicators.
-
-        ``parent``/``key`` name a split child deterministically — the
-        process-sharded world overrides this to mint identities that
-        agree across worker processes; the thread world ignores them.
-        """
+    def make_context(self, group: Sequence[int]) -> CommContext:
+        """Shared-context factory for new communicators."""
         return CommContext(group, self.abort)
 
     def node_of(self, grank: int) -> int:

@@ -22,7 +22,7 @@ import atexit
 import sys
 import threading
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
 from ..machine import LAPTOP, MachineSpec
 from .comm import Comm, SimWorld
@@ -41,6 +41,10 @@ _STACK_BYTES = 512 * 1024
 #: nothing in responsiveness.
 _COARSE_SWITCH_RANKS = 64
 _COARSE_SWITCH_INTERVAL = 0.05
+
+#: The functional engines :func:`run_spmd` executes itself
+#: (``repro.runner.BACKENDS`` adds the analytic and resolving names).
+ENGINE_BACKENDS = ("thread", "flat")
 
 # ``sys.setswitchinterval`` is process-global, so the coarse-mode toggle
 # is refcounted here instead of living inside one pool's lock: two pools
@@ -202,28 +206,17 @@ class SpmdPool:
 
     def run(self, fn: Callable[[int], None], p: int) -> None:
         """Execute ``fn(rank)`` concurrently for every rank in ``[0, p)``."""
-        self.run_ranks(fn, range(p))
-
-    def run_ranks(self, fn: Callable[[int], None],
-                  ranks: Iterable[int]) -> None:
-        """Execute ``fn(rank)`` concurrently for an explicit rank subset.
-
-        The proc backend's workers host contiguous *blocks* of a larger
-        world's rank ids on their local pools; ``run`` is the
-        ``ranks == range(p)`` special case.
-        """
-        ranks = list(ranks)
-        if not ranks:
+        if p < 1:
             return
         with self._lock:
-            coarse = len(ranks) >= _COARSE_SWITCH_RANKS
+            coarse = p >= _COARSE_SWITCH_RANKS
             if coarse:
                 _coarse_enter()
             try:
-                self._grow(len(ranks))
-                latch = _Latch(len(ranks))
-                for w, r in zip(self._workers, ranks):
-                    w.submit(fn, r, latch)
+                self._grow(p)
+                latch = _Latch(p)
+                for r in range(p):
+                    self._workers[r].submit(fn, r, latch)
                 latch.wait()
             finally:
                 if coarse:
@@ -305,11 +298,10 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
              args: Sequence[Any] = (),
              kwargs: dict[str, Any] | None = None,
              check: bool = True,
-             pool: Any = None,
+             pool: SpmdPool | None = None,
              faults: Any = None,
              tracer: Any = None,
              backend: str = "thread",
-             procs: int | None = None,
              cancel: Any = None,
              metrics: Any = None) -> SpmdResult:
     """Execute ``fn(comm, *args, **kwargs)`` on ``p`` simulated ranks.
@@ -332,12 +324,10 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
         if False, return the partial :class:`SpmdResult` with
         ``failure`` set instead.
     pool:
-        Pool to run on: an :class:`SpmdPool` for the thread backend
-        (default: the process-wide :func:`default_pool`) or a
-        :class:`~repro.mpi.procpool.ProcPool` for the proc backend
-        (default: :func:`~repro.mpi.procpool.default_proc_pool`).  The
+        :class:`SpmdPool` hosting the rank threads of the thread
+        backend (default: the process-wide :func:`default_pool`).  The
         sort-as-a-service scheduler injects warm cached pools here so
-        concurrent jobs never contend on the shared defaults.
+        concurrent jobs never contend on the shared default.
     faults:
         Optional compiled :class:`~repro.faults.plan.FaultPlan` (for
         ``p`` ranks) injected at the Comm hook points.  ``None`` — the
@@ -350,63 +340,64 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
         attribute check; the tracer is purely observational either way,
         so virtual clocks are identical with tracing on or off.
     backend:
-        ``"thread"`` (default) hosts every rank as a pool thread in this
-        process; ``"proc"`` shards the rank ids across worker processes
-        (see :mod:`repro.mpi.procpool`); ``"flat"`` drives every rank
-        from one interpreter loop with zero threads, running each
-        phase's heavy work as batched columnar numpy over the whole
-        world (see :mod:`repro.mpi.flatworld` — the rank program must
-        expose a ``flat_run`` entry point).  Virtual clocks, results
-        and trace counters are bit-for-bit identical across backends.
-    procs:
-        Worker-process count for ``backend="proc"`` (default: a scale-
-        dependent heuristic).  Ignored by the thread backend.
+        One of :data:`ENGINE_BACKENDS`.  ``"thread"`` (default) hosts
+        every rank as a pool thread in this process; ``"flat"`` drives
+        every rank from one interpreter loop with zero threads, running
+        each phase's heavy work as batched columnar numpy over the
+        whole world (see :mod:`repro.mpi.flatworld` — the rank program
+        must expose a ``flat_run`` entry point).  Virtual clocks,
+        results and trace counters are bit-for-bit identical across
+        backends.
     cancel:
-        Optional :class:`threading.Event`; when it fires mid-run (a
-        service timeout or an explicit cancel), the world aborts and
-        the result carries a :class:`RankFailure` whose cause is
-        :class:`RunCancelled`.  Honoured by the thread backend (and the
-        shared p==1 inline path); the proc and flat backends check it
-        only between runs.
+        Optional :class:`threading.Event`.  Set before the world starts
+        (any backend), nothing runs and the result carries a
+        :class:`RankFailure` whose cause is :class:`RunCancelled`; fired
+        mid-run (a service timeout or an explicit cancel), the thread
+        backend (and the shared p==1 inline path) aborts the world with
+        the same failure, while a flat world, which has no blocking
+        point to unwind at, runs to completion.
     metrics:
         Optional telemetry sink (duck-typed: ``record_world(backend=,
         p=, cancelled=)``) counting worlds launched per executing
-        backend and cancellations the watcher delivered.  ``None`` —
-        the default — is a single ``is None`` check, like ``tracer``:
-        clocks and results are bit-for-bit identical either way.
+        backend and cancellations delivered.  ``None`` — the default —
+        is a single ``is None`` check, like ``tracer``: clocks and
+        results are bit-for-bit identical either way.
     """
     if p < 1:
         raise ValueError("p must be >= 1")
+    if backend not in ENGINE_BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}; options: "
+                         + ", ".join(repr(b) for b in ENGINE_BACKENDS))
     if faults is not None and getattr(faults, "p", p) != p:
         raise ValueError(f"fault plan compiled for p={faults.p}, "
                          f"world has p={p}")
     kwargs = dict(kwargs or {})
-    if backend == "proc":
-        if p > 1:
-            from .procpool import ProcPool, run_spmd_proc
-            if metrics is not None:
-                metrics.record_world(backend="proc", p=p)
-            return run_spmd_proc(
-                fn, p, machine=machine, mem_capacity=mem_capacity,
-                args=args, kwargs=kwargs, check=check, faults=faults,
-                tracer=tracer, procs=procs,
-                pool=pool if isinstance(pool, ProcPool) else None)
-        # p == 1 shares the inline path below (identical semantics,
-        # nothing to shard)
-    elif backend == "flat":
-        if p > 1:
-            from .flatworld import run_spmd_flat
-            if metrics is not None:
-                metrics.record_world(backend="flat", p=p)
-            return run_spmd_flat(
-                fn, p, machine=machine, mem_capacity=mem_capacity,
-                args=args, kwargs=kwargs, check=check, faults=faults,
-                tracer=tracer)
-        # p == 1 shares the inline path below (one rank needs no
-        # batching, and the thread path never spawns a thread for it)
-    elif backend != "thread":
-        raise ValueError(f"unknown backend {backend!r}; "
-                         "options: 'thread', 'proc', 'flat'")
+    # p == 1 always runs inline below: one rank needs no batching, and
+    # the thread path never spawns a thread for it
+    flat = backend == "flat" and p > 1
+    if cancel is not None and cancel.is_set():
+        # cancelled before the world even started: nothing runs
+        executing = "flat" if flat else "thread"
+        failure = RankFailure(
+            [(0, RunCancelled("run cancelled before start"))])
+        if metrics is not None:
+            metrics.record_world(backend=executing, p=p, cancelled=True)
+        if check:
+            raise failure from failure.cause
+        return SpmdResult(
+            p=p, results=[None] * p, clocks=[0.0] * p,
+            phase_times=[{} for _ in range(p)],
+            counters=[{} for _ in range(p)], mem_peaks=[0] * p,
+            failure=failure, traces=[[] for _ in range(p)],
+            extras={"backend": executing})
+    if flat:
+        from .flatworld import run_spmd_flat
+        if metrics is not None:
+            metrics.record_world(backend="flat", p=p)
+        return run_spmd_flat(
+            fn, p, machine=machine, mem_capacity=mem_capacity,
+            args=args, kwargs=kwargs, check=check, faults=faults,
+            tracer=tracer)
     world = SimWorld(p, machine, mem_capacity=mem_capacity, faults=faults,
                   tracer=tracer)
     results: list[Any] = [None] * p
@@ -441,22 +432,16 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
 
     watcher = None
     if cancel is not None:
-        if cancel.is_set():  # cancelled before the world even started
-            failures.append((0, RunCancelled("run cancelled before start")))
-            world.abort.set()
-        else:
-            watcher = threading.Thread(target=_cancel_watch,
-                                       name="spmd-cancel-watch", daemon=True)
-            watcher.start()
+        watcher = threading.Thread(target=_cancel_watch,
+                                   name="spmd-cancel-watch", daemon=True)
+        watcher.start()
 
     try:
-        if world.abort.is_set:
-            pool_threads = 0  # cancelled pre-start: nothing to run
-        elif p == 1:
+        if p == 1:
             runner(0)
             pool_threads = 0
         else:
-            run_pool = pool if isinstance(pool, SpmdPool) else default_pool()
+            run_pool = default_pool() if pool is None else pool
             run_pool.run(runner, p)
             pool_threads = run_pool.size
     finally:

@@ -1,8 +1,7 @@
 """Zero-thread columnar execution engine (``backend="flat"``).
 
-The thread and proc backends pay O(p) interpreter dispatch per phase:
-p rank threads (or sharded thread groups) each stepping through tiny
-numpy calls.  The flat backend keeps the *world* exactly as it is —
+The thread backend pays O(p) interpreter dispatch per phase: p rank
+threads each stepping through tiny numpy calls.  The flat backend keeps the *world* exactly as it is —
 real :class:`~repro.mpi.comm.Comm` handles, per-rank memory trackers,
 fault hooks, tracer — but drives every rank from one interpreter loop
 with zero threads.  :class:`ColumnarWorld` is the columnar view of the
@@ -363,7 +362,7 @@ def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,
     handles in rank order, ``results`` is the per-rank return list
     (``None`` for ranks that failed or were aborted) and ``failures``
     is a list of ``(rank, exception)``.  Programs without a batched
-    path cannot run flat — the thread/proc backends accept any rank
+    path cannot run flat — the thread backend accepts any rank
     callable.
     """
     flat = getattr(fn, "flat_run", None)
@@ -371,7 +370,7 @@ def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,
         raise TypeError(
             "backend='flat' needs a rank program exposing "
             f"flat_run(comms); {fn!r} has none "
-            "(the thread/proc backends run any rank callable)")
+            "(the thread backend runs any rank callable)")
     world = SimWorld(p, machine, mem_capacity=mem_capacity, faults=faults,
                   tracer=tracer)
     comms = make_world_comms(world)

@@ -12,7 +12,7 @@ fault hooks.  Two interchangeable views implement it:
 * :class:`LaneWorld` — **one logical rank** ("lane").  ``comms`` is a
   singleton and every operation delegates straight to the rank's own
   ``Comm``, whose staged protocol synchronises with sibling rank
-  threads.  This view backs the thread and proc backends; per-rank
+  threads.  This view backs the thread backend; per-rank
   exceptions propagate immediately, exactly as a rank thread would
   raise them.
 * :class:`~repro.mpi.flatworld.ColumnarWorld` — **the whole world at
@@ -133,9 +133,8 @@ class World:
 class LaneWorld(World):
     """One logical rank; every operation delegates to its ``Comm``.
 
-    The staged protocol inside ``Comm`` does the synchronising (with
-    rank threads on the thread backend, shared-memory arenas on proc),
-    so this view is a stateless passthrough — phase code written in
+    The staged protocol inside ``Comm`` does the synchronising with
+    the sibling rank threads, so this view is a stateless passthrough — phase code written in
     world form costs a rank thread nothing extra.
     """
 

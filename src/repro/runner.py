@@ -28,7 +28,7 @@ from .baselines import (
 from .core import SdsParams, sds_sort, sds_sort_world
 from .machine import EDISON, MachineSpec
 from .metrics import check_sorted, rdfa, tb_per_min
-from .mpi import ColumnarWorld, Comm, run_spmd
+from .mpi import ENGINE_BACKENDS, ColumnarWorld, Comm, SpmdPool, run_spmd
 from .mpi.errors import RunCancelled
 from .records import RecordBatch, tag_provenance
 from .workloads import Workload
@@ -161,8 +161,9 @@ class RunResult:
 #: Counter prefixes aggregated into ``RunResult.extras["faults"]``.
 _FAULT_COUNTER_PREFIXES = ("faults.", "retry.")
 
-#: Every backend name :func:`run_sort` accepts.
-BACKENDS = ("thread", "proc", "hybrid", "flat", "auto")
+#: Every backend name :func:`run_sort` accepts: the functional engines,
+#: the analytic ``hybrid`` point and the ``auto`` resolver.
+BACKENDS = (*ENGINE_BACKENDS, "hybrid", "auto")
 
 
 def resolve_backend(backend: str, algorithm: str,
@@ -194,11 +195,11 @@ def resolve_backend(backend: str, algorithm: str,
 def eligible_backends(algorithm: str) -> list[str]:
     """Concrete engines that can run ``algorithm`` (``auto`` excluded).
 
-    ``thread`` and ``proc`` accept any per-rank callable; ``flat``
-    needs the algorithm's world-form entry point; ``hybrid`` needs an
-    analytic count-space load model in :mod:`repro.simfast`.
+    ``thread`` accepts any per-rank callable; ``flat`` needs the
+    algorithm's world-form entry point; ``hybrid`` needs an analytic
+    count-space load model in :mod:`repro.simfast`.
     """
-    out = ["thread", "proc"]
+    out = ["thread"]
     spec = ALGORITHMS.get(algorithm)
     if spec is not None and spec.world_ctor is not None:
         out.append("flat")
@@ -212,10 +213,9 @@ def eligible_backends(algorithm: str) -> list[str]:
 class _SortProgram:
     """The per-rank program of :func:`run_sort`, as a picklable value.
 
-    The proc backend ships the rank program to worker processes by
-    pickle; a closure over ``run_sort``'s locals cannot travel, so the
-    captured state lives in dataclass fields and the algorithm is
-    re-resolved from :data:`ALGORITHMS` by name on the far side.
+    The captured state lives in dataclass fields (not a closure over
+    ``run_sort``'s locals) and the algorithm is resolved from
+    :data:`ALGORITHMS` by name at call time.
     """
 
     algorithm: str
@@ -242,8 +242,8 @@ class _SortProgram:
         if spec.world_ctor is None:
             raise TypeError(
                 "backend='flat' needs an algorithm with a world-form entry "
-                f"point; {self.algorithm!r} has none (use backend='thread' "
-                "or 'proc', or 'auto' to pick automatically)")
+                f"point; {self.algorithm!r} has none (use backend='thread', "
+                "or 'auto' to pick automatically)")
         world = ColumnarWorld(comms[0]._world)
         shards = []
         for c in comms:
@@ -263,8 +263,8 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
              algo_opts: dict[str, Any] | None = None,
              faults: Any = None, fault_seed: int = 0,
              trace: bool = False,
-             backend: str = "thread", procs: int | None = None,
-             pool: Any = None, cancel: Any = None,
+             backend: str = "thread",
+             pool: SpmdPool | None = None, cancel: Any = None,
              metrics: Any = None) -> RunResult:
     """Run one distributed sort end to end on the simulated machine.
 
@@ -286,9 +286,9 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         :class:`~repro.obs.report.TraceReport` lands in
         ``extras["trace"]``.  Tracing is purely observational — the
         simulated clocks are identical with it on or off.
-    backend: ``"thread"`` (default), ``"proc"`` and ``"flat"`` run the
-        functional engine — bit-for-bit identical results, with ranks
-        hosted in this process, sharded over worker processes, or
+    backend: one of :data:`BACKENDS`.  ``"thread"`` (default) and
+        ``"flat"`` run the functional engine — bit-for-bit identical
+        results, with ranks hosted as threads of this process or
         executed as whole-world columnar phases with zero rank threads
         respectively (every registered algorithm has the world-form
         entry point ``"flat"`` drives).  ``"auto"`` resolves to
@@ -298,16 +298,14 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         analytically at any ``p`` (up to 128Ki+) while functionally
         executing a deterministic rank sample for validation; see
         :func:`repro.simfast.hybrid_scaling_point`.
-    procs: worker-process count for ``backend="proc"``.
-    pool: optional warm pool to host the run — an
-        :class:`~repro.mpi.engine.SpmdPool` (thread backend) or
-        :class:`~repro.mpi.procpool.ProcPool` (proc backend).  The
-        sort-as-a-service scheduler leases pools from its cache and
-        injects them here so concurrent jobs reuse rank threads /
-        worker interpreters across requests instead of cold-starting.
-    cancel: optional :class:`threading.Event`; firing it mid-run aborts
-        the world with a ``RunCancelled`` failure (thread backend; the
-        other backends honour it at run boundaries).
+    pool: optional warm :class:`~repro.mpi.engine.SpmdPool` hosting the
+        thread backend's ranks.  The sort-as-a-service scheduler leases
+        pools from its cache and injects them here so concurrent jobs
+        reuse rank threads across requests instead of cold-starting.
+    cancel: optional :class:`threading.Event`; set before the world
+        starts, nothing runs and the result is a ``RunCancelled``
+        failure on every functional backend; firing it mid-run aborts a
+        thread world the same way (a flat world runs to completion).
     metrics: optional telemetry sink (duck-typed — any object with
         ``record_run`` / ``record_world``, e.g.
         :class:`repro.service.metrics.ServiceMetrics`).  Records the
@@ -363,7 +361,7 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
 
     res = run_spmd(prog, p, machine=machine, mem_capacity=capacity,
                    check=False, faults=fplan, tracer=tracer,
-                   backend=backend, procs=procs, pool=pool, cancel=cancel,
+                   backend=backend, pool=pool, cancel=cancel,
                    metrics=metrics)
 
     if res.failure is not None:

@@ -1,12 +1,11 @@
 """Keyed warm-pool cache: persistent engine pools reused across jobs.
 
-The engine's pools already survive runs (``SpmdPool`` rank threads,
-``ProcPool`` worker interpreters) — until now only benchmark sweeps
-exploited that.  The cache makes pool survival a service feature: jobs
-lease a pool keyed by ``(backend, p, procs)`` and return it warm, so a
-stream of same-shaped requests pays thread/process start-up once, not
-per job.  Leases are exclusive — a pool is handed to one job at a time
-(concurrent same-key jobs get their own pools, created on demand), and
+The engine's ``SpmdPool`` rank threads already survive runs — until now
+only benchmark sweeps exploited that.  The cache makes pool survival a
+service feature: jobs lease a pool keyed by ``(backend, p)`` and return
+it warm, so a stream of same-shaped requests pays thread start-up once,
+not per job.  Leases are exclusive — a pool is handed to one job at a
+time (concurrent same-key jobs get their own pools, created on demand), and
 the lease refcount on :class:`~repro.mpi.engine.SpmdPool` guarantees
 eviction can never tear a pool down under a borrower.
 """
@@ -17,40 +16,29 @@ import threading
 from typing import Any
 
 from ..mpi.engine import SpmdPool
-from ..mpi.procpool import ProcPool, _auto_procs
-
-#: Pool-backed engine backends; flat and hybrid run pool-less.
-POOLED_BACKENDS = ("thread", "proc")
 
 #: Default cap on idle pools retained across all keys.
 DEFAULT_MAX_POOLS = 8
 
 
-def pool_key(backend: str, p: int, procs: int | None
-             ) -> tuple[Any, ...] | None:
+def pool_key(backend: str, p: int) -> tuple[str, int] | None:
     """Cache key of a job's pool, or ``None`` for pool-less backends.
 
-    Thread pools are keyed by ``p`` (a pool grown to 4Ki threads is
-    wasted on p=16 jobs and vice versa); proc pools additionally by
-    the resolved worker count, which fixes the shard topology.
+    Only the thread backend runs on a pool (flat and hybrid have no
+    rank threads); its pools are keyed by ``p`` — a pool grown to 4Ki
+    threads is wasted on p=16 jobs and vice versa.
     """
-    if backend == "thread":
-        return ("thread", p)
-    if backend == "proc":
-        nprocs = min(procs if procs is not None else _auto_procs(p), p)
-        return ("proc", p, nprocs)
-    return None
+    return ("thread", p) if backend == "thread" else None
 
 
 class PoolLease:
     """One job's exclusive hold on a cached (or throwaway) pool."""
 
     def __init__(self, cache: "WarmPoolCache | None", key: tuple | None,
-                 pool: Any, throwaway: bool = False):
+                 pool: SpmdPool | None):
         self._cache = cache
         self.key = key
         self.pool = pool
-        self._throwaway = throwaway
         self._released = False
 
     def release(self) -> None:
@@ -60,10 +48,9 @@ class PoolLease:
         self._released = True
         if self.pool is None:
             return
-        if isinstance(self.pool, SpmdPool):
-            self.pool.release()
-        if self._throwaway or self._cache is None:
-            _shutdown_pool(self.pool)
+        self.pool.release()
+        if self._cache is None:
+            self.pool.shutdown()
         else:
             self._cache._return(self.key, self.pool)
 
@@ -74,23 +61,16 @@ class PoolLease:
         self.release()
 
 
-def _shutdown_pool(pool: Any) -> None:
-    pool.shutdown()
-
-
-def make_cold_lease(backend: str, p: int, procs: int | None) -> PoolLease:
+def make_cold_lease(backend: str, p: int) -> PoolLease:
     """A fresh single-use pool, shut down on release (cold start).
 
     The throughput benchmark's ``cold`` arm and ``warm_pools=False``
-    services use this so every job pays full thread/process start-up —
-    the baseline the cache is measured against.
+    services use this so every job pays full thread start-up — the
+    baseline the cache is measured against.
     """
-    key = pool_key(backend, p, procs)
-    if key is None:
-        return PoolLease(None, None, None)
-    if key[0] == "thread":
-        return PoolLease(None, key, SpmdPool().lease(), throwaway=True)
-    return PoolLease(None, key, ProcPool(key[2]), throwaway=True)
+    key = pool_key(backend, p)
+    return PoolLease(None, key,
+                     None if key is None else SpmdPool().lease())
 
 
 class WarmPoolCache:
@@ -109,7 +89,7 @@ class WarmPoolCache:
             raise ValueError("max_pools must be >= 1")
         self.max_pools = max_pools
         self._lock = threading.Lock()
-        self._idle: dict[tuple, list[Any]] = {}
+        self._idle: dict[tuple, list[SpmdPool]] = {}
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -117,8 +97,8 @@ class WarmPoolCache:
         # counters into the registry; None keeps the cache standalone
         self._metrics = metrics
 
-    def lease(self, backend: str, p: int, procs: int | None) -> PoolLease:
-        key = pool_key(backend, p, procs)
+    def lease(self, backend: str, p: int) -> PoolLease:
+        key = pool_key(backend, p)
         if key is None:
             return PoolLease(self, None, None)
         with self._lock:
@@ -128,20 +108,13 @@ class WarmPoolCache:
                 self.hits += 1
                 if self._metrics is not None:
                     self._metrics.record_pool_event("hit")
-                if isinstance(pool, SpmdPool):
-                    pool.lease()
-                return PoolLease(self, key, pool)
+                return PoolLease(self, key, pool.lease())
             self.misses += 1
             if self._metrics is not None:
                 self._metrics.record_pool_event("miss")
-        # creation happens outside the lock: ProcPool spawn is slow
-        if key[0] == "thread":
-            return PoolLease(self, key, SpmdPool().lease())
-        return PoolLease(self, key, ProcPool(key[2]))
+        return PoolLease(self, key, SpmdPool().lease())
 
-    def _return(self, key: tuple, pool: Any) -> None:
-        if isinstance(pool, ProcPool) and pool._broken:
-            return  # a broken proc pool refuses further runs
+    def _return(self, key: tuple, pool: SpmdPool) -> None:
         with self._lock:
             total_idle = sum(len(s) for s in self._idle.values())
             if total_idle >= self.max_pools:
@@ -151,7 +124,7 @@ class WarmPoolCache:
             else:
                 self._idle.setdefault(key, []).append(pool)
                 return
-        _shutdown_pool(pool)
+        pool.shutdown()
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
@@ -170,4 +143,4 @@ class WarmPoolCache:
             pools = [pool for shelf in self._idle.values() for pool in shelf]
             self._idle.clear()
         for pool in pools:
-            _shutdown_pool(pool)
+            pool.shutdown()

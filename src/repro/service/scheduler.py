@@ -17,8 +17,9 @@ Lifecycle (the drain state machine, see ``docs/service.md``)::
 stops the workers; ``close`` additionally shuts the cached pools down.
 Per-job timeouts cancel: expired queued jobs never start, and a
 running job's deadline fires the job's cancel event, which the engine
-turns into a ``RunCancelled`` abort (thread backend) — either way the
-job lands in the ``timeout`` state and releases its admission budget.
+turns into a ``RunCancelled`` abort (before the world starts on every
+backend, mid-run on thread) — either way the job lands in the
+``timeout`` state and releases its admission budget.
 """
 
 from __future__ import annotations
@@ -235,18 +236,22 @@ class SortService:
         resolved, _ = resolve_backend(job.spec.backend, job.spec.algorithm)
         lease: PoolLease
         if self.pools is not None:
-            lease = self.pools.lease(resolved, job.spec.p, job.spec.procs)
+            lease = self.pools.lease(resolved, job.spec.p)
         else:
-            lease = make_cold_lease(resolved, job.spec.p, job.spec.procs)
+            lease = make_cold_lease(resolved, job.spec.p)
 
         watchdog: threading.Timer | None = None
         if job.deadline is not None:
             def _fire() -> None:
                 job.timed_out = True
                 job.cancel_event.set()
-            watchdog = threading.Timer(job.deadline - time.monotonic(), _fire)
-            watchdog.daemon = True
-            watchdog.start()
+            remaining = job.deadline - time.monotonic()
+            if remaining <= 0:
+                _fire()  # expired while leasing: the world must not start
+            else:
+                watchdog = threading.Timer(remaining, _fire)
+                watchdog.daemon = True
+                watchdog.start()
 
         try:
             result = job.spec.run(pool=lease.pool, cancel=job.cancel_event,

@@ -65,7 +65,6 @@ class JobSpec:
     p: int = 16
     n_per_rank: int = 2000
     backend: str = "thread"
-    procs: int | None = None
     machine: str = "edison"
     seed: int = 0
     mem_factor: float | None = MEM_FACTOR
@@ -99,9 +98,6 @@ class JobSpec:
         _require(isinstance(self.n_per_rank, int) and self.n_per_rank >= 0,
                  f"n_per_rank must be an integer >= 0, got "
                  f"{self.n_per_rank!r}")
-        _require(self.procs is None
-                 or (isinstance(self.procs, int) and self.procs >= 1),
-                 f"procs must be None or an integer >= 1, got {self.procs!r}")
         _require(self.mem_factor is None or self.mem_factor > 0,
                  f"mem_factor must be None or > 0, got {self.mem_factor!r}")
         _require(self.faults is None or isinstance(self.faults, FaultSpec),
@@ -151,7 +147,7 @@ class JobSpec:
             machine=get_machine(self.machine), seed=self.seed,
             mem_factor=self.mem_factor, algo_opts=dict(self.algo_opts),
             faults=self.faults, fault_seed=self.fault_seed,
-            trace=self.trace, backend=self.backend, procs=self.procs,
+            trace=self.trace, backend=self.backend,
             pool=pool, cancel=cancel, metrics=metrics)
 
     # -- serialisation ------------------------------------------------
@@ -164,7 +160,6 @@ class JobSpec:
             "p": self.p,
             "n_per_rank": self.n_per_rank,
             "backend": self.backend,
-            "procs": self.procs,
             "machine": self.machine,
             "seed": self.seed,
             "mem_factor": self.mem_factor,
@@ -186,8 +181,8 @@ class JobSpec:
         fields = dict(data)
         unknown = set(fields) - {
             "algorithm", "workload", "workload_opts", "p", "n_per_rank",
-            "backend", "procs", "machine", "seed", "mem_factor",
-            "algo_opts", "faults", "fault_seed", "trace", "explain"}
+            "backend", "machine", "seed", "mem_factor", "algo_opts",
+            "faults", "fault_seed", "trace", "explain"}
         if unknown:
             raise JobValidationError(
                 f"unknown job fields: {sorted(unknown)}")

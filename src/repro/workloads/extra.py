@@ -65,7 +65,7 @@ def reverse_sorted_batch(n: int, rng: np.random.Generator) -> RecordBatch:
 
 
 # module-level generators bound with ``partial`` keep Workloads
-# picklable for the process-sharded engine backend
+# picklable
 
 def gaussian(mu: float = 0.0, sigma: float = 1.0) -> Workload:
     return Workload("gaussian", partial(gaussian_batch, mu=mu, sigma=sigma),
@@ -83,7 +83,7 @@ def reverse_sorted() -> Workload:
 
 def _staggered_fallback_batch(n: int, rng: np.random.Generator) -> RecordBatch:
     """Plain-uniform stand-in for ``Workload.fn`` (shard() is overridden);
-    module-level so a staggered Workload still pickles into proc workers."""
+    module-level so a staggered Workload still pickles."""
     return RecordBatch(rng.random(n))
 
 

@@ -101,7 +101,7 @@ def ptf(delta: float = PTF_DELTA) -> Workload:
     """PTF-like workload (see :func:`ptf_batch`).
 
     The generator is a ``partial`` of the module-level batch function —
-    not a closure — so the Workload pickles into proc-backend workers.
+    not a closure — so the Workload pickles.
     """
     return Workload("ptf", partial(ptf_batch, delta=delta), {"delta": delta})
 

@@ -107,9 +107,7 @@ def uniform_payload_batch(n: int, rng: np.random.Generator, *,
 
 
 # Workload generators are module-level callables bound with ``partial``
-# (not closures) so a Workload pickles — the process-sharded engine
-# backend ships rank programs, and the workloads they hold, to worker
-# processes.
+# (not closures) so a Workload, and a rank program holding one, pickles.
 
 def uniform(payload_floats: int = 0) -> Workload:
     """Uniform workload, optionally with ``payload_floats`` float64 columns."""

@@ -24,7 +24,7 @@ def sync_exchange_compute_dense(stage: list, *, p: int, merge: bool,
 
     ``stage`` holds one ``((batch, displs), clock)`` deposit per rank in
     group-rank order — exactly what :meth:`Comm.staged` hands the
-    designated-rank action.  Shared by the thread/proc backends (as the
+    designated-rank action.  Shared by the thread backend (as the
     staged collective's action) and the flat backend (called directly on
     a synthesized stage); see :func:`exchange_sync_fused` for the
     exactness audit.

@@ -1,13 +1,10 @@
 """Cross-backend equivalence: every engine is bit-for-bit the thread one.
 
-One suite, parametrized over the alternative execution backends:
-
-* ``proc`` — rank blocks hosted in worker processes, staged-collective
-  deposits carried through shared memory;
-* ``flat`` — the columnar engine: no rank threads at all, each phase
-  runs as one batched numpy invocation over the whole world through
-  the :class:`~repro.mpi.flatworld.ColumnarWorld` view of the
-  ``World`` protocol.
+One suite, parametrized over the alternative execution backends — today
+only ``flat``, the columnar engine: no rank threads at all, each phase
+runs as one batched numpy invocation over the whole world through the
+:class:`~repro.mpi.flatworld.ColumnarWorld` view of the ``World``
+protocol.
 
 None of that machinery may be observable in the results.  These tests
 pin the determinism contract: virtual clocks, outputs, phase times,
@@ -24,7 +21,9 @@ their thread twins bit-for-bit.
 
 Backend resolution (``--backend auto``) and the per-algorithm
 eligibility report are covered here too, as are the hybrid backend's
-runner-level contracts and the engine's coarse-switch hygiene.
+runner-level contracts and the engine's coarse-switch hygiene.  The
+removed ``proc`` backend and its ``procs`` option must be *rejected*
+at every entry point, with the remaining options listed.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import pytest
 
 from repro.machine import EDISON
 from repro.mpi import run_spmd
-from repro.mpi.procpool import shard_bounds
 from repro.runner import (
     ALGORITHMS,
     eligible_backends,
@@ -48,18 +46,12 @@ from .test_engine_golden import GOLDEN, WORKLOADS, _prog
 WALL_COUNTERS = ("coll.sync_wait", "p2p.wait")
 
 #: The alternative backends under test (thread is the reference).
-BACKENDS = ("proc", "flat")
+BACKENDS = ("flat",)
 
 
 def _strip_wall(counters):
     return [{k: v for k, v in c.items() if k not in WALL_COUNTERS}
             for c in counters]
-
-
-def _backend_kw(backend):
-    """Extra ``run_sort``/``run_chaos``/``run_spmd`` backend kwargs."""
-    return ({"backend": "proc", "procs": 2} if backend == "proc"
-            else {"backend": "flat"})
 
 
 class _WorldProg:
@@ -100,20 +92,7 @@ class _FlatOnlyProg(_WorldProg):
 def _spmd(backend, ref, prog_cls=_WorldProg):
     prog = prog_cls(ref["n_per_rank"], ref.get("workload", "uniform"),
                     ref.get("params", {}))
-    return run_spmd(prog, ref["p"], machine=EDISON, **_backend_kw(backend))
-
-
-# ---------------------------------------------------------------------------
-# sharding arithmetic
-# ---------------------------------------------------------------------------
-
-def test_shard_bounds_contiguous_and_complete():
-    for p, nprocs in [(8, 2), (10, 3), (7, 7), (64, 8), (5, 1)]:
-        b = shard_bounds(p, nprocs)
-        assert b[0] == 0 and b[-1] == p and len(b) == nprocs + 1
-        sizes = [b[i + 1] - b[i] for i in range(nprocs)]
-        assert sum(sizes) == p
-        assert max(sizes) - min(sizes) <= 1  # balanced blocks
+    return run_spmd(prog, ref["p"], machine=EDISON, backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -134,18 +113,6 @@ def test_matches_golden(backend, case):
     assert [r[1] for r in res.results] == ref["out_lens"]
 
 
-def test_proc_worker_count_is_unobservable():
-    ref = GOLDEN["p64_n2000"]
-    args = (ref["n_per_rank"], "uniform", ref.get("params", {}))
-    clocks = None
-    for procs in (2, 3):
-        res = run_spmd(_prog, ref["p"], machine=EDISON, args=args,
-                       backend="proc", procs=procs)
-        assert res.clocks == ref["clocks"]
-        clocks = clocks or res.clocks
-        assert res.clocks == clocks
-
-
 def test_flat_never_spawns_rank_threads():
     res = _spmd("flat", GOLDEN["p64_n2000"], prog_cls=_FlatOnlyProg)
     assert res.ok
@@ -160,7 +127,7 @@ def test_run_sort_equals_thread(backend):
     wl = by_name("zipf")
     kw = dict(n_per_rank=300, p=64, mem_factor=None)
     t = run_sort("sds", wl, **kw)
-    b = run_sort("sds", wl, **kw, **_backend_kw(backend))
+    b = run_sort("sds", wl, **kw, backend=backend)
     assert t.ok and b.ok
     assert t.elapsed == b.elapsed
     assert t.loads == b.loads
@@ -206,7 +173,7 @@ def test_chaos_hash_is_backend_invariant(backend):
     kw = dict(p=32, n_per_rank=128, seeds=[0],
               specs=["drop", "crash-exchange"], algorithms=["sds"])
     rt = run_chaos(**kw)
-    rb = run_chaos(**kw, **_backend_kw(backend))
+    rb = run_chaos(**kw, backend=backend)
     assert rt.report_hash == rb.report_hash
 
 
@@ -215,7 +182,7 @@ def test_trace_report_is_backend_invariant(backend):
     wl = by_name("uniform")
     kw = dict(n_per_rank=200, p=64, mem_factor=None, trace=True)
     t = run_sort("sds", wl, **kw)
-    b = run_sort("sds", wl, **kw, **_backend_kw(backend))
+    b = run_sort("sds", wl, **kw, backend=backend)
     dt = t.extras["trace"].as_dict()
     db = b.extras["trace"].as_dict()
     dt["engine_counters"] = _strip_wall(dt["engine_counters"])
@@ -227,17 +194,17 @@ def test_trace_report_is_backend_invariant(backend):
 def test_failure_surfaces_identically(backend):
     # Simultaneous multi-rank OOM: *which* rank records its failure
     # before siblings unwind is host-scheduling dependent on the
-    # threaded backends (the flat ordering is deterministic — ranks
+    # thread backend (the flat ordering is deterministic — ranks
     # fail in collective order), so the cross-backend contract covers
     # the failure's kind and shape, not the reporting rank.
     wl = by_name("uniform")
     kw = dict(n_per_rank=500, p=64, mem_factor=1.0)
     t = run_sort("sds", wl, **kw)
-    b = run_sort("sds", wl, **kw, **_backend_kw(backend))
+    b = run_sort("sds", wl, **kw, backend=backend)
     assert not t.ok and not b.ok
     assert t.oom and b.oom
     assert "SimOOMError" in t.failure and "SimOOMError" in b.failure
-    assert "would exceed capacity" in b.failure  # repr survives transport
+    assert "would exceed capacity" in b.failure
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +219,6 @@ def test_extras_report_backend_topology():
     assert t.extras["workers"] == 1
     assert t.extras["shards"] == [[0, 64]]
     assert t.extras["coarse_switch"] is True
-    p = run_spmd(_prog, 64, machine=EDISON, args=args,
-                 backend="proc", procs=2)
-    assert p.extras["backend"] == "proc"
-    assert p.extras["workers"] == 2
-    assert p.extras["shards"] == [[0, 32], [32, 64]]
-    assert p.extras["pool_threads"] == 32
     f = _spmd("flat", ref)
     assert f.extras["backend"] == "flat"
     assert f.extras["workers"] == 0
@@ -274,6 +235,102 @@ def test_flat_requires_flat_run():
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError, match="unknown backend"):
         run_spmd(lambda comm: None, 2, backend="mpi")
+
+
+# ---------------------------------------------------------------------------
+# the removed ``proc`` backend / ``procs`` option: typed rejection at every
+# entry point, with the remaining options listed (never a silent default)
+# ---------------------------------------------------------------------------
+
+def test_removed_proc_rejected_by_engine_and_runner():
+    with pytest.raises(ValueError,
+                       match=r"unknown backend 'proc'.*'thread', 'flat'"):
+        run_spmd(lambda comm: None, 2, backend="proc")
+    with pytest.raises(ValueError,
+                       match=r"unknown backend 'proc'.*'thread'.*'auto'"):
+        run_sort("sds", by_name("uniform"), n_per_rank=10, p=2,
+                 backend="proc")
+    with pytest.raises(TypeError, match="procs"):
+        run_spmd(lambda comm: None, 2, procs=2)
+    with pytest.raises(TypeError, match="procs"):
+        run_sort("sds", by_name("uniform"), n_per_rank=10, p=2, procs=2)
+
+
+def test_removed_proc_rejected_by_jobspec_and_daemon():
+    import io
+    import json
+
+    from repro.service import JobSpec, JobValidationError, SortService
+    from repro.service.daemon import serve_stdio
+
+    with pytest.raises(JobValidationError,
+                       match=r"unknown backend 'proc'.*'thread'"):
+        JobSpec.from_dict({"backend": "proc"})
+    with pytest.raises(JobValidationError,
+                       match=r"unknown job fields: \['procs'\]"):
+        JobSpec.from_dict({"procs": 2})
+
+    # the same spec on the wire: a typed ``invalid`` rejection that
+    # commits no admission budget
+    requests = [{"op": "submit",
+                 "spec": {"p": 4, "n_per_rank": 50, "procs": 2}},
+                {"op": "stats"}]
+    wfile = io.StringIO()
+    serve_stdio(SortService(workers=1),
+                io.StringIO("".join(json.dumps(r) + "\n" for r in requests)),
+                wfile)
+    submitted, stats = map(json.loads, wfile.getvalue().splitlines())
+    assert submitted["ok"] and stats["ok"]
+    assert submitted["job"]["status"] == "rejected"
+    assert submitted["job"]["admission"]["code"] == "invalid"
+    assert "procs" in submitted["job"]["error"]
+    assert stats["stats"]["counts"]["rejected"] == 1
+    assert stats["stats"]["admission"]["committed_bytes"] == 0
+
+
+@pytest.mark.parametrize("argv", [["sort", "--backend", "proc"],
+                                  ["sort", "--procs", "2"],
+                                  ["chaos", "--backend", "proc"]])
+def test_removed_proc_rejected_by_cli(argv, capsys):
+    from repro.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2  # argparse usage error
+    err = capsys.readouterr().err
+    assert "proc" in err and ("invalid choice" in err
+                              or "unrecognized arguments" in err)
+
+
+# ---------------------------------------------------------------------------
+# pre-start cancellation: one check serves every backend
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [1, 8])
+@pytest.mark.parametrize("backend", ["thread", "flat"])
+def test_cancel_before_start_is_honoured(backend, p):
+    import threading
+
+    class _Sink:
+        def __init__(self):
+            self.worlds = []
+
+        def record_world(self, **kw):
+            self.worlds.append(kw)
+
+        def record_run(self, **kw):
+            pass
+
+    cancel = threading.Event()
+    cancel.set()
+    sink = _Sink()
+    r = run_sort("sds", by_name("uniform"), n_per_rank=200, p=p,
+                 mem_factor=None, backend=backend, cancel=cancel,
+                 metrics=sink)
+    assert r.ok is False and not r.oom
+    assert "RunCancelled" in r.failure
+    executing = "flat" if backend == "flat" and p > 1 else "thread"
+    assert sink.worlds == [{"backend": executing, "p": p, "cancelled": True}]
 
 
 # ---------------------------------------------------------------------------
@@ -301,8 +358,7 @@ def test_resolve_backend_rejects_unknown():
 def test_eligible_backends_per_algorithm():
     for algorithm in ALGORITHMS:
         elig = eligible_backends(algorithm)
-        assert elig[:2] == ["thread", "proc"]
-        assert "flat" in elig
+        assert elig[:2] == ["thread", "flat"]
     # hybrid needs an analytic count-space load model
     assert "hybrid" in eligible_backends("sds")
     assert "hybrid" in eligible_backends("sds-stable")
@@ -320,7 +376,7 @@ def test_run_sort_auto_records_resolution():
     assert a.extras["backend"] == {
         "requested": "auto", "resolved": "flat",
         "reason": a.extras["backend"]["reason"],
-        "eligible": ["thread", "proc", "flat", "hybrid"]}
+        "eligible": ["thread", "flat", "hybrid"]}
     t = run_sort("sds", wl, **kw)
     assert t.extras["backend"]["requested"] == "thread"
     assert t.extras["backend"]["resolved"] == "thread"
@@ -335,7 +391,7 @@ def test_run_sort_auto_routes_psrs_to_flat():
     assert a.ok
     assert a.extras["engine"]["backend"] == "flat"
     assert a.extras["backend"]["resolved"] == "flat"
-    assert a.extras["backend"]["eligible"] == ["thread", "proc", "flat"]
+    assert a.extras["backend"]["eligible"] == ["thread", "flat"]
     t = run_sort("psrs", wl, **kw)
     assert a.elapsed == t.elapsed
 

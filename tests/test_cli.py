@@ -140,9 +140,9 @@ class TestCliTrace:
         assert doc["engine"]["resolved_backend"] == {
             "requested": "thread", "resolved": "thread",
             "reason": "explicitly requested",
-            "eligible": ["thread", "proc", "flat", "hybrid"]}
+            "eligible": ["thread", "flat", "hybrid"]}
         assert doc["engine"]["eligible_backends"] == [
-            "thread", "proc", "flat", "hybrid"]
+            "thread", "flat", "hybrid"]
         assert doc["elapsed"] > 0
         assert doc["decisions"] and "choice" in doc["decisions"][0]
         assert doc["trace"]["spans"] > 0
@@ -161,8 +161,7 @@ class TestCliTrace:
         resolved = doc["engine"]["resolved_backend"]
         assert resolved["requested"] == "auto"
         assert resolved["resolved"] == "flat"
-        assert doc["engine"]["eligible_backends"] == [
-            "thread", "proc", "flat"]
+        assert doc["engine"]["eligible_backends"] == ["thread", "flat"]
 
     def test_sort_json_failure(self, capsys):
         import json

@@ -277,6 +277,39 @@ class TestServiceLifecycle:
             ok = c.run(JobSpec(p=4, n_per_rank=200))
             assert ok["status"] == "done"
 
+    @pytest.mark.parametrize("backend", ["thread", "flat"])
+    @pytest.mark.parametrize("how", ["cancelled", "timeout"])
+    def test_cancel_between_pop_and_world_start(self, how, backend):
+        # the cancel (or the deadline) lands while the worker is leasing
+        # its pool: the job is already ``running`` but its world has not
+        # started, and no backend may run it to completion
+        svc = SortService(workers=1)
+        leasing, go = threading.Event(), threading.Event()
+        lease = svc.pools.lease
+
+        def slow_lease(*args):
+            leasing.set()
+            assert go.wait(10)
+            return lease(*args)
+
+        svc.pools.lease = slow_lease
+        try:
+            job = svc.submit(JobSpec(p=8, n_per_rank=200, backend=backend),
+                             timeout_s=0.05 if how == "timeout" else None)
+            assert leasing.wait(10)
+            if how == "cancelled":
+                svc.cancel(job.id)
+            else:
+                time.sleep(max(0.0, job.deadline - time.monotonic()) + 0.01)
+            go.set()
+            svc.wait(job.id, timeout=10)
+            assert job.status == how
+            assert "RunCancelled" in job.error
+            assert svc.stats()["admission"]["committed_bytes"] == 0
+        finally:
+            go.set()
+            svc.close()
+
     def test_cancel_queued_job(self):
         with ServiceClient(workers=1) as c:
             slow = c.submit(JobSpec(p=16, n_per_rank=50_000))
