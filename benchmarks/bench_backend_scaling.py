@@ -1,16 +1,15 @@
-"""Backend scaling: thread ceiling, flat wall, hybrid giant-p.
+"""Backend scaling: thread ceiling, flat wall.
 
 Tracks the host wall-clock of full functional `sds` runs through
-``run_sort`` on the functional backends, and the hybrid backend's
-modelled points with their validation evidence.  The thread backend's
+``run_sort`` on the functional backends.  The thread backend's
 per-collective wakeups and GIL traffic become the bottleneck as p
 grows: at p=16Ki the thread run was capped still running at 95 min on
 the 1-core reference host (:data:`THREAD_16KI_FLOOR`).  The columnar
 **flat** backend removes thread hosting altogether and turns the same
 p=16Ki world into ~2 s and an exact p=64Ki world into seconds — the
 point past every threaded ceiling where the functional reproduction
-still runs whole.  Beyond that, the hybrid backend covers p = 64Ki /
-128Ki analytically with a sampled functional leg.
+still runs whole.  Beyond that, ``repro.simfast`` (``sdssort scaling``
+/ ``rdfa``) answers p = 128Ki in count space.
 
 The process-sharded ``proc`` backend this bench used to measure is
 gone (it matched thread at 0.94-1.01x through p=4Ki and took 1372 s at
@@ -31,9 +30,9 @@ measured runs merge over the recorded ones, so unmeasured points keep
 their recorded entries.
 
 Wall times are best-of-2 per configuration.  ``REPRO_BENCH_QUICK``
-keeps only the p=1024 thread point, the flat series to p=16Ki and the
-p=64Ki hybrid point; ``REPRO_BENCH_FLAT_ONLY`` measures just the flat
-series.  Run directly or via pytest.
+keeps only the p=1024 thread point and the flat series to p=16Ki;
+``REPRO_BENCH_FLAT_ONLY`` measures just the flat series.  Run directly
+or via pytest.
 """
 
 from __future__ import annotations
@@ -94,12 +93,6 @@ FLAT_PSRS = [
     ("p16384_flat_psrs", 16384, 64, 1),
 ]
 
-#: Hybrid points: (name, p, n_per_rank).
-HYBRID = [
-    ("p65536_hybrid", 65536, 2000),
-    ("p131072_hybrid", 131072, 2000),
-]
-
 
 def flat_only() -> bool:
     return bool(os.environ.get("REPRO_BENCH_FLAT_ONLY"))
@@ -149,24 +142,6 @@ def measure() -> dict:
                       "n_per_rank": n, "wall_seconds": flat_wall,
                       "sim_seconds": round(r.elapsed, 6),
                       "rdfa": round(r.rdfa, 4)}
-    hybrid = [c for c in HYBRID
-              if not (quick() and c[1] > 65536) and not flat_only()]
-    for name, p, n in hybrid:
-        t0 = time.perf_counter()
-        r = run_sort("sds", by_name("zipf"), n_per_rank=n, p=p,
-                     mem_factor=None, backend="hybrid")
-        wall = round(time.perf_counter() - t0, 4)
-        assert r.ok, (name, r.failure)
-        hyb = r.extras["hybrid"]
-        runs[name] = {"backend": "hybrid", "p": p, "n_per_rank": n,
-                      "wall_seconds": wall,
-                      "sim_seconds": round(r.elapsed, 6),
-                      "throughput_tb_min": round(r.throughput_tb_min, 2),
-                      "validated": bool(hyb["local_sort_ok"]
-                                        and hyb["deterministic"]),
-                      "max_load_rel_err": round(hyb["max_load_rel_err"], 4),
-                      "rdfa_rel_err": round(hyb["rdfa_rel_err"], 4),
-                      "sampled_ranks": hyb["sampled_ranks"]}
     return runs
 
 
@@ -177,8 +152,7 @@ def write_report(runs: dict) -> dict:
     recorded = existing.get("backend_scaling", {}).get("runs", {})
     merged = {**recorded, **runs}  # unmeasured points keep their record
     existing["backend_scaling"] = {
-        "machine": "EDISON cost model, uniform (functional) / zipf (hybrid)"
-                   ", no memory limit",
+        "machine": "EDISON cost model, uniform, no memory limit",
         "host_cores": os.cpu_count(),
         "runs": merged,
     }
@@ -226,9 +200,6 @@ def test_backend_scaling():
     # clear the recorded SDS proc wall by the same 5x bar.
     assert (runs["p16384_flat_psrs"]["wall_seconds"]
             < PROC_16KI_RECORDED / 5.0)
-    for name, r in runs.items():
-        if r["backend"] == "hybrid":
-            assert r["validated"], name
 
 
 if __name__ == "__main__":

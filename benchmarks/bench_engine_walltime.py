@@ -35,9 +35,9 @@ other's sections and all v3 baselines.  Schema v5 adds the
 (host cost of the observability hooks, tracing off vs on); all v4
 sections and baselines carry over unchanged.  Schema v6 adds the
 ``backend_scaling`` section written by ``bench_backend_scaling.py``
-(thread vs flat wall-clock at p in {1Ki, 4Ki}, flat to 64Ki, hybrid
-points at 64Ki/128Ki; the rows of the since-removed ``proc`` backend
-stay in the file as history); all v5 sections carry over unchanged.  Schema v9 adds the
+(thread vs flat wall-clock at p in {1Ki, 4Ki}, flat to 64Ki; the
+rows of the since-removed ``proc`` and ``hybrid`` backends stay in the
+file as history); all v5 sections carry over unchanged.  Schema v9 adds the
 ``service_throughput`` section written by
 ``bench_service_throughput.py`` (jobs/min and latency percentiles
 through the sort service, warm vs cold engine pools); all prior

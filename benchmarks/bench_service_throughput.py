@@ -1,26 +1,29 @@
-"""Service throughput: jobs/min and job latency, warm vs cold pools.
+"""Service throughput: jobs/min and job latency on warm pools.
 
 The service subsystem (``docs/service.md``) schedules jobs on a
 ``WarmPoolCache`` so a stream of same-shaped jobs pays engine start-up
 (spawning the ``SpmdPool`` rank threads) once instead of per job.
-This bench measures what that buys on the host: a fixed stream of
+This bench tracks the service's host throughput: a fixed stream of
 identical-shape ``sds`` jobs is pushed through an in-process
-``ServiceClient`` at worker concurrency in {1, 4, 16}, once with the
-warm-pool cache enabled and once with every job on a cold
-made-to-order pool, recording throughput (jobs/min) and per-job
-latency percentiles (p50/p99 of the envelope's ``timing.total_ms``,
-which spans submission to completion, queueing included).
+``ServiceClient`` at worker concurrency in {1, 4, 16}, recording
+throughput (jobs/min) and per-job latency percentiles (p50/p99 of the
+envelope's ``timing.total_ms``, which spans submission to completion,
+queueing included).
 
 The job shape is p=128, n/rank=200: large enough rank count that pool
-start-up is a real fraction of the job (the single-job probe measures
-~43 ms warm vs ~58 ms cold on the reference host), small enough that
-the whole matrix stays in seconds.  With ~20 samples per cell the p99
+start-up would be a real fraction of the job (a single-job probe
+measured ~43 ms on a warm pool vs ~58 ms building one on the reference
+host), small enough that the whole matrix stays in seconds.  The
+``c*_cold`` rows in ``BENCH_engine.json`` are history: the per-job
+cold-pool baseline the cache was measured against (it never won) and
+its service option are gone.  With ~20 samples per cell the p99
 is effectively the max — it is recorded as a tail indicator, not a
 stable quantile.
 
 Results land in the ``service_throughput`` section of
 ``BENCH_engine.json`` (schema v10).  Like the other engine benches this
-read-modify-writes the file, preserving every other section.
+read-modify-writes the file, preserving every other section and the
+recorded rows it no longer measures.
 
 Run directly (``python benchmarks/bench_service_throughput.py``) or
 via pytest.  ``REPRO_BENCH_QUICK`` drops the concurrency-16 cell and
@@ -64,12 +67,11 @@ def _percentile(samples: list[float], q: float) -> float:
     return ordered[idx]
 
 
-def _run_stream(workers: int, warm: bool) -> dict:
+def _run_stream(workers: int) -> dict:
     """Submit JOBS jobs, wait for all, return throughput + latency."""
-    with ServiceClient(workers=workers, warm_pools=warm) as client:
-        # one discarded warm-up job so the warm cell measures steady
-        # state (pool already built) and the cold cell still rebuilds
-        # per job — the asymmetry under test
+    with ServiceClient(workers=workers) as client:
+        # one discarded warm-up job so the cell measures steady state
+        # (pool already built)
         client.run(_spec(seed=10_000))
         t0 = time.perf_counter()
         ids = [client.submit(_spec(seed=s))["job_id"] for s in range(JOBS)]
@@ -81,7 +83,6 @@ def _run_stream(workers: int, warm: bool) -> dict:
     lat = [e["timing"]["total_ms"] for e in envs]
     return {
         "workers": workers,
-        "warm_pools": warm,
         "jobs": JOBS,
         "wall_seconds": round(wall, 4),
         "jobs_per_min": round(JOBS / wall * 60.0, 1),
@@ -93,23 +94,20 @@ def _run_stream(workers: int, warm: bool) -> dict:
 
 
 def measure() -> dict:
-    out: dict[str, dict] = {}
-    for workers in CONCURRENCY:
-        for warm in (True, False):
-            key = f"c{workers}_{'warm' if warm else 'cold'}"
-            out[key] = _run_stream(workers, warm)
-    return out
+    return {f"c{workers}_warm": _run_stream(workers)
+            for workers in CONCURRENCY}
 
 
 def write_report(runs: dict) -> list[str]:
     existing = (json.loads(JSON_PATH.read_text())
                 if JSON_PATH.exists() else {})
     existing["schema"] = SCHEMA
+    recorded = existing.get("service_throughput", {}).get("runs", {})
     existing["service_throughput"] = {
         "machine": "in-process ServiceClient, sds uniform "
                    f"p={P} n/rank={N_PER_RANK}, thread backend, "
                    f"{JOBS}-job stream per cell (1 warm-up discarded)",
-        "runs": runs,
+        "runs": {**recorded, **runs},
     }
     JSON_PATH.write_text(json.dumps(existing, indent=1) + "\n")
 
@@ -128,23 +126,9 @@ def test_service_throughput():
     rows = write_report(runs)
     emit("service_throughput", rows)
     for workers in CONCURRENCY:
-        warm, cold = runs[f"c{workers}_warm"], runs[f"c{workers}_cold"]
+        warm = runs[f"c{workers}_warm"]
         # the warm cache actually served the stream from reuse
         assert warm["pool_stats"]["hits"] >= JOBS - workers, warm
-        assert not cold["pool_stats"].get("hits"), cold
-    # warm pools must beat cold where the comparison is noise-free:
-    # single-worker, strictly serial, every cold job pays a fresh
-    # 128-thread pool spawn (generous margin — the reference host
-    # measures ~1.3x; 1.05x catches a dead cache, not scheduler mood)
-    warm1, cold1 = runs["c1_warm"], runs["c1_cold"]
-    assert warm1["jobs_per_min"] > cold1["jobs_per_min"] * 1.05, (
-        warm1["jobs_per_min"], cold1["jobs_per_min"])
-    # and in aggregate across the whole concurrency matrix
-    warm_wall = sum(r["wall_seconds"] for r in runs.values()
-                    if r["warm_pools"])
-    cold_wall = sum(r["wall_seconds"] for r in runs.values()
-                    if not r["warm_pools"])
-    assert warm_wall < cold_wall, (warm_wall, cold_wall)
 
 
 if __name__ == "__main__":

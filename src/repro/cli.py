@@ -26,7 +26,13 @@ from .machine import PRESETS, get_machine
 from .metrics import rdfa
 from .mpi import ENGINE_BACKENDS
 from .runner import ALGORITHMS, BACKENDS, run_sort
-from .simfast import UniverseModel, countspace_loads, fmt_p, weak_scaling_series
+from .simfast import (
+    UniverseModel,
+    analytic_model_for,
+    countspace_loads,
+    fmt_p,
+    weak_scaling_series,
+)
 from .workloads import by_name
 
 
@@ -37,16 +43,12 @@ def _workload(args: argparse.Namespace):
     return by_name(args.workload, **kwargs)
 
 
-def _universe_model(name: str, alpha: float) -> UniverseModel:
-    if name == "uniform":
-        return UniverseModel.uniform()
-    if name == "zipf":
-        return UniverseModel.zipf(alpha)
-    if name == "ptf":
-        return UniverseModel.point_mass(0.2802, name="ptf")
-    if name == "cosmology":
-        return UniverseModel.power_law_clusters(0.0073)
-    raise SystemExit(f"no count-space model for workload {name!r}")
+def _universe_model(args: argparse.Namespace) -> UniverseModel:
+    model = analytic_model_for(_workload(args))
+    if model is None:
+        raise SystemExit(
+            f"no count-space model for workload {args.workload!r}")
+    return model
 
 
 def _int_list(text: str) -> list[int]:
@@ -126,11 +128,11 @@ def _fault_spec(text: str):
 
 
 def _sort_json_doc(args: argparse.Namespace, machine, r) -> dict:
-    """The ``sort --json`` document (schema ``sdssort.sort/v4``).
+    """The ``sort --json`` document (schema ``sdssort.sort/v5``).
 
     One builder (`repro.service.jsondoc.sort_doc`) serves both this
     direct path and service job results; direct runs carry zero
-    queue/run latency in the v4 ``timing`` block.
+    queue/run latency in the ``timing`` block.
     """
     from .service.jsondoc import sort_doc
 
@@ -146,15 +148,12 @@ def cmd_sort(args: argparse.Namespace) -> int:
             opts["node_merge_enabled"] = False
         if args.sync:
             opts["tau_o"] = 0
-    # hybrid carries no rank timelines, so it cannot honour tracing;
-    # --json still works there (the doc reports the validation evidence).
-    want_trace = ((args.trace is not None or args.json)
-                  and args.backend != "hybrid")
     r = run_sort(args.algorithm, _workload(args), n_per_rank=args.n,
                  p=args.p, machine=machine, seed=args.seed,
                  mem_factor=None if args.no_mem_limit else args.mem_factor,
                  algo_opts=opts, faults=args.fault_spec,
-                 fault_seed=args.fault_seed, trace=want_trace,
+                 fault_seed=args.fault_seed,
+                 trace=args.trace is not None or args.json,
                  backend=args.backend)
     report = r.extras.get("trace")
     if args.trace is not None and report is not None:
@@ -178,14 +177,6 @@ def cmd_sort(args: argparse.Namespace) -> int:
         why = (f" — {resolved['reason']}"
                if resolved.get("requested") == "auto" else "")
         print(f"backend   : flat (batched columnar phases, 0 threads){why}")
-    elif engine.get("backend") == "hybrid":
-        hyb = r.extras.get("hybrid", {})
-        print(f"backend   : hybrid (analytic at p={args.p}, functional "
-              f"sample ranks {hyb.get('sampled_ranks')})")
-        print(f"validated : max-load rel err "
-              f"{hyb.get('max_load_rel_err', 0.0):.3f}, RDFA rel err "
-              f"{hyb.get('rdfa_rel_err', 0.0):.3f} "
-              f"(tolerance {hyb.get('tolerance', 0.0):.2f})")
     print("status    : ok (validated)")
     print(f"sim time  : {r.elapsed:.6f} s  "
           f"({r.throughput_tb_min:,.2f} TB/min at scale)")
@@ -236,7 +227,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_scaling(args: argparse.Namespace) -> int:
     machine = get_machine(args.machine)
-    model = _universe_model(args.workload, args.alpha)
+    model = _universe_model(args)
     algos = args.algorithms.split(",")
     series = {
         alg: weak_scaling_series(alg, model, args.n, args.p,
@@ -271,7 +262,7 @@ def cmd_scaling(args: argparse.Namespace) -> int:
 
 
 def cmd_rdfa(args: argparse.Namespace) -> int:
-    model = _universe_model(args.workload, args.alpha)
+    model = _universe_model(args)
     methods = ["hyksort", "classic", "fast", "stable"]
     print(f"workload={args.workload} n/rank={args.n:,}")
     print(f"{'p':>8s}" + "".join(f" {m:>10s}" for m in methods))
@@ -465,7 +456,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.max_queue_depth,
         mem_budget_bytes=(None if args.no_mem_budget
                           else int(args.mem_budget_mb * 2**20)),
-        warm_pools=not args.cold_pools,
         max_pools=args.max_pools,
         telemetry=not args.no_telemetry)
     if args.socket:
@@ -714,9 +704,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="engine backend: rank threads in-process, "
                          "whole-world batched columnar phases with no "
                          "rank threads (flat: bit-for-bit identical, "
-                         "every algorithm), analytic+sampled hybrid for "
-                         "giant p (4Ki..128Ki+), or auto (flat when "
-                         "eligible, else thread)")
+                         "every algorithm), or auto (flat)")
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument("--mem-factor", type=_positive_float, default=6.7,
                     help="per-rank memory capacity as multiple of input")
@@ -740,7 +728,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "print the phase-flame / comm-heat summary")
     ps.add_argument("--json", action="store_true",
                     help="machine-readable JSON result on stdout "
-                         "(schema sdssort.sort/v4; implies tracing)")
+                         "(schema sdssort.sort/v5; implies tracing)")
     ps.set_defaults(fn=cmd_sort)
 
     ptr = sub.add_parser(
@@ -842,9 +830,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "peak across queued+running jobs (MiB)")
     pv.add_argument("--no-mem-budget", action="store_true",
                     help="disable the memory admission gate")
-    pv.add_argument("--cold-pools", action="store_true",
-                    help="disable warm-pool reuse (every job cold-starts "
-                         "its engine pool)")
     pv.add_argument("--max-pools", type=_positive_int, default=8,
                     help="idle engine pools retained by the warm cache")
     pv.add_argument("--no-telemetry", action="store_true",

@@ -14,21 +14,23 @@ from typing import Any, Callable
 
 from .baselines import (
     HykParams,
-    bitonic_sort_batch,
     bitonic_sort_batch_world,
-    hyksort,
-    hyksort_secondary_key,
     hyksort_secondary_key_world,
     hyksort_world,
-    psrs_sort,
     psrs_sort_world,
-    radix_sort,
     radix_sort_world,
 )
-from .core import SdsParams, sds_sort, sds_sort_world
+from .core import SdsParams, sds_sort_world
 from .machine import EDISON, MachineSpec
 from .metrics import check_sorted, rdfa, tb_per_min
-from .mpi import ENGINE_BACKENDS, ColumnarWorld, Comm, SpmdPool, run_spmd
+from .mpi import (
+    ENGINE_BACKENDS,
+    LANE,
+    ColumnarWorld,
+    Comm,
+    SpmdPool,
+    run_spmd,
+)
 from .mpi.errors import RunCancelled
 from .records import RecordBatch, tag_provenance
 from .workloads import Workload
@@ -44,41 +46,33 @@ MEM_FACTOR = 6.7
 class AlgorithmSpec:
     """One registered distributed-sort algorithm.
 
-    ``ctor`` is the collective entry point ``(comm, batch, ...)``.  When
+    ``world_ctor`` is the algorithm's world-form entry point
+    ``(world, comms, batches, ...)`` — the one implementation every
+    backend drives: the flat engine over a columnar view of the whole
+    world, a rank thread over the lane view of itself.  When
     ``params_type`` is set, user options (merged over ``defaults``) are
     packed into one ``params_type(**opts)`` value and passed as the
-    third positional argument; otherwise they are passed as keyword
+    fourth positional argument; otherwise they are passed as keyword
     arguments.  ``stable`` declares that equal-key output order is
     guaranteed stable — the runner validates accordingly and benches /
     the CLI no longer need a separate stable-algorithm set.
-    ``world_ctor`` is the algorithm's world-form entry point
-    ``(world, comms, batches, ...)`` — the single implementation behind
-    ``ctor`` that the columnar flat engine drives whole-world; an
-    algorithm without one cannot run on ``backend="flat"``.
     """
 
     name: str
-    ctor: Callable[..., Any]
+    world_ctor: Callable[..., Any]
     params_type: type | None = None
     defaults: dict[str, Any] = field(default_factory=dict)
     stable: bool = False
     summary: str = ""
-    world_ctor: Callable[..., Any] | None = None
 
     def invoke(self, comm: Comm, batch: RecordBatch,
                opts: dict[str, Any] | None = None) -> Any:
-        """Run the algorithm collectively with ``opts`` over defaults."""
-        merged = {**self.defaults, **(opts or {})}
-        if self.params_type is not None:
-            return self.ctor(comm, batch, self.params_type(**merged))
-        return self.ctor(comm, batch, **merged)
+        """Run the algorithm collectively on this rank (the lane view)."""
+        return self.invoke_world(LANE, [comm], [batch], opts)[0]
 
     def invoke_world(self, world: Any, comms: list[Comm], batches: list,
                      opts: dict[str, Any] | None = None) -> list:
         """Run the algorithm's world form over every rank of ``world``."""
-        if self.world_ctor is None:
-            raise TypeError(f"algorithm {self.name!r} has no world-form "
-                            "entry point")
         merged = {**self.defaults, **(opts or {})}
         if self.params_type is not None:
             return self.world_ctor(world, comms, batches,
@@ -90,30 +84,27 @@ ALGORITHMS: dict[str, AlgorithmSpec] = {
     spec.name: spec
     for spec in (
         AlgorithmSpec(
-            "sds", sds_sort, params_type=SdsParams,
-            world_ctor=sds_sort_world,
+            "sds", sds_sort_world, params_type=SdsParams,
             summary="SDS-Sort (the paper): skew-aware adaptive samplesort"),
         AlgorithmSpec(
-            "sds-stable", sds_sort, params_type=SdsParams,
+            "sds-stable", sds_sort_world, params_type=SdsParams,
             defaults={"stable": True}, stable=True,
-            world_ctor=sds_sort_world,
             summary="SDS-Sort with the stable partition/merge pipeline"),
         AlgorithmSpec(
-            "psrs", psrs_sort, world_ctor=psrs_sort_world,
+            "psrs", psrs_sort_world,
             summary="classic PSRS: regular sampling, no skew handling"),
         AlgorithmSpec(
-            "hyksort", hyksort, params_type=HykParams,
-            world_ctor=hyksort_world,
+            "hyksort", hyksort_world, params_type=HykParams,
             summary="HykSort: k-way hypercube samplesort (comparator)"),
         AlgorithmSpec(
-            "hyksort-sk", hyksort_secondary_key, params_type=HykParams,
-            stable=True, world_ctor=hyksort_secondary_key_world,
+            "hyksort-sk", hyksort_secondary_key_world, params_type=HykParams,
+            stable=True,
             summary="HykSort on (key, provenance): stability workaround"),
         AlgorithmSpec(
-            "bitonic", bitonic_sort_batch, world_ctor=bitonic_sort_batch_world,
+            "bitonic", bitonic_sort_batch_world,
             summary="full bitonic sort network (small-p baseline)"),
         AlgorithmSpec(
-            "radix", radix_sort, world_ctor=radix_sort_world,
+            "radix", radix_sort_world,
             summary="distributed LSD radix sort (integer keys)"),
     )
 }
@@ -142,8 +133,6 @@ class RunResult:
         """max/avg load; infinity on failed runs (the paper's convention)."""
         if not self.ok:
             return math.inf
-        if not self.loads:  # hybrid points carry count-space rdfa instead
-            return float(self.extras.get("rdfa", math.nan))
         return rdfa(self.loads)
 
     @property
@@ -161,52 +150,32 @@ class RunResult:
 #: Counter prefixes aggregated into ``RunResult.extras["faults"]``.
 _FAULT_COUNTER_PREFIXES = ("faults.", "retry.")
 
-#: Every backend name :func:`run_sort` accepts: the functional engines,
-#: the analytic ``hybrid`` point and the ``auto`` resolver.
-BACKENDS = (*ENGINE_BACKENDS, "hybrid", "auto")
+#: Every backend name :func:`run_sort` accepts: the functional engines
+#: and the ``auto`` resolver.
+BACKENDS = (*ENGINE_BACKENDS, "auto")
 
 
-def resolve_backend(backend: str, algorithm: str,
-                    algo_opts: dict[str, Any] | None = None
-                    ) -> tuple[str, str]:
+def resolve_backend(backend: str, algorithm: str) -> tuple[str, str]:
     """Resolve ``backend`` (possibly ``"auto"``) to a concrete engine.
 
     Returns ``(resolved, reason)``.  ``"auto"`` picks the columnar flat
-    engine whenever the algorithm has a world-form entry point (every
-    registered algorithm does — the flat engine drives the same
-    implementation the rank threads run), and the thread engine
-    otherwise.  Unknown names raise a ``ValueError`` listing the
-    choices.
+    engine for every algorithm — each is registered in world form, and
+    the flat engine drives the same implementation the rank threads
+    run.  Unknown names raise a ``ValueError`` listing the choices.
     """
-    if backend != "auto":
-        if backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {backend!r}; options: "
-                + ", ".join(repr(b) for b in BACKENDS))
-        return backend, "explicitly requested"
-    spec = ALGORITHMS.get(algorithm)
-    if spec is not None and spec.world_ctor is not None:
+    if backend == "auto":
         return "flat", ("world-form implementation drives the whole-world "
                         "batched path: columnar flat engine")
-    return "thread", (f"algorithm {algorithm!r} has no world-form entry "
-                      "point: thread engine")
+    if backend not in BACKENDS:
+        raise ValueError(
+            f"unknown backend {backend!r}; options: "
+            + ", ".join(repr(b) for b in BACKENDS))
+    return backend, "explicitly requested"
 
 
 def eligible_backends(algorithm: str) -> list[str]:
-    """Concrete engines that can run ``algorithm`` (``auto`` excluded).
-
-    ``thread`` accepts any per-rank callable; ``flat`` needs the
-    algorithm's world-form entry point; ``hybrid`` needs an analytic
-    count-space load model in :mod:`repro.simfast`.
-    """
-    out = ["thread"]
-    spec = ALGORITHMS.get(algorithm)
-    if spec is not None and spec.world_ctor is not None:
-        out.append("flat")
-    from .simfast.scaling import _LOAD_METHODS
-    if algorithm in _LOAD_METHODS:
-        out.append("hybrid")
-    return out
+    """Concrete engines that can run ``algorithm``: all of them."""
+    return list(ENGINE_BACKENDS)
 
 
 @dataclass(frozen=True)
@@ -238,19 +207,14 @@ class _SortProgram:
         columnar view of the world — the same code the rank threads
         execute, minus the threads.
         """
-        spec = ALGORITHMS[self.algorithm]
-        if spec.world_ctor is None:
-            raise TypeError(
-                "backend='flat' needs an algorithm with a world-form entry "
-                f"point; {self.algorithm!r} has none (use backend='thread', "
-                "or 'auto' to pick automatically)")
         world = ColumnarWorld(comms[0]._world)
         shards = []
         for c in comms:
             shard = self.workload.shard(self.n_per_rank, c.size, c.rank,
                                         self.seed)
             shards.append(tag_provenance(shard, c.rank))
-        outcomes = spec.invoke_world(world, comms, shards, self.opts)
+        outcomes = ALGORITHMS[self.algorithm].invoke_world(
+            world, comms, shards, self.opts)
         results = [None if o is None else (shards[i], o)
                    for i, o in enumerate(outcomes)]
         return results, world.failures
@@ -292,12 +256,8 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         executed as whole-world columnar phases with zero rank threads
         respectively (every registered algorithm has the world-form
         entry point ``"flat"`` drives).  ``"auto"`` resolves to
-        ``"flat"`` when the algorithm supports it and ``"thread"``
-        otherwise; the resolution and the per-algorithm eligibility
-        list are recorded in ``extras["backend"]``.  ``"hybrid"`` computes the point
-        analytically at any ``p`` (up to 128Ki+) while functionally
-        executing a deterministic rank sample for validation; see
-        :func:`repro.simfast.hybrid_scaling_point`.
+        ``"flat"``; the resolution and the eligibility list are
+        recorded in ``extras["backend"]``.
     pool: optional warm :class:`~repro.mpi.engine.SpmdPool` hosting the
         thread backend's ranks.  The sort-as-a-service scheduler leases
         pools from its cache and injects them here so concurrent jobs
@@ -315,22 +275,10 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         runs are bit-for-bit unaffected (the tracer's contract).
     """
     requested = backend
-    backend, why = resolve_backend(backend, algorithm, algo_opts)
+    backend, why = resolve_backend(backend, algorithm)
     backend_info = {"requested": requested, "resolved": backend,
                     "reason": why,
                     "eligible": eligible_backends(algorithm)}
-    if backend == "hybrid":
-        res = _run_hybrid(algorithm, workload, n_per_rank=n_per_rank, p=p,
-                          machine=machine, seed=seed, mem_factor=mem_factor,
-                          algo_opts=algo_opts, faults=faults, trace=trace,
-                          keep_outputs=keep_outputs)
-        res.extras["backend"] = backend_info
-        if metrics is not None:
-            metrics.record_run(
-                algorithm=algorithm, backend=backend,
-                outcome="ok" if res.ok else
-                ("oom" if res.oom else "failed"))
-        return res
     try:
         spec = ALGORITHMS[algorithm]
     except KeyError:
@@ -436,49 +384,3 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         extras=extras,
     )
 
-
-def _run_hybrid(algorithm: str, workload: Workload, *, n_per_rank: int,
-                p: int, machine: MachineSpec, seed: int,
-                mem_factor: float | None, algo_opts: dict[str, Any] | None,
-                faults: Any, trace: bool,
-                keep_outputs: bool) -> RunResult:
-    """``backend="hybrid"``: analytic arithmetic + sampled validation.
-
-    Giant-p points (4Ki..128Ki+) that the functional engine cannot host
-    are computed from the count-space/cost models while a deterministic
-    rank sample runs the functional per-rank pipeline; the agreement
-    evidence lands in ``extras["hybrid"]``.  Faults, tracing, algorithm
-    options and per-rank outputs are functional-engine features and are
-    rejected rather than silently ignored.
-    """
-    from .simfast import hybrid_scaling_point
-
-    unsupported = [name for name, on in (
-        ("faults", faults is not None and not getattr(faults, "empty", False)),
-        ("trace", trace), ("algo_opts", bool(algo_opts)),
-        ("keep_outputs", keep_outputs)) if on]
-    if unsupported:
-        raise ValueError("hybrid backend computes analytically and cannot "
-                         f"honour: {', '.join(unsupported)}")
-
-    point = hybrid_scaling_point(
-        algorithm, workload, n_per_rank=n_per_rank, p=p, machine=machine,
-        seed=seed,
-        mem_factor=math.inf if mem_factor is None else mem_factor)
-    phases = point.phases
-    return RunResult(
-        algorithm=algorithm, workload=workload.name, p=p,
-        n_per_rank=n_per_rank, record_bytes=point.record_bytes,
-        ok=point.ok, oom=phases.oom, elapsed=phases.total,
-        loads=[],  # p-sized load vectors live in count space, not here
-        phase_times=phases.breakdown(),
-        failure=None if point.ok else (
-            "oom (modelled)" if phases.oom else "hybrid validation failed"),
-        extras={
-            "engine": {"backend": "hybrid", "workers": 0,
-                       "sampled_ranks": point.validation["sampled_ranks"]},
-            "hybrid": dict(point.validation),
-            "max_load": point.max_load,
-            "rdfa": point.rdfa,
-        },
-    )

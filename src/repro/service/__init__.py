@@ -13,7 +13,7 @@ from .daemon import serve_socket, serve_stdio
 from .jsondoc import (JOB_SCHEMA, METRICS_SCHEMA, SORT_SCHEMA,
                       comparable, job_envelope, metrics_doc, sort_doc)
 from .metrics import POOL_EVENTS, RUN_OUTCOMES, ServiceMetrics
-from .pools import WarmPoolCache, make_cold_lease, pool_key
+from .pools import WarmPoolCache, pool_key
 from .queue import JOB_STATES, TERMINAL_STATES, Job, JobQueue
 from .scheduler import Scheduler, ServiceState, SortService
 from .slog import LOG_LEVELS, configure_logging, log_event, \
@@ -30,7 +30,7 @@ __all__ = [
     "JobValidationError", "Scheduler", "ServiceClient", "ServiceError",
     "ServiceMetrics", "ServiceState", "SocketClient", "SortService",
     "WarmPoolCache", "comparable", "configure_logging",
-    "estimate_job_bytes", "job_envelope", "log_event",
-    "make_cold_lease", "metrics_doc", "pool_key", "serve_socket",
-    "serve_stdio", "service_logger", "sort_doc",
+    "estimate_job_bytes", "job_envelope", "log_event", "metrics_doc",
+    "pool_key", "serve_socket", "serve_stdio", "service_logger",
+    "sort_doc",
 ]

@@ -56,8 +56,7 @@ def estimate_job_bytes(spec: JobSpec) -> int:
     Uses the exact probe :func:`repro.runner.run_sort` uses for the
     record size (shard probe + 12 provenance bytes), the count-space
     load model for the heaviest rank, and the engine's enforced
-    capacity as a ceiling.  The hybrid backend executes only a rank
-    sample functionally, so its charge is that sample's, not ``p``'s.
+    capacity as a ceiling.
     """
     workload = spec.build_workload()
     probe = workload.shard(max(1, min(spec.n_per_rank, 64)), spec.p, 0,
@@ -83,13 +82,7 @@ def estimate_job_bytes(spec: JobSpec) -> int:
         # the engine OOMs the rank before it can use more than this
         capacity = int(spec.mem_factor * shard)
         peak_per_rank = min(peak_per_rank, shard + capacity)
-
-    ranks_hosted = spec.p
-    if spec.backend == "hybrid":
-        # hybrid_scaling_point executes a deterministic sample of ~8
-        # ranks; the analytic leg allocates count-space vectors only
-        ranks_hosted = min(spec.p, 8)
-    return ranks_hosted * peak_per_rank
+    return spec.p * peak_per_rank
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,8 @@
 """JSON documents shared by ``sdssort sort --json`` and the service.
 
-One builder produces the ``sdssort.sort/v4`` result document for both
+One builder produces the ``sdssort.sort/v5`` result document for both
 the direct CLI path and service job results, so the two are diffable
-with the same tooling: v4 adds ``timing.queue_ms`` / ``timing.run_ms``
+with the same tooling; it carries ``timing.queue_ms`` / ``timing.run_ms``
 (wall milliseconds — zero for direct runs, measured for service jobs).
 Service responses wrap the result in a ``sdssort.job/v1`` envelope
 carrying the job id, lifecycle status, queue/run/total latency and the
@@ -26,7 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .scheduler import SortService
 
 #: Result document schema (``sort --json`` and job envelopes).
-SORT_SCHEMA = "sdssort.sort/v4"
+SORT_SCHEMA = "sdssort.sort/v5"
 
 #: Service response envelope schema.
 JOB_SCHEMA = "sdssort.job/v1"
@@ -38,12 +38,11 @@ METRICS_SCHEMA = "sdssort.metrics/v1"
 def sort_doc(r: RunResult, *, machine: str, seed: int,
              fault_seed: int = 0, queue_ms: float = 0.0,
              run_ms: float = 0.0, explain: bool = False) -> dict[str, Any]:
-    """The ``sdssort.sort/v4`` document for one :class:`RunResult`.
+    """The ``sdssort.sort/v5`` document for one :class:`RunResult`.
 
     ``queue_ms`` / ``run_ms`` are wall-clock milliseconds a service
-    measured around the run; direct runs pass the zeros (the v4
-    contract: the fields are always present, so service and direct
-    results diff cleanly).
+    measured around the run; direct runs pass the zeros (the fields
+    are always present, so service and direct results diff cleanly).
     """
     report = r.extras.get("trace")
     engine = dict(r.extras.get("engine") or {})
@@ -71,8 +70,7 @@ def sort_doc(r: RunResult, *, machine: str, seed: int,
         "crashed_ranks": r.extras.get("crashed_ranks"),
         "trace": report.summary() if report is not None else None,
         "engine": engine,
-        "hybrid": r.extras.get("hybrid"),
-        # v4: wall latency split, zero for direct runs
+        # wall latency split, zero for direct runs
         "timing": {"queue_ms": queue_ms, "run_ms": run_ms},
     }
     if explain:
@@ -144,7 +142,7 @@ _VOLATILE = (("timing",), ("engine", "pool_threads"))
 
 
 def comparable(doc: dict[str, Any]) -> dict[str, Any]:
-    """A deep copy of a sort/v4 doc minus host-dependent fields.
+    """A deep copy of a sort/v5 doc minus host-dependent fields.
 
     Direct runs and service runs of the same :class:`JobSpec` are
     bit-identical under this projection — the contract the service

@@ -24,17 +24,17 @@ DEFAULT_MAX_POOLS = 8
 def pool_key(backend: str, p: int) -> tuple[str, int] | None:
     """Cache key of a job's pool, or ``None`` for pool-less backends.
 
-    Only the thread backend runs on a pool (flat and hybrid have no
-    rank threads); its pools are keyed by ``p`` — a pool grown to 4Ki
+    Only the thread backend runs on a pool (flat has no rank
+    threads); its pools are keyed by ``p`` — a pool grown to 4Ki
     threads is wasted on p=16 jobs and vice versa.
     """
     return ("thread", p) if backend == "thread" else None
 
 
 class PoolLease:
-    """One job's exclusive hold on a cached (or throwaway) pool."""
+    """One job's exclusive hold on a cached pool (none if pool-less)."""
 
-    def __init__(self, cache: "WarmPoolCache | None", key: tuple | None,
+    def __init__(self, cache: "WarmPoolCache", key: tuple | None,
                  pool: SpmdPool | None):
         self._cache = cache
         self.key = key
@@ -49,28 +49,13 @@ class PoolLease:
         if self.pool is None:
             return
         self.pool.release()
-        if self._cache is None:
-            self.pool.shutdown()
-        else:
-            self._cache._return(self.key, self.pool)
+        self._cache._return(self.key, self.pool)
 
     def __enter__(self) -> "PoolLease":
         return self
 
     def __exit__(self, *exc: Any) -> None:
         self.release()
-
-
-def make_cold_lease(backend: str, p: int) -> PoolLease:
-    """A fresh single-use pool, shut down on release (cold start).
-
-    The throughput benchmark's ``cold`` arm and ``warm_pools=False``
-    services use this so every job pays full thread start-up — the
-    baseline the cache is measured against.
-    """
-    key = pool_key(backend, p)
-    return PoolLease(None, key,
-                     None if key is None else SpmdPool().lease())
 
 
 class WarmPoolCache:

@@ -34,7 +34,7 @@ import logging
 from ..runner import resolve_backend
 from .admission import AdmissionController, AdmissionDecision
 from .metrics import ServiceMetrics
-from .pools import PoolLease, WarmPoolCache, make_cold_lease
+from .pools import WarmPoolCache
 from .queue import Job, JobQueue
 from .slog import log_event, service_logger
 from .spec import DEFAULT_PRIORITY, PRIORITIES, JobSpec, JobValidationError
@@ -82,11 +82,9 @@ class SortService:
     max_queue_depth, mem_budget_bytes:
         Admission bounds (see :class:`AdmissionController`); pass
         ``mem_budget_bytes=None`` to disable the memory gate.
-    warm_pools:
-        Reuse engine pools across same-shaped jobs (the cache).  Off,
-        every job cold-starts a fresh pool — the benchmark baseline.
     max_pools:
-        Idle-pool retention bound of the warm cache.
+        Idle-pool retention bound of the warm cache, which reuses
+        engine pools across same-shaped jobs.
     telemetry:
         Keep a :class:`~repro.service.metrics.ServiceMetrics` (metric
         registry + cross-job cost rollup) updated through the job
@@ -99,7 +97,6 @@ class SortService:
     def __init__(self, *, workers: int = DEFAULT_WORKERS,
                  max_queue_depth: int | None = None,
                  mem_budget_bytes: int | None = ...,  # type: ignore[assignment]
-                 warm_pools: bool = True,
                  max_pools: int | None = None,
                  telemetry: bool = True):
         admission_kwargs: dict[str, Any] = {}
@@ -112,10 +109,9 @@ class SortService:
         self.metrics = ServiceMetrics() if telemetry else None
         self.queue = JobQueue()
         self.admission = AdmissionController(**admission_kwargs)
-        self.pools = (WarmPoolCache(**({} if max_pools is None
-                                       else {"max_pools": max_pools}),
-                                    metrics=self.metrics)
-                      if warm_pools else None)
+        self.pools = WarmPoolCache(**({} if max_pools is None
+                                      else {"max_pools": max_pools}),
+                                   metrics=self.metrics)
         self.state = ServiceState.ACCEPTING
         self._jobs: dict[str, Job] = {}
         self._lock = threading.Lock()          # jobs dict + state + counters
@@ -234,11 +230,7 @@ class SortService:
                   priority=job.priority, queue_ms=round(job.queue_ms, 3))
 
         resolved, _ = resolve_backend(job.spec.backend, job.spec.algorithm)
-        lease: PoolLease
-        if self.pools is not None:
-            lease = self.pools.lease(resolved, job.spec.p)
-        else:
-            lease = make_cold_lease(resolved, job.spec.p)
+        lease = self.pools.lease(resolved, job.spec.p)
 
         watchdog: threading.Timer | None = None
         if job.deadline is not None:
@@ -364,8 +356,7 @@ class SortService:
             "running": running,
             "counts": counts,
             "admission": self.admission.stats(),
-            "pools": self.pools.stats() if self.pools is not None
-            else {"warm_pools": False},
+            "pools": self.pools.stats(),
             "telemetry": self.metrics is not None,
             # p50/p99 wall latency per priority class, from the
             # telemetry histograms (None with telemetry off)
@@ -410,8 +401,7 @@ class SortService:
     def close(self) -> None:
         """Drain, then release every cached pool.  Idempotent."""
         self.drain()
-        if self.pools is not None:
-            self.pools.shutdown()
+        self.pools.shutdown()
 
     def __enter__(self) -> "SortService":
         return self

@@ -24,8 +24,6 @@ from ..runner import (
     BACKENDS,
     MEM_FACTOR,
     RunResult,
-    eligible_backends,
-    resolve_backend,
     run_sort,
 )
 from ..workloads import by_name
@@ -88,11 +86,6 @@ class JobSpec:
         _require(self.backend in BACKENDS,
                  f"unknown backend {self.backend!r}; "
                  f"options: {list(BACKENDS)}")
-        resolved, _ = resolve_backend(self.backend, self.algorithm)
-        _require(resolved in eligible_backends(self.algorithm),
-                 f"backend {resolved!r} cannot run algorithm "
-                 f"{self.algorithm!r} (eligible: "
-                 f"{eligible_backends(self.algorithm)})")
         _require(isinstance(self.p, int) and self.p >= 1,
                  f"p must be an integer >= 1, got {self.p!r}")
         _require(isinstance(self.n_per_rank, int) and self.n_per_rank >= 0,
@@ -103,16 +96,6 @@ class JobSpec:
         _require(self.faults is None or isinstance(self.faults, FaultSpec),
                  f"faults must be a FaultSpec or None, "
                  f"got {type(self.faults).__name__}")
-        if resolved == "hybrid":
-            # the analytic backend cannot honour functional-engine
-            # features; reject at admission, not deep in the runner
-            blocked = [name for name, on in (
-                ("faults", self.faults is not None and not self.faults.empty),
-                ("trace", self.trace),
-                ("algo_opts", bool(self.algo_opts))) if on]
-            _require(not blocked,
-                     "hybrid backend computes analytically and cannot "
-                     f"honour: {', '.join(blocked)}")
         try:
             get_machine(self.machine)
         except KeyError as exc:

@@ -32,12 +32,9 @@ from .volume import (
     volume_for,
 )
 from .scaling import (
-    HYBRID_TOLERANCE,
-    HybridPoint,
     PhaseTimes,
     analytic_model_for,
     fmt_p,
-    hybrid_scaling_point,
     hyksort_phase_times,
     sds_phase_times,
     strong_scaling_series,
@@ -63,12 +60,9 @@ __all__ = [
     "fig5a_merging",
     "fig5b_overlap",
     "fig5c_local_order",
-    "HYBRID_TOLERANCE",
-    "HybridPoint",
     "PhaseTimes",
     "analytic_model_for",
     "fmt_p",
-    "hybrid_scaling_point",
     "hyksort_phase_times",
     "sds_phase_times",
     "strong_scaling_series",

@@ -10,14 +10,12 @@ engine charges; the engine and this module are cross-checked at small
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
-
-import numpy as np
 
 from ..core.params import SdsParams
 from ..machine import CostModel, MachineSpec
-from ..metrics import rdfa, tb_per_min
+from ..metrics import tb_per_min
 from ..workloads import ZIPF_UNIVERSE
 from .countspace import UniverseModel, countspace_loads
 
@@ -256,37 +254,18 @@ def fmt_p(p: int) -> str:
     return str(p)
 
 
-# ---------------------------------------------------------------------------
-# hybrid giant-p mode: analytic arithmetic + sampled functional validation
-# ---------------------------------------------------------------------------
-
-#: ``countspace_loads`` method per runner algorithm name.
-_LOAD_METHODS = {"sds": "fast", "sds-stable": "stable", "hyksort": "hyksort"}
-
-#: Max relative disagreement between count-space loads fitted from the
-#: functionally generated keys and loads fitted from a same-size sample
-#: drawn out of the analytic pmf (like-for-like: both fits carry the
-#: same histogram sampling statistics).  Measured headroom: matched
-#: models land at 0.03-0.15 across uniform/zipf/ptf/cosmology and
-#: n_per_rank from 2e3 to 1e6; the nearest wrong-model pairing tried
-#: (uniform data vs a zipf-1.0 claim) lands at 0.24, grosser mismatches
-#: far higher, and skew mismatches also trip the delta-spike check.
-HYBRID_TOLERANCE = 0.18
-
-
 def analytic_model_for(workload: Any) -> UniverseModel | None:
     """The count-space :class:`UniverseModel` matching a runner workload.
 
     Returns ``None`` for families with no closed-form model (e.g.
-    nearly-sorted permutations, whose key *values* are uniform anyway
-    but whose meta doesn't pin a distribution) — hybrid runs then
-    validate the empirical fit against itself at two sample sizes.
+    ``staggered``); admission then assumes a fixed 2x skew and
+    ``sdssort scaling`` / ``rdfa`` refuse the workload.
     """
     name = workload.name
     meta = dict(getattr(workload, "meta", {}) or {})
     # families whose key *values* are i.i.d. uniform regardless of the
     # presented order (staggered is excluded: its shards are non-i.i.d.
-    # value slices, so a rank sample cannot witness the global pmf)
+    # value slices, so no per-rank draw follows the global pmf)
     if name == "uniform" or name == "graysort" or name == "reverse" \
             or name.startswith(("runs", "nearly-sorted")):
         return UniverseModel.uniform()
@@ -299,158 +278,3 @@ def analytic_model_for(workload: Any) -> UniverseModel | None:
     if name == "cosmology":
         return UniverseModel.power_law_clusters(meta.get("delta", 0.0073))
     return None
-
-
-def _sample_ranks(p: int, k: int) -> list[int]:
-    """``k`` deterministic rank ids spread evenly across ``[0, p)``."""
-    k = max(2, min(k, p))
-    return sorted({round(i * (p - 1) / (k - 1)) for i in range(k)})
-
-
-@dataclass
-class HybridPoint:
-    """One giant-p scaling point: analytic times + functional evidence.
-
-    ``phases`` carries the modelled per-phase seconds (identical to a
-    pure :func:`weak_scaling_point`); ``validation`` records what the
-    functionally executed rank sample established: that shard
-    generation is deterministic, that the local sort orders each
-    sampled shard, and that a count-space model *fitted to the actual
-    keys* reproduces the analytic model's load arithmetic within
-    :data:`HYBRID_TOLERANCE`.
-    """
-
-    algorithm: str
-    workload: str
-    p: int
-    n_per_rank: int
-    record_bytes: int
-    phases: PhaseTimes
-    max_load: int
-    rdfa: float
-    validated: bool
-    validation: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def elapsed(self) -> float:
-        return self.phases.total
-
-    @property
-    def ok(self) -> bool:
-        return self.validated and not self.phases.oom
-
-
-def hybrid_scaling_point(algorithm: str, workload: Any, *,
-                         n_per_rank: int, p: int, machine: MachineSpec,
-                         record_bytes: int | None = None, seed: int = 0,
-                         sample_ranks: int = 8, sample_cap: int = 4096,
-                         tolerance: float = HYBRID_TOLERANCE,
-                         mem_factor: float = MEM_FACTOR_DEFAULT) -> HybridPoint:
-    """One weak-scaling point beyond functional reach (p up to 128Ki+).
-
-    The full partition/communication arithmetic runs analytically at
-    the requested ``p`` while a deterministic sample of rank ids
-    executes the functional per-rank pipeline — generate the shard the
-    engine would generate, locally sort it, verify order and multiset —
-    and the sampled keys anchor the analytic model: a
-    :meth:`UniverseModel.from_keys` fit must agree with it on max load
-    and RDFA (noise-free, same pivot method) within ``tolerance``.
-    """
-    if algorithm not in _LOAD_METHODS:
-        raise ValueError(f"hybrid mode models {sorted(_LOAD_METHODS)}; "
-                         f"got {algorithm!r}")
-    method = _LOAD_METHODS[algorithm]
-    ranks = _sample_ranks(p, sample_ranks)
-    n_sample = max(1, min(n_per_rank, sample_cap))
-
-    keys = []
-    sorted_ok = True
-    deterministic = True
-    for r in ranks:
-        shard = workload.shard(n_sample, p, r, seed)
-        again = workload.shard(n_sample, p, r, seed)
-        k = np.asarray(shard.keys, dtype=np.float64)
-        deterministic &= np.array_equal(k, np.asarray(again.keys,
-                                                      dtype=np.float64))
-        # the local-sort leg of the per-rank pipeline, checked for real
-        order = np.argsort(k, kind="stable")
-        ks = k[order]
-        sorted_ok &= bool(np.all(ks[1:] >= ks[:-1]))
-        sorted_ok &= np.array_equal(np.sort(k), ks)  # multiset preserved
-        keys.append(ks)
-    sample = np.concatenate(keys)
-
-    if record_bytes is None:
-        probe = workload.shard(1, p, 0, seed)
-        record_bytes = probe.record_bytes + 12  # + provenance columns
-
-    S = sample.size
-    empirical = UniverseModel.from_keys(sample)
-    model = analytic_model_for(workload)
-    if model is None:
-        # no closed form: the empirical fit *is* the model, and the
-        # reference is a fit of the sample's other half — same-size
-        # fits whose agreement witnesses the fit's stability
-        model = empirical
-        fit_a = UniverseModel.from_keys(sample[: S // 2])
-        fit_b = UniverseModel.from_keys(sample[S // 2:])
-    else:
-        # like-for-like: compare the empirical fit against a fit of a
-        # same-size sample drawn *from the analytic pmf*, so both
-        # sides carry identical histogram sampling statistics (a raw
-        # continuous pmf vs a sampled one differs by the max-load
-        # noise of the sample alone, swamping real model error)
-        # slots are atomic values in count space, so the draw keeps raw
-        # indices: duplicate spikes (heavy slots) must collide exactly
-        rng = np.random.default_rng(seed + 0x5EED)
-        idx = rng.choice(model.pmf.size, size=S, p=model.pmf)
-        fit_a = empirical
-        fit_b = UniverseModel.from_keys(idx)
-
-    phases = weak_scaling_point(algorithm, model, n_per_rank, p,
-                                machine=machine, record_bytes=record_bytes,
-                                seed=seed, mem_factor=mem_factor)
-
-    # A sample of S keys resolves per-destination loads only down to
-    # ~N/S, so agreement is checked at the largest partition count the
-    # sample can actually witness (p_val <= S/16 keeps >= 16 sample
-    # points per destination); the extrapolation from p_val to p is
-    # exactly the analytic arithmetic the hybrid point exists to run.
-    p_val = max(2, min(p, S // 16))
-    loads_a = countspace_loads(fit_a, n_per_rank, p_val, method=method,
-                               noise=False)
-    loads_b = countspace_loads(fit_b, n_per_rank, p_val, method=method,
-                               noise=False)
-    m_a, m_b = int(loads_a.max()), int(loads_b.max())
-    r_a, r_b = rdfa(loads_a), rdfa(loads_b)
-    max_load_err = abs(m_a - m_b) / max(1, m_b)
-    rdfa_err = abs(r_a - r_b) / max(1e-12, r_b)
-    # duplicate spikes must agree too: a skew-blind model with the
-    # right bulk shape would otherwise slip through the load checks
-    d_a, d_b = fit_a.delta, fit_b.delta
-    delta_err = abs(d_a - d_b) / max(d_b, 8.0 / S)
-    agree = (max_load_err <= tolerance and rdfa_err <= tolerance
-             and delta_err <= max(1.0, tolerance * 10))
-    validated = bool(sorted_ok and deterministic and agree)
-
-    # noise-bearing loads (same draw the pure analytic figures use)
-    loads = countspace_loads(model, n_per_rank, p, method=method, seed=seed)
-
-    return HybridPoint(
-        algorithm=algorithm, workload=workload.name, p=p,
-        n_per_rank=n_per_rank, record_bytes=record_bytes, phases=phases,
-        max_load=int(loads.max()), rdfa=rdfa(loads), validated=validated,
-        validation={
-            "sampled_ranks": ranks,
-            "n_sampled": int(sample.size),
-            "validation_p": int(p_val),
-            "local_sort_ok": bool(sorted_ok),
-            "deterministic": bool(deterministic),
-            "model": model.name,
-            "empirical_delta": float(empirical.delta),
-            "model_delta": float(model.delta),
-            "max_load_rel_err": float(max_load_err),
-            "rdfa_rel_err": float(rdfa_err),
-            "tolerance": float(tolerance),
-        },
-    )

@@ -19,11 +19,10 @@ flat leg extends beyond SDS: PSRS, HykSort (plain and secondary-key),
 bitonic, radix and histogram-pivot SDS all run columnar and must match
 their thread twins bit-for-bit.
 
-Backend resolution (``--backend auto``) and the per-algorithm
-eligibility report are covered here too, as are the hybrid backend's
-runner-level contracts and the engine's coarse-switch hygiene.  The
-removed ``proc`` backend and its ``procs`` option must be *rejected*
-at every entry point, with the remaining options listed.
+Backend resolution (``--backend auto``) and the eligibility report are
+covered here too, as is the engine's coarse-switch hygiene.  The
+removed ``proc`` / ``hybrid`` backends and the ``procs`` option must be
+*rejected* at every entry point, with the remaining options listed.
 """
 
 from __future__ import annotations
@@ -238,18 +237,25 @@ def test_unknown_backend_rejected():
 
 
 # ---------------------------------------------------------------------------
-# the removed ``proc`` backend / ``procs`` option: typed rejection at every
-# entry point, with the remaining options listed (never a silent default)
+# the removed ``proc`` / ``hybrid`` backends and the ``procs`` option: typed
+# rejection at every entry point, with the remaining options listed (never
+# a silent default)
 # ---------------------------------------------------------------------------
 
+REMOVED_BACKENDS = ("proc", "hybrid")
+
+
 def test_removed_proc_rejected_by_engine_and_runner():
-    with pytest.raises(ValueError,
-                       match=r"unknown backend 'proc'.*'thread', 'flat'"):
-        run_spmd(lambda comm: None, 2, backend="proc")
-    with pytest.raises(ValueError,
-                       match=r"unknown backend 'proc'.*'thread'.*'auto'"):
-        run_sort("sds", by_name("uniform"), n_per_rank=10, p=2,
-                 backend="proc")
+    for name in REMOVED_BACKENDS:
+        with pytest.raises(
+                ValueError,
+                match=rf"unknown backend '{name}'.*'thread', 'flat'$"):
+            run_spmd(lambda comm: None, 2, backend=name)
+        with pytest.raises(
+                ValueError,
+                match=rf"unknown backend '{name}'.*'thread', 'flat', 'auto'$"):
+            run_sort("sds", by_name("uniform"), n_per_rank=10, p=2,
+                     backend=name)
     with pytest.raises(TypeError, match="procs"):
         run_spmd(lambda comm: None, 2, procs=2)
     with pytest.raises(TypeError, match="procs"):
@@ -263,34 +269,43 @@ def test_removed_proc_rejected_by_jobspec_and_daemon():
     from repro.service import JobSpec, JobValidationError, SortService
     from repro.service.daemon import serve_stdio
 
-    with pytest.raises(JobValidationError,
-                       match=r"unknown backend 'proc'.*'thread'"):
-        JobSpec.from_dict({"backend": "proc"})
+    for name in REMOVED_BACKENDS:
+        with pytest.raises(
+                JobValidationError,
+                match=rf"unknown backend '{name}'.*'thread', 'flat', 'auto'"):
+            JobSpec.from_dict({"backend": name})
     with pytest.raises(JobValidationError,
                        match=r"unknown job fields: \['procs'\]"):
         JobSpec.from_dict({"procs": 2})
 
-    # the same spec on the wire: a typed ``invalid`` rejection that
-    # commits no admission budget
-    requests = [{"op": "submit",
-                 "spec": {"p": 4, "n_per_rank": 50, "procs": 2}},
+    # the same specs on the wire: typed ``invalid`` rejections that
+    # commit no admission budget
+    bad = [{"procs": 2}, *({"backend": name} for name in REMOVED_BACKENDS)]
+    requests = [*({"op": "submit", "spec": {"p": 4, "n_per_rank": 50, **b}}
+                  for b in bad),
                 {"op": "stats"}]
     wfile = io.StringIO()
     serve_stdio(SortService(workers=1),
                 io.StringIO("".join(json.dumps(r) + "\n" for r in requests)),
                 wfile)
-    submitted, stats = map(json.loads, wfile.getvalue().splitlines())
-    assert submitted["ok"] and stats["ok"]
-    assert submitted["job"]["status"] == "rejected"
-    assert submitted["job"]["admission"]["code"] == "invalid"
-    assert "procs" in submitted["job"]["error"]
-    assert stats["stats"]["counts"]["rejected"] == 1
+    *submitted, stats = map(json.loads, wfile.getvalue().splitlines())
+    assert stats["ok"] and len(submitted) == len(bad)
+    for reply, word in zip(submitted, ("procs", *REMOVED_BACKENDS)):
+        assert reply["ok"]
+        assert reply["job"]["status"] == "rejected"
+        assert reply["job"]["admission"]["code"] == "invalid"
+        assert word in reply["job"]["error"]
+    assert stats["stats"]["counts"]["rejected"] == len(bad)
     assert stats["stats"]["admission"]["committed_bytes"] == 0
 
 
 @pytest.mark.parametrize("argv", [["sort", "--backend", "proc"],
                                   ["sort", "--procs", "2"],
-                                  ["chaos", "--backend", "proc"]])
+                                  ["chaos", "--backend", "proc"],
+                                  ["sort", "--backend", "hybrid"],
+                                  ["submit", "--socket", "none",
+                                   "--backend", "hybrid"],
+                                  ["serve", "--cold-pools"]])
 def test_removed_proc_rejected_by_cli(argv, capsys):
     from repro.cli import main
 
@@ -298,8 +313,8 @@ def test_removed_proc_rejected_by_cli(argv, capsys):
         main(argv)
     assert exc.value.code == 2  # argparse usage error
     err = capsys.readouterr().err
-    assert "proc" in err and ("invalid choice" in err
-                              or "unrecognized arguments" in err)
+    assert argv[-1] in err and ("invalid choice" in err
+                                or "unrecognized arguments" in err)
 
 
 # ---------------------------------------------------------------------------
@@ -339,15 +354,11 @@ def test_cancel_before_start_is_honoured(backend, p):
 
 def test_resolve_backend_auto_routes_every_algorithm_to_flat():
     # every registered algorithm is written in world form, so auto
-    # always picks the columnar engine — including the once-excluded
-    # histogram pivot method
+    # always picks the columnar engine
     for algorithm in ALGORITHMS:
         resolved, reason = resolve_backend("auto", algorithm)
         assert resolved == "flat", algorithm
         assert "batched" in reason
-    resolved, _ = resolve_backend(
-        "auto", "sds", algo_opts={"pivot_method": "histogram"})
-    assert resolved == "flat"
 
 
 def test_resolve_backend_rejects_unknown():
@@ -357,14 +368,7 @@ def test_resolve_backend_rejects_unknown():
 
 def test_eligible_backends_per_algorithm():
     for algorithm in ALGORITHMS:
-        elig = eligible_backends(algorithm)
-        assert elig[:2] == ["thread", "flat"]
-    # hybrid needs an analytic count-space load model
-    assert "hybrid" in eligible_backends("sds")
-    assert "hybrid" in eligible_backends("sds-stable")
-    assert "hybrid" in eligible_backends("hyksort")
-    assert "hybrid" not in eligible_backends("psrs")
-    assert "hybrid" not in eligible_backends("bitonic")
+        assert eligible_backends(algorithm) == ["thread", "flat"]
 
 
 def test_run_sort_auto_records_resolution():
@@ -376,7 +380,7 @@ def test_run_sort_auto_records_resolution():
     assert a.extras["backend"] == {
         "requested": "auto", "resolved": "flat",
         "reason": a.extras["backend"]["reason"],
-        "eligible": ["thread", "flat", "hybrid"]}
+        "eligible": ["thread", "flat"]}
     t = run_sort("sds", wl, **kw)
     assert t.extras["backend"]["requested"] == "thread"
     assert t.extras["backend"]["resolved"] == "thread"
@@ -394,46 +398,6 @@ def test_run_sort_auto_routes_psrs_to_flat():
     assert a.extras["backend"]["eligible"] == ["thread", "flat"]
     t = run_sort("psrs", wl, **kw)
     assert a.elapsed == t.elapsed
-
-
-# ---------------------------------------------------------------------------
-# hybrid backend through the runner
-# ---------------------------------------------------------------------------
-
-def test_hybrid_point_validates_and_reports():
-    r = run_sort("sds", by_name("zipf"), n_per_rank=2000, p=4096,
-                 backend="hybrid", mem_factor=None)
-    assert r.ok
-    assert r.elapsed > 0
-    hyb = r.extras["hybrid"]
-    assert hyb["local_sort_ok"] and hyb["deterministic"]
-    assert hyb["max_load_rel_err"] <= hyb["tolerance"]
-    assert len(hyb["sampled_ranks"]) >= 2
-    assert r.extras["engine"]["backend"] == "hybrid"
-    # phase breakdown has the paper's stacked-bar categories
-    assert set(r.phase_times) == {"pivot_selection", "exchange",
-                                  "local_ordering", "other"}
-
-
-def test_hybrid_rejects_functional_only_features():
-    from repro.faults.spec import FaultSpec, MessageFaults
-    wl = by_name("uniform")
-    with pytest.raises(ValueError, match="cannot honour"):
-        run_sort("sds", wl, n_per_rank=100, p=4096, backend="hybrid",
-                 trace=True)
-    with pytest.raises(ValueError, match="cannot honour"):
-        run_sort("sds", wl, n_per_rank=100, p=4096, backend="hybrid",
-                 faults=FaultSpec(messages=MessageFaults(drop_rate=0.1)))
-
-
-def test_hybrid_matches_analytic_model():
-    # the analytic leg of a hybrid point is exactly weak_scaling_point
-    from repro.simfast import UniverseModel, weak_scaling_point
-    r = run_sort("sds", by_name("uniform"), n_per_rank=2000, p=4096,
-                 backend="hybrid", mem_factor=None)
-    pt = weak_scaling_point("sds", UniverseModel.uniform(), 2000, 4096,
-                            machine=EDISON, record_bytes=r.record_bytes)
-    assert r.elapsed == pt.total
 
 
 # ---------------------------------------------------------------------------

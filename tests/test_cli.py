@@ -67,13 +67,15 @@ class TestCli:
         assert "[stable]" in out
 
     def test_scaling(self, capsys):
-        code, out = run_cli(
-            capsys, "scaling", "--workload", "uniform",
-            "--algorithms", "sds,hyksort", "--p", "512,131072",
-        )
-        assert code == 0
-        assert "128K" in out
-        assert "TB/min" in out
+        # graysort has i.i.d. uniform key values: same count-space model
+        for workload in ("uniform", "graysort"):
+            code, out = run_cli(
+                capsys, "scaling", "--workload", workload,
+                "--algorithms", "sds,hyksort", "--p", "512,131072",
+            )
+            assert code == 0
+            assert "128K" in out
+            assert "TB/min" in out
 
     def test_scaling_zipf_shows_oom(self, capsys):
         code, out = run_cli(
@@ -129,20 +131,19 @@ class TestCliTrace:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["schema"] == "sdssort.sort/v4"
+        assert doc["schema"] == "sdssort.sort/v5"
         assert doc["ok"] is True
         for key in ("algorithm", "workload", "p", "n_per_rank", "elapsed",
                     "throughput_tb_min", "rdfa", "phases", "decisions",
                     "faults", "trace", "engine", "timing"):
             assert key in doc, key
-        # v4: wall-latency split is always present; zero for direct runs
+        # wall-latency split is always present; zero for direct runs
         assert doc["timing"] == {"queue_ms": 0.0, "run_ms": 0.0}
         assert doc["engine"]["resolved_backend"] == {
             "requested": "thread", "resolved": "thread",
             "reason": "explicitly requested",
-            "eligible": ["thread", "flat", "hybrid"]}
-        assert doc["engine"]["eligible_backends"] == [
-            "thread", "flat", "hybrid"]
+            "eligible": ["thread", "flat"]}
+        assert doc["engine"]["eligible_backends"] == ["thread", "flat"]
         assert doc["elapsed"] > 0
         assert doc["decisions"] and "choice" in doc["decisions"][0]
         assert doc["trace"]["spans"] > 0

@@ -159,6 +159,29 @@ class TestFromKeys:
         model = UniverseModel.from_keys(np.full(100, 3.0))
         assert model.delta == 1.0
 
+    @pytest.mark.parametrize("name, opts", [
+        ("uniform", {}), ("zipf", {"alpha": 0.7}), ("ptf", {}),
+        ("cosmology", {})])
+    def test_agrees_with_analytic_model_for(self, name, opts):
+        """Admission's memory estimate rests on ``analytic_model_for``
+        picking the right model.  Like-for-like: a fit of real shard
+        keys against a fit of a same-size draw from the model's pmf, so
+        both sides carry the same histogram sampling statistics."""
+        from repro.simfast import analytic_model_for
+        from repro.workloads import by_name
+
+        wl = by_name(name, **opts)
+        keys = np.concatenate([
+            np.asarray(wl.shard(4096, 64, r, 0).keys, dtype=np.float64)
+            for r in (0, 21, 42, 63)])
+        model = analytic_model_for(wl)
+        draw = np.random.default_rng(0x5EED).choice(
+            model.pmf.size, size=keys.size, p=model.pmf)
+        d_fit = UniverseModel.from_keys(keys).delta
+        d_ref = UniverseModel.from_keys(draw).delta
+        assert abs(d_fit - d_ref) / max(d_ref, 8.0 / keys.size) <= 1.8
+        assert analytic_model_for(by_name("staggered")) is None
+
 
 class TestHykOneShotEquivalence:
     def test_value_space_matches_multilevel_engine(self):

@@ -506,8 +506,6 @@ class TestEngineBoundary:
                          )["status"] == "done"
             assert c.run(JobSpec(p=8, n_per_rank=200, backend="flat",
                                  seed=2))["status"] == "done"
-            assert c.run(JobSpec(p=8, n_per_rank=200, backend="hybrid",
-                                 seed=3))["status"] == "done"
             doc = metrics_doc(c.service)
         assert _counter_sum(doc, "sdssort_engine_worlds_total",
                             backend="thread") == 1
@@ -516,8 +514,6 @@ class TestEngineBoundary:
         assert _counter_sum(doc, "sdssort_runs_total", backend="thread",
                             outcome="ok") == 1
         assert _counter_sum(doc, "sdssort_runs_total", backend="flat",
-                            outcome="ok") == 1
-        assert _counter_sum(doc, "sdssort_runs_total", backend="hybrid",
                             outcome="ok") == 1
 
     def test_oom_outcome_and_cause(self):
