@@ -75,7 +75,7 @@ def psrs_sort_world(world: World, comms: list[Comm],
         for ctx in group:
             outcomes[slot[id(ctx)]] = SortOutcome(
                 batch=ctx.out, received=len(ctx.out), exchange=ctx.xstats,
-                info={"p_active": ctx.comm.size, "displs": ctx.displs,
+                info={"p_active": ctx.comm.size,
                       "decisions": ctx.decisions()})
     except FlatAbort:
         pass  # a collective aborted: unfinished ranks stay ``None``

@@ -34,6 +34,7 @@ from ..records import (
     kway_merge_batches,
     sort_batch,
 )
+from .partition import Cuts
 
 
 @dataclass(frozen=True)
@@ -91,31 +92,41 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
                           stable: bool) -> dict:
     """Whole-world compute of the fused synchronous exchange.
 
-    ``stage`` holds one ``((batch, displs), clock)`` deposit per rank in
+    ``stage`` holds one ``((batch, cuts), clock)`` deposit per rank in
     group-rank order — exactly what :meth:`Comm.staged` hands the
-    designated-rank action.  Shared by the thread backend (as the
-    staged collective's action) and the flat backend (called directly on
-    a synthesized stage); see :func:`exchange_sync_fused` for the
-    exactness audit.
+    designated-rank action; ``cuts`` is the rank's checked
+    :class:`~repro.core.partition.Cuts`.  Shared by the thread backend
+    (as the staged collective's action) and the flat backend (called
+    directly on a synthesized stage); see :func:`exchange_sync_fused`
+    for the exactness audit.
 
     Cell-sparse (CSR): of the p x p ``(src, dst)`` chunks at most
-    ``N + p`` are non-empty and only those are addressed, so apart from
-    the stacked displacements and one boolean mask over them every
-    array here is O(N + p).
+    ``min(N, p^2)`` are non-empty; the deposits list exactly those, and
+    every array here is O(N + p).
     """
     start = max(e[1] for e in stage)
     batches = [e[0][0] for e in stage]
-    D = np.stack([e[0][1] for e in stage])            # (p, p+1) bounds
+    cuts = [e[0][1] for e in stage]
     widths = np.array([b.row_nbytes for b in batches], dtype=np.int64)
     all_keys, all_cols, offs = concat_batch_arrays(batches)
     N = int(offs[-1])
 
-    # -- non-empty cells, destination-major in source order --
-    src, dst = np.nonzero(D[:, 1:] != D[:, :-1])      # source-major
+    # -- non-empty cells: the deposits, concatenated source-major --
+    src = np.repeat(np.arange(p, dtype=np.int64),
+                    [c.dst.size for c in cuts])
+    dst = np.concatenate([c.dst for c in cuts])
+    edges = np.concatenate([c.offs for c in cuts])    # one closer per rank
+    at = np.arange(src.size, dtype=np.int64) + src
+    first = edges[at]
+    cnt = edges[at + 1] - first
+    own = np.zeros(p, dtype=np.int64)                 # chunk to itself
+    diag = src == dst
+    own[src[diag]] = cnt[diag] * widths[src[diag]]
+
+    # -- destination-major in source order --
     by_dst = np.argsort(dst, kind="stable")           # keeps source order
     src, dst = src[by_dst], dst[by_dst]
-    first = D[src, dst]
-    cnt = D[src, dst + 1] - first
+    first, cnt = first[by_dst], cnt[by_dst]
     cell = np.searchsorted(dst, np.arange(p + 1))     # first cell per dst
     excl = np.concatenate(([0], np.cumsum(cnt)))      # records before cell
     G = (np.repeat(offs[src] + first - excl[:-1], cnt)
@@ -126,8 +137,7 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
 
     # -- alltoallv accounting (the integers of Comm.size_scan_matrix):
     #    per-rank totals exclude the rank's chunk to itself --
-    sent = (D[:, p] - D[:, 0]) * widths
-    own = (np.diagonal(D, 1) - np.diagonal(D)) * widths
+    sent = np.diff(offs) * widths                     # cuts span [0, n]
     send_tot, recv_tot = sent - own, recv_all - own
 
     # -- final local ordering of every destination, once --
@@ -148,7 +158,7 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
         "max_send": int(send_tot.max()), "max_recv": int(recv_tot.max()),
         "total": int(sent.sum()),
         "send_tot": send_tot, "recv_tot": recv_tot, "recv_all": recv_all,
-        "D": D, "widths": widths,                     # traced edge rows
+        "cuts": cuts, "widths": widths,               # traced edge rows
         "m": np.diff(bounds),
         "keys": all_keys, "cols": all_cols,
         "final": final, "bounds": bounds,
@@ -178,7 +188,8 @@ def _sync_exchange_network(comm: Comm, shared: dict,
         comm.trace_collective(
             "alltoallv", shared["t"], dt, comm.cost.alltoallv_time(
                 p, 0, ranks_per_node=comm.ranks_per_node, total_bytes=0))
-        comm.trace_edges(np.diff(shared["D"][me]) * shared["widths"][me])
+        comm.trace_edges(np.diff(shared["cuts"][me].displs())
+                         * shared["widths"][me])
     comm.count("coll.alltoallv")
     comm.count("bytes.recv", recv_bytes)
     comm.count("bytes.sent", int(shared["send_tot"][me]))
@@ -220,16 +231,6 @@ def _sync_exchange_ordering(comm: Comm, shared: dict, *, merge: bool,
     return out, ExchangeStats("sync", ordering, m, p)
 
 
-def check_displs(displs: np.ndarray, p: int, n: int) -> np.ndarray:
-    """Validate and canonicalise a rank's partition displacements."""
-    d = np.asarray(displs, dtype=np.int64)
-    if len(d) != p + 1 or d[0] != 0 or d[-1] != n:
-        raise ValueError("displacements must span [0, len) with p+1 bounds")
-    if np.any(np.diff(d) < 0):
-        raise ValueError("displacements must be non-decreasing")
-    return d
-
-
 def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
                         *, stable: bool, tau_s: int, delta_hint: float = 0.0
                         ) -> tuple[RecordBatch, ExchangeStats]:
@@ -240,12 +241,15 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
     :func:`exchange_sync` (``alltoallv``) followed by
     :func:`order_received`, but none of the seed-era per-rank costs are
     paid: the p^2 ``RecordBatch`` sub-batches are never materialised,
-    the sizes are derived once from the ``(batch, displs)`` deposits,
-    over the non-empty ``(src, dst)`` cells only (counts x row bytes —
-    the same integers ``RecordBatch.split`` pre-computes), and the
-    final ordering of every destination happens once, inside the
-    designated-rank action.  Each rank then reads back its clock,
-    counters, memory charges and output slice in O(m + p).
+    the sizes are derived once from the ``(batch, cuts)`` deposits —
+    each rank's non-empty ``(src, dst)`` cells, nothing p x p —
+    (counts x row bytes, the same integers ``RecordBatch.split``
+    pre-computes), and the final ordering of every destination happens
+    once, inside the designated-rank action.  Each rank then reads back
+    its clock, counters, memory charges and output slice in O(m + p).
+    ``displs`` is validated here, on this rank, before the deposit
+    (:meth:`Cuts.check`: p buckets spanning ``[0, len(batch)]``,
+    non-decreasing).
 
     ``stable`` and ``tau_s`` must be SPMD-uniform (they are fields of
     the communicator-uniform ``SdsParams``); ``delta_hint`` is per-rank
@@ -256,22 +260,27 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
     * ``alltoallv`` accounting reproduces the integers
       :meth:`Comm.size_scan_matrix` yields on the byte matrix
       ``S[s, d] = (D[s, d+1] - D[s, d]) * row_nbytes[s]`` without
-      building it: gross received bytes per destination are segment
-      differences of one running sum over the non-empty cells, sent
-      bytes per rank are ``(D[r, p] - D[r, 0]) * row_nbytes[r]`` (a row
-      of counts telescopes), the diagonal is read as
-      ``D[r, r+1] - D[r, r]`` and subtracted from both, and the gross
-      total is the sum of the sent bytes.  All of it is int64, where
-      addition is associative and empty cells add zero, so each value
-      equals the matrix reduction exactly; each rank then replays the
-      same scalar ``alltoallv_time`` / ordering-cost calls the unfused
-      path makes, so every IEEE operation sequence is unchanged;
+      building ``S`` or ``D``: gross received bytes per destination are
+      segment differences of one running sum over the non-empty cells,
+      sent bytes per rank are ``len(batch_r) * row_nbytes[r]`` (a row
+      of counts telescopes to ``D[r, p] - D[r, 0]``, which the entry
+      check pins to the batch length), the diagonal is rank ``r``'s
+      cell with ``dst == r`` (zero when it has none) and is subtracted
+      from both, and the gross total is the sum of the sent bytes.  All
+      of it is int64, where addition is associative and empty cells add
+      zero, so each value equals the matrix reduction exactly; each
+      rank then replays the same scalar ``alltoallv_time`` /
+      ordering-cost calls the unfused path makes, so every IEEE
+      operation sequence is unchanged;
     * destination ``d``'s input is its chunks concatenated in **source
-      order** (the ``alltoallv`` delivery-order guarantee): ``nonzero``
-      lists the non-empty cells source-major, and a *stable* argsort on
-      ``dst`` keeps each destination's sources ascending — the
-      row-major walk of the transposed ``(dst, src)`` layout with the
-      empty cells, which hold no records, left out;
+      order** (the ``alltoallv`` delivery-order guarantee): a rank's
+      cuts list its non-empty cells by ascending destination, so the
+      deposits concatenated in rank order are the non-empty cells
+      source-major — the list ``nonzero`` of the stacked displacement
+      matrix used to produce — and a *stable* argsort on ``dst`` keeps
+      each destination's sources ascending: the row-major walk of the
+      transposed ``(dst, src)`` layout with the empty cells, which hold
+      no records, left out;
     * for the ``merge`` branch (``p < tau_s``) the k-way merge of
       sorted source runs with earlier-chunk tie-breaking produces the
       unique stable permutation, so one ``np.argsort(kind="stable")``
@@ -286,14 +295,14 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
     ``exchange``, the ordering charge in ``local_ordering``.
     """
     p = comm.size
-    d = check_displs(displs, p, len(batch))
+    cuts = Cuts.from_displs(displs).check(p, len(batch))
     merge = p < tau_s
 
     def compute(stage: list) -> dict:
         return sync_exchange_compute(stage, p=p, merge=merge, stable=stable)
 
     with comm.phase("exchange"):
-        shared, _ = comm.staged((batch, d), compute)
+        shared, _ = comm.staged((batch, cuts), compute)
         _sync_exchange_network(comm, shared, batch.nbytes)
 
     with comm.phase("local_ordering"):
@@ -328,17 +337,18 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
                                 traced: bool) -> dict:
     """Whole-world compute of the fused overlapped exchange.
 
-    ``stage`` holds one ``((batch, displs), clock)`` deposit per rank in
+    ``stage`` holds one ``((batch, cuts), clock)`` deposit per rank in
     group-rank order; ``group`` is the communicator's global-rank tuple,
     ``spec`` the machine, ``rate`` the per-element merge cost and
     ``progress`` the (SPMD-uniform) ``async_progress_overhead(p)``.
     Shared by the thread backend (as the staged collective's
     action) and the flat backend; see :func:`exchange_overlapped_fused`
-    for the exactness audit.
+    for the exactness audit.  The ring arrival schedule is p x p by
+    the cost model's definition, so the cuts are expanded here.
     """
     start = max(e[1] for e in stage)
     batches = [e[0][0] for e in stage]
-    D = np.stack([e[0][1] for e in stage])            # (p, p+1) bounds
+    D = np.stack([e[0][1].displs() for e in stage])   # (p, p+1) bounds
     C = np.diff(D, axis=1)                            # counts[src, dst]
     widths = np.array([b.row_nbytes for b in batches], dtype=np.int64)
     S = C * widths[:, None]                           # bytes[src, dst]
@@ -515,7 +525,7 @@ def exchange_overlapped_fused(comm: Comm, batch: RecordBatch,
       the globally gathered key array equals the per-rank merge tree.
     """
     p = comm.size
-    d = check_displs(displs, p, len(batch))
+    cuts = Cuts.from_displs(displs).check(p, len(batch))
     spec = comm.machine
     rate = comm.cost.spec.merge_cost_per_elem
     group = comm._ctx.group
@@ -527,7 +537,7 @@ def exchange_overlapped_fused(comm: Comm, batch: RecordBatch,
             stage, p=p, group=group, spec=spec, rate=rate,
             progress=progress, traced=traced)
 
-    shared, _ = comm.staged((batch, d), compute)
+    shared, _ = comm.staged((batch, cuts), compute)
     return _overlapped_exchange_finish(comm, shared)
 
 

@@ -37,7 +37,6 @@ import numpy as np
 from ..kernels import (
     batched_argsort_rows,
     batched_local_delta,
-    batched_partition_classic,
     stable_prefix_layout,
 )
 from ..mpi import LANE, Comm, FlatAbort, World
@@ -47,20 +46,20 @@ from .exchange import (
     _overlapped_exchange_finish,
     _sync_exchange_network,
     _sync_exchange_ordering,
-    check_displs,
     overlapped_exchange_compute,
     sync_exchange_compute,
 )
 from .params import PIVOT_METHODS, SdsParams
 from .partition import (
-    partition_classic,
+    Cuts,
+    classic_cuts,
     partition_fast,
     partition_stable_arrays,
     run_dup_counts,
 )
 from .plan import Decision, SortPlan
 from .sampling import (
-    local_pivots,
+    local_sample_runs,
     select_pivots_bitonic_world,
     select_pivots_gather_world,
     select_pivots_oversample_world,
@@ -182,7 +181,7 @@ class RunContext:
     active: Comm = None  # type: ignore[assignment]  # set in __post_init__
     delta: float = 0.0
     pg: np.ndarray | None = None
-    displs: np.ndarray | None = None
+    cuts: Cuts | None = None
     out: RecordBatch | None = None
     xstats: ExchangeStats | None = None
     outcome: SortOutcome | None = None  # early exit (inactive rank)
@@ -489,7 +488,8 @@ class PivotSelect:
     are pure and their inputs communicator-uniform) and recorded into
     every live rank's trace; sampling and selection go through the
     world-form selectors, which run shared computations once and replay
-    the per-rank collective epilogues.
+    the per-rank collective epilogues.  Regular samples are taken only
+    for the selectors that read them, run-length encoded.
     """
 
     method: str | None = None
@@ -507,10 +507,10 @@ class PivotSelect:
                                reason="fixed by algorithm")
                 for ctx in ctxs:
                     ctx.plan.decide(dec)
-                pls = self._local_pivots(world, acomms, ctxs, p)
                 pgs = select_pivots_world(
-                    world, acomms, pls, [ctx.batch.keys for ctx in ctxs],
-                    dec.choice)
+                    world, acomms,
+                    self._samples(world, acomms, ctxs, p, dec.choice),
+                    [ctx.batch.keys for ctx in ctxs], dec.choice)
             else:
                 agg = world.allreduce(acomms,
                                       [ctx.n for ctx in ctxs], op=min)
@@ -520,15 +520,17 @@ class PivotSelect:
                     if world.alive(acomms[i]):
                         ctx.plan.decide(dec)
                 if min_n > 0:
-                    pls = self._local_pivots(world, acomms, ctxs, p)
                     pgs = select_pivots_world(
-                        world, acomms, pls,
+                        world, acomms,
+                        self._samples(world, acomms, ctxs, p, dec.choice),
                         [ctx.batch.keys for ctx in ctxs], dec.choice)
                 else:
                     # some rank holds no data: gather over whatever
                     # samples exist, pad short pivot vectors
-                    pls = [(local_pivots(ctx.batch.keys, p) if ctx.n > 0
-                            else ctx.batch.keys[:0]) for ctx in ctxs]
+                    layouts: dict = {}
+                    pls = [(local_sample_runs(ctx.batch.keys, p, layouts)
+                            if ctx.n > 0 else ctx.batch.keys[:0])
+                           for ctx in ctxs]
                     pgs = select_pivots_gather_world(world, acomms, pls)
                     for i, ctx in enumerate(ctxs):
                         pg = pgs[i]
@@ -542,13 +544,19 @@ class PivotSelect:
                 ctx.pg = pgs[i]
 
     @staticmethod
-    def _local_pivots(world: World, acomms: list[Comm],
-                      ctxs: list[RunContext], p: int) -> list:
-        """Per-rank regular samples; a failing rank deposits a stub."""
+    def _samples(world: World, acomms: list[Comm],
+                 ctxs: list[RunContext], p: int, method: str) -> list:
+        """Per-rank regular samples; a failing rank deposits a stub.
+
+        ``histogram`` and ``oversample`` never read them (``None``).
+        """
+        if method not in ("bitonic", "gather"):
+            return [None] * len(ctxs)
+        layouts: dict = {}
         pls: list = []
         for i, ctx in enumerate(ctxs):
             try:
-                pls.append(local_pivots(ctx.batch.keys, p))
+                pls.append(local_sample_runs(ctx.batch.keys, p, layouts))
             except BaseException as exc:
                 world.fail(acomms[i], exc)
                 pls.append(ctx.batch.keys[:0])
@@ -565,11 +573,13 @@ class Partition:
     ``local_pivot_accel`` selects the two-level local-pivot search cost
     of Section 2.5.1 (``None`` defers to ``params``).
 
-    ``classic`` partitioning batches same-shape shards into one matrix
-    ``searchsorted``; ``fast`` and ``stable`` call the per-rank kernels
-    directly (already vectorised numpy — the columnar win is dropping
-    the threads, not the arithmetic).  The stable variant's layout
-    allgather runs through the world collective with the same
+    Every variant leaves :class:`~repro.core.partition.Cuts` on the
+    context.  ``classic`` partitioning stacks same-shape shards for
+    :func:`~repro.core.partition.classic_cuts`; ``fast`` and ``stable``
+    call the per-rank kernels directly (already vectorised numpy — the
+    columnar win is dropping the threads, not the arithmetic) and
+    convert their dense result.  The stable variant's layout allgather
+    runs through the world collective with the same
     :func:`stable_prefix_layout` action.
     """
 
@@ -598,17 +608,10 @@ class Partition:
                             (len(ctx.batch), ctx.batch.keys.dtype.str,
                              id(ctx.pg)), []).append(i)
                 for members in groups.values():
-                    if len(members) == 1:
-                        i = members[0]
-                        ctxs[i].displs = partition_classic(
-                            ctxs[i].batch.keys, ctxs[i].pg)
-                    else:
-                        rows = np.stack(
-                            [ctxs[i].batch.keys for i in members])
-                        D = batched_partition_classic(
-                            rows, ctxs[members[0]].pg)
-                        for j, i in enumerate(members):
-                            ctxs[i].displs = D[j]
+                    rows = np.stack([ctxs[i].batch.keys for i in members])
+                    for i, cuts in zip(members, classic_cuts(
+                            rows, ctxs[members[0]].pg)):
+                        ctxs[i].cuts = cuts
             elif variant == "stable":
                 counts = [
                     (run_dup_counts(ctx.batch.keys, ctx.pg)
@@ -619,13 +622,14 @@ class Partition:
                 for i, ctx in enumerate(ctxs):
                     if world.alive(acomms[i]) and layouts[i] is not None:
                         prefix, totals = layouts[i]
-                        ctx.displs = partition_stable_arrays(
+                        ctx.cuts = Cuts.from_displs(partition_stable_arrays(
                             ctx.batch.keys, ctx.pg,
-                            prefix[acomms[i].rank], totals)
+                            prefix[acomms[i].rank], totals))
             elif variant == "fast":
                 for i, ctx in enumerate(ctxs):
                     if world.alive(acomms[i]):
-                        ctx.displs = partition_fast(ctx.batch.keys, ctx.pg)
+                        ctx.cuts = Cuts.from_displs(
+                            partition_fast(ctx.batch.keys, ctx.pg))
             else:
                 for c in acomms:
                     world.fail(c, ValueError(
@@ -701,8 +705,8 @@ class Exchange:
             deposits: list = [None] * len(ctxs)
             for i, ctx in enumerate(ctxs):
                 try:
-                    deposits[i] = (ctx.batch, check_displs(
-                        ctx.displs, p, len(ctx.batch)))
+                    deposits[i] = (ctx.batch,
+                                   ctx.cuts.check(p, len(ctx.batch)))
                 except BaseException as exc:
                     world.fail(acomms[i], exc)
 
@@ -750,8 +754,8 @@ class Exchange:
             with world.phase(live, "exchange"):
                 for i, ctx in enumerate(ctxs):
                     try:
-                        deposits[i] = (ctx.batch, check_displs(
-                            ctx.displs, p, len(ctx.batch)))
+                        deposits[i] = (ctx.batch,
+                                       ctx.cuts.check(p, len(ctx.batch)))
                     except BaseException as exc:
                         world.fail(acomms[i], exc)
                 _, outs = world.collective(acomms, deposits, compute, finish)

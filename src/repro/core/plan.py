@@ -88,14 +88,25 @@ class Decision:
     reason: str = ""
 
     def as_dict(self) -> dict[str, Any]:
-        return {
-            "decision": self.name,
-            "choice": self.choice,
-            "threshold": self.threshold,
-            "threshold_value": _plain(self.threshold_value),
-            "measured": {k: _plain(v) for k, v in self.measured.items()},
-            "reason": self.reason,
-        }
+        """The JSON-plain form, converted once per instance.
+
+        World-form phases record one ``Decision`` object in every
+        rank's trace, so all of them hand out this same dict: treat it
+        as read-only.
+        """
+        plain = self.__dict__.get("_plain")
+        if plain is None:
+            plain = {
+                "decision": self.name,
+                "choice": self.choice,
+                "threshold": self.threshold,
+                "threshold_value": _plain(self.threshold_value),
+                "measured": {k: _plain(v)
+                             for k, v in self.measured.items()},
+                "reason": self.reason,
+            }
+            object.__setattr__(self, "_plain", plain)  # frozen dataclass
+        return plain
 
 
 class DecisionTrace:

@@ -15,6 +15,17 @@ A gather-based selection (sort all local pivots on rank 0, the classic
 PSRS approach) is provided both as a fallback for non-power-of-two
 communicators and for comparison.
 
+Samples travel **run-length encoded** (:class:`SampleRuns`): a rank's
+``p-1`` regular samples are ``keys[floor(k*n/p)]``, so they are fully
+described by the distinct sampled positions and how often each is hit,
+and that layout depends only on ``(n, p)`` — at most ``min(n, p-1)``
+entries per rank instead of ``p-1``.  The gather selector works on the
+runs directly (O(E log E) with ``E <= min(N, p*(p-1))`` entries), so the
+host never holds ``p*(p-1)`` samples; only the bitonic selector, which
+really distributes them, expands the runs.  The *modelled* volume is
+unchanged: a deposit's wire size is still ``(p-1) * itemsize`` and the
+root's sort charge still counts every sample.
+
 Selectors are written once in world form (``*_world`` over a
 :class:`~repro.mpi.world.World` view): shared computations — the
 pooled sample sort, the pivot stride — run once per communicator, and
@@ -35,6 +46,21 @@ from ..mpi import LANE, Comm, World
 from .bitonic import bitonic_sort_world, is_power_of_two
 
 
+def _checked_shard(sorted_keys: np.ndarray, p: int) -> np.ndarray:
+    a = np.asarray(sorted_keys)
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if p > 1 and a.size == 0:
+        raise ValueError("cannot sample pivots from an empty shard")
+    return a
+
+
+def _sample_index(n: int, p: int) -> np.ndarray:
+    """Positions ``min(floor(k*n/p), n-1)``, ``k = 1..p-1``, in ``n`` keys."""
+    idx = (np.arange(1, p, dtype=np.int64) * n) // p
+    return np.minimum(idx, n - 1)
+
+
 def local_pivots(sorted_keys: np.ndarray, p: int) -> np.ndarray:
     """``p-1`` regular samples of a rank's sorted data (Figure 1 line 8).
 
@@ -47,16 +73,72 @@ def local_pivots(sorted_keys: np.ndarray, p: int) -> np.ndarray:
     implementation cannot be using the literal stride either).
     Degrades gracefully for ``n < p`` by repeating boundary values.
     """
-    a = np.asarray(sorted_keys)
-    if p < 1:
-        raise ValueError("p must be >= 1")
+    a = _checked_shard(sorted_keys, p)
+    return a[_sample_index(a.size, p)]
+
+
+class SampleRuns:
+    """One rank's regular samples, run-length encoded.
+
+    ``values[j]`` was sampled ``counts[j]`` times; ``total`` is the
+    number of samples represented (``p-1``, or 0 for a rank that has
+    none).  ``nbytes`` is the wire size of the *expanded* vector, which
+    is what :func:`~repro.mpi.comm.payload_nbytes` charges.
+    """
+
+    __slots__ = ("values", "counts", "total")
+
+    def __init__(self, values: np.ndarray, counts: np.ndarray, total: int):
+        self.values = values
+        self.counts = counts
+        self.total = total
+
+    @classmethod
+    def of(cls, samples) -> "SampleRuns":
+        """Pass runs through; wrap a plain sample vector as unit runs."""
+        if isinstance(samples, cls):
+            return samples
+        a = np.asarray(samples)
+        return cls(a, np.ones(a.size, dtype=np.int64), a.size)
+
+    @property
+    def nbytes(self) -> int:
+        return self.total * self.values.dtype.itemsize
+
+    def expand(self) -> np.ndarray:
+        return np.repeat(self.values, self.counts)
+
+
+def sample_layout(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct positions and multiplicities of :func:`local_pivots`.
+
+    A function of ``(n, p)`` only, so same-length shards share it; at
+    most ``min(n, p-1)`` entries.
+    """
+    idx = _sample_index(n, p)
+    if idx.size == 0:
+        return idx, idx
+    first = np.flatnonzero(np.concatenate(([True], idx[1:] != idx[:-1])))
+    return idx[first], np.diff(np.concatenate((first, [idx.size])))
+
+
+def local_sample_runs(sorted_keys: np.ndarray, p: int,
+                      layouts: dict | None = None) -> SampleRuns:
+    """:func:`local_pivots` as :class:`SampleRuns` (same errors).
+
+    ``layouts`` memoises :func:`sample_layout` per shard length across
+    the ranks of one communicator.
+    """
+    a = _checked_shard(sorted_keys, p)
     if p == 1:
-        return a[:0]
-    if a.size == 0:
-        raise ValueError("cannot sample pivots from an empty shard")
-    idx = (np.arange(1, p, dtype=np.int64) * a.size) // p
-    idx = np.minimum(idx, a.size - 1)
-    return a[idx]
+        return SampleRuns.of(a[:0])
+    layout = None if layouts is None else layouts.get(a.size)
+    if layout is None:
+        layout = sample_layout(a.size, p)
+        if layouts is not None:
+            layouts[a.size] = layout
+    pos, counts = layout
+    return SampleRuns(a[pos], counts, p - 1)
 
 
 def _pivot_positions(p: int) -> np.ndarray:
@@ -72,23 +154,33 @@ def select_pivots_gather_world(world: World, comms: list[Comm],
                                pls: list) -> list:
     """Classic PSRS selection: gather samples on rank 0, sort, broadcast.
 
-    The rank-0 sort + stride selection runs once; every other rank only
-    replays its gather/bcast epilogues.  Per-rank results (``None`` for
-    failed ranks) in ``comms`` order.
+    ``pls`` holds each rank's samples, as :class:`SampleRuns` or as the
+    plain vector.  The root never expands them: pivot ``k`` is the
+    smallest value whose cumulative multiplicity over the value-sorted
+    runs exceeds position ``(k+1)*p - 1`` — the value
+    ``np.sort(concatenate(samples))`` holds there — and the root is
+    charged for sorting every sample represented.  The selection runs
+    once; every other rank only replays its gather/bcast epilogues.
+    Per-rank results (``None`` for failed ranks) in ``comms`` order.
     """
     p = comms[0].size
-    gathered_out = world.gather(comms, pls, root=0)
+    gathered_out = world.gather(comms, [SampleRuns.of(pl) for pl in pls],
+                                root=0)
     pgs: list = [None] * len(comms)
     for i, c in enumerate(comms):
         if gathered_out[i] is None or not world.alive(c):
             continue
-        allp = np.sort(np.concatenate(gathered_out[i]))
-        c.charge(c.cost.sort_time(allp.size))
-        if allp.size == 0:
-            pgs[i] = allp[:0]  # degenerate: no samples anywhere
+        runs = gathered_out[i]
+        values = np.concatenate([r.values for r in runs])
+        total = sum(r.total for r in runs)
+        c.charge(c.cost.sort_time(total))
+        if total == 0:
+            pgs[i] = values[:0]  # degenerate: no samples anywhere
         else:
-            pos = np.minimum(_pivot_positions(p), allp.size - 1)
-            pgs[i] = allp[pos]
+            order = np.argsort(values)
+            cum = np.cumsum(np.concatenate([r.counts for r in runs])[order])
+            pos = np.minimum(_pivot_positions(p), total - 1)
+            pgs[i] = values[order[np.searchsorted(cum, pos, side="right")]]
     return world.bcast(comms, pgs, root=0)
 
 
@@ -166,14 +258,17 @@ def select_pivots_bitonic_world(world: World, comms: list[Comm],
     positions that landed in its block and an allgather assembles the
     full pivot vector (the assembly is identical on every rank, so it
     runs once and the shared pivot vector is handed to each live rank).
-    Falls back to :func:`select_pivots_gather_world` when the
-    communicator is not a power of two.
+    This selector really distributes the ``p*(p-1)`` samples, so
+    :class:`SampleRuns` inputs are expanded here.  Falls back to
+    :func:`select_pivots_gather_world` when the communicator is not a
+    power of two.
     """
     p = comms[0].size
-    if p == 1:
-        return [np.asarray(pl)[:0] for pl in pls]
     if not is_power_of_two(p):
         return select_pivots_gather_world(world, comms, pls)
+    pls = [SampleRuns.of(pl).expand() for pl in pls]
+    if p == 1:
+        return [pl[:0] for pl in pls]
     blocks = bitonic_sort_world(world, comms, pls)
     m = p - 1  # block length
     positions = _pivot_positions(p)

@@ -156,7 +156,6 @@ def sds_sort_world(world: World, comms: list[Comm],
                     "p_active": ctx.active.size,
                     "delta_local": ctx.delta,
                     "n_pivots": int(np.asarray(ctx.pg).size),
-                    "displs": ctx.displs,
                     "decisions": ctx.decisions(),
                 },
             )

@@ -19,10 +19,10 @@ per-rank twin:
   of a ``(p, runs)`` duplicate-count matrix: the designated-rank
   arithmetic of ``stable_layout_collective`` as a pure function, also
   the production replacement for the seed's per-rank dict assembly
-  (``assemble_stable_inputs``, now a test oracle);
-* :func:`batched_partition_classic` — one vectorised ``searchsorted``
-  over all ``p - 1`` pivots per row (the row loop is O(g) python, the
-  search itself is a single C call per rank).
+  (``assemble_stable_inputs``, now a test oracle).
+
+Classic partitioning's batched form lives with the cuts it produces
+(:func:`repro.core.partition.classic_cuts`).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ __all__ = [
     "batched_argsort_rows",
     "batched_local_delta",
     "stable_prefix_layout",
-    "batched_partition_classic",
 ]
 
 _KINDS = {False: "quicksort", True: "stable"}
@@ -94,22 +93,3 @@ def stable_prefix_layout(all_counts: list[np.ndarray]
     prefix = np.zeros_like(matrix)
     np.cumsum(matrix[:-1], axis=0, out=prefix[1:])
     return prefix, totals
-
-
-def batched_partition_classic(rows: np.ndarray, pg: np.ndarray
-                              ) -> np.ndarray:
-    """Classic upper-bound displacements for every row of a stack.
-
-    Row ``i`` of the ``(g, p + 1)`` result equals
-    ``partition_classic(rows[i], pg)``: the same
-    ``searchsorted(side="right")`` over all pivots at once, bracketed
-    by ``0`` and ``n``.
-    """
-    pg = np.asarray(pg)
-    g, n = rows.shape
-    out = np.empty((g, pg.size + 2), dtype=np.int64)
-    out[:, 0] = 0
-    out[:, -1] = n
-    for i in range(g):
-        out[i, 1:-1] = np.searchsorted(rows[i], pg, side="right")
-    return out

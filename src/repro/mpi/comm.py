@@ -64,7 +64,9 @@ def payload_nbytes(obj: Any) -> int:
         return sum(payload_nbytes(x) for x in obj)
     if isinstance(obj, dict):
         return sum(payload_nbytes(k) + payload_nbytes(v) for k, v in obj.items())
-    return 64
+    # a payload that models its own wire size (e.g. run-length encoded
+    # samples charge for the vector they stand for)
+    return int(getattr(obj, "nbytes", 64))
 
 
 def _max_clock(stage: Sequence[tuple[Any, float]]) -> float:
@@ -109,6 +111,10 @@ class SimWorld:
                              f"world has p={p}")
         self.tracer = tracer
         self.abort = AbortFlag()
+        #: the run's cancel :class:`threading.Event`, set by the flat
+        #: engine (None = not cancellable); a columnar world polls it
+        #: at its abort points — rank threads have a watcher instead
+        self.cancel: Any = None
         self.clocks: list[float] = [0.0] * p
         self.mem = [MemoryTracker(capacity=mem_capacity, rank=r) for r in range(p)]
         self.phase_times: list[dict[str, float]] = [dict() for _ in range(p)]

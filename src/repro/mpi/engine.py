@@ -352,10 +352,10 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
         Optional :class:`threading.Event`.  Set before the world starts
         (any backend), nothing runs and the result carries a
         :class:`RankFailure` whose cause is :class:`RunCancelled`; fired
-        mid-run (a service timeout or an explicit cancel), the thread
-        backend (and the shared p==1 inline path) aborts the world with
-        the same failure, while a flat world, which has no blocking
-        point to unwind at, runs to completion.
+        mid-run (a service timeout or an explicit cancel), the world
+        aborts with the same failure on every backend — rank threads
+        are woken by a watcher, a flat world polls the event at every
+        collective and phase entry.
     metrics:
         Optional telemetry sink (duck-typed: ``record_world(backend=,
         p=, cancelled=)``) counting worlds launched per executing
@@ -392,12 +392,19 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
             extras={"backend": executing})
     if flat:
         from .flatworld import run_spmd_flat
-        if metrics is not None:
-            metrics.record_world(backend="flat", p=p)
-        return run_spmd_flat(
+        res = run_spmd_flat(
             fn, p, machine=machine, mem_capacity=mem_capacity,
-            args=args, kwargs=kwargs, check=check, faults=faults,
-            tracer=tracer)
+            args=args, kwargs=kwargs, check=False, faults=faults,
+            tracer=tracer, cancel=cancel)
+        if metrics is not None:
+            metrics.record_world(
+                backend="flat", p=p,
+                cancelled=res.failure is not None and any(
+                    isinstance(exc, RunCancelled)
+                    for _, exc in res.failure.failures))
+        if res.failure is not None and check:
+            raise res.failure from res.failure.cause
+        return res
     world = SimWorld(p, machine, mem_capacity=mem_capacity, faults=faults,
                   tracer=tracer)
     results: list[Any] = [None] * p

@@ -42,7 +42,7 @@ import numpy as np
 from ..machine import LAPTOP, MachineSpec
 from .comm import Comm, SimWorld, _max_clock, payload_nbytes, split_contexts
 from .engine import SpmdResult
-from .errors import RankFailure
+from .errors import RankFailure, RunCancelled
 from .world import World
 
 __all__ = [
@@ -109,8 +109,22 @@ class ColumnarWorld(World):
     def alive(self, comm: Comm) -> bool:
         return comm.grank not in self.dead
 
+    def _poll_cancel(self) -> None:
+        """Abort the world once the run's cancel event is set.
+
+        Records the failure the thread engine's watcher records, so a
+        cancelled run reports identically on both backends.
+        """
+        cancel = self.world.cancel
+        if cancel is not None and cancel.is_set():
+            self.failures.append(
+                (0, RunCancelled("run cancelled while in flight")))
+            raise FlatAbort
+
     def check(self) -> None:
-        """Abort point: entering a collective with failures pending."""
+        """Abort point: entering a collective with failures pending,
+        or after the run was cancelled."""
+        self._poll_cancel()
         if self.failures:
             raise FlatAbort
 
@@ -122,6 +136,7 @@ class ColumnarWorld(World):
 
     # -- phase brackets ------------------------------------------------
     def phase(self, comms: Sequence[Comm], name: str) -> phase_all:
+        self._poll_cancel()
         return phase_all(comms, name)
 
     # ------------------------------------------------------------------
@@ -354,7 +369,8 @@ def make_world_comms(world: SimWorld) -> list[Comm]:
 def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,
                   mem_capacity: int | None = None, args: tuple = (),
                   kwargs: dict | None = None, check: bool = True,
-                  faults: Any = None, tracer: Any = None) -> SpmdResult:
+                  faults: Any = None, tracer: Any = None,
+                  cancel: Any = None) -> SpmdResult:
     """Flat-backend twin of :func:`repro.mpi.engine.run_spmd`.
 
     ``fn`` must expose ``flat_run(comms, *args, **kwargs) ->
@@ -363,7 +379,9 @@ def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,
     (``None`` for ranks that failed or were aborted) and ``failures``
     is a list of ``(rank, exception)``.  Programs without a batched
     path cannot run flat — the thread backend accepts any rank
-    callable.
+    callable.  ``cancel`` (a :class:`threading.Event`) rides on the
+    ``SimWorld``; a :class:`ColumnarWorld` polls it at every collective
+    and phase entry and aborts with the thread watcher's failure.
     """
     flat = getattr(fn, "flat_run", None)
     if flat is None:
@@ -373,6 +391,7 @@ def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,
             "(the thread backend runs any rank callable)")
     world = SimWorld(p, machine, mem_capacity=mem_capacity, faults=faults,
                   tracer=tracer)
+    world.cancel = cancel
     comms = make_world_comms(world)
     results, failures = flat(comms, *args, **(kwargs or {}))
     failure = None

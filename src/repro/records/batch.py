@@ -14,6 +14,7 @@ without influencing the sort itself.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -87,11 +88,16 @@ class RecordBatch:
 
         ``len(b) * b.row_nbytes == b.nbytes`` for contiguous batches;
         the communicator uses it to size the ``p^2`` logical sub-batches
-        of an exchange without materialising them.
+        of an exchange without materialising them.  Cached like
+        :attr:`nbytes`, under the same immutability note.
         """
-        return self.keys.dtype.itemsize + sum(
-            c.dtype.itemsize * int(np.prod(c.shape[1:], dtype=np.int64))
-            for c in self.payload.values())
+        width = self.__dict__.get("_row_nbytes")
+        if width is None:
+            width = self.keys.dtype.itemsize + sum(
+                c.dtype.itemsize * math.prod(c.shape[1:])
+                for c in self.payload.values())
+            self.__dict__["_row_nbytes"] = width
+        return width
 
     @property
     def record_bytes(self) -> int:

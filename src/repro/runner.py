@@ -28,6 +28,7 @@ from .mpi import (
     LANE,
     ColumnarWorld,
     Comm,
+    FlatAbort,
     SpmdPool,
     run_spmd,
 )
@@ -209,10 +210,14 @@ class _SortProgram:
         """
         world = ColumnarWorld(comms[0]._world)
         shards = []
-        for c in comms:
-            shard = self.workload.shard(self.n_per_rank, c.size, c.rank,
-                                        self.seed)
-            shards.append(tag_provenance(shard, c.rank))
+        try:
+            for c in comms:
+                world.check()  # a cancel lands between shards too
+                shard = self.workload.shard(self.n_per_rank, c.size,
+                                            c.rank, self.seed)
+                shards.append(tag_provenance(shard, c.rank))
+        except FlatAbort:
+            return [None] * len(comms), world.failures
         outcomes = ALGORITHMS[self.algorithm].invoke_world(
             world, comms, shards, self.opts)
         results = [None if o is None else (shards[i], o)
@@ -264,8 +269,9 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         reuse rank threads across requests instead of cold-starting.
     cancel: optional :class:`threading.Event`; set before the world
         starts, nothing runs and the result is a ``RunCancelled``
-        failure on every functional backend; firing it mid-run aborts a
-        thread world the same way (a flat world runs to completion).
+        failure on every functional backend; firing it mid-run aborts
+        the world the same way (rank threads are woken, a flat world
+        polls the event at every collective and phase entry).
     metrics: optional telemetry sink (duck-typed — any object with
         ``record_run`` / ``record_world``, e.g.
         :class:`repro.service.metrics.ServiceMetrics`).  Records the

@@ -17,8 +17,8 @@ Lifecycle (the drain state machine, see ``docs/service.md``)::
 stops the workers; ``close`` additionally shuts the cached pools down.
 Per-job timeouts cancel: expired queued jobs never start, and a
 running job's deadline fires the job's cancel event, which the engine
-turns into a ``RunCancelled`` abort (before the world starts on every
-backend, mid-run on thread) — either way the job lands in the
+turns into a ``RunCancelled`` abort (before the world starts or
+mid-run, on every backend) — either way the job lands in the
 ``timeout`` state and releases its admission budget.
 """
 

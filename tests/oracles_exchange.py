@@ -7,6 +7,10 @@ temporaries in all.  Production now addresses only the non-empty
 ``(src, dst)`` cells; the dense formulation stays here so
 ``tests/test_exchange.py`` keeps checking the sparse one against it,
 key for key (``S`` is the oracle for the per-rank traced edge rows).
+
+``check_displs`` is the dense displacement validator production ran up
+to PR 14; ``repro.core.partition.Cuts.check`` must reject exactly what
+it rejects.
 """
 
 from __future__ import annotations
@@ -16,6 +20,16 @@ import numpy as np
 from repro.kernels import natural_merge_sort_perm, sequential_argsort
 from repro.mpi import Comm
 from repro.records import concat_batch_arrays
+
+
+def check_displs(displs: np.ndarray, p: int, n: int) -> np.ndarray:
+    """Validate and canonicalise a rank's partition displacements."""
+    d = np.asarray(displs, dtype=np.int64)
+    if len(d) != p + 1 or d[0] != 0 or d[-1] != n:
+        raise ValueError("displacements must span [0, len) with p+1 bounds")
+    if np.any(np.diff(d) < 0):
+        raise ValueError("displacements must be non-decreasing")
+    return d
 
 
 def sync_exchange_compute_dense(stage: list, *, p: int, merge: bool,

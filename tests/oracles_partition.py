@@ -7,6 +7,11 @@ now uses the batched kernels (``repro.kernels.stable_prefix_layout`` +
 ``repro.core.partition_stable_arrays``); the loops stay here so the
 vectorised rewrites keep being checked against the original
 formulation in ``tests/test_partition.py``.
+
+``batched_partition_classic`` is the dense ``(g, p + 1)`` classic
+partition the flat backend ran up to PR 14; production builds the
+non-empty buckets directly (``repro.core.partition.classic_cuts``) and
+is checked against it there too.
 """
 
 from __future__ import annotations
@@ -64,3 +69,22 @@ def assemble_stable_inputs(all_counts: list[np.ndarray], rank: int,
         my_prefix[run.start] = int(counts[:rank].sum())
         totals[run.start] = int(counts.sum())
     return my_prefix, totals
+
+
+def batched_partition_classic(rows: np.ndarray, pg: np.ndarray
+                              ) -> np.ndarray:
+    """Classic upper-bound displacements for every row of a stack.
+
+    Row ``i`` of the ``(g, p + 1)`` result equals
+    ``partition_classic(rows[i], pg)``: the same
+    ``searchsorted(side="right")`` over all pivots at once, bracketed
+    by ``0`` and ``n``.
+    """
+    pg = np.asarray(pg)
+    g, n = rows.shape
+    out = np.empty((g, pg.size + 2), dtype=np.int64)
+    out[:, 0] = 0
+    out[:, -1] = n
+    for i in range(g):
+        out[i, 1:-1] = np.searchsorted(rows[i], pg, side="right")
+    return out

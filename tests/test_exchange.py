@@ -10,12 +10,13 @@ from repro.core import (
     order_received,
     split_for_sends,
 )
-from repro.core.exchange import check_displs, sync_exchange_compute
+from repro.core.exchange import sync_exchange_compute
+from repro.core.partition import Cuts
 from repro.mpi import run_spmd
 from repro.obs import Tracer
 from repro.records import RecordBatch
 
-from .oracles_exchange import sync_exchange_compute_dense
+from .oracles_exchange import check_displs, sync_exchange_compute_dense
 
 
 def _sorted_shard(rank, n=40):
@@ -176,11 +177,14 @@ class TestSparseSyncExchangeCompute:
 
     @staticmethod
     def _check(stage, p, merge, stable):
-        got = sync_exchange_compute(stage, p=p, merge=merge, stable=stable)
+        # production takes the deposits as cuts, the oracle dense
+        sparse = [((b, Cuts.from_displs(d).check(p, len(b))), t)
+                  for (b, d), t in stage]
+        got = sync_exchange_compute(sparse, p=p, merge=merge, stable=stable)
         want = sync_exchange_compute_dense(stage, p=p, merge=merge,
                                            stable=stable)
         S = want.pop("S")
-        D, widths = got.pop("D"), got.pop("widths")
+        cuts, widths = got.pop("cuts"), got.pop("widths")
         assert sorted(got) == sorted(want)
         cols, want_cols = got.pop("cols"), want.pop("cols")
         assert sorted(cols) == sorted(want_cols)
@@ -190,7 +194,7 @@ class TestSparseSyncExchangeCompute:
             _assert_same(got[name], want[name])
         # what _sync_exchange_network hands the tracer for rank r
         for r in range(p):
-            _assert_same(np.diff(D[r]) * widths[r], S[r])
+            _assert_same(np.diff(cuts[r].displs()) * widths[r], S[r])
 
     @pytest.mark.parametrize("merge,stable", ORDERINGS)
     @pytest.mark.parametrize("p", [1, 2, 3, 7, 32, 257])
@@ -232,8 +236,8 @@ class TestSparseSyncExchangeCompute:
                         True, False)
 
     def test_traced_edge_rows_match_oracle(self):
-        """Traced sync edge rows are derived per rank from the stacked
-        displacements; together they must be the oracle's matrix."""
+        """Traced sync edge rows are derived per rank from the rank's
+        own cuts; together they must be the oracle's matrix."""
         p = 12
         stage = _stage(p, np.random.default_rng(8).integers(0, 40, p),
                        seed=8, cuts="splitters")

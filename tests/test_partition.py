@@ -7,6 +7,7 @@ invariants that Theorem 1 rests on.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,7 +23,14 @@ from repro.core import (
     run_dup_counts,
 )
 
-from .oracles_partition import assemble_stable_inputs, partition_stable_local
+from repro.core.partition import Cuts, classic_cuts
+
+from .oracles_exchange import check_displs
+from .oracles_partition import (
+    assemble_stable_inputs,
+    batched_partition_classic,
+    partition_stable_local,
+)
 
 
 def valid_displs(displs, n, p):
@@ -325,3 +333,82 @@ def test_property_partitions_conserve_records(shards, data):
         for s, d in zip(shards, displs):
             valid_displs(d, s.size, p)
         assert loads_from_displs(displs).sum() == sum(s.size for s in shards)
+
+
+# ----------------------------------------------------------------------
+# cuts: the non-empty buckets that travel from partition to exchange
+# ----------------------------------------------------------------------
+
+def _same_cuts(a, b):
+    assert a.p == b.p
+    for x, y in ((a.dst, b.dst), (a.offs, b.offs)):
+        assert x.dtype == y.dtype == np.int64 and np.array_equal(x, y)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 6), min_size=0, max_size=40))
+def test_property_cuts_round_trip_valid_displs(counts):
+    d = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    p, n = len(counts), int(d[-1])
+    cuts = Cuts.from_displs(d).check(p, n)
+    assert cuts.dst.size <= min(n, p) and cuts.offs.size == cuts.dst.size + 1
+    back = cuts.displs()
+    assert back.dtype == np.int64 and np.array_equal(back, d)
+    assert np.array_equal(check_displs(d, p, n), back)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-2, 6), min_size=0, max_size=8),
+       st.integers(0, 8), st.integers(0, 8))
+def test_property_cuts_check_rejects_what_check_displs_rejects(d, p, n):
+    """Arbitrary vectors: wrong length, wrong span, decreasing steps."""
+    try:
+        want = check_displs(d, p, n)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            Cuts.from_displs(d).check(p, n)
+        assert str(got.value) == str(exc)
+    else:
+        assert np.array_equal(Cuts.from_displs(d).check(p, n).displs(), want)
+
+
+class TestClassicCuts:
+    """``classic_cuts`` on a stack against per-row ``partition_classic``
+    (and the dense batched kernel it replaced), both search regimes."""
+
+    @staticmethod
+    def _check(rows, pg):
+        got = classic_cuts(rows, pg)
+        dense = batched_partition_classic(rows, pg)
+        assert len(got) == len(rows)
+        for row, cuts, d in zip(rows, got, dense):
+            want = partition_classic(row, pg)
+            assert np.array_equal(d, want)
+            _same_cuts(cuts, Cuts.from_displs(want))
+            cuts.check(pg.size + 1, row.size)
+            assert np.array_equal(cuts.displs(), want)
+
+    @pytest.mark.parametrize("ints", [False, True])
+    @pytest.mark.parametrize("g", [1, 5])
+    @pytest.mark.parametrize("p,n", [(1, 0), (1, 4), (2, 1), (7, 3), (7, 6),
+                                     (7, 7), (7, 40), (64, 9), (257, 64),
+                                     (33, 0)])
+    def test_matches_per_row(self, p, n, g, ints):
+        rng = np.random.default_rng(p * 100 + n)
+        draw = ((lambda size: rng.integers(0, 6, size)) if ints
+                else (lambda size: rng.random(size).round(1)))
+        rows = np.sort(draw((g, n)), axis=1)
+        pg = np.sort(draw(p - 1))              # duplicated pivots abound
+        self._check(rows, pg)
+
+    def test_keys_outside_the_pivot_range(self):
+        pg = np.array([3.0, 3.0, 5.0])
+        self._check(np.array([[0.0, 1.0], [6.0, 7.0], [3.0, 3.0]]), pg)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 4), st.integers(0, 12), st.integers(1, 12),
+           st.integers(0, 2**32 - 1))
+    def test_property_matches_per_row(self, g, n, p, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.integers(0, 8, (g, n)), axis=1)
+        self._check(rows, np.sort(rng.integers(0, 8, p - 1)))

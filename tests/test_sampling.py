@@ -3,8 +3,21 @@
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from repro.core import local_pivots, select_pivots_bitonic, select_pivots_gather
-from repro.mpi import run_spmd
+from repro.core.sampling import (
+    local_sample_runs,
+    select_pivots_bitonic_world,
+    select_pivots_gather_world,
+)
+from repro.machine import LAPTOP
+from repro.mpi import LANE, ColumnarWorld, run_spmd
+from repro.mpi.comm import SimWorld, payload_nbytes
+from repro.mpi.flatworld import make_world_comms
+
+from .oracles_sampling import select_pivots_gather_dense
 
 
 class TestLocalPivots:
@@ -151,3 +164,132 @@ class TestOversampling:
             select_pivots_oversample(comm, np.zeros(0))
         with pytest.raises(RankFailure):
             run_spmd(prog, 2)
+
+
+# ----------------------------------------------------------------------
+# run-length regular samples vs the dense PSRS gather (oracle)
+# ----------------------------------------------------------------------
+
+def _ragged_shards(p, shape, *, ints, seed):
+    """Sorted shards of one world; ``shape`` picks the length regime."""
+    rng = np.random.default_rng(seed)
+    if shape == "short":                      # n < p everywhere
+        lens = rng.integers(1, max(2, p), p)
+    elif shape == "p-1":
+        lens = np.full(p, max(1, p - 1))
+    elif shape == "deep":                     # n >= p everywhere
+        lens = rng.integers(p, 3 * p + 2, p)
+    elif shape == "empty-ranks":              # the pad path
+        lens = rng.integers(0, 2 * p + 1, p)
+        lens[rng.integers(0, p, max(1, p // 3))] = 0
+    else:                                     # "mixed": both regimes
+        lens = rng.integers(1, 2 * p + 2, p)
+    shards = []
+    for n in lens:
+        if ints:                              # duplicate-heavy
+            a = np.sort(rng.integers(0, 5, int(n)))
+        else:
+            a = np.sort(rng.random(int(n)))
+        shards.append(a)
+    return shards
+
+
+def _samples(shards, p, *, runs):
+    layouts = {}
+    take = ((lambda a: local_sample_runs(a, p, layouts)) if runs
+            else (lambda a: local_pivots(a, p)))
+    return [take(a) if a.size else a[:0] for a in shards]
+
+
+def _deterministic(counters):
+    wall = {"coll.sync_wait", "p2p.wait"}
+    return [{k: v for k, v in c.items() if k not in wall} for c in counters]
+
+
+class TestRunLengthSelection:
+    """``select_pivots_gather_world`` on run-length deposits against the
+    parent's dense selector: pivots, clocks (the root's ``sort_time``
+    charge, the gather/bcast costs driven by ``payload_nbytes``) and
+    counters, on both world views."""
+
+    SHAPES = ["short", "p-1", "deep", "mixed", "empty-ranks"]
+
+    @pytest.mark.parametrize("ints", [False, True])
+    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 32, 257])
+    def test_columnar_matches_dense_oracle(self, p, shape, ints):
+        shards = _ragged_shards(p, shape, ints=ints, seed=p)
+        out = {}
+        for runs, select in ((True, select_pivots_gather_world),
+                             (False, select_pivots_gather_dense)):
+            world = SimWorld(p, LAPTOP)
+            comms = make_world_comms(world)
+            pgs = select(ColumnarWorld(world), comms,
+                         _samples(shards, p, runs=runs))
+            out[runs] = (pgs, list(world.clocks), world.counters)
+        (got, clocks, counters), (want, wclocks, wcounters) = \
+            out[True], out[False]
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert clocks == wclocks
+        assert counters == wcounters
+
+    @pytest.mark.parametrize("ints", [False, True])
+    @pytest.mark.parametrize("shape", ["mixed", "empty-ranks"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 7, 32, 257])
+    def test_lane_matches_dense_oracle(self, p, shape, ints):
+        shards = _ragged_shards(p, shape, ints=ints, seed=100 + p)
+
+        def prog(select, runs):
+            def rank(comm):
+                pl = _samples([shards[comm.rank]], p, runs=runs)
+                return select(LANE, [comm], pl)[0]
+            return rank
+
+        got = run_spmd(prog(select_pivots_gather_world, True), p)
+        want = run_spmd(prog(select_pivots_gather_dense, False), p)
+        for g, w in zip(got.results, want.results):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got.clocks == want.clocks
+        assert _deterministic(got.counters) == _deterministic(want.counters)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40), st.integers(1, 90), st.booleans())
+    def test_runs_expand_to_local_pivots(self, p, n, ints):
+        rng = np.random.default_rng(p * 1000 + n)
+        a = np.sort(rng.integers(0, 4, n) if ints else rng.random(n))
+        runs = local_sample_runs(a, p)
+        want = local_pivots(a, p)
+        assert runs.total == want.size == p - 1
+        assert runs.values.size <= min(n, max(0, p - 1))
+        assert np.array_equal(runs.expand(), want)
+        # the modelled wire size is the expanded vector's
+        assert payload_nbytes(runs) == payload_nbytes(want)
+
+    def test_layout_is_shared_per_length(self):
+        layouts = {}
+        a = local_sample_runs(np.arange(5.0), 9, layouts)
+        b = local_sample_runs(np.arange(5.0) + 1, 9, layouts)
+        assert a.counts is b.counts and list(layouts) == [5]
+
+    def test_errors_match_local_pivots(self):
+        with pytest.raises(ValueError, match="empty shard"):
+            local_sample_runs(np.array([]), 4)
+        with pytest.raises(ValueError, match="p must be >= 1"):
+            local_sample_runs(np.array([1.0]), 0)
+        assert local_sample_runs(np.array([]), 1).total == 0
+
+    @pytest.mark.parametrize("p", [2, 8])
+    def test_bitonic_expands_runs(self, p):
+        shards = _ragged_shards(p, "mixed", ints=False, seed=p)
+
+        def prog(runs):
+            def rank(comm):
+                pl = _samples([shards[comm.rank]], p, runs=runs)
+                return select_pivots_bitonic_world(LANE, [comm], pl)[0]
+            return rank
+
+        got, want = run_spmd(prog(True), p), run_spmd(prog(False), p)
+        for g, w in zip(got.results, want.results):
+            assert np.array_equal(g, w)
+        assert got.clocks == want.clocks

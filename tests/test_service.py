@@ -267,13 +267,52 @@ class TestServiceLifecycle:
             assert env["result"]["oom"] is True
 
     def test_timeout_cancels_running_job(self):
-        with ServiceClient(workers=1) as c:
-            env = c.run(JobSpec(p=16, n_per_rank=50_000), timeout_s=0.03)
-            assert env["status"] == "timeout"
-            assert "RunCancelled" in (env["error"] or "")
-            # the service stays healthy afterwards
-            ok = c.run(JobSpec(p=4, n_per_rank=200))
-            assert ok["status"] == "done"
+        # one test id for both backends: the tier-1 floor compares ids
+        for backend in ("thread", "flat"):
+            with ServiceClient(workers=1) as c:
+                env = c.run(JobSpec(p=16, n_per_rank=50_000,
+                                    backend=backend), timeout_s=0.03)
+                assert env["status"] == "timeout", backend
+                assert "RunCancelled" in (env["error"] or ""), backend
+                # the service stays healthy afterwards
+                ok = c.run(JobSpec(p=4, n_per_rank=200, backend=backend))
+                assert ok["status"] == "done", backend
+                assert c.stats()["admission"]["committed_bytes"] == 0
+
+    def test_cancel_running_flat_job(self, monkeypatch):
+        # the cancel lands while the flat world is generating shards:
+        # it must abort at its next poll, not run to completion
+        import repro.runner as runner
+
+        started, released = threading.Event(), threading.Event()
+        tag = runner.tag_provenance
+
+        def gated_tag(shard, rank):
+            started.set()
+            assert released.wait(10)
+            return tag(shard, rank)
+
+        monkeypatch.setattr(runner, "tag_provenance", gated_tag)
+        svc = SortService(workers=1, telemetry=True)
+        try:
+            job = svc.submit(JobSpec(p=8, n_per_rank=200, backend="flat"))
+            assert started.wait(10)
+            assert job.status == "running"
+            svc.cancel(job.id)
+            released.set()
+            svc.wait(job.id, timeout=10)
+            assert job.status == "cancelled"
+            assert "RunCancelled('run cancelled while in flight')" \
+                in job.error
+            assert svc.stats()["admission"]["committed_bytes"] == 0
+            assert svc.metrics.engine_cancels.value == 1
+            monkeypatch.undo()
+            ok = svc.submit(JobSpec(p=4, n_per_rank=200, backend="flat"))
+            svc.wait(ok.id, timeout=10)
+            assert ok.status == "done"
+        finally:
+            released.set()
+            svc.close()
 
     @pytest.mark.parametrize("backend", ["thread", "flat"])
     @pytest.mark.parametrize("how", ["cancelled", "timeout"])
