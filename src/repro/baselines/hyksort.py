@@ -32,7 +32,6 @@ import numpy as np
 from ..core.histosel import histogram_refine_world
 from ..core.partition import partition_classic
 from ..core.pipeline import RunContext, SortOutcome, get_phase
-from ..core.plan import SortPlan
 from ..mpi import LANE, Comm, FlatAbort, World
 from ..records import RecordBatch, kway_merge_batches
 
@@ -111,20 +110,14 @@ def hyksort_world(world: World, comms: list[Comm],
     would, and its peers abort at their next collective.
     """
     outcomes: list[SortOutcome | None] = [None] * len(comms)
-    lanes: list[dict] = []
-    for i, (comm, batch) in enumerate(zip(comms, batches)):
-        if not world.alive(comm):
-            continue
-        try:
-            ctx = RunContext.start(comm, batch, None, SortPlan.fixed())
-            lanes.append({"i": i, "ctx": ctx, "comm": comm,
-                          "active": comm, "cur": None})
-        except BaseException as exc:
-            world.fail(comm, exc)
+    lanes = [{"i": ctx.slot, "ctx": ctx, "comm": ctx.comm,
+              "active": ctx.comm, "cur": None}
+             for ctx in RunContext.start(world, comms, batches, None)]
 
     def prune() -> None:
         nonlocal lanes
-        lanes = [ln for ln in lanes if world.alive(ln["comm"])]
+        if world.failures:
+            lanes = [ln for ln in lanes if world.alive(ln["comm"])]
 
     try:
         if lanes:

@@ -18,7 +18,6 @@ world form and therefore runs on every backend, including flat.
 from __future__ import annotations
 
 from ..core.pipeline import RunContext, SortOutcome, get_phase
-from ..core.plan import SortPlan
 from ..mpi import LANE, Comm, FlatAbort, World
 from ..records import RecordBatch
 
@@ -35,21 +34,12 @@ def psrs_sort_world(world: World, comms: list[Comm],
     (details in ``world.failures``).
     """
     outcomes: list[SortOutcome | None] = [None] * len(comms)
-    slot: dict[int, int] = {}
-    group: list[RunContext] = []
-    for i, (comm, batch) in enumerate(zip(comms, batches)):
-        if not world.alive(comm):
-            continue
-        try:
-            ctx = RunContext.start(comm, batch, None, SortPlan.fixed())
-            slot[id(ctx)] = i
-            group.append(ctx)
-        except BaseException as exc:
-            world.fail(comm, exc)
+    group = RunContext.start(world, comms, batches, None)
 
     def prune() -> None:
         nonlocal group
-        group = [ctx for ctx in group if world.alive(ctx.comm)]
+        if world.failures:
+            group = [ctx for ctx in group if world.alive(ctx.comm)]
 
     try:
         if group:
@@ -58,7 +48,7 @@ def psrs_sort_world(world: World, comms: list[Comm],
             prune()
         if comms[0].size == 1:
             for ctx in group:
-                outcomes[slot[id(ctx)]] = SortOutcome(
+                outcomes[ctx.slot] = SortOutcome(
                     batch=ctx.batch, received=ctx.n,
                     info={"p_active": 1, "decisions": ctx.decisions()})
             return outcomes
@@ -73,7 +63,7 @@ def psrs_sort_world(world: World, comms: list[Comm],
                                   stable=stable).run(world, group)
             prune()
         for ctx in group:
-            outcomes[slot[id(ctx)]] = SortOutcome(
+            outcomes[ctx.slot] = SortOutcome(
                 batch=ctx.out, received=len(ctx.out), exchange=ctx.xstats,
                 info={"p_active": ctx.comm.size,
                       "decisions": ctx.decisions()})

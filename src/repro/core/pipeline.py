@@ -20,27 +20,35 @@ contexts it drives.  On the thread backend the view is a
 :class:`~repro.mpi.world.LaneWorld` over a single rank's ``Comm`` (the
 staged protocol does the synchronising); on the flat backend it is a
 :class:`~repro.mpi.flatworld.ColumnarWorld` over the whole membership,
-so one batched kernel invocation serves every rank.  Both views call
-the same ``Comm._finish_*`` collective epilogues, so virtual clocks,
-phase breakdowns, counters and memory peaks are bit-for-bit identical
-across backends — the golden-engine suite
-(``tests/data/golden_engine.json``) pins all of it.
+so one batched kernel invocation serves every rank.  Modelled costs
+are booked through the world's charge verbs (``charge_compute`` /
+``alloc`` / ``free`` / ``trace_counter``) with each pure cost function
+evaluated once per distinct argument tuple; both views reduce to the
+same ``Comm`` bookkeeping, so virtual clocks, phase breakdowns,
+counters and memory peaks are bit-for-bit identical across backends —
+the golden-engine suite (``tests/data/golden_engine.json``) pins all
+of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from ..kernels import (
     batched_argsort_rows,
     batched_local_delta,
+    same_key_groups,
     stable_prefix_layout,
 )
 from ..mpi import LANE, Comm, FlatAbort, World
-from ..records import RecordBatch, kway_merge_batches
+from ..records import (
+    RecordBatch,
+    kway_merge_batches,
+    kway_merge_batches_stacked,
+)
 from .exchange import (
     ExchangeStats,
     _overlapped_exchange_finish,
@@ -57,7 +65,7 @@ from .partition import (
     partition_stable_arrays,
     run_dup_counts,
 )
-from .plan import Decision, SortPlan
+from .plan import Decision, DecisionPolicy, SortPlan
 from .sampling import (
     local_sample_runs,
     select_pivots_bitonic_world,
@@ -160,6 +168,23 @@ def select_pivots(comm: Comm, pl: np.ndarray, sorted_keys: np.ndarray,
     return select_pivots_world(LANE, [comm], [pl], [sorted_keys], method)[0]
 
 
+def _live(world: World, comms: Sequence[Comm]) -> Sequence[int]:
+    """Indices of the ranks that have not failed — all of them, with no
+    rank-by-rank question asked, while the failure ledger is empty."""
+    if not world.failures:
+        return range(len(comms))
+    return [i for i, c in enumerate(comms) if world.alive(c)]
+
+
+def _per_distinct(fn: Callable[..., Any], args: list[tuple]) -> list:
+    """``fn(*a)`` for every tuple of ``args``, evaluated once per
+    distinct tuple (cost functions and policy verdicts are pure)."""
+    if len(args) == 1:  # a lane: nothing to share
+        return [fn(*args[0])]
+    memo = {a: fn(*a) for a in set(args)}
+    return [memo[a] for a in args]
+
+
 @dataclass
 class RunContext:
     """Shared state of one pipeline run on one rank.
@@ -178,6 +203,7 @@ class RunContext:
     n: int
     record_bytes: int
     input_nbytes: int
+    slot: int = 0  # index of this rank in the driver's ``comms``
     active: Comm = None  # type: ignore[assignment]  # set in __post_init__
     delta: float = 0.0
     pg: np.ndarray | None = None
@@ -191,19 +217,35 @@ class RunContext:
             self.active = self.comm
 
     @classmethod
-    def start(cls, comm: Comm, batch: RecordBatch,
-              params: SdsParams | None, plan: SortPlan) -> "RunContext":
-        """Open a run: account the input allocation, snapshot sizes."""
-        n = len(batch)
-        ctx = cls(comm=comm, params=params, plan=plan, batch=batch, n=n,
-                  record_bytes=batch.record_bytes if n else 8,
-                  input_nbytes=batch.nbytes)
-        comm.mem.alloc(batch.nbytes)
+    def start(cls, world: World, comms: Sequence[Comm],
+              batches: Sequence[RecordBatch], params: SdsParams | None,
+              policy: DecisionPolicy | None = None) -> list["RunContext"]:
+        """Open a run on every live rank: one context each, in order.
+
+        Snapshots the input sizes, gives each rank its own decision
+        trace over the one shared ``policy``, and accounts the input
+        allocations through the world; a rank whose allocation is
+        refused fails and gets no context.
+        """
+        ctxs = []
+        for i in _live(world, comms):
+            batch = batches[i]
+            n = batch.keys.size
+            ctxs.append(cls(
+                comm=comms[i], params=params, plan=SortPlan(policy),
+                batch=batch, n=n, record_bytes=batch.record_bytes if n else 8,
+                input_nbytes=batch.nbytes, slot=i))
+        world.alloc([ctx.comm for ctx in ctxs],
+                    [ctx.input_nbytes for ctx in ctxs])
+        if world.failures:
+            ctxs = [ctx for ctx in ctxs if world.alive(ctx.comm)]
         # observed input volume: what throughput metrics divide by
         # (tracer-measured bytes, not a re-estimated record size)
-        comm.trace_counter("bytes.input", float(batch.nbytes))
-        comm.trace_counter("records.input", float(n))
-        return ctx
+        opened = [ctx.comm for ctx in ctxs]
+        world.trace_counter(opened, "bytes.input",
+                            [ctx.input_nbytes for ctx in ctxs])
+        world.trace_counter(opened, "records.input", [ctx.n for ctx in ctxs])
+        return ctxs
 
     @property
     def cost(self):
@@ -328,7 +370,8 @@ class LocalSort:
     kernel invocation per row as a standalone per-rank sort (both
     ``sdss`` at ``c=1`` and ``plain`` reduce to one argsort of the
     shard), so permutations and replication ratios are bit-equal on
-    every backend.  Cost charges and trace counters replay per rank.
+    every backend.  The sort cost is evaluated once per distinct
+    ``(n, delta)`` and booked through the world's charge verbs.
     """
 
     kernel: str = "sdss"
@@ -342,28 +385,27 @@ class LocalSort:
                     world.fail(c, ValueError(
                         f"unknown local-sort kernel {self.kernel!r}"))
                 raise FlatAbort
-            groups: dict[tuple, list[int]] = {}
-            for i, ctx in enumerate(ctxs):
-                groups.setdefault(
-                    (ctx.n, ctx.batch.keys.dtype.str), []).append(i)
-            sorted_batches: dict[int, RecordBatch] = {}
-            for members in groups.values():
+            sorted_batches: list = [None] * len(ctxs)
+            for members in same_key_groups(
+                    [(ctx.n, ctx.batch.keys.dtype) for ctx in ctxs]):
                 rows = np.stack([ctxs[i].batch.keys for i in members])
                 perms = batched_argsort_rows(rows, stable=self.stable)
                 deltas = batched_local_delta(
-                    np.take_along_axis(rows, perms, axis=-1))
-                for j, i in enumerate(members):
-                    sorted_batches[i] = ctxs[i].batch.take(perms[j])
-                    ctxs[i].delta = float(deltas[j])
-            for i, ctx in enumerate(ctxs):
-                comm = ctx.comm
-                dt = ctx.cost.sort_time(ctx.n, stable=self.stable,
-                                        delta=ctx.delta)
-                comm.charge(dt)
-                comm.trace_counter("kernel.sort.records", float(ctx.n))
-                comm.trace_counter("kernel.sort.seconds", dt)
-        for i, ctx in enumerate(ctxs):
-            ctx.batch = sorted_batches[i]
+                    np.take_along_axis(rows, perms, axis=-1)).tolist()
+                for i, perm, delta in zip(members, perms, deltas):
+                    sorted_batches[i] = ctxs[i].batch.take(perm)
+                    ctxs[i].delta = delta
+            sort_time = ctxs[0].cost.sort_time
+            dts = _per_distinct(
+                lambda n, delta: sort_time(n, stable=self.stable,
+                                           delta=delta),
+                [(ctx.n, ctx.delta) for ctx in ctxs])
+            world.charge_compute(comms, dts)
+            world.trace_counter(comms, "kernel.sort.records",
+                                [ctx.n for ctx in ctxs])
+            world.trace_counter(comms, "kernel.sort.seconds", dts)
+        for ctx, batch in zip(ctxs, sorted_batches):
+            ctx.batch = batch
 
 
 @register_phase("node_merge")
@@ -377,55 +419,52 @@ class NodeMerge:
     pipeline with an empty outcome, exactly as in the paper (the
     effective process count drops to ``p/c``).
 
-    Policy verdicts are memoised per distinct ``(node_bytes,
+    Policy verdicts are evaluated per distinct ``(node_bytes,
     ranks_per_node, comm_size)`` input, the consensus allreduce runs
     once per communicator, and the node-level funnelling — two
     communicator splits plus one gather per node — goes through the
-    world's collectives.  Leader merges call ``kway_merge_batches``, so
-    merged batches and cost charges are bit-equal on every backend.
+    world's collectives.  Leader merges of same-shape nodes run as one
+    row-stacked stable argsort (``kway_merge_batches_stacked``, equal
+    to ``kway_merge_batches`` node by node), the ranks that handed
+    their data off share one empty batch per payload schema, and
+    charges go through the world's verbs in the per-rank order (merge,
+    charge, allocate, release) — so merged batches, clocks and memory
+    peaks are bit-equal on every backend, and a leader that cannot
+    hold its node's data fails alone.
     """
 
     def run(self, world: World, ctxs: list[RunContext]) -> None:
         comms = [ctx.comm for ctx in ctxs]
         with world.phase(comms, "node_merge"):
-            vmemo: dict[tuple, Decision] = {}
-            local_decs: list[Decision] = []
-            for ctx in ctxs:
-                comm = ctx.comm
-                key = (ctx.n * ctx.record_bytes * comm.ranks_per_node,
-                       comm.ranks_per_node, comm.size)
-                local = vmemo.get(key)
-                if local is None:
-                    local = vmemo[key] = ctx.plan.policy.node_merge(
-                        node_bytes=key[0], ranks_per_node=key[1],
-                        comm_size=key[2])
-                local_decs.append(local)
-            votes = [1 if d.choice == "merge" else 0 for d in local_decs]
-            agg = world.allreduce(comms, votes)
+            policy = ctxs[0].plan.policy
+            size = comms[0].size
+            local_decs = _per_distinct(
+                lambda node_bytes, rpn, comm_size: policy.node_merge(
+                    node_bytes=node_bytes, ranks_per_node=rpn,
+                    comm_size=comm_size),
+                [(ctx.n * ctx.record_bytes * (rpn := c.ranks_per_node),
+                  rpn, c.size) for ctx, c in zip(ctxs, comms)])
+            agg = world.allreduce(
+                comms, [1 if d.choice == "merge" else 0 for d in local_decs])
             merged_all = world.first_live(comms, agg)
-            cmemo: dict[int, Decision] = {}
-            for i, ctx in enumerate(ctxs):
-                if not world.alive(ctx.comm):
-                    continue
-                dec = cmemo.get(id(local_decs[i]))
-                if dec is None:
-                    dec = cmemo[id(local_decs[i])] = \
-                        ctx.plan.policy.node_merge_consensus(
-                            local_decs[i], agreeing=merged_all,
-                            comm_size=ctx.comm.size)
-                ctx.plan.decide(dec)
-            if merged_all != comms[0].size:
+            final = {
+                id(local): policy.node_merge_consensus(
+                    local, agreeing=merged_all, comm_size=size)
+                for local in {id(d): d for d in local_decs}.values()}
+            for i in _live(world, comms):
+                ctxs[i].plan.decide(final[id(local_decs[i])])
+            if merged_all != size:
                 return
             # all nodes agree: funnel each node onto its leader
             sim = comms[0]._world
+            ranks = [c.rank for c in comms]
             local_comms = world.split(
-                comms, [sim.node_of(c.grank) for c in comms],
-                keys=[c.rank for c in comms])
+                comms, [sim.node_of(c.grank) for c in comms], keys=ranks)
             leader_comms = world.split(
                 comms,
                 [0 if (lc is not None and lc.rank == 0) else None
                  for lc in local_comms],
-                keys=[c.rank for c in comms])
+                keys=ranks)
             # one gather per node; the waves run concurrently in the
             # thread engine, so only the first carries the abort check
             nodes: dict[int, list[int]] = {}
@@ -442,35 +481,51 @@ class NodeMerge:
                 for j, i in enumerate(members):
                     if outs[j] is not None:
                         gathered_for[i] = outs[j]
-            for i, ctx in enumerate(ctxs):
-                comm = ctx.comm
-                if not world.alive(comm):
-                    continue
-                local_comm = local_comms[i]
-                if local_comm.rank != 0:
-                    comm.mem.free(ctx.input_nbytes)
-                    ctx.outcome = SortOutcome(
-                        batch=RecordBatch.empty_like(ctx.batch),
-                        received=0,
-                        active=False,
-                        info={"node_merged": True, "p_active": 0,
-                              "decisions": ctx.plan.decisions()},
-                    )
-                    continue
+            live = _live(world, comms)
+            # ranks that handed their data off leave with an empty batch
+            rest = [i for i in live if local_comms[i].rank != 0]
+            world.free([comms[i] for i in rest],
+                       [ctxs[i].input_nbytes for i in rest])
+            empties: dict[tuple, RecordBatch] = {}
+            for i in rest:
+                ctx = ctxs[i]
+                schema = ctx.batch.schema
+                if schema not in empties:
+                    empties[schema] = RecordBatch.empty_like(ctx.batch)
+                ctx.outcome = SortOutcome(
+                    batch=empties[schema],
+                    received=0,
+                    active=False,
+                    info={"node_merged": True, "p_active": 0,
+                          "decisions": ctx.plan.decisions()},
+                )
+            # leaders merge their node's runs, pay for it, then let the
+            # absorbed shard go
+            leaders = [i for i in live if local_comms[i].rank == 0]
+            stacked = kway_merge_batches_stacked(
+                [gathered_for[i] for i in leaders])
+            merged: dict[int, RecordBatch] = {}
+            for i, batch in zip(leaders, stacked):
                 try:
-                    merged = kway_merge_batches(gathered_for[i])
-                    comm.charge(
-                        comm.cost.merge_time(len(merged),
-                                             max(2, local_comm.size))
-                        / max(1, local_comm.size))
-                    comm.mem.alloc(merged.nbytes)
+                    merged[i] = (kway_merge_batches(gathered_for[i])
+                                 if batch is None else batch)
                 except BaseException as exc:
-                    world.fail(comm, exc)
-                    continue
+                    world.fail(comms[i], exc)
+            lcomms = [comms[i] for i in merged]
+            merge_time = ctxs[0].cost.merge_time
+            world.charge_compute(lcomms, _per_distinct(
+                lambda n, c: merge_time(n, max(2, c)) / max(1, c),
+                [(len(merged[i]), local_comms[i].size) for i in merged]))
+            world.alloc(lcomms, [merged[i].nbytes for i in merged])
+            done = [i for i in merged if world.alive(comms[i])]
+            # shard absorbed into merge
+            world.free([comms[i] for i in done],
+                       [ctxs[i].input_nbytes for i in done])
+            for i in done:
+                ctx = ctxs[i]
                 ctx.active = leader_comms[i]
-                comm.mem.free(ctx.input_nbytes)  # shard absorbed into merge
-                ctx.batch = merged
-                ctx.n = len(merged)
+                ctx.batch = merged[i]
+                ctx.n = len(merged[i])
 
 
 @register_phase("pivot_select")
@@ -516,9 +571,8 @@ class PivotSelect:
                                       [ctx.n for ctx in ctxs], op=min)
                 min_n = world.first_live(acomms, agg)
                 dec = ctxs[0].plan.policy.pivot_method(p=p, min_n=min_n)
-                for i, ctx in enumerate(ctxs):
-                    if world.alive(acomms[i]):
-                        ctx.plan.decide(dec)
+                for i in _live(world, acomms):
+                    ctxs[i].plan.decide(dec)
                 if min_n > 0:
                     pgs = select_pivots_world(
                         world, acomms,
@@ -597,17 +651,14 @@ class Partition:
             else:
                 dec = ctxs[0].plan.policy.partition_variant()
             variant = dec.choice
-            for i, ctx in enumerate(ctxs):
-                if world.alive(acomms[i]):
-                    ctx.plan.decide(dec)
+            live = _live(world, acomms)
+            for i in live:
+                ctxs[i].plan.decide(dec)
             if variant == "classic":
-                groups: dict[tuple, list[int]] = {}
-                for i, ctx in enumerate(ctxs):
-                    if world.alive(acomms[i]):
-                        groups.setdefault(
-                            (len(ctx.batch), ctx.batch.keys.dtype.str,
-                             id(ctx.pg)), []).append(i)
-                for members in groups.values():
+                for members in same_key_groups(
+                        [(ctxs[i].batch.keys.size, ctxs[i].batch.keys.dtype,
+                          id(ctxs[i].pg)) for i in live]):
+                    members = [live[j] for j in members]
                     rows = np.stack([ctxs[i].batch.keys for i in members])
                     for i, cuts in zip(members, classic_cuts(
                             rows, ctxs[members[0]].pg)):
@@ -626,31 +677,28 @@ class Partition:
                             ctx.batch.keys, ctx.pg,
                             prefix[acomms[i].rank], totals))
             elif variant == "fast":
-                for i, ctx in enumerate(ctxs):
-                    if world.alive(acomms[i]):
-                        ctx.cuts = Cuts.from_displs(
-                            partition_fast(ctx.batch.keys, ctx.pg))
+                for i in live:
+                    ctxs[i].cuts = Cuts.from_displs(
+                        partition_fast(ctxs[i].batch.keys, ctxs[i].pg))
             else:
                 for c in acomms:
                     world.fail(c, ValueError(
                         f"unknown partition variant {variant!r}"))
                 raise FlatAbort
-            for i, ctx in enumerate(ctxs):
-                if not world.alive(acomms[i]):
-                    continue
-                comm = ctx.comm
-                accel = (ctx.params.local_pivot_accel
-                         if self.local_pivot_accel is None
-                         else self.local_pivot_accel)
-                # cost: the local-pivot two-level search (Section 2.5.1)
-                # does two binary searches over O(n/p) instead of one
-                # over O(n)
-                if accel:
-                    comm.charge(ctx.cost.binary_search_time(
-                        max(1, ctx.n // p), searches=2 * max(1, p - 1)))
-                else:
-                    comm.charge(ctx.cost.binary_search_time(
-                        ctx.n, searches=max(1, p - 1)))
+            # cost: the local-pivot two-level search (Section 2.5.1)
+            # does two binary searches over O(n/p) instead of one
+            # over O(n)
+            live = _live(world, acomms)
+            search_time = ctxs[0].cost.binary_search_time
+            dts = _per_distinct(
+                lambda n, accel: (
+                    search_time(max(1, n // p), searches=2 * max(1, p - 1))
+                    if accel else search_time(n, searches=max(1, p - 1))),
+                [(ctxs[i].n, (ctxs[i].params.local_pivot_accel
+                              if self.local_pivot_accel is None
+                              else self.local_pivot_accel))
+                 for i in live])
+            world.charge_compute([ctxs[i].comm for i in live], dts)
 
 
 @register_phase("exchange")
@@ -714,24 +762,22 @@ class Exchange:
                 return sync_exchange_compute(stage, p=p, merge=merge,
                                              stable=stable)
 
-            live = [a for a in acomms if world.alive(a)]
-            with world.phase(live, "exchange"):
+            with world.phase([acomms[i] for i in _live(world, acomms)],
+                             "exchange"):
                 shared, _ = world.collective(
                     acomms, deposits, compute,
                     lambda i, c, sh: _sync_exchange_network(
                         c, sh, send_nbytes[i]))
-            with world.phase([a for a in acomms if world.alive(a)],
-                             "local_ordering"):
-                for i, ctx in enumerate(ctxs):
-                    c = acomms[i]
-                    if not world.alive(c):
-                        continue
+            live = _live(world, acomms)
+            with world.phase([acomms[i] for i in live], "local_ordering"):
+                for i in live:
+                    ctx = ctxs[i]
                     try:
                         ctx.out, ctx.xstats = _sync_exchange_ordering(
-                            c, shared, merge=merge, stable=stable,
+                            acomms[i], shared, merge=merge, stable=stable,
                             delta_hint=ctx.delta)
                     except BaseException as exc:
-                        world.fail(c, exc)
+                        world.fail(acomms[i], exc)
         else:
             spec = acomms[0].machine
             rate = acomms[0].cost.spec.merge_cost_per_elem
@@ -750,8 +796,8 @@ class Exchange:
                 return res
 
             deposits = [None] * len(ctxs)
-            live = [ctx.comm for ctx in ctxs if world.alive(ctx.comm)]
-            with world.phase(live, "exchange"):
+            with world.phase([ctxs[i].comm for i in _live(world, acomms)],
+                             "exchange"):
                 for i, ctx in enumerate(ctxs):
                     try:
                         deposits[i] = (ctx.batch,

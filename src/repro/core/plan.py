@@ -328,11 +328,6 @@ class SortPlan:
     def for_params(cls, params: SdsParams) -> "SortPlan":
         return cls(policy=DecisionPolicy(params))
 
-    @classmethod
-    def fixed(cls) -> "SortPlan":
-        """A plan for an algorithm with no adaptive decisions."""
-        return cls(policy=None)
-
     def decide(self, decision: Decision) -> str:
         """Record ``decision`` and return the winning choice."""
         self.trace.add(decision)

@@ -51,7 +51,7 @@ from .pipeline import (
     local_delta,
     pivot_pad_value,
 )
-from .plan import SortPlan
+from .plan import DecisionPolicy
 
 __all__ = ["SortOutcome", "local_delta", "pivot_pad_value", "sds_sort",
            "sds_sort_world"]
@@ -79,27 +79,18 @@ def sds_sort_world(world: World, comms: list[Comm],
     exactly as their threads would.
     """
     outcomes: list[SortOutcome | None] = [None] * len(comms)
-    slot: dict[int, int] = {}
-    group: list[RunContext] = []
-    for i, (comm, batch) in enumerate(zip(comms, batches)):
-        if not world.alive(comm):
-            continue
-        try:
-            plan = SortPlan.for_params(params)
-            ctx = RunContext.start(comm, batch, params, plan)
-            slot[id(ctx)] = i
-            group.append(ctx)
-        except BaseException as exc:
-            world.fail(comm, exc)
+    group = RunContext.start(world, comms, batches, params,
+                             DecisionPolicy(params))
 
     def harvest() -> None:
         """Bank finished outcomes; drop failed ranks from the group."""
         nonlocal group
+        failed = bool(world.failures)
         rest = []
         for ctx in group:
             if ctx.outcome is not None:
-                outcomes[slot[id(ctx)]] = ctx.outcome
-            elif world.alive(ctx.comm):
+                outcomes[ctx.slot] = ctx.outcome
+            elif not failed or world.alive(ctx.comm):
                 rest.append(ctx)
         group = rest
 
@@ -110,7 +101,7 @@ def sds_sort_world(world: World, comms: list[Comm],
         rest = []
         for ctx in group:
             if ctx.active.size == 1:
-                outcomes[slot[id(ctx)]] = _singleton_outcome(ctx)
+                outcomes[ctx.slot] = _singleton_outcome(ctx)
             else:
                 rest.append(ctx)
         group = rest
@@ -121,7 +112,7 @@ def sds_sort_world(world: World, comms: list[Comm],
             harvest()
         if comms[0].size == 1:
             for ctx in group:
-                outcomes[slot[id(ctx)]] = _singleton_outcome(ctx)
+                outcomes[ctx.slot] = _singleton_outcome(ctx)
             return outcomes
         if group:
             get_phase("node_merge")().run(world, group)
@@ -148,7 +139,7 @@ def sds_sort_world(world: World, comms: list[Comm],
             get_phase("exchange")(stable=params.stable).run(world, group)
             harvest()
         for ctx in group:
-            outcomes[slot[id(ctx)]] = SortOutcome(
+            outcomes[ctx.slot] = SortOutcome(
                 batch=ctx.out,
                 received=len(ctx.out),
                 exchange=ctx.xstats,

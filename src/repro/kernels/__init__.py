@@ -8,6 +8,7 @@ virtual clocks through :class:`repro.machine.CostModel`.
 from .batched import (
     batched_argsort_rows,
     batched_local_delta,
+    same_key_groups,
     stable_prefix_layout,
 )
 from .merge import LoserTree, kway_merge, kway_merge_perm, merge_two, merge_two_perm
@@ -36,6 +37,7 @@ from .sorts import chunk_sort, sequential_argsort, sequential_sort
 __all__ = [
     "batched_argsort_rows",
     "batched_local_delta",
+    "same_key_groups",
     "stable_prefix_layout",
     "LoserTree",
     "kway_merge",

@@ -22,20 +22,39 @@ per-rank twin:
   (``assemble_stable_inputs``, now a test oracle).
 
 Classic partitioning's batched form lives with the cuts it produces
-(:func:`repro.core.partition.classic_cuts`).
+(:func:`repro.core.partition.classic_cuts`); :func:`same_key_groups`
+finds the ranks that can share one stacked call.
 """
 
 from __future__ import annotations
+
+from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
     "batched_argsort_rows",
     "batched_local_delta",
+    "same_key_groups",
     "stable_prefix_layout",
 ]
 
 _KINDS = {False: "quicksort", True: "stable"}
+
+
+def same_key_groups(keys: Sequence[Hashable]) -> Iterable[Sequence[int]]:
+    """Indices of ``keys`` grouped by equal key, first-seen order.
+
+    Rank-batched callers stack the ranks whose shape key (shard length,
+    dtype...) agrees; a world whose ranks all agree — the common case —
+    is answered as one ``range`` without touching the ranks one by one.
+    """
+    if len(set(keys)) <= 1:
+        return [range(len(keys))] if keys else []
+    groups: dict[Hashable, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault(key, []).append(i)
+    return groups.values()
 
 
 def batched_argsort_rows(rows: np.ndarray, *, stable: bool = False

@@ -52,6 +52,8 @@ def payload_nbytes(obj: Any) -> int:
     """
     if obj is None:
         return 0
+    if type(obj) is int or type(obj) is float:  # a reduction's operand
+        return 8
     if isinstance(obj, RecordBatch):
         return obj.nbytes
     if isinstance(obj, np.ndarray):
@@ -70,7 +72,28 @@ def payload_nbytes(obj: Any) -> int:
 
 
 def _max_clock(stage: Sequence[tuple[Any, float]]) -> float:
-    return max(e[1] for e in stage)
+    return max([e[1] for e in stage])
+
+
+def collective_charge(cost: CostModel, name: str, size: int,
+                      nbytes: int = 0) -> tuple[float, float, str | None]:
+    """``(dt, lat, counter)`` of one collective's epilogue.
+
+    ``dt`` is the LogGP cost the released ranks add to the barrier
+    clock, ``lat`` the same cost function at zero bytes (the traced
+    latency/bandwidth split), ``counter`` the operation counter to tick
+    (barriers and splits count nothing).  A pure function of the
+    communicator size and payload bytes, and the only place these cost
+    expressions exist: ``Comm._finish_coll`` evaluates it per rank, the
+    columnar world's whole-membership form once per distinct
+    ``(size, nbytes)``.
+    """
+    if name in ("barrier", "split"):
+        dt = cost.barrier_time(size)
+        return dt, dt, None
+    time_of = (cost.allgather_time if name == "allgather"
+               else cost.tree_collective_time)
+    return time_of(size, nbytes), time_of(size, 0), "coll." + name
 
 
 def split_contexts(stage: Sequence[tuple[Any, float]], ctx: CommContext,
@@ -470,17 +493,19 @@ class Comm:
         self.count("retry.time", debt)
 
     # ------------------------------------------------------------------
-    # collective epilogues (shared with the flat backend)
+    # collective epilogue (shared with the flat backend)
     # ------------------------------------------------------------------
-    # Each collective's post-staged bookkeeping — cost application,
-    # clock overwrite / traced twin, operation counter — lives in a
-    # ``_finish_*`` helper so the zero-thread flat backend can replay
-    # the identical arithmetic per rank after running the designated
-    # compute once for the whole world.  The helpers are the *only*
-    # place these formulas exist; both engines go through them.
+    def _finish_coll(self, name: str, t: float, nbytes: int = 0) -> None:
+        """Post-staged bookkeeping of the collective ``name``.
 
-    def _finish_coll(self, name: str, t: float, dt: float, lat: float,
-                     counter: str | None = None) -> None:
+        Cost application (:func:`collective_charge`), clock overwrite or
+        its traced twin, operation counter.  This per-rank form is the
+        definition; a columnar world with no tracer and no fault plan
+        applies the same charge to the whole membership in one pass
+        (``ColumnarWorld``), and tests compare the two.
+        """
+        dt, lat, counter = collective_charge(self.cost, name, self.size,
+                                             nbytes)
         if self._tracer is None:
             self.set_clock(t + dt)
         else:
@@ -488,30 +513,12 @@ class Comm:
         if counter is not None:
             self.count(counter)
 
-    def _finish_tree_coll(self, name: str, t: float, nbytes: int) -> None:
-        self._finish_coll(
-            name, t, self.cost.tree_collective_time(self.size, nbytes),
-            self.cost.tree_collective_time(self.size, 0), "coll." + name)
-
-    def _finish_barrier(self, t: float) -> None:
-        dt = self.cost.barrier_time(self.size)
-        self._finish_coll("barrier", t, dt, dt)
-
-    def _finish_allgather(self, t: float, nbytes: int) -> None:
-        self._finish_coll(
-            "allgather", t, self.cost.allgather_time(self.size, nbytes),
-            self.cost.allgather_time(self.size, 0), "coll.allgather")
-
-    def _finish_split(self, t: float) -> None:
-        dt = self.cost.barrier_time(self.size)
-        self._finish_coll("split", t, dt, dt)
-
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
     def barrier(self) -> None:
         t, _ = self.staged(None, _max_clock)
-        self._finish_barrier(t)
+        self._finish_coll("barrier", t)
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
         def compute(stage: list) -> tuple:
@@ -520,7 +527,7 @@ class Comm:
 
         (value, t, nbytes), _ = self.staged(
             obj if self.rank == root else None, compute)
-        self._finish_tree_coll("bcast", t, nbytes)
+        self._finish_coll("bcast", t, nbytes)
         return value
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
@@ -529,7 +536,7 @@ class Comm:
             return objs, _max_clock(stage), max(map(payload_nbytes, objs))
 
         (objs, t, nbytes), _ = self.staged(obj, compute)
-        self._finish_tree_coll("gather", t, nbytes)
+        self._finish_coll("gather", t, nbytes)
         if self.rank == root:
             return objs
         return None
@@ -553,7 +560,7 @@ class Comm:
                                                              objs))
 
         (shared, t, nbytes), _ = self.staged(obj, produce)
-        self._finish_allgather(t, nbytes)
+        self._finish_coll("allgather", t, nbytes)
         return shared
 
     def allgather(self, obj: Any) -> list[Any]:
@@ -570,7 +577,7 @@ class Comm:
 
         (sent, t), _ = self.staged(
             list(objs) if self.rank == root else None, compute)
-        self._finish_tree_coll("scatter", t, payload_nbytes(sent[self.rank]))
+        self._finish_coll("scatter", t, payload_nbytes(sent[self.rank]))
         return sent[self.rank]
 
     @staticmethod
@@ -591,7 +598,7 @@ class Comm:
             return self._fold(stage, op), _max_clock(stage)
 
         (acc, t), _ = self.staged(value, compute)
-        self._finish_tree_coll("allreduce", t, payload_nbytes(value))
+        self._finish_coll("allreduce", t, payload_nbytes(value))
         return acc
 
     def reduce(self, value: Any, root: int = 0,
@@ -601,7 +608,7 @@ class Comm:
             return self._fold(stage, op), _max_clock(stage)
 
         (acc, t), _ = self.staged(value, compute)
-        self._finish_tree_coll("reduce", t, payload_nbytes(value))
+        self._finish_coll("reduce", t, payload_nbytes(value))
         return acc if self.rank == root else None
 
     def scan(self, value: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
@@ -617,7 +624,7 @@ class Comm:
             return prefix, _max_clock(stage)
 
         (prefix, t), _ = self.staged(value, compute)
-        self._finish_tree_coll("scan", t, payload_nbytes(value))
+        self._finish_coll("scan", t, payload_nbytes(value))
         return prefix[self.rank]
 
     def exscan(self, value: Any, zero: Any = 0,
@@ -641,7 +648,7 @@ class Comm:
             return prefix, _max_clock(stage)
 
         (prefix, t), _ = self.staged((value, zero), compute)
-        self._finish_tree_coll("exscan", t, payload_nbytes(value))
+        self._finish_coll("exscan", t, payload_nbytes(value))
         return prefix[self.rank]
 
     def dup(self) -> "Comm":
@@ -826,7 +833,7 @@ class Comm:
         (contexts, t), _ = self.staged((color, mykey), compute)
         newctx: CommContext | None = (contexts.get(color)
                                       if color is not None else None)
-        self._finish_split(t)
+        self._finish_coll("split", t)
         if newctx is None:
             return None
         return Comm(world, newctx, newctx.group.index(self.grank))

@@ -285,10 +285,9 @@ class SpmdResult:
 
     def phase_breakdown(self) -> dict[str, float]:
         """Max-over-ranks virtual time per phase (the paper's stacked bars)."""
-        names: set[str] = set()
-        for pt in self.phase_times:
-            names.update(pt)
-        return {name: max(pt.get(name, 0.0) for pt in self.phase_times)
+        names: set[str] = set().union(*self.phase_times)
+        return {name: max([pt[name] if name in pt else 0.0
+                           for pt in self.phase_times])
                 for name in sorted(names)}
 
 

@@ -1,30 +1,54 @@
 """Zero-thread columnar execution engine (``backend="flat"``).
 
 The thread backend pays O(p) interpreter dispatch per phase: p rank
-threads each stepping through tiny numpy calls.  The flat backend keeps the *world* exactly as it is —
-real :class:`~repro.mpi.comm.Comm` handles, per-rank memory trackers,
-fault hooks, tracer — but drives every rank from one interpreter loop
-with zero threads.  :class:`ColumnarWorld` is the columnar view of the
+threads each stepping through tiny numpy calls.  The flat backend keeps
+the *world* exactly as it is — real :class:`~repro.mpi.comm.Comm`
+handles, per-rank memory trackers, fault hooks, tracer — but drives
+every rank from one interpreter loop with zero threads.
+:class:`ColumnarWorld` is the columnar view of the
 :class:`~repro.mpi.world.World` execution protocol: each staged
 collective is executed once per communicator — the deposits are
 snapshotted in rank order together with the per-rank virtual clocks,
-the designated-rank ``compute`` runs a single time, and then every
-rank's published epilogue (``Comm._finish_*``) is replayed in rank
-order.
+the designated-rank ``compute`` runs a single time, and then the
+collective's epilogue is applied.
 
-Bit-for-bit equivalence with the thread backend falls out of two
-properties the staged protocol already has:
+Every piece of per-rank bookkeeping exists in two forms:
+
+* the **per-rank form** is the ``Comm`` method (``_finish_coll``,
+  ``phase``, ``charge``, ``mem.alloc``...) — the definition, what a
+  rank thread runs through the lane view;
+* the **whole-membership form** lives here: one loop over the ranks
+  handed in that overwrites clocks with one ``t + dt`` per distinct
+  ``(size, nbytes)``, ticks the operation counter, appends the phase
+  tuples — no ``Comm`` call chain per rank.
+
+One predicate, evaluated once in :meth:`ColumnarWorld.__init__`,
+selects the form: a world with **no tracer and no fault plan**
+(``SimWorld`` already normalises an inactive plan to ``None``) takes
+the whole-membership form, because then the per-rank methods reduce to
+exactly the arithmetic the loops perform; a traced or fault-injected
+world replays the per-rank methods in rank order, hooks and all.
+Epilogues that can fail per rank (memory charges of the exchanges)
+stay per rank in both cases.
+
+Bit-for-bit equivalence — between the two forms and with the thread
+backend — falls out of three properties:
 
 * a collective's virtual time is a pure function of the deposit clocks
-  and the LogGP model — the ``_finish_*`` helpers in ``comm.py`` are
-  the only place those formulas exist, and both engines call them;
+  and the LogGP model — :func:`~repro.mpi.comm.collective_charge` is
+  the only place those formulas exist and both forms call it, so every
+  rank's clock is overwritten with the same ``t + dt`` float;
+* counters receive the same increments (``+ 1.0`` per operation) and
+  phase brackets the same ``(t0, t1, name)`` tuples in the same
+  per-rank order, including the partial time recorded when a
+  :class:`FlatAbort` unwinds through a bracket;
 * fault verdicts are pure functions of structural position
   (``FaultPlan.collective_penalty(group, seq, rank)``), and the
   per-communicator ``_coll_seq`` counters advance in lockstep, so the
   order in which rank epilogues run is immaterial.
 
-Failure semantics mirror the abort protocol: a rank whose epilogue
-raises (simulated OOM, exhausted retries) is recorded in the
+Failure semantics mirror the abort protocol: a rank whose epilogue or
+charge raises (simulated OOM, exhausted retries) is recorded in the
 :class:`ColumnarWorld` ledger and excluded from further work; ranks
 that still have collectives ahead of them observe the abort at their
 next collective boundary (:class:`FlatAbort`, the sequential analogue
@@ -40,14 +64,21 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..machine import LAPTOP, MachineSpec
-from .comm import Comm, SimWorld, _max_clock, payload_nbytes, split_contexts
+from .comm import (
+    Comm,
+    SimWorld,
+    _max_clock,
+    collective_charge,
+    payload_nbytes,
+    split_contexts,
+)
 from .engine import SpmdResult
 from .errors import RankFailure, RunCancelled
 from .world import World
 
 __all__ = [
-    "FlatAbort", "ColumnarWorld", "run_spmd_flat", "make_world_comms",
-    "seed_rpn", "phase_all",
+    "FlatAbort", "ColumnarWorld", "Epilogue", "run_spmd_flat",
+    "make_world_comms", "seed_rpn", "phase_all",
 ]
 
 
@@ -63,43 +94,92 @@ class FlatAbort(Exception):
     """
 
 
+class Epilogue:
+    """A collective's epilogue in both forms, as one ``finish`` value.
+
+    Calling it is the per-rank form ``finish(i, comm, shared)`` that
+    :meth:`World.collective` documents; ``whole(shared)`` books the same
+    epilogue on the communicator's whole membership and returns the
+    per-rank outputs.  Riding inside ``finish`` keeps the
+    ``collective`` signature — worlds that wrap it forward the value
+    untouched.  Only epilogues that cannot fail have a whole form.
+    """
+
+    __slots__ = ("rank", "whole")
+
+    def __init__(self, rank: Callable[[int, Comm, Any], Any],
+                 whole: Callable[[Any], list]):
+        self.rank = rank
+        self.whole = whole
+
+    def __call__(self, i: int, comm: Comm, shared: Any) -> Any:
+        return self.rank(i, comm, shared)
+
+
 class phase_all:
     """Enter/exit one named phase on many ``Comm`` handles at once.
 
     Equivalent to every rank executing ``with comm.phase(name):`` around
-    the same region — each handle's context manager records its own
-    ``(t0, t1)`` from its own clock, including partial time when a
-    :class:`FlatAbort` unwinds through the region.
+    the same region — each rank records its own ``(t0, t1)`` from its
+    own clock, including partial time when a :class:`FlatAbort` unwinds
+    through the region.  With ``sim`` given (the handles' untraced
+    ``SimWorld``) the brackets are booked in the whole-membership form:
+    one clock snapshot on entry, one loop on exit, the same tuples.
     """
 
-    def __init__(self, comms: Sequence[Comm], name: str):
-        self._cms = [c.phase(name) for c in comms]
+    def __init__(self, comms: Sequence[Comm], name: str,
+                 sim: SimWorld | None = None):
+        self._name = name
+        self._sim = sim
+        if sim is None:
+            self._cms = [c.phase(name) for c in comms]
+        else:
+            self._granks = [c.grank for c in comms]
 
     def __enter__(self) -> "phase_all":
-        for cm in self._cms:
-            cm.__enter__()
+        if self._sim is None:
+            for cm in self._cms:
+                cm.__enter__()
+        else:
+            clocks = self._sim.clocks
+            self._t0 = [clocks[g] for g in self._granks]
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        for cm in self._cms:
-            cm.__exit__(exc_type, exc, tb)
+        sim = self._sim
+        if sim is None:
+            for cm in self._cms:
+                cm.__exit__(exc_type, exc, tb)
+            return False
+        name = self._name
+        clocks, phase_times, traces = sim.clocks, sim.phase_times, sim.traces
+        for g, t0 in zip(self._granks, self._t0):
+            t1 = clocks[g]
+            pt = phase_times[g]
+            pt[name] = (pt[name] if name in pt else 0.0) + (t1 - t0)
+            traces[g].append((t0, t1, name))
         return False
 
 
 class ColumnarWorld(World):
     """Whole-world view of the execution protocol, plus failure ledger.
 
-    Every ``comms`` argument must be a communicator's full membership
-    in communicator rank order (so list index ``i`` is rank ``i`` —
-    ``make_world_comms`` and :meth:`split` both construct such lists).
+    Every ``comms`` argument of a collective must be a communicator's
+    full membership in communicator rank order (so list index ``i`` is
+    rank ``i`` — ``make_world_comms`` and :meth:`split` both construct
+    such lists); phase brackets and the charge verbs take any ranks.
+    ``whole`` is the form selector (see the module docstring).
     """
 
-    __slots__ = ("world", "failures", "dead")
+    __slots__ = ("world", "failures", "dead", "whole")
 
     def __init__(self, world: SimWorld):
         self.world = world
         self.failures: list[tuple[int, BaseException]] = []
         self.dead: set[int] = set()
+        #: the one predicate: whole-membership bookkeeping is exact
+        #: only when no per-rank hook (tracer, fault plan) can fire
+        self.whole = world.tracer is None and world.faults is None
 
     # -- fault / abort surface -----------------------------------------
     def fail(self, comm: Comm, exc: BaseException) -> None:
@@ -109,7 +189,7 @@ class ColumnarWorld(World):
     def alive(self, comm: Comm) -> bool:
         return comm.grank not in self.dead
 
-    def _poll_cancel(self) -> None:
+    def poll_cancel(self) -> None:
         """Abort the world once the run's cancel event is set.
 
         Records the failure the thread engine's watcher records, so a
@@ -124,20 +204,57 @@ class ColumnarWorld(World):
     def check(self) -> None:
         """Abort point: entering a collective with failures pending,
         or after the run was cancelled."""
-        self._poll_cancel()
+        self.poll_cancel()
         if self.failures:
             raise FlatAbort
 
     def first_live(self, comms: Sequence[Comm], values: Sequence[Any]) -> Any:
+        dead = self.dead
         for c, v in zip(comms, values):
-            if self.alive(c):
+            if c.grank not in dead:
                 return v
         raise FlatAbort
 
     # -- phase brackets ------------------------------------------------
     def phase(self, comms: Sequence[Comm], name: str) -> phase_all:
-        self._poll_cancel()
-        return phase_all(comms, name)
+        self.poll_cancel()
+        return phase_all(comms, name, self.world if self.whole else None)
+
+    # -- charge verbs --------------------------------------------------
+    def charge_compute(self, comms: Sequence[Comm],
+                       seconds: Sequence[float]) -> None:
+        clocks = self.world.clocks if self.whole else None
+        for c, s in zip(comms, seconds):
+            if clocks is not None and s >= 0:
+                clocks[c.grank] += s
+                continue
+            try:  # per-rank form; it also words a refused charge
+                c.charge(s)
+            except BaseException as exc:  # mirrors the engine's catch-all
+                self.fail(c, exc)
+
+    def alloc(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
+        # MemoryTracker has no tracer or fault hook: one form
+        mem = self.world.mem
+        for c, nb in zip(comms, nbytes):
+            try:
+                mem[c.grank].alloc(nb)
+            except BaseException as exc:  # mirrors the engine's catch-all
+                self.fail(c, exc)
+
+    def free(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
+        mem = self.world.mem
+        for c, nb in zip(comms, nbytes):
+            try:
+                mem[c.grank].free(nb)
+            except BaseException as exc:
+                self.fail(c, exc)
+
+    def trace_counter(self, comms: Sequence[Comm], name: str,
+                      values: Sequence[float]) -> None:
+        if not self.whole:  # the whole form has no tracer to feed
+            for c, v in zip(comms, values):
+                c.trace_counter(name, v)
 
     # ------------------------------------------------------------------
     # staged collectives, one whole communicator at a time
@@ -149,31 +266,68 @@ class ColumnarWorld(World):
         """Run one staged collective over a communicator's members.
 
         Mirrors ``Comm.staged`` plus the caller's epilogue: snapshot
-        the stage, run the designated-rank ``compute`` once, then per
-        rank (in rank order) charge the deterministic collective fault
-        debt and run ``finish(i, comm, shared)``.  Per-rank exceptions
-        are recorded, not raised — the next checked collective aborts
-        the world, exactly where thread-backend siblings would unwind.
+        the stage, run the designated-rank ``compute`` once, then book
+        the epilogue.  An :class:`Epilogue` on a world without tracer
+        and fault plan is applied to the whole membership at once;
+        otherwise, per rank in rank order, the deterministic collective
+        fault debt is charged and ``finish(i, comm, shared)`` runs.
+        Per-rank exceptions are recorded, not raised — the next checked
+        collective aborts the world, exactly where thread-backend
+        siblings would unwind.
         """
         if check:
             self.check()
-        stage = [(deposits[i], c.clock) for i, c in enumerate(comms)]
+        clocks = self.world.clocks
+        stage = [(d, clocks[c.grank]) for d, c in zip(deposits, comms)]
         shared = compute(stage)
+        if isinstance(finish, Epilogue):
+            if self.whole:
+                return shared, finish.whole(shared)
+            finish = finish.rank
+        f = self.world.faults
+        faulty = f is not None and f.affects_collectives
         outs: list[Any] = [None] * len(comms)
         for i, c in enumerate(comms):
             try:
-                f = c._faults
-                if f is not None and f.affects_collectives:
+                if faulty:
                     c._charge_collective_faults()
                 outs[i] = finish(i, c, shared)
             except BaseException as exc:  # mirrors the engine's catch-all
                 self.fail(c, exc)
         return shared, outs
 
+    def _finish_all(self, comms: Sequence[Comm], name: str, t: float,
+                    nbytes: int = 0) -> None:
+        """Whole-membership ``Comm._finish_coll`` for ranks of one
+        communicator depositing ``nbytes`` each: one ``t + dt``, clocks
+        overwritten, operation counter ticked."""
+        first = comms[0]
+        dt, _, counter = collective_charge(first.cost, name, first.size,
+                                           nbytes)
+        t1 = t + dt
+        clocks = self.world.clocks
+        if counter is None:
+            for c in comms:
+                clocks[c.grank] = t1
+            return
+        counters = self.world.counters
+        for c in comms:
+            g = c.grank
+            clocks[g] = t1
+            tally = counters[g]
+            tally[counter] = (tally[counter] if counter in tally
+                              else 0.0) + 1.0
+
     # -- collective surface (same epilogues as Comm.barrier/bcast/...) --
     def barrier(self, comms: Sequence[Comm], *, check: bool = True) -> None:
-        self.collective(comms, [None] * len(comms), _max_clock,
-                        lambda i, c, t: c._finish_barrier(t), check=check)
+        def whole(t):
+            self._finish_all(comms, "barrier", t)
+            return [None] * len(comms)
+
+        self.collective(
+            comms, [None] * len(comms), _max_clock,
+            Epilogue(lambda i, c, t: c._finish_coll("barrier", t), whole),
+            check=check)
 
     def bcast(self, comms: Sequence[Comm], values: Sequence[Any],
               root: int = 0, *, check: bool = True) -> list:
@@ -183,10 +337,16 @@ class ColumnarWorld(World):
 
         def finish(i, c, shared):
             v, t, nbytes = shared
-            c._finish_tree_coll("bcast", t, nbytes)
+            c._finish_coll("bcast", t, nbytes)
             return v
 
-        _, outs = self.collective(comms, values, compute, finish, check=check)
+        def whole(shared):
+            v, t, nbytes = shared
+            self._finish_all(comms, "bcast", t, nbytes)
+            return [v] * len(comms)
+
+        _, outs = self.collective(comms, values, compute,
+                                  Epilogue(finish, whole), check=check)
         return outs
 
     def gather(self, comms: Sequence[Comm], values: Sequence[Any],
@@ -197,10 +357,18 @@ class ColumnarWorld(World):
 
         def finish(i, c, shared):
             vals, t, nbytes = shared
-            c._finish_tree_coll("gather", t, nbytes)
+            c._finish_coll("gather", t, nbytes)
             return vals if c.rank == root else None
 
-        _, outs = self.collective(comms, values, compute, finish, check=check)
+        def whole(shared):
+            vals, t, nbytes = shared
+            self._finish_all(comms, "gather", t, nbytes)
+            outs: list[Any] = [None] * len(comms)
+            outs[root] = vals
+            return outs
+
+        _, outs = self.collective(comms, values, compute,
+                                  Epilogue(finish, whole), check=check)
         return outs
 
     def allreduce(self, comms: Sequence[Comm], values: Sequence[Any],
@@ -211,10 +379,22 @@ class ColumnarWorld(World):
 
         def finish(i, c, shared):
             acc, t = shared
-            c._finish_tree_coll("allreduce", t, payload_nbytes(values[i]))
+            c._finish_coll("allreduce", t, payload_nbytes(values[i]))
             return acc
 
-        _, outs = self.collective(comms, values, compute, finish, check=check)
+        def whole(shared):
+            acc, t = shared
+            sizes = list(map(payload_nbytes, values))
+            distinct = set(sizes)
+            for nbytes in distinct:
+                self._finish_all(
+                    comms if len(distinct) == 1 else
+                    [c for c, s in zip(comms, sizes) if s == nbytes],
+                    "allreduce", t, nbytes)
+            return [acc] * len(comms)
+
+        _, outs = self.collective(comms, values, compute,
+                                  Epilogue(finish, whole), check=check)
         return outs
 
     def allgather_staged(self, comms: Sequence[Comm],
@@ -228,11 +408,16 @@ class ColumnarWorld(World):
 
         def finish(i, c, shared):
             val, t, nbytes = shared
-            c._finish_allgather(t, nbytes)
+            c._finish_coll("allgather", t, nbytes)
             return val
 
-        _, outs = self.collective(comms, deposits, compute, finish,
-                                  check=check)
+        def whole(shared):
+            val, t, nbytes = shared
+            self._finish_all(comms, "allgather", t, nbytes)
+            return [val] * len(comms)
+
+        _, outs = self.collective(comms, deposits, compute,
+                                  Epilogue(finish, whole), check=check)
         return outs
 
     def allgather(self, comms: Sequence[Comm], values: Sequence[Any],
@@ -255,16 +440,37 @@ class ColumnarWorld(World):
 
         def finish(i, c, shared):
             contexts, t = shared
-            c._finish_split(t)
+            c._finish_coll("split", t)
             color = colors[i]
             newctx = contexts.get(color) if color is not None else None
             if newctx is None:
                 return None
             return Comm(world, newctx, newctx.group.index(c.grank))
 
-        _, outs = self.collective(comms, deposits, compute, finish,
-                                  check=check)
-        _seed_children(outs)
+        def whole(shared):
+            # children built per new context, in its rank order, instead
+            # of one ``group.index`` search per parent rank
+            contexts, t = shared
+            self._finish_all(comms, "split", t)
+            slot = {c.grank: i for i, c in enumerate(comms)}
+            outs: list[Any] = [None] * len(comms)
+            kids: list[Comm] = []
+            labels: list[int] = []
+            for k, newctx in enumerate(contexts.values()):
+                kids += [Comm(world, newctx, r) for r in range(newctx.size)]
+                labels += [k] * newctx.size
+            for child in kids:
+                outs[slot[child.grank]] = child
+            seed_rpn(kids, labels)
+            return outs
+
+        _, outs = self.collective(comms, deposits, compute,
+                                  Epilogue(finish, whole), check=check)
+        if not self.whole:  # the whole form seeds the children it builds
+            kids = [child for child in outs if child is not None]
+            order: dict[int, int] = {}
+            seed_rpn(kids, [order.setdefault(id(child._ctx), len(order))
+                            for child in kids])
         return outs
 
     def alltoallv(self, comms: Sequence[Comm], sends: Sequence[Any],
@@ -327,36 +533,32 @@ class ColumnarWorld(World):
         return outs
 
 
-def _seed_children(children: Sequence[Comm | None]) -> None:
-    by_ctx: dict[int, list[Comm]] = {}
-    for child in children:
-        if child is not None:
-            by_ctx.setdefault(id(child._ctx), []).append(child)
-    for group in by_ctx.values():
-        seed_rpn(group)
-
-
 # ----------------------------------------------------------------------
 # world construction + engine entry point
 # ----------------------------------------------------------------------
 
-def seed_rpn(comms: Sequence[Comm]) -> None:
+def seed_rpn(comms: Sequence[Comm],
+             labels: Sequence[int] | None = None) -> None:
     """Vectorised fill of the per-Comm ``ranks_per_node`` cache.
 
     The lazy O(group) scan in ``Comm.ranks_per_node`` is fine when each
     rank thread does it once, but turns O(p^2) when the flat driver
-    holds p handles to the world communicator — one ``bincount`` seeds
-    them all instead.
+    holds p handles to the world communicator — one count seeds them
+    all instead.  ``comms`` is one communicator's handles, or, with
+    ``labels`` naming each handle's communicator by a small integer,
+    the handles of several (the children of a split).
     """
     if not comms:
         return
     world = comms[0]._world
-    granks = np.fromiter((c.grank for c in comms), dtype=np.int64,
-                         count=len(comms))
-    nodes = granks // world.machine.cores_per_node
-    rpn = np.bincount(nodes)[nodes]
-    for c, r in zip(comms, rpn):
-        c._rpn = int(r)
+    nodes = np.array([c.grank for c in comms], dtype=np.int64)
+    nodes //= world.machine.cores_per_node
+    if labels is not None:
+        nodes += (int(nodes.max()) + 1) * np.asarray(labels, dtype=np.int64)
+    _, inverse, counts = np.unique(nodes, return_inverse=True,
+                                   return_counts=True)
+    for c, rpn in zip(comms, counts[inverse].tolist()):
+        c._rpn = rpn
 
 
 def make_world_comms(world: SimWorld) -> list[Comm]:
@@ -400,15 +602,17 @@ def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,
         failure = RankFailure(failures)
         if check:
             raise failure from failure.cause
+    # the SimWorld dies with this call: its per-rank ledgers are handed
+    # to the result as they are, nobody else holds them
     return SpmdResult(
         p=p,
         results=list(results),
-        clocks=list(world.clocks),
-        phase_times=[dict(pt) for pt in world.phase_times],
-        counters=[dict(c) for c in world.counters],
+        clocks=world.clocks,
+        phase_times=world.phase_times,
+        counters=world.counters,
         mem_peaks=[m.peak for m in world.mem],
         failure=failure,
-        traces=[list(t) for t in world.traces],
+        traces=world.traces,
         extras={"backend": "flat", "workers": 0, "pool_threads": 0,
                 "shards": [[0, p]], "coarse_switch": False},
     )

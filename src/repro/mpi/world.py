@@ -6,8 +6,11 @@ once, in *world form*: a function of ``(world, comms, ...)`` where
 per-rank value travels as a list aligned with it.  The ``world`` object
 supplies the staged-collective surface — ``barrier`` / ``bcast`` /
 ``gather`` / ``allreduce`` / ``allgather_staged`` / ``split`` /
-``alltoallv`` / ``sendrecv`` — plus phase brackets, abort semantics and
-fault hooks.  Two interchangeable views implement it:
+``alltoallv`` / ``sendrecv`` — plus phase brackets, the charge verbs
+(``charge_compute`` / ``alloc`` / ``free`` / ``trace_counter``: one call books
+modelled compute time, memory or a tracer counter on every rank
+handed in), abort semantics and fault hooks.  Two interchangeable
+views implement it:
 
 * :class:`LaneWorld` — **one logical rank** ("lane").  ``comms`` is a
   singleton and every operation delegates straight to the rank's own
@@ -18,16 +21,19 @@ fault hooks.  Two interchangeable views implement it:
 * :class:`~repro.mpi.flatworld.ColumnarWorld` — **the whole world at
   once**.  ``comms`` is a communicator's full membership in rank order;
   each collective snapshots all deposits, runs the designated-rank
-  compute a single time, and replays every rank's published epilogue
-  (``Comm._finish_*``) sequentially.  This view backs the zero-thread
-  flat backend; per-rank exceptions are recorded in a failure ledger
-  and surface as :class:`~repro.mpi.flatworld.FlatAbort` at the next
-  checked collective.
+  compute a single time, and applies the epilogue to the whole
+  membership in one pass (or, under a tracer or a fault plan, replays
+  every rank's ``Comm`` epilogue sequentially).  This view backs the
+  zero-thread flat backend; per-rank exceptions are recorded in a
+  failure ledger and surface as
+  :class:`~repro.mpi.flatworld.FlatAbort` at the next checked
+  collective.
 
-Both views call the same ``Comm._finish_*`` epilogues — the only place
-the LogGP collective cost formulas exist — so virtual clocks, phase
-breakdowns, counters, memory peaks and traces are bit-for-bit
-identical across backends by construction.
+The per-rank ``Comm`` methods are the definition of every piece of
+bookkeeping; both views evaluate the same cost expressions
+(:func:`~repro.mpi.comm.collective_charge`, the ``CostModel``), so
+virtual clocks, phase breakdowns, counters, memory peaks and traces
+are bit-for-bit identical across backends.
 """
 
 from __future__ import annotations
@@ -73,6 +79,29 @@ class World:
         """Context manager bracketing one named phase on every rank."""
         raise NotImplementedError
 
+    # -- charge verbs --------------------------------------------------
+    # Per-rank values are sequences aligned with ``comms`` (any ranks,
+    # not necessarily a whole communicator).  A rank whose charge is
+    # refused (negative time, simulated OOM) fails exactly as if it had
+    # called its own ``Comm``: recorded (columnar) or raised (lane).
+    def charge_compute(self, comms: Sequence[Comm],
+                       seconds: Sequence[float]) -> None:
+        """``comm.charge(seconds[i])`` on every rank."""
+        raise NotImplementedError
+
+    def alloc(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
+        """``comm.mem.alloc(nbytes[i])`` on every rank."""
+        raise NotImplementedError
+
+    def free(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
+        """``comm.mem.free(nbytes[i])`` on every rank."""
+        raise NotImplementedError
+
+    def trace_counter(self, comms: Sequence[Comm], name: str,
+                      values: Sequence[float]) -> None:
+        """``comm.trace_counter(name, values[i])`` on every rank."""
+        raise NotImplementedError
+
     # -- staged collectives --------------------------------------------
     def collective(self, comms: Sequence[Comm], deposits: Sequence[Any],
                    compute: Callable[[list], Any],
@@ -81,8 +110,8 @@ class World:
         """One staged collective: deposit, designated compute, epilogue.
 
         ``compute(stage)`` sees ``[(deposit, clock), ...]`` once;
-        ``finish(i, comm, shared)`` replays rank ``i``'s epilogue.
-        Returns ``(shared, outs)``.
+        ``finish(i, comm, shared)`` is rank ``i``'s epilogue.  Returns
+        ``(shared, outs)``.
         """
         raise NotImplementedError
 
@@ -140,9 +169,8 @@ class LaneWorld(World):
 
     __slots__ = ()
 
-    @property
-    def failures(self) -> tuple:
-        return ()
+    #: a lane raises its failure instead of recording it
+    failures = ()
 
     def alive(self, comm: Comm) -> bool:
         return True
@@ -158,6 +186,26 @@ class LaneWorld(World):
 
     def phase(self, comms: Sequence[Comm], name: str):
         return comms[0].phase(name)
+
+    # the charge verbs may be handed no rank at all (this lane is not
+    # among the ranks a phase charges), hence loops, not ``comms[0]``
+    def charge_compute(self, comms: Sequence[Comm],
+                       seconds: Sequence[float]) -> None:
+        for comm, s in zip(comms, seconds):
+            comm.charge(s)
+
+    def alloc(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
+        for comm, nb in zip(comms, nbytes):
+            comm.mem.alloc(nb)
+
+    def free(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
+        for comm, nb in zip(comms, nbytes):
+            comm.mem.free(nb)
+
+    def trace_counter(self, comms: Sequence[Comm], name: str,
+                      values: Sequence[float]) -> None:
+        for comm, v in zip(comms, values):
+            comm.trace_counter(name, v)
 
     def collective(self, comms: Sequence[Comm], deposits: Sequence[Any],
                    compute: Callable[[list], Any],

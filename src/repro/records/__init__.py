@@ -7,10 +7,12 @@ from .batch import (
     concat_batch_arrays,
     from_mapping,
     tag_provenance,
+    tag_provenance_world,
 )
 from .ops import (
     adaptive_sort_batch,
     kway_merge_batches,
+    kway_merge_batches_stacked,
     merge_two_batches,
     sort_batch,
 )
@@ -22,8 +24,10 @@ __all__ = [
     "concat_batch_arrays",
     "from_mapping",
     "tag_provenance",
+    "tag_provenance_world",
     "adaptive_sort_batch",
     "kway_merge_batches",
+    "kway_merge_batches_stacked",
     "merge_two_batches",
     "sort_batch",
 ]

@@ -20,6 +20,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ..kernels import same_key_groups
+
 #: Reserved payload column names used by the stability validator.
 SRC_RANK = "_src_rank"
 SRC_POS = "_src_pos"
@@ -62,8 +64,8 @@ class RecordBatch:
         """
         nb = self.__dict__.get("_nbytes")
         if nb is None:
-            nb = int(self.keys.nbytes) + sum(int(c.nbytes)
-                                             for c in self.payload.values())
+            nb = int(self.keys.nbytes) + sum([int(c.nbytes)
+                                              for c in self.payload.values()])
             self.__dict__["_nbytes"] = nb
         return nb
 
@@ -103,12 +105,19 @@ class RecordBatch:
     def record_bytes(self) -> int:
         """Bytes per record (key + payload width)."""
         width = self.keys.dtype.itemsize
-        width += sum(c.dtype.itemsize for c in self.payload.values())
+        width += sum([c.dtype.itemsize for c in self.payload.values()])
         return width
 
     @property
     def columns(self) -> tuple[str, ...]:
         return tuple(self.payload)
+
+    @property
+    def schema(self) -> tuple:
+        """Hashable layout: key dtype, then ``(name, dtype)`` per column
+        — everything :meth:`empty_like` takes from a prototype."""
+        return (self.keys.dtype,
+                *[(k, v.dtype) for k, v in self.payload.items()])
 
     def copy(self) -> "RecordBatch":
         return RecordBatch(self.keys.copy(), {k: v.copy() for k, v in self.payload.items()})
@@ -117,11 +126,19 @@ class RecordBatch:
     # structural operations
     # ------------------------------------------------------------------
     def take(self, indices: np.ndarray) -> "RecordBatch":
-        """Select records by index (also used to apply sort permutations)."""
-        return RecordBatch._unsafe(
+        """Select records by index (also used to apply sort permutations).
+
+        A selection as long as the batch (a permutation) occupies the
+        same storage, so a size already computed is carried over.
+        """
+        out = RecordBatch._unsafe(
             self.keys[indices],
             {k: v[indices] for k, v in self.payload.items()},
         )
+        nbytes = self.__dict__.get("_nbytes")
+        if nbytes is not None and len(out.keys) == len(self.keys):
+            out.__dict__["_nbytes"] = nbytes
+        return out
 
     def slice(self, start: int, stop: int) -> "RecordBatch":
         """Contiguous sub-batch ``[start, stop)`` (views, no copy)."""
@@ -233,6 +250,37 @@ def tag_provenance(batch: RecordBatch, rank: int) -> RecordBatch:
     payload[SRC_RANK] = np.full(n, rank, dtype=np.int32)
     payload[SRC_POS] = np.arange(n, dtype=np.int64)
     return RecordBatch(batch.keys.copy(), payload)
+
+
+def tag_provenance_world(batches: Sequence[RecordBatch | None],
+                         ranks: Sequence[int]) -> list[RecordBatch | None]:
+    """:func:`tag_provenance` for many ranks' shards in one pass.
+
+    ``batches[i]`` is rank ``ranks[i]``'s shard (``None`` entries pass
+    through).  Column for column the result equals
+    ``tag_provenance(batches[i], ranks[i])``, built with what a whole
+    world makes redundant left out: keys and payload columns are shared
+    with the input batch, not copied (the caller hands over freshly
+    generated shards it drops), equal-length shards share one read-only
+    ``_src_pos`` column and cut their ``_src_rank`` columns from one
+    block, and the already-validated input plus length-``n``-by-
+    construction tag columns need no second validation.
+    """
+    out: list[RecordBatch | None] = [None] * len(batches)
+    lengths = [-1 if b is None else b.keys.size for b in batches]
+    for members in same_key_groups(lengths):
+        n = lengths[members[0]]
+        if n < 0:
+            continue
+        pos = np.arange(n, dtype=np.int64)
+        pos.setflags(write=False)
+        src = np.repeat(np.array([ranks[i] for i in members],
+                                 dtype=np.int32), n).reshape(len(members), n)
+        for row, i in zip(src, members):
+            b = batches[i]
+            out[i] = RecordBatch._unsafe(
+                b.keys, {**b.payload, SRC_RANK: row, SRC_POS: pos})
+    return out
 
 
 def from_mapping(keys: np.ndarray, payload: Mapping[str, np.ndarray] | None = None) -> RecordBatch:

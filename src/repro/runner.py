@@ -33,8 +33,11 @@ from .mpi import (
     run_spmd,
 )
 from .mpi.errors import RunCancelled
-from .records import RecordBatch, tag_provenance
+from .records import RecordBatch, tag_provenance, tag_provenance_world
 from .workloads import Workload
+
+#: Ranks whose shards a flat run draws between two cancel polls.
+_SHARD_BLOCK = 256
 
 #: Edison headroom: 64 GB / 24 ranks = 2.67 GB per rank against the
 #: paper's 400 MB input shard — a 6.7x memory-capacity-to-input ratio.
@@ -201,6 +204,24 @@ class _SortProgram:
         out = ALGORITHMS[self.algorithm].invoke(comm, shard, self.opts)
         return shard, out
 
+    def _draw(self, world: ColumnarWorld, comms: list[Comm]) -> list:
+        """Shards of one block of ranks.  A generator that raises fails
+        its own rank (``None`` in its slot) — as its thread would — and
+        the world aborts at its first checked collective."""
+        n, p, seed = self.n_per_rank, comms[0].size, self.seed
+        try:
+            return self.workload.shards(n, p, seed, [c.rank for c in comms])
+        except Exception:
+            pass  # some rank of the block raised: find out which
+        block: list = []
+        for c in comms:
+            try:
+                block.append(self.workload.shard(n, p, c.rank, seed))
+            except Exception as exc:
+                world.fail(c, exc)
+                block.append(None)
+        return block
+
     def flat_run(self, comms: list[Comm]):
         """Whole-world entry point for ``backend="flat"``.
 
@@ -209,15 +230,15 @@ class _SortProgram:
         execute, minus the threads.
         """
         world = ColumnarWorld(comms[0]._world)
-        shards = []
+        p = len(comms)
+        raw: list = []
         try:
-            for c in comms:
-                world.check()  # a cancel lands between shards too
-                shard = self.workload.shard(self.n_per_rank, c.size,
-                                            c.rank, self.seed)
-                shards.append(tag_provenance(shard, c.rank))
+            for lo in range(0, p, _SHARD_BLOCK):
+                world.poll_cancel()  # a cancel lands between blocks
+                raw += self._draw(world, comms[lo:lo + _SHARD_BLOCK])
         except FlatAbort:
-            return [None] * len(comms), world.failures
+            return [None] * p, world.failures
+        shards = tag_provenance_world(raw, range(p))
         outcomes = ALGORITHMS[self.algorithm].invoke_world(
             world, comms, shards, self.opts)
         results = [None if o is None else (shards[i], o)
@@ -361,9 +382,11 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         "backend": backend_info,
         "mem_peaks": res.mem_peaks,
         "decisions": traced.info.get("decisions"),
-        "p_active": sum(1 for o in outcomes if o.active),
-        "bytes_sent": sum(c.get("bytes.sent", 0) for c in res.counters),
-        "messages": sum(c.get("p2p.send", 0) for c in res.counters),
+        "p_active": len([o for o in outcomes if o.active]),
+        "bytes_sent": sum([c["bytes.sent"] for c in res.counters
+                           if "bytes.sent" in c]),
+        "messages": sum([c["p2p.send"] for c in res.counters
+                         if "p2p.send" in c]),
         "traces": res.traces,
     }
     if fplan is not None:

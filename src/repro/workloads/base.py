@@ -10,7 +10,7 @@ function of ``(seed, N, p, r)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import Any, Iterable, Protocol
 
 import numpy as np
 # Bound once at import: ``np.random`` goes through numpy's module-level
@@ -56,12 +56,23 @@ class Workload:
         child = SeedSequence(seed, spawn_key=(rank,))
         return self.fn(n, default_rng(child))
 
+    def shards(self, n: int, p: int, seed: int = 0,
+               ranks: Iterable[int] | None = None) -> list[RecordBatch]:
+        """The shards of ``ranks`` (default: all ``p``) in one call.
+
+        Equals ``[self.shard(n, p, r, seed) for r in ranks]`` by
+        definition — it dispatches through :meth:`shard`, so a subclass
+        that overrides the per-rank generator is honoured.  The flat
+        engine draws a world through this seam.
+        """
+        shard = self.shard
+        return [shard(n, p, r, seed)
+                for r in (range(p) if ranks is None else ranks)]
+
     def generate(self, n: int, seed: int = 0) -> RecordBatch:
         """Generate ``n`` records as a single shard (for local studies)."""
         return self.shard(n, 1, 0, seed)
 
     def global_batch(self, n_per_rank: int, p: int, seed: int = 0) -> RecordBatch:
         """All ``p`` shards concatenated (what the whole machine sorts)."""
-        return RecordBatch.concat(
-            self.shard(n_per_rank, p, r, seed) for r in range(p)
-        )
+        return RecordBatch.concat(self.shards(n_per_rank, p, seed))

@@ -206,6 +206,65 @@ def test_failure_surfaces_identically(backend):
     assert "would exceed capacity" in b.failure
 
 
+def _raising_workload(bad_ranks):
+    from repro.workloads import Workload, uniform
+
+    class Raising(Workload):
+        def shard(self, n, p, rank, seed=0):
+            if rank in bad_ranks and n == 50:  # not run_sort's probe
+                raise RuntimeError("generator blew up")
+            return super().shard(n, p, rank, seed)
+
+    return Raising("bad", uniform().fn)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("bad_ranks", [(5,), (2, 5, 6)])
+def test_raising_shard_generator_fails_identically(backend, bad_ranks):
+    # a rank whose shard generator raises is a failed rank on every
+    # backend — the flat engine used to let the exception escape
+    from repro.runner import _SortProgram
+
+    wl = _raising_workload(bad_ranks)
+    kw = dict(n_per_rank=50, p=8, mem_factor=None)
+    for be in ("thread", backend):
+        res = run_sort("sds", wl, **kw, backend=be)
+        assert not res.ok and not res.oom, be
+        assert res.failure == (f"rank {bad_ranks[0]}: "
+                               "RuntimeError('generator blew up')"), be
+        # every raising rank is on the ledger, lowest first
+        spmd = run_spmd(_SortProgram("sds", wl, 50, 0, {}), 8,
+                        machine=EDISON, check=False, backend=be)
+        assert spmd.failure.ranks == bad_ranks, be
+        assert all(isinstance(e, RuntimeError)
+                   for _, e in spmd.failure.failures), be
+
+
+def test_raising_shard_generator_fails_the_service_job():
+    from repro.service import JobSpec, SortService
+    from repro.workloads import Workload
+
+    shard = Workload.shard
+
+    def bad_shard(self, n, p, rank, seed=0):
+        if rank == 5 and n == 50:
+            raise RuntimeError("generator blew up")
+        return shard(self, n, p, rank, seed)
+
+    for backend in ("thread", "flat"):
+        svc = SortService(workers=1)
+        try:
+            Workload.shard = bad_shard
+            job = svc.submit(JobSpec(p=8, n_per_rank=50, backend=backend,
+                                     mem_factor=None))
+            svc.wait(job.id, timeout=30)
+            assert job.status == "failed", backend
+            assert "generator blew up" in (job.error or ""), backend
+        finally:
+            Workload.shard = shard
+            svc.close()
+
+
 # ---------------------------------------------------------------------------
 # extras metadata
 # ---------------------------------------------------------------------------

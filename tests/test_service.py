@@ -281,21 +281,26 @@ class TestServiceLifecycle:
 
     def test_cancel_running_flat_job(self, monkeypatch):
         # the cancel lands while the flat world is generating shards:
-        # it must abort at its next poll, not run to completion
-        import repro.runner as runner
+        # it must abort at its next poll — between two blocks of ranks —
+        # not run to completion
+        from repro.workloads import Workload
 
         started, released = threading.Event(), threading.Event()
-        tag = runner.tag_provenance
+        shard = Workload.shard
+        drawn = []
 
-        def gated_tag(shard, rank):
-            started.set()
-            assert released.wait(10)
-            return tag(shard, rank)
+        def gated_shard(self, n, p, rank, seed=0):
+            if p == 512:  # the job below, not the healthy one after it
+                drawn.append(rank)
+                if rank == 3:  # run_sort's own probe draws rank 0 only
+                    started.set()
+                    assert released.wait(10)
+            return shard(self, n, p, rank, seed)
 
-        monkeypatch.setattr(runner, "tag_provenance", gated_tag)
+        monkeypatch.setattr(Workload, "shard", gated_shard)
         svc = SortService(workers=1, telemetry=True)
         try:
-            job = svc.submit(JobSpec(p=8, n_per_rank=200, backend="flat"))
+            job = svc.submit(JobSpec(p=512, n_per_rank=20, backend="flat"))
             assert started.wait(10)
             assert job.status == "running"
             svc.cancel(job.id)
@@ -304,6 +309,8 @@ class TestServiceLifecycle:
             assert job.status == "cancelled"
             assert "RunCancelled('run cancelled while in flight')" \
                 in job.error
+            # the first block was finished, the second never drawn
+            assert 3 in drawn and max(drawn) < 511
             assert svc.stats()["admission"]["committed_bytes"] == 0
             assert svc.metrics.engine_cancels.value == 1
             monkeypatch.undo()
