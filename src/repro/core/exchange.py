@@ -25,7 +25,11 @@ from typing import Sequence
 
 import numpy as np
 
-from ..kernels import natural_merge_sort_perm, sequential_argsort
+from ..kernels import (
+    natural_merge_sort_perm,
+    sequential_argsort,
+    stable_argsort,
+)
 from ..mpi import Comm
 from ..records import (
     RecordBatch,
@@ -143,15 +147,17 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
     # -- final local ordering of every destination, once --
     keys_g = all_keys[G]
     final = np.empty(N, dtype=np.int64)
+    ordered = np.empty_like(keys_g)                   # every dst's sorted keys
     for r in range(p):
         lo, hi = int(bounds[r]), int(bounds[r + 1])
         seg = keys_g[lo:hi]
         if merge:
-            perm = np.argsort(seg, kind="stable")
+            perm, ordered[lo:hi] = stable_argsort(seg)
         elif stable:
-            _, perm = natural_merge_sort_perm(seg)
+            ordered[lo:hi], perm = natural_merge_sort_perm(seg)
         else:
             perm = sequential_argsort(seg, stable=False)
+            np.take(seg, perm, out=ordered[lo:hi])
         final[lo:hi] = G[lo:hi][perm]
     return {
         "t": start,
@@ -160,7 +166,7 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
         "send_tot": send_tot, "recv_tot": recv_tot, "recv_all": recv_all,
         "cuts": cuts, "widths": widths,               # traced edge rows
         "m": np.diff(bounds),
-        "keys": all_keys, "cols": all_cols,
+        "ordered": ordered, "cols": all_cols,
         "final": final, "bounds": bounds,
     }
 
@@ -224,7 +230,7 @@ def _sync_exchange_ordering(comm: Comm, shared: dict, *, merge: bool,
     lo, hi = int(shared["bounds"][me]), int(shared["bounds"][me + 1])
     idx = shared["final"][lo:hi]
     out = RecordBatch._unsafe(
-        shared["keys"][idx],
+        shared["ordered"][lo:hi],
         {name: col[idx] for name, col in shared["cols"].items()})
     comm.mem.free(int(shared["recv_all"][me]))
     comm.mem.alloc(out.nbytes)
@@ -283,8 +289,10 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
       no records, left out;
     * for the ``merge`` branch (``p < tau_s``) the k-way merge of
       sorted source runs with earlier-chunk tie-breaking produces the
-      unique stable permutation, so one ``np.argsort(kind="stable")``
-      per destination equals ``kway_merge_batches``;
+      unique stable permutation, so one ``stable_argsort`` per
+      destination equals ``kway_merge_batches`` (which calls the same
+      kernel), and the sorted keys it returns are the output's key
+      column — each rank reads its slice of one ``ordered`` array;
     * the ``sort`` branch applies the *same kernels* the unfused path
       dispatches to (``natural_merge_sort_perm`` when stable,
       ``sequential_argsort`` otherwise) on value-identical key arrays,
@@ -426,7 +434,7 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
     final = np.empty(N, dtype=np.int64)
     for r in range(p):
         lo, hi = int(bounds[r]), int(bounds[r + 1])
-        perm = np.argsort(keys_g[lo:hi], kind="stable")
+        perm, _ = stable_argsort(keys_g[lo:hi])
         final[lo:hi] = G[lo:hi][perm]
     diag = np.diagonal(S)
     return {
@@ -521,8 +529,8 @@ def exchange_overlapped_fused(comm: Comm, batch: RecordBatch,
     * ``merge_time(n, 2)`` is ``(n * 1.0) * rate``, reproduced
       element-wise on exact int64 run lengths;
     * the stable permutation of each rank's chunk concatenation is
-      unique, so one ``np.argsort(kind="stable")`` per destination over
-      the globally gathered key array equals the per-rank merge tree.
+      unique, so one ``stable_argsort`` per destination over the
+      globally gathered key array equals the per-rank merge tree.
     """
     p = comm.size
     cuts = Cuts.from_displs(displs).check(p, len(batch))
@@ -593,8 +601,8 @@ def exchange_overlapped(comm: Comm, sends: Sequence[RecordBatch]
         out = RecordBatch(np.zeros(0))
     else:
         cat = RecordBatch.concat([arrivals[i][1] for i in order])
-        perm = np.argsort(cat.keys, kind="stable")
-        out = cat.take(perm)
+        perm, out_keys = stable_argsort(cat.keys)
+        out = cat.take(perm, keys=out_keys)
     tr = comm.tracer
     if tr is None:
         comm.set_clock(max(comm.clock, t_cpu))

@@ -41,6 +41,7 @@ from ..kernels import (
     batched_argsort_rows,
     batched_local_delta,
     same_key_groups,
+    stable_argsort,
     stable_prefix_layout,
 )
 from ..mpi import LANE, Comm, FlatAbort, World
@@ -366,12 +367,16 @@ class LocalSort:
     charge the same modelled cost.
 
     Shards of equal length and key dtype are stacked into one 2-D
-    matrix and sorted with a single row-wise ``np.argsort`` — the same
-    kernel invocation per row as a standalone per-rank sort (both
-    ``sdss`` at ``c=1`` and ``plain`` reduce to one argsort of the
-    shard), so permutations and replication ratios are bit-equal on
-    every backend.  The sort cost is evaluated once per distinct
-    ``(n, delta)`` and booked through the world's charge verbs.
+    matrix and sorted with a single row-wise call — ``np.argsort``'s
+    introsort per row, or :func:`~repro.kernels.stable_argsort`, whose
+    permutation is unique — exactly what a standalone per-rank sort
+    computes (both ``sdss`` at ``c=1`` and ``plain`` reduce to one
+    argsort of the shard), so permutations and replication ratios are
+    bit-equal on every backend.  The kernel's gathered keys serve the
+    replication ratio and become the sorted batch's key column; only
+    the payload is gathered per rank.  The sort cost is evaluated once
+    per distinct ``(n, delta)`` and booked through the world's charge
+    verbs.
     """
 
     kernel: str = "sdss"
@@ -389,11 +394,15 @@ class LocalSort:
             for members in same_key_groups(
                     [(ctx.n, ctx.batch.keys.dtype) for ctx in ctxs]):
                 rows = np.stack([ctxs[i].batch.keys for i in members])
-                perms = batched_argsort_rows(rows, stable=self.stable)
-                deltas = batched_local_delta(
-                    np.take_along_axis(rows, perms, axis=-1)).tolist()
-                for i, perm, delta in zip(members, perms, deltas):
-                    sorted_batches[i] = ctxs[i].batch.take(perm)
+                if self.stable:
+                    perms, ordered = stable_argsort(rows)
+                else:
+                    perms = batched_argsort_rows(rows)
+                    ordered = np.take_along_axis(rows, perms, axis=-1)
+                deltas = batched_local_delta(ordered).tolist()
+                for i, perm, keys, delta in zip(members, perms, ordered,
+                                                deltas):
+                    sorted_batches[i] = ctxs[i].batch.take(perm, keys=keys)
                     ctxs[i].delta = delta
             sort_time = ctxs[0].cost.sort_time
             dts = _per_distinct(

@@ -32,7 +32,7 @@ from .search import (
     run_boundaries,
     upper_bound,
 )
-from .sorts import chunk_sort, sequential_argsort, sequential_sort
+from .sorts import chunk_sort, sequential_argsort, sequential_sort, stable_argsort
 
 __all__ = [
     "batched_argsort_rows",
@@ -61,4 +61,5 @@ __all__ = [
     "chunk_sort",
     "sequential_argsort",
     "sequential_sort",
+    "stable_argsort",
 ]

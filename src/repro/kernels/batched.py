@@ -7,11 +7,12 @@ kernels run one numpy call over a ``(g, n)`` rank-stacked layout
 instead of ``g`` calls — and each is **bit-for-bit equal** to its
 per-rank twin:
 
-* :func:`batched_argsort_rows` — ``np.argsort(axis=-1)`` applies the
-  same 1-D kernel (introsort / timsort-ish stable) to each contiguous
-  row that :func:`~repro.kernels.sorts.sequential_argsort` applies to
-  a 1-D array, so the permutations match element-for-element,
-  including the unstable kind's duplicate orderings;
+* :func:`batched_argsort_rows` — unstable: ``np.argsort(axis=-1)``
+  applies the same 1-D introsort to each contiguous row that
+  :func:`~repro.kernels.sorts.sequential_argsort` applies to a 1-D
+  array, so even the duplicate orderings match; stable: the stable
+  permutation is unique, and both forms are
+  :func:`~repro.kernels.sorts.stable_argsort`;
 * :func:`batched_local_delta` — run-length bookkeeping over the whole
   stack; per-row results equal ``local_delta`` exactly (the same
   int-exact maximum divided by the same ``n``);
@@ -32,14 +33,14 @@ from typing import Hashable, Iterable, Sequence
 
 import numpy as np
 
+from .sorts import stable_argsort
+
 __all__ = [
     "batched_argsort_rows",
     "batched_local_delta",
     "same_key_groups",
     "stable_prefix_layout",
 ]
-
-_KINDS = {False: "quicksort", True: "stable"}
 
 
 def same_key_groups(keys: Sequence[Hashable]) -> Iterable[Sequence[int]]:
@@ -62,11 +63,13 @@ def batched_argsort_rows(rows: np.ndarray, *, stable: bool = False
     """Per-row argsort of a ``(g, n)`` stack, one numpy call.
 
     Row ``i`` of the result equals
-    ``sequential_argsort(rows[i], stable=stable)`` bit-for-bit: numpy
-    runs the identical 1-D sort kernel over each contiguous row.
+    ``sequential_argsort(rows[i], stable=stable)`` bit-for-bit: the
+    stable permutation is unique, and for the unstable kind numpy runs
+    the identical 1-D introsort over each contiguous row.
     """
-    return np.argsort(np.ascontiguousarray(rows), axis=-1,
-                      kind=_KINDS[bool(stable)])
+    if stable:
+        return stable_argsort(rows)[0]
+    return np.argsort(np.ascontiguousarray(rows), axis=-1, kind="quicksort")
 
 
 def batched_local_delta(sorted_rows: np.ndarray) -> np.ndarray:
@@ -90,9 +93,9 @@ def batched_local_delta(sorted_rows: np.ndarray) -> np.ndarray:
     # rows cannot leak: column 0 always starts a run, so every row's
     # last run ends at the next row's first start
     lengths = ends - starts
-    maxlen = np.zeros(g, dtype=np.int64)
-    np.maximum.at(maxlen, starts // n, lengths)
-    return maxlen / n
+    # runs are in row order and row i's first run starts at i * n
+    row_first = np.searchsorted(starts, np.arange(g, dtype=np.int64) * n)
+    return np.maximum.reduceat(lengths, row_first) / n
 
 
 def stable_prefix_layout(all_counts: list[np.ndarray]

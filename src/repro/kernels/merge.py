@@ -21,6 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .sorts import stable_argsort
+
 
 def merge_two(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Stably merge two sorted arrays (ties: elements of ``a`` first)."""
@@ -78,9 +80,8 @@ def kway_merge_perm(chunks: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarra
         return np.zeros(0, dtype=np.float64), np.zeros(0, dtype=np.int64)
     if len(chunks) == 2:
         return merge_two_perm(*chunks)
-    cat = np.concatenate(chunks)
-    perm = np.argsort(cat, kind="stable").astype(np.int64, copy=False)
-    return cat[perm], perm
+    perm, merged = stable_argsort(np.concatenate(chunks))
+    return merged, perm
 
 
 class LoserTree:

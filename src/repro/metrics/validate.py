@@ -6,15 +6,30 @@ outputs ``out_0..out_{p-1}`` is correct when:
 1. every ``out_r`` is locally sorted;
 2. outputs are globally ordered: ``max(out_r) <= min(out_{r+1})``
    for consecutive non-empty outputs;
-3. the multiset of keys (and payload rows) is preserved;
+3. the multiset of records is preserved;
 4. (stable mode only) records with equal keys appear in their original
    ``(source rank, source position)`` order — checked via the
    provenance columns added by :func:`repro.records.tag_provenance`.
+
+Property 3 has two forms.  The definition compares columns as
+multisets: sorted input keys equal sorted output keys and, when both
+sides carry provenance, the same for ``_src_rank`` and ``_src_pos``.
+Inputs tagged the way :func:`~repro.records.tag_provenance` tags a
+world — batches in ascending rank order, positions ``0..n-1`` within
+each — make the tags an index instead: an output record names the
+input slot ``base[rank] + pos``, and the check is that every tag is in
+range, every slot is named exactly once, and the key stored in the slot
+is the key the record carries.  That is O(N), reads three columns, and
+proves more: it implies all three sorted comparisons and also pins each
+key to its record, which the column-wise form does not (two records
+trading tags, or a key overwritten with another record's value, keep
+every column's multiset).  Untagged inputs, and tagged inputs in any
+other arrangement, are judged by the definition.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,6 +38,34 @@ from ..records import SRC_POS, SRC_RANK, RecordBatch
 
 class ValidationError(AssertionError):
     """A sort output violated one of the correctness properties."""
+
+
+class _Columns(NamedTuple):
+    """The columns validation reads, concatenated over a world's batches."""
+
+    keys: np.ndarray
+    ranks: np.ndarray | None          # None: no provenance columns
+    pos: np.ndarray | None
+    lengths: np.ndarray               # records per batch
+
+
+def _columns(batches: Sequence[RecordBatch]) -> _Columns:
+    """Keys and provenance of ``batches`` (same schema rule as ``concat``)."""
+    batches = list(batches)
+    lengths = np.array([len(b) for b in batches], dtype=np.int64)
+    if not batches:
+        return _Columns(np.zeros(0), None, None, lengths)
+    schema = batches[0].columns
+    if any(b.columns != schema for b in batches[1:]):
+        raise ValueError(f"payload schema mismatch within {schema} batches")
+    keys = np.concatenate([b.keys for b in batches])
+    if SRC_RANK not in schema or SRC_POS not in schema:
+        return _Columns(keys, None, None, lengths)
+    return _Columns(
+        keys,
+        np.concatenate([b.payload[SRC_RANK] for b in batches]),
+        np.concatenate([b.payload[SRC_POS] for b in batches]),
+        lengths)
 
 
 def check_locally_sorted(outputs: Sequence[RecordBatch]) -> None:
@@ -52,23 +95,91 @@ def check_multiset(inputs: Sequence[RecordBatch],
                    outputs: Sequence[RecordBatch]) -> None:
     """Property 3: no record created, lost, or corrupted.
 
-    Compares sorted key arrays, and, when provenance columns are
-    present, the sorted (rank, position) pairs — which together pin
-    down the full record multiset.
+    Inputs tagged rank-ascending with positions ``0..n-1`` are matched
+    record by record through the provenance index; anything else
+    compares sorted key arrays and, when provenance columns are
+    present, the sorted rank and position columns (module docstring).
     """
-    in_all = RecordBatch.concat(inputs)
-    out_all = RecordBatch.concat(outputs)
-    if len(in_all) != len(out_all):
+    _check_multiset(_columns(inputs), _columns(outputs))
+
+
+def _check_multiset(ins: _Columns, outs: _Columns) -> None:
+    if ins.keys.size != outs.keys.size:
         raise ValidationError(
-            f"record count changed: {len(in_all)} in, {len(out_all)} out"
+            f"record count changed: {ins.keys.size} in, "
+            f"{outs.keys.size} out"
         )
-    if not np.array_equal(np.sort(in_all.keys), np.sort(out_all.keys)):
+    tagged = ins.ranks is not None and outs.ranks is not None
+    # tags promoted to float by the sort under test: the definition
+    # compares them by value, the index cannot address with them
+    if tagged and outs.ranks.dtype.kind in "iu" \
+            and outs.pos.dtype.kind in "iu":
+        index = _provenance_index(ins)
+        if index is not None:
+            _check_records(ins, outs, *index)
+            return
+    if not np.array_equal(np.sort(ins.keys), np.sort(outs.keys)):
         raise ValidationError("key multiset changed")
-    if SRC_RANK in in_all.payload and SRC_RANK in out_all.payload:
-        for col in (SRC_RANK, SRC_POS):
-            if not np.array_equal(np.sort(in_all.payload[col]),
-                                  np.sort(out_all.payload[col])):
+    if tagged:
+        for col, a, b in ((SRC_RANK, ins.ranks, outs.ranks),
+                          (SRC_POS, ins.pos, outs.pos)):
+            if not np.array_equal(np.sort(a), np.sort(b)):
                 raise ValidationError(f"provenance multiset changed in {col}")
+
+
+def _provenance_index(ins: _Columns
+                      ) -> tuple[np.ndarray, np.ndarray] | None:
+    """``(base, size)`` by rank when the input tags index the input.
+
+    That takes every batch tagged with one rank, ranks ascending over
+    the non-empty batches (gaps allowed: a crashed rank's input leaves
+    with it) and positions ``0..n-1`` in each; record ``(rank, pos)``
+    then sits at ``base[rank] + pos`` of the concatenated input.
+    ``None`` for any other tagging.
+    """
+    held = ins.lengths > 0
+    lengths = ins.lengths[held]
+    starts = np.cumsum(lengths) - lengths
+    n = ins.keys.size
+    if not np.array_equal(
+            ins.pos, np.arange(n, dtype=np.int64) - np.repeat(starts, lengths)):
+        return None
+    ranks = ins.ranks[starts].astype(np.int64)
+    ascending = ranks.size == 0 or (
+        ranks[0] >= 0 and bool(np.all(ranks[1:] > ranks[:-1])))
+    if not (ascending
+            and np.array_equal(ins.ranks, np.repeat(ranks, lengths))):
+        return None
+    base = np.zeros(int(ranks[-1]) + 1 if ranks.size else 0, dtype=np.int64)
+    size = np.zeros_like(base)
+    base[ranks], size[ranks] = starts, lengths
+    return base, size
+
+
+def _check_records(ins: _Columns, outs: _Columns, base: np.ndarray,
+                   size: np.ndarray) -> None:
+    """Every output record is one input record, each taken exactly once."""
+    ranks = outs.ranks.astype(np.int64, copy=False)
+    pos = outs.pos.astype(np.int64, copy=False)
+    if np.any((ranks < 0) | (ranks >= size.size)):
+        raise ValidationError(
+            f"provenance multiset changed in {SRC_RANK}: a record names a "
+            f"rank that held no input")
+    if np.any((pos < 0) | (pos >= size[ranks])):
+        raise ValidationError(
+            f"provenance multiset changed in {SRC_POS}: a record names a "
+            f"position past its source rank's input")
+    slot = base[ranks] + pos
+    taken = np.zeros(ins.keys.size, dtype=bool)
+    taken[slot] = True
+    if not taken.all():                    # equal counts: a miss = a repeat
+        raise ValidationError(
+            "provenance multiset changed: an input record is missing and "
+            "another appears twice")
+    if not np.array_equal(ins.keys[slot], outs.keys):
+        raise ValidationError(
+            "key multiset changed: a record's key is not the key of the "
+            "input record its provenance names")
 
 
 def check_stable(outputs: Sequence[RecordBatch]) -> None:
@@ -76,12 +187,15 @@ def check_stable(outputs: Sequence[RecordBatch]) -> None:
 
     Requires provenance columns (see :func:`repro.records.tag_provenance`).
     """
-    out = RecordBatch.concat(outputs)
-    if SRC_RANK not in out.payload or SRC_POS not in out.payload:
+    _check_stable(_columns(outputs))
+
+
+def _check_stable(outs: _Columns) -> None:
+    if outs.ranks is None:
         raise ValidationError("stability check needs provenance columns")
-    keys = out.keys
-    ranks = out.payload[SRC_RANK].astype(np.int64)
-    pos = out.payload[SRC_POS].astype(np.int64)
+    keys = outs.keys
+    ranks = outs.ranks.astype(np.int64)
+    pos = outs.pos.astype(np.int64)
     same = keys[1:] == keys[:-1]
     tag = ranks * (pos.max() + 1 if pos.size else 1) + pos
     bad = same & (tag[1:] <= tag[:-1])
@@ -99,6 +213,7 @@ def check_sorted(inputs: Sequence[RecordBatch], outputs: Sequence[RecordBatch],
     """Run all applicable validators; raise :class:`ValidationError` on failure."""
     check_locally_sorted(outputs)
     check_globally_ordered(outputs)
-    check_multiset(inputs, outputs)
+    outs = _columns(outputs)
+    _check_multiset(_columns(inputs), outs)
     if stable:
-        check_stable(outputs)
+        _check_stable(outs)

@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ..kernels import same_key_groups
+from ..kernels import same_key_groups, sequential_argsort
 
 #: Reserved payload column names used by the stability validator.
 SRC_RANK = "_src_rank"
@@ -125,14 +125,18 @@ class RecordBatch:
     # ------------------------------------------------------------------
     # structural operations
     # ------------------------------------------------------------------
-    def take(self, indices: np.ndarray) -> "RecordBatch":
+    def take(self, indices: np.ndarray, *,
+             keys: np.ndarray | None = None) -> "RecordBatch":
         """Select records by index (also used to apply sort permutations).
 
-        A selection as long as the batch (a permutation) occupies the
-        same storage, so a size already computed is carried over.
+        A sort kernel that already gathered the key column hands it in
+        as ``keys`` (it must equal ``self.keys[indices]``) and only the
+        payload is gathered here.  A selection as long as the batch (a
+        permutation) occupies the same storage, so a size already
+        computed is carried over.
         """
         out = RecordBatch._unsafe(
-            self.keys[indices],
+            self.keys[indices] if keys is None else keys,
             {k: v[indices] for k, v in self.payload.items()},
         )
         nbytes = self.__dict__.get("_nbytes")
@@ -175,9 +179,7 @@ class RecordBatch:
 
     def sort(self, *, stable: bool = False) -> "RecordBatch":
         """Return a copy sorted by key, payload reordered alongside."""
-        kind = "stable" if stable else "quicksort"
-        perm = np.argsort(self.keys, kind=kind)
-        return self.take(perm)
+        return self.take(sequential_argsort(self.keys, stable=stable))
 
     def is_sorted(self) -> bool:
         if len(self) <= 1:

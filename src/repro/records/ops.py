@@ -17,7 +17,7 @@ from ..kernels import (
     merge_two_perm,
     natural_merge_sort_perm,
     same_key_groups,
-    sequential_argsort,
+    stable_argsort,
 )
 from .batch import RecordBatch
 
@@ -35,8 +35,8 @@ def kway_merge_batches(batches: Sequence[RecordBatch]) -> RecordBatch:
         return RecordBatch.empty_like(RecordBatch([]))
     if len(batches) == 1:
         return batches[0].copy()
-    _, perm = kway_merge_perm([b.keys for b in batches])
-    return RecordBatch.concat(batches).take(perm)
+    merged, perm = kway_merge_perm([b.keys for b in batches])
+    return RecordBatch.concat(batches).take(perm, keys=merged)
 
 
 def kway_merge_batches_stacked(
@@ -76,10 +76,9 @@ def kway_merge_batches_stacked(
             continue
         keys = np.concatenate([b.keys for b in flat])
         rows = len(members)
-        perm = np.argsort(keys.reshape(rows, total), axis=1, kind="stable")
+        perm, keys = stable_argsort(keys.reshape(rows, total))
         perm += (np.arange(rows, dtype=perm.dtype) * total)[:, None]
-        perm = perm.ravel()
-        keys = keys[perm]
+        perm, keys = perm.ravel(), keys.ravel()
         columns = {name: col[perm] for name, col in columns.items()}
         for row, j in enumerate(members):
             lo = row * total
@@ -90,8 +89,8 @@ def kway_merge_batches_stacked(
 
 
 def sort_batch(batch: RecordBatch, *, stable: bool = False) -> RecordBatch:
-    """Sort a batch by key (unstable introsort or stable timsort)."""
-    return batch.take(sequential_argsort(batch.keys, stable=stable))
+    """Sort a batch by key (``std::sort`` / ``std::stable_sort``)."""
+    return batch.sort(stable=stable)
 
 
 def adaptive_sort_batch(batch: RecordBatch) -> RecordBatch:

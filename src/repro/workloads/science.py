@@ -58,9 +58,10 @@ def _powerlaw_cluster_sizes(n: int, delta: float, rng: np.random.Generator,
 
     Friends-of-friends cluster mass functions are steep power laws; we
     draw Pareto-distributed sizes, then rescale the largest cluster to
-    hit the paper's replication ratio exactly.
+    hit the paper's replication ratio exactly.  An empty shard has one
+    cluster of size zero.
     """
-    largest = max(1, int(round(delta * n)))
+    largest = min(n, max(1, int(round(delta * n))))
     sizes = [largest]
     remaining = n - largest
     while remaining > 0:

@@ -1,8 +1,20 @@
 """Sequential sort wrappers (the std::sort / std::stable_sort stand-ins)."""
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.kernels import chunk_sort, sequential_argsort, sequential_sort
+from repro.core.pipeline import local_delta
+from repro.kernels import (
+    batched_argsort_rows,
+    batched_local_delta,
+    chunk_sort,
+    sequential_argsort,
+    sequential_sort,
+    sorts,
+    stable_argsort,
+)
 
 
 class TestSequentialSort:
@@ -53,3 +65,234 @@ class TestChunkSort:
         chunks = chunk_sort(np.array([]), 4)
         assert len(chunks) == 4
         assert all(len(c) == 0 for c in chunks)
+
+
+# ---------------------------------------------------------------------------
+# stable_argsort: the packed-key route against its definition
+# ---------------------------------------------------------------------------
+
+def _oracle(keys):
+    perm = np.argsort(keys, axis=-1, kind="stable")
+    return perm, np.take_along_axis(keys, perm, axis=-1)
+
+
+def _bits(a):
+    """Bit patterns: tells -0.0 from +0.0 and one NaN from another."""
+    return a.view(f"u{a.dtype.itemsize}") if a.dtype.kind == "f" else a
+
+
+def _assert_is_stable_argsort(keys, *, repairs=None):
+    """``stable_argsort(keys)`` equals the numpy definition, bit for bit;
+    ``repairs`` pins how many rows the repair branch finished."""
+    seen = []
+    real = sorts._repair_rows
+
+    def spy(perm, out):
+        seen.append(real(perm, out))
+        return seen[-1]
+
+    before = keys.copy()
+    sorts._repair_rows = spy
+    try:
+        perm, out = stable_argsort(keys)
+    finally:
+        sorts._repair_rows = real
+    want_perm, want_out = _oracle(keys)
+    assert np.array_equal(_bits(keys), _bits(before))      # input untouched
+    assert perm.shape == keys.shape and perm.dtype == want_perm.dtype
+    assert np.array_equal(perm, want_perm)
+    assert out.dtype == keys.dtype
+    assert np.array_equal(_bits(out), _bits(want_out))
+    assert np.array_equal(_bits(out),
+                          _bits(np.take_along_axis(keys, perm, axis=-1)))
+    if repairs is not None:
+        assert sum(seen) == repairs
+    return sum(seen)
+
+
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308, 1.0, -1.0,
+                     np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)])
+
+#: 1.0 and its next seven neighbours: equal in every bit a packed word
+#: keeps, different below.
+NEAR_ONE = (np.float64(1.0).view(np.uint64)
+            + np.arange(8, dtype=np.uint64)).view(np.float64)
+
+#: Sizes around the packed-path floor and around a power of two (the
+#: index field grows by one bit at 2**k + 1).
+SIZES = (0, 1, 2, 2047, 2048, 2049, 2 ** 17 + 1)
+
+
+def _key_family(name, rng, n):
+    if name == "uniform":
+        return rng.random(n)
+    if name == "signed":
+        return rng.standard_normal(n) * 1e3
+    if name == "all-equal":
+        return np.full(n, 0.25)
+    if name == "ptf":                    # point mass + continuous tail
+        a = rng.beta(2.0, 5.0, n)
+        a[rng.random(n) < 0.28] = 0.0
+        return a
+    if name == "zipf":                   # few values, heavy head
+        return np.minimum(rng.zipf(1.3, n), 50).astype(np.float64)
+    if name == "specials":               # +-0.0, +-inf, subnormals mixed
+        return SPECIALS[rng.integers(0, SPECIALS.size, n)]
+    if name == "runs":                   # what a k-way merge is handed
+        a = rng.random(n)
+        bounds = np.linspace(0, n, 9).astype(int)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            a[lo:hi].sort()
+        return a
+    if name == "sorted":
+        return np.sort(rng.random(n))
+    if name == "reversed":
+        return np.sort(rng.random(n))[::-1].copy()
+    raise AssertionError(name)
+
+
+FAMILIES = ("uniform", "signed", "all-equal", "ptf", "zipf", "specials",
+            "runs", "sorted", "reversed")
+
+
+def _expected_repairs(family):
+    # subnormals and the neighbours of 1.0 differ only in dropped bits.
+    # The seeded draws of the other families hold no such pair (a 100k
+    # uniform row has one about once in 80 draws), so a repair there
+    # means the packed order itself came out wrong.
+    return None if family == "specials" else 0
+
+
+class TestStableArgsort:
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_one_dimensional(self, family, n):
+        rng = np.random.default_rng(n + len(family))
+        _assert_is_stable_argsort(_key_family(family, rng, n),
+                                  repairs=_expected_repairs(family))
+
+    @pytest.mark.parametrize("shape", [(0, 5), (3, 0), (1, 4096), (7, 300),
+                                       (4096, 1), (2048, 2), (64, 64),
+                                       (3, 2 ** 13 + 1)])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_row_stack(self, family, shape):
+        rng = np.random.default_rng(shape[0] * 31 + shape[1])
+        keys = _key_family(family, rng, shape[0] * shape[1]).reshape(shape)
+        _assert_is_stable_argsort(keys, repairs=_expected_repairs(family))
+
+    def test_rows_match_one_dimensional_calls(self, rng):
+        # thread (one row at a time) and flat (the stack) share one result
+        rows = _key_family("ptf", rng, 5 * 3000).reshape(5, 3000)
+        perm, out = stable_argsort(rows)
+        for r in range(5):
+            p1, o1 = stable_argsort(rows[r])
+            assert np.array_equal(perm[r], p1)
+            assert np.array_equal(out[r], o1)
+
+    @pytest.mark.parametrize("n", [2048, 2049, 2 ** 17 + 1])
+    def test_keys_differing_below_the_dropped_bits_are_repaired(self, n):
+        # only the low 10 mantissa bits vary: every key shares the bits
+        # the packed word keeps, so the packed sort returns index order
+        rng = np.random.default_rng(n)
+        low = rng.integers(0, 1 << 10, n).astype(np.uint64)
+        keys = (np.float64(1.0).view(np.uint64) + low).view(np.float64)
+        assert _assert_is_stable_argsort(keys) == 1
+        assert _assert_is_stable_argsort(-keys) == 1
+
+    def test_only_colliding_rows_are_repaired(self, rng):
+        n = 4096
+        rows = rng.random((6, n))
+        low = rng.integers(0, 1 << 8, n).astype(np.uint64)
+        for r in (1, 4):
+            rows[r] = (np.float64(3.0).view(np.uint64) + low).view(np.float64)
+        _assert_is_stable_argsort(rows, repairs=2)
+
+    def test_collision_among_duplicates_keeps_ties_in_input_order(self):
+        # two values one ulp apart, each repeated: the repair must order
+        # the values and leave every tie in ascending input position
+        n = 5000
+        rng = np.random.default_rng(5)
+        keys = np.where(rng.random(n) < 0.5, 1.0, np.nextafter(1.0, 2.0))
+        _assert_is_stable_argsort(keys, repairs=1)
+
+    @pytest.mark.parametrize("n", [5, 2048, 70000])
+    def test_nan_falls_back(self, n):
+        rng = np.random.default_rng(n)
+        keys = _key_family("signed", rng, n)
+        keys[rng.integers(0, n, max(1, n // 7))] = np.nan
+        keys[0] = -np.nan                       # a NaN with the sign bit set
+        keys[1:3] = [-0.0, 0.0]
+        _assert_is_stable_argsort(keys, repairs=0)
+        if n >= 2048:
+            _assert_is_stable_argsort(keys.reshape(2, -1), repairs=0)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.uint64,
+                                       np.float32, ">f8"])
+    @pytest.mark.parametrize("n", [0, 7, 4099])
+    def test_other_dtypes_fall_back(self, dtype, n):
+        rng = np.random.default_rng(n)
+        keys = rng.integers(0, 40, n).astype(dtype)
+        _assert_is_stable_argsort(keys, repairs=0)
+        _assert_is_stable_argsort(keys.reshape(1, n), repairs=0)
+
+    def test_non_contiguous_and_read_only_input(self, rng):
+        base = rng.integers(0, 100, (3000, 6)).astype(np.float64)
+        _assert_is_stable_argsort(base.T)                 # F-ordered rows
+        _assert_is_stable_argsort(base[:, 2])             # strided 1-D
+        frozen = base[:, 0].copy()
+        frozen.setflags(write=False)
+        _assert_is_stable_argsort(frozen)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_property_equals_numpy_stable(self, data):
+        # a lowered floor so hypothesis-sized arrays reach the packed
+        # path; values drawn to collide in high bits, low bits, or both
+        n = data.draw(st.integers(0, 300), label="n")
+        g = data.draw(st.sampled_from([None, 1, 2, 5]), label="rows")
+        pool = data.draw(st.lists(
+            st.one_of(st.floats(allow_nan=False, width=64),
+                      st.sampled_from(SPECIALS.tolist()),
+                      st.sampled_from(NEAR_ONE.tolist())),
+            min_size=1, max_size=12), label="pool")
+        size = n * (g or 1)
+        idx = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                 min_size=size, max_size=size), label="idx")
+        keys = np.array(pool, dtype=np.float64)[np.array(idx, dtype=int)]
+        keys = keys if g is None else keys.reshape(g, n)
+        floor = sorts._PACKED_MIN_KEYS
+        sorts._PACKED_MIN_KEYS = 1
+        try:
+            _assert_is_stable_argsort(keys)
+        finally:
+            sorts._PACKED_MIN_KEYS = floor
+
+    def test_every_wrapper_is_the_kernel(self, rng):
+        keys = _key_family("ptf", rng, 6000)
+        assert np.array_equal(sequential_argsort(keys, stable=True),
+                              _oracle(keys)[0])
+        assert np.array_equal(
+            batched_argsort_rows(keys.reshape(3, 2000), stable=True),
+            _oracle(keys.reshape(3, 2000))[0])
+        assert np.array_equal(
+            _bits(sequential_sort(keys, stable=True)),
+            _bits(np.sort(keys, kind="stable")))
+
+
+class TestBatchedLocalDelta:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(0, 40), st.integers(1, 5),
+           st.integers(0, 2 ** 31))
+    def test_equals_per_row_local_delta(self, g, n, values, seed):
+        rng = np.random.default_rng(seed)
+        rows = np.sort(rng.integers(0, values, (g, n)).astype(np.float64),
+                       axis=1)
+        got = batched_local_delta(rows)
+        assert got.dtype == np.float64 and got.shape == (g,)
+        assert got.tolist() == [local_delta(row) for row in rows]
+
+    def test_rows_of_one_run_and_of_all_distinct(self):
+        rows = np.array([[2.0] * 5, [1.0, 2.0, 3.0, 4.0, 5.0],
+                         [1.0, 1.0, 1.0, 2.0, 2.0]])
+        assert batched_local_delta(rows).tolist() == [1.0, 0.2, 0.6]

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.metrics import (
     KeyProfile,
@@ -12,6 +14,7 @@ from repro.metrics import (
     check_globally_ordered,
     check_locally_sorted,
     check_multiset,
+    check_sorted,
     check_stable,
     paper_scale_bytes,
     rdfa,
@@ -19,7 +22,7 @@ from repro.metrics import (
     tb_per_min,
     workload_bound_factor,
 )
-from repro.records import RecordBatch, tag_provenance
+from repro.records import SRC_POS, SRC_RANK, RecordBatch, tag_provenance
 
 
 class TestRdfa:
@@ -141,3 +144,176 @@ class TestValidators:
         check_stable([a, b])       # rank 0 then rank 1: fine
         with pytest.raises(ValidationError):
             check_stable([b, a])   # rank order inverted
+
+
+def _columnwise_multiset(inputs, outputs):
+    """Property 3 as its definition states it (the validator up to PR 16):
+    each column compared as a sorted multiset.  ``True`` = accepted."""
+    in_all, out_all = RecordBatch.concat(inputs), RecordBatch.concat(outputs)
+    if len(in_all) != len(out_all):
+        return False
+    if not np.array_equal(np.sort(in_all.keys), np.sort(out_all.keys)):
+        return False
+    if SRC_RANK in in_all.payload and SRC_RANK in out_all.payload:
+        for col in (SRC_RANK, SRC_POS):
+            if not np.array_equal(np.sort(in_all.payload[col]),
+                                  np.sort(out_all.payload[col])):
+                return False
+    return True
+
+
+def _world(lengths, *, seed=0, values=6, ranks=None, payload=True):
+    """Tagged inputs (``lengths[i]`` records on rank ``ranks[i]``) and
+    their stable sort, cut into as many outputs as there are inputs."""
+    rng = np.random.default_rng(seed)
+    ranks = range(len(lengths)) if ranks is None else ranks
+    inputs = [tag_provenance(RecordBatch(
+        rng.integers(0, values, n).astype(np.float64),
+        {"v": rng.random(n)} if payload else {}), r)
+        for n, r in zip(lengths, ranks)]
+    whole = RecordBatch.concat(inputs).sort(stable=True)
+    cuts = np.linspace(0, len(whole), len(lengths) + 1).astype(int)
+    return inputs, whole.split(cuts.tolist())
+
+
+def _edit(outputs, r, **columns):
+    """``outputs`` with rank ``r``'s named columns replaced."""
+    b = outputs[r]
+    new = RecordBatch(columns.pop("keys", b.keys), {**b.payload, **columns})
+    return [*outputs[:r], new, *outputs[r + 1:]]
+
+
+class TestProvenanceIndexedMultiset:
+    """Property 3 through the provenance index: same verdicts as the
+    column-wise definition wherever that one rejects, and rejections of
+    its own where records are re-paired behind intact columns."""
+
+    def test_valid_sort_accepted_in_every_input_arrangement(self):
+        for lengths in ([5, 0, 9, 3], [0, 0], [1], [4, 4, 4]):
+            inputs, outputs = _world(lengths, seed=len(lengths))
+            strip = [RecordBatch(b.keys, {"v": b.payload["v"]})
+                     for b in inputs]
+            for ins in (inputs,                       # canonical: index form
+                        inputs[::-1],                 # ranks descending
+                        [RecordBatch.concat(inputs)],  # ranks in one batch
+                        strip):                       # no provenance
+                assert _columnwise_multiset(ins, outputs)
+                check_multiset(ins, outputs)
+            check_sorted(inputs, outputs, stable=True)
+
+    def test_same_verdict_as_definition_on_corrupted_columns(self):
+        inputs, outputs = _world([6, 7, 5], seed=3)
+        b = outputs[1]
+        pos, ranks = b.payload[SRC_POS].copy(), b.payload[SRC_RANK].copy()
+        pos[2], ranks[3] = pos[2] + 50, (ranks[3] + 1) % 3
+        corrupted = [
+            _edit(outputs, 1, keys=np.where(np.arange(len(b)) == 2,
+                                            b.keys + 0.5, b.keys)),
+            _edit(outputs, 1, **{SRC_POS: pos}),
+            _edit(outputs, 1, **{SRC_RANK: ranks}),
+            [outputs[0], outputs[1].take(np.arange(len(b)) // 2 * 2),
+             outputs[2]],                              # rows duplicated
+            [outputs[0], outputs[1].slice(0, 3), outputs[2]],   # rows lost
+        ]
+        for bad in corrupted:
+            for ins in (inputs, inputs[::-1]):         # index form, definition
+                assert not _columnwise_multiset(ins, bad)
+                with pytest.raises(ValidationError):
+                    check_multiset(ins, bad)
+
+    def test_rejects_positions_traded_across_ranks(self):
+        # two records of different ranks swap ``_src_pos``: every column
+        # keeps its multiset, but (rank 0, pos 0) and (rank 1, pos 2) are
+        # now each named twice and (0, 2), (1, 0) by nobody
+        inputs = [tag_provenance(RecordBatch(np.array([1.0, 4.0, 2.0])), 0),
+                  tag_provenance(RecordBatch(np.array([3.0, 5.0, 6.0])), 1)]
+        whole = RecordBatch.concat(inputs).sort(stable=True)
+        pos = whole.payload[SRC_POS].copy()
+        i, j = 1, 2             # key 2.0 = (rank 0, pos 2), 3.0 = (rank 1, pos 0)
+        pos[i], pos[j] = pos[j], pos[i]
+        bad = [RecordBatch(whole.keys, {**whole.payload, SRC_POS: pos})]
+        assert _columnwise_multiset(inputs, bad)
+        with pytest.raises(ValidationError, match="appears twice"):
+            check_sorted(inputs, bad)
+
+    def test_rejects_a_key_overwritten_with_another_records_value(self):
+        # (rank 0, pos 1) and (rank 1, pos 0) exchange keys and keep
+        # their tags: sorted keys, ranks and positions are all unchanged
+        inputs = [tag_provenance(RecordBatch(np.array([1.0, 2.0])), 0),
+                  tag_provenance(RecordBatch(np.array([3.0, 4.0])), 1)]
+        bad = [RecordBatch(np.array([1.0, 2.0, 3.0, 4.0]), {
+            SRC_RANK: np.array([0, 1, 0, 1], dtype=np.int32),
+            SRC_POS: np.array([0, 0, 1, 1])})]
+        assert _columnwise_multiset(inputs, bad)
+        with pytest.raises(ValidationError, match="key"):
+            check_multiset(inputs, bad)
+        # the untagged definition cannot see it, by construction
+        check_multiset([RecordBatch(b.keys) for b in inputs],
+                       [RecordBatch(b.keys) for b in bad])
+
+    def test_rejects_tags_out_of_range(self):
+        inputs, outputs = _world([4, 4], seed=1)
+        b = outputs[0]
+        for col, value in ((SRC_RANK, 2), (SRC_RANK, -1), (SRC_POS, 4),
+                           (SRC_POS, -1)):
+            column = b.payload[col].copy()
+            column[1] = value
+            with pytest.raises(ValidationError, match="provenance"):
+                check_multiset(inputs, _edit(outputs, 0, **{col: column}))
+
+    def test_crashed_ranks_leave_gaps_in_the_rank_range(self):
+        # degraded completion: ranks 1 and 4 crashed, their inputs left
+        inputs, outputs = _world([5, 6, 0, 7], seed=2, ranks=[0, 2, 3, 5])
+        check_sorted(inputs, outputs, stable=True)
+        stray = outputs[0].payload[SRC_RANK].copy()
+        stray[0] = 1                                    # a crashed rank
+        with pytest.raises(ValidationError, match="provenance"):
+            check_multiset(inputs, _edit(outputs, 0, **{SRC_RANK: stray}))
+        stray[0] = 3                                    # held nothing
+        with pytest.raises(ValidationError, match="provenance"):
+            check_multiset(inputs, _edit(outputs, 0, **{SRC_RANK: stray}))
+
+    def test_empty_world(self):
+        inputs, outputs = _world([0, 0, 0])
+        check_sorted(inputs, outputs, stable=True)
+        check_sorted([], [])
+
+    def test_promoted_tag_columns_are_judged_by_the_definition(self):
+        # a merge that concatenated with a float empty promotes the tags
+        inputs, outputs = _world([5, 5], seed=4)
+        floats = [RecordBatch(b.keys, {
+            **b.payload, SRC_POS: b.payload[SRC_POS].astype(np.float64)})
+            for b in outputs]
+        check_sorted(inputs, floats, stable=True)
+        floats[0].payload[SRC_POS][0] += 0.5
+        with pytest.raises(ValidationError, match="provenance"):
+            check_multiset(inputs, floats)
+
+    def test_mixed_schemas_are_refused(self):
+        inputs, outputs = _world([3, 3], seed=5)
+        with pytest.raises(ValueError, match="schema"):
+            check_multiset(inputs, [outputs[0], RecordBatch(outputs[1].keys)])
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=5),
+           st.integers(0, 2 ** 31), st.sampled_from(["keys", SRC_RANK,
+                                                     SRC_POS, "none"]),
+           st.data())
+    def test_property_never_weaker_than_the_definition(self, lengths, seed,
+                                                       column, data):
+        inputs, outputs = _world(lengths, seed=seed, values=3, payload=False)
+        total = sum(lengths)
+        if column != "none" and total:
+            whole = RecordBatch.concat(outputs)
+            col = (whole.keys if column == "keys"
+                   else whole.payload[column]).copy()
+            i = data.draw(st.integers(0, total - 1))
+            col[i] = data.draw(st.integers(-1, 6))
+            whole = (RecordBatch(col, whole.payload) if column == "keys" else
+                     RecordBatch(whole.keys, {**whole.payload, column: col}))
+            outputs = [whole]
+        try:
+            check_multiset(inputs, outputs)
+        except ValidationError:
+            return
+        assert _columnwise_multiset(inputs, outputs)

@@ -140,3 +140,16 @@ class TestCosmology:
         """Key + 6 float32 payload: position and velocity."""
         b = cosmology().generate(10, seed=0)
         assert b.record_bytes == 8 + 6 * 4
+
+    def test_empty_shard_keeps_the_schema(self):
+        empty = by_name("cosmology").shard(0, 4, 0, 1)
+        assert len(empty) == 0
+        assert empty.schema == cosmology().shard(5, 4, 0, 1).schema
+
+    @pytest.mark.parametrize("backend", ["thread", "flat"])
+    def test_empty_world_sorts_end_to_end(self, backend):
+        from repro.runner import run_sort
+        for algorithm in ("sds", "sds-stable"):   # psrs refuses empty shards
+            res = run_sort(algorithm, cosmology(), n_per_rank=0, p=4,
+                           backend=backend)       # validate=True
+            assert res.ok and res.loads == [0, 0, 0, 0]

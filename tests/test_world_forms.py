@@ -44,7 +44,7 @@ from repro.records import (
     tag_provenance_world,
 )
 from repro.runner import _SortProgram, run_sort
-from repro.workloads import Workload, by_name, uniform, zipf
+from repro.workloads import Workload, by_name, cosmology, uniform, zipf
 
 #: Host-wall counters: no engine reproduces them.
 WALL_COUNTERS = ("coll.sync_wait", "p2p.wait")
@@ -57,10 +57,10 @@ WORLD_SIZES = (1, 2, 3, 24, 25, 48, 50, 257)
 
 
 class OneEmptyRank(Workload):
-    """Zipf keys (duplicates) with rank 1 holding nothing."""
+    """A duplicate-heavy workload with rank 1 holding nothing."""
 
-    def __init__(self) -> None:
-        super().__init__("one-empty-rank", zipf(alpha=1.1).fn)
+    def __init__(self, base: Workload) -> None:
+        super().__init__("one-empty-rank", base.fn)
 
     def shard(self, n, p, rank, seed=0):
         return super().shard(0 if rank == 1 else n, p, rank, seed)
@@ -140,8 +140,14 @@ def test_whole_form_equals_per_rank_forms(algorithm, p):
 @pytest.mark.parametrize("p", [3, 25, 50])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_forms_agree_with_one_empty_rank(algorithm, p):
-    wl = OneEmptyRank()
-    for nm in (True, False):
+    # zipf keys everywhere; cosmology (an empty shard must keep its six
+    # payload columns) on the one-node-plus-one world
+    cases = [(OneEmptyRank(zipf(alpha=1.1)), nm)
+             for nm in ((True, False) if algorithm.startswith("sds")
+                        else (True,))]
+    if p == 25:
+        cases.append((OneEmptyRank(cosmology()), True))
+    for wl, nm in cases:
         opts = _opts(algorithm, nm)
         whole = _observed(_run(algorithm, wl, 64, p, "flat", opts=opts))
         _assert_same(whole, _observed(_run(
@@ -149,8 +155,6 @@ def test_forms_agree_with_one_empty_rank(algorithm, p):
             f"nm={nm} flat traced")
         _assert_same(whole, _observed(_run(
             algorithm, wl, 64, p, "thread", opts=opts)), f"nm={nm} thread")
-        if not algorithm.startswith("sds"):
-            break
 
 
 @pytest.mark.parametrize("preset", ["straggler", "mixed"])
@@ -173,22 +177,27 @@ def test_leader_oom_fails_the_leader_alone_in_every_form():
     # shards is refused at the leader's merge allocation
     wl, n, p = uniform(), 64, 50
     shard_bytes = n * 20
-    runs = {
-        "whole": _run("sds", wl, n, p, "flat", capacity=4 * shard_bytes),
-        "per-rank": _run("sds", wl, n, p, "flat", capacity=4 * shard_bytes,
-                         trace=True),
-        "thread": _run("sds", wl, n, p, "thread",
-                       capacity=4 * shard_bytes),
-    }
-    whole = _observed(runs["whole"])
+    capacity = 4 * shard_bytes
+    whole = _observed(_run("sds", wl, n, p, "flat", capacity=capacity))
     assert [r for r, *_ in whole["failure"]] == [0, 24]  # full nodes only
     assert all(kind == "SimOOMError" for _, kind, _ in whole["failure"])
-    _assert_same(whole, _observed(runs["per-rank"]), "flat traced")
-    # rank threads race to record: the contract is the failure's kind
-    thread = _observed(runs["thread"])
-    assert {kind for _, kind, _ in thread["failure"]} == {"SimOOMError"}
-    assert {r for r, *_ in thread["failure"]} <= {0, 24}
-    assert thread["mem_peaks"] == whole["mem_peaks"]
+    _assert_same(whole, _observed(_run(
+        "sds", wl, n, p, "flat", capacity=capacity, trace=True)),
+        "flat traced")
+    # rank threads race: the first OOM aborts the world, so a rank (the
+    # other full-node leader, or rank 48 leading the 2-rank node) may be
+    # stopped before an allocation every flat form reaches.  The
+    # contract is the failure's kind, the flat peak on the ranks that
+    # recorded one, and never more than the flat peak elsewhere.
+    for _ in range(5):
+        thread = _observed(_run("sds", wl, n, p, "thread",
+                                capacity=capacity))
+        assert {kind for _, kind, _ in thread["failure"]} == {"SimOOMError"}
+        failed = {r for r, *_ in thread["failure"]}
+        assert failed and failed <= {0, 24}
+        for r, (got, want) in enumerate(zip(thread["mem_peaks"],
+                                            whole["mem_peaks"])):
+            assert got == want if r in failed else got <= want, r
 
 
 def test_run_sort_result_is_form_independent():
@@ -364,7 +373,7 @@ def _registered_workloads():
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(1, 40), st.integers(1, 9), st.integers(0, 2**31 - 1),
+@given(st.integers(0, 40), st.integers(1, 9), st.integers(0, 2**31 - 1),
        st.data())
 def test_shards_equals_shard_per_rank(n, p, seed, data):
     ranks = data.draw(st.lists(st.integers(0, p - 1), max_size=p))
