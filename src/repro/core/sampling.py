@@ -249,15 +249,23 @@ def select_pivots_oversample(comm: Comm, sorted_keys: np.ndarray, *,
         LANE, [comm], [sorted_keys], oversample=oversample, seed=seed)[0]
 
 
+def _assemble_pivots(chunks: list) -> np.ndarray:
+    """The pivot vector from every block's ``(position, value)`` pairs."""
+    pairs = sorted(pair for chunk in chunks for pair in chunk)
+    return np.asarray([v for _, v in pairs])
+
+
 def select_pivots_bitonic_world(world: World, comms: list[Comm],
                                 pls: list) -> list:
     """SdssSelectPivots: sort samples with parallel bitonic, pick stride p.
 
     After the bitonic sort, rank ``r`` holds global sample positions
     ``[r*(p-1), (r+1)*(p-1))``; each rank contributes the pivot
-    positions that landed in its block and an allgather assembles the
-    full pivot vector (the assembly is identical on every rank, so it
-    runs once and the shared pivot vector is handed to each live rank).
+    positions ``j*p - 1`` that landed in its block (``j`` from
+    ``ceil((lo+1)/p)`` to ``floor(hi/p)``: at most one per rank, found
+    without a pass over all ``p-1``) and one allgather-accounted staged
+    collective assembles the full pivot vector once per communicator
+    and hands it to every rank by reference.
     This selector really distributes the ``p*(p-1)`` samples, so
     :class:`SampleRuns` inputs are expanded here.  Falls back to
     :func:`select_pivots_gather_world` when the communicator is not a
@@ -271,23 +279,19 @@ def select_pivots_bitonic_world(world: World, comms: list[Comm],
         return [pl[:0] for pl in pls]
     blocks = bitonic_sort_world(world, comms, pls)
     m = p - 1  # block length
-    positions = _pivot_positions(p)
     mines: list = [None] * len(comms)
     for i, c in enumerate(comms):
         if blocks[i] is None:
             continue
         lo, hi = c.rank * m, (c.rank + 1) * m
-        mines[i] = [(int(pos), blocks[i][pos - lo])
-                    for pos in positions if lo <= pos < hi]
-    contributions = world.allgather(comms, mines)
-    pg = None
+        mines[i] = [(j * p - 1, blocks[i][j * p - 1 - lo])
+                    for j in range(-(-(lo + 1) // p), hi // p + 1)]
+    pgs = world.allgather_staged(comms, mines, _assemble_pivots)
     outs: list = [None] * len(comms)
     for i, c in enumerate(comms):
         if not world.alive(c):
             continue
-        if pg is None:
-            pairs = sorted(pair for chunk in contributions[i] for pair in chunk)
-            pg = np.asarray([v for _, v in pairs])
+        pg = pgs[i]
         if pg.size != p - 1:
             world.fail(c, AssertionError(
                 f"expected {p - 1} global pivots, got {pg.size}"))

@@ -12,6 +12,7 @@ reproduces deterministically in simulation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 class SimOOMError(MemoryError):
@@ -51,6 +52,9 @@ class MemoryTracker:
         unit tests of other components).
     rank:
         Rank id used in error messages.
+    on_peak:
+        Optional observer called with each new ``peak``, on the
+        allocating thread (the thread engine places rank threads by it).
     """
 
     capacity: int | None = None
@@ -60,6 +64,8 @@ class MemoryTracker:
     total_allocated: int = 0
     n_allocs: int = 0
     _failed: bool = field(default=False, repr=False)
+    on_peak: Callable[[int], None] | None = field(
+        default=None, repr=False, compare=False)
 
     def alloc(self, nbytes: int) -> int:
         """Record an allocation of ``nbytes``; raise :class:`SimOOMError` on overflow.
@@ -76,6 +82,8 @@ class MemoryTracker:
         self.n_allocs += 1
         if self.in_use > self.peak:
             self.peak = self.in_use
+            if self.on_peak is not None:
+                self.on_peak(self.peak)
         return nbytes
 
     def free(self, nbytes: int) -> None:

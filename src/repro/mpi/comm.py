@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import Counter
 from contextlib import contextmanager
 from typing import Any, Callable, Sequence
 
@@ -326,16 +327,19 @@ class Comm:
     def ranks_per_node(self) -> int:
         """How many members of *this* communicator share my node.
 
-        The group is immutable, so the O(group) scan runs once per
-        ``Comm`` handle and is cached (it sits on the per-collective
-        cost path).
+        The group is immutable, so its ranks are counted per node once
+        per communicator — by whichever handle asks first; a concurrent
+        second count stores the same table — and each handle caches its
+        own entry (it sits on the per-collective cost path).
         """
         rpn = self._rpn
         if rpn is None:
-            mine = self._world.node_of(self.grank)
+            ctx = self._ctx
             node_of = self._world.node_of
-            rpn = sum(1 for g in self._ctx.group if node_of(g) == mine)
-            self._rpn = rpn
+            counts = ctx.node_counts
+            if counts is None:
+                counts = ctx.node_counts = Counter(map(node_of, ctx.group))
+            rpn = self._rpn = counts[node_of(self.grank)]
         return rpn
 
     # ------------------------------------------------------------------

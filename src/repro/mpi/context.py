@@ -53,10 +53,6 @@ from .errors import SimAbort
 #: one spurious wakeup every few seconds while blocked.
 _SAFETY_TIMEOUT = 5.0
 
-#: Retained for backwards compatibility with older callers/tests that
-#: imported the poll interval; the engine itself no longer polls.
-_POLL = 0.05
-
 
 class AbortFlag:
     """World-wide failure flag checked by every blocking primitive.
@@ -206,6 +202,9 @@ class CommContext:
         #: reference to the old list need no release barrier before the
         #: next collective reuses the attribute.
         self.stage: list[Any] = [None] * self.size
+        #: ``{node: member count}``, filled by the first
+        #: :attr:`repro.mpi.comm.Comm.ranks_per_node` query.
+        self.node_counts: dict[int, int] | None = None
 
     def sync(self, action: Callable[[], Any] | None = None) -> Any:
         """Abortable barrier; ``action`` runs once, by the last arriver.

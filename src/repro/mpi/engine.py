@@ -8,6 +8,10 @@ phase breakdowns and memory statistics.
 Rank threads come from a persistent :class:`SpmdPool` (grown on demand,
 reused across ``run_spmd`` invocations), so benchmark sweeps that launch
 hundreds of worlds pay thread start-up once instead of per data point.
+A pool's rank threads share one CPU of the process's allowed set while
+their ranks are shallow (see :class:`SpmdPool`): they hand one GIL to
+each other at every collective, and a hand-off across cores costs a
+second wake-up.
 
 Failure semantics: if any rank raises, the world aborts; sibling ranks
 unwind with :class:`SimAbort` at their next blocking call, and the
@@ -19,6 +23,7 @@ benches report the paper's HykSort OOM entries instead of crashing.
 from __future__ import annotations
 
 import atexit
+import os
 import sys
 import threading
 from dataclasses import dataclass, field
@@ -35,8 +40,9 @@ _STACK_BYTES = 512 * 1024
 #: Worlds at least this large run under a coarser GIL switch interval.
 #: CPython's default 5 ms preemption quantum makes a thousand runnable
 #: rank threads thrash: each forced GIL hand-off wakes another thread
-#: for a sliver of bytecode, and the convoy multiplies host CPU by 3-4x
-#: (measured at p=1024: ~25 s vs ~9 s for the same run).  Rank threads
+#: for a sliver of bytecode.  Sharing one CPU (see :class:`SpmdPool`)
+#: shrinks the convoy but does not remove it: p=1024 x 500 takes
+#: 1.6-1.9 s with the coarse interval, 2.3-2.9 s without.  Rank threads
 #: block voluntarily at every collective, so coarse preemption costs
 #: nothing in responsiveness.
 _COARSE_SWITCH_RANKS = 64
@@ -53,6 +59,47 @@ ENGINE_BACKENDS = ("thread", "flat")
 _switch_lock = threading.Lock()
 _switch_depth = 0
 _switch_saved = 0.0
+
+
+#: Peak live ledger bytes (``comm.mem``) from which a rank is *deep*: its
+#: thread leaves, or stays off, the pool's shared CPU.  Sharing a core
+#: saves ~40 us per rank per collective; running free lets the rank's
+#: numpy sections, which release the GIL, overlap with its siblings'.
+#: On the 2-core development host (p=128 SDS, uniform 20-byte records,
+#: best of 4, five invocations a side) 8 000 records per rank — a
+#: ledger peak of 0.28-0.38 MB — run faster shared (174-316 against
+#: 274-516 ms, ahead in 4 of 5) and 32 000 — 1.2-1.4 MB, the shard
+#: alone 0.64 MB — are about even, free ahead in 4 of 5 (528-1105
+#: against 634-1243 ms).  More cores move the crossover down, so the
+#: mark sits just above the first shape.
+_DEEP_RANK_BYTES = 512 * 1024
+
+
+def _place() -> tuple[int, list[int]] | None:
+    """``(shared cpu, allowed cpus)`` for a new pool; ``None`` = no placement.
+
+    Every pool of a process shares one CPU — they also share one GIL —
+    and ``os.getpid()`` spreads sibling processes (xdist workers,
+    several daemons) over the allowed set.  With one allowed CPU (a
+    pinned process, or a pool created from inside a placed rank thread,
+    which inherits its one-CPU mask) or no affinity API there is nothing
+    to choose.
+    """
+    try:
+        allowed = sorted(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity API on this platform
+        return None
+    if len(allowed) < 2:
+        return None
+    return allowed[os.getpid() % len(allowed)], allowed
+
+
+def _rank_grew(peak: int) -> None:
+    """``MemoryTracker.on_peak`` of a thread world's ranks: tells the
+    rank's thread (the allocating one) which side of the mark it is on."""
+    me = threading.current_thread()
+    if isinstance(me, _Worker):
+        me.sized(peak >= _DEEP_RANK_BYTES)
 
 
 def _coarse_enter() -> None:
@@ -98,11 +145,16 @@ class _Worker(threading.Thread):
     Idles on a condition variable between runs (zero CPU); a submitted
     task is ``(fn, rank, latch)`` and the worker always counts the
     latch down, even if the rank program escapes the engine's own
-    exception handling.
+    exception handling.  ``place`` is the pool's :func:`_place`; the
+    worker moves itself between the shared CPU and the allowed set as
+    :class:`SpmdPool` describes.
     """
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, place: tuple[int, list[int]] | None):
         super().__init__(name=f"spmd-worker-{index}", daemon=True)
+        self._place = place
+        self._shared = False  # pinned to the pool's shared CPU
+        self._sized = False  # the current rank's ledger has spoken
         self._cond = threading.Condition()
         self._task: tuple[Callable[[int], None], int, _Latch] | None = None
         self._halt = False
@@ -116,6 +168,23 @@ class _Worker(threading.Thread):
         with self._cond:
             self._halt = True
             self._cond.notify()
+
+    def _move(self, shared: bool) -> None:
+        cpu, allowed = self._place
+        try:
+            # pid 0 = the calling *thread* on Linux: the rest of the
+            # process keeps its mask
+            os.sched_setaffinity(0, {cpu} if shared else allowed)
+            self._shared = shared
+        except (AttributeError, OSError):
+            # placement is an optimisation: stay where we are from now on
+            self._place, self._shared = None, False
+
+    def sized(self, deep: bool) -> None:
+        """The ledger of the rank this thread is running has a new peak."""
+        self._sized = True
+        if self._shared == deep and self._place is not None:
+            self._move(not deep)
 
     def run(self) -> None:
         while True:
@@ -131,6 +200,9 @@ class _Worker(threading.Thread):
             except BaseException:  # noqa: BLE001 - runner() already records
                 pass  # never let a stray exception kill the pool thread
             finally:
+                if not self._sized:  # booked nothing: taken for shallow
+                    self.sized(False)
+                self._sized = False
                 latch.count_down()
 
 
@@ -145,6 +217,33 @@ class SpmdPool:
     corrupt each other; nested ``run_spmd`` calls from inside a rank
     program must pass their own pool (or rely on the p==1 inline path).
 
+    **Placement.**  Rank threads pass one GIL around at every staged
+    collective.  Left free, the kernel spreads them over every allowed
+    core, each barrier wake-up lands on a core that finds the GIL still
+    held, sleeps again and is woken a second time: 42-61 us per rank per
+    barrier against 9-19 us sharing a core (2-core host, p=32..256).
+    What free rank threads gain is that numpy's GIL-free sections
+    overlap, and those only matter on big arrays.  So the pool picks
+    one CPU when it is created (:func:`_place`) and each rank's memory
+    ledger (``comm.mem``) says where its thread belongs: a new peak
+    under :data:`_DEEP_RANK_BYTES` — for a sort, booking its shard —
+    and the worker pins *itself* to the shared CPU, a peak at or over
+    it and the worker returns to the whole allowed set; a rank that
+    books nothing is taken for shallow when it ends.  Between runs a
+    worker stays where its last rank left it (a new worker runs free),
+    so ``sched_setaffinity`` is called only when a worker changes
+    sides: a stream of small jobs (the service, the test suite) shares
+    one core, a stream of deep ones runs as if nothing were placed.
+    A rank program that wants the overlap accounts its arrays on the
+    ledger, as every algorithm here does.  Only the rank threads are
+    placed; the thread that calls :meth:`run` never has its affinity
+    changed, and threads a rank program starts inherit the rank's
+    current mask.  No pin happens, and no ``sched_setaffinity`` call is
+    made, where the process is allowed a single CPU or the platform has
+    no affinity API; a worker whose move is refused (``OSError``) stays
+    where it is.  Placement moves threads, not work: clocks, counters,
+    traces and results cannot see it.
+
     Concurrent borrowers (the sort-as-a-service warm-pool cache hands
     pools to scheduler threads) coordinate through the lease refcount:
     :meth:`lease`/:meth:`release` are thread-safe, ``leases`` tells a
@@ -155,6 +254,7 @@ class SpmdPool:
 
     def __init__(self) -> None:
         self._workers: list[_Worker] = []
+        self._place = _place()
         self._lock = threading.Lock()
         self._lease_lock = threading.Lock()
         self._leases = 0
@@ -198,7 +298,7 @@ class SpmdPool:
         old_stack = threading.stack_size(_STACK_BYTES)
         try:
             while len(self._workers) < p:
-                w = _Worker(len(self._workers))
+                w = _Worker(len(self._workers), self._place)
                 w.start()
                 self._workers.append(w)
         finally:
@@ -326,7 +426,10 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
         :class:`SpmdPool` hosting the rank threads of the thread
         backend (default: the process-wide :func:`default_pool`).  The
         sort-as-a-service scheduler injects warm cached pools here so
-        concurrent jobs never contend on the shared default.
+        concurrent jobs never contend on the shared default.  The
+        pool's rank threads share one CPU while their ranks are shallow
+        (see :class:`SpmdPool`); this call runs on, and leaves alone,
+        the caller's own affinity.
     faults:
         Optional compiled :class:`~repro.faults.plan.FaultPlan` (for
         ``p`` ranks) injected at the Comm hook points.  ``None`` — the
@@ -353,8 +456,10 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
         :class:`RankFailure` whose cause is :class:`RunCancelled`; fired
         mid-run (a service timeout or an explicit cancel), the world
         aborts with the same failure on every backend — rank threads
-        are woken by a watcher, a flat world polls the event at every
-        collective and phase entry.
+        are woken by a watcher that polls the event every 10 ms (so an
+        in-flight cancel is delivered within 10 ms, and a run that
+        completes never waits for the watcher), a flat world polls the
+        event at every collective and phase entry.
     metrics:
         Optional telemetry sink (duck-typed: ``record_world(backend=,
         p=, cancelled=)``) counting worlds launched per executing
@@ -424,16 +529,15 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
     done = threading.Event()
 
     def _cancel_watch() -> None:
-        # Poll-free wait on the cancel event; ``done`` bounds the watch
-        # so a completed run never keeps a thread pinned on an event
-        # that may never fire.
-        while not done.is_set():
-            if cancel.wait(0.01):
-                if not done.is_set():
-                    with failures_lock:
-                        failures.append((0, RunCancelled(
-                            "run cancelled while in flight")))
-                    world.abort.set()
+        # Block on ``done``, which the engine sets itself, and poll the
+        # caller's ``cancel``: completion never waits out a poll tick
+        # (the join below is immediate), a cancel lands within one.
+        while not done.wait(0.01):
+            if cancel.is_set():
+                with failures_lock:
+                    failures.append((0, RunCancelled(
+                        "run cancelled while in flight")))
+                world.abort.set()
                 return
 
     watcher = None
@@ -448,6 +552,8 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
             pool_threads = 0
         else:
             run_pool = default_pool() if pool is None else pool
+            for tracker in world.mem:  # deep ranks run off the shared CPU
+                tracker.on_peak = _rank_grew
             run_pool.run(runner, p)
             pool_threads = run_pool.size
     finally:

@@ -61,8 +61,6 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
 from ..machine import LAPTOP, MachineSpec
 from .comm import (
     Comm,
@@ -78,7 +76,7 @@ from .world import World
 
 __all__ = [
     "FlatAbort", "ColumnarWorld", "Epilogue", "run_spmd_flat",
-    "make_world_comms", "seed_rpn", "phase_all",
+    "make_world_comms", "phase_all",
 ]
 
 
@@ -454,23 +452,14 @@ class ColumnarWorld(World):
             self._finish_all(comms, "split", t)
             slot = {c.grank: i for i, c in enumerate(comms)}
             outs: list[Any] = [None] * len(comms)
-            kids: list[Comm] = []
-            labels: list[int] = []
-            for k, newctx in enumerate(contexts.values()):
-                kids += [Comm(world, newctx, r) for r in range(newctx.size)]
-                labels += [k] * newctx.size
-            for child in kids:
-                outs[slot[child.grank]] = child
-            seed_rpn(kids, labels)
+            for newctx in contexts.values():
+                for r in range(newctx.size):
+                    child = Comm(world, newctx, r)
+                    outs[slot[child.grank]] = child
             return outs
 
         _, outs = self.collective(comms, deposits, compute,
                                   Epilogue(finish, whole), check=check)
-        if not self.whole:  # the whole form seeds the children it builds
-            kids = [child for child in outs if child is not None]
-            order: dict[int, int] = {}
-            seed_rpn(kids, [order.setdefault(id(child._ctx), len(order))
-                            for child in kids])
         return outs
 
     def alltoallv(self, comms: Sequence[Comm], sends: Sequence[Any],
@@ -537,35 +526,9 @@ class ColumnarWorld(World):
 # world construction + engine entry point
 # ----------------------------------------------------------------------
 
-def seed_rpn(comms: Sequence[Comm],
-             labels: Sequence[int] | None = None) -> None:
-    """Vectorised fill of the per-Comm ``ranks_per_node`` cache.
-
-    The lazy O(group) scan in ``Comm.ranks_per_node`` is fine when each
-    rank thread does it once, but turns O(p^2) when the flat driver
-    holds p handles to the world communicator — one count seeds them
-    all instead.  ``comms`` is one communicator's handles, or, with
-    ``labels`` naming each handle's communicator by a small integer,
-    the handles of several (the children of a split).
-    """
-    if not comms:
-        return
-    world = comms[0]._world
-    nodes = np.array([c.grank for c in comms], dtype=np.int64)
-    nodes //= world.machine.cores_per_node
-    if labels is not None:
-        nodes += (int(nodes.max()) + 1) * np.asarray(labels, dtype=np.int64)
-    _, inverse, counts = np.unique(nodes, return_inverse=True,
-                                   return_counts=True)
-    for c, rpn in zip(comms, counts[inverse].tolist()):
-        c._rpn = rpn
-
-
 def make_world_comms(world: SimWorld) -> list[Comm]:
-    """One ``Comm`` handle per world rank, rank order, rpn pre-seeded."""
-    comms = [Comm(world, world.world_ctx, r) for r in range(world.p)]
-    seed_rpn(comms)
-    return comms
+    """One ``Comm`` handle per world rank, rank order."""
+    return [Comm(world, world.world_ctx, r) for r in range(world.p)]
 
 
 def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,

@@ -154,6 +154,27 @@ class TestSplit:
         assert out[1] == (24, None)
         assert out[24] == (24, 2)
 
+    def test_ranks_per_node_equals_the_group_scan(self):
+        """Counted once per communicator, equal to the per-handle scan
+        it replaced — world, strided split, node split, leaders — with a
+        ragged last node (56 = 24 + 24 + 8)."""
+        def scan(c):
+            node_of = c._world.node_of
+            mine = node_of(c.grank)
+            return sum(1 for g in c._ctx.group if node_of(g) == mine)
+
+        def prog(c):
+            local, leaders = c.node_split()
+            out = [(x.ranks_per_node, scan(x))
+                   for x in (c, c.split(c.rank % 3), local)]
+            if leaders is not None:
+                out.append((leaders.ranks_per_node, scan(leaders)))
+            return out
+        out = results(prog, 56, machine=EDISON)
+        assert all(got == want for rank in out for got, want in rank)
+        assert [rank[0][0] for rank in out] == [24] * 48 + [8] * 8
+        assert out[0][3][0] == 1  # one leader per node
+
     def test_collectives_on_subcomm(self):
         def prog(c):
             sub = c.split(c.rank % 2)

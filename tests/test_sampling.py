@@ -17,7 +17,10 @@ from repro.mpi import LANE, ColumnarWorld, run_spmd
 from repro.mpi.comm import SimWorld, payload_nbytes
 from repro.mpi.flatworld import make_world_comms
 
-from .oracles_sampling import select_pivots_gather_dense
+from .oracles_sampling import (
+    select_pivots_bitonic_per_rank,
+    select_pivots_gather_dense,
+)
 
 
 class TestLocalPivots:
@@ -293,3 +296,48 @@ class TestRunLengthSelection:
         for g, w in zip(got.results, want.results):
             assert np.array_equal(g, w)
         assert got.clocks == want.clocks
+
+
+class TestBitonicAssembly:
+    """``select_pivots_bitonic_world`` — block positions found
+    arithmetically, one assembly per world inside an allgather-accounted
+    staged collective — against the per-rank filter and assembly it
+    replaced: pivots, clocks and counters, on both world views."""
+
+    @pytest.mark.parametrize("ints", [False, True])
+    @pytest.mark.parametrize("p", [2, 4, 8, 32, 256])
+    def test_columnar_matches_per_rank_oracle(self, p, ints):
+        shards = _ragged_shards(p, "mixed", ints=ints, seed=p)
+        out = []
+        for select in (select_pivots_bitonic_world,
+                       select_pivots_bitonic_per_rank):
+            world = SimWorld(p, LAPTOP)
+            comms = make_world_comms(world)
+            pgs = select(ColumnarWorld(world), comms,
+                         _samples(shards, p, runs=True))
+            out.append((pgs, list(world.clocks), world.counters))
+        (got, clocks, counters), (want, wclocks, wcounters) = out
+        assert all(g is got[0] for g in got)  # one vector, by reference
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert clocks == wclocks
+        assert counters == wcounters
+
+    @pytest.mark.parametrize("ints", [False, True])
+    @pytest.mark.parametrize("p", [2, 4, 8, 32, 256])
+    def test_lane_matches_per_rank_oracle(self, p, ints):
+        shards = _ragged_shards(p, "mixed", ints=ints, seed=100 + p)
+
+        def prog(select):
+            def rank(comm):
+                pl = _samples([shards[comm.rank]], p, runs=True)
+                return select(LANE, [comm], pl)[0]
+            return rank
+
+        got = run_spmd(prog(select_pivots_bitonic_world), p)
+        want = run_spmd(prog(select_pivots_bitonic_per_rank), p)
+        assert all(g is got.results[0] for g in got.results)
+        for g, w in zip(got.results, want.results):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+        assert got.clocks == want.clocks
+        assert _deterministic(got.counters) == _deterministic(want.counters)
