@@ -4,12 +4,8 @@ from .bitonic import bitonic_sort, bitonic_sort_rounds, is_power_of_two
 from .histosel import histogram_refine, select_pivots_histogram
 from .exchange import (
     ExchangeStats,
-    exchange_overlapped,
     exchange_overlapped_fused,
-    exchange_sync,
     exchange_sync_fused,
-    order_received,
-    split_for_sends,
 )
 from .localsort import SharedSortStats, sdss_local_sort, shared_merge_loads
 from .nodemerge import NodeMergeResult, node_merge
@@ -74,12 +70,8 @@ __all__ = [
     "derive_tau_s",
     "local_delta",
     "ExchangeStats",
-    "exchange_overlapped",
     "exchange_overlapped_fused",
-    "exchange_sync",
     "exchange_sync_fused",
-    "order_received",
-    "split_for_sends",
     "SharedSortStats",
     "sdss_local_sort",
     "shared_merge_loads",

@@ -28,17 +28,17 @@ import numpy as np
 from ..kernels import (
     natural_merge_sort_perm,
     sequential_argsort,
-    stable_argsort,
+    stable_argsort_segments,
 )
-from ..mpi import Comm
-from ..records import (
-    RecordBatch,
-    adaptive_sort_batch,
-    concat_batch_arrays,
-    kway_merge_batches,
-    sort_batch,
-)
+from ..mpi import Comm, World
+from ..records import RecordBatch, concat_batch_arrays
 from .partition import Cuts
+
+#: Most records whose whole-form outputs share one gather per column
+#: (:func:`_world_outputs`).  World-sized columns that outlive the
+#: exchange fragment the heap in front of validation: sds-stable 32 x
+#: 100k peaked at 485 MB, against 467 MB with a gather per destination.
+_OUTPUT_BLOCK_RECORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,45 +51,17 @@ class ExchangeStats:
     chunks: int          # runs entering local ordering
 
 
-def split_for_sends(batch: RecordBatch, displs: np.ndarray) -> list[RecordBatch]:
-    """Cut the sorted local batch at the partition displacements."""
-    return batch.split([int(d) for d in displs])
+def _by_destination(src: np.ndarray, dst: np.ndarray, p: int) -> np.ndarray:
+    """Order of the source-major non-empty cells by (destination, source).
 
-
-def exchange_sync(comm: Comm, sends: Sequence[RecordBatch]) -> list[RecordBatch]:
-    """Synchronous personalised exchange; returns chunks in source order."""
-    return comm.alltoallv(list(sends))
-
-
-def order_received(comm: Comm, chunks: Sequence[RecordBatch], *,
-                   stable: bool, tau_s: int, delta_hint: float = 0.0
-                   ) -> tuple[RecordBatch, ExchangeStats]:
-    """Final local ordering of received runs (Figure 1 lines 17-21)."""
-    p = comm.size
-    m = sum(len(c) for c in chunks)
-    if p < tau_s:
-        out = kway_merge_batches(list(chunks))
-        dt = comm.cost.merge_time(m, max(2, len(chunks)))
-        comm.charge(dt)
-        comm.trace_counter("kernel.merge.records", float(m))
-        comm.trace_counter("kernel.merge.seconds", dt)
-        ordering = "merge"
-    else:
-        concat = RecordBatch.concat(chunks)
-        # functionally: any (stable) sort of the p concatenated runs;
-        # cost: the std::sort-style flat curve of Figure 5c
-        out = adaptive_sort_batch(concat) if stable else sort_batch(concat)
-        dt = comm.cost.final_sort_time(m, len(chunks), stable=stable,
-                                       delta=delta_hint)
-        comm.charge(dt)
-        comm.trace_counter("kernel.sort.records", float(m))
-        comm.trace_counter("kernel.sort.seconds", dt)
-        ordering = "sort"
-    # streaming ordering: consumed chunks are released as the output
-    # fills, so peak memory is input + output rather than 2x input
-    comm.mem.free(sum(c.nbytes for c in chunks))
-    comm.mem.alloc(out.nbytes)
-    return out, ExchangeStats("sync", ordering, m, len(chunks))
+    Defined as the stable argsort on ``dst``.  The pairs are unique, so
+    ranking ``dst * p + src`` with any algorithm, numpy's SIMD sort
+    included, is the same permutation without a timsort merge of ``p``
+    runs; from ``p = 2**31`` the product could overflow int64.
+    """
+    if p < 1 << 31:
+        return np.argsort(dst * p + src)
+    return np.argsort(dst, kind="stable")
 
 
 def sync_exchange_compute(stage: list, *, p: int, merge: bool,
@@ -97,13 +69,11 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
     """Whole-world compute of the fused synchronous exchange.
 
     ``stage`` holds one ``((batch, cuts), clock)`` deposit per rank in
-    group-rank order — exactly what :meth:`Comm.staged` hands the
-    designated-rank action; ``cuts`` is the rank's checked
-    :class:`~repro.core.partition.Cuts`.  Shared by the thread backend
-    (as the staged collective's action) and the flat backend (called
-    directly on a synthesized stage); see :func:`exchange_sync_fused`
-    for the exactness audit.
-
+    group-rank order — what :meth:`Comm.staged` hands the designated-
+    rank action; ``cuts`` is the rank's checked
+    :class:`~repro.core.partition.Cuts`.  The thread backend runs it as
+    the staged collective's action, the flat backend on a synthesized
+    stage; :func:`exchange_sync_fused` holds the exactness audit.
     Cell-sparse (CSR): of the p x p ``(src, dst)`` chunks at most
     ``min(N, p^2)`` are non-empty; the deposits list exactly those, and
     every array here is O(N + p).
@@ -128,7 +98,7 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
     own[src[diag]] = cnt[diag] * widths[src[diag]]
 
     # -- destination-major in source order --
-    by_dst = np.argsort(dst, kind="stable")           # keeps source order
+    by_dst = _by_destination(src, dst, p)
     src, dst = src[by_dst], dst[by_dst]
     first, cnt = first[by_dst], cnt[by_dst]
     cell = np.searchsorted(dst, np.arange(p + 1))     # first cell per dst
@@ -139,26 +109,28 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
     nbytes = np.concatenate(([0], np.cumsum(cnt * widths[src])))
     recv_all = np.diff(nbytes[cell])                  # includes own chunk
 
-    # -- alltoallv accounting (the integers of Comm.size_scan_matrix):
-    #    per-rank totals exclude the rank's chunk to itself --
+    # -- alltoallv accounting (Comm.size_scan_matrix's integers; totals
+    #    exclude the rank's chunk to itself) --
     sent = np.diff(offs) * widths                     # cuts span [0, n]
     send_tot, recv_tot = sent - own, recv_all - own
 
     # -- final local ordering of every destination, once --
     keys_g = all_keys[G]
-    final = np.empty(N, dtype=np.int64)
-    ordered = np.empty_like(keys_g)                   # every dst's sorted keys
-    for r in range(p):
-        lo, hi = int(bounds[r]), int(bounds[r + 1])
-        seg = keys_g[lo:hi]
-        if merge:
-            perm, ordered[lo:hi] = stable_argsort(seg)
-        elif stable:
-            ordered[lo:hi], perm = natural_merge_sort_perm(seg)
-        else:
-            perm = sequential_argsort(seg, stable=False)
-            np.take(seg, perm, out=ordered[lo:hi])
-        final[lo:hi] = G[lo:hi][perm]
+    del all_keys          # eager: the sort's arrays take its place on the heap
+    if merge:
+        final, ordered = stable_argsort_segments(keys_g, bounds, G)
+    else:
+        final = np.empty(N, dtype=np.int64)
+        ordered = np.empty_like(keys_g)               # every dst's sorted keys
+        for r in range(p):
+            lo, hi = int(bounds[r]), int(bounds[r + 1])
+            seg = keys_g[lo:hi]
+            if stable:
+                ordered[lo:hi], perm = natural_merge_sort_perm(seg)
+            else:
+                perm = sequential_argsort(seg, stable=False)
+                np.take(seg, perm, out=ordered[lo:hi])
+            final[lo:hi] = G[lo:hi][perm]
     return {
         "t": start,
         "max_send": int(send_tot.max()), "max_recv": int(recv_tot.max()),
@@ -178,8 +150,7 @@ def _sync_exchange_network(comm: Comm, shared: dict,
     Runs inside the ``exchange`` phase: memory for the received data is
     allocated, the clock advances by the rank's own ``alltoallv_time``
     replay, byte/collective counters land, and the send buffer is
-    released.  Shared by :func:`exchange_sync_fused` and the flat
-    backend's exchange path.
+    released.  What lane, traced and fault-injected worlds run.
     """
     p, me = comm.size, comm.rank
     recv_bytes = int(shared["recv_tot"][me])
@@ -202,6 +173,65 @@ def _sync_exchange_network(comm: Comm, shared: dict,
     comm.mem.free(send_nbytes)                        # send buffer released
 
 
+def _sync_exchange_network_whole(world: World, comms: Sequence[Comm],
+                                 shared: dict, send_nbytes: Sequence[int]) -> list:
+    """:func:`_sync_exchange_network` on a communicator's whole
+    membership (no tracer, no fault plan): one ``alltoallv_time`` per
+    distinct ``ranks_per_node``, clocks and counters written in place.
+    A refused allocation fails its rank where the per-rank form raises —
+    before the clock moves — and nobody else."""
+    sim = comms[0]._world
+    clocks, counters, mem = sim.clocks, sim.counters, sim.mem
+    p, t = len(comms), shared["t"]
+    biggest = max(shared["max_send"], shared["max_recv"])
+    dts: dict[int, float] = {}
+    for c, recv, sent, held in zip(comms, shared["recv_tot"].tolist(),
+                                   shared["send_tot"].tolist(), send_nbytes):
+        g = c.grank
+        try:
+            mem[g].alloc(recv)
+        except BaseException as exc:  # mirrors the engine's catch-all
+            world.fail(c, exc)
+            continue
+        rpn = c.ranks_per_node
+        if rpn not in dts:
+            dts[rpn] = sim.cost.alltoallv_time(
+                p, biggest, ranks_per_node=rpn, total_bytes=shared["total"])
+        clocks[g] = t + dts[rpn]
+        tally = counters[g]
+        for name, value in (("coll.alltoallv", 1.0), ("bytes.recv", recv),
+                            ("bytes.sent", sent)):
+            tally[name] = (tally[name] if name in tally else 0.0) + value
+        mem[g].free(held)                             # send buffer released
+    return [None] * p
+
+
+def _world_outputs(shared: dict) -> list[RecordBatch]:
+    """Every rank's output, as slices of shared gathers.
+
+    Consecutive destinations holding up to :data:`_OUTPUT_BLOCK_RECORDS`
+    records between them have each payload column gathered once through
+    their stretch of ``final``; rank ``r`` gets views of that gather and
+    of ``ordered`` (:meth:`RecordBatch.split`, sizes pre-computed) — the
+    bytes the per-rank epilogues gather.  A longer destination is
+    gathered alone, which *is* the per-rank form.  Runs in the epilogue,
+    once the compute's locals are gone, not on top of them.
+    """
+    final, ordered, sources = shared["final"], shared["ordered"], shared["cols"]
+    bounds = shared["bounds"]
+    edges = bounds.tolist()
+    outs: list[RecordBatch] = []
+    while len(outs) < len(edges) - 1:
+        r, lo = len(outs), edges[len(outs)]
+        stop = max(r + 1, int(np.searchsorted(
+            bounds, lo + _OUTPUT_BLOCK_RECORDS, "right")) - 1)
+        idx = final[lo:edges[stop]]
+        block = RecordBatch._unsafe(ordered[lo:edges[stop]], {
+            name: col[idx] for name, col in sources.items()})
+        outs += block.split([e - lo for e in edges[r:stop + 1]])
+    return outs
+
+
 def _sync_exchange_ordering(comm: Comm, shared: dict, *, merge: bool,
                             stable: bool, delta_hint: float
                             ) -> tuple[RecordBatch, ExchangeStats]:
@@ -209,8 +239,7 @@ def _sync_exchange_ordering(comm: Comm, shared: dict, *, merge: bool,
 
     Runs inside the ``local_ordering`` phase: charges the rank's own
     merge/sort cost, materialises the output slice from the whole-world
-    permutation, and settles memory.  Shared by
-    :func:`exchange_sync_fused` and the flat backend's exchange path.
+    permutation, and settles memory.
     """
     p, me = comm.size, comm.rank
     m = int(shared["m"][me])
@@ -237,29 +266,59 @@ def _sync_exchange_ordering(comm: Comm, shared: dict, *, merge: bool,
     return out, ExchangeStats("sync", ordering, m, p)
 
 
+def _sync_exchange_ordering_whole(world: World, comms: Sequence[Comm],
+                                  shared: dict, *, merge: bool, stable: bool,
+                                  delta_hints: Sequence[float]) -> list:
+    """:func:`_sync_exchange_ordering` on the ranks handed in (no
+    tracer, no fault plan): the cost once per distinct ``(m, delta)``,
+    outputs as slices (:func:`_world_outputs`).  A rank whose output is
+    refused has paid its charge and released its receive buffer, as in
+    the per-rank form, and gets no output."""
+    p, sim = comms[0].size, comms[0]._world
+    cost, mem = sim.cost, sim.mem
+    ranks = [c.rank for c in comms]
+    ms, recv_all = shared["m"].tolist(), shared["recv_all"].tolist()
+    keys = [(ms[r], d) for r, d in zip(ranks, delta_hints)]
+    dts = {(m, d): (cost.merge_time(m, max(2, p)) if merge else
+                    cost.final_sort_time(m, p, stable=stable, delta=d))
+           for m, d in set(keys)}
+    world.charge_compute(comms, [dts[key] for key in keys])
+    ordering = "merge" if merge else "sort"
+    outs: list = [None] * len(comms)
+    batches = _world_outputs(shared)
+    for i, (c, r) in enumerate(zip(comms, ranks)):
+        if world.failures and not world.alive(c):     # its charge was refused
+            continue
+        out = batches[r]
+        tracker = mem[c.grank]
+        try:
+            tracker.free(recv_all[r])
+            tracker.alloc(out.nbytes)
+        except BaseException as exc:  # mirrors the engine's catch-all
+            world.fail(c, exc)
+            continue
+        outs[i] = (out, ExchangeStats("sync", ordering, ms[r], p))
+    return outs
+
+
 def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
                         *, stable: bool, tau_s: int, delta_hint: float = 0.0
                         ) -> tuple[RecordBatch, ExchangeStats]:
     """The synchronous exchange + local ordering, as one staged collective.
 
     Bit-for-bit identical (clocks, phase breakdowns, counters, memory
-    charges, outputs) to splitting ``batch`` at ``displs`` and running
-    :func:`exchange_sync` (``alltoallv``) followed by
-    :func:`order_received`, but none of the seed-era per-rank costs are
-    paid: the p^2 ``RecordBatch`` sub-batches are never materialised,
-    the sizes are derived once from the ``(batch, cuts)`` deposits —
-    each rank's non-empty ``(src, dst)`` cells, nothing p x p —
-    (counts x row bytes, the same integers ``RecordBatch.split``
-    pre-computes), and the final ordering of every destination happens
-    once, inside the designated-rank action.  Each rank then reads back
-    its clock, counters, memory charges and output slice in O(m + p).
+    charges, outputs) to the first-generation path — split ``batch`` at
+    ``displs``, ``Comm.alltoallv``, a per-rank merge or sort; now the
+    oracle in ``tests/oracles_exchange.py`` — without its per-rank
+    costs: no p^2 sub-batches, sizes derived once from the ``(batch,
+    cuts)`` deposits (each rank's non-empty ``(src, dst)`` cells; counts
+    x row bytes, the integers ``RecordBatch.split`` pre-computes), every
+    destination ordered once, inside the designated-rank action.  A rank
+    reads back its clock, counters, memory and output slice in O(m + p).
     ``displs`` is validated here, on this rank, before the deposit
-    (:meth:`Cuts.check`: p buckets spanning ``[0, len(batch)]``,
-    non-decreasing).
-
-    ``stable`` and ``tau_s`` must be SPMD-uniform (they are fields of
-    the communicator-uniform ``SdsParams``); ``delta_hint`` is per-rank
-    and only enters the rank's own local-ordering charge.
+    (:meth:`Cuts.check`).  ``stable`` and ``tau_s`` must be SPMD-uniform
+    (fields of the communicator-uniform ``SdsParams``); ``delta_hint``
+    is per-rank and only enters the rank's own local-ordering charge.
 
     Exactness notes (audited against the per-rank formulation):
 
@@ -269,38 +328,35 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
       building ``S`` or ``D``: gross received bytes per destination are
       segment differences of one running sum over the non-empty cells,
       sent bytes per rank are ``len(batch_r) * row_nbytes[r]`` (a row
-      of counts telescopes to ``D[r, p] - D[r, 0]``, which the entry
-      check pins to the batch length), the diagonal is rank ``r``'s
-      cell with ``dst == r`` (zero when it has none) and is subtracted
-      from both, and the gross total is the sum of the sent bytes.  All
-      of it is int64, where addition is associative and empty cells add
-      zero, so each value equals the matrix reduction exactly; each
-      rank then replays the same scalar ``alltoallv_time`` /
-      ordering-cost calls the unfused path makes, so every IEEE
-      operation sequence is unchanged;
+      of counts telescopes to ``D[r, p] - D[r, 0]``, pinned to the
+      batch length by the entry check), the diagonal is rank ``r``'s
+      cell with ``dst == r`` (zero when it has none), subtracted from
+      both, and the gross total is the sum of the sent bytes — all
+      int64, where addition is associative and empty cells add zero, so
+      each value equals the matrix reduction; the scalar
+      ``alltoallv_time`` / ordering-cost calls are the unfused path's,
+      so every IEEE operation sequence is unchanged;
     * destination ``d``'s input is its chunks concatenated in **source
       order** (the ``alltoallv`` delivery-order guarantee): a rank's
       cuts list its non-empty cells by ascending destination, so the
       deposits concatenated in rank order are the non-empty cells
-      source-major — the list ``nonzero`` of the stacked displacement
-      matrix used to produce — and a *stable* argsort on ``dst`` keeps
-      each destination's sources ascending: the row-major walk of the
-      transposed ``(dst, src)`` layout with the empty cells, which hold
-      no records, left out;
+      source-major, and ordering them by ``(dst, src)``
+      (:func:`_by_destination`) is the row-major walk of the transposed
+      ``(dst, src)`` layout with the empty cells left out;
     * for the ``merge`` branch (``p < tau_s``) the k-way merge of
       sorted source runs with earlier-chunk tie-breaking produces the
-      unique stable permutation, so one ``stable_argsort`` per
-      destination equals ``kway_merge_batches`` (which calls the same
-      kernel), and the sorted keys it returns are the output's key
-      column — each rank reads its slice of one ``ordered`` array;
-    * the ``sort`` branch applies the *same kernels* the unfused path
-      dispatches to (``natural_merge_sort_perm`` when stable,
-      ``sequential_argsort`` otherwise) on value-identical key arrays,
-      so even the unstable introsort permutation is reproduced.
+      unique stable permutation of each destination's input, which is
+      what :func:`~repro.kernels.stable_argsort_segments` returns for
+      all destinations at once (its docstring: why one packed sort of
+      many destinations equals their separate sorts); its sorted keys
+      are the outputs' key column, one ``ordered`` array read in slices;
+    * the ``sort`` branch applies, destination by destination, the
+      *same kernels* the unfused path dispatches to
+      (``natural_merge_sort_perm`` / ``sequential_argsort``) on
+      value-identical keys: the unstable permutation is reproduced too.
 
-    Phase attribution mirrors the driver's unfused structure: the
-    ``alltoallv`` clock advance and the send-buffer release land in
-    ``exchange``, the ordering charge in ``local_ordering``.
+    Phases as in the unfused driver: the ``alltoallv`` advance and the
+    send-buffer release in ``exchange``, the ordering charge after it.
     """
     p = comm.size
     cuts = Cuts.from_displs(displs).check(p, len(batch))
@@ -319,25 +375,20 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
     return out, stats
 
 
-def _counter_leaf_order(p: int) -> list[int]:
-    """Final chunk order of the binary-counter merge over ``p`` arrivals.
+def _counter_spans(p: int) -> list[tuple[int, int]]:
+    """Arrival spans of the binary-counter merge over ``p`` arrivals.
 
-    Level merges concatenate earlier chunks before later ones, and the
-    final fold walks surviving levels from the lowest up, so the output
-    order is: for each set bit of ``p`` from low to high, the contiguous
-    run of arrival indices that bit absorbed (higher bits hold *earlier*
-    arrivals).  For a power of two this is simply ``0..p-1``.
+    One ``[lo, hi)`` span of arrival indices per set bit of ``p``, low
+    bit first (higher bits hold *earlier* arrivals).  The final fold
+    appends the surviving levels from the lowest up, so the spans in
+    this order are the final chunk order — ``0..p-1`` for a power of 2.
     """
-    bits = [b for b in range(p.bit_length()) if (p >> b) & 1]
-    starts: dict[int, int] = {}
-    pos = 0
-    for b in reversed(bits):
-        starts[b] = pos
-        pos += 1 << b
-    order: list[int] = []
-    for b in bits:
-        order.extend(range(starts[b], starts[b] + (1 << b)))
-    return order
+    spans, pos = [], 0
+    for b in reversed(range(p.bit_length())):
+        if (p >> b) & 1:
+            spans.append((pos, pos + (1 << b)))
+            pos += 1 << b
+    return spans[::-1]
 
 
 def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
@@ -349,10 +400,9 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
     group-rank order; ``group`` is the communicator's global-rank tuple,
     ``spec`` the machine, ``rate`` the per-element merge cost and
     ``progress`` the (SPMD-uniform) ``async_progress_overhead(p)``.
-    Shared by the thread backend (as the staged collective's
-    action) and the flat backend; see :func:`exchange_overlapped_fused`
-    for the exactness audit.  The ring arrival schedule is p x p by
-    the cost model's definition, so the cuts are expanded here.
+    Run by both backends; :func:`exchange_overlapped_fused` holds the
+    exactness audit.  The ring arrival schedule is p x p by the cost
+    model's definition, so the cuts are expanded here.
     """
     start = max(e[1] for e in stage)
     batches = [e[0][0] for e in stage]
@@ -399,28 +449,17 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
             if traced:
                 msec += inc
             b += 1
-    leaf = np.asarray(_counter_leaf_order(p), dtype=np.int64)
-    if p & (p - 1):  # non power of two: final fold merges leftovers
-        bits = [b for b in range(p.bit_length()) if (p >> b) & 1]
-        spans: dict[int, tuple[int, int]] = {}
-        pos = 0
-        for b_ in reversed(bits):
-            spans[b_] = (pos, pos + (1 << b_))
-            pos += 1 << b_
-        tot = None
-        for b_ in bits:  # levels ascending, each append merges once
-            lo_, hi_ = spans[b_]
-            seg = CS[:, hi_] - CS[:, lo_]
-            if tot is None:
-                tot = seg
-            else:
-                tot = tot + seg
-                inc = (tot * 1.0) * rate              # merge_time(n, 2)
-                t_cpu += inc
-                if traced:
-                    msec += inc
+    spans = _counter_spans(p)
+    tot = CS[:, spans[0][1]] - CS[:, spans[0][0]]
+    for lo_, hi_ in spans[1:]:  # final fold: each level appended merges once
+        tot = tot + (CS[:, hi_] - CS[:, lo_])
+        inc = (tot * 1.0) * rate                      # merge_time(n, 2)
+        t_cpu += inc
+        if traced:
+            msec += inc
 
     # -- global data materialisation --
+    leaf = np.concatenate([np.arange(lo_, hi_) for lo_, hi_ in spans])
     s_idx = (dst[:, None] + leaf[None, :]) % p        # src per slot
     starts = (offs[s_idx] + D[s_idx, dst[:, None]]).ravel()
     lens = C[s_idx, dst[:, None]].ravel()
@@ -431,21 +470,16 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
     bounds = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(m_per_dst, out=bounds[1:])
     keys_g = all_keys[G]
-    final = np.empty(N, dtype=np.int64)
-    for r in range(p):
-        lo, hi = int(bounds[r]), int(bounds[r + 1])
-        perm, _ = stable_argsort(keys_g[lo:hi])
-        final[lo:hi] = G[lo:hi][perm]
-    diag = np.diagonal(S)
+    del all_keys                                      # heap room for the sort
+    final, ordered = stable_argsort_segments(keys_g, bounds, G)
+    recv_all = S.sum(axis=0)                          # includes own chunk
     return {
-        "t_cpu": t_cpu,
-        "start": start,
-        "msec": msec,
-        "recv_net": S.sum(axis=0) - diag,             # excludes own chunk
-        "recv_all": S.sum(axis=0),                    # includes own chunk
+        "t_cpu": t_cpu, "start": start, "msec": msec,
+        "recv_net": recv_all - np.diagonal(S),        # excludes own chunk
+        "recv_all": recv_all,
         "S": S,                                       # bytes[src, dst]
         "m": m_per_dst,
-        "keys": all_keys, "cols": all_cols,
+        "ordered": ordered, "cols": all_cols,
         "final": final, "bounds": bounds,
     }
 
@@ -456,9 +490,7 @@ def _overlapped_exchange_finish(comm: Comm, shared: dict
 
     Materialises the rank's output slice, advances its clock to the
     replayed merge-completion time (with the traced cost split when a
-    tracer is attached) and settles memory/counters.  Shared by
-    :func:`exchange_overlapped_fused` and the flat backend's exchange
-    path.
+    tracer is attached) and settles memory/counters.
     """
     p, me = comm.size, comm.rank
     recv_bytes = int(shared["recv_net"][me])
@@ -466,7 +498,7 @@ def _overlapped_exchange_finish(comm: Comm, shared: dict
     lo, hi = int(shared["bounds"][me]), int(shared["bounds"][me + 1])
     idx = shared["final"][lo:hi]
     out = RecordBatch._unsafe(
-        shared["keys"][idx],
+        shared["ordered"][lo:hi],
         {name: col[idx] for name, col in shared["cols"].items()})
     m = int(shared["m"][me])
     tr = comm.tracer
@@ -505,19 +537,55 @@ def _overlapped_exchange_finish(comm: Comm, shared: dict
     return out, ExchangeStats("overlap", "overlap-merge", m, p)
 
 
+def _overlapped_exchange_finish_whole(world: World, comms: Sequence[Comm], shared: dict,
+                                      send_nbytes: Sequence[int]) -> list:
+    """:func:`_overlapped_exchange_finish` plus the send-buffer release,
+    on a communicator's whole membership (no tracer, no fault plan),
+    outputs as slices (:func:`_world_outputs`).  Either allocation can
+    be refused: the rank fails there — before its clock moves, or with
+    it moved and the receive buffer released — as its per-rank epilogue
+    would leave it, and the others go on."""
+    sim = comms[0]._world
+    clocks, counters, mem = sim.clocks, sim.counters, sim.mem
+    p = len(comms)
+    outs: list = [None] * p
+    for i, (c, out, recv, recv_all, t_cpu, m) in enumerate(zip(
+            comms, _world_outputs(shared),
+            shared["recv_net"].tolist(), shared["recv_all"].tolist(),
+            shared["t_cpu"].tolist(), shared["m"].tolist())):
+        g = c.grank
+        tracker = mem[g]
+        try:
+            tracker.alloc(recv)
+            if t_cpu > clocks[g]:
+                clocks[g] = t_cpu
+            tracker.free(recv_all)
+            tracker.alloc(out.nbytes)
+        except BaseException as exc:  # mirrors the engine's catch-all
+            world.fail(c, exc)
+            continue
+        tally = counters[g]
+        for name, value in (("coll.alltoallv_async", 1.0),
+                            ("bytes.recv", recv)):
+            tally[name] = (tally[name] if name in tally else 0.0) + value
+        tracker.free(send_nbytes[i])                  # send buffer released
+        outs[i] = (out, ExchangeStats("overlap", "overlap-merge", m, p))
+    return outs
+
+
 def exchange_overlapped_fused(comm: Comm, batch: RecordBatch,
                               displs: np.ndarray
                               ) -> tuple[RecordBatch, ExchangeStats]:
-    """:func:`exchange_overlapped` without materialising p^2 sub-batches.
+    """The overlapped exchange without materialising p^2 sub-batches.
 
     Bit-for-bit identical (clocks, counters, outputs) to splitting
-    ``batch`` at ``displs`` and running ``alltoallv_async`` +
-    ``exchange_overlapped``, but all O(p^2) work — the size matrix, the
-    arrival schedules of every rank, the merge-clock replay, and the
-    final stable ordering of every rank's received data — happens once,
-    vectorised, inside the staged collective's designated-rank action.
-    Each rank then reads back its clock, its output slice, and its
-    memory/counter charges in O(m + p).
+    ``batch`` at ``displs`` and replaying ``alltoallv_async`` arrivals
+    through a per-rank binary-counter merge (the first generation, now
+    the oracle in ``tests/oracles_exchange.py``), but the O(p^2) work —
+    size matrix, every rank's arrival schedule, the merge-clock replay —
+    and the stable ordering of every rank's received data happen once,
+    vectorised, inside the designated-rank action.  A rank reads back
+    its clock, output slice and memory/counter charges in O(m + p).
 
     Exactness notes (audited against the per-rank formulation):
 
@@ -529,8 +597,9 @@ def exchange_overlapped_fused(comm: Comm, batch: RecordBatch,
     * ``merge_time(n, 2)`` is ``(n * 1.0) * rate``, reproduced
       element-wise on exact int64 run lengths;
     * the stable permutation of each rank's chunk concatenation is
-      unique, so one ``stable_argsort`` per destination over the
-      globally gathered key array equals the per-rank merge tree.
+      unique, so one :func:`~repro.kernels.stable_argsort_segments`
+      over the globally gathered key array equals the per-rank merge
+      trees.
     """
     p = comm.size
     cuts = Cuts.from_displs(displs).check(p, len(batch))
@@ -547,78 +616,3 @@ def exchange_overlapped_fused(comm: Comm, batch: RecordBatch,
 
     shared, _ = comm.staged((batch, cuts), compute)
     return _overlapped_exchange_finish(comm, shared)
-
-
-def exchange_overlapped(comm: Comm, sends: Sequence[RecordBatch]
-                        ) -> tuple[RecordBatch, ExchangeStats]:
-    """Nonblocking exchange overlapped with pairwise merging.
-
-    Simulates a single-core event loop: chunks become ready at their
-    modelled arrival times; whenever two chunks are ready and the CPU
-    is idle, they are merged (SdssMergeTwo) and the result re-queued.
-    The rank's clock advances to the completion of the last merge,
-    i.e. ``max(communication, computation)`` plus the tail merge —
-    the overlap benefit Figure 5b measures.
-
-    The merge *schedule* (binary-counter merging: a chunk at "level" L
-    has absorbed 2^L original chunks, equal levels merge immediately —
-    balanced O(m log p) pairwise work that still consumes chunks the
-    moment they arrive) is replayed on chunk **lengths only**, keeping
-    the virtual-clock arithmetic bit-identical to actually performing
-    each pairwise merge.  The data itself is then materialised in one
-    pass: every ``merge_two`` resolves ties in favour of its left
-    (earlier) operand, so the schedule's result equals the chunks
-    concatenated in the merge tree's left-to-right leaf order, stably
-    sorted — which one stable argsort computes without the ``p - 1``
-    per-rank python merge calls the seed engine paid.
-    """
-    arrivals = comm.alltoallv_async(list(sends))
-    t_cpu = comm.clock
-    m = sum(len(b) for _, b, _ in arrivals)
-    # replay: levels hold (records absorbed, leaf order) per counter bit
-    levels: dict[int, tuple[int, list[int]]] = {}
-    for i, (_, chunk, t_arr) in enumerate(arrivals):
-        t_cpu = max(t_cpu, t_arr)
-        cur_len, cur_leaves, lvl = len(chunk), [i], 0
-        while lvl in levels:
-            prev_len, prev_leaves = levels.pop(lvl)
-            cur_len += prev_len
-            cur_leaves = prev_leaves + cur_leaves  # earlier chunks win ties
-            t_cpu += comm.cost.merge_time(cur_len, 2)
-            lvl += 1
-        levels[lvl] = (cur_len, cur_leaves)
-    order: list[int] | None = None
-    out_len = 0
-    for lvl in sorted(levels):
-        lvl_len, lvl_leaves = levels[lvl]
-        if order is None:
-            order, out_len = lvl_leaves, lvl_len
-        else:
-            out_len += lvl_len
-            order = order + lvl_leaves  # accumulated result wins ties
-            t_cpu += comm.cost.merge_time(out_len, 2)
-    if order is None:
-        out = RecordBatch(np.zeros(0))
-    else:
-        cat = RecordBatch.concat([arrivals[i][1] for i in order])
-        perm, out_keys = stable_argsort(cat.keys)
-        out = cat.take(perm, keys=out_keys)
-    tr = comm.tracer
-    if tr is None:
-        comm.set_clock(max(comm.clock, t_cpu))
-    else:
-        # oracle path: the arrival/merge interleave past the async
-        # progress charge (attributed inside alltoallv_async) is one
-        # bandwidth-bucket advance
-        c0 = comm.clock
-        comm.set_clock(max(comm.clock, t_cpu))
-        adv = comm.clock - c0
-        if adv > 0.0:
-            g = comm.grank
-            tr.span(g, "coll", "overlap_merge", c0, comm.clock,
-                    {"records": m})
-            tr.add(g, "cost.bandwidth", adv)
-        comm.trace_counter("kernel.merge.records", float(m))
-    comm.mem.free(sum(b.nbytes for _, b, _ in arrivals))
-    comm.mem.alloc(out.nbytes)
-    return out, ExchangeStats("overlap", "overlap-merge", m, len(arrivals))

@@ -29,6 +29,7 @@ bound is preserved (tested in ``tests/test_workload_bound.py``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -141,6 +142,37 @@ class Cuts:
         d = np.zeros(self.p + 1, dtype=np.int64)
         np.cumsum(counts, out=d[1:])
         return d
+
+
+def cuts_all_valid(cuts: Sequence[Cuts], p: int, lens: Sequence[int]) -> bool:
+    """Whether every rank's cuts pass ``check(p, lens[r])``, judged in
+    one pass over their concatenation.
+
+    The pass also wants what the partitioners give by construction and
+    the exchange relies on: one closing offset per rank, buckets inside
+    ``[0, p)`` and ascending within a rank.  ``False`` is a verdict on
+    no rank — the caller then asks each rank's own :meth:`Cuts.check`,
+    which names the offender.
+    """
+    if any(c is None or c.p != p for c in cuts):       # None: never cut
+        return False
+    sizes = np.array([c.dst.size for c in cuts], dtype=np.int64)
+    dst = np.concatenate([c.dst for c in cuts])
+    offs = np.concatenate([c.offs for c in cuts])
+    if offs.size != dst.size + sizes.size:
+        return False
+    closer = np.cumsum(sizes + 1) - 1                  # per rank, in offs
+    steps = np.diff(offs)
+    steps[closer[:-1]] = 0                             # on to the next rank
+    if (np.any(offs[closer - sizes] != 0) or np.any(offs[closer] != lens)
+            or np.any(steps < 0)):
+        return False
+    if dst.size == 0:
+        return True
+    rises = np.diff(dst) > 0
+    first = np.cumsum(sizes[:-1])                      # later ranks', in dst
+    rises[first[(first > 0) & (first < dst.size)] - 1] = True
+    return bool(dst.min() >= 0 and dst.max() < p and rises.all())
 
 
 def classic_cuts(rows: np.ndarray, pg: np.ndarray) -> list[Cuts]:

@@ -44,7 +44,7 @@ from ..kernels import (
     stable_argsort,
     stable_prefix_layout,
 )
-from ..mpi import LANE, Comm, FlatAbort, World
+from ..mpi import LANE, Comm, Epilogue, FlatAbort, World
 from ..records import (
     RecordBatch,
     kway_merge_batches,
@@ -53,8 +53,11 @@ from ..records import (
 from .exchange import (
     ExchangeStats,
     _overlapped_exchange_finish,
+    _overlapped_exchange_finish_whole,
     _sync_exchange_network,
+    _sync_exchange_network_whole,
     _sync_exchange_ordering,
+    _sync_exchange_ordering_whole,
     overlapped_exchange_compute,
     sync_exchange_compute,
 )
@@ -62,6 +65,7 @@ from .params import PIVOT_METHODS, SdsParams
 from .partition import (
     Cuts,
     classic_cuts,
+    cuts_all_valid,
     partition_fast,
     partition_stable_arrays,
     run_dup_counts,
@@ -721,12 +725,22 @@ class Exchange:
     paths run the fused staged collectives — no p^2 sub-batch
     materialisation (see exchange.py).
 
-    Both modes reuse the fused whole-world actions the staged
-    collectives run once per world (:func:`sync_exchange_compute` /
-    ``overlapped_exchange_compute``) plus the per-rank epilogues, so
-    clocks, counters, memory charges and outputs match across backends
-    operation for operation.  The sync path annotates
-    ``exchange``/``local_ordering`` on the active communicator, the
+    Both modes run the fused whole-world actions once per world
+    (:func:`sync_exchange_compute` / ``overlapped_exchange_compute``:
+    delivery, then every destination's received runs ordered by one
+    segmented stable sort) and then their epilogues, each an
+    :class:`~repro.mpi.Epilogue` of two forms: the per-rank functions of
+    ``exchange.py`` — the definition; what a lane and a traced or
+    fault-injected world run — and their whole-membership forms, which
+    book clocks, counters and memory in one pass and hand out outputs
+    as slices of shared gathers.  A rank whose memory charge is refused
+    fails alone, at the statement where its per-rank epilogue raises,
+    in either form — so clocks, counters, memory peaks, OOM verdicts and
+    outputs match across backends operation for operation.  Cuts are
+    checked before the deposit (:meth:`_deposits`).  The sync path
+    annotates ``exchange``/``local_ordering`` on the active
+    communicator (its ordering epilogue is booked through
+    :meth:`World.epilogue`, a phase after its collective), the
     overlapped path wraps ``exchange`` around the full communicator.
     """
 
@@ -759,13 +773,7 @@ class Exchange:
         stable = self.stable
         if mode == "sync":
             merge = p < tau_s
-            deposits: list = [None] * len(ctxs)
-            for i, ctx in enumerate(ctxs):
-                try:
-                    deposits[i] = (ctx.batch,
-                                   ctx.cuts.check(p, len(ctx.batch)))
-                except BaseException as exc:
-                    world.fail(acomms[i], exc)
+            deposits = self._deposits(world, ctxs, acomms, p)
 
             def compute(stage: list) -> dict:
                 return sync_exchange_compute(stage, p=p, merge=merge,
@@ -774,19 +782,24 @@ class Exchange:
             with world.phase([acomms[i] for i in _live(world, acomms)],
                              "exchange"):
                 shared, _ = world.collective(
-                    acomms, deposits, compute,
-                    lambda i, c, sh: _sync_exchange_network(
-                        c, sh, send_nbytes[i]))
+                    acomms, deposits, compute, Epilogue(
+                        lambda i, c, sh: _sync_exchange_network(
+                            c, sh, send_nbytes[i]),
+                        lambda sh: _sync_exchange_network_whole(
+                            world, acomms, sh, send_nbytes)))
             live = _live(world, acomms)
-            with world.phase([acomms[i] for i in live], "local_ordering"):
-                for i in live:
-                    ctx = ctxs[i]
-                    try:
-                        ctx.out, ctx.xstats = _sync_exchange_ordering(
-                            acomms[i], shared, merge=merge, stable=stable,
-                            delta_hint=ctx.delta)
-                    except BaseException as exc:
-                        world.fail(acomms[i], exc)
+            lcomms = [acomms[i] for i in live]
+            with world.phase(lcomms, "local_ordering"):
+                outs = world.epilogue(lcomms, Epilogue(
+                    lambda j, c, sh: _sync_exchange_ordering(
+                        c, sh, merge=merge, stable=stable,
+                        delta_hint=ctxs[live[j]].delta),
+                    lambda sh: _sync_exchange_ordering_whole(
+                        world, lcomms, sh, merge=merge, stable=stable,
+                        delta_hints=[ctxs[i].delta for i in live])), shared)
+            for i, res in zip(live, outs):
+                if res is not None:
+                    ctxs[i].out, ctxs[i].xstats = res
         else:
             spec = acomms[0].machine
             rate = acomms[0].cost.spec.merge_cost_per_elem
@@ -801,19 +814,39 @@ class Exchange:
 
             def finish(i: int, c: Comm, sh: dict):
                 res = _overlapped_exchange_finish(c, sh)
-                ctxs[i].comm.mem.free(send_nbytes[i])
+                c.mem.free(send_nbytes[i])
                 return res
 
-            deposits = [None] * len(ctxs)
             with world.phase([ctxs[i].comm for i in _live(world, acomms)],
                              "exchange"):
-                for i, ctx in enumerate(ctxs):
-                    try:
-                        deposits[i] = (ctx.batch,
-                                       ctx.cuts.check(p, len(ctx.batch)))
-                    except BaseException as exc:
-                        world.fail(acomms[i], exc)
-                _, outs = world.collective(acomms, deposits, compute, finish)
-            for i, ctx in enumerate(ctxs):
-                if outs[i] is not None:
-                    ctx.out, ctx.xstats = outs[i]
+                deposits = self._deposits(world, ctxs, acomms, p)
+                _, outs = world.collective(
+                    acomms, deposits, compute, Epilogue(
+                        finish, lambda sh: _overlapped_exchange_finish_whole(
+                            world, acomms, sh, send_nbytes)))
+            for ctx, res in zip(ctxs, outs):
+                if res is not None:
+                    ctx.out, ctx.xstats = res
+
+    @staticmethod
+    def _deposits(world: World, ctxs: list[RunContext],
+                  acomms: list[Comm], p: int) -> list:
+        """One ``(batch, checked cuts)`` deposit per rank.
+
+        A world checks every rank's cuts in one pass over their
+        concatenation (:func:`~repro.core.partition.cuts_all_valid`); if
+        that pass objects to anything — and on a lane — each rank runs
+        its own :meth:`Cuts.check`, so an offending rank fails alone,
+        with that check's exception, and deposits nothing.
+        """
+        if len(ctxs) > 1 and cuts_all_valid(
+                [ctx.cuts for ctx in ctxs], p,
+                [ctx.batch.keys.size for ctx in ctxs]):
+            return [(ctx.batch, ctx.cuts) for ctx in ctxs]
+        deposits: list = [None] * len(ctxs)
+        for i, ctx in enumerate(ctxs):
+            try:
+                deposits[i] = (ctx.batch, ctx.cuts.check(p, len(ctx.batch)))
+            except BaseException as exc:
+                world.fail(acomms[i], exc)
+        return deposits

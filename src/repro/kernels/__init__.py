@@ -32,7 +32,13 @@ from .search import (
     run_boundaries,
     upper_bound,
 )
-from .sorts import chunk_sort, sequential_argsort, sequential_sort, stable_argsort
+from .sorts import (
+    chunk_sort,
+    sequential_argsort,
+    sequential_sort,
+    stable_argsort,
+    stable_argsort_segments,
+)
 
 __all__ = [
     "batched_argsort_rows",
@@ -62,4 +68,5 @@ __all__ = [
     "sequential_argsort",
     "sequential_sort",
     "stable_argsort",
+    "stable_argsort_segments",
 ]

@@ -13,6 +13,9 @@ array or a row stack, so every backend shares one definition.  That
 definition is ``np.argsort(kind="stable")`` — the stable permutation of
 an array is unique (equal keys in ascending input position), so a
 faster route to it changes no permutation anywhere.
+:func:`stable_argsort_segments` is the same sort for a ragged stack —
+every destination's received runs after an exchange — and sorts many
+segments in one call of the same packed kernel.
 """
 
 from __future__ import annotations
@@ -32,7 +35,26 @@ import numpy as np
 #: 0.4 us per call over the plain argsort, not 15.
 _PACKED_MIN_KEYS = 2048
 
-_SIGN = np.uint64(1 << 63)
+#: Most keys :func:`stable_argsort_segments` sorts in one packed
+#: ``ndarray.sort``.  Fusing shares the fixed cost of a sort call; a
+#: block that stays in the L2 cache (2 MiB a core here; a key costs 17
+#: bytes of scratch plus its input and two outputs) is passed over ten
+#: times at cache speed; and the scratch, allocated once per call at the
+#: longest block, has to stay small for the allocator: on the thread
+#: backend the designated rank's thread runs this, and scratch arrays of
+#: 256 KiB and up stick in that thread's malloc arena.  Same host as
+#: above, median of 30, blocks of 2**12 / 2**13 / 2**14 / 2**15 / 2**17
+#: keys: 2 048 segments of 64 keys (flat PSRS p=2048; 11.0 ms one
+#: timsort merge at a time) 2.5 / 2.3 / 2.3 / 2.5 / 3.3 ms; 16 Ki such
+#: segments (86 ms) 22.2 / 20.9 / 21.6 / 22.7 / 26.3 ms; 256 segments of
+#: 2 000 keys (thread SDS p=256; 22 ms) 7.6 / 7.2 / 6.1 / 6.3 / 7.6 ms —
+#: and the peak RSS of that thread world over 16 jobs, 168 MB with the
+#: per-destination loop: 165-177 / 164-176 / 165-181 / 200-213 /
+#: 178-192 MB.  A longer segment is its own block, so a 100k-key
+#: destination sorts exactly as one ``stable_argsort`` call.
+_SEGMENT_BLOCK_KEYS = 1 << 13
+
+_SIGN = np.int64(-1 << 63)
 
 
 def stable_argsort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -72,7 +94,10 @@ def stable_argsort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Everything else goes to ``np.argsort(kind="stable")`` directly: any
     other dtype, any NaN (numpy orders NaN last and treats all NaNs as
     equal; the image would order them by sign and payload), and inputs
-    below :data:`_PACKED_MIN_KEYS`.
+    below :data:`_PACKED_MIN_KEYS` — which is why many *short* arrays
+    (an exchange's destinations) go through
+    :func:`stable_argsort_segments` together, not through here one by
+    one.
 
     Worst case: keys that differ only in the low 16 mantissa bits at
     ``n`` = 100 000 collide in every row, and the packed sort plus the
@@ -90,19 +115,165 @@ def stable_argsort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     packed = np.add(keys, 0.0, order="C")              # fresh, -0.0 -> +0.0
     if np.isnan(packed.min()):
         return _timsort(keys)
-    index_mask = np.uint64((1 << (n - 1).bit_length()) - 1)
-    flip = (packed.view(np.int64) >> 63).view(np.uint64)   # all ones if < 0
-    flip |= _SIGN
+    index_mask = _index_mask(n)
     packed = packed.view(np.uint64)
-    packed ^= flip
-    packed &= ~index_mask
-    packed |= np.arange(n, dtype=np.uint64)
+    _pack(packed, np.empty(packed.shape, dtype=np.int64),
+          np.arange(n, dtype=np.uint64), index_mask)
     packed.sort(axis=-1)
     packed &= index_mask
     perm = packed.view(np.int64)
     out = _gather(keys, perm)
     _repair_rows(perm.reshape(-1, n), out.reshape(-1, n))
     return perm, out
+
+
+def stable_argsort_segments(keys: np.ndarray, bounds: np.ndarray,
+                            index: np.ndarray | None = None
+                            ) -> tuple[np.ndarray, np.ndarray]:
+    """Stable argsort of every segment of a 1-D array, in one call.
+
+    Segment ``s`` is ``keys[bounds[s]:bounds[s + 1]]``; ``bounds`` is
+    non-decreasing from 0 to ``keys.size`` (empty segments allowed).
+    ``perm`` is, by definition, the concatenation over the segments of
+    ``np.argsort(keys[lo:hi], kind="stable") + lo`` — indices into
+    ``keys`` — and ``sorted_keys`` is ``keys[perm]``.  With ``index``
+    (an int64 array as long as ``keys``: where each key came from) the
+    first result is ``index[perm]`` instead, composed block by block
+    with no second key-sized array.
+
+    Consecutive segments are sorted *together*, as one packed block (see
+    :func:`stable_argsort`), whenever the keys do not descend across
+    their boundaries: the largest key of one is not above the smallest
+    of the next, which is how every splitter partition delivers them,
+    equal pivot keys included.  A stable sort of such a concatenation
+    *is* the per-segment stable sorts: no key of a later segment sorts
+    below one of an earlier segment, and keys that tie across a boundary
+    fall in position order, which is segment-major.  The packed words
+    keep that property — position breaks every tie of the kept bits, so
+    keys that collide in the dropped bits can only come out wrong
+    *within* their segment, where the gathered keys then descend; only
+    the segments holding a descent are repaired (one
+    ``np.argsort(kind="stable")`` of the nearly sorted segment, as in
+    :func:`stable_argsort`), never the block.
+
+    A boundary the keys do descend across ends the block, a block holds
+    at most :data:`_SEGMENT_BLOCK_KEYS` keys unless one segment alone is
+    longer, and a block below :data:`_PACKED_MIN_KEYS` — like any input
+    that is not NaN-free float64 — is sorted segment by segment with
+    ``np.argsort(kind="stable")``.  The scratch (packed words, their
+    index field, the descent flags) is allocated once, at the longest
+    block, and every pass over a block runs in place or into ``out=``:
+    a rank thread that runs this inside a collective churns no
+    transient per block.
+    """
+    keys = np.asarray(keys)
+    bounds = np.asarray(bounds, dtype=np.int64)
+    total = keys.size
+    if (keys.ndim != 1 or bounds.ndim != 1 or bounds.size == 0
+            or bounds[0] != 0 or bounds[-1] != total
+            or np.any(bounds[1:] < bounds[:-1])):
+        raise ValueError("bounds must rise from 0 to len(keys) over a "
+                         "one-dimensional key array")
+    if index is not None and (index.shape != keys.shape
+                              or index.dtype != np.int64):
+        raise ValueError("index must be an int64 array shaped like keys")
+    perm = np.empty(total, dtype=np.int64)
+    out = np.empty(total, dtype=keys.dtype)
+    starts = bounds[:-1][bounds[1:] > bounds[:-1]]     # non-empty segments
+    edges = np.append(starts, total).tolist()
+    blocks, longest = [], 0                            # [i, j) of segments
+    if total >= _PACKED_MIN_KEYS and keys.dtype == np.float64:
+        low = np.minimum.reduceat(keys, starts)        # NaN propagates
+        if not np.isnan(low).any():
+            blocks = _blocks(keys, starts, total, low)
+            longest = max(edges[j] - edges[i] for i, j in blocks)
+    if longest < _PACKED_MIN_KEYS:                     # nothing to pack
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            _timsort_segment(keys, index, lo, hi, perm, out)
+        return perm, out
+    packed = np.empty(longest, dtype=np.uint64)
+    iota = np.arange(longest, dtype=np.uint64)
+    descends = np.empty(longest, dtype=bool)
+    for i, j in blocks:
+        lo, hi = edges[i], edges[j]
+        n = hi - lo
+        if n < _PACKED_MIN_KEYS:
+            for s in range(i, j):
+                _timsort_segment(keys, index, edges[s], edges[s + 1], perm,
+                                 out)
+            continue
+        word, index_mask = packed[:n], _index_mask(n)
+        np.add(keys[lo:hi], 0.0, out=word.view(np.float64))
+        _pack(word, perm[lo:hi], iota[:n], index_mask)
+        word.sort()
+        word &= index_mask
+        sorted_block = out[lo:hi]
+        order = word.view(np.int64)                    # within the block
+        np.take(keys[lo:hi], order, out=sorted_block,
+                mode="clip")                           # unbuffered; in range
+        if index is None:
+            np.add(order, lo, out=perm[lo:hi])
+        else:
+            np.take(index[lo:hi], order, out=perm[lo:hi], mode="clip")
+        falls = descends[:n - 1]
+        np.less(sorted_block[1:], sorted_block[:-1], out=falls)
+        if falls.any():
+            _repair_segments(perm, out, edges, lo + np.flatnonzero(falls))
+    return perm, out
+
+
+def _index_mask(n: int) -> np.uint64:
+    """The low bits of a packed word that hold an index below ``n``."""
+    return np.uint64((1 << (n - 1).bit_length()) - 1)
+
+
+def _pack(word: np.ndarray, scratch: np.ndarray, iota: np.ndarray,
+          index_mask: np.uint64) -> None:
+    """Turn, in place, the uint64 view of NaN-free ``keys + 0.0`` into
+    packed (key image, index) words; ``scratch`` is an int64 array of
+    ``word``'s shape whose contents are lost, ``iota`` the index of each
+    element along the last axis."""
+    np.right_shift(word.view(np.int64), 63, out=scratch)   # -1 if key < 0
+    scratch |= _SIGN
+    word ^= scratch.view(np.uint64)
+    word &= ~index_mask
+    word |= iota
+
+
+def _blocks(keys: np.ndarray, starts: np.ndarray, total: int,
+            low: np.ndarray) -> list[tuple[int, int]]:
+    """Greedy ``[i, j)`` runs of the non-empty segments starting at
+    ``starts`` (``low``: each one's smallest key): a run ends before a
+    segment the keys descend into and before the segment that would
+    take it past :data:`_SEGMENT_BLOCK_KEYS` keys, but holds at least
+    one segment.  The largest keys are only looked up when some run
+    could hold two segments at all."""
+    count = starts.size
+    ids = np.arange(count)
+    edges = np.append(starts, total)
+    reach = np.searchsorted(edges, starts + _SEGMENT_BLOCK_KEYS, "right") - 1
+    jump = np.maximum(reach, ids + 1)
+    if (jump > ids + 1).any():
+        stops = np.append(np.flatnonzero(
+            np.maximum.reduceat(keys, starts)[:-1] > low[1:]) + 1, count)
+        jump = np.minimum(jump, stops[np.searchsorted(stops, ids, "right")])
+    jump = jump.tolist()
+    blocks, i = [], 0
+    while i < count:
+        blocks.append((i, jump[i]))
+        i = jump[i]
+    return blocks
+
+
+def _timsort_segment(keys: np.ndarray, index: np.ndarray | None, lo: int,
+                     hi: int, perm: np.ndarray, out: np.ndarray) -> None:
+    """The definition, for one segment, into ``perm`` and ``out``."""
+    order = np.argsort(keys[lo:hi], kind="stable")
+    out[lo:hi] = keys[lo:hi][order]
+    if index is None:
+        np.add(order, lo, out=perm[lo:hi])
+    else:
+        perm[lo:hi] = index[lo:hi][order]
 
 
 def _timsort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -119,6 +290,15 @@ def _gather(keys: np.ndarray, perm: np.ndarray) -> np.ndarray:
     return np.take_along_axis(keys, perm, axis=-1)
 
 
+def _resort(perm: np.ndarray, out: np.ndarray) -> None:
+    """Finish, in place, one row or segment the packed sort left with a
+    descent: its equal keys already stand in index order, so a stable
+    pass over the nearly sorted keys completes *the* stable permutation."""
+    fix = np.argsort(out, kind="stable")
+    perm[:] = perm[fix]
+    out[:] = out[fix]
+
+
 def _repair_rows(perm: np.ndarray, out: np.ndarray) -> int:
     """Finish, in place, the rows whose keys collided in the kept bits.
 
@@ -127,10 +307,23 @@ def _repair_rows(perm: np.ndarray, out: np.ndarray) -> int:
     """
     rows = np.flatnonzero((out[:, 1:] < out[:, :-1]).any(axis=1))
     for r in rows:
-        fix = np.argsort(out[r], kind="stable")
-        perm[r] = perm[r][fix]
-        out[r] = out[r][fix]
+        _resort(perm[r], out[r])
     return rows.size
+
+
+def _repair_segments(perm: np.ndarray, out: np.ndarray, edges: list[int],
+                     falls: np.ndarray) -> int:
+    """Finish, in place, the segments holding a descent.
+
+    ``falls`` lists positions whose successor in ``out`` is smaller;
+    within a packed block both lie in one segment.  Returns how many
+    segments were repaired.
+    """
+    segments = np.unique(np.searchsorted(edges, falls, "right") - 1).tolist()
+    for s in segments:
+        lo, hi = edges[s], edges[s + 1]
+        _resort(perm[lo:hi], out[lo:hi])
+    return len(segments)
 
 
 def sequential_sort(keys: np.ndarray, *, stable: bool = False) -> np.ndarray:

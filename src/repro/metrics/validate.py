@@ -49,8 +49,10 @@ class _Columns(NamedTuple):
     lengths: np.ndarray               # records per batch
 
 
-def _columns(batches: Sequence[RecordBatch]) -> _Columns:
-    """Keys and provenance of ``batches`` (same schema rule as ``concat``)."""
+def _columns(batches: Sequence[RecordBatch],
+             keys: np.ndarray | None = None) -> _Columns:
+    """Keys and provenance of ``batches`` (same schema rule as ``concat``);
+    ``keys`` hands in the key column when it is already concatenated."""
     batches = list(batches)
     lengths = np.array([len(b) for b in batches], dtype=np.int64)
     if not batches:
@@ -58,7 +60,8 @@ def _columns(batches: Sequence[RecordBatch]) -> _Columns:
     schema = batches[0].columns
     if any(b.columns != schema for b in batches[1:]):
         raise ValueError(f"payload schema mismatch within {schema} batches")
-    keys = np.concatenate([b.keys for b in batches])
+    if keys is None:
+        keys = np.concatenate([b.keys for b in batches])
     if SRC_RANK not in schema or SRC_POS not in schema:
         return _Columns(keys, None, None, lengths)
     return _Columns(
@@ -210,10 +213,24 @@ def _check_stable(outs: _Columns) -> None:
 
 def check_sorted(inputs: Sequence[RecordBatch], outputs: Sequence[RecordBatch],
                  *, stable: bool = False) -> None:
-    """Run all applicable validators; raise :class:`ValidationError` on failure."""
-    check_locally_sorted(outputs)
-    check_globally_ordered(outputs)
-    outs = _columns(outputs)
+    """Run all applicable validators; raise :class:`ValidationError` on failure.
+
+    Properties 1 and 2 together say the concatenated output keys do not
+    decrease, so that column — multiset validation reads it anyway — is
+    tested in one pass (a NaN fails it, as it fails
+    :meth:`RecordBatch.is_sorted`).  Only when that pass objects, or
+    batches of different key dtypes would be compared after promotion,
+    do :func:`check_locally_sorted` and :func:`check_globally_ordered`
+    — the definitions — go through the batches to word the verdict.
+    """
+    outputs = list(outputs)
+    keys = (np.concatenate([b.keys for b in outputs]) if outputs
+            else np.zeros(0))
+    if (len({b.keys.dtype for b in outputs}) > 1
+            or not bool(np.all(keys[1:] >= keys[:-1]))):
+        check_locally_sorted(outputs)
+        check_globally_ordered(outputs)
+    outs = _columns(outputs, keys)
     _check_multiset(_columns(inputs), outs)
     if stable:
         _check_stable(outs)

@@ -22,6 +22,7 @@ from .engine import (
 from .errors import MessageLostError, RankFailure, SimAbort
 from .flatworld import (
     ColumnarWorld,
+    Epilogue,
     FlatAbort,
     make_world_comms,
     run_spmd_flat,
@@ -38,6 +39,7 @@ __all__ = [
     "CommContext",
     "ColumnarWorld",
     "ENGINE_BACKENDS",
+    "Epilogue",
     "FlatAbort",
     "LANE",
     "LaneWorld",

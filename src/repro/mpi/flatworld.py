@@ -28,8 +28,11 @@ selects the form: a world with **no tracer and no fault plan**
 the whole-membership form, because then the per-rank methods reduce to
 exactly the arithmetic the loops perform; a traced or fault-injected
 world replays the per-rank methods in rank order, hooks and all.
-Epilogues that can fail per rank (memory charges of the exchanges)
-stay per rank in both cases.
+An epilogue that can fail per rank (the exchanges' memory charges) has
+a whole form too, under one rule: memory goes through the rank's own
+``MemoryTracker``, and a rank that is refused is recorded as failed and
+skips the rest of *its* epilogue exactly where the per-rank form would
+have raised — nobody else's.
 
 Bit-for-bit equivalence — between the two forms and with the thread
 backend — falls out of three properties:
@@ -100,7 +103,11 @@ class Epilogue:
     epilogue on the communicator's whole membership and returns the
     per-rank outputs.  Riding inside ``finish`` keeps the
     ``collective`` signature — worlds that wrap it forward the value
-    untouched.  Only epilogues that cannot fail have a whole form.
+    untouched.  A whole form that can fail per rank (a refused memory
+    charge) records that rank with ``world.fail`` and leaves it exactly
+    where the per-rank form would have raised: later statements of that
+    rank's epilogue skipped, ``None`` in its output slot, every other
+    rank booked in full.
     """
 
     __slots__ = ("rank", "whole")
@@ -265,11 +272,9 @@ class ColumnarWorld(World):
 
         Mirrors ``Comm.staged`` plus the caller's epilogue: snapshot
         the stage, run the designated-rank ``compute`` once, then book
-        the epilogue.  An :class:`Epilogue` on a world without tracer
-        and fault plan is applied to the whole membership at once;
-        otherwise, per rank in rank order, the deterministic collective
-        fault debt is charged and ``finish(i, comm, shared)`` runs.
-        Per-rank exceptions are recorded, not raised — the next checked
+        the epilogue (:meth:`epilogue`; under a fault plan each rank
+        first pays its deterministic collective fault debt).  Per-rank
+        exceptions are recorded, not raised — the next checked
         collective aborts the world, exactly where thread-backend
         siblings would unwind.
         """
@@ -278,21 +283,32 @@ class ColumnarWorld(World):
         clocks = self.world.clocks
         stage = [(d, clocks[c.grank]) for d, c in zip(deposits, comms)]
         shared = compute(stage)
+        f = self.world.faults
+        if f is not None and f.affects_collectives:
+            def charged(i, c, shared, finish=finish):
+                c._charge_collective_faults()
+                return finish(i, c, shared)
+
+            return shared, self.epilogue(comms, charged, shared)
+        return shared, self.epilogue(comms, finish, shared)
+
+    def epilogue(self, comms: Sequence[Comm],
+                 finish: Callable[[int, Comm, Any], Any],
+                 shared: Any) -> list:
+        """Book ``finish`` on the ranks handed in: an :class:`Epilogue`
+        on a world without tracer and fault plan in its whole form,
+        anything else rank by rank, a raising rank recorded as failed."""
         if isinstance(finish, Epilogue):
             if self.whole:
-                return shared, finish.whole(shared)
+                return finish.whole(shared)
             finish = finish.rank
-        f = self.world.faults
-        faulty = f is not None and f.affects_collectives
         outs: list[Any] = [None] * len(comms)
         for i, c in enumerate(comms):
             try:
-                if faulty:
-                    c._charge_collective_faults()
                 outs[i] = finish(i, c, shared)
             except BaseException as exc:  # mirrors the engine's catch-all
                 self.fail(c, exc)
-        return shared, outs
+        return outs
 
     def _finish_all(self, comms: Sequence[Comm], name: str, t: float,
                     nbytes: int = 0) -> None:

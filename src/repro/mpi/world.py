@@ -6,11 +6,12 @@ once, in *world form*: a function of ``(world, comms, ...)`` where
 per-rank value travels as a list aligned with it.  The ``world`` object
 supplies the staged-collective surface — ``barrier`` / ``bcast`` /
 ``gather`` / ``allreduce`` / ``allgather_staged`` / ``split`` /
-``alltoallv`` / ``sendrecv`` — plus phase brackets, the charge verbs
-(``charge_compute`` / ``alloc`` / ``free`` / ``trace_counter``: one call books
-modelled compute time, memory or a tracer counter on every rank
-handed in), abort semantics and fault hooks.  Two interchangeable
-views implement it:
+``alltoallv`` / ``sendrecv``, and ``epilogue`` for the part of a
+collective's epilogue that belongs to a later phase — plus phase
+brackets, the charge verbs (``charge_compute`` / ``alloc`` / ``free`` /
+``trace_counter``: one call books modelled compute time, memory or a
+tracer counter on every rank handed in), abort semantics and fault
+hooks.  Two interchangeable views implement it:
 
 * :class:`LaneWorld` — **one logical rank** ("lane").  ``comms`` is a
   singleton and every operation delegates straight to the rank's own
@@ -115,6 +116,15 @@ class World:
         """
         raise NotImplementedError
 
+    def epilogue(self, comms: Sequence[Comm],
+                 finish: Callable[[int, Comm, Any], Any],
+                 shared: Any) -> list:
+        """A collective's epilogue booked on its own: ``finish(i,
+        comms[i], shared)`` on every rank handed in (any ranks), for the
+        part of an epilogue that belongs to a later phase than its
+        collective.  Returns the per-rank outputs."""
+        raise NotImplementedError
+
     def barrier(self, comms: Sequence[Comm], *, check: bool = True) -> None:
         raise NotImplementedError
 
@@ -214,6 +224,11 @@ class LaneWorld(World):
         comm = comms[0]
         shared, _ = comm.staged(deposits[0], compute)
         return shared, [finish(0, comm, shared)]
+
+    def epilogue(self, comms: Sequence[Comm],
+                 finish: Callable[[int, Comm, Any], Any],
+                 shared: Any) -> list:
+        return [finish(0, comms[0], shared)]
 
     def barrier(self, comms: Sequence[Comm], *, check: bool = True) -> None:
         comms[0].barrier()

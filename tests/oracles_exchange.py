@@ -1,4 +1,6 @@
-"""The dense p x p synchronous-exchange compute, kept verbatim as a test oracle.
+"""Earlier generations of the exchange, kept verbatim as test oracles.
+
+**The dense p x p synchronous-exchange compute.**
 
 This was the production ``core/exchange.py::sync_exchange_compute`` up
 to PR 11: the full counts matrix ``C``, the byte matrix ``S`` and the
@@ -11,15 +13,38 @@ key for key (``S`` is the oracle for the per-rank traced edge rows).
 ``check_displs`` is the dense displacement validator production ran up
 to PR 14; ``repro.core.partition.Cuts.check`` must reject exactly what
 it rejects.
+
+**The first exchange generation** — ``split_for_sends``,
+``exchange_sync``, ``order_received``, ``exchange_overlapped``: p^2
+materialised sub-batches through ``Comm.alltoallv`` /
+``alltoallv_async``, then a per-rank merge, sort or event replay.
+Production (``core/exchange.py``) left them behind for the fused staged
+collectives long ago and nothing in ``src/`` called them; they moved
+here from there in PR 19 as the differential oracle
+``tests/test_exchange.py`` and ``tests/test_engine_determinism.py`` run
+the fused paths against, clock for clock.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.kernels import natural_merge_sort_perm, sequential_argsort
+from repro.core.exchange import ExchangeStats
+from repro.kernels import (
+    natural_merge_sort_perm,
+    sequential_argsort,
+    stable_argsort,
+)
 from repro.mpi import Comm
-from repro.records import concat_batch_arrays
+from repro.records import (
+    RecordBatch,
+    adaptive_sort_batch,
+    concat_batch_arrays,
+    kway_merge_batches,
+    sort_batch,
+)
 
 
 def check_displs(displs: np.ndarray, p: int, n: int) -> np.ndarray:
@@ -88,3 +113,119 @@ def sync_exchange_compute_dense(stage: list, *, p: int, merge: bool,
         "keys": all_keys, "cols": all_cols,
         "final": final, "bounds": bounds,
     }
+
+
+def split_for_sends(batch: RecordBatch, displs: np.ndarray) -> list[RecordBatch]:
+    """Cut the sorted local batch at the partition displacements."""
+    return batch.split([int(d) for d in displs])
+
+
+def exchange_sync(comm: Comm, sends: Sequence[RecordBatch]) -> list[RecordBatch]:
+    """Synchronous personalised exchange; returns chunks in source order."""
+    return comm.alltoallv(list(sends))
+
+
+def order_received(comm: Comm, chunks: Sequence[RecordBatch], *,
+                   stable: bool, tau_s: int, delta_hint: float = 0.0
+                   ) -> tuple[RecordBatch, ExchangeStats]:
+    """Final local ordering of received runs (Figure 1 lines 17-21)."""
+    p = comm.size
+    m = sum(len(c) for c in chunks)
+    if p < tau_s:
+        out = kway_merge_batches(list(chunks))
+        dt = comm.cost.merge_time(m, max(2, len(chunks)))
+        comm.charge(dt)
+        comm.trace_counter("kernel.merge.records", float(m))
+        comm.trace_counter("kernel.merge.seconds", dt)
+        ordering = "merge"
+    else:
+        concat = RecordBatch.concat(chunks)
+        # functionally: any (stable) sort of the p concatenated runs;
+        # cost: the std::sort-style flat curve of Figure 5c
+        out = adaptive_sort_batch(concat) if stable else sort_batch(concat)
+        dt = comm.cost.final_sort_time(m, len(chunks), stable=stable,
+                                       delta=delta_hint)
+        comm.charge(dt)
+        comm.trace_counter("kernel.sort.records", float(m))
+        comm.trace_counter("kernel.sort.seconds", dt)
+        ordering = "sort"
+    # streaming ordering: consumed chunks are released as the output
+    # fills, so peak memory is input + output rather than 2x input
+    comm.mem.free(sum(c.nbytes for c in chunks))
+    comm.mem.alloc(out.nbytes)
+    return out, ExchangeStats("sync", ordering, m, len(chunks))
+
+
+def exchange_overlapped(comm: Comm, sends: Sequence[RecordBatch]
+                        ) -> tuple[RecordBatch, ExchangeStats]:
+    """Nonblocking exchange overlapped with pairwise merging.
+
+    Simulates a single-core event loop: chunks become ready at their
+    modelled arrival times; whenever two chunks are ready and the CPU
+    is idle, they are merged (SdssMergeTwo) and the result re-queued.
+    The rank's clock advances to the completion of the last merge,
+    i.e. ``max(communication, computation)`` plus the tail merge —
+    the overlap benefit Figure 5b measures.
+
+    The merge *schedule* (binary-counter merging: a chunk at "level" L
+    has absorbed 2^L original chunks, equal levels merge immediately —
+    balanced O(m log p) pairwise work that still consumes chunks the
+    moment they arrive) is replayed on chunk **lengths only**, keeping
+    the virtual-clock arithmetic bit-identical to actually performing
+    each pairwise merge.  The data itself is then materialised in one
+    pass: every ``merge_two`` resolves ties in favour of its left
+    (earlier) operand, so the schedule's result equals the chunks
+    concatenated in the merge tree's left-to-right leaf order, stably
+    sorted — which one stable argsort computes without the ``p - 1``
+    per-rank python merge calls the seed engine paid.
+    """
+    arrivals = comm.alltoallv_async(list(sends))
+    t_cpu = comm.clock
+    m = sum(len(b) for _, b, _ in arrivals)
+    # replay: levels hold (records absorbed, leaf order) per counter bit
+    levels: dict[int, tuple[int, list[int]]] = {}
+    for i, (_, chunk, t_arr) in enumerate(arrivals):
+        t_cpu = max(t_cpu, t_arr)
+        cur_len, cur_leaves, lvl = len(chunk), [i], 0
+        while lvl in levels:
+            prev_len, prev_leaves = levels.pop(lvl)
+            cur_len += prev_len
+            cur_leaves = prev_leaves + cur_leaves  # earlier chunks win ties
+            t_cpu += comm.cost.merge_time(cur_len, 2)
+            lvl += 1
+        levels[lvl] = (cur_len, cur_leaves)
+    order: list[int] | None = None
+    out_len = 0
+    for lvl in sorted(levels):
+        lvl_len, lvl_leaves = levels[lvl]
+        if order is None:
+            order, out_len = lvl_leaves, lvl_len
+        else:
+            out_len += lvl_len
+            order = order + lvl_leaves  # accumulated result wins ties
+            t_cpu += comm.cost.merge_time(out_len, 2)
+    if order is None:
+        out = RecordBatch(np.zeros(0))
+    else:
+        cat = RecordBatch.concat([arrivals[i][1] for i in order])
+        perm, out_keys = stable_argsort(cat.keys)
+        out = cat.take(perm, keys=out_keys)
+    tr = comm.tracer
+    if tr is None:
+        comm.set_clock(max(comm.clock, t_cpu))
+    else:
+        # oracle path: the arrival/merge interleave past the async
+        # progress charge (attributed inside alltoallv_async) is one
+        # bandwidth-bucket advance
+        c0 = comm.clock
+        comm.set_clock(max(comm.clock, t_cpu))
+        adv = comm.clock - c0
+        if adv > 0.0:
+            g = comm.grank
+            tr.span(g, "coll", "overlap_merge", c0, comm.clock,
+                    {"records": m})
+            tr.add(g, "cost.bandwidth", adv)
+        comm.trace_counter("kernel.merge.records", float(m))
+    comm.mem.free(sum(b.nbytes for _, b, _ in arrivals))
+    comm.mem.alloc(out.nbytes)
+    return out, ExchangeStats("overlap", "overlap-merge", m, len(arrivals))

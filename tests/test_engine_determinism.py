@@ -23,16 +23,14 @@ import pytest
 
 from repro.core import SdsParams, sds_sort
 from repro.core.bitonic import bitonic_sort, bitonic_sort_rounds
-from repro.core.exchange import (
-    exchange_overlapped,
-    exchange_overlapped_fused,
-    split_for_sends,
-)
+from repro.core.exchange import exchange_overlapped_fused
 from repro.machine import EDISON
 from repro.mpi import run_spmd
 from repro.mpi.comm import Comm
 from repro.records import RecordBatch, tag_provenance
 from repro.workloads import uniform
+
+from .oracles_exchange import exchange_overlapped, split_for_sends
 
 #: Host-time observability counters, excluded from determinism claims.
 WALL_COUNTERS = frozenset({"coll.sync_wait", "p2p.wait"})

@@ -3,20 +3,21 @@
 import numpy as np
 import pytest
 
-from repro.core import (
-    exchange_overlapped,
-    exchange_sync,
-    exchange_sync_fused,
-    order_received,
-    split_for_sends,
-)
-from repro.core.exchange import sync_exchange_compute
+from repro.core import exchange_sync_fused
+from repro.core.exchange import _by_destination, sync_exchange_compute
 from repro.core.partition import Cuts
 from repro.mpi import run_spmd
 from repro.obs import Tracer
 from repro.records import RecordBatch
 
-from .oracles_exchange import check_displs, sync_exchange_compute_dense
+from .oracles_exchange import (
+    check_displs,
+    exchange_overlapped,
+    exchange_sync,
+    order_received,
+    split_for_sends,
+    sync_exchange_compute_dense,
+)
 
 
 def _sorted_shard(rank, n=40):
@@ -232,6 +233,23 @@ class TestSparseSyncExchangeCompute:
         lens = np.random.default_rng(1).integers(0, 60, p)
         self._check(_stage(p, lens, seed=4, span=1, int_keys=int_keys),
                     p, merge, stable)
+
+    @pytest.mark.parametrize("p", [1, 2, 7, 32, 257])
+    @pytest.mark.parametrize("cuts", ["random", "splitters", 0])
+    def test_cell_order_is_the_stable_sort_on_destination(self, p, cuts):
+        """The (src, dst) cells are unique, so any sort of
+        ``dst * p + src`` is the stable argsort on ``dst`` — the
+        definition, which also serves where the product could overflow."""
+        lens = np.random.default_rng(p).integers(0, 30, p)
+        stage = _stage(p, lens, seed=p + 1, cuts=cuts)
+        cells = [Cuts.from_displs(d) for (_, d), _ in stage]
+        src = np.repeat(np.arange(p, dtype=np.int64),
+                        [c.dst.size for c in cells])
+        dst = np.concatenate([c.dst for c in cells])
+        want = np.argsort(dst, kind="stable")
+        _assert_same(_by_destination(src, dst, p), want)
+        _assert_same(_by_destination(src, dst, 1 << 31), want)
+        assert ((1 << 31) - 1) ** 2 <= np.iinfo(np.int64).max   # below it
 
     def test_empty_world(self):
         for p in (1, 7):

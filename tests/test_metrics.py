@@ -317,3 +317,98 @@ class TestProvenanceIndexedMultiset:
         except ValidationError:
             return
         assert _columnwise_multiset(inputs, outputs)
+
+
+class TestOnePassSortedness:
+    """``check_sorted`` tests properties 1 and 2 in one pass over the
+    concatenated keys; the verdict — which error, naming which rank —
+    must be the one ``check_locally_sorted`` then
+    ``check_globally_ordered`` give, batch by batch."""
+
+    @staticmethod
+    def _definition(outputs):
+        try:
+            check_locally_sorted(outputs)
+            check_globally_ordered(outputs)
+        except ValidationError as exc:
+            return str(exc)
+        return None
+
+    @classmethod
+    def _assert_same_verdict(cls, outputs):
+        want = cls._definition(outputs)
+        try:
+            check_sorted(outputs, outputs)     # outputs are their own input
+        except ValidationError as exc:
+            got = str(exc)
+        else:
+            got = None
+        assert got == want
+        return want
+
+    def test_names_the_first_unsorted_rank_then_the_first_bad_boundary(self):
+        a, b, c = (RecordBatch(np.array(k)) for k in
+                   ([1.0, 2.0], [2.0, 5.0], [6.0, 7.0]))
+        assert self._assert_same_verdict([a, b, c]) is None
+        bad_b = RecordBatch(np.array([5.0, 2.0]))
+        low_c = RecordBatch(np.array([4.0, 7.0]))
+        assert self._assert_same_verdict([a, bad_b, c]) == (
+            "rank 1 output is not locally sorted")
+        # a local violation outranks an earlier boundary violation
+        assert self._assert_same_verdict([b, a, bad_b]) == (
+            "rank 2 output is not locally sorted")
+        verdict = self._assert_same_verdict([a, b, low_c])
+        assert verdict.startswith("rank 2 starts at ")
+        assert "below rank 1's max" in verdict
+        empty = RecordBatch(np.zeros(0))
+        verdict = self._assert_same_verdict([a, b, empty, empty, low_c])
+        assert verdict.startswith("rank 4 starts at ")
+        assert "below rank 1's max" in verdict
+
+    def test_nan_verdicts_are_the_definitions(self):
+        nan = np.nan
+        # inside a batch a NaN fails ``is_sorted``; a one-key NaN batch
+        # and a NaN at a boundary pass both definitions
+        assert self._assert_same_verdict(
+            [RecordBatch(np.array([1.0, nan, 3.0]))]) == (
+            "rank 0 output is not locally sorted")
+        for outputs in ([RecordBatch(np.array([nan]))],
+                        [RecordBatch(np.array([1.0, 2.0])),
+                         RecordBatch(np.array([nan])),
+                         RecordBatch(np.array([3.0]))]):
+            assert self._definition(outputs) is None
+            check_locally_sorted(outputs)
+            check_globally_ordered(outputs)
+            # the multiset check then compares NaN keys: its own verdict
+            with pytest.raises(ValidationError, match="key multiset"):
+                check_sorted(outputs, outputs)
+
+    def test_mixed_key_dtypes_are_compared_batch_by_batch(self):
+        # promoted to float64 the two ints collapse to one value; the
+        # int batch itself is unsorted by one
+        big = 2 ** 53
+        ints = RecordBatch(np.array([big + 1, big], dtype=np.int64))
+        floats = RecordBatch(np.array([float(big)]))
+        assert self._assert_same_verdict([ints, floats]) == (
+            "rank 0 output is not locally sorted")
+
+    def test_schema_mismatch_is_reported_after_sortedness(self):
+        a = RecordBatch(np.array([2.0, 1.0]), {"v": np.zeros(2)})
+        b = RecordBatch(np.array([3.0]), {"w": np.zeros(1)})
+        with pytest.raises(ValidationError, match="rank 0"):
+            check_sorted([a, b], [a, b])
+        with pytest.raises(ValueError, match="schema mismatch"):
+            check_sorted([a.sort(), b], [a.sort(), b])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.integers(0, 9), max_size=5), max_size=6),
+           st.booleans())
+    def test_property_same_verdict_as_the_definitions(self, rows, ordered):
+        if ordered:   # mostly sorted worlds: one swap decides the verdict
+            flat = sorted(v for row in rows for v in row)
+            it = iter(flat)
+            rows = [[next(it) for _ in row] for row in rows]
+            if flat and len(rows) > 1:
+                rows[len(rows) // 2] = rows[len(rows) // 2][::-1]
+        self._assert_same_verdict(
+            [RecordBatch(np.array(row, dtype=np.float64)) for row in rows])

@@ -23,7 +23,7 @@ from repro.core import (
     run_dup_counts,
 )
 
-from repro.core.partition import Cuts, classic_cuts
+from repro.core.partition import Cuts, classic_cuts, cuts_all_valid
 
 from .oracles_exchange import check_displs
 from .oracles_partition import (
@@ -370,6 +370,81 @@ def test_property_cuts_check_rejects_what_check_displs_rejects(d, p, n):
         assert str(got.value) == str(exc)
     else:
         assert np.array_equal(Cuts.from_displs(d).check(p, n).displs(), want)
+
+
+def _passes_check(cuts, p, n) -> bool:
+    try:
+        cuts.check(p, n)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 6), min_size=0, max_size=7),
+                min_size=1, max_size=6),
+       st.integers(0, 7), st.data())
+def test_property_world_cut_check_accepts_only_what_every_rank_accepts(
+        rows, p, data):
+    """``cuts_all_valid`` may send a valid world to the per-rank checks
+    (it also wants well-formed buckets), never wave a bad rank through."""
+    lens = [data.draw(st.integers(0, 8)) for _ in rows]
+    world = [Cuts.from_displs(d) if d else Cuts(p, np.zeros(0, np.int64),
+                                                np.zeros(1, np.int64))
+             for d in rows]
+    each = all(_passes_check(c, p, n) for c, n in zip(world, lens))
+    if cuts_all_valid(world, p, lens):
+        assert each
+    # and a world of valid displacement vectors is accepted in one pass
+    counts = [[max(0, v) for v in d][:p] + [0] * (p - len(d)) for d in rows]
+    good = [np.concatenate(([0], np.cumsum(c))).astype(np.int64)
+            for c in counts]
+    assert cuts_all_valid([Cuts.from_displs(d) for d in good], p,
+                          [int(d[-1]) for d in good])
+
+
+class TestWorldCutCheck:
+    P = 5
+
+    def _world(self):
+        displs = [[0, 2, 2, 5, 5, 9], [0, 0, 0, 0, 0, 0], [0, 1, 2, 3, 4, 5],
+                  [0, 0, 0, 0, 0, 7]]
+        return ([Cuts.from_displs(np.array(d)) for d in displs],
+                [d[-1] for d in displs])
+
+    def test_valid_world_incl_empty_ranks(self):
+        cuts, lens = self._world()
+        assert cuts_all_valid(cuts, self.P, lens)
+        assert cuts_all_valid(cuts[1:2], self.P, lens[1:2])   # no cell at all
+        assert cuts_all_valid([cuts[1], cuts[1], cuts[0]], self.P, [0, 0, 9])
+        assert cuts_all_valid([cuts[0], cuts[1], cuts[1]], self.P, [9, 0, 0])
+
+    @pytest.mark.parametrize("damage", [
+        lambda c: setattr(c[2], "p", 6),                     # bucket count
+        lambda c: c[0].offs.__setitem__(0, 1),               # span: start
+        lambda c: c[3].offs.__setitem__(-1, 8),              # span: end
+        lambda c: c[0].offs.__setitem__(1, 6),               # a decreasing step
+        lambda c: c[2].dst.__setitem__(4, 5),                # bucket >= p
+        lambda c: c[2].dst.__setitem__(0, -1),               # bucket < 0
+        lambda c: c[2].dst.__setitem__(1, 0),                # not ascending
+        lambda c: setattr(c[0], "offs", c[0].offs[:-1]),     # closer missing
+    ])
+    def test_any_damage_sends_the_world_to_the_per_rank_checks(self, damage):
+        cuts, lens = self._world()
+        damage(cuts)
+        assert not cuts_all_valid(cuts, self.P, lens)
+
+    def test_wrong_length_is_a_wrong_span(self):
+        cuts, lens = self._world()
+        assert not cuts_all_valid(cuts, self.P, [9, 0, 5, 6])
+
+    def test_a_rank_boundary_is_not_a_step(self):
+        # rank 0 closes at 9, rank 1 restarts at 0: no violation; but a
+        # rank that *opens* above its predecessor's closer still must
+        # open at 0
+        cuts, lens = self._world()
+        cuts[1].offs[0] = 9
+        assert not cuts_all_valid(cuts, self.P, lens)
 
 
 class TestClassicCuts:

@@ -20,14 +20,16 @@ from __future__ import annotations
 
 import ast
 import cProfile
+import gc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import pipeline
 from repro.faults.chaos import PRESETS
-from repro.machine import EDISON
+from repro.machine import EDISON, CostModel, MemoryTracker, SimOOMError
 from repro.mpi import (
     ColumnarWorld,
     FlatAbort,
@@ -198,6 +200,260 @@ def test_leader_oom_fails_the_leader_alone_in_every_form():
         for r, (got, want) in enumerate(zip(thread["mem_peaks"],
                                             whole["mem_peaks"])):
             assert got == want if r in failed else got <= want, r
+
+
+# ---------------------------------------------------------------------------
+# (a') the exchange's three epilogues, path by path
+# ---------------------------------------------------------------------------
+
+#: The exchange paths: (algorithm, options).  ``tau_o=0`` sends SDS down
+#: the synchronous exchange, ``tau_s=1`` takes its sort branch.
+EXCHANGE_PATHS = {
+    "sync-merge": ("sds", {"node_merge_enabled": False, "tau_o": 0}),
+    "sync-sort": ("sds", {"node_merge_enabled": False, "tau_o": 0,
+                          "tau_s": 1}),
+    "sync-sort-stable": ("sds-stable", {"node_merge_enabled": False,
+                                        "tau_s": 1}),
+    "overlapped": ("sds", {"node_merge_enabled": False}),
+}
+
+
+def _observed_bytes(res) -> dict:
+    """``_observed`` with every output column compared byte for byte."""
+    out = _observed(res)
+    if res.failure is None:
+        batches = [r[1].batch for r in res.results]
+        out["stats"] = [r[1].exchange for r in res.results]
+        out["columns"] = [
+            [(name, col.dtype.str, col.shape, col.tobytes())
+             for name, col in [("key", b.keys), *b.payload.items()]]
+            for b in batches]
+        out["nbytes"] = [b.nbytes for b in batches]
+    return out
+
+
+def _exchange_ran(obs: dict, mode: str, ordering: str) -> bool:
+    return all(st is not None and (st.mode, st.ordering) == (mode, ordering)
+               for st in obs["stats"])
+
+
+@pytest.mark.parametrize("p", [1, 3, 25, 257])
+@pytest.mark.parametrize("path", EXCHANGE_PATHS)
+def test_exchange_epilogues_agree_in_every_form(path, p):
+    algorithm, opts = EXCHANGE_PATHS[path]
+    # cosmology: six payload columns, one of them two-dimensional
+    for wl, n in ((uniform(), 0), (uniform(), 1), (zipf(alpha=1.1), 64),
+                  (cosmology(), 64)):
+        whole = _observed_bytes(_run(algorithm, wl, n, p, "flat", opts=opts))
+        assert whole["failure"] is None
+        if p > 1:
+            mode = "overlap" if path == "overlapped" else "sync"
+            ordering = {"sync-merge": "merge",
+                        "overlapped": "overlap-merge"}.get(path, "sort")
+            assert _exchange_ran(whole, mode, ordering), (path, n)
+        _assert_same(whole, _observed_bytes(_run(
+            algorithm, wl, n, p, "flat", opts=opts, trace=True)),
+            f"{path} n={n} flat traced")
+        if p <= 25 or n == 64:
+            _assert_same(whole, _observed_bytes(_run(
+                algorithm, wl, n, p, "thread", opts=opts)),
+                f"{path} n={n} thread")
+
+
+def _heaviest_alone_capacity(algorithm, wl, n, p, opts) -> tuple[int, int]:
+    """A capacity one byte under the highest memory peak of an unlimited
+    run, and the one rank that reaches it."""
+    peaks = _run(algorithm, wl, n, p, "flat", opts=opts).mem_peaks
+    top = max(peaks)
+    assert peaks.count(top) == 1, "need a single heaviest rank"
+    return top - 1, peaks.index(top)
+
+
+def _assert_thread_fails_alike(whole: dict, heavy: int, run) -> None:
+    """The thread leg of an OOM comparison.  The refused rank's own
+    history is deterministic: same failure, clock, phase tuples,
+    counters and peak as on the flat world.  Its siblings race the
+    abort it raises — one still leaving the exchange's barrier is
+    stopped before charges every flat form reaches — so they may only
+    fall short of the flat world, never pass it."""
+    for _ in range(3):
+        thread = _observed(run())
+        assert thread["failure"] == whole["failure"]
+        for key in ("clocks", "phase_times", "traces", "counters",
+                    "mem_peaks"):
+            assert thread[key][heavy] == whole[key][heavy], key
+        for r, (got, want) in enumerate(zip(thread["mem_peaks"],
+                                            whole["mem_peaks"])):
+            assert got <= want, r
+        assert all(got <= want for got, want in zip(thread["clocks"],
+                                                    whole["clocks"]))
+
+
+@pytest.mark.parametrize("path", EXCHANGE_PATHS)
+def test_exchange_oom_fails_the_heaviest_rank_alone_in_every_form(path):
+    # zipf through SDS leaves destinations unequal; the heaviest one's
+    # peak is an exchange allocation (receive buffer or output), which a
+    # capacity one byte short refuses — for that rank only
+    algorithm, opts = EXCHANGE_PATHS[path]
+    wl, n, p = zipf(alpha=1.1), 64, 25
+    capacity, heavy = _heaviest_alone_capacity(algorithm, wl, n, p, opts)
+    whole = _observed(_run(algorithm, wl, n, p, "flat", opts=opts,
+                           capacity=capacity))
+    assert [(r, kind) for r, kind, _ in whole["failure"]] == [
+        (heavy, "SimOOMError")]
+    # everybody else finished both phases; the refused rank stopped
+    # inside one, with the partial time its bracket saw
+    done = [r for r in range(p) if r != heavy]
+    final_phase = "exchange" if path == "overlapped" else "local_ordering"
+    assert all(final_phase in whole["phase_times"][r] for r in done)
+    assert whole["clocks"][heavy] <= max(whole["clocks"][r] for r in done)
+    _assert_same(whole, _observed(_run(
+        algorithm, wl, n, p, "flat", opts=opts, capacity=capacity,
+        trace=True)), f"{path} flat traced")
+    _assert_thread_fails_alike(whole, heavy, lambda: _run(
+        algorithm, wl, n, p, "thread", opts=opts, capacity=capacity))
+
+
+@pytest.mark.parametrize("path", ["sync-merge", "overlapped"])
+def test_refused_output_allocation_stops_the_rank_mid_epilogue(
+        monkeypatch, path):
+    # the exchange's *second* allocation (the output, after the receive
+    # buffer was released) cannot run out on its own — it never exceeds
+    # the first — so refuse it by hand: rank 5's third ``alloc`` (input,
+    # receive buffer, output).  By then the rank has paid its ordering
+    # charge (sync) or moved its clock (overlapped) and released its
+    # receive buffer; every form must leave it exactly there.
+    victim, calls = 5, {}
+    real = MemoryTracker.alloc
+
+    def alloc(self, nbytes):
+        calls[self.rank] = calls.get(self.rank, 0) + 1
+        if self.rank == victim and calls[self.rank] == 3:
+            raise SimOOMError(self.rank, nbytes, self.in_use, -1)
+        return real(self, nbytes)
+
+    monkeypatch.setattr(MemoryTracker, "alloc", alloc)
+    algorithm, opts = EXCHANGE_PATHS[path]
+
+    def run(backend, **kw):
+        calls.clear()
+        return _run(algorithm, zipf(alpha=1.1), 64, 25, backend, opts=opts,
+                    **kw)
+
+    whole = _observed(run("flat"))
+    assert [(r, kind) for r, kind, _ in whole["failure"]] == [
+        (victim, "SimOOMError")]
+    last = "exchange" if path == "overlapped" else "local_ordering"
+    assert whole["phase_times"][victim][last] > 0.0    # the charge landed
+    # the overlapped epilogue counts after the refused statement, the
+    # sync network epilogue had already run to its end
+    assert ("bytes.recv" in whole["counters"][victim]) is (
+        path != "overlapped")
+    _assert_same(whole, _observed(run("flat", trace=True)), "flat traced")
+    _assert_thread_fails_alike(whole, victim, lambda: run("thread"))
+
+
+def test_psrs_exchange_oom_on_a_duplicate_heavy_destination():
+    # classic partitioning piles the duplicates of one value onto one
+    # rank (the paper's Fig 8/10 failure): its receive buffer is refused
+    wl, n, p = zipf(alpha=1.4), 64, 50
+    capacity, heavy = _heaviest_alone_capacity("psrs", wl, n, p, {})
+    whole = _observed(_run("psrs", wl, n, p, "flat", capacity=capacity))
+    assert [(r, kind) for r, kind, _ in whole["failure"]] == [
+        (heavy, "SimOOMError")]
+    _assert_same(whole, _observed(_run(
+        "psrs", wl, n, p, "flat", capacity=capacity, trace=True)),
+        "psrs flat traced")
+    _assert_thread_fails_alike(whole, heavy, lambda: _run(
+        "psrs", wl, n, p, "thread", capacity=capacity))
+
+
+def test_whole_form_outputs_outlive_the_run():
+    # outputs are views of arrays the exchange shares between ranks:
+    # they must keep those alive on their own
+    kw = dict(n_per_rank=64, p=50, mem_factor=None, seed=2,
+              backend="flat", keep_outputs=True)
+    res = run_sort("psrs", cosmology(), **kw)
+    outputs = res.outputs
+    want = [[(name, col.copy()) for name, col in
+             [("key", b.keys), *b.payload.items()]] for b in outputs]
+    del res
+    gc.collect()
+    np.random.default_rng(0).random(1 << 20)       # churn the heap
+    for b, cols in zip(outputs, want):
+        for (name, col), got in zip(cols, [b.keys, *b.payload.values()]):
+            assert np.array_equal(got, col), name
+    keys = np.concatenate([b.keys for b in outputs])
+    assert np.all(keys[1:] >= keys[:-1])
+
+
+@pytest.mark.parametrize("mutant", ["clock", "bytes.recv"])
+def test_a_mutated_whole_epilogue_is_caught(monkeypatch, mutant):
+    # the comparison above must see a whole form that drifts from its
+    # per-rank definition by one ulp-scale factor or one byte
+    real = pipeline._sync_exchange_network_whole
+
+    def drifting(world, comms, shared, send_nbytes):
+        with monkeypatch.context() as patch:
+            if mutant == "clock":  # t + dt * (1 + 1e-7)
+                exact = CostModel.alltoallv_time
+                patch.setattr(
+                    CostModel, "alltoallv_time",
+                    lambda *a, **k: exact(*a, **k) * (1 + 1e-7))
+            outs = real(world, comms, shared, send_nbytes)
+        if mutant == "bytes.recv":
+            comms[0]._world.counters[comms[-1].grank]["bytes.recv"] += 1
+        return outs
+
+    algorithm, opts = EXCHANGE_PATHS["sync-merge"]
+    per_rank = _observed(_run(algorithm, uniform(), 64, 25, "flat",
+                              opts=opts, trace=True))
+    _assert_same(_observed(_run(algorithm, uniform(), 64, 25, "flat",
+                                opts=opts)), per_rank, "unmutated")
+    monkeypatch.setattr(pipeline, "_sync_exchange_network_whole", drifting)
+    mutated = _observed(_run(algorithm, uniform(), 64, 25, "flat",
+                             opts=opts))
+    with pytest.raises(AssertionError,
+                       match="clocks" if mutant == "clock" else "counters"):
+        _assert_same(mutated, per_rank, "mutant")
+
+
+@pytest.mark.parametrize("damage,message", [
+    ("span", "displacements must span [0, len) with p+1 bounds"),
+    ("step", "displacements must be non-decreasing"),
+])
+def test_bad_cuts_fail_their_rank_alone_in_every_form(monkeypatch, damage,
+                                                      message):
+    # the world checks all cuts in one pass; when that pass objects, the
+    # per-rank checks name the offender, with their own exception
+    real = pipeline.classic_cuts
+
+    def damaged(rows, pg):
+        out = real(rows, pg)
+        for cuts in out:
+            if cuts.offs[-1] == 63:           # rank 3 alone holds 63 records
+                offs = cuts.offs.copy()
+                if damage == "span":
+                    offs[-1] += 1
+                else:
+                    offs[1] = offs[2] + 1
+                cuts.offs = offs
+        return out
+
+    class Ragged(Workload):
+        def __init__(self):
+            super().__init__("ragged", uniform().fn)
+
+        def shard(self, n, p, rank, seed=0):
+            return super().shard(63 if rank == 3 else n, p, rank, seed)
+
+    monkeypatch.setattr(pipeline, "classic_cuts", damaged)
+    whole = _observed(_run("psrs", Ragged(), 64, 25, "flat"))
+    assert whole["failure"] == [(3, "ValueError", message)]
+    _assert_same(whole, _observed(_run("psrs", Ragged(), 64, 25, "flat",
+                                       trace=True)), "flat traced")
+    thread = _observed(_run("psrs", Ragged(), 64, 25, "thread"))
+    assert thread["failure"] == whole["failure"]
 
 
 def test_run_sort_result_is_form_independent():
@@ -412,15 +668,31 @@ def test_world_tagging_equals_tag_provenance(lengths, seed, wide):
 CALLS_PER_RANK_BUDGET = 113
 
 
-def test_flat_sds_python_calls_per_rank_budget():
-    p = 1024
+#: Flat PSRS, p=1024 x 64: measured 149.1 (the parent: 205.7), plus
+#: 10 %.  What is left per rank is the shard generator, the local
+#: sort's payload ``take``, one ``RecordBatch`` / ``ExchangeStats`` /
+#: memory-ledger entry per output and the decision trace; a per-rank
+#: epilogue, cut check, merge or gather coming back costs 10-40 calls.
+PSRS_CALLS_PER_RANK_BUDGET = 164
+
+
+def _calls_per_rank(algorithm: str, p: int) -> float:
     kw = dict(n_per_rank=64, p=p, mem_factor=None, backend="flat")
-    run_sort("sds", by_name("uniform"), **kw)  # imports, caches
+    run_sort(algorithm, by_name("uniform"), **kw)  # imports, caches
     prof = cProfile.Profile()
     prof.enable()
-    res = run_sort("sds", by_name("uniform"), **kw)
+    res = run_sort(algorithm, by_name("uniform"), **kw)
     prof.disable()
     assert res.ok
     # summed per code object, as the ledger's py_calls_per_rank does
-    calls = sum(entry.callcount for entry in prof.getstats()) / p
+    return sum(entry.callcount for entry in prof.getstats()) / p
+
+
+def test_flat_sds_python_calls_per_rank_budget():
+    calls = _calls_per_rank("sds", 1024)
     assert calls <= CALLS_PER_RANK_BUDGET, calls
+
+
+def test_flat_psrs_python_calls_per_rank_budget():
+    calls = _calls_per_rank("psrs", 1024)
+    assert calls <= PSRS_CALLS_PER_RANK_BUDGET, calls
