@@ -100,12 +100,17 @@ def _seed_list(text: str) -> list[int]:
         if stop < start:
             raise argparse.ArgumentTypeError(
                 f"empty seed range {text!r}")
-        return list(range(start, stop + 1))
-    try:
-        return [int(x) for x in text.split(",") if x]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a seed list (expected e.g. 0,1,2 or 0..4)")
+        seeds = list(range(start, stop + 1))
+    else:
+        try:
+            seeds = [int(x) for x in text.split(",") if x]
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a seed list "
+                "(expected e.g. 0,1,2 or 0..4)")
+    if any(seed < 0 for seed in seeds):
+        raise argparse.ArgumentTypeError(f"seeds must be >= 0, got {text!r}")
+    return seeds
 
 
 def _fault_spec(text: str):
@@ -705,7 +710,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "whole-world batched columnar phases with no "
                          "rank threads (flat: bit-for-bit identical, "
                          "every algorithm), or auto (flat)")
-    ps.add_argument("--seed", type=int, default=0)
+    ps.add_argument("--seed", type=_nonneg_int, default=0)
     ps.add_argument("--mem-factor", type=_positive_float, default=6.7,
                     help="per-rank memory capacity as multiple of input")
     ps.add_argument("--no-mem-limit", action="store_true")
@@ -716,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
                     metavar="PRESET|JSON",
                     help="inject faults: a chaos preset name or an inline "
                          "JSON FaultSpec")
-    ps.add_argument("--fault-seed", type=int, default=0,
+    ps.add_argument("--fault-seed", type=_nonneg_int, default=0,
                     help="seed of the fault schedule (independent of the "
                          "data seed)")
     ps.add_argument("--explain", action="store_true",
@@ -789,7 +794,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--alpha", type=float, default=0.7)
     pd.add_argument("--n", type=int, default=1000)
     pd.add_argument("--p", type=int, default=4)
-    pd.add_argument("--seed", type=int, default=0)
+    pd.add_argument("--seed", type=_nonneg_int, default=0)
     pd.add_argument("--overwrite", action="store_true")
     pd.set_defaults(fn=cmd_dataset)
 
@@ -860,14 +865,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="simulated ranks")
     pm.add_argument("--machine", default="edison")
     pm.add_argument("--backend", default="thread", choices=BACKENDS)
-    pm.add_argument("--seed", type=int, default=0)
+    pm.add_argument("--seed", type=_nonneg_int, default=0)
     pm.add_argument("--mem-factor", type=_positive_float, default=6.7)
     pm.add_argument("--no-mem-limit", action="store_true")
     pm.add_argument("--no-node-merge", action="store_true")
     pm.add_argument("--sync", action="store_true")
     pm.add_argument("--fault-spec", type=_fault_spec, default=None,
                     metavar="PRESET|JSON")
-    pm.add_argument("--fault-seed", type=int, default=0)
+    pm.add_argument("--fault-seed", type=_nonneg_int, default=0)
     pm.add_argument("--job-trace", action="store_true",
                     help="record a virtual-time trace; its digest rides "
                          "in the result document")

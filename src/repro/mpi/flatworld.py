@@ -62,6 +62,7 @@ the thread engine produces when a sibling dies.
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Callable, Sequence
 
 from ..machine import LAPTOP, MachineSpec
@@ -300,7 +301,9 @@ class ColumnarWorld(World):
         anything else rank by rank, a raising rank recorded as failed."""
         if isinstance(finish, Epilogue):
             if self.whole:
-                return finish.whole(shared)
+                # no ranks (every one was refused earlier): nothing to
+                # book, as in the per-rank loop below
+                return finish.whole(shared) if comms else []
             finish = finish.rank
         outs: list[Any] = [None] * len(comms)
         for i, c in enumerate(comms):
@@ -574,7 +577,29 @@ def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,
                   tracer=tracer)
     world.cancel = cancel
     comms = make_world_comms(world)
-    results, failures = flat(comms, *args, **(kwargs or {}))
+    # Every engine object dies by reference count, so the cyclic
+    # collector only re-walks a wide world's live objects and finds
+    # nothing (docs/engine.md, "The collector is paused").  Whoever
+    # finds it on turns it off and back on: overlapping runs can lose
+    # part of the pause, never leave the collector off, and a caller
+    # who disabled it keeps it disabled.
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    failed = True  # until the program returns, and without failures
+    try:
+        results, failures = flat(comms, *args, **(kwargs or {}))
+        failed = bool(failures)
+    finally:
+        if paused:
+            gc.enable()
+        if failed:
+            # Failures are what makes cycles (exception -> traceback ->
+            # frames -> whoever holds the exception), and a paused
+            # world never ages them into a collection.  This run's own
+            # are still held by the failure it is about to report; the
+            # sweep frees the dead worlds of the failed runs before it.
+            gc.collect()
     failure = None
     if failures:
         failures = sorted(failures, key=lambda rf: rf[0])

@@ -91,6 +91,10 @@ class JobSpec:
         _require(isinstance(self.n_per_rank, int) and self.n_per_rank >= 0,
                  f"n_per_rank must be an integer >= 0, got "
                  f"{self.n_per_rank!r}")
+        for name in ("seed", "fault_seed"):
+            value = getattr(self, name)
+            _require(isinstance(value, int) and value >= 0,
+                     f"{name} must be an integer >= 0, got {value!r}")
         _require(self.mem_factor is None or self.mem_factor > 0,
                  f"mem_factor must be None or > 0, got {self.mem_factor!r}")
         _require(self.faults is None or isinstance(self.faults, FaultSpec),

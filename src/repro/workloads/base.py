@@ -5,6 +5,15 @@ simulated ranks consume it, so generators are exposed through
 :class:`Workload`, which derives per-rank substreams from one root seed
 (``numpy.random.SeedSequence.spawn``) — rank ``r``'s shard is a pure
 function of ``(seed, N, p, r)``.
+
+Two routes lead to the same bytes.  :meth:`Workload.shard` is the
+definition: numpy's own ``SeedSequence(seed, spawn_key=(rank,))`` +
+``default_rng`` per rank — what rank threads run and what every test
+compares against.  :meth:`Workload.shards`, the seam the flat engine
+draws a world through, computes the same PCG64 start states for a block
+of ranks in one pass (:mod:`.seeding`) and drives one generator through
+them; it takes that route only where it is provably the definition (see
+its docstring) and goes rank by rank through ``shard`` otherwise.
 """
 
 from __future__ import annotations
@@ -18,15 +27,34 @@ import numpy as np
 # interpreter's per-module import lock) on EVERY attribute access —
 # with a thousand rank threads calling ``shard`` that lock becomes the
 # simulator's hottest serialisation point.
-from numpy.random import SeedSequence, default_rng
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from ..records import RecordBatch
+from .seeding import child_states, matches_numpy
 
 
 class GeneratorFn(Protocol):
-    """Signature of the raw per-shard generators in this package."""
+    """Signature of the raw per-shard generators in this package.
+
+    ``rng`` arrives in the state ``default_rng(SeedSequence(seed,
+    spawn_key=(rank,)))`` starts in, and the shard is whatever the
+    function draws from it: that stream is the contract.  The object is
+    not — ``Workload.shards`` hands one ``Generator`` to a whole block
+    of ranks, re-seated before each call — so a generator function must
+    not keep ``rng`` beyond its return, and ``rng.bit_generator.seed_seq``
+    is not the rank's ``SeedSequence``.
+    """
 
     def __call__(self, n: int, rng: np.random.Generator) -> RecordBatch: ...
+
+
+def check_seed(seed: Any) -> None:
+    """Reject anything but a non-negative integer, before any rank is
+    drawn — numpy would word it three different ways, and take ``None``
+    for fresh OS entropy."""
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(
+            f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -47,6 +75,7 @@ class Workload:
 
     def shard(self, n: int, p: int, rank: int, seed: int = 0) -> RecordBatch:
         """Generate rank ``rank``'s ``n`` records of a ``p``-rank dataset."""
+        check_seed(seed)
         if not 0 <= rank < p:
             raise ValueError(f"rank {rank} out of range for p={p}")
         # equivalent to SeedSequence(seed).spawn(p)[rank] — same
@@ -61,13 +90,42 @@ class Workload:
         """The shards of ``ranks`` (default: all ``p``) in one call.
 
         Equals ``[self.shard(n, p, r, seed) for r in ranks]`` by
-        definition — it dispatches through :meth:`shard`, so a subclass
-        that overrides the per-rank generator is honoured.  The flat
-        engine draws a world through this seam.
+        definition, byte for byte.  The flat engine draws a world
+        through this seam, a block of ranks at a time, so the per-rank
+        seeding objects are not built here: the ranks' PCG64 start
+        states come from :func:`.seeding.child_states` in one pass and
+        one ``Generator`` is re-seated on each before ``fn(n, rng)``
+        (``has_uint32`` / ``uinteger`` reset with it: a float32 or
+        uint32 draw leaves a buffered half-word behind).  That route is
+        taken only when it is the definition: ``shard`` is
+        :class:`Workload`'s own (not overridden by a subclass, not
+        patched on the class or the instance), ``seed`` is an ``int``,
+        every rank is in ``[0, min(p, 2**32))``, and
+        :func:`.seeding.matches_numpy` agreed with the installed numpy.
+        Anything else dispatches through :meth:`shard` rank by rank —
+        which also words the error of an out-of-range rank.
         """
+        check_seed(seed)
+        ranks = range(p) if ranks is None else list(ranks)
+        if not ranks:
+            return []
         shard = self.shard
-        return [shard(n, p, r, seed)
-                for r in (range(p) if ranks is None else ranks)]
+        if not (getattr(shard, "__func__", None) is _SHARD
+                and isinstance(seed, int)
+                and min(ranks) >= 0 and max(ranks) < min(p, 1 << 32)
+                and matches_numpy()):
+            return [shard(n, p, r, seed) for r in ranks]
+        fn = self.fn
+        bit_generator = PCG64(0)
+        rng = Generator(bit_generator)
+        out = []
+        for state, inc in child_states(int(seed), ranks):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0, "uinteger": 0}
+            out.append(fn(n, rng))
+        return out
 
     def generate(self, n: int, seed: int = 0) -> RecordBatch:
         """Generate ``n`` records as a single shard (for local studies)."""
@@ -76,3 +134,8 @@ class Workload:
     def global_batch(self, n_per_rank: int, p: int, seed: int = 0) -> RecordBatch:
         """All ``p`` shards concatenated (what the whole machine sorts)."""
         return RecordBatch.concat(self.shards(n_per_rank, p, seed))
+
+
+#: ``Workload.shard`` as defined above: ``shards`` batches only while
+#: this function is still what ``self.shard`` resolves to.
+_SHARD = Workload.shard

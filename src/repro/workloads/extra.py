@@ -29,7 +29,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from ..records import RecordBatch
-from .base import Workload
+from .base import Workload, check_seed
 
 #: GraySort record layout: 10-byte key + 90-byte payload, modelled as
 #: one uint64 key column plus 11 opaque float64 words = 96 bytes.
@@ -100,6 +100,7 @@ class StaggeredWorkload(Workload):
         super().__init__("staggered", _staggered_fallback_batch)
 
     def shard(self, n: int, p: int, rank: int, seed: int = 0) -> RecordBatch:
+        check_seed(seed)
         if not 0 <= rank < p:
             raise ValueError(f"rank {rank} out of range for p={p}")
         # O(1) equivalent of SeedSequence(seed).spawn(p)[rank] (see base.py)

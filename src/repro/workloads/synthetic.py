@@ -19,7 +19,7 @@ perturbations.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -44,6 +44,16 @@ def zipf_pmf(alpha: float, universe: int = ZIPF_UNIVERSE) -> np.ndarray:
     return w / w.sum()
 
 
+@lru_cache(maxsize=32)
+def _zipf_cdf(alpha: float, universe: int) -> np.ndarray:
+    """Read-only normalised CDF of :func:`zipf_pmf`, built the way
+    ``Generator.choice(p=pmf)`` builds its own on every call."""
+    cdf = zipf_pmf(alpha, universe).cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
 def zipf_delta(alpha: float, universe: int = ZIPF_UNIVERSE) -> float:
     """Expected max replication ratio of a Zipf(alpha) workload.
 
@@ -62,10 +72,14 @@ def zipf_batch(n: int, rng: np.random.Generator, *, alpha: float = 0.7,
     low end of the distribution, as the paper describes for skewed
     science data), jittered by nothing — duplicates are exact, which is
     the property that breaks sample-based partitioners.
+
+    The draw is ``rng.choice(universe, size=n, p=zipf_pmf(...))``
+    spelled out — one uniform per key, inverted through the CDF — so
+    the 10 000-entry pmf, its validation and its ``cumsum`` are paid
+    once per ``(alpha, universe)`` instead of once per shard.
     """
-    pmf = zipf_pmf(alpha, universe)
-    keys = rng.choice(universe, size=n, p=pmf).astype(np.float64)
-    return RecordBatch(keys)
+    idx = _zipf_cdf(alpha, universe).searchsorted(rng.random(n), side="right")
+    return RecordBatch(idx.astype(np.float64))
 
 
 def runs_batch(n: int, rng: np.random.Generator, *, runs: int = 16) -> RecordBatch:

@@ -106,6 +106,23 @@ class TestCli:
         with pytest.raises(SystemExit):
             main([])
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sort", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+        (["sort", "--seed", "1.5"], "--seed: '1.5' is not an integer"),
+        (["sort", "--fault-seed", "-2"], "--fault-seed: must be >= 0"),
+        (["dataset", "--seed", "-1"], "--seed: must be >= 0, got -1"),
+        (["submit", "--seed", "x"], "--seed: 'x' is not an integer"),
+        (["submit", "--fault-seed", "-1"], "--fault-seed: must be >= 0"),
+        (["chaos", "--seeds=-1..2"], "--seeds: seeds must be >= 0"),
+        (["chaos", "--seeds", "0,-3"], "--seeds: seeds must be >= 0"),
+    ])
+    def test_malformed_seed_is_a_usage_error(self, capsys, argv, message):
+        # exit 2 with argparse's one-line error, not a numpy traceback
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCliTrace:
     def test_sort_trace_writes_valid_file(self, capsys, tmp_path):

@@ -65,6 +65,12 @@ class TestJobSpec:
         {"workload": "lognormal"},
         {"workload": "zipf", "workload_opts": {"beta": 2}},
         {"mystery_knob": 1},
+        {"seed": -1},
+        {"seed": 1.5},
+        {"seed": "3"},
+        {"seed": None},
+        {"fault_seed": -1},
+        {"fault_seed": 2.0},
     ])
     def test_invalid_specs_raise(self, bad):
         with pytest.raises(JobValidationError):
@@ -228,6 +234,27 @@ class TestServiceLifecycle:
             assert env["status"] == "rejected"
             assert env["admission"]["code"] == "invalid"
             assert "nope" in env["error"]
+
+    @pytest.mark.parametrize("field", ["seed", "fault_seed"])
+    @pytest.mark.parametrize("bad", [-1, 1.5, "3"])
+    def test_malformed_seed_rejected_typed(self, field, bad):
+        # it used to reach admission's probe shard and escape as
+        # numpy's ValueError / TypeError: no envelope, and a job counted
+        # ``submitted`` that never reached a terminal state
+        with ServiceClient() as c:
+            env = c.submit({"p": 8, "n_per_rank": 100, field: bad})
+            assert env["status"] == "rejected"
+            assert env["admission"]["code"] == "invalid"
+            assert env["admission"]["estimated_bytes"] == 0
+            assert env["error"] == (f"{field} must be an integer >= 0, "
+                                    f"got {bad!r}")
+            assert c.run(JobSpec(p=8, n_per_rank=100))["status"] == "done"
+            st = c.stats()
+            counts = st["counts"]
+            assert counts["submitted"] == 2
+            assert counts["submitted"] == sum(
+                n for state, n in counts.items() if state != "submitted")
+            assert st["admission"]["committed_bytes"] == 0
 
     def test_over_budget_rejected_typed(self):
         with ServiceClient(mem_budget_bytes=1000) as c:

@@ -1,12 +1,20 @@
 """Workload generators: distributions, determinism, paper statistics."""
 
+import ast
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.random import PCG64, SeedSequence, default_rng
 
 from repro.metrics import replication_ratio
+from repro.records import RecordBatch
 from repro.workloads import (
     COSMO_DELTA,
     PTF_DELTA,
+    Workload,
     by_name,
     cosmology,
     nearly_sorted,
@@ -17,6 +25,8 @@ from repro.workloads import (
     zipf_delta,
     zipf_pmf,
 )
+from repro.workloads import seeding
+from repro.workloads.seeding import child_states
 
 
 class TestShardProtocol:
@@ -41,6 +51,21 @@ class TestShardProtocol:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
             uniform().shard(10, 4, 4)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, "3", None, [1, 2],
+                                      np.int64(-4)])
+    @pytest.mark.parametrize("name", ["uniform", "staggered"])
+    def test_bad_seed_is_one_error_before_any_rank(self, name, seed):
+        # numpy words these three ways (ValueError / TypeError) and
+        # takes None for fresh OS entropy
+        wl = by_name(name)
+        message = "seed must be a non-negative integer, got "
+        with pytest.raises(ValueError, match=message):
+            wl.shard(5, 4, 0, seed)
+        with pytest.raises(ValueError, match=message):
+            wl.shards(5, 4, seed)
+        with pytest.raises(ValueError, match=message):
+            wl.shards(5, 4, seed, [])
 
     def test_global_batch_concatenates(self):
         wl = uniform()
@@ -77,6 +102,28 @@ class TestZipf:
 
     def test_meta_records_delta(self):
         assert zipf(0.7).meta["delta"] == pytest.approx(zipf_delta(0.7))
+
+    @pytest.mark.parametrize("alpha", [0, 0.4, 0.7, 1.4, 2.1])
+    def test_keys_are_rng_choice_over_the_pmf(self, alpha):
+        # the memoised-CDF draw is ``Generator.choice(p=pmf)`` spelled
+        # out: same keys, and the generator left in the same state
+        for universe in (10_000, 37):
+            wl = zipf(alpha, universe)
+            pmf = zipf_pmf(alpha, universe)
+            for n in (0, 1, 500, 5000):
+                want, got = default_rng(n + 1), default_rng(n + 1)
+                keys = want.choice(universe, size=n, p=pmf).astype(np.float64)
+                batch = wl.fn(n, got)
+                assert batch.keys.dtype == keys.dtype
+                assert batch.keys.tobytes() == keys.tobytes()
+                assert got.bit_generator.state == want.bit_generator.state
+
+    def test_cdf_is_shared_and_read_only(self):
+        from repro.workloads.synthetic import _zipf_cdf
+        cdf = _zipf_cdf(0.7, 10_000)
+        assert cdf is _zipf_cdf(0.7, 10_000)
+        with pytest.raises(ValueError):
+            cdf[0] = 0.0
 
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
@@ -153,3 +200,190 @@ class TestCosmology:
             res = run_sort(algorithm, cosmology(), n_per_rank=0, p=4,
                            backend=backend)       # validate=True
             assert res.ok and res.loads == [0, 0, 0, 0]
+
+
+
+# ---------------------------------------------------------------------------
+# Workload.shards: exact batched child seeding
+# ---------------------------------------------------------------------------
+
+GRID_SEEDS = (0, 1, 5, 123456789, 2**32 - 1, 2**32, 2**40 + 7,
+              2**127 + 3, 2**128 + 5, 2**200 + 9)
+GRID_RANKS = (0, 1, 2, 17, 255, 4095, 65535, 131071, 2**31, 2**32 - 1)
+
+
+def _numpy_states(seed, ranks):
+    out = []
+    for r in ranks:
+        state = PCG64(SeedSequence(seed, spawn_key=(r,))).state
+        assert (state["has_uint32"], state["uinteger"]) == (0, 0)
+        out.append((state["state"]["state"], state["state"]["inc"]))
+    return out
+
+
+def registered_names():
+    """Every workload ``by_name`` knows, read off its own error text."""
+    try:
+        by_name("no-such-workload")
+    except KeyError as err:
+        names = ast.literal_eval(err.args[0].split("options: ")[1])
+    assert "staggered" in names and len(names) >= 11
+    return names
+
+
+def _same_bytes(got: RecordBatch, want: RecordBatch) -> None:
+    assert got.keys.dtype == want.keys.dtype
+    assert got.keys.tobytes() == want.keys.tobytes()
+    assert got.columns == want.columns
+    for name in want.columns:
+        a, b = got.payload[name], want.payload[name]
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+        assert a.tobytes() == b.tobytes(), name
+
+
+def _half_word_batch(n, rng):
+    # one uint32 and one float32 draw each leave a buffered half-word
+    # in the bit generator: it must not leak into the next rank
+    head = rng.integers(0, 2**32, dtype=np.uint32)
+    tail = rng.random(1, dtype=np.float32)
+    return RecordBatch(np.concatenate([[float(head)], tail, rng.random(n)]))
+
+
+class TestBatchedSeeding:
+    @pytest.mark.parametrize("seed", GRID_SEEDS)
+    def test_states_equal_numpy_on_the_grid(self, seed):
+        assert child_states(seed, GRID_RANKS) == _numpy_states(seed,
+                                                               GRID_RANKS)
+        assert child_states(seed, np.array(GRID_RANKS)) == \
+            child_states(seed, list(GRID_RANKS))
+        assert child_states(seed, []) == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**256 - 1),
+           st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4))
+    def test_states_equal_numpy(self, seed, ranks):
+        assert child_states(seed, ranks) == _numpy_states(seed, ranks)
+
+    def test_self_check_agrees_with_this_numpy(self):
+        seeding.matches_numpy.cache_clear()
+        assert seeding.matches_numpy() is True
+
+    @pytest.mark.parametrize("name", registered_names())
+    @pytest.mark.parametrize("n", [0, 1, 7, 63])
+    def test_shards_equal_shard_byte_for_byte(self, name, n):
+        wl = by_name(name)
+        for seed in (0, 3, 2**35 + 1):
+            for p in (1, 9):
+                got = wl.shards(n, p, seed)
+                assert len(got) == p
+                for r, batch in enumerate(got):
+                    _same_bytes(batch, wl.shard(n, p, r, seed))
+
+    @pytest.mark.parametrize("ranks", [
+        [6, 0, 3, 8, 1], [2, 2, 7, 2], [5], [], range(3, 7),
+        np.array([8, 0], dtype=np.int32)])
+    def test_any_ranks_in_any_order(self, ranks):
+        for name in ("cosmology", "ptf", "staggered"):
+            wl = by_name(name)
+            for given_ranks in (ranks, iter(ranks)):     # one-shot too
+                got = wl.shards(7, 9, 3, given_ranks)
+                assert len(got) == len(ranks)
+                for r, batch in zip(ranks, got):
+                    _same_bytes(batch, wl.shard(7, 9, int(r), 3))
+
+    def test_buffered_half_word_does_not_leak(self):
+        wl = Workload("half-word", _half_word_batch)
+        for r, batch in enumerate(wl.shards(5, 6, 9)):
+            _same_bytes(batch, wl.shard(5, 6, r, 9))
+
+    def test_overridden_shard_is_honoured(self):
+        calls = []
+
+        class Shifted(Workload):
+            def shard(self, n, p, rank, seed=0):
+                calls.append(rank)
+                return super().shard(n + rank, p, rank, seed)
+
+        wl = Shifted("shifted", uniform().fn)
+        assert [len(b) for b in wl.shards(2, 4, 1)] == [2, 3, 4, 5]
+        assert calls == [0, 1, 2, 3]
+
+    def test_patched_shard_is_honoured(self, monkeypatch):
+        definition = Workload.shard
+        calls = []
+
+        def spy(self, n, p, rank, seed=0):
+            calls.append(rank)
+            return definition(self, n, p, rank, seed)
+
+        wl = uniform()
+        want = wl.shards(4, 3, 2)
+        monkeypatch.setattr(Workload, "shard", spy)      # on the class
+        for got, batch in zip(wl.shards(4, 3, 2), want, strict=True):
+            _same_bytes(got, batch)
+        assert calls == [0, 1, 2]
+        monkeypatch.undo()
+        object.__setattr__(wl, "shard",                  # on the instance
+                           lambda n, p, rank, seed=0: calls.append(-rank))
+        assert wl.shards(4, 3, 2) == [None] * 3
+        assert calls[3:] == [0, -1, -2]
+
+    def test_batched_route_builds_no_per_rank_seeding_objects(
+            self, monkeypatch):
+        # the point of the route: were it taken through ``shard`` these
+        # would be called once per rank
+        from repro.workloads import base
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("per-rank seeding object built")
+
+        monkeypatch.setattr(base, "SeedSequence", refuse)
+        monkeypatch.setattr(base, "default_rng", refuse)
+        assert len(uniform().shards(4, 300, 1)) == 300
+        with pytest.raises(AssertionError):
+            uniform().shard(4, 300, 0, 1)
+
+    @pytest.mark.parametrize("seed", [2**128 + 5, 2**200 + 9, np.int64(7),
+                                      np.uint8(3), True, False])
+    def test_wide_and_non_int_seeds_give_what_shard_gives(self, seed):
+        wl = by_name("ptf")
+        for r, batch in enumerate(wl.shards(7, 3, seed)):
+            _same_bytes(batch, wl.shard(7, 3, r, seed))
+
+    def test_ranks_past_32_bits_give_what_shard_gives(self):
+        # two spawn-key words: the definition's business
+        wl, p = uniform(), 2**32 + 2
+        ranks = [2**32 - 1, 2**32, 2**32 + 1, 3]
+        for r, batch in zip(ranks, wl.shards(4, p, 5, ranks)):
+            _same_bytes(batch, wl.shard(4, p, r, 5))
+        _same_bytes(wl.shards(4, p, 5, [2**32 - 1])[0],
+                    wl.shard(4, p, 2**32 - 1, 5))
+
+    def test_out_of_range_rank_is_shard_error(self):
+        for ranks in ([0, 4], [-1], [1, 2**40]):
+            with pytest.raises(ValueError, match="out of range for p=4"):
+                uniform().shards(3, 4, 0, ranks)
+
+    @pytest.mark.parametrize("constant", ["_MULT_A", "_MIX_MULT_R",
+                                          "_MULT_B", "_PCG_MULT"])
+    def test_self_check_falls_back_to_shard(self, monkeypatch, caplog,
+                                            constant):
+        monkeypatch.setattr(seeding, constant,
+                            getattr(seeding, constant) ^ 2)
+        seeding.matches_numpy.cache_clear()
+        try:
+            wl = by_name("cosmology")
+            with caplog.at_level(logging.WARNING):
+                for _ in range(3):
+                    got = wl.shards(7, 5, 3)
+            for r, batch in enumerate(got):
+                _same_bytes(batch, wl.shard(7, 5, r, 3))
+            warned = [rec for rec in caplog.records
+                      if "disagrees with numpy" in rec.getMessage()]
+            assert len(warned) == 1          # once per process
+            assert warned[0].name == "sdssort.workloads.seeding"
+            assert seeding.matches_numpy() is False
+        finally:
+            monkeypatch.undo()
+            seeding.matches_numpy.cache_clear()
+        assert seeding.matches_numpy() is True

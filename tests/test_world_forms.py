@@ -18,9 +18,9 @@ take the per-rank form; they are compared too.
 
 from __future__ import annotations
 
-import ast
 import cProfile
 import gc
+import threading
 
 import numpy as np
 import pytest
@@ -33,6 +33,7 @@ from repro.machine import EDISON, CostModel, MemoryTracker, SimOOMError
 from repro.mpi import (
     ColumnarWorld,
     FlatAbort,
+    RankFailure,
     SimWorld,
     make_world_comms,
     run_spmd,
@@ -47,6 +48,8 @@ from repro.records import (
 )
 from repro.runner import _SortProgram, run_sort
 from repro.workloads import Workload, by_name, cosmology, uniform, zipf
+
+from .test_workloads import registered_names
 
 #: Host-wall counters: no engine reproduces them.
 WALL_COUNTERS = ("coll.sync_wait", "p2p.wait")
@@ -618,22 +621,12 @@ def test_stacked_node_merge_leaves_mismatched_runs_to_the_caller():
     assert kway_merge_batches(mixed_dtype).keys.dtype == np.float64
 
 
-def _registered_workloads():
-    """Every workload ``by_name`` knows, read off its own error text."""
-    try:
-        by_name("no-such-workload")
-    except KeyError as err:
-        names = ast.literal_eval(err.args[0].split("options: ")[1])
-    assert "staggered" in names and len(names) >= 11
-    return [by_name(name) for name in names]
-
-
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 40), st.integers(1, 9), st.integers(0, 2**31 - 1),
        st.data())
 def test_shards_equals_shard_per_rank(n, p, seed, data):
     ranks = data.draw(st.lists(st.integers(0, p - 1), max_size=p))
-    for wl in _registered_workloads():
+    for wl in map(by_name, registered_names()):
         for got, r in zip(wl.shards(n, p, seed, ranks), ranks, strict=True):
             _assert_batches_equal(got, wl.shard(n, p, r, seed))
         whole = wl.shards(n, p, seed)
@@ -659,21 +652,237 @@ def test_world_tagging_equals_tag_provenance(lengths, seed, wide):
 
 
 # ---------------------------------------------------------------------------
+# the collector is paused for a flat world's span
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def collector_off():
+    """Hold the cyclic collector off: whatever the test makes that only
+    it could free is still there for ``gc.collect()`` to count."""
+    assert gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+        gc.collect()
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+@pytest.mark.parametrize("mode", ["plain", "traced", "mixed-faults"])
+def test_ok_flat_runs_make_no_cycles(algorithm, mode, collector_off):
+    # the invariant the pause rests on: every object of an ok run dies
+    # by reference count.  A back-reference (Comm <-> SimWorld, a plan
+    # that holds its context...) shows up here as unreachable objects.
+    kw = dict(n_per_rank=64, p=50, mem_factor=None, backend="flat",
+              trace=mode == "traced",
+              faults=PRESETS["mixed"] if mode == "mixed-faults" else None)
+    assert run_sort(algorithm, zipf(1.1), seed=1, **kw).ok
+    gc.collect()     # a first call's imports and caches may leave some
+    before = len(gc.get_objects())
+    for seed in range(2, 6):
+        assert run_sort(algorithm, zipf(1.1), seed=seed, **kw).ok
+    assert not gc.isenabled()
+    assert len(gc.get_objects()) == before
+    assert gc.collect() == 0
+
+
+def test_a_cycle_in_the_world_is_caught(monkeypatch, collector_off):
+    # the mutant the test above exists for
+    init = SimWorld.__init__
+
+    def back_referencing(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.world_ctx.sim = self
+
+    kw = dict(n_per_rank=64, p=50, mem_factor=None, backend="flat")
+    assert run_sort("sds", uniform(), **kw).ok
+    gc.collect()
+    assert run_sort("sds", uniform(), **kw).ok
+    assert gc.collect() == 0
+    monkeypatch.setattr(SimWorld, "__init__", back_referencing)
+    assert run_sort("sds", uniform(), **kw).ok
+    assert gc.collect() > 0
+
+
+class _Probe:
+    """A flat program that reports the collector's state from inside
+    the run, then ends the way it is told to."""
+
+    def __init__(self, ending="ok"):
+        self.ending = ending
+        self.inside = None
+
+    def flat_run(self, comms):
+        self.inside = gc.isenabled()
+        if self.ending == "raise":
+            raise RuntimeError("program blew up")
+        if self.ending == "fail":
+            return [None] * len(comms), [(1, ValueError("rank 1 failed"))]
+        return [r for r in range(len(comms))], []
+
+
+class _SetAfter:
+    """A cancel event that fires at the ``n``-th poll (mid-run)."""
+
+    def __init__(self, n):
+        self.polls, self.n = 0, n
+
+    def is_set(self):
+        self.polls += 1
+        return self.polls > self.n
+
+
+def _leader_oom(check):
+    # the default-capacity run of the paper's algorithm: node merge
+    # puts 24 shards on a leader that may hold 6.7
+    prog = _SortProgram("sds", uniform(), 2000, 0, {})
+    return run_spmd(prog, 48, machine=EDISON, mem_capacity=268_000,
+                    check=check, backend="flat")
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_collector_is_what_it_was_after_every_ending(enabled):
+    assert gc.isenabled()
+    if not enabled:
+        gc.disable()
+    try:
+        ok = _Probe()
+        assert run_spmd(ok, 4, backend="flat").results == [0, 1, 2, 3]
+        assert ok.inside is False and gc.isenabled() is enabled
+
+        failing = _Probe("fail")
+        res = run_spmd(failing, 4, backend="flat", check=False)
+        assert res.failure.ranks == (1,)
+        assert failing.inside is False and gc.isenabled() is enabled
+        with pytest.raises(RankFailure):
+            run_spmd(_Probe("fail"), 4, backend="flat")
+        assert gc.isenabled() is enabled
+
+        raising = _Probe("raise")
+        with pytest.raises(RuntimeError, match="program blew up"):
+            run_spmd(raising, 4, backend="flat", check=False)
+        assert raising.inside is False and gc.isenabled() is enabled
+
+        assert _leader_oom(check=False).failure.ranks == (0, 24)
+        assert gc.isenabled() is enabled
+        with pytest.raises(RankFailure, match="SimOOMError"):
+            _leader_oom(check=True)
+        assert gc.isenabled() is enabled
+
+        cancel = _SetAfter(4)
+        res = run_sort("sds", uniform(), n_per_rank=64, p=600,
+                       mem_factor=None, backend="flat", cancel=cancel)
+        assert "RunCancelled" in res.failure and cancel.polls > 4
+        assert gc.isenabled() is enabled
+
+        assert run_sort("psrs", uniform(), n_per_rank=64, p=50,
+                        mem_factor=None, backend="flat").ok
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+
+
+class _Held(_Probe):
+    """Stays inside the run until released."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered, self.release = threading.Event(), threading.Event()
+
+    def flat_run(self, comms):
+        self.inside = gc.isenabled()
+        self.entered.set()
+        assert self.release.wait(30)
+        return [None] * len(comms), []
+
+
+@pytest.mark.parametrize("first_out", ["first-in", "last-in"])
+def test_overlapping_flat_runs_never_leave_the_collector_off(first_out):
+    # two service workers: whoever found the collector on restores it,
+    # so the other may run on with it enabled (part of the saving
+    # lost) — it is never left off
+    assert gc.isenabled()
+    a, b = _Held(), _Held()
+    threads = {prog: threading.Thread(
+        target=run_spmd, args=(prog, 2), kwargs={"backend": "flat"})
+        for prog in (a, b)}
+    try:
+        for prog in (a, b):
+            threads[prog].start()
+            assert prog.entered.wait(30)
+        assert (a.inside, b.inside) == (False, False)
+        assert not gc.isenabled()
+        leaver, stayer = (a, b) if first_out == "first-in" else (b, a)
+        leaver.release.set()
+        threads[leaver].join(30)
+        assert not threads[leaver].is_alive()
+        assert gc.isenabled() is (leaver is a)
+        stayer.release.set()
+        threads[stayer].join(30)
+        assert not threads[stayer].is_alive()
+        assert gc.isenabled()
+    finally:
+        a.release.set()
+        b.release.set()
+        gc.enable()
+
+
+def test_failed_flat_runs_do_not_pile_up(collector_off):
+    # A failure owns a cycle — exception -> traceback -> the frames of
+    # the whole call stack -> whoever holds the exception — that turns
+    # to garbage only once the caller lets go of the result, so no
+    # sweep inside the run can free it.  What the exit sweep
+    # guarantees, with no automatic collection to rely on (a paused
+    # world never ages anything into one): nothing else is left
+    # unreachable, and a failed run frees the failed runs before it.
+    def failed_run():
+        res = run_sort("sds", uniform(), n_per_rank=2000, p=48,
+                       backend="flat")
+        assert res.oom and "SimOOMError" in res.failure
+
+    run_sort("sds", uniform(), n_per_rank=64, p=48, mem_factor=None,
+             backend="flat")                                  # warm
+    held = _leader_oom(check=False)
+    assert gc.collect() == 0          # swept at exit; the rest is held
+    del held
+    assert gc.collect() > 0
+    failed_run()
+    one = len(gc.get_objects())
+    for _ in range(5):
+        failed_run()
+    assert len(gc.get_objects()) == one
+    assert not gc.isenabled()
+    assert gc.collect() > 0 and gc.collect() == 0 and gc.garbage == []
+
+
+def test_every_rank_refused_in_the_sync_network_epilogue():
+    # the whole ordering epilogue is then handed no ranks at all
+    kw = dict(n_per_rank=500, p=64, mem_factor=1.0)
+    flat = run_sort("psrs", uniform(), backend="flat", **kw)
+    traced = run_sort("psrs", uniform(), backend="flat", trace=True, **kw)
+    assert flat.oom and flat.failure == traced.failure
+    assert flat.failure.startswith("rank 0: SimOOMError")
+    assert run_sort("psrs", uniform(), backend="thread", **kw).oom
+
+
+# ---------------------------------------------------------------------------
 # a budget that cannot flake: Python calls per rank
 # ---------------------------------------------------------------------------
 
-#: Measured 102.5 at p=1024 (the parent: 295.8), plus 10 %.  A count,
-#: not a time: it repeats exactly on any host and trips when a per-rank
-#: ``Comm`` call chain returns to the flat path.
-CALLS_PER_RANK_BUDGET = 113
+#: Measured 95.6 at p=1024 (the parent: 104.3; before PR 16: 295.8),
+#: plus 10 %.  A count, not a time: it repeats exactly on any host and
+#: trips when a per-rank ``Comm`` call chain returns to the flat path.
+CALLS_PER_RANK_BUDGET = 105
 
 
-#: Flat PSRS, p=1024 x 64: measured 149.1 (the parent: 205.7), plus
+#: Flat PSRS, p=1024 x 64: measured 140.4 (the parent: 149.1), plus
 #: 10 %.  What is left per rank is the shard generator, the local
 #: sort's payload ``take``, one ``RecordBatch`` / ``ExchangeStats`` /
 #: memory-ledger entry per output and the decision trace; a per-rank
 #: epilogue, cut check, merge or gather coming back costs 10-40 calls.
-PSRS_CALLS_PER_RANK_BUDGET = 164
+PSRS_CALLS_PER_RANK_BUDGET = 154
 
 
 def _calls_per_rank(algorithm: str, p: int) -> float:
