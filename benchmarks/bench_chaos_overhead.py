@@ -59,14 +59,15 @@ def measure() -> dict:
     opts = {"node_merge_enabled": False}
     out: dict[str, dict] = {}
     for p in (256,) if quick() else (256, 512):
+        # rank threads: the engine the recorded sections were taken on
         base = run_sort("sds", wl, n_per_rank=N_PER_RANK, p=p,
-                        mem_factor=None, algo_opts=opts)
+                        mem_factor=None, algo_opts=opts, backend="thread")
         assert base.ok
         for name, spec in SCENARIOS:
             t0 = time.perf_counter()
             r = run_sort("sds", wl, n_per_rank=N_PER_RANK, p=p,
                          mem_factor=None, algo_opts=opts,
-                         faults=spec, fault_seed=0)
+                         faults=spec, fault_seed=0, backend="thread")
             wall = time.perf_counter() - t0
             assert r.ok, f"{name} at p={p} failed: {r.failure}"
             counters = r.extras["faults"]

@@ -51,7 +51,8 @@ def measure() -> dict:
             for _ in range(REPS):
                 t0 = time.perf_counter()
                 r = run_sort("sds", wl, n_per_rank=N_PER_RANK, p=p,
-                             mem_factor=None, algo_opts=opts, trace=trace)
+                             mem_factor=None, algo_opts=opts, trace=trace,
+                             backend="thread")  # the recorded sections' engine
                 walls[trace] = min(walls[trace], time.perf_counter() - t0)
                 assert r.ok, f"p={p} trace={trace} failed: {r.failure}"
                 results[trace] = r

@@ -704,12 +704,12 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--p", type=_positive_int, default=16,
                     help="simulated ranks")
     ps.add_argument("--machine", default="edison")
-    ps.add_argument("--backend", default="thread",
+    ps.add_argument("--backend", default="auto",
                     choices=BACKENDS,
-                    help="engine backend: rank threads in-process, "
+                    help="engine backend: auto (default) = flat, "
                          "whole-world batched columnar phases with no "
-                         "rank threads (flat: bit-for-bit identical, "
-                         "every algorithm), or auto (flat)")
+                         "rank threads (every algorithm); thread = rank "
+                         "threads, the bit-for-bit identical oracle")
     ps.add_argument("--seed", type=_nonneg_int, default=0)
     ps.add_argument("--mem-factor", type=_positive_float, default=6.7,
                     help="per-rank memory capacity as multiple of input")
@@ -812,9 +812,10 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--algorithms", default="sds,sds-stable")
     px.add_argument("--workload", default="uniform")
     px.add_argument("--machine", default="edison")
-    px.add_argument("--backend", default="thread",
+    px.add_argument("--backend", default="flat",
                     choices=ENGINE_BACKENDS,
-                    help="engine backend (report hash is backend-invariant)")
+                    help="engine backend (default flat; the report hash "
+                         "is backend-invariant)")
     px.add_argument("--json", default=None, metavar="PATH",
                     help="also write the full report as JSON")
     px.set_defaults(fn=cmd_chaos)
@@ -864,7 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--p", type=_positive_int, default=16,
                     help="simulated ranks")
     pm.add_argument("--machine", default="edison")
-    pm.add_argument("--backend", default="thread", choices=BACKENDS)
+    pm.add_argument("--backend", default="auto", choices=BACKENDS,
+                    help="engine backend (default auto = flat)")
     pm.add_argument("--seed", type=_nonneg_int, default=0)
     pm.add_argument("--mem-factor", type=_positive_float, default=6.7)
     pm.add_argument("--no-mem-limit", action="store_true")

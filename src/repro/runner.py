@@ -253,7 +253,7 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
              algo_opts: dict[str, Any] | None = None,
              faults: Any = None, fault_seed: int = 0,
              trace: bool = False,
-             backend: str = "thread",
+             backend: str = "auto",
              pool: SpmdPool | None = None, cancel: Any = None,
              metrics: Any = None) -> RunResult:
     """Run one distributed sort end to end on the simulated machine.
@@ -276,14 +276,14 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         :class:`~repro.obs.report.TraceReport` lands in
         ``extras["trace"]``.  Tracing is purely observational — the
         simulated clocks are identical with it on or off.
-    backend: one of :data:`BACKENDS`.  ``"thread"`` (default) and
-        ``"flat"`` run the functional engine — bit-for-bit identical
-        results, with ranks hosted as threads of this process or
-        executed as whole-world columnar phases with zero rank threads
-        respectively (every registered algorithm has the world-form
-        entry point ``"flat"`` drives).  ``"auto"`` resolves to
-        ``"flat"``; the resolution and the eligibility list are
-        recorded in ``extras["backend"]``.
+    backend: one of :data:`BACKENDS`.  ``"auto"`` (default) resolves
+        to ``"flat"``: whole-world columnar phases with zero rank
+        threads (every registered algorithm has the world-form entry
+        point it drives).  ``"thread"`` hosts the ranks as threads of
+        this process — the true-concurrency oracle, bit-for-bit
+        identical results, several times slower on small worlds.  The
+        resolution and the eligibility list are recorded in
+        ``extras["backend"]``.
     pool: optional warm :class:`~repro.mpi.engine.SpmdPool` hosting the
         thread backend's ranks.  The sort-as-a-service scheduler leases
         pools from its cache and injects them here so concurrent jobs

@@ -71,7 +71,8 @@ class ServiceMetrics:
             "Admission decisions, by typed code", labels=("code",))
         self.pool_events = r.counter(
             "sdssort_pool_events_total",
-            "Warm-pool cache events (hit/miss/evict)", labels=("event",))
+            "Warm-pool leases (hit: no thread start-up, miss: pool built)"
+            " and evictions", labels=("event",))
         self.runs = r.counter(
             "sdssort_runs_total",
             "Engine runs, by algorithm, resolved backend and outcome",

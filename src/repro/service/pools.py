@@ -8,6 +8,13 @@ not per job.  Leases are exclusive — a pool is handed to one job at a
 time (concurrent same-key jobs get their own pools, created on demand), and
 the lease refcount on :class:`~repro.mpi.engine.SpmdPool` guarantees
 eviction can never tear a pool down under a borrower.
+
+Every job takes a lease, and every lease is counted: a **hit** had no
+thread start-up to pay (an idle pool reused, or a pool-less lease for a
+backend with no rank threads), a **miss** built a pool.  So ``hits /
+(hits + misses)`` is the share of jobs that paid no thread start-up (1.0
+on an all-flat stream); ``evictions`` and ``idle`` speak of real pools
+only, and no ``SpmdPool`` exists until a ``thread`` job arrives.
 """
 
 from __future__ import annotations
@@ -61,11 +68,12 @@ class PoolLease:
 class WarmPoolCache:
     """Bounded cache of idle engine pools, keyed by job shape.
 
-    ``lease`` hands out an idle pool for the key (hit) or creates one
-    (miss); ``_return`` re-shelves it unless the idle set is at
-    ``max_pools``, in which case the pool is shut down (eviction —
-    safe, because a just-released pool holds no leases).  All
-    bookkeeping is under one lock; pool *use* happens outside it.
+    ``lease`` hands out an idle pool for the key, or nothing for a
+    pool-less backend (hit), or creates a pool (miss); ``_return``
+    re-shelves it unless the idle set is at ``max_pools``, in which
+    case the pool is shut down (eviction — safe, because a
+    just-released pool holds no leases).  All bookkeeping is under one
+    lock; pool *use* happens outside it.
     """
 
     def __init__(self, max_pools: int = DEFAULT_MAX_POOLS,
@@ -84,20 +92,19 @@ class WarmPoolCache:
 
     def lease(self, backend: str, p: int) -> PoolLease:
         key = pool_key(backend, p)
-        if key is None:
-            return PoolLease(self, None, None)
         with self._lock:
             shelf = self._idle.get(key)
-            if shelf:
-                pool = shelf.pop()
+            pool = shelf.pop() if shelf else None
+            miss = key is not None and pool is None  # threads to start
+            if miss:
+                self.misses += 1
+            else:
                 self.hits += 1
-                if self._metrics is not None:
-                    self._metrics.record_pool_event("hit")
-                return PoolLease(self, key, pool.lease())
-            self.misses += 1
             if self._metrics is not None:
-                self._metrics.record_pool_event("miss")
-        return PoolLease(self, key, SpmdPool().lease())
+                self._metrics.record_pool_event("miss" if miss else "hit")
+        if miss:
+            pool = SpmdPool()
+        return PoolLease(self, key, None if pool is None else pool.lease())
 
     def _return(self, key: tuple, pool: SpmdPool) -> None:
         with self._lock:

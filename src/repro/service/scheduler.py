@@ -77,14 +77,15 @@ class SortService:
     Parameters
     ----------
     workers:
-        Concurrent jobs (scheduler threads).  Each runs its own leased
-        pool, so concurrency never shares engine state across jobs.
+        Concurrent jobs (scheduler threads).  Each holds its own lease
+        (with a pool only for a ``thread`` job), so concurrency never
+        shares engine state across jobs.
     max_queue_depth, mem_budget_bytes:
         Admission bounds (see :class:`AdmissionController`); pass
         ``mem_budget_bytes=None`` to disable the memory gate.
     max_pools:
         Idle-pool retention bound of the warm cache, which reuses
-        engine pools across same-shaped jobs.
+        engine pools across same-shaped ``thread`` jobs.
     telemetry:
         Keep a :class:`~repro.service.metrics.ServiceMetrics` (metric
         registry + cross-job cost rollup) updated through the job

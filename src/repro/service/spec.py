@@ -54,7 +54,9 @@ class JobSpec:
     ``workload`` travels by name plus ``workload_opts`` (the generator
     kwargs, e.g. ``{"alpha": 0.9}`` for zipf) so the spec stays a pure
     value that serialises losslessly — each run rebuilds the workload
-    deterministically from ``(name, opts, seed)``.
+    deterministically from ``(name, opts, seed)``.  ``backend`` defaults
+    to ``"auto"`` (the flat engine); ``"thread"`` asks for rank threads,
+    and with them a warm pool from the service.
     """
 
     algorithm: str = "sds"
@@ -62,7 +64,7 @@ class JobSpec:
     workload_opts: dict[str, Any] = field(default_factory=dict)
     p: int = 16
     n_per_rank: int = 2000
-    backend: str = "thread"
+    backend: str = "auto"
     machine: str = "edison"
     seed: int = 0
     mem_factor: float | None = MEM_FACTOR

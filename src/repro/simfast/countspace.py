@@ -22,7 +22,8 @@ Agreement with the exact evaluator at overlapping scales is tested in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from ..workloads import ZIPF_UNIVERSE, zipf_pmf
 #: (1.0025 -> 1.05) at the 1e8-records/rank, 131072-rank target scale.
 NOISE_SCALE = 0.7
 
+#: Seed-independent tables one model keeps (:func:`_memo`).
+TABLES_PER_MODEL = 8
+
 
 @dataclass(frozen=True)
 class UniverseModel:
@@ -44,6 +48,9 @@ class UniverseModel:
 
     name: str
     pmf: np.ndarray
+    #: seed-independent tables built from this model (:func:`_memo`)
+    _tables: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self) -> None:
         pmf = np.asarray(self.pmf, dtype=np.float64)
@@ -59,6 +66,13 @@ class UniverseModel:
     def delta(self) -> float:
         """Max replication ratio implied by the model."""
         return float(np.max(self.pmf))
+
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Cumulative mass at each universe value (read-only)."""
+        cdf = np.cumsum(self.pmf)
+        cdf.setflags(write=False)
+        return cdf
 
     @staticmethod
     def uniform(bins: int = 1 << 17) -> "UniverseModel":
@@ -156,6 +170,23 @@ class UniverseModel:
         return UniverseModel(name, pmf)
 
 
+def _memo(model: UniverseModel, key, build) -> np.ndarray:
+    """``build()``, kept read-only on ``model`` under ``key``.
+
+    Nothing kept depends on a seed: same-shaped jobs (admission's
+    estimates) build it once.  Tables die with their model, a caller's
+    own or a memoised one alike; racing threads build equal tables.
+    """
+    tables = model._tables
+    table = tables.get(key)
+    if table is None:
+        if len(tables) >= TABLES_PER_MODEL:
+            tables.clear()
+        table = tables[key] = build()
+        table.setflags(write=False)
+    return table
+
+
 def _pivot_indices(model: UniverseModel, n_per_rank: int, p: int) -> np.ndarray:
     """Universe index of each of the ``p-1`` global pivots.
 
@@ -168,8 +199,7 @@ def _pivot_indices(model: UniverseModel, n_per_rank: int, p: int) -> np.ndarray:
     where ``C_v`` is the expected count of shard records ``<= v``.
     """
     n = n_per_rank
-    cdf = np.cumsum(model.pmf)
-    c_v = np.round(n * cdf).astype(np.int64)
+    c_v = np.round(n * model.cdf).astype(np.int64)
     per_rank = np.minimum(p - 1, ((c_v + 1) * p - 1) // n).astype(np.int64)
     pooled = per_rank * p  # cumulative pivots at value <= v
     positions = (np.arange(1, p, dtype=np.int64) * p) - 1
@@ -188,11 +218,12 @@ def countspace_loads(model: UniverseModel, n_per_rank: int, p: int, *,
     default is derived from the exact evaluator).
     """
     N = n_per_rank * p
-    cdf = np.cumsum(model.pmf)
     rng = np.random.default_rng(seed)
+    ranks_at = _memo(  # keys <= v
+        model, N, lambda: np.round(N * model.cdf).astype(np.int64))
 
     if method == "hyksort":
-        cum = np.round(N * cdf).astype(np.int64)
+        cum = ranks_at
         # histogram refinement stops once within tolerance of the
         # target rank (HykParams.tolerance = 10% of a bucket), so the
         # accepted splitter sits anywhere inside that band
@@ -212,8 +243,8 @@ def countspace_loads(model: UniverseModel, n_per_rank: int, p: int, *,
     if method not in ("classic", "fast", "stable"):
         raise ValueError(f"unknown method {method!r}")
 
-    piv = _pivot_indices(model, n_per_rank, p)
-    ranks_at = np.round(N * cdf).astype(np.int64)  # keys <= v
+    piv = _memo(model, (n_per_rank, p),
+                lambda: _pivot_indices(model, n_per_rank, p))
     bounds = np.empty(p + 1, dtype=np.float64)
     bounds[0] = 0.0
     bounds[p] = float(N)

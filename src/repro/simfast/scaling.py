@@ -11,6 +11,7 @@ engine charges; the engine and this module are cross-checked at small
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Any
 
 from ..core.params import SdsParams
@@ -254,27 +255,42 @@ def fmt_p(p: int) -> str:
     return str(p)
 
 
+@lru_cache(maxsize=8)
+def _shared_model(build: Any, *args: Any, **kwargs: Any) -> UniverseModel:
+    """One read-only model per constructor and parameters."""
+    model = build(*args, **kwargs)
+    model.pmf.setflags(write=False)
+    return model
+
+
 def analytic_model_for(workload: Any) -> UniverseModel | None:
     """The count-space :class:`UniverseModel` matching a runner workload.
 
     Returns ``None`` for families with no closed-form model (e.g.
     ``staggered``); admission then assumes a fixed 2x skew and
-    ``sdssort scaling`` / ``rdfa`` refuse the workload.
+    ``sdssort scaling`` / ``rdfa`` refuse the workload.  Models are
+    memoised by the parameters they are built from (never by name
+    alone: ``zipf-0.7`` covers more than one ``alpha``), so admission
+    builds a 131,072-bin pmf once per process, not once per job.
     """
     name = workload.name
-    meta = dict(getattr(workload, "meta", {}) or {})
+    meta = getattr(workload, "meta", None) or {}
     # families whose key *values* are i.i.d. uniform regardless of the
     # presented order (staggered is excluded: its shards are non-i.i.d.
     # value slices, so no per-rank draw follows the global pmf)
     if name == "uniform" or name == "graysort" or name == "reverse" \
             or name.startswith(("runs", "nearly-sorted")):
-        return UniverseModel.uniform()
+        return _shared_model(UniverseModel.uniform)
     if name.startswith("zipf"):
-        return UniverseModel.zipf(meta.get("alpha", 1.0),
-                                  universe=meta.get("universe",
-                                                    ZIPF_UNIVERSE))
+        args = meta.get("alpha", 1.0), meta.get("universe", ZIPF_UNIVERSE)
+        # the one array size a caller chooses: kept only up to the default
+        if args[1] > ZIPF_UNIVERSE:
+            return UniverseModel.zipf(*args)
+        return _shared_model(UniverseModel.zipf, *args)
     if name == "ptf":
-        return UniverseModel.point_mass(meta.get("delta", 0.2802), name="ptf")
+        return _shared_model(UniverseModel.point_mass,
+                             meta.get("delta", 0.2802), name="ptf")
     if name == "cosmology":
-        return UniverseModel.power_law_clusters(meta.get("delta", 0.0073))
+        return _shared_model(UniverseModel.power_law_clusters,
+                             meta.get("delta", 0.0073))
     return None

@@ -125,7 +125,7 @@ def test_flat_never_spawns_rank_threads():
 def test_run_sort_equals_thread(backend):
     wl = by_name("zipf")
     kw = dict(n_per_rank=300, p=64, mem_factor=None)
-    t = run_sort("sds", wl, **kw)
+    t = run_sort("sds", wl, **kw, backend="thread")
     b = run_sort("sds", wl, **kw, backend=backend)
     assert t.ok and b.ok
     assert t.elapsed == b.elapsed
@@ -154,7 +154,7 @@ CROSS_CASES = [
     ids=[f"{a}-histogram" if o else a for a, _, o in CROSS_CASES])
 def test_flat_equals_thread_newly_eligible(algorithm, workload, opts):
     kw = dict(n_per_rank=200, p=16, mem_factor=None, algo_opts=opts)
-    t = run_sort(algorithm, by_name(workload), **kw)
+    t = run_sort(algorithm, by_name(workload), **kw, backend="thread")
     f = run_sort(algorithm, by_name(workload), **kw, backend="flat")
     assert t.ok and f.ok
     assert t.elapsed == f.elapsed
@@ -180,7 +180,7 @@ def test_chaos_hash_is_backend_invariant(backend):
 def test_trace_report_is_backend_invariant(backend):
     wl = by_name("uniform")
     kw = dict(n_per_rank=200, p=64, mem_factor=None, trace=True)
-    t = run_sort("sds", wl, **kw)
+    t = run_sort("sds", wl, **kw, backend="thread")
     b = run_sort("sds", wl, **kw, backend=backend)
     dt = t.extras["trace"].as_dict()
     db = b.extras["trace"].as_dict()
@@ -198,7 +198,7 @@ def test_failure_surfaces_identically(backend):
     # the failure's kind and shape, not the reporting rank.
     wl = by_name("uniform")
     kw = dict(n_per_rank=500, p=64, mem_factor=1.0)
-    t = run_sort("sds", wl, **kw)
+    t = run_sort("sds", wl, **kw, backend="thread")
     b = run_sort("sds", wl, **kw, backend=backend)
     assert not t.ok and not b.ok
     assert t.oom and b.oom
@@ -440,7 +440,7 @@ def test_run_sort_auto_records_resolution():
         "requested": "auto", "resolved": "flat",
         "reason": a.extras["backend"]["reason"],
         "eligible": ["thread", "flat"]}
-    t = run_sort("sds", wl, **kw)
+    t = run_sort("sds", wl, **kw, backend="thread")
     assert t.extras["backend"]["requested"] == "thread"
     assert t.extras["backend"]["resolved"] == "thread"
     assert t.extras["backend"]["reason"] == "explicitly requested"
@@ -455,7 +455,7 @@ def test_run_sort_auto_routes_psrs_to_flat():
     assert a.extras["engine"]["backend"] == "flat"
     assert a.extras["backend"]["resolved"] == "flat"
     assert a.extras["backend"]["eligible"] == ["thread", "flat"]
-    t = run_sort("psrs", wl, **kw)
+    t = run_sort("psrs", wl, **kw, backend="thread")
     assert a.elapsed == t.elapsed
 
 

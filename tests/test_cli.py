@@ -145,6 +145,7 @@ class TestCliTrace:
 
         code, out = run_cli(
             capsys, "sort", "--p", "8", "--n", "300", "--json",
+            "--backend", "thread",
         )
         assert code == 0
         doc = json.loads(out)
@@ -165,6 +166,21 @@ class TestCliTrace:
         assert doc["decisions"] and "choice" in doc["decisions"][0]
         assert doc["trace"]["spans"] > 0
         assert doc["trace"]["reconciliation"]["max_cost_gap"] < 1e-9
+
+    def test_sort_json_default_backend_is_auto(self, capsys):
+        import json
+
+        code, out = run_cli(
+            capsys, "sort", "--p", "8", "--n", "300", "--json",
+        )
+        assert code == 0
+        engine = json.loads(out)["engine"]
+        assert engine["resolved_backend"] == {
+            "requested": "auto", "resolved": "flat",
+            "reason": engine["resolved_backend"]["reason"],
+            "eligible": ["thread", "flat"]}
+        assert (engine["backend"], engine["workers"],
+                engine["pool_threads"]) == ("flat", 0, 0)
 
     def test_sort_backend_auto_routes_psrs_to_flat(self, capsys):
         import json

@@ -1,0 +1,254 @@
+"""A job that names no backend runs on the flat engine.
+
+``JobSpec.backend``, ``run_sort(backend=)`` and the CLI default to
+``auto``, which resolves to ``flat``; ``thread`` is a request.  Pinned
+here at the service boundary: the default path equals the thread oracle
+field for field on the service's own traffic mix, and the warm-pool
+cache counts every lease — a lease with no threads to start is a hit —
+so its hit ratio stays defined on a stream that never builds a pool.
+"""
+
+import json
+import threading
+
+import pytest
+
+from repro.cli import main
+from repro.mpi import engine
+from repro.runner import run_sort
+from repro.service import (JobSpec, ServiceClient, SortService,
+                           metrics_doc, serve_socket)
+from repro.service import pools as pools_mod
+from repro.workloads import by_name
+
+_NO_MERGE = {"node_merge_enabled": False}
+
+#: The six ``svc_mixed`` shapes of ``benchmarks/ledger/shapes.py``
+#: (no ``backend`` field: the service default decides).
+SERVICE_SHAPES = (
+    {"algorithm": "sds", "workload": "uniform", "p": 16,
+     "n_per_rank": 2000, "algo_opts": _NO_MERGE},
+    {"algorithm": "sds", "workload": "zipf", "p": 64,
+     "n_per_rank": 500, "algo_opts": _NO_MERGE},
+    {"algorithm": "sds-stable", "workload": "ptf", "p": 32,
+     "n_per_rank": 1000, "algo_opts": _NO_MERGE},
+    {"algorithm": "psrs", "workload": "uniform", "p": 128,
+     "n_per_rank": 200},
+    {"algorithm": "hyksort", "workload": "uniform", "p": 16,
+     "n_per_rank": 2000},
+    {"algorithm": "sds", "workload": "uniform", "p": 128,
+     "n_per_rank": 200, "algo_opts": _NO_MERGE},
+)
+
+#: The stream's per-job flags (one job in 12 traced, one in 12 faulted).
+MODES = {"plain": {}, "trace": {"trace": True},
+         "mixed-faults": {"faults": "mixed", "fault_seed": 11}}
+
+#: What a default job's document must share with the thread oracle's.
+SIM_FIELDS = ("ok", "oom", "failure", "elapsed", "rdfa", "phases",
+              "decisions", "faults", "crashed_ranks", "trace")
+
+FLAT = {"requested": "auto", "resolved": "flat"}
+
+
+def _resolution(extras_backend: dict) -> dict:
+    return {k: extras_backend[k] for k in ("requested", "resolved")}
+
+
+@pytest.fixture(scope="module")
+def client():
+    with ServiceClient(workers=2) as c:
+        yield c
+
+
+@pytest.fixture()
+def daemon(tmp_path):
+    """Socket path of a fresh one-worker ``sdssort serve`` daemon."""
+    path = str(tmp_path / "d.sock")
+    listening = threading.Event()
+    server = threading.Thread(
+        target=serve_socket, args=(SortService(workers=1), path),
+        kwargs={"ready": listening.set}, daemon=True)
+    server.start()
+    assert listening.wait(10)
+    yield path
+    if server.is_alive():
+        assert main(["submit", "--socket", path, "--drain"]) == 0
+    server.join(10)
+    assert not server.is_alive()
+
+
+def _run(client, spec: dict):
+    """Envelope and ``RunResult`` of one job through the service."""
+    env = client.run(spec)
+    return env, client.service.get(env["job_id"]).result
+
+
+class TestDefaultsResolveFlat:
+    # `sdssort sort` with no flag is pinned next to its `thread` twin:
+    # tests/test_cli.py::test_sort_json_default_backend_is_auto
+    def test_jobspec(self):
+        assert JobSpec().backend == "auto"
+        assert JobSpec.from_dict({}).backend == "auto"
+        assert JobSpec.from_dict({"backend": "thread"}).backend == "thread"
+
+    def test_run_sort(self):
+        r = run_sort("sds", by_name("uniform"), n_per_rank=100, p=8)
+        assert _resolution(r.extras["backend"]) == FLAT
+        engine_doc = r.extras["engine"]
+        assert (engine_doc["backend"], engine_doc["workers"],
+                engine_doc["pool_threads"]) == ("flat", 0, 0)
+
+    def test_service_envelope(self, client):
+        env, result = _run(client, {"p": 8, "n_per_rank": 100})
+        assert env["backend"] == "auto"
+        assert env["result"]["engine"]["backend"] == "flat"
+        assert _resolution(result.extras["backend"]) == FLAT
+
+    def test_cli_submit(self, capsys, daemon):
+        assert main(["submit", "--socket", daemon,
+                     "--p", "8", "--n", "100"]) == 0
+        env = json.loads(capsys.readouterr().out)
+        assert env["backend"] == "auto"
+        assert _resolution(env["result"]["engine"]["resolved_backend"]) \
+            == FLAT
+
+    def test_cli_chaos(self, capsys, monkeypatch):
+        from repro.faults import chaos
+
+        seen = []
+        run_chaos = chaos.run_chaos
+
+        def spy(**kw):
+            seen.append(kw["backend"])
+            return run_chaos(**kw)
+
+        monkeypatch.setattr(chaos, "run_chaos", spy)
+        assert main(["chaos", "--p", "8", "--n", "64", "--seeds", "0",
+                     "--specs", "drop", "--algorithms", "sds"]) == 0
+        capsys.readouterr()
+        assert seen == ["flat"]
+
+
+class TestDefaultPathEqualsThread:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("shape", range(len(SERVICE_SHAPES)))
+    def test_service_shapes(self, client, shape, mode):
+        spec = {**SERVICE_SHAPES[shape], **MODES[mode], "seed": shape + 5}
+        env, result = _run(client, spec)
+        oracle_env, oracle = _run(client, {**spec, "backend": "thread"})
+        assert env["status"] == oracle_env["status"] == "done"
+        doc, want = env["result"], oracle_env["result"]
+        assert doc["engine"]["backend"] == "flat"
+        assert want["engine"]["backend"] == "thread"
+        for name in SIM_FIELDS:
+            assert doc[name] == want[name], name
+        assert (doc["trace"] is not None) == (mode == "trace")
+        assert (doc["faults"] is not None) == (mode == "mixed-faults")
+        assert result.extras["mem_peaks"] == oracle.extras["mem_peaks"]
+
+    def test_leader_oom_of_the_default_run(self, client):
+        # ROADMAP item 1's failing run: the default path must fail the
+        # way the oracle does, not hide or reword it.  Both node leaders
+        # (ranks 0 and 24) overflow; the flat world reports the lowest,
+        # rank threads whichever unwound first (tests/test_backends.py,
+        # test_failure_surfaces_identically)
+        def failure(rank):
+            return (f"rank {rank}: SimOOMError('rank {rank}: allocation of "
+                    "960000 B would exceed capacity (40000 B in use of "
+                    "268000 B)')")
+
+        spec = {"algorithm": "sds", "p": 48, "n_per_rank": 2000}
+        env, _ = _run(client, spec)
+        oracle_env, _ = _run(client, {**spec, "backend": "thread"})
+        assert env["status"] == oracle_env["status"] == "failed"
+        doc, want = env["result"], oracle_env["result"]
+        assert doc["oom"] is want["oom"] is True
+        assert doc["failure"] == env["error"] == failure(0)
+        assert want["failure"] in (failure(0), failure(24))
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """Every ``SpmdPool`` the warm cache constructs, in order."""
+    made = []
+
+    class CountedPool(engine.SpmdPool):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(pools_mod, "SpmdPool", CountedPool)
+    return made
+
+
+def _pool_events(service: SortService) -> dict[str, int]:
+    return {row["labels"]["event"]: int(row["value"])
+            for row in metrics_doc(service)["counters"]
+            if row["name"] == "sdssort_pool_events_total"}
+
+
+class TestLeaseAccounting:
+    def test_all_flat_stream_is_all_hits(self, built):
+        with ServiceClient(workers=1) as c:
+            for seed, backend in enumerate(("auto", "flat", "auto", "auto")):
+                assert c.run(JobSpec(p=8, n_per_rank=100, seed=seed,
+                                     backend=backend))["status"] == "done"
+            pools = c.stats()["pools"]
+            events = _pool_events(c.service)
+        assert (pools["hits"], pools["misses"], pools["evictions"]) \
+            == (4, 0, 0)
+        assert pools["idle"] == {}
+        assert events == {"hit": 4, "miss": 0, "evict": 0}
+        assert built == []
+
+    def test_thread_job_builds_one_pool_then_reuses_it(self, built):
+        spec = JobSpec(p=8, n_per_rank=100, backend="thread")
+        with ServiceClient(workers=1) as c:
+            c.run(JobSpec(p=8, n_per_rank=100))
+            assert built == []
+            c.run(spec)
+            pools = c.stats()["pools"]
+            assert (pools["hits"], pools["misses"]) == (1, 1)
+            c.run(spec)
+            pools = c.stats()["pools"]
+            assert (pools["hits"], pools["misses"]) == (2, 1)
+            assert pools["idle"] == {"thread/8": 1}
+        assert len(built) == 1
+
+    def test_mixed_concurrent_stream_counts_every_lease(self):
+        threads_before = threading.active_count()
+        svc = SortService(workers=2)
+        leases = []
+        lease = svc.pools.lease
+
+        def counting_lease(*args):
+            leases.append(args)
+            return lease(*args)
+
+        svc.pools.lease = counting_lease
+        try:
+            jobs = [svc.submit(JobSpec(
+                p=8, n_per_rank=100 + s, seed=s,
+                backend="thread" if s % 3 == 0 else "auto"))
+                for s in range(12)]
+            assert svc.drain(timeout=60)
+            assert [j.status for j in jobs] == ["done"] * 12
+            stats = svc.stats()
+            pools = stats["pools"]
+            assert pools["hits"] + pools["misses"] == len(leases) == 12
+            assert 1 <= pools["misses"] <= 4     # only thread jobs build
+            assert sum(pools["idle"].values()) == pools["misses"]
+            assert stats["admission"]["committed_bytes"] == 0
+            assert (stats["queued"], stats["running"]) == (0, 0)
+        finally:
+            svc.close()
+        assert svc.pools.stats()["idle"] == {}
+        assert threading.active_count() == threads_before  # no leak
+
+    def test_fresh_daemon_renders_without_leases(self, capsys, daemon):
+        assert main(["submit", "--socket", daemon, "--stats"]) == 0
+        pools = json.loads(capsys.readouterr().out)["pools"]
+        assert (pools["hits"], pools["misses"], pools["idle"]) == (0, 0, {})
+        assert main(["top", "--socket", daemon, "--iterations", "1"]) == 0
+        assert "pools: evict=0  hit=0  miss=0" in capsys.readouterr().out

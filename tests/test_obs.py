@@ -43,11 +43,12 @@ DROPS = FaultSpec(messages=MessageFaults(drop_rate=0.05))
 
 
 def traced(algorithm="sds", p=16, n=300, workload="uniform", seed=3,
-           faults=None, fault_seed=0, **opts):
+           faults=None, fault_seed=0, backend="auto", **opts):
     wl = by_name(workload)
     return run_sort(algorithm, wl, n_per_rank=n, p=p, seed=seed,
                     mem_factor=None, algo_opts=opts or None,
-                    faults=faults, fault_seed=fault_seed, trace=True)
+                    faults=faults, fault_seed=fault_seed, trace=True,
+                    backend=backend)
 
 
 class TestTracerUnit:
@@ -83,12 +84,14 @@ class TestZeroInterference:
                                            "hyksort", "bitonic", "radix"])
     def test_clocks_identical_on_off(self, algorithm):
         wl = by_name("zipf")
-        kw = dict(n_per_rank=250, p=8, seed=5, mem_factor=None)
-        off = run_sort(algorithm, wl, **kw)
-        on = run_sort(algorithm, wl, **kw, trace=True)
-        assert off.elapsed == on.elapsed
-        assert off.phase_times == on.phase_times
-        assert off.loads == on.loads
+        for backend in ("flat", "thread"):  # one id: the floor compares ids
+            kw = dict(n_per_rank=250, p=8, seed=5, mem_factor=None,
+                      backend=backend)
+            off = run_sort(algorithm, wl, **kw)
+            on = run_sort(algorithm, wl, **kw, trace=True)
+            assert off.elapsed == on.elapsed, backend
+            assert off.phase_times == on.phase_times, backend
+            assert off.loads == on.loads, backend
 
     def test_clocks_identical_under_faults(self):
         wl = by_name("uniform")
@@ -113,12 +116,12 @@ class TestDeterminism:
         assert a == b
 
     def test_identical_across_pool_reuse(self, tmp_path):
-        a = self._export(tmp_path, "a.json", p=16)
+        a = self._export(tmp_path, "a.json", p=16, backend="thread")
         # interleave differently-shaped worlds so the exported run
         # re-uses pool threads warmed by other programs
-        traced(algorithm="psrs", p=32, n=100)
-        traced(algorithm="sds-stable", p=8, n=200)
-        b = self._export(tmp_path, "b.json", p=16)
+        traced(algorithm="psrs", p=32, n=100, backend="thread")
+        traced(algorithm="sds-stable", p=8, n=200, backend="thread")
+        b = self._export(tmp_path, "b.json", p=16, backend="thread")
         assert a == b
 
     def test_identical_under_chaos(self, tmp_path):

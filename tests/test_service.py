@@ -189,7 +189,7 @@ class TestSpmdPoolLeases:
     def test_concurrent_lease_hygiene(self):
         """Many threads lease/run/release one pool without losing counts."""
         pool = SpmdPool()
-        spec = JobSpec(p=8, n_per_rank=200)
+        spec = JobSpec(p=8, n_per_rank=200, backend="thread")
         errors = []
 
         def worker(seed):
@@ -197,9 +197,10 @@ class TestSpmdPoolLeases:
                 for _ in range(3):
                     pool.lease()
                     try:
-                        r = JobSpec(p=8, n_per_rank=200, seed=seed).run(
-                            pool=pool)
+                        r = JobSpec(p=8, n_per_rank=200, seed=seed,
+                                    backend="thread").run(pool=pool)
                         assert r.ok
+                        assert r.extras["engine"]["backend"] == "thread"
                     finally:
                         pool.release()
             except Exception as exc:  # pragma: no cover - failure detail
@@ -419,7 +420,7 @@ class TestServiceLifecycle:
 
     def test_stats_shape(self):
         with ServiceClient() as c:
-            c.run(JobSpec(p=8, n_per_rank=200))
+            c.run(JobSpec(p=8, n_per_rank=200, backend="thread"))
             st = c.stats()
             assert st["state"] == "accepting"
             assert st["counts"]["done"] == 1
@@ -429,25 +430,28 @@ class TestServiceLifecycle:
 
 class TestWarmPools:
     def test_warm_rerun_hits_cache_and_matches(self):
-        spec = JobSpec(p=8, n_per_rank=400, seed=5)
+        spec = JobSpec(p=8, n_per_rank=400, seed=5, backend="thread")
         with ServiceClient(workers=1) as c:
             first = c.run(spec)
             second = c.run(spec)
-            assert c.stats()["pools"]["hits"] >= 1
+            pools = c.stats()["pools"]
+            assert (pools["hits"], pools["misses"]) == (1, 1)
+            assert pools["idle"] == {"thread/8": 1}
             assert service_doc(first) == service_doc(second)
 
     def test_pool_reuse_does_not_leak_state(self):
         """A job replayed after 20 other jobs on the same pools is
         bit-identical to its first run and to the direct path."""
-        probe = JobSpec(p=8, n_per_rank=400, seed=9)
+        probe = JobSpec(p=8, n_per_rank=400, seed=9, backend="thread")
         with ServiceClient(workers=2) as c:
             first = service_doc(c.run(probe))
             for s in range(20):
                 alg = "sds-stable" if s % 3 else "sds"
-                env = c.run(JobSpec(algorithm=alg, p=8,
+                env = c.run(JobSpec(algorithm=alg, p=8, backend="thread",
                                     n_per_rank=100 + 17 * s, seed=s))
                 assert env["status"] == "done"
             again = service_doc(c.run(probe))
+            assert c.stats()["pools"]["misses"] == 1  # one pool, reused
         assert first == again == direct_doc(probe)
 
 

@@ -502,8 +502,8 @@ class TestDeterminism:
 class TestEngineBoundary:
     def test_worlds_and_runs_by_backend(self):
         with ServiceClient(workers=1) as c:
-            assert c.run(JobSpec(p=8, n_per_rank=200, seed=1)
-                         )["status"] == "done"
+            assert c.run(JobSpec(p=8, n_per_rank=200, backend="thread",
+                                 seed=1))["status"] == "done"
             assert c.run(JobSpec(p=8, n_per_rank=200, backend="flat",
                                  seed=2))["status"] == "done"
             doc = metrics_doc(c.service)
@@ -674,7 +674,7 @@ class TestTopRenderer:
         assert "submitted=2" in frame and "rejected=1" in frame
         for priority in ("interactive", "batch", "bulk"):
             assert priority in frame
-        assert "sds/thread" in frame and "ok" in frame
+        assert "sds/flat" in frame and "ok" in frame
         assert "over-budget=1" in frame
         assert "fleet cost rollup (1 traced job(s)" in frame
         assert "sds/uniform: 1 job(s)" in frame
