@@ -94,6 +94,29 @@ def _place() -> tuple[int, list[int]] | None:
     return allowed[os.getpid() % len(allowed)], allowed
 
 
+class Seat:
+    """Which side of :func:`_place`'s rule one thread is on.  The thread
+    moves only itself: ``move(True)`` pins the caller to the process's
+    shared CPU, ``move(False)`` frees it to the allowed set.  Rank workers
+    and the threads ``repro.service`` creates all sit through this."""
+
+    def __init__(self, place: tuple[int, list[int]] | None):
+        self.place = place
+        self.shared = False  # pinned to the shared CPU
+
+    def move(self, shared: bool) -> None:
+        if self.place is None or self.shared == shared:
+            return
+        cpu, allowed = self.place
+        try:
+            # pid 0 = the calling *thread* on Linux: the rest of the
+            # process keeps its mask
+            os.sched_setaffinity(0, {cpu} if shared else allowed)
+            self.shared = shared
+        except (AttributeError, OSError):  # refused: stay put for good
+            self.place, self.shared = None, False
+
+
 def _rank_grew(peak: int) -> None:
     """``MemoryTracker.on_peak`` of a thread world's ranks: tells the
     rank's thread (the allocating one) which side of the mark it is on."""
@@ -152,8 +175,7 @@ class _Worker(threading.Thread):
 
     def __init__(self, index: int, place: tuple[int, list[int]] | None):
         super().__init__(name=f"spmd-worker-{index}", daemon=True)
-        self._place = place
-        self._shared = False  # pinned to the pool's shared CPU
+        self._seat = Seat(place)
         self._sized = False  # the current rank's ledger has spoken
         self._cond = threading.Condition()
         self._task: tuple[Callable[[int], None], int, _Latch] | None = None
@@ -169,22 +191,10 @@ class _Worker(threading.Thread):
             self._halt = True
             self._cond.notify()
 
-    def _move(self, shared: bool) -> None:
-        cpu, allowed = self._place
-        try:
-            # pid 0 = the calling *thread* on Linux: the rest of the
-            # process keeps its mask
-            os.sched_setaffinity(0, {cpu} if shared else allowed)
-            self._shared = shared
-        except (AttributeError, OSError):
-            # placement is an optimisation: stay where we are from now on
-            self._place, self._shared = None, False
-
     def sized(self, deep: bool) -> None:
         """The ledger of the rank this thread is running has a new peak."""
         self._sized = True
-        if self._shared == deep and self._place is not None:
-            self._move(not deep)
+        self._seat.move(not deep)
 
     def run(self) -> None:
         while True:

@@ -38,6 +38,7 @@ import socket
 import threading
 from typing import Any, Callable, TextIO
 
+from ..mpi.engine import Seat, _place
 from .jsondoc import job_envelope, metrics_doc
 from .scheduler import SortService
 from .slog import log_event, service_logger
@@ -162,7 +163,7 @@ def serve_socket(service: SortService, path: str, *,
     if os.path.exists(path):
         os.unlink(path)  # a stale socket from a dead daemon
     stop = threading.Event()
-    conn_threads: list[threading.Thread] = []
+    conns: dict[threading.Thread, socket.socket] = {}
     listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
         listener.bind(path)
@@ -182,8 +183,15 @@ def serve_socket(service: SortService, path: str, *,
                                  args=(service, conn, stop),
                                  name="sort-service-conn", daemon=True)
             t.start()
-            conn_threads.append(t)
-        for t in conn_threads:
+            conns = {t: c for t, c in conns.items() if t.is_alive()}
+            conns[t] = conn
+        for t, conn in conns.items():
+            # an idle client must not hold the daemon up: EOF its reader
+            # (a response on its way out still finishes; closed ones raise)
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass
             t.join(timeout=5.0)
     finally:
         listener.close()
@@ -196,6 +204,7 @@ def serve_socket(service: SortService, path: str, *,
 def _serve_connection(service: SortService, conn: socket.socket,
                       stop: threading.Event) -> None:
     rfile = conn.makefile("r", encoding="utf-8")
+    Seat(_place()).move(True)  # interpreter-bound: share the workers' CPU
     try:
         for line in rfile:
             response, should_exit = _dispatch_line(service, line)

@@ -100,12 +100,8 @@ def job_envelope(job: "Job", *, include_result: bool = True
         "error": job.error,
         "result": None,
     }
-    if include_result and job.result is not None:
-        doc["result"] = sort_doc(
-            job.result, machine=job.spec.machine, seed=job.spec.seed,
-            fault_seed=job.spec.fault_seed,
-            queue_ms=round(job.queue_ms, 3), run_ms=round(job.run_ms, 3),
-            explain=job.spec.explain)
+    if include_result:
+        doc["result"] = job.doc  # built once, when the job finished
     return doc
 
 

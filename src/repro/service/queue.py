@@ -18,6 +18,7 @@ from typing import Any
 
 from ..runner import RunResult
 from .admission import AdmissionDecision
+from .jsondoc import sort_doc
 from .spec import PRIORITIES, JobSpec
 
 #: Every state a job can be in.  ``rejected`` jobs never enter the
@@ -31,7 +32,9 @@ TERMINAL_STATES = ("done", "failed", "rejected", "cancelled", "timeout")
 
 @dataclass
 class Job:
-    """One submission's full lifecycle record."""
+    """One submission's full lifecycle record.  ``result`` lives from the
+    end of the run to :meth:`finish`, which keeps its ``sdssort.sort``
+    document (``doc``) only: a traced result holds a whole ``TraceReport``."""
 
     id: str
     spec: JobSpec
@@ -41,6 +44,7 @@ class Job:
     status: str = "queued"
     admission: AdmissionDecision | None = None
     result: RunResult | None = None
+    doc: dict[str, Any] | None = None
     error: str | None = None
     submitted_at: float = field(default_factory=time.monotonic)
     started_at: float | None = None
@@ -90,6 +94,13 @@ class Job:
         if error is not None:
             self.error = error
         self.finished_at = time.monotonic()
+        if self.result is not None:
+            self.doc = sort_doc(
+                self.result, machine=self.spec.machine, seed=self.spec.seed,
+                fault_seed=self.spec.fault_seed,
+                queue_ms=round(self.queue_ms, 3),
+                run_ms=round(self.run_ms, 3), explain=self.spec.explain)
+            self.result = None
         self.done_event.set()
 
 

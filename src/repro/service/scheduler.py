@@ -26,21 +26,45 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from enum import Enum
 from typing import Any
 
 import logging
 
+from ..mpi.engine import Seat, _place
 from ..runner import resolve_backend
 from .admission import AdmissionController, AdmissionDecision
 from .metrics import ServiceMetrics
-from .pools import WarmPoolCache
+from .pools import WarmPoolCache, pool_key
 from .queue import Job, JobQueue
 from .slog import log_event, service_logger
 from .spec import DEFAULT_PRIORITY, PRIORITIES, JobSpec, JobValidationError
 
 #: Default scheduler concurrency (worker threads draining the queue).
 DEFAULT_WORKERS = 2
+
+#: Modelled per-rank peak (``admission.estimated_bytes // p``) from which a
+#: flat job is *deep*: its worker leaves the process's shared CPU for the
+#: run, so deep jobs overlap in numpy's GIL-free sections; under it a job
+#: is interpreter-bound and free workers only pass one GIL between cores.
+#: Sweep, 2-core host, 2 workers x 2 connections, one shape per 3 s loop,
+#: twice: jobs/s with every worker pinned over every worker free (what the
+#: parent did), lowest-highest of p = 16 / 32 / 64 / 128:
+#:   n/rank       200       500       1000      2000      3000      4000      8000
+#:   sds, psrs    9-12      20-25     41-47     80-89     120-130   159-170   317-332 KiB
+#:    sds uniform 1.26-1.76 1.34-1.50 1.24-1.47 1.04-1.36 0.87-1.35 0.78-1.19 0.61-0.94
+#:    psrs unif.  1.33-1.62 1.22-1.67 1.17-1.39 0.99-1.52 0.72-1.41 0.63-1.23 0.50-1.01
+#:   sds-stable   16-22     37-45     75-84     149-160   224-233   298-305   585-600 KiB
+#:    on ptf      1.68-2.13 1.41-1.94 1.28-1.74 1.03-1.37 0.86-1.13 0.83-1.30 0.55-1.00
+#: Under ~90 KiB staying never loses; from ~120 KiB the worlds of p >= 64 do
+#: (p = 16 still gains to ~300), so the mark sits between: over it a job
+#: runs as on the parent.  More cores move the crossover down.
+_DEEP_JOB_RANK_BYTES = 96 * 1024
+
+#: Terminal jobs the service remembers, ~8 KB of result document each; the
+#: oldest finished is forgotten first and its id answers ``unknown job id``.
+MAX_TERMINAL_JOBS = 1024
 
 _LOG = service_logger("service.scheduler")
 
@@ -62,13 +86,15 @@ class Scheduler(threading.Thread):
 
     def run(self) -> None:
         svc = self._service
+        seat = Seat(_place())
+        seat.move(True)
         while True:
             job = svc.queue.pop(timeout=0.05)
             if job is None:
                 if svc._stop_workers.is_set():
                     return
                 continue
-            svc._execute(job)
+            svc._execute(job, seat)
 
 
 class SortService:
@@ -115,6 +141,7 @@ class SortService:
                                    metrics=self.metrics)
         self.state = ServiceState.ACCEPTING
         self._jobs: dict[str, Job] = {}
+        self._terminal: deque[str] = deque()   # finished ids, oldest first
         self._lock = threading.Lock()          # jobs dict + state + counters
         self._submit_lock = threading.Lock()   # serialises admission order
         self._seq = 0
@@ -196,7 +223,7 @@ class SortService:
         job.admission = decision
         with self._lock:
             self._counts["rejected"] += 1
-        job.finish("rejected", error=decision.reason)
+            self._finish(job, "rejected", decision.reason)
         if self.metrics is not None:
             self.metrics.admission_decision(decision.code)
             self.metrics.job_finished(job, was_running=False)
@@ -207,7 +234,7 @@ class SortService:
                   headroom_bytes=decision.headroom_bytes)
 
     # -- execution (worker threads) -----------------------------------
-    def _execute(self, job: Job) -> None:
+    def _execute(self, job: Job, seat: Seat) -> None:
         expired: tuple[str, str] | None = None
         with self._lock:
             if job.done_event.is_set():
@@ -231,6 +258,12 @@ class SortService:
                   priority=job.priority, queue_ms=round(job.queue_ms, 3))
 
         resolved, _ = resolve_backend(job.spec.backend, job.spec.algorithm)
+        # off the shared CPU before the lease: a pool built from a pinned
+        # thread would read its one-CPU mask and never place its ranks.
+        # Between jobs a worker stays where the last one left it
+        p, est = job.spec.p, job.admission  # no estimate: taken for deep
+        seat.move(pool_key(resolved, p) is None and est is not None
+                  and est.estimated_bytes // p < _DEEP_JOB_RANK_BYTES)
         lease = self.pools.lease(resolved, job.spec.p)
 
         watchdog: threading.Timer | None = None
@@ -286,7 +319,7 @@ class SortService:
                 self._refresh_gauges_locked()
                 return
             self._counts[status] = self._counts.get(status, 0) + 1
-            job.finish(status, error=error)
+            self._finish(job, status, error)
             self._idle.notify_all()
         if job.admission is not None:
             self.admission.release(job.admission)
@@ -299,6 +332,13 @@ class SortService:
                   job_id=job.id, status=status, priority=job.priority,
                   error=error, queue_ms=round(job.queue_ms, 3),
                   run_ms=round(job.run_ms, 3))
+
+    def _finish(self, job: Job, status: str, error: str | None) -> None:
+        """Finish ``job`` and forget the oldest over the cap (``_lock`` held)."""
+        job.finish(status, error=error)
+        self._terminal.append(job.id)
+        while len(self._terminal) > MAX_TERMINAL_JOBS:
+            del self._jobs[self._terminal.popleft()]
 
     def _refresh_gauges(self) -> None:
         """Re-derive the point-in-time gauges from the ground truth."""

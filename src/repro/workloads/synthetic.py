@@ -78,7 +78,10 @@ def zipf_batch(n: int, rng: np.random.Generator, *, alpha: float = 0.7,
     the 10 000-entry pmf, its validation and its ``cumsum`` are paid
     once per ``(alpha, universe)`` instead of once per shard.
     """
-    idx = _zipf_cdf(alpha, universe).searchsorted(rng.random(n), side="right")
+    # ``universe`` is a client's number: memoised up to the default (32 x
+    # 80 KB at most), built per call and dropped above it, as ``choice`` does
+    build = _zipf_cdf if universe <= ZIPF_UNIVERSE else _zipf_cdf.__wrapped__
+    idx = build(alpha, universe).searchsorted(rng.random(n), side="right")
     return RecordBatch(idx.astype(np.float64))
 
 

@@ -79,9 +79,24 @@ def daemon(tmp_path):
 
 
 def _run(client, spec: dict):
-    """Envelope and ``RunResult`` of one job through the service."""
-    env = client.run(spec)
-    return env, client.service.get(env["job_id"]).result
+    """Envelope and ``RunResult`` of one job through the service.
+
+    A finished job keeps its document, not its ``RunResult``, so the
+    result is what a spy on ``JobSpec.run`` saw the worker get back.
+    """
+    seen = []
+    run = JobSpec.run
+
+    def spy(self, **kwargs):
+        seen.append(run(self, **kwargs))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(JobSpec, "run", spy)
+        env = client.run(spec)
+    (result,) = seen
+    assert client.service.get(env["job_id"]).result is None
+    return env, result
 
 
 class TestDefaultsResolveFlat:

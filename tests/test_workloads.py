@@ -125,6 +125,43 @@ class TestZipf:
         with pytest.raises(ValueError):
             cdf[0] = 0.0
 
+    def test_resident_cdf_bytes_are_bounded_under_a_universe_sweep(self):
+        # ``universe`` is a client's number: the memo keeps cdfs up to
+        # the default size only, so a daemon cannot be made to hold 32
+        # client-sized arrays; what a big universe draws is unchanged
+        import gc
+        import tracemalloc
+        from repro.workloads import ZIPF_UNIVERSE
+        from repro.workloads.synthetic import _zipf_cdf
+
+        big = 40 * ZIPF_UNIVERSE                   # 3.2 MB a cdf
+        want, got = default_rng(5), default_rng(5)
+        keys = want.choice(big, size=300, p=zipf_pmf(0.9, big))
+        assert zipf(0.9, big).fn(300, got).keys.tobytes() \
+            == keys.astype(np.float64).tobytes()
+        assert got.bit_generator.state == want.bit_generator.state
+
+        _zipf_cdf.cache_clear()
+        tracemalloc.start()
+        try:
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for k in range(40):
+                zipf(0.9, big + k).shard(64, 4, 0, seed=k)
+            gc.collect()
+            assert tracemalloc.get_traced_memory()[0] - before < 8 * big
+            assert _zipf_cdf.cache_info().currsize == 0
+            for k in range(40):
+                zipf(0.9, ZIPF_UNIVERSE - k).shard(64, 4, 0, seed=k)
+            gc.collect()
+            info = _zipf_cdf.cache_info()
+            assert info.currsize == info.maxsize == 32
+            assert tracemalloc.get_traced_memory()[0] - before \
+                < (info.maxsize + 1) * 8 * ZIPF_UNIVERSE
+        finally:
+            tracemalloc.stop()
+            _zipf_cdf.cache_clear()
+
     def test_rejects_negative_alpha(self):
         with pytest.raises(ValueError):
             zipf_pmf(-1.0)
