@@ -104,7 +104,7 @@ def bitonic_sort_world(world: World, comms: list[Comm],
             c.set_clock(t)
         else:
             c0 = c.clock
-            debt = c._fault_debt if c.faults is not None else 0.0
+            debt = c._fault_debt
             c.set_clock(t)
             g = c.grank
             tr.span(g, "p2p", "bitonic_rounds", c0, c.clock,

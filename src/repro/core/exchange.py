@@ -16,6 +16,14 @@ Two final-ordering modes (the ``tau_s`` decision):
 * **sort** — adaptive sort of the concatenation; because the input is
   ``p`` runs, the natural-merge sort does ``O(m log p)`` too but with
   the sequential-sort constant, so it wins once ``p`` is large.
+
+Each mode is one staged collective: a whole-world compute
+(:func:`sync_exchange_compute` / :func:`overlapped_exchange_compute`)
+and an epilogue that books clocks, counters, memory and outputs —
+written once, over the ranks handed in: a columnar world hands in a
+membership, a lane hands in itself (:func:`exchange_sync_fused` /
+:func:`exchange_overlapped_fused` are the lane's sequence as a per-rank
+call; their docstrings hold the exactness audits).
 """
 
 from __future__ import annotations
@@ -30,7 +38,7 @@ from ..kernels import (
     sequential_argsort,
     stable_argsort_segments,
 )
-from ..mpi import Comm, World
+from ..mpi import LANE, Comm, World
 from ..records import RecordBatch, concat_batch_arrays
 from .partition import Cuts
 
@@ -143,50 +151,30 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
     }
 
 
-def _sync_exchange_network(comm: Comm, shared: dict,
-                           send_nbytes: int) -> None:
-    """Per-rank ``alltoallv`` epilogue of the fused synchronous exchange.
+def _sync_exchange_network(world: World, comms: Sequence[Comm],
+                           shared: dict, send_nbytes: Sequence[int]) -> list:
+    """``alltoallv`` epilogue of the fused synchronous exchange, on the
+    ranks handed in (any ranks of the communicator; a lane: itself).
 
     Runs inside the ``exchange`` phase: memory for the received data is
-    allocated, the clock advances by the rank's own ``alltoallv_time``
-    replay, byte/collective counters land, and the send buffer is
-    released.  What lane, traced and fault-injected worlds run.
+    allocated, the clock advances by ``alltoallv_time`` (evaluated once
+    per distinct ``ranks_per_node``; a tracer gets the span, the cost
+    split and the rank's edge row), byte/collective counters land, and
+    the send buffer is released.  A refused allocation fails its rank
+    before the clock moves, and nobody else.
     """
-    p, me = comm.size, comm.rank
-    recv_bytes = int(shared["recv_tot"][me])
-    comm.mem.alloc(recv_bytes)
-    dt = comm.cost.alltoallv_time(
-        p, max(shared["max_send"], shared["max_recv"]),
-        ranks_per_node=comm.ranks_per_node,
-        total_bytes=shared["total"])
-    if comm.tracer is None:
-        comm.set_clock(shared["t"] + dt)
-    else:
-        comm.trace_collective(
-            "alltoallv", shared["t"], dt, comm.cost.alltoallv_time(
-                p, 0, ranks_per_node=comm.ranks_per_node, total_bytes=0))
-        comm.trace_edges(np.diff(shared["cuts"][me].displs())
-                         * shared["widths"][me])
-    comm.count("coll.alltoallv")
-    comm.count("bytes.recv", recv_bytes)
-    comm.count("bytes.sent", int(shared["send_tot"][me]))
-    comm.mem.free(send_nbytes)                        # send buffer released
-
-
-def _sync_exchange_network_whole(world: World, comms: Sequence[Comm],
-                                 shared: dict, send_nbytes: Sequence[int]) -> list:
-    """:func:`_sync_exchange_network` on a communicator's whole
-    membership (no tracer, no fault plan): one ``alltoallv_time`` per
-    distinct ``ranks_per_node``, clocks and counters written in place.
-    A refused allocation fails its rank where the per-rank form raises —
-    before the clock moves — and nobody else."""
     sim = comms[0]._world
-    clocks, counters, mem = sim.clocks, sim.counters, sim.mem
-    p, t = len(comms), shared["t"]
+    clocks, counters, mem, tr = sim.clocks, sim.counters, sim.mem, sim.tracer
+    hooked = tr is not None or sim.faults is not None
+    p, t, total = comms[0].size, shared["t"], shared["total"]
     biggest = max(shared["max_send"], shared["max_recv"])
-    dts: dict[int, float] = {}
-    for c, recv, sent, held in zip(comms, shared["recv_tot"].tolist(),
-                                   shared["send_tot"].tolist(), send_nbytes):
+    ranks = [c.rank for c in comms]
+    dts: dict[int, tuple[float, float]] = {}
+    for c, r, recv, sent, held in zip(
+            comms, ranks, shared["recv_tot"][ranks].tolist(),
+            shared["send_tot"][ranks].tolist(), send_nbytes):
+        if world.failures and not world.alive(c):
+            continue
         g = c.grank
         try:
             mem[g].alloc(recv)
@@ -195,109 +183,103 @@ def _sync_exchange_network_whole(world: World, comms: Sequence[Comm],
             continue
         rpn = c.ranks_per_node
         if rpn not in dts:
-            dts[rpn] = sim.cost.alltoallv_time(
-                p, biggest, ranks_per_node=rpn, total_bytes=shared["total"])
-        clocks[g] = t + dts[rpn]
+            dts[rpn] = (
+                sim.cost.alltoallv_time(p, biggest, ranks_per_node=rpn,
+                                        total_bytes=total),
+                sim.cost.alltoallv_time(p, 0, ranks_per_node=rpn,
+                                        total_bytes=0)
+                if tr is not None else 0.0)
+        dt, lat = dts[rpn]
+        if hooked:
+            c0, debt = clocks[g], c._fault_debt
+            c.set_clock(t + dt)  # folds pending fault debt in
+            if tr is not None:
+                tr.collective(g, "alltoallv", c0, clocks[g], t, dt, lat, debt)
+                c.trace_edges(np.diff(shared["cuts"][r].displs())
+                              * shared["widths"][r])
+        else:
+            clocks[g] = t + dt
         tally = counters[g]
         for name, value in (("coll.alltoallv", 1.0), ("bytes.recv", recv),
                             ("bytes.sent", sent)):
             tally[name] = (tally[name] if name in tally else 0.0) + value
         mem[g].free(held)                             # send buffer released
-    return [None] * p
+    return [None] * len(comms)
 
 
-def _world_outputs(shared: dict) -> list[RecordBatch]:
-    """Every rank's output, as slices of shared gathers.
+def _world_outputs(shared: dict, ranks: Sequence[int]) -> list[RecordBatch]:
+    """The outputs of destinations ``ranks`` (ascending), as slices of
+    shared gathers.
 
     Consecutive destinations holding up to :data:`_OUTPUT_BLOCK_RECORDS`
     records between them have each payload column gathered once through
     their stretch of ``final``; rank ``r`` gets views of that gather and
-    of ``ordered`` (:meth:`RecordBatch.split`, sizes pre-computed) — the
-    bytes the per-rank epilogues gather.  A longer destination is
-    gathered alone, which *is* the per-rank form.  Runs in the epilogue,
-    once the compute's locals are gone, not on top of them.
+    of ``ordered`` (:meth:`RecordBatch.split`, sizes pre-computed).  A
+    longer destination — and a lane's own — is gathered alone.  Runs in
+    the epilogue, once the compute's locals are gone, not on top of them.
     """
+    first, n = ranks[0], len(ranks)
+    if ranks[-1] - first != n - 1:                    # a failed rank between
+        return [_world_outputs(shared, [r])[0] for r in ranks]
     final, ordered, sources = shared["final"], shared["ordered"], shared["cols"]
     bounds = shared["bounds"]
-    edges = bounds.tolist()
+    edges = bounds[first:first + n + 1].tolist()      # of the n asked for
     outs: list[RecordBatch] = []
-    while len(outs) < len(edges) - 1:
-        r, lo = len(outs), edges[len(outs)]
-        stop = max(r + 1, int(np.searchsorted(
-            bounds, lo + _OUTPUT_BLOCK_RECORDS, "right")) - 1)
+    k = 0
+    while k < n:
+        lo = edges[k]
+        stop = min(n, max(k + 1, int(np.searchsorted(
+            bounds, lo + _OUTPUT_BLOCK_RECORDS, "right")) - 1 - first))
         idx = final[lo:edges[stop]]
         block = RecordBatch._unsafe(ordered[lo:edges[stop]], {
             name: col[idx] for name, col in sources.items()})
-        outs += block.split([e - lo for e in edges[r:stop + 1]])
+        if stop == k + 1:
+            outs.append(block)
+        else:
+            outs += block.split([e - lo for e in edges[k:stop + 1]])
+        k = stop
     return outs
 
 
-def _sync_exchange_ordering(comm: Comm, shared: dict, *, merge: bool,
-                            stable: bool, delta_hint: float
-                            ) -> tuple[RecordBatch, ExchangeStats]:
-    """Per-rank local-ordering epilogue of the fused synchronous exchange.
+def _sync_exchange_ordering(world: World, comms: Sequence[Comm],
+                            shared: dict, *, merge: bool, stable: bool,
+                            delta_hints: Sequence[float]) -> list:
+    """Local-ordering epilogue of the fused synchronous exchange, on the
+    ranks handed in: per-rank ``(output, ExchangeStats)``.
 
-    Runs inside the ``local_ordering`` phase: charges the rank's own
-    merge/sort cost, materialises the output slice from the whole-world
-    permutation, and settles memory.
+    Runs inside the ``local_ordering`` phase: charges each rank's own
+    merge/sort cost (evaluated once per distinct ``(m, delta)``), hands
+    out the output slices of the whole-world permutation
+    (:func:`_world_outputs`) and settles memory.  A rank whose output is
+    refused has paid its charge and released its receive buffer, and
+    gets no output.
     """
-    p, me = comm.size, comm.rank
-    m = int(shared["m"][me])
-    if merge:
-        dt = comm.cost.merge_time(m, max(2, p))
-        comm.charge(dt)
-        comm.trace_counter("kernel.merge.records", float(m))
-        comm.trace_counter("kernel.merge.seconds", dt)
-        ordering = "merge"
-    else:
-        dt = comm.cost.final_sort_time(m, p, stable=stable,
-                                       delta=delta_hint)
-        comm.charge(dt)
-        comm.trace_counter("kernel.sort.records", float(m))
-        comm.trace_counter("kernel.sort.seconds", dt)
-        ordering = "sort"
-    lo, hi = int(shared["bounds"][me]), int(shared["bounds"][me + 1])
-    idx = shared["final"][lo:hi]
-    out = RecordBatch._unsafe(
-        shared["ordered"][lo:hi],
-        {name: col[idx] for name, col in shared["cols"].items()})
-    comm.mem.free(int(shared["recv_all"][me]))
-    comm.mem.alloc(out.nbytes)
-    return out, ExchangeStats("sync", ordering, m, p)
-
-
-def _sync_exchange_ordering_whole(world: World, comms: Sequence[Comm],
-                                  shared: dict, *, merge: bool, stable: bool,
-                                  delta_hints: Sequence[float]) -> list:
-    """:func:`_sync_exchange_ordering` on the ranks handed in (no
-    tracer, no fault plan): the cost once per distinct ``(m, delta)``,
-    outputs as slices (:func:`_world_outputs`).  A rank whose output is
-    refused has paid its charge and released its receive buffer, as in
-    the per-rank form, and gets no output."""
     p, sim = comms[0].size, comms[0]._world
     cost, mem = sim.cost, sim.mem
     ranks = [c.rank for c in comms]
-    ms, recv_all = shared["m"].tolist(), shared["recv_all"].tolist()
-    keys = [(ms[r], d) for r, d in zip(ranks, delta_hints)]
+    ms, recv_all = shared["m"][ranks].tolist(), shared["recv_all"][ranks].tolist()
+    keys = list(zip(ms, delta_hints))
     dts = {(m, d): (cost.merge_time(m, max(2, p)) if merge else
                     cost.final_sort_time(m, p, stable=stable, delta=d))
            for m, d in set(keys)}
-    world.charge_compute(comms, [dts[key] for key in keys])
+    seconds = [dts[key] for key in keys]
     ordering = "merge" if merge else "sort"
+    world.charge_compute(comms, seconds)
+    world.trace_counter(comms, f"kernel.{ordering}.records", ms)
+    world.trace_counter(comms, f"kernel.{ordering}.seconds", seconds)
     outs: list = [None] * len(comms)
-    batches = _world_outputs(shared)
-    for i, (c, r) in enumerate(zip(comms, ranks)):
+    for i, (c, out, m, recv) in enumerate(zip(
+            comms, _world_outputs(shared, ranks), ms, recv_all)):
         if world.failures and not world.alive(c):     # its charge was refused
             continue
-        out = batches[r]
         tracker = mem[c.grank]
         try:
-            tracker.free(recv_all[r])
+            tracker.free(recv)
             tracker.alloc(out.nbytes)
         except BaseException as exc:  # mirrors the engine's catch-all
             world.fail(c, exc)
             continue
-        outs[i] = (out, ExchangeStats("sync", ordering, ms[r], p))
+        outs[i] = (out, ExchangeStats("sync", ordering, m, p))
     return outs
 
 
@@ -367,12 +349,12 @@ def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
 
     with comm.phase("exchange"):
         shared, _ = comm.staged((batch, cuts), compute)
-        _sync_exchange_network(comm, shared, batch.nbytes)
+        _sync_exchange_network(LANE, [comm], shared, [batch.nbytes])
 
     with comm.phase("local_ordering"):
-        out, stats = _sync_exchange_ordering(
-            comm, shared, merge=merge, stable=stable, delta_hint=delta_hint)
-    return out, stats
+        return _sync_exchange_ordering(
+            LANE, [comm], shared, merge=merge, stable=stable,
+            delta_hints=[delta_hint])[0]
 
 
 def _counter_spans(p: int) -> list[tuple[int, int]]:
@@ -484,80 +466,50 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
     }
 
 
-def _overlapped_exchange_finish(comm: Comm, shared: dict
-                                ) -> tuple[RecordBatch, ExchangeStats]:
-    """Per-rank epilogue of the fused overlapped exchange.
+def _overlapped_exchange_finish(world: World, comms: Sequence[Comm],
+                                shared: dict,
+                                send_nbytes: Sequence[int]) -> list:
+    """Epilogue of the fused overlapped exchange plus the send-buffer
+    release, on the ranks handed in: per-rank ``(output,
+    ExchangeStats)``.
 
-    Materialises the rank's output slice, advances its clock to the
-    replayed merge-completion time (with the traced cost split when a
-    tracer is attached) and settles memory/counters.
+    Hands out the output slices (:func:`_world_outputs`), advances each
+    clock to its replayed merge-completion time (a tracer gets the one
+    fused span, its cost split, the edge row and the merge kernel
+    counters) and settles memory/counters.  Either allocation can be
+    refused: the rank fails there — before its clock moves, or with it
+    moved and the receive buffer released — and the others go on.
     """
-    p, me = comm.size, comm.rank
-    recv_bytes = int(shared["recv_net"][me])
-    comm.mem.alloc(recv_bytes)
-    lo, hi = int(shared["bounds"][me]), int(shared["bounds"][me + 1])
-    idx = shared["final"][lo:hi]
-    out = RecordBatch._unsafe(
-        shared["ordered"][lo:hi],
-        {name: col[idx] for name, col in shared["cols"].items()})
-    m = int(shared["m"][me])
-    tr = comm.tracer
-    if tr is None:
-        comm.set_clock(max(comm.clock, float(shared["t_cpu"][me])))
-    else:
-        # one fused advance covers barrier skew, the async progress
-        # CPU, and the network/merge interleave; the interleaved
-        # remainder is attributed to bandwidth (the merge CPU it hides
-        # is reported separately via kernel.merge.*)
-        c0 = comm.clock
-        debt = comm._fault_debt if comm.faults is not None else 0.0
-        comm.set_clock(max(comm.clock, float(shared["t_cpu"][me])))
-        adv = comm.clock - c0
-        g = comm.grank
-        tr.span(g, "coll", "alltoallv_async+merge", c0, comm.clock,
-                {"bytes": recv_bytes, "records": m})
-        if adv > 0.0:
-            wait = max(0.0, min(adv, float(shared["start"]) - c0))
-            lat = min(adv - wait, comm.cost.async_progress_overhead(p))
-            tr.add(g, "cost.wait", wait)
-            tr.add(g, "cost.latency", lat)
-            rest = adv - wait - lat - debt
-            if rest > 0.0:
-                tr.add(g, "cost.bandwidth", rest)
-            if debt:
-                tr.add(g, "cost.fault_debt", debt)
-        comm.trace_edges(shared["S"][me])
-        comm.trace_counter("kernel.merge.records", float(m))
-        comm.trace_counter("kernel.merge.seconds",
-                           float(shared["msec"][me]))
-    comm.mem.free(int(shared["recv_all"][me]))
-    comm.mem.alloc(out.nbytes)
-    comm.count("coll.alltoallv_async")
-    comm.count("bytes.recv", recv_bytes)
-    return out, ExchangeStats("overlap", "overlap-merge", m, p)
-
-
-def _overlapped_exchange_finish_whole(world: World, comms: Sequence[Comm], shared: dict,
-                                      send_nbytes: Sequence[int]) -> list:
-    """:func:`_overlapped_exchange_finish` plus the send-buffer release,
-    on a communicator's whole membership (no tracer, no fault plan),
-    outputs as slices (:func:`_world_outputs`).  Either allocation can
-    be refused: the rank fails there — before its clock moves, or with
-    it moved and the receive buffer released — as its per-rank epilogue
-    would leave it, and the others go on."""
     sim = comms[0]._world
-    clocks, counters, mem = sim.clocks, sim.counters, sim.mem
-    p = len(comms)
-    outs: list = [None] * p
-    for i, (c, out, recv, recv_all, t_cpu, m) in enumerate(zip(
-            comms, _world_outputs(shared),
-            shared["recv_net"].tolist(), shared["recv_all"].tolist(),
-            shared["t_cpu"].tolist(), shared["m"].tolist())):
+    clocks, counters, mem, tr = sim.clocks, sim.counters, sim.mem, sim.tracer
+    hooked = tr is not None or sim.faults is not None
+    p = comms[0].size
+    progress = sim.cost.async_progress_overhead(p) if tr is not None else 0.0
+    ranks = [c.rank for c in comms]
+    outs: list = [None] * len(comms)
+    for i, (c, r, out, recv, recv_all, t_cpu, m) in enumerate(zip(
+            comms, ranks, _world_outputs(shared, ranks),
+            shared["recv_net"][ranks].tolist(),
+            shared["recv_all"][ranks].tolist(),
+            shared["t_cpu"][ranks].tolist(), shared["m"][ranks].tolist())):
+        if world.failures and not world.alive(c):
+            continue
         g = c.grank
         tracker = mem[g]
         try:
             tracker.alloc(recv)
-            if t_cpu > clocks[g]:
+            c0 = clocks[g]
+            if hooked:
+                debt = c._fault_debt
+                c.set_clock(max(c0, t_cpu))  # folds pending fault debt in
+                if tr is not None:
+                    tr.overlapped(g, c0, clocks[g], shared["start"], progress,
+                                  debt, {"bytes": recv, "records": m})
+                    c.trace_edges(shared["S"][r])
+                    tr.add(g, "kernel.merge.records", float(m))
+                    tr.add(g, "kernel.merge.seconds",
+                           float(shared["msec"][r]))
+            elif t_cpu > c0:
                 clocks[g] = t_cpu
             tracker.free(recv_all)
             tracker.alloc(out.nbytes)
@@ -615,4 +567,5 @@ def exchange_overlapped_fused(comm: Comm, batch: RecordBatch,
             progress=progress, traced=traced)
 
     shared, _ = comm.staged((batch, cuts), compute)
-    return _overlapped_exchange_finish(comm, shared)
+    return _overlapped_exchange_finish(LANE, [comm], shared,
+                                       [batch.nbytes])[0]

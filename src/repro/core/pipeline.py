@@ -53,11 +53,8 @@ from ..records import (
 from .exchange import (
     ExchangeStats,
     _overlapped_exchange_finish,
-    _overlapped_exchange_finish_whole,
     _sync_exchange_network,
-    _sync_exchange_network_whole,
     _sync_exchange_ordering,
-    _sync_exchange_ordering_whole,
     overlapped_exchange_compute,
     sync_exchange_compute,
 )
@@ -728,19 +725,17 @@ class Exchange:
     Both modes run the fused whole-world actions once per world
     (:func:`sync_exchange_compute` / ``overlapped_exchange_compute``:
     delivery, then every destination's received runs ordered by one
-    segmented stable sort) and then their epilogues, each an
-    :class:`~repro.mpi.Epilogue` of two forms: the per-rank functions of
-    ``exchange.py`` — the definition; what a lane and a traced or
-    fault-injected world run — and their whole-membership forms, which
-    book clocks, counters and memory in one pass and hand out outputs
-    as slices of shared gathers.  A rank whose memory charge is refused
-    fails alone, at the statement where its per-rank epilogue raises,
-    in either form — so clocks, counters, memory peaks, OOM verdicts and
-    outputs match across backends operation for operation.  Cuts are
-    checked before the deposit (:meth:`_deposits`).  The sync path
-    annotates ``exchange``/``local_ordering`` on the active
-    communicator (its ordering epilogue is booked through
-    :meth:`World.epilogue`, a phase after its collective), the
+    segmented stable sort) and then their epilogues — the functions of
+    ``exchange.py``, each written once over the ranks handed in and
+    riding as an :class:`~repro.mpi.Epilogue`: a columnar world books
+    clocks, counters and memory of a membership in one pass and hands
+    out outputs as slices of shared gathers, a lane books itself.  A
+    rank whose memory charge is refused fails alone, at that statement
+    — so clocks, counters, memory peaks, OOM verdicts and outputs match
+    across backends operation for operation.  Cuts are checked before
+    the deposit (:meth:`_deposits`).  The sync path annotates
+    ``exchange``/``local_ordering`` on the active communicator (its
+    ordering epilogue is booked a phase after its collective), the
     overlapped path wraps ``exchange`` around the full communicator.
     """
 
@@ -783,20 +778,17 @@ class Exchange:
                              "exchange"):
                 shared, _ = world.collective(
                     acomms, deposits, compute, Epilogue(
-                        lambda i, c, sh: _sync_exchange_network(
-                            c, sh, send_nbytes[i]),
-                        lambda sh: _sync_exchange_network_whole(
+                        lambda sh: _sync_exchange_network(
                             world, acomms, sh, send_nbytes)))
             live = _live(world, acomms)
             lcomms = [acomms[i] for i in live]
             with world.phase(lcomms, "local_ordering"):
-                outs = world.epilogue(lcomms, Epilogue(
-                    lambda j, c, sh: _sync_exchange_ordering(
-                        c, sh, merge=merge, stable=stable,
-                        delta_hint=ctxs[live[j]].delta),
-                    lambda sh: _sync_exchange_ordering_whole(
-                        world, lcomms, sh, merge=merge, stable=stable,
-                        delta_hints=[ctxs[i].delta for i in live])), shared)
+                # the rest of the collective's epilogue, a phase later;
+                # no rank left (every receive was refused): nothing to book
+                outs = _sync_exchange_ordering(
+                    world, lcomms, shared, merge=merge, stable=stable,
+                    delta_hints=[ctxs[i].delta for i in live]
+                ) if lcomms else []
             for i, res in zip(live, outs):
                 if res is not None:
                     ctxs[i].out, ctxs[i].xstats = res
@@ -812,17 +804,12 @@ class Exchange:
                     stage, p=p, group=group, spec=spec, rate=rate,
                     progress=progress, traced=traced)
 
-            def finish(i: int, c: Comm, sh: dict):
-                res = _overlapped_exchange_finish(c, sh)
-                c.mem.free(send_nbytes[i])
-                return res
-
             with world.phase([ctxs[i].comm for i in _live(world, acomms)],
                              "exchange"):
                 deposits = self._deposits(world, ctxs, acomms, p)
                 _, outs = world.collective(
                     acomms, deposits, compute, Epilogue(
-                        finish, lambda sh: _overlapped_exchange_finish_whole(
+                        lambda sh: _overlapped_exchange_finish(
                             world, acomms, sh, send_nbytes)))
             for ctx, res in zip(ctxs, outs):
                 if res is not None:

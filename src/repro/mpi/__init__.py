@@ -10,7 +10,7 @@ single :class:`Comm` (thread backend) and
 batched columnar passes without rank threads (flat backend).
 """
 
-from .comm import Comm, Request, SimWorld, payload_nbytes
+from .comm import Comm, SimWorld, payload_nbytes
 from .context import AbortFlag, Channel, CommContext
 from .engine import (
     ENGINE_BACKENDS,
@@ -31,7 +31,6 @@ from .world import LANE, LaneWorld, World
 
 __all__ = [
     "Comm",
-    "Request",
     "SimWorld",
     "payload_nbytes",
     "AbortFlag",

@@ -85,9 +85,8 @@ def collective_charge(cost: CostModel, name: str, size: int,
     latency/bandwidth split), ``counter`` the operation counter to tick
     (barriers and splits count nothing).  A pure function of the
     communicator size and payload bytes, and the only place these cost
-    expressions exist: ``Comm._finish_coll`` evaluates it per rank, the
-    columnar world's whole-membership form once per distinct
-    ``(size, nbytes)``.
+    expressions exist: ``Comm._finish_coll`` evaluates it per rank, a
+    columnar world once per distinct ``(size, nbytes)``.
     """
     if name in ("barrier", "split"):
         dt = cost.barrier_time(size)
@@ -182,35 +181,6 @@ class SimWorld:
         return ch
 
 
-class Request:
-    """Handle for a nonblocking receive posted with :meth:`Comm.irecv`."""
-
-    def __init__(self, comm: "Comm", source: int, tag: int):
-        self._comm = comm
-        self._source = source
-        self._tag = tag
-        self._done = False
-        self._value: Any = None
-
-    def test(self) -> bool:
-        """Nonblocking completion check."""
-        if self._done:
-            return True
-        got = self._comm._try_recv(self._source, self._tag)
-        if got is not None:
-            gsrc = self._comm._ctx.group[self._source]
-            self._value = self._comm._complete_recv(gsrc, self._tag, *got)
-            self._done = True
-        return self._done
-
-    def wait(self) -> Any:
-        """Block (abortably, event-driven) until the message arrives."""
-        if not self._done:
-            self._value = self._comm.recv(self._source, self._tag)
-            self._done = True
-        return self._value
-
-
 class Comm:
     """Communicator handle of one rank (mirrors the mpi4py surface)."""
 
@@ -224,11 +194,11 @@ class Comm:
         self._tracer = world.tracer
         faults = world.faults
         self._faults = faults
+        self._fault_debt = 0.0   # collective penalties, folded into the
+        #                          next set_clock (collectives overwrite
+        #                          the clock absolutely)
         if faults is not None:
             self._slowdown = faults.slowdown(self.grank)
-            self._fault_debt = 0.0   # collective penalties, folded into
-            #                          the next set_clock (collectives
-            #                          overwrite the clock absolutely)
             self._coll_seq = 0       # per-communicator collective counter
             self._send_seq = world.p2p_send_seq[self.grank]
             self._recv_seq = world.p2p_recv_seq[self.grank]
@@ -295,7 +265,7 @@ class Comm:
             self._tracer.add(self.grank, "cost.fault_debt", seconds)
 
     def set_clock(self, t: float) -> None:
-        if self._faults is not None and self._fault_debt:
+        if self._fault_debt:
             t += self._fault_debt
             self._fault_debt = 0.0
         self._world.clocks[self.grank] = t
@@ -367,39 +337,34 @@ class Comm:
         """Record this rank's per-destination sent bytes (one entry per
         member of this communicator, in communicator rank order)."""
         tr = self._tracer
-        if tr is not None:
+        if tr is None:
+            return
+        ctx = self._ctx
+        if ctx is not self._world.world_ctx:  # scatter to global ranks
+            index = ctx.group_index
+            if index is None:
+                index = ctx.group_index = np.array(ctx.group, dtype=np.intp)
             row = np.zeros(self._world.p, dtype=np.int64)
-            row[list(self._ctx.group)] = np.asarray(sizes, dtype=np.int64)
-            tr.edge_row(self.grank, row)
+            row[index] = sizes
+            sizes = row
+        tr.edge_row(self.grank, sizes)
 
     def trace_collective(self, name: str, t: float, dt: float,
                          lat: float) -> None:
         """Traced twin of the collectives' ``set_clock(t + dt)``.
 
-        Records the op span (entry clock to new clock) and splits the
-        clock advance into the LogGP cost buckets: skipping forward to
-        the barrier release ``t`` is **wait**, ``lat`` (the same cost
-        function evaluated at zero bytes) is **latency**, the remainder
-        of ``dt`` is **bandwidth**, and any pending collective fault
-        debt (consumed by :meth:`set_clock` here) is **fault_debt**.
+        Records the op span (entry clock to new clock) and the LogGP
+        split of the advance (:meth:`Tracer.collective`); pending
+        collective fault debt is consumed by :meth:`set_clock` here.
         Callers only reach this with a tracer installed; ``t + dt`` is
         computed exactly as in the untraced branch, so virtual clocks
         are bit-for-bit unchanged by tracing.
         """
         c0 = self.clock
-        debt = self._fault_debt if self._faults is not None else 0.0
+        debt = self._fault_debt
         self.set_clock(t + dt)
-        tr = self._tracer
-        g = self.grank
-        tr.span(g, "coll", name, c0, self.clock)
-        wait = t - c0
-        if wait > 0.0:
-            tr.add(g, "cost.wait", wait)
-        tr.add(g, "cost.latency", lat)
-        if dt > lat:
-            tr.add(g, "cost.bandwidth", dt - lat)
-        if debt:
-            tr.add(g, "cost.fault_debt", debt)
+        self._tracer.collective(self.grank, name, c0, self.clock, t, dt, lat,
+                                debt)
 
     # ------------------------------------------------------------------
     # staged-collective plumbing
@@ -503,10 +468,10 @@ class Comm:
         """Post-staged bookkeeping of the collective ``name``.
 
         Cost application (:func:`collective_charge`), clock overwrite or
-        its traced twin, operation counter.  This per-rank form is the
-        definition; a columnar world with no tracer and no fault plan
-        applies the same charge to the whole membership in one pass
-        (``ColumnarWorld``), and tests compare the two.
+        its traced twin, operation counter: what a rank thread runs.  A
+        columnar world books the same charge on a whole membership in
+        one loop (``ColumnarWorld._finish_all``); the cross-backend
+        tests compare the two.
         """
         dt, lat, counter = collective_charge(self.cost, name, self.size,
                                              nbytes)
@@ -571,19 +536,6 @@ class Comm:
         objs = self.allgather_staged(obj, lambda objs: objs)
         return list(objs)  # private list per rank; elements stay shared
 
-    def scatter(self, objs: Sequence[Any] | None, root: int = 0) -> Any:
-        if self.rank == root:
-            if objs is None or len(objs) != self.size:
-                raise ValueError("root must provide one object per rank")
-
-        def compute(stage: list) -> tuple:
-            return stage[root][0], _max_clock(stage)
-
-        (sent, t), _ = self.staged(
-            list(objs) if self.rank == root else None, compute)
-        self._finish_coll("scatter", t, payload_nbytes(sent[self.rank]))
-        return sent[self.rank]
-
     @staticmethod
     def _fold(stage: list, op: Callable[[Any, Any], Any] | None) -> Any:
         """Rank-order reduction over the staged values (runs once)."""
@@ -604,89 +556,6 @@ class Comm:
         (acc, t), _ = self.staged(value, compute)
         self._finish_coll("allreduce", t, payload_nbytes(value))
         return acc
-
-    def reduce(self, value: Any, root: int = 0,
-               op: Callable[[Any, Any], Any] | None = None) -> Any:
-        """Rooted reduction (deterministic rank order); None off-root."""
-        def compute(stage: list) -> tuple:
-            return self._fold(stage, op), _max_clock(stage)
-
-        (acc, t), _ = self.staged(value, compute)
-        self._finish_coll("reduce", t, payload_nbytes(value))
-        return acc if self.rank == root else None
-
-    def scan(self, value: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
-        """Inclusive prefix reduction: rank r gets reduce(values[0..r])."""
-        def compute(stage: list) -> tuple:
-            prefix = [None] * len(stage)
-            acc = stage[0][0]
-            prefix[0] = acc
-            for r in range(1, len(stage)):
-                v = stage[r][0]
-                acc = (acc + v) if op is None else op(acc, v)
-                prefix[r] = acc
-            return prefix, _max_clock(stage)
-
-        (prefix, t), _ = self.staged(value, compute)
-        self._finish_coll("scan", t, payload_nbytes(value))
-        return prefix[self.rank]
-
-    def exscan(self, value: Any, zero: Any = 0,
-               op: Callable[[Any, Any], Any] | None = None) -> Any:
-        """Exclusive prefix reduction: rank r gets reduce(values[0..r-1]).
-
-        Rank 0 receives ``zero`` (MPI leaves it undefined; a neutral
-        element is friendlier).  ``zero`` must be communicator-uniform:
-        the prefix chain is computed once from rank 0's ``zero``.  The
-        classic displacement computation:
-        ``offset = comm.exscan(len(my_chunk))``.
-        """
-        def compute(stage: list) -> tuple:
-            prefix = [None] * len(stage)
-            acc = stage[0][0][1]  # rank 0's zero
-            prefix[0] = acc
-            for r in range(1, len(stage)):
-                v = stage[r - 1][0][0]
-                acc = (acc + v) if op is None else op(acc, v)
-                prefix[r] = acc
-            return prefix, _max_clock(stage)
-
-        (prefix, t), _ = self.staged((value, zero), compute)
-        self._finish_coll("exscan", t, payload_nbytes(value))
-        return prefix[self.rank]
-
-    def dup(self) -> "Comm":
-        """Duplicate the communicator (fresh context, same group).
-
-        Lets libraries use private tag space / collective ordering, as
-        MPI_Comm_dup does.
-        """
-        sub = self.split(0, key=self.rank)
-        assert sub is not None
-        return sub
-
-    def alltoall(self, objs: Sequence[Any]) -> list[Any]:
-        """Personalised exchange of small per-destination objects."""
-        if len(objs) != self.size:
-            raise ValueError(f"alltoall needs {self.size} objects, got {len(objs)}")
-        me = self.rank
-
-        def reader(stage: list) -> list[Any]:
-            return [stage[src][0][me] for src in range(self.size)]
-
-        t, received = self.staged(list(objs), _max_clock, reader)
-        nbytes = max(payload_nbytes(o) for o in received) if received else 0
-        dt = self.cost.alltoallv_time(
-            self.size, nbytes, ranks_per_node=self.ranks_per_node)
-        if self._tracer is None:
-            self.set_clock(t + dt)
-        else:
-            self.trace_collective(
-                "alltoall", t, dt, self.cost.alltoallv_time(
-                    self.size, 0, ranks_per_node=self.ranks_per_node))
-            self.trace_edges([payload_nbytes(o) for o in objs])
-        self.count("coll.alltoall")
-        return received
 
     @staticmethod
     def size_scan_matrix(sizes: np.ndarray) -> tuple:
@@ -986,10 +855,6 @@ class Comm:
             got = ch.get(self._world.abort)
             self.count("p2p.wait", time.perf_counter() - t0)
         return self._complete_recv(gsrc, tag, *got)
-
-    def irecv(self, source: int, tag: int = 0) -> Request:
-        """Post a nonblocking receive; complete via ``test``/``wait``."""
-        return Request(self, source, tag)
 
     def sendrecv(self, obj: Any, peer: int, tag: int = 0) -> Any:
         """Simultaneous exchange with ``peer`` (deadlock-free)."""

@@ -205,6 +205,9 @@ class CommContext:
         #: ``{node: member count}``, filled by the first
         #: :attr:`repro.mpi.comm.Comm.ranks_per_node` query.
         self.node_counts: dict[int, int] | None = None
+        #: ``group`` as an index array, filled by the first traced
+        #: exchange on a sub-communicator (``Comm.trace_edges``).
+        self.group_index: Any = None
 
     def sync(self, action: Callable[[], Any] | None = None) -> Any:
         """Abortable barrier; ``action`` runs once, by the last arriver.

@@ -3,44 +3,37 @@
 The thread backend pays O(p) interpreter dispatch per phase: p rank
 threads each stepping through tiny numpy calls.  The flat backend keeps
 the *world* exactly as it is — real :class:`~repro.mpi.comm.Comm`
-handles, per-rank memory trackers, fault hooks, tracer — but drives
+handles, per-rank memory trackers, fault plan, tracer — but drives
 every rank from one interpreter loop with zero threads.
 :class:`ColumnarWorld` is the columnar view of the
 :class:`~repro.mpi.world.World` execution protocol: each staged
 collective is executed once per communicator — the deposits are
 snapshotted in rank order together with the per-rank virtual clocks,
 the designated-rank ``compute`` runs a single time, and then the
-collective's epilogue is applied.
+collective's epilogue is booked on the membership in one loop.
 
-Every piece of per-rank bookkeeping exists in two forms:
+Every piece of bookkeeping is that one loop over the ranks handed in:
+clocks overwritten with one ``t + dt`` per distinct ``(size, nbytes)``,
+the operation counter ticked, the phase tuples appended.  The tracer
+and the fault plan are served inside it — the phase span, the
+collective's span and cost split (:meth:`Tracer.collective`), straggler
+scaling, each rank's own collective fault verdict and the debt it
+folds into the clock — behind ``tracer is not None`` / ``faults is not
+None`` tests that cost a plain world nothing; no ``Comm`` call chain is
+replayed per rank.  (A rank *thread* runs the ``Comm`` methods —
+``_finish_coll``, ``phase``, ``charge`` — through the lane view; the
+cross-backend tests compare the two.)  An epilogue that can fail per
+rank (the exchanges' memory charges, a lost collective) has one rule:
+the rank is recorded as failed and skips the rest of *its* epilogue
+exactly where a rank thread would have raised — nobody else's.
 
-* the **per-rank form** is the ``Comm`` method (``_finish_coll``,
-  ``phase``, ``charge``, ``mem.alloc``...) — the definition, what a
-  rank thread runs through the lane view;
-* the **whole-membership form** lives here: one loop over the ranks
-  handed in that overwrites clocks with one ``t + dt`` per distinct
-  ``(size, nbytes)``, ticks the operation counter, appends the phase
-  tuples — no ``Comm`` call chain per rank.
-
-One predicate, evaluated once in :meth:`ColumnarWorld.__init__`,
-selects the form: a world with **no tracer and no fault plan**
-(``SimWorld`` already normalises an inactive plan to ``None``) takes
-the whole-membership form, because then the per-rank methods reduce to
-exactly the arithmetic the loops perform; a traced or fault-injected
-world replays the per-rank methods in rank order, hooks and all.
-An epilogue that can fail per rank (the exchanges' memory charges) has
-a whole form too, under one rule: memory goes through the rank's own
-``MemoryTracker``, and a rank that is refused is recorded as failed and
-skips the rest of *its* epilogue exactly where the per-rank form would
-have raised — nobody else's.
-
-Bit-for-bit equivalence — between the two forms and with the thread
-backend — falls out of three properties:
+Bit-for-bit equivalence with the thread backend falls out of three
+properties:
 
 * a collective's virtual time is a pure function of the deposit clocks
   and the LogGP model — :func:`~repro.mpi.comm.collective_charge` is
-  the only place those formulas exist and both forms call it, so every
-  rank's clock is overwritten with the same ``t + dt`` float;
+  the only place those formulas exist and both backends call it, so
+  every rank's clock is overwritten with the same ``t + dt`` float;
 * counters receive the same increments (``+ 1.0`` per operation) and
   phase brackets the same ``(t0, t1, name)`` tuples in the same
   per-rank order, including the partial time recorded when a
@@ -48,10 +41,10 @@ backend — falls out of three properties:
 * fault verdicts are pure functions of structural position
   (``FaultPlan.collective_penalty(group, seq, rank)``), and the
   per-communicator ``_coll_seq`` counters advance in lockstep, so the
-  order in which rank epilogues run is immaterial.
+  order in which ranks are booked is immaterial.
 
 Failure semantics mirror the abort protocol: a rank whose epilogue or
-charge raises (simulated OOM, exhausted retries) is recorded in the
+charge is refused (simulated OOM, exhausted retries) is recorded in the
 :class:`ColumnarWorld` ledger and excluded from further work; ranks
 that still have collectives ahead of them observe the abort at their
 next collective boundary (:class:`FlatAbort`, the sequential analogue
@@ -75,7 +68,7 @@ from .comm import (
     split_contexts,
 )
 from .engine import SpmdResult
-from .errors import RankFailure, RunCancelled
+from .errors import MessageLostError, RankFailure, RunCancelled
 from .world import World
 
 __all__ = [
@@ -97,73 +90,60 @@ class FlatAbort(Exception):
 
 
 class Epilogue:
-    """A collective's epilogue in both forms, as one ``finish`` value.
+    """A collective's epilogue, written once over the ranks it closes over.
 
-    Calling it is the per-rank form ``finish(i, comm, shared)`` that
-    :meth:`World.collective` documents; ``whole(shared)`` books the same
-    epilogue on the communicator's whole membership and returns the
-    per-rank outputs.  Riding inside ``finish`` keeps the
-    ``collective`` signature — worlds that wrap it forward the value
-    untouched.  A whole form that can fail per rank (a refused memory
-    charge) records that rank with ``world.fail`` and leaves it exactly
-    where the per-rank form would have raised: later statements of that
-    rank's epilogue skipped, ``None`` in its output slot, every other
-    rank booked in full.
+    ``whole(shared)`` books it on those ranks and returns their outputs,
+    aligned with them: a columnar world hands in a membership and calls
+    it once; a lane hands in itself and calls the value as the per-rank
+    ``finish(i, comm, shared)`` that :meth:`World.collective` documents.
+    Riding inside ``finish`` keeps the ``collective`` signature — worlds
+    that wrap it forward the value untouched.  A rank that is refused
+    (a memory charge) goes through ``world.fail`` — a lane raises, a
+    columnar world records it and leaves it exactly there: later
+    statements of that rank's epilogue skipped, ``None`` in its output
+    slot, every other rank booked in full.  Ranks already dead (lost in
+    this collective's fault verdict) are left out the same way.
     """
 
-    __slots__ = ("rank", "whole")
+    __slots__ = ("whole",)
 
-    def __init__(self, rank: Callable[[int, Comm, Any], Any],
-                 whole: Callable[[Any], list]):
-        self.rank = rank
+    def __init__(self, whole: Callable[[Any], list]):
         self.whole = whole
 
     def __call__(self, i: int, comm: Comm, shared: Any) -> Any:
-        return self.rank(i, comm, shared)
+        return self.whole(shared)[i]
 
 
 class phase_all:
-    """Enter/exit one named phase on many ``Comm`` handles at once.
+    """Enter/exit one named phase on many ranks of ``sim`` at once.
 
     Equivalent to every rank executing ``with comm.phase(name):`` around
     the same region — each rank records its own ``(t0, t1)`` from its
     own clock, including partial time when a :class:`FlatAbort` unwinds
-    through the region.  With ``sim`` given (the handles' untraced
-    ``SimWorld``) the brackets are booked in the whole-membership form:
-    one clock snapshot on entry, one loop on exit, the same tuples.
+    through the region: one clock snapshot on entry, one loop on exit.
     """
 
-    def __init__(self, comms: Sequence[Comm], name: str,
-                 sim: SimWorld | None = None):
-        self._name = name
+    def __init__(self, sim: SimWorld, comms: Sequence[Comm], name: str):
         self._sim = sim
-        if sim is None:
-            self._cms = [c.phase(name) for c in comms]
-        else:
-            self._granks = [c.grank for c in comms]
+        self._name = name
+        self._granks = [c.grank for c in comms]
 
     def __enter__(self) -> "phase_all":
-        if self._sim is None:
-            for cm in self._cms:
-                cm.__enter__()
-        else:
-            clocks = self._sim.clocks
-            self._t0 = [clocks[g] for g in self._granks]
+        clocks = self._sim.clocks
+        self._t0 = [clocks[g] for g in self._granks]
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        sim = self._sim
-        if sim is None:
-            for cm in self._cms:
-                cm.__exit__(exc_type, exc, tb)
-            return False
-        name = self._name
+        sim, name = self._sim, self._name
         clocks, phase_times, traces = sim.clocks, sim.phase_times, sim.traces
+        tr = sim.tracer
         for g, t0 in zip(self._granks, self._t0):
             t1 = clocks[g]
             pt = phase_times[g]
             pt[name] = (pt[name] if name in pt else 0.0) + (t1 - t0)
             traces[g].append((t0, t1, name))
+            if tr is not None:
+                tr.span(g, "phase", name, t0, t1)
         return False
 
 
@@ -174,18 +154,14 @@ class ColumnarWorld(World):
     full membership in communicator rank order (so list index ``i`` is
     rank ``i`` — ``make_world_comms`` and :meth:`split` both construct
     such lists); phase brackets and the charge verbs take any ranks.
-    ``whole`` is the form selector (see the module docstring).
     """
 
-    __slots__ = ("world", "failures", "dead", "whole")
+    __slots__ = ("world", "failures", "dead")
 
     def __init__(self, world: SimWorld):
         self.world = world
         self.failures: list[tuple[int, BaseException]] = []
         self.dead: set[int] = set()
-        #: the one predicate: whole-membership bookkeeping is exact
-        #: only when no per-rank hook (tracer, fault plan) can fire
-        self.whole = world.tracer is None and world.faults is None
 
     # -- fault / abort surface -----------------------------------------
     def fail(self, comm: Comm, exc: BaseException) -> None:
@@ -224,23 +200,30 @@ class ColumnarWorld(World):
     # -- phase brackets ------------------------------------------------
     def phase(self, comms: Sequence[Comm], name: str) -> phase_all:
         self.poll_cancel()
-        return phase_all(comms, name, self.world if self.whole else None)
+        return phase_all(self.world, comms, name)
 
     # -- charge verbs --------------------------------------------------
     def charge_compute(self, comms: Sequence[Comm],
                        seconds: Sequence[float]) -> None:
-        clocks = self.world.clocks if self.whole else None
+        sim = self.world
+        clocks, tr, slowed = sim.clocks, sim.tracer, sim.faults is not None
         for c, s in zip(comms, seconds):
-            if clocks is not None and s >= 0:
-                clocks[c.grank] += s
+            if s < 0:
+                try:  # ``Comm.charge`` words the refusal
+                    c.charge(s)
+                except ValueError as exc:
+                    self.fail(c, exc)
                 continue
-            try:  # per-rank form; it also words a refused charge
-                c.charge(s)
-            except BaseException as exc:  # mirrors the engine's catch-all
-                self.fail(c, exc)
+            g = c.grank
+            # a straggler computes slowly (``Comm.charge``)
+            scaled = s * c._slowdown if slowed and c._slowdown != 1.0 else s
+            clocks[g] += scaled
+            if tr is not None:
+                tr.add(g, "cost.compute", s)
+                if scaled != s:  # the surcharge is fault debt
+                    tr.add(g, "cost.fault_debt", scaled - s)
 
     def alloc(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
-        # MemoryTracker has no tracer or fault hook: one form
         mem = self.world.mem
         for c, nb in zip(comms, nbytes):
             try:
@@ -258,9 +241,10 @@ class ColumnarWorld(World):
 
     def trace_counter(self, comms: Sequence[Comm], name: str,
                       values: Sequence[float]) -> None:
-        if not self.whole:  # the whole form has no tracer to feed
+        tr = self.world.tracer
+        if tr is not None:
             for c, v in zip(comms, values):
-                c.trace_counter(name, v)
+                tr.add(c.grank, name, v)
 
     # ------------------------------------------------------------------
     # staged collectives, one whole communicator at a time
@@ -272,10 +256,12 @@ class ColumnarWorld(World):
         """Run one staged collective over a communicator's members.
 
         Mirrors ``Comm.staged`` plus the caller's epilogue: snapshot
-        the stage, run the designated-rank ``compute`` once, then book
-        the epilogue (:meth:`epilogue`; under a fault plan each rank
-        first pays its deterministic collective fault debt).  Per-rank
-        exceptions are recorded, not raised — the next checked
+        the stage, run the designated-rank ``compute`` once, under a
+        fault plan let each rank draw its deterministic collective
+        verdict, then book the epilogue — an :class:`Epilogue` in its
+        one call, anything else rank by rank.  Per-rank exceptions (a
+        lost collective, a refused charge) are recorded, not raised,
+        and that rank is left out of the epilogue — the next checked
         collective aborts the world, exactly where thread-backend
         siblings would unwind.
         """
@@ -286,54 +272,52 @@ class ColumnarWorld(World):
         shared = compute(stage)
         f = self.world.faults
         if f is not None and f.affects_collectives:
-            def charged(i, c, shared, finish=finish):
-                c._charge_collective_faults()
-                return finish(i, c, shared)
-
-            return shared, self.epilogue(comms, charged, shared)
-        return shared, self.epilogue(comms, finish, shared)
-
-    def epilogue(self, comms: Sequence[Comm],
-                 finish: Callable[[int, Comm, Any], Any],
-                 shared: Any) -> list:
-        """Book ``finish`` on the ranks handed in: an :class:`Epilogue`
-        on a world without tracer and fault plan in its whole form,
-        anything else rank by rank, a raising rank recorded as failed."""
+            for c in comms:
+                try:
+                    c._charge_collective_faults()
+                except MessageLostError as exc:
+                    self.fail(c, exc)
         if isinstance(finish, Epilogue):
-            if self.whole:
-                # no ranks (every one was refused earlier): nothing to
-                # book, as in the per-rank loop below
-                return finish.whole(shared) if comms else []
-            finish = finish.rank
+            return shared, finish.whole(shared)
+        dead = self.dead
         outs: list[Any] = [None] * len(comms)
         for i, c in enumerate(comms):
+            if c.grank in dead:
+                continue
             try:
                 outs[i] = finish(i, c, shared)
             except BaseException as exc:  # mirrors the engine's catch-all
                 self.fail(c, exc)
-        return outs
+        return shared, outs
 
     def _finish_all(self, comms: Sequence[Comm], name: str, t: float,
                     nbytes: int = 0) -> None:
-        """Whole-membership ``Comm._finish_coll`` for ranks of one
-        communicator depositing ``nbytes`` each: one ``t + dt``, clocks
-        overwritten, operation counter ticked."""
-        first = comms[0]
-        dt, _, counter = collective_charge(first.cost, name, first.size,
-                                           nbytes)
+        """``Comm._finish_coll`` for the live ranks of one communicator
+        depositing ``nbytes`` each: one ``t + dt``, clocks overwritten
+        (``Comm.set_clock`` where a rank may carry collective fault
+        debt), span and cost split traced, operation counter ticked."""
+        sim, first = self.world, comms[0]
+        dt, lat, counter = collective_charge(sim.cost, name, first.size,
+                                             nbytes)
         t1 = t + dt
-        clocks = self.world.clocks
-        if counter is None:
-            for c in comms:
-                clocks[c.grank] = t1
-            return
-        counters = self.world.counters
+        clocks, counters, tr = sim.clocks, sim.counters, sim.tracer
+        hooked = tr is not None or sim.faults is not None
+        dead = self.dead
         for c in comms:
             g = c.grank
-            clocks[g] = t1
-            tally = counters[g]
-            tally[counter] = (tally[counter] if counter in tally
-                              else 0.0) + 1.0
+            if dead and g in dead:
+                continue
+            if hooked:
+                c0, debt = clocks[g], c._fault_debt
+                c.set_clock(t1)  # folds the debt in
+                if tr is not None:
+                    tr.collective(g, name, c0, clocks[g], t, dt, lat, debt)
+            else:
+                clocks[g] = t1
+            if counter is not None:
+                tally = counters[g]
+                tally[counter] = (tally[counter] if counter in tally
+                                  else 0.0) + 1.0
 
     # -- collective surface (same epilogues as Comm.barrier/bcast/...) --
     def barrier(self, comms: Sequence[Comm], *, check: bool = True) -> None:
@@ -341,10 +325,8 @@ class ColumnarWorld(World):
             self._finish_all(comms, "barrier", t)
             return [None] * len(comms)
 
-        self.collective(
-            comms, [None] * len(comms), _max_clock,
-            Epilogue(lambda i, c, t: c._finish_coll("barrier", t), whole),
-            check=check)
+        self.collective(comms, [None] * len(comms), _max_clock,
+                        Epilogue(whole), check=check)
 
     def bcast(self, comms: Sequence[Comm], values: Sequence[Any],
               root: int = 0, *, check: bool = True) -> list:
@@ -352,18 +334,13 @@ class ColumnarWorld(World):
             v = stage[root][0]
             return v, _max_clock(stage), payload_nbytes(v)
 
-        def finish(i, c, shared):
-            v, t, nbytes = shared
-            c._finish_coll("bcast", t, nbytes)
-            return v
-
         def whole(shared):
             v, t, nbytes = shared
             self._finish_all(comms, "bcast", t, nbytes)
             return [v] * len(comms)
 
-        _, outs = self.collective(comms, values, compute,
-                                  Epilogue(finish, whole), check=check)
+        _, outs = self.collective(comms, values, compute, Epilogue(whole),
+                                  check=check)
         return outs
 
     def gather(self, comms: Sequence[Comm], values: Sequence[Any],
@@ -372,11 +349,6 @@ class ColumnarWorld(World):
             vals = [e[0] for e in stage]
             return vals, _max_clock(stage), max(map(payload_nbytes, vals))
 
-        def finish(i, c, shared):
-            vals, t, nbytes = shared
-            c._finish_coll("gather", t, nbytes)
-            return vals if c.rank == root else None
-
         def whole(shared):
             vals, t, nbytes = shared
             self._finish_all(comms, "gather", t, nbytes)
@@ -384,8 +356,8 @@ class ColumnarWorld(World):
             outs[root] = vals
             return outs
 
-        _, outs = self.collective(comms, values, compute,
-                                  Epilogue(finish, whole), check=check)
+        _, outs = self.collective(comms, values, compute, Epilogue(whole),
+                                  check=check)
         return outs
 
     def allreduce(self, comms: Sequence[Comm], values: Sequence[Any],
@@ -393,11 +365,6 @@ class ColumnarWorld(World):
                   check: bool = True) -> list:
         def compute(stage):
             return Comm._fold(stage, op), _max_clock(stage)
-
-        def finish(i, c, shared):
-            acc, t = shared
-            c._finish_coll("allreduce", t, payload_nbytes(values[i]))
-            return acc
 
         def whole(shared):
             acc, t = shared
@@ -410,8 +377,8 @@ class ColumnarWorld(World):
                     "allreduce", t, nbytes)
             return [acc] * len(comms)
 
-        _, outs = self.collective(comms, values, compute,
-                                  Epilogue(finish, whole), check=check)
+        _, outs = self.collective(comms, values, compute, Epilogue(whole),
+                                  check=check)
         return outs
 
     def allgather_staged(self, comms: Sequence[Comm],
@@ -423,18 +390,13 @@ class ColumnarWorld(World):
             return (compute_objs(objs), _max_clock(stage),
                     max(map(payload_nbytes, objs)))
 
-        def finish(i, c, shared):
-            val, t, nbytes = shared
-            c._finish_coll("allgather", t, nbytes)
-            return val
-
         def whole(shared):
             val, t, nbytes = shared
             self._finish_all(comms, "allgather", t, nbytes)
             return [val] * len(comms)
 
-        _, outs = self.collective(comms, deposits, compute,
-                                  Epilogue(finish, whole), check=check)
+        _, outs = self.collective(comms, deposits, compute, Epilogue(whole),
+                                  check=check)
         return outs
 
     def allgather(self, comms: Sequence[Comm], values: Sequence[Any],
@@ -455,15 +417,6 @@ class ColumnarWorld(World):
         def compute(stage):
             return split_contexts(stage, ctx, world), _max_clock(stage)
 
-        def finish(i, c, shared):
-            contexts, t = shared
-            c._finish_coll("split", t)
-            color = colors[i]
-            newctx = contexts.get(color) if color is not None else None
-            if newctx is None:
-                return None
-            return Comm(world, newctx, newctx.group.index(c.grank))
-
         def whole(shared):
             # children built per new context, in its rank order, instead
             # of one ``group.index`` search per parent rank
@@ -477,8 +430,8 @@ class ColumnarWorld(World):
                     outs[slot[child.grank]] = child
             return outs
 
-        _, outs = self.collective(comms, deposits, compute,
-                                  Epilogue(finish, whole), check=check)
+        _, outs = self.collective(comms, deposits, compute, Epilogue(whole),
+                                  check=check)
         return outs
 
     def alltoallv(self, comms: Sequence[Comm], sends: Sequence[Any],

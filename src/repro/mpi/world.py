@@ -6,12 +6,11 @@ once, in *world form*: a function of ``(world, comms, ...)`` where
 per-rank value travels as a list aligned with it.  The ``world`` object
 supplies the staged-collective surface — ``barrier`` / ``bcast`` /
 ``gather`` / ``allreduce`` / ``allgather_staged`` / ``split`` /
-``alltoallv`` / ``sendrecv``, and ``epilogue`` for the part of a
-collective's epilogue that belongs to a later phase — plus phase
-brackets, the charge verbs (``charge_compute`` / ``alloc`` / ``free`` /
-``trace_counter``: one call books modelled compute time, memory or a
-tracer counter on every rank handed in), abort semantics and fault
-hooks.  Two interchangeable views implement it:
+``alltoallv`` / ``sendrecv`` — plus phase brackets, the charge verbs
+(``charge_compute`` / ``alloc`` / ``free`` / ``trace_counter``: one call
+books modelled compute time, memory or a tracer counter on every rank
+handed in), abort semantics and fault hooks.  Two interchangeable views
+implement it:
 
 * :class:`LaneWorld` — **one logical rank** ("lane").  ``comms`` is a
   singleton and every operation delegates straight to the rank's own
@@ -22,19 +21,19 @@ hooks.  Two interchangeable views implement it:
 * :class:`~repro.mpi.flatworld.ColumnarWorld` — **the whole world at
   once**.  ``comms`` is a communicator's full membership in rank order;
   each collective snapshots all deposits, runs the designated-rank
-  compute a single time, and applies the epilogue to the whole
-  membership in one pass (or, under a tracer or a fault plan, replays
-  every rank's ``Comm`` epilogue sequentially).  This view backs the
-  zero-thread flat backend; per-rank exceptions are recorded in a
-  failure ledger and surface as
+  compute a single time, and books the epilogue on the whole
+  membership in one loop, tracer and fault plan served inside it.  This
+  view backs the zero-thread flat backend; per-rank exceptions are
+  recorded in a failure ledger and surface as
   :class:`~repro.mpi.flatworld.FlatAbort` at the next checked
   collective.
 
-The per-rank ``Comm`` methods are the definition of every piece of
-bookkeeping; both views evaluate the same cost expressions
-(:func:`~repro.mpi.comm.collective_charge`, the ``CostModel``), so
-virtual clocks, phase breakdowns, counters, memory peaks and traces
-are bit-for-bit identical across backends.
+An epilogue that both views book (the exchanges') is one function over
+the ranks handed in — a membership, or a lane's one — riding as a
+:class:`~repro.mpi.flatworld.Epilogue`.  Both views evaluate the same
+cost expressions (:func:`~repro.mpi.comm.collective_charge`, the
+``CostModel``), so virtual clocks, phase breakdowns, counters, memory
+peaks and traces are bit-for-bit identical across backends.
 """
 
 from __future__ import annotations
@@ -111,18 +110,10 @@ class World:
         """One staged collective: deposit, designated compute, epilogue.
 
         ``compute(stage)`` sees ``[(deposit, clock), ...]`` once;
-        ``finish(i, comm, shared)`` is rank ``i``'s epilogue.  Returns
-        ``(shared, outs)``.
+        ``finish(i, comm, shared)`` is rank ``i``'s epilogue (an
+        :class:`~repro.mpi.flatworld.Epilogue` books all of ``comms``
+        in its one call).  Returns ``(shared, outs)``.
         """
-        raise NotImplementedError
-
-    def epilogue(self, comms: Sequence[Comm],
-                 finish: Callable[[int, Comm, Any], Any],
-                 shared: Any) -> list:
-        """A collective's epilogue booked on its own: ``finish(i,
-        comms[i], shared)`` on every rank handed in (any ranks), for the
-        part of an epilogue that belongs to a later phase than its
-        collective.  Returns the per-rank outputs."""
         raise NotImplementedError
 
     def barrier(self, comms: Sequence[Comm], *, check: bool = True) -> None:
@@ -224,11 +215,6 @@ class LaneWorld(World):
         comm = comms[0]
         shared, _ = comm.staged(deposits[0], compute)
         return shared, [finish(0, comm, shared)]
-
-    def epilogue(self, comms: Sequence[Comm],
-                 finish: Callable[[int, Comm, Any], Any],
-                 shared: Any) -> list:
-        return [finish(0, comms[0], shared)]
 
     def barrier(self, comms: Sequence[Comm], *, check: bool = True) -> None:
         comms[0].barrier()

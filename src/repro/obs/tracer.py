@@ -95,6 +95,48 @@ class Tracer:
         c = self.counters[rank]
         c[name] = c.get(name, 0.0) + value
 
+    def collective(self, rank: int, name: str, c0: float, c1: float,
+                   t: float, dt: float, lat: float, debt: float) -> None:
+        """Span and LogGP split of one collective's clock advance.
+
+        ``rank`` went from ``c0`` to ``c1 = (t + dt) + debt``: skipping
+        forward to the barrier release ``t`` is **wait**, ``lat`` (the
+        cost function at zero bytes) **latency**, the rest of ``dt``
+        **bandwidth**, the collective fault debt it carried
+        **fault_debt**.
+        """
+        self.span(rank, "coll", name, c0, c1)
+        wait = t - c0
+        if wait > 0.0:
+            self.add(rank, "cost.wait", wait)
+        self.add(rank, "cost.latency", lat)
+        if dt > lat:
+            self.add(rank, "cost.bandwidth", dt - lat)
+        if debt:
+            self.add(rank, "cost.fault_debt", debt)
+
+    def overlapped(self, rank: int, c0: float, c1: float, start: float,
+                   progress: float, debt: float, args: dict) -> None:
+        """Span and split of the overlapped exchange's one fused advance.
+
+        It covers barrier skew (up to ``start``: **wait**), the async
+        progress CPU (``progress``: **latency**) and the network/merge
+        interleave, whose remainder is attributed to **bandwidth** (the
+        merge CPU it hides is reported through ``kernel.merge.*``).
+        """
+        self.span(rank, "coll", "alltoallv_async+merge", c0, c1, args)
+        adv = c1 - c0
+        if adv > 0.0:
+            wait = max(0.0, min(adv, start - c0))
+            lat = min(adv - wait, progress)
+            self.add(rank, "cost.wait", wait)
+            self.add(rank, "cost.latency", lat)
+            rest = adv - wait - lat - debt
+            if rest > 0.0:
+                self.add(rank, "cost.bandwidth", rest)
+            if debt:
+                self.add(rank, "cost.fault_debt", debt)
+
     def edge(self, src: int, dst: int, nbytes: int) -> None:
         """Charge ``nbytes`` to the directed edge ``src -> dst``."""
         row = self._edges[src]

@@ -166,27 +166,43 @@ def test_flat_equals_thread_newly_eligible(algorithm, workload, opts):
     assert t.extras["mem_peaks"] == f.extras["mem_peaks"]
 
 
+#: The hooks (tracer, fault plan) live once in ``Comm`` — what a rank
+#: thread runs — and once in the columnar world's loops; these two tests
+#: are their only cross-backend guard, so they cover every algorithm
+#: with a world form, both exchanges (``sds`` overlaps at these widths,
+#: ``tau_o=0`` and the others synchronise), a sub-node world, one node
+#: plus one rank and a power of two.
+HOOKED_ALGORITHMS = ("sds", "sds-stable", "psrs", "hyksort")
+HOOKED_WORLD_SIZES = (3, 25, 64)
+
+
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_chaos_hash_is_backend_invariant(backend):
     from repro.faults.chaos import run_chaos
-    kw = dict(p=32, n_per_rank=128, seeds=[0],
-              specs=["drop", "crash-exchange"], algorithms=["sds"])
-    rt = run_chaos(**kw)
-    rb = run_chaos(**kw, backend=backend)
-    assert rt.report_hash == rb.report_hash
+    for p in HOOKED_WORLD_SIZES:
+        kw = dict(p=p, n_per_rank=128, seeds=[0],
+                  specs=["drop", "mixed", "crash-exchange"],
+                  algorithms=HOOKED_ALGORITHMS)
+        rt = run_chaos(**kw)
+        rb = run_chaos(**kw, backend=backend)
+        assert rt.report_hash == rb.report_hash, p
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_trace_report_is_backend_invariant(backend):
     wl = by_name("uniform")
-    kw = dict(n_per_rank=200, p=64, mem_factor=None, trace=True)
-    t = run_sort("sds", wl, **kw, backend="thread")
-    b = run_sort("sds", wl, **kw, backend=backend)
-    dt = t.extras["trace"].as_dict()
-    db = b.extras["trace"].as_dict()
-    dt["engine_counters"] = _strip_wall(dt["engine_counters"])
-    db["engine_counters"] = _strip_wall(db["engine_counters"])
-    assert dt == db
+    for algorithm, opts in [(a, {}) for a in HOOKED_ALGORITHMS] + [
+            ("sds", {"tau_o": 0})]:
+        for p in HOOKED_WORLD_SIZES:
+            kw = dict(n_per_rank=200, p=p, mem_factor=None, trace=True,
+                      algo_opts=opts)
+            t = run_sort(algorithm, wl, **kw, backend="thread")
+            b = run_sort(algorithm, wl, **kw, backend=backend)
+            dt = t.extras["trace"].as_dict()
+            db = b.extras["trace"].as_dict()
+            dt["engine_counters"] = _strip_wall(dt["engine_counters"])
+            db["engine_counters"] = _strip_wall(db["engine_counters"])
+            assert dt == db, (algorithm, opts, p)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

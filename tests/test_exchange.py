@@ -1,14 +1,18 @@
 """Adaptive exchange and final local ordering (Sections 2.6-2.7)."""
 
+import threading
+
 import numpy as np
 import pytest
 
-from repro.core import exchange_sync_fused
+from repro.core import exchange_sync_fused, pipeline
 from repro.core.exchange import _by_destination, sync_exchange_compute
 from repro.core.partition import Cuts
 from repro.mpi import run_spmd
 from repro.obs import Tracer
 from repro.records import RecordBatch
+from repro.runner import run_sort
+from repro.workloads import uniform
 
 from .oracles_exchange import (
     check_displs,
@@ -317,3 +321,45 @@ class TestOverlappedExchange:
         sync = run_spmd(sync_prog, 4).results
         for (_, o, _, _), s in zip(over, sync):
             assert np.array_equal(o.keys, s.keys)
+
+
+@pytest.mark.parametrize("tau_o", [0, 4096], ids=["sync", "overlapped"])
+def test_a_lane_epilogue_builds_one_batch_and_reads_nothing_world_sized(
+        monkeypatch, tau_o):
+    # what would make the thread backend quadratic: an epilogue written
+    # for a membership doing p-sized work when a lane hands in itself
+    p, reads, built, inside = 64, [], [], threading.local()
+
+    class Spy(np.ndarray):
+        def tolist(self):
+            reads.append(self.size)
+            return super().tolist()
+
+    unsafe = RecordBatch._unsafe.__func__
+
+    def counted(cls, keys, payload):
+        if getattr(inside, "rank", None) is not None:
+            built.append(inside.rank)
+        return unsafe(cls, keys, payload)
+
+    def spied(epilogue):
+        def run(world, comms, shared, *args, **kwargs):
+            assert len(comms) == 1
+            shared = {k: v.view(Spy) if getattr(v, "shape", None) == (
+                p + (k == "bounds"),) else v for k, v in shared.items()}
+            inside.rank = comms[0].rank
+            try:
+                return epilogue(world, comms, shared, *args, **kwargs)
+            finally:
+                inside.rank = None
+        return run
+
+    monkeypatch.setattr(RecordBatch, "_unsafe", classmethod(counted))
+    for name in ("_sync_exchange_network", "_sync_exchange_ordering",
+                 "_overlapped_exchange_finish"):
+        monkeypatch.setattr(pipeline, name, spied(getattr(pipeline, name)))
+    assert run_sort("sds", uniform(), n_per_rank=65, p=p, mem_factor=None,
+                    backend="thread", algo_opts={
+                        "node_merge_enabled": False, "tau_o": tau_o}).ok
+    assert sorted(built) == list(range(p))
+    assert reads and max(reads) <= 2

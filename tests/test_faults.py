@@ -22,7 +22,16 @@ from repro.faults import (
 from repro.faults.chaos import PRESETS, run_chaos, spec_from_config
 from repro.machine import EDISON
 from repro.metrics import check_sorted
-from repro.mpi import MessageLostError, RankFailure, run_spmd
+from repro.mpi import (
+    ColumnarWorld,
+    FlatAbort,
+    MessageLostError,
+    RankFailure,
+    SimWorld,
+    make_world_comms,
+    run_spmd,
+)
+from repro.obs import Tracer
 from repro.runner import run_sort
 from repro.workloads import by_name
 
@@ -491,3 +500,48 @@ class TestFaultsCli:
         with pytest.raises(SystemExit) as ei:
             main(list(argv))
         assert ei.value.code == 2  # argparse usage error, not a traceback
+
+
+# ------------------------------------- a lost collective, on the flat world
+def _lossy_allreduce(p, traced):
+    # no retry budget: a rank that sees any of its p - 1 messages drop
+    # has lost the collective
+    spec = FaultSpec(messages=MessageFaults(drop_rate=0.05),
+                     retry=RetryPolicy(max_retries=0))
+    sim = SimWorld(p, EDISON, faults=spec.compile(p, 4),
+                   tracer=Tracer(p) if traced else None)
+    comms = make_world_comms(sim)
+    world = ColumnarWorld(sim)
+    world.charge_compute(comms, [0.125 * r for r in range(p)])
+    outs = world.allreduce(comms, list(range(p)))
+    return sim, world, outs
+
+
+def test_a_lost_collective_leaves_its_rank_out_and_nobody_else():
+    p = 16
+    sim, world, outs = _lossy_allreduce(p, traced=True)
+    plan, group = sim.faults, sim.world_ctx.group
+    lost = [r for r in range(p)
+            if (pen := plan.collective_penalty(group, 0, r)) and pen.lost]
+    assert 0 < len(lost) < p and outs == [sum(range(p))] * p
+    assert [(r, type(e)) for r, e in world.failures] == [
+        (r, MessageLostError) for r in lost]
+    done = 0.125 * (p - 1) + sim.cost.tree_collective_time(p, 8)
+    for r in range(p):
+        spans = [s for s in sim.tracer.spans[r] if s[2] == "coll"]
+        if r in lost:  # booked nothing: clock, counter, span
+            assert sim.clocks[r] == 0.125 * r
+            assert sim.counters[r] == {} and spans == []
+            assert set(sim.tracer.counters[r]) <= {"cost.compute"}
+        else:
+            assert sim.clocks[r] == done
+            assert sim.counters[r] == {"coll.allreduce": 1.0}
+            assert spans == [(0.125 * r, done, "coll", "allreduce", None)]
+    with pytest.raises(FlatAbort):  # the next checked collective aborts
+        world.barrier(make_world_comms(sim))
+    plain, pworld, _ = _lossy_allreduce(p, traced=False)
+    again, _, _ = _lossy_allreduce(p, traced=True)
+    assert (plain.clocks, plain.counters) == (sim.clocks, sim.counters)
+    assert [r for r, _ in pworld.failures] == lost
+    assert (again.tracer.spans, again.tracer.counters) == (
+        sim.tracer.spans, sim.tracer.counters)

@@ -27,18 +27,6 @@ class TestBasicCollectives:
         assert out[1] == [0, 1, 4, 9]
         assert out[0] is None and out[2] is None
 
-    def test_scatter(self):
-        def prog(c):
-            objs = [f"item{i}" for i in range(c.size)] if c.rank == 0 else None
-            return c.scatter(objs, root=0)
-        assert results(prog, 4) == ["item0", "item1", "item2", "item3"]
-
-    def test_scatter_validates_length(self):
-        def prog(c):
-            return c.scatter([1], root=0)
-        with pytest.raises(Exception):
-            run_spmd(prog, 3)
-
     def test_allreduce_default_sum(self):
         out = results(lambda c: c.allreduce(c.rank + 1), 4)
         assert out == [10, 10, 10, 10]
@@ -52,13 +40,6 @@ class TestBasicCollectives:
             return c.allreduce(np.full(3, c.rank))
         for r in results(prog, 4):
             assert list(r) == [6, 6, 6]
-
-    def test_alltoall(self):
-        def prog(c):
-            return c.alltoall([c.rank * 100 + d for d in range(c.size)])
-        out = results(prog, 3)
-        # rank r receives src*100 + r from each src
-        assert out[1] == [1, 101, 201]
 
     def test_barrier_syncs_clocks(self):
         def prog(c):

@@ -171,15 +171,6 @@ class TestP2P:
         res = run_spmd(prog, 2)
         assert res.results[1] == ("a", "b")
 
-    def test_irecv_wait(self):
-        def prog(c):
-            if c.rank == 0:
-                c.send(42, 1)
-                return None
-            req = c.irecv(0)
-            return req.wait()
-        assert run_spmd(prog, 2).results[1] == 42
-
     def test_sendrecv_symmetric(self):
         def prog(c):
             peer = c.rank ^ 1

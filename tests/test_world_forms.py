@@ -1,19 +1,19 @@
-"""The two forms of per-rank bookkeeping, compared.
+"""One form of bookkeeping, three ways to look at it.
 
-Every collective epilogue, phase bracket and charge exists as a
-per-rank ``Comm`` method (the definition: rank threads run it through
-the lane view, a traced or fault-injected columnar world replays it)
-and as a whole-membership loop in ``ColumnarWorld`` (a flat world with
-no tracer and no fault plan).  These tests run the same sort through
+Every collective epilogue, phase bracket and charge of the flat engine
+is one loop over the ranks handed in (``ColumnarWorld``, the exchange
+epilogues of ``core/exchange.py``); a tracer and a fault plan are served
+inside that loop, and a rank thread books itself through its own
+``Comm``.  These tests run the same sort through
 
-* flat, untraced — the whole-membership form,
-* flat with a tracer — the per-rank form on the columnar world,
-* thread — the per-rank form on rank threads,
+* flat, plain,
+* flat with a tracer,
+* thread,
 
 and require every simulated observable to be equal: clocks, phase
 times, phase traces, counters, memory peaks, decisions, loads, outputs
-and the shape of a failure.  Under a fault plan both flat and thread
-take the per-rank form; they are compared too.
+and the shape of a failure.  Under a fault plan flat and thread are
+compared too.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from repro.faults.chaos import PRESETS
 from repro.machine import EDISON, CostModel, MemoryTracker, SimOOMError
 from repro.mpi import (
     ColumnarWorld,
+    Comm,
     FlatAbort,
     RankFailure,
     SimWorld,
@@ -117,13 +118,25 @@ def _assert_same(a: dict, b: dict, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# (a) whole form == per-rank form == thread
+# (a) flat plain == flat traced == thread
 # ---------------------------------------------------------------------------
+
+def _three_ways(algorithm, wl, n, p, *, opts=None, capacity=None,
+                observe=_observed, thread=True, run=_run, what="") -> dict:
+    """Flat plain, compared with flat traced and (``thread``) threads."""
+    kw = dict(opts=opts, capacity=capacity)
+    plain = observe(run(algorithm, wl, n, p, "flat", **kw))
+    _assert_same(plain, observe(run(algorithm, wl, n, p, "flat", trace=True,
+                                    **kw)), f"{what} flat traced")
+    if thread:
+        _assert_same(plain, observe(run(algorithm, wl, n, p, "thread", **kw)),
+                     f"{what} thread")
+    return plain
+
 
 @pytest.mark.parametrize("p", WORLD_SIZES)
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_whole_form_equals_per_rank_forms(algorithm, p):
-    wl = uniform()
     shapes = [(n, nm) for n in (0, 1, 7, 64) for nm in (True, False)]
     if not algorithm.startswith("sds"):
         shapes = [s for s in shapes if s[1]]  # no node-merge switch
@@ -131,15 +144,9 @@ def test_whole_form_equals_per_rank_forms(algorithm, p):
         shapes = [s for s in shapes
                   if s[0] in ((7,) if algorithm == "hyksort" else (7, 64))]
     for n, nm in shapes:
-        opts = _opts(algorithm, nm)
-        whole = _observed(_run(algorithm, wl, n, p, "flat", opts=opts))
-        per_rank = _observed(_run(algorithm, wl, n, p, "flat", opts=opts,
-                                  trace=True))
-        _assert_same(whole, per_rank, f"n={n} nm={nm} flat traced")
-        if p <= 50 or (n, nm) == (64, True):  # one thread leg at p=257
-            thread = _observed(_run(algorithm, wl, n, p, "thread",
-                                    opts=opts))
-            _assert_same(whole, thread, f"n={n} nm={nm} thread")
+        _three_ways(algorithm, uniform(), n, p, opts=_opts(algorithm, nm),
+                    what=f"n={n} nm={nm}",  # one thread leg at p=257
+                    thread=p <= 50 or (n, nm) == (64, True))
 
 
 @pytest.mark.parametrize("p", [3, 25, 50])
@@ -153,47 +160,33 @@ def test_forms_agree_with_one_empty_rank(algorithm, p):
     if p == 25:
         cases.append((OneEmptyRank(cosmology()), True))
     for wl, nm in cases:
-        opts = _opts(algorithm, nm)
-        whole = _observed(_run(algorithm, wl, 64, p, "flat", opts=opts))
-        _assert_same(whole, _observed(_run(
-            algorithm, wl, 64, p, "flat", opts=opts, trace=True)),
-            f"nm={nm} flat traced")
-        _assert_same(whole, _observed(_run(
-            algorithm, wl, 64, p, "thread", opts=opts)), f"nm={nm} thread")
+        _three_ways(algorithm, wl, 64, p, opts=_opts(algorithm, nm),
+                    what=f"nm={nm}")
 
 
 @pytest.mark.parametrize("preset", ["straggler", "mixed"])
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_flat_equals_thread_under_faults(algorithm, preset):
-    # an active plan forces the per-rank form on the columnar world
-    wl = uniform()
     for p, n, nm in ((25, 64, True), (48, 64, False), (50, 7, True)):
-        opts = _opts(algorithm, nm)
-        flat = _run(algorithm, wl, n, p, "flat", opts=opts,
-                    faults=PRESETS[preset])
-        thread = _run(algorithm, wl, n, p, "thread", opts=opts,
-                      faults=PRESETS[preset])
-        _assert_same(_observed(flat), _observed(thread),
-                     f"{preset} p={p} n={n} nm={nm}")
+        kw = dict(opts=_opts(algorithm, nm), faults=PRESETS[preset])
+        _assert_same(_observed(_run(algorithm, uniform(), n, p, "flat", **kw)),
+                     _observed(_run(algorithm, uniform(), n, p, "thread",
+                                    **kw)), f"{preset} p={p} n={n} nm={nm}")
 
 
 def test_leader_oom_fails_the_leader_alone_in_every_form():
     # node merge on, 24 shards land on each leader: a capacity of a few
     # shards is refused at the leader's merge allocation
     wl, n, p = uniform(), 64, 50
-    shard_bytes = n * 20
-    capacity = 4 * shard_bytes
-    whole = _observed(_run("sds", wl, n, p, "flat", capacity=capacity))
-    assert [r for r, *_ in whole["failure"]] == [0, 24]  # full nodes only
-    assert all(kind == "SimOOMError" for _, kind, _ in whole["failure"])
-    _assert_same(whole, _observed(_run(
-        "sds", wl, n, p, "flat", capacity=capacity, trace=True)),
-        "flat traced")
+    capacity = 4 * n * 20
+    flat = _three_ways("sds", wl, n, p, capacity=capacity, thread=False)
+    assert [r for r, *_ in flat["failure"]] == [0, 24]  # full nodes only
+    assert all(kind == "SimOOMError" for _, kind, _ in flat["failure"])
     # rank threads race: the first OOM aborts the world, so a rank (the
     # other full-node leader, or rank 48 leading the 2-rank node) may be
-    # stopped before an allocation every flat form reaches.  The
-    # contract is the failure's kind, the flat peak on the ranks that
-    # recorded one, and never more than the flat peak elsewhere.
+    # stopped before an allocation the flat world reaches.  The contract
+    # is the failure's kind, the flat peak on the ranks that recorded
+    # one, and never more than the flat peak elsewhere.
     for _ in range(5):
         thread = _observed(_run("sds", wl, n, p, "thread",
                                 capacity=capacity))
@@ -201,7 +194,7 @@ def test_leader_oom_fails_the_leader_alone_in_every_form():
         failed = {r for r, *_ in thread["failure"]}
         assert failed and failed <= {0, 24}
         for r, (got, want) in enumerate(zip(thread["mem_peaks"],
-                                            whole["mem_peaks"])):
+                                            flat["mem_peaks"])):
             assert got == want if r in failed else got <= want, r
 
 
@@ -235,32 +228,22 @@ def _observed_bytes(res) -> dict:
     return out
 
 
-def _exchange_ran(obs: dict, mode: str, ordering: str) -> bool:
-    return all(st is not None and (st.mode, st.ordering) == (mode, ordering)
-               for st in obs["stats"])
-
-
 @pytest.mark.parametrize("p", [1, 3, 25, 257])
 @pytest.mark.parametrize("path", EXCHANGE_PATHS)
 def test_exchange_epilogues_agree_in_every_form(path, p):
     algorithm, opts = EXCHANGE_PATHS[path]
+    ran = ("overlap", "overlap-merge") if path == "overlapped" else (
+        "sync", "merge" if path == "sync-merge" else "sort")
     # cosmology: six payload columns, one of them two-dimensional
     for wl, n in ((uniform(), 0), (uniform(), 1), (zipf(alpha=1.1), 64),
                   (cosmology(), 64)):
-        whole = _observed_bytes(_run(algorithm, wl, n, p, "flat", opts=opts))
-        assert whole["failure"] is None
+        flat = _three_ways(algorithm, wl, n, p, opts=opts,
+                           observe=_observed_bytes, what=f"{path} n={n}",
+                           thread=p <= 25 or n == 64)
+        assert flat["failure"] is None
         if p > 1:
-            mode = "overlap" if path == "overlapped" else "sync"
-            ordering = {"sync-merge": "merge",
-                        "overlapped": "overlap-merge"}.get(path, "sort")
-            assert _exchange_ran(whole, mode, ordering), (path, n)
-        _assert_same(whole, _observed_bytes(_run(
-            algorithm, wl, n, p, "flat", opts=opts, trace=True)),
-            f"{path} n={n} flat traced")
-        if p <= 25 or n == 64:
-            _assert_same(whole, _observed_bytes(_run(
-                algorithm, wl, n, p, "thread", opts=opts)),
-                f"{path} n={n} thread")
+            assert all(st is not None and (st.mode, st.ordering) == ran
+                       for st in flat["stats"]), (path, n)
 
 
 def _heaviest_alone_capacity(algorithm, wl, n, p, opts) -> tuple[int, int]:
@@ -272,24 +255,22 @@ def _heaviest_alone_capacity(algorithm, wl, n, p, opts) -> tuple[int, int]:
     return top - 1, peaks.index(top)
 
 
-def _assert_thread_fails_alike(whole: dict, heavy: int, run) -> None:
+def _assert_thread_fails_alike(flat: dict, heavy: int, run) -> None:
     """The thread leg of an OOM comparison.  The refused rank's own
     history is deterministic: same failure, clock, phase tuples,
     counters and peak as on the flat world.  Its siblings race the
     abort it raises — one still leaving the exchange's barrier is
-    stopped before charges every flat form reaches — so they may only
+    stopped before charges the flat world reaches — so they may only
     fall short of the flat world, never pass it."""
     for _ in range(3):
         thread = _observed(run())
-        assert thread["failure"] == whole["failure"]
+        assert thread["failure"] == flat["failure"]
         for key in ("clocks", "phase_times", "traces", "counters",
                     "mem_peaks"):
-            assert thread[key][heavy] == whole[key][heavy], key
-        for r, (got, want) in enumerate(zip(thread["mem_peaks"],
-                                            whole["mem_peaks"])):
-            assert got <= want, r
-        assert all(got <= want for got, want in zip(thread["clocks"],
-                                                    whole["clocks"]))
+            assert thread[key][heavy] == flat[key][heavy], key
+        for key in ("mem_peaks", "clocks"):
+            assert all(got <= want for got, want in zip(thread[key],
+                                                        flat[key])), key
 
 
 @pytest.mark.parametrize("path", EXCHANGE_PATHS)
@@ -300,20 +281,17 @@ def test_exchange_oom_fails_the_heaviest_rank_alone_in_every_form(path):
     algorithm, opts = EXCHANGE_PATHS[path]
     wl, n, p = zipf(alpha=1.1), 64, 25
     capacity, heavy = _heaviest_alone_capacity(algorithm, wl, n, p, opts)
-    whole = _observed(_run(algorithm, wl, n, p, "flat", opts=opts,
-                           capacity=capacity))
-    assert [(r, kind) for r, kind, _ in whole["failure"]] == [
+    flat = _three_ways(algorithm, wl, n, p, opts=opts, capacity=capacity,
+                       thread=False, what=path)
+    assert [(r, kind) for r, kind, _ in flat["failure"]] == [
         (heavy, "SimOOMError")]
     # everybody else finished both phases; the refused rank stopped
     # inside one, with the partial time its bracket saw
     done = [r for r in range(p) if r != heavy]
     final_phase = "exchange" if path == "overlapped" else "local_ordering"
-    assert all(final_phase in whole["phase_times"][r] for r in done)
-    assert whole["clocks"][heavy] <= max(whole["clocks"][r] for r in done)
-    _assert_same(whole, _observed(_run(
-        algorithm, wl, n, p, "flat", opts=opts, capacity=capacity,
-        trace=True)), f"{path} flat traced")
-    _assert_thread_fails_alike(whole, heavy, lambda: _run(
+    assert all(final_phase in flat["phase_times"][r] for r in done)
+    assert flat["clocks"][heavy] <= max(flat["clocks"][r] for r in done)
+    _assert_thread_fails_alike(flat, heavy, lambda: _run(
         algorithm, wl, n, p, "thread", opts=opts, capacity=capacity))
 
 
@@ -325,7 +303,7 @@ def test_refused_output_allocation_stops_the_rank_mid_epilogue(
     # the first — so refuse it by hand: rank 5's third ``alloc`` (input,
     # receive buffer, output).  By then the rank has paid its ordering
     # charge (sync) or moved its clock (overlapped) and released its
-    # receive buffer; every form must leave it exactly there.
+    # receive buffer; every backend must leave it exactly there.
     victim, calls = 5, {}
     real = MemoryTracker.alloc
 
@@ -338,22 +316,22 @@ def test_refused_output_allocation_stops_the_rank_mid_epilogue(
     monkeypatch.setattr(MemoryTracker, "alloc", alloc)
     algorithm, opts = EXCHANGE_PATHS[path]
 
-    def run(backend, **kw):
+    def run(*args, **kw):
         calls.clear()
-        return _run(algorithm, zipf(alpha=1.1), 64, 25, backend, opts=opts,
-                    **kw)
+        return _run(*args, **kw)
 
-    whole = _observed(run("flat"))
-    assert [(r, kind) for r, kind, _ in whole["failure"]] == [
+    flat = _three_ways(algorithm, zipf(alpha=1.1), 64, 25, opts=opts,
+                       thread=False, run=run)
+    assert [(r, kind) for r, kind, _ in flat["failure"]] == [
         (victim, "SimOOMError")]
     last = "exchange" if path == "overlapped" else "local_ordering"
-    assert whole["phase_times"][victim][last] > 0.0    # the charge landed
+    assert flat["phase_times"][victim][last] > 0.0    # the charge landed
     # the overlapped epilogue counts after the refused statement, the
     # sync network epilogue had already run to its end
-    assert ("bytes.recv" in whole["counters"][victim]) is (
+    assert ("bytes.recv" in flat["counters"][victim]) is (
         path != "overlapped")
-    _assert_same(whole, _observed(run("flat", trace=True)), "flat traced")
-    _assert_thread_fails_alike(whole, victim, lambda: run("thread"))
+    _assert_thread_fails_alike(flat, victim, lambda: run(
+        algorithm, zipf(alpha=1.1), 64, 25, "thread", opts=opts))
 
 
 def test_psrs_exchange_oom_on_a_duplicate_heavy_destination():
@@ -361,13 +339,10 @@ def test_psrs_exchange_oom_on_a_duplicate_heavy_destination():
     # rank (the paper's Fig 8/10 failure): its receive buffer is refused
     wl, n, p = zipf(alpha=1.4), 64, 50
     capacity, heavy = _heaviest_alone_capacity("psrs", wl, n, p, {})
-    whole = _observed(_run("psrs", wl, n, p, "flat", capacity=capacity))
-    assert [(r, kind) for r, kind, _ in whole["failure"]] == [
+    flat = _three_ways("psrs", wl, n, p, capacity=capacity, thread=False)
+    assert [(r, kind) for r, kind, _ in flat["failure"]] == [
         (heavy, "SimOOMError")]
-    _assert_same(whole, _observed(_run(
-        "psrs", wl, n, p, "flat", capacity=capacity, trace=True)),
-        "psrs flat traced")
-    _assert_thread_fails_alike(whole, heavy, lambda: _run(
+    _assert_thread_fails_alike(flat, heavy, lambda: _run(
         "psrs", wl, n, p, "thread", capacity=capacity))
 
 
@@ -392,9 +367,9 @@ def test_whole_form_outputs_outlive_the_run():
 
 @pytest.mark.parametrize("mutant", ["clock", "bytes.recv"])
 def test_a_mutated_whole_epilogue_is_caught(monkeypatch, mutant):
-    # the comparison above must see a whole form that drifts from its
-    # per-rank definition by one ulp-scale factor or one byte
-    real = pipeline._sync_exchange_network_whole
+    # the comparisons above must see an epilogue that drifts, on the
+    # columnar world alone, by one ulp-scale factor or one byte
+    real = pipeline._sync_exchange_network
 
     def drifting(world, comms, shared, send_nbytes):
         with monkeypatch.context() as patch:
@@ -409,16 +384,16 @@ def test_a_mutated_whole_epilogue_is_caught(monkeypatch, mutant):
         return outs
 
     algorithm, opts = EXCHANGE_PATHS["sync-merge"]
-    per_rank = _observed(_run(algorithm, uniform(), 64, 25, "flat",
-                              opts=opts, trace=True))
-    _assert_same(_observed(_run(algorithm, uniform(), 64, 25, "flat",
-                                opts=opts)), per_rank, "unmutated")
-    monkeypatch.setattr(pipeline, "_sync_exchange_network_whole", drifting)
-    mutated = _observed(_run(algorithm, uniform(), 64, 25, "flat",
-                             opts=opts))
-    with pytest.raises(AssertionError,
-                       match="clocks" if mutant == "clock" else "counters"):
-        _assert_same(mutated, per_rank, "mutant")
+    _three_ways(algorithm, uniform(), 64, 25, opts=opts, what="unmutated")
+    thread = _observed(_run(algorithm, uniform(), 64, 25, "thread",
+                            opts=opts))
+    monkeypatch.setattr(pipeline, "_sync_exchange_network", drifting)
+    for trace in (False, True):
+        mutated = _observed(_run(algorithm, uniform(), 64, 25, "flat",
+                                 opts=opts, trace=trace))
+        with pytest.raises(AssertionError, match="clocks" if mutant == "clock"
+                           else "counters"):
+            _assert_same(mutated, thread, "mutant")
 
 
 @pytest.mark.parametrize("damage,message", [
@@ -451,32 +426,30 @@ def test_bad_cuts_fail_their_rank_alone_in_every_form(monkeypatch, damage,
             return super().shard(63 if rank == 3 else n, p, rank, seed)
 
     monkeypatch.setattr(pipeline, "classic_cuts", damaged)
-    whole = _observed(_run("psrs", Ragged(), 64, 25, "flat"))
-    assert whole["failure"] == [(3, "ValueError", message)]
-    _assert_same(whole, _observed(_run("psrs", Ragged(), 64, 25, "flat",
-                                       trace=True)), "flat traced")
+    flat = _three_ways("psrs", Ragged(), 64, 25, thread=False)
+    assert flat["failure"] == [(3, "ValueError", message)]
     thread = _observed(_run("psrs", Ragged(), 64, 25, "thread"))
-    assert thread["failure"] == whole["failure"]
+    assert thread["failure"] == flat["failure"]
 
 
 def test_run_sort_result_is_form_independent():
     # the public surface: documents are plain floats, ints, lists, dicts
     kw = dict(n_per_rank=64, p=50, mem_factor=None, seed=5)
-    whole = run_sort("sds", uniform(), backend="flat", **kw)
+    plain = run_sort("sds", uniform(), backend="flat", **kw)
     traced = run_sort("sds", uniform(), backend="flat", trace=True, **kw)
     thread = run_sort("sds", uniform(), backend="thread", **kw)
     for other in (traced, thread):
-        assert other.elapsed == whole.elapsed
-        assert other.phase_times == whole.phase_times
-        assert other.loads == whole.loads
+        assert other.elapsed == plain.elapsed
+        assert other.phase_times == plain.phase_times
+        assert other.loads == plain.loads
         for key in ("mem_peaks", "decisions", "p_active", "bytes_sent",
                     "messages", "traces"):
-            assert other.extras[key] == whole.extras[key], key
-    assert type(whole.elapsed) is float
-    assert all(type(v) is float for v in whole.phase_times.values())
-    assert all(type(v) is int for v in whole.loads)
-    assert all(type(v) is int for v in whole.extras["mem_peaks"])
-    assert all(type(t) is float for tr in whole.extras["traces"]
+            assert other.extras[key] == plain.extras[key], key
+    assert type(plain.elapsed) is float
+    assert all(type(v) is float for v in plain.phase_times.values())
+    assert all(type(v) is int for v in plain.loads)
+    assert all(type(v) is int for v in plain.extras["mem_peaks"])
+    assert all(type(t) is float for tr in plain.extras["traces"]
                for t0, t1, _ in tr for t in (t0, t1))
 
 
@@ -490,7 +463,6 @@ def test_phase_all_records_partial_time_on_abort(traced):
     sim = SimWorld(p, EDISON, tracer=Tracer(p) if traced else None)
     comms = make_world_comms(sim)
     world = ColumnarWorld(sim)
-    assert world.whole is (not traced)
     world.charge_compute(comms, [0.5 * (r + 1) for r in range(p)])
     t0 = list(sim.clocks)
     with pytest.raises(FlatAbort):
@@ -522,6 +494,9 @@ def test_phase_all_records_partial_time_on_abort(traced):
     assert sim.phase_times[5] == {"work": 0.25}
     assert sim.traces[1] == [(t0[1] + 0.25, t0[1] + 2.25, "inner"),
                              (t0[1], t0[1] + 2.25, "work")]
+    if traced:  # the tracer saw each bracket close, where it closed
+        assert [[(a, b, name) for a, b, cat, name, _ in spans
+                 if cat == "phase"] for spans in sim.tracer.spans] == sim.traces
 
 
 def _inner(c, r):
@@ -553,6 +528,24 @@ def test_charge_verbs_fail_the_offending_rank_only(traced):
     assert [m.in_use for m in sim.mem] == [5, 0, 30, 100]
     assert [m.peak for m in sim.mem] == [10, 0, 30, 100]
     assert world.dead == {1, 2}
+
+
+# ---------------------------------------------------------------------------
+# (d) the hooks live in the loops: nothing is replayed rank by rank
+#     (a lost collective: tests/test_faults.py; what a lane's epilogue
+#     costs: tests/test_exchange.py)
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("algorithm", ["sds", "sds-stable", "psrs"])
+def test_a_hooked_flat_world_replays_no_comm_chain(monkeypatch, algorithm):
+    def replayed(*args, **kwargs):
+        raise AssertionError("a columnar world called a rank's Comm chain")
+
+    monkeypatch.setattr(Comm, "phase", replayed)
+    monkeypatch.setattr(Comm, "_finish_coll", replayed)
+    kw = dict(n_per_rank=64, p=50, mem_factor=None, backend="flat")
+    assert run_sort(algorithm, uniform(), trace=True, **kw).ok
+    assert run_sort(algorithm, uniform(), faults=PRESETS["mixed"], **kw).ok
 
 
 # ---------------------------------------------------------------------------
