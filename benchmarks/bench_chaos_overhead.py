@@ -9,11 +9,10 @@ the host wall-clock of running the faulted worlds (the injection hooks
 sit on the engine's per-message hot path, so a hook regression shows
 up here before it shows up in the tier-1 suite).
 
-Results land in the ``chaos`` section of ``BENCH_engine.json`` (schema
-v6).  This bench, ``bench_engine_walltime.py`` and
-``bench_trace_overhead.py`` all read-modify-write the file, each
-preserving the others' sections, so the engine baselines (seed_issue /
-seed_host / pre_fusion and the walltime runs) carry over unchanged.
+Results land in the ``chaos`` section of
+``benchmarks/out/BENCH_engine.json``; the file's other sections are the
+recorded history of the host-speed benches the ledger
+(``benchmarks/ledger``) replaced, and are carried over unchanged.
 
 Run directly (``python benchmarks/bench_chaos_overhead.py``) or via
 pytest.  ``REPRO_BENCH_QUICK`` drops the p=512 points.
@@ -33,8 +32,7 @@ from repro.workloads import by_name
 sys.path.insert(0, str(Path(__file__).parent))
 from _helpers import emit, fmt_time, quick  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
-JSON_PATH = ROOT / "BENCH_engine.json"
+JSON_PATH = Path(__file__).resolve().parent / "out" / "BENCH_engine.json"
 SCHEMA = "bench_engine_walltime/v10"
 
 #: (name, spec) — one scenario per recovery path.  Node merging is

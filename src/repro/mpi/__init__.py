@@ -4,8 +4,9 @@ This package replaces the paper's Cray MPI runtime.  Rank programs are
 plain functions over a :class:`Comm`; see DESIGN.md section 6.
 
 Phase code is written once against the :class:`World` execution
-protocol (`mpi/world.py`): :class:`LaneWorld` runs it per rank over a
-single :class:`Comm` (thread backend) and
+protocol (`mpi/world.py`), which carries every collective, charge and
+phase bracket once: :class:`LaneWorld` meets the sibling rank threads
+through one rank's :class:`Comm` (thread backend) and
 :class:`ColumnarWorld` (`mpi/flatworld.py`) runs the whole world as
 batched columnar passes without rank threads (flat backend).
 """
@@ -19,15 +20,9 @@ from .engine import (
     default_pool,
     run_spmd,
 )
-from .errors import MessageLostError, RankFailure, SimAbort
-from .flatworld import (
-    ColumnarWorld,
-    Epilogue,
-    FlatAbort,
-    make_world_comms,
-    run_spmd_flat,
-)
-from .world import LANE, LaneWorld, World
+from .errors import FlatAbort, MessageLostError, RankFailure, SimAbort
+from .flatworld import ColumnarWorld, make_world_comms, run_spmd_flat
+from .world import LANE, Epilogue, LaneWorld, World, phase_all
 
 __all__ = [
     "Comm",
@@ -43,6 +38,7 @@ __all__ = [
     "LANE",
     "LaneWorld",
     "World",
+    "phase_all",
     "SpmdPool",
     "SpmdResult",
     "default_pool",

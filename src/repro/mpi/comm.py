@@ -7,13 +7,22 @@ for real — collectives stage actual numpy arrays / RecordBatches — while
 the machine cost model, so measured "seconds" are simulated Edison
 seconds, deterministic and independent of host thread scheduling.
 
-Collectives compute their shared quantities (clock maxima, reduction
-results, alltoallv size scans) **once per call** via the barrier's
-last-arriver action (see :mod:`repro.mpi.context`) instead of once per
-rank; reductions still apply the operator in rank order, so results —
-including floating point — are bit-for-bit identical to the per-rank
-formulation.  Reduction/scan results are shared objects: treat them as
-read-only (the engine avoids copies by design).
+What lives here is what one rank owns: its handle on the shared
+:class:`SimWorld` ledgers (clock, counters, memory tracker, tracer), the
+rendezvous with its sibling rank threads (:meth:`Comm.staged` — deposit,
+barrier, and the shared quantities computed **once per call** by the
+barrier's last arriver, see :mod:`repro.mpi.context`), its fault
+verdicts, and point-to-point messaging.  The collectives themselves —
+``barrier`` / ``bcast`` / ``gather`` / ``allreduce`` / ``allgather`` /
+``split`` / ``alltoallv`` and the ``phase`` bracket — are written once
+as :class:`~repro.mpi.world.World` verbs over a list of ranks; the
+per-rank methods below are those verbs on the lane view of this one
+rank (``LANE.bcast((self,), (obj,), root)[0]``), so a rank thread and
+the threadless flat engine book the very same statements.  Reductions
+apply the operator in rank order, so results — including floating
+point — are bit-for-bit identical to a per-rank formulation.
+Reduction/scan results are shared objects: treat them as read-only
+(the engine avoids copies by design).
 
 Key deviations from real MPI, by design:
 
@@ -33,7 +42,6 @@ from __future__ import annotations
 import threading
 import time
 from collections import Counter
-from contextlib import contextmanager
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -85,8 +93,8 @@ def collective_charge(cost: CostModel, name: str, size: int,
     latency/bandwidth split), ``counter`` the operation counter to tick
     (barriers and splits count nothing).  A pure function of the
     communicator size and payload bytes, and the only place these cost
-    expressions exist: ``Comm._finish_coll`` evaluates it per rank, a
-    columnar world once per distinct ``(size, nbytes)``.
+    expressions exist: ``World._finish_all`` evaluates it once per
+    distinct ``(size, nbytes)`` of the ranks it books.
     """
     if name in ("barrier", "split"):
         dt = cost.barrier_time(size)
@@ -94,27 +102,6 @@ def collective_charge(cost: CostModel, name: str, size: int,
     time_of = (cost.allgather_time if name == "allgather"
                else cost.tree_collective_time)
     return time_of(size, nbytes), time_of(size, 0), "coll." + name
-
-
-def split_contexts(stage: Sequence[tuple[Any, float]], ctx: CommContext,
-                   world: "SimWorld") -> dict:
-    """Designated-rank compute of :meth:`Comm.split` (shared with flat).
-
-    ``stage[r]`` carries ``((color, key), clock)``; returns the
-    ``{color: CommContext}`` mapping with members ordered by
-    ``(key, rank)`` — the exact grouping both engines must agree on.
-    """
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for r, ((col, k), _t) in enumerate(stage):
-        if col is None:
-            continue
-        groups.setdefault(col, []).append((k, r))
-    contexts = {}
-    for col, members in sorted(groups.items()):
-        members.sort()
-        gids = [ctx.group[r] for _, r in members]
-        contexts[col] = world.make_context(gids)
-    return contexts
 
 
 class SimWorld:
@@ -275,23 +262,13 @@ class Comm:
         c = self._world.counters[self.grank]
         c[name] = c.get(name, 0.0) + value
 
-    @contextmanager
-    def phase(self, name: str):
+    def phase(self, name: str) -> "phase_all":
         """Attribute the virtual time spent in the block to ``name``.
 
         Drives the paper's Figure 9/10 phase breakdowns (pivot
         selection / exchange / local ordering / other).
         """
-        t0 = self.clock
-        try:
-            yield
-        finally:
-            t1 = self.clock
-            pt = self._world.phase_times[self.grank]
-            pt[name] = pt.get(name, 0.0) + (t1 - t0)
-            self._world.traces[self.grank].append((t0, t1, name))
-            if self._tracer is not None:
-                self._tracer.span(self.grank, "phase", name, t0, t1)
+        return phase_all((self,), name)
 
     @property
     def ranks_per_node(self) -> int:
@@ -351,7 +328,9 @@ class Comm:
 
     def trace_collective(self, name: str, t: float, dt: float,
                          lat: float) -> None:
-        """Traced twin of the collectives' ``set_clock(t + dt)``.
+        """Traced twin of ``set_clock(t + dt)`` for the two exchanges a
+        rank books on itself (:meth:`_finish_alltoallv`,
+        :meth:`alltoallv_async`).
 
         Records the op span (entry clock to new clock) and the LogGP
         split of the advance (:meth:`Tracer.collective`); pending
@@ -462,53 +441,17 @@ class Comm:
         self.count("retry.time", debt)
 
     # ------------------------------------------------------------------
-    # collective epilogue (shared with the flat backend)
-    # ------------------------------------------------------------------
-    def _finish_coll(self, name: str, t: float, nbytes: int = 0) -> None:
-        """Post-staged bookkeeping of the collective ``name``.
-
-        Cost application (:func:`collective_charge`), clock overwrite or
-        its traced twin, operation counter: what a rank thread runs.  A
-        columnar world books the same charge on a whole membership in
-        one loop (``ColumnarWorld._finish_all``); the cross-backend
-        tests compare the two.
-        """
-        dt, lat, counter = collective_charge(self.cost, name, self.size,
-                                             nbytes)
-        if self._tracer is None:
-            self.set_clock(t + dt)
-        else:
-            self.trace_collective(name, t, dt, lat)
-        if counter is not None:
-            self.count(counter)
-
-    # ------------------------------------------------------------------
-    # collectives
+    # collectives: each is the world verb (``World.bcast`` ...) on the
+    # lane view of this one rank
     # ------------------------------------------------------------------
     def barrier(self) -> None:
-        t, _ = self.staged(None, _max_clock)
-        self._finish_coll("barrier", t)
+        LANE.barrier((self,))
 
     def bcast(self, obj: Any, root: int = 0) -> Any:
-        def compute(stage: list) -> tuple:
-            value = stage[root][0]
-            return value, _max_clock(stage), payload_nbytes(value)
-
-        (value, t, nbytes), _ = self.staged(
-            obj if self.rank == root else None, compute)
-        self._finish_coll("bcast", t, nbytes)
-        return value
+        return LANE.bcast((self,), (obj,), root)[0]
 
     def gather(self, obj: Any, root: int = 0) -> list[Any] | None:
-        def compute(stage: list) -> tuple:
-            objs = [e[0] for e in stage]
-            return objs, _max_clock(stage), max(map(payload_nbytes, objs))
-
-        (objs, t, nbytes), _ = self.staged(obj, compute)
-        self._finish_coll("gather", t, nbytes)
-        if self.rank == root:
-            return objs
-        return None
+        return LANE.gather((self,), (obj,), root)[0]
 
     def allgather_staged(self, obj: Any,
                          compute: Callable[[list[Any]], Any]) -> Any:
@@ -523,18 +466,10 @@ class Comm:
         pass without disturbing virtual time (the stable-partition
         layout of :mod:`repro.core.partition` is the canonical user).
         """
-        def produce(stage: list) -> tuple:
-            objs = [e[0] for e in stage]
-            return compute(objs), _max_clock(stage), max(map(payload_nbytes,
-                                                             objs))
-
-        (shared, t, nbytes), _ = self.staged(obj, produce)
-        self._finish_coll("allgather", t, nbytes)
-        return shared
+        return LANE.allgather_staged((self,), (obj,), compute)[0]
 
     def allgather(self, obj: Any) -> list[Any]:
-        objs = self.allgather_staged(obj, lambda objs: objs)
-        return list(objs)  # private list per rank; elements stay shared
+        return LANE.allgather((self,), (obj,))[0]
 
     @staticmethod
     def _fold(stage: list, op: Callable[[Any, Any], Any] | None) -> Any:
@@ -550,12 +485,7 @@ class Comm:
 
     def allreduce(self, value: Any, op: Callable[[Any, Any], Any] | None = None) -> Any:
         """All-reduce with a deterministic rank-order reduction."""
-        def compute(stage: list) -> tuple:
-            return self._fold(stage, op), _max_clock(stage)
-
-        (acc, t), _ = self.staged(value, compute)
-        self._finish_coll("allreduce", t, payload_nbytes(value))
-        return acc
+        return LANE.allreduce((self,), (value,), op)[0]
 
     @staticmethod
     def size_scan_matrix(sizes: np.ndarray) -> tuple:
@@ -594,23 +524,12 @@ class Comm:
         Received bytes are charged to this rank's memory tracker and
         may raise :class:`SimOOMError`.
         """
-        if len(batches) != self.size:
-            raise ValueError(f"alltoallv needs {self.size} batches, got {len(batches)}")
-        sizes = [b.nbytes for b in batches]
-        me = self.rank
-
-        def reader(stage: list) -> list[RecordBatch]:
-            return [stage[src][0][0][me] for src in range(self.size)]
-
-        shared, received = self.staged((list(batches), sizes),
-                                        self._size_scan, reader)
-        self._finish_alltoallv(shared, sizes)
-        return received
+        return LANE.alltoallv((self,), (batches,))[0]
 
     def _finish_alltoallv(self, shared: tuple, sizes: Sequence[int]) -> None:
         """Per-rank alltoallv epilogue over a ``_size_scan`` result.
 
-        Shared with the columnar backend: memory charge for the
+        What ``World.alltoallv`` runs on each rank: memory charge for the
         received bytes, LogGP cost application (or its traced twin with
         the per-destination ``sizes`` edge matrix), operation counters.
         """
@@ -694,22 +613,8 @@ class Comm:
 
         ``color=None`` (MPI_UNDEFINED) opts out and returns ``None``.
         """
-        mykey = self.rank if key is None else key
-        ctx = self._ctx
-        world = self._world
-
-        def compute(stage: list) -> tuple:
-            return split_contexts(stage, ctx, world), _max_clock(stage)
-
-        # the contexts dict lives only in this generation's barrier
-        # payload, so repeated splits can never observe a stale one
-        (contexts, t), _ = self.staged((color, mykey), compute)
-        newctx: CommContext | None = (contexts.get(color)
-                                      if color is not None else None)
-        self._finish_coll("split", t)
-        if newctx is None:
-            return None
-        return Comm(world, newctx, newctx.group.index(self.grank))
+        return LANE.split((self,), (color,),
+                          None if key is None else (key,))[0]
 
     def node_split(self) -> tuple["Comm", "Comm | None"]:
         """SdssRefineComm (Section 2.3): node-local and leader communicators.
@@ -860,3 +765,8 @@ class Comm:
         """Simultaneous exchange with ``peer`` (deadlock-free)."""
         self.send(obj, peer, tag)
         return self.recv(peer, tag)
+
+
+# ``world`` is written over ``Comm``; the lane view and the phase bracket
+# come back here once the class exists
+from .world import LANE, phase_all  # noqa: E402

@@ -15,6 +15,18 @@ class SimAbort(RuntimeError):
     """
 
 
+class FlatAbort(Exception):
+    """A rank failed; in-flight ranks stop at their next collective.
+
+    A columnar world raises this when a collective is entered with
+    failures pending — the sequential analogue of the thread engine's
+    abort flag unwinding sibling ranks with :class:`SimAbort`.  Ranks
+    whose remaining work is collective-free (e.g. the final local
+    ordering) are *not* aborted, matching the thread engine where such
+    ranks never block and therefore complete.
+    """
+
+
 class MessageLostError(RuntimeError):
     """A message exhausted the retry budget and could not be delivered.
 

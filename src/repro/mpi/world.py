@@ -1,66 +1,140 @@
-"""The ``World`` execution protocol: one phase implementation, two engines.
+"""The ``World`` execution protocol: every verb once, two rendezvous.
 
-Phase strategies, pivot selectors and sort drivers are written exactly
-once, in *world form*: a function of ``(world, comms, ...)`` where
-``comms`` is a list of :class:`~repro.mpi.comm.Comm` handles and every
-per-rank value travels as a list aligned with it.  The ``world`` object
-supplies the staged-collective surface — ``barrier`` / ``bcast`` /
-``gather`` / ``allreduce`` / ``allgather_staged`` / ``split`` /
-``alltoallv`` / ``sendrecv`` — plus phase brackets, the charge verbs
-(``charge_compute`` / ``alloc`` / ``free`` / ``trace_counter``: one call
-books modelled compute time, memory or a tracer counter on every rank
-handed in), abort semantics and fault hooks.  Two interchangeable views
-implement it:
+Phase strategies, pivot selectors and sort drivers are written in
+*world form*: a function of ``(world, comms, ...)`` where ``comms`` is
+a list of :class:`~repro.mpi.comm.Comm` handles and every per-rank
+value travels as a list aligned with it.  :class:`World` carries the
+whole surface, each verb written once over the ranks handed in:
 
-* :class:`LaneWorld` — **one logical rank** ("lane").  ``comms`` is a
-  singleton and every operation delegates straight to the rank's own
-  ``Comm``, whose staged protocol synchronises with sibling rank
-  threads.  This view backs the thread backend; per-rank
-  exceptions propagate immediately, exactly as a rank thread would
-  raise them.
-* :class:`~repro.mpi.flatworld.ColumnarWorld` — **the whole world at
-  once**.  ``comms`` is a communicator's full membership in rank order;
-  each collective snapshots all deposits, runs the designated-rank
-  compute a single time, and books the epilogue on the whole
-  membership in one loop, tracer and fault plan served inside it.  This
-  view backs the zero-thread flat backend; per-rank exceptions are
-  recorded in a failure ledger and surface as
-  :class:`~repro.mpi.flatworld.FlatAbort` at the next checked
-  collective.
+* the phase bracket (:class:`phase_all`) and the charge verbs
+  (``charge_compute`` / ``alloc`` / ``free`` / ``trace_counter``: one
+  call books modelled compute time, memory or a tracer counter on every
+  rank of ``comms``);
+* the collectives — ``barrier`` / ``bcast`` / ``gather`` /
+  ``allreduce`` / ``allgather(_staged)`` / ``split`` / ``alltoallv`` —
+  each a ``collective(comms, deposits, compute, finish)`` whose
+  designated-rank ``compute`` sees the staged ``(deposit, clock)`` of
+  the *whole communicator* once and whose epilogue books ``comms``
+  (:meth:`World._finish_all`: cost from
+  :func:`~repro.mpi.comm.collective_charge`, clock overwrite, tracer
+  span and cost split, fault debt, operation counter).
 
-An epilogue that both views book (the exchanges') is one function over
-the ranks handed in — a membership, or a lane's one — riding as a
-:class:`~repro.mpi.flatworld.Epilogue`.  Both views evaluate the same
-cost expressions (:func:`~repro.mpi.comm.collective_charge`, the
-``CostModel``), so virtual clocks, phase breakdowns, counters, memory
-peaks and traces are bit-for-bit identical across backends.
+What a view adds is how ranks meet and what a failure does:
+
+* :class:`LaneWorld` — **one rank of many threads**.  ``comms`` is that
+  rank alone; ``collective`` meets the sibling rank threads in
+  :meth:`Comm.staged <repro.mpi.comm.Comm.staged>` and then books its
+  one rank, ``sendrecv`` blocks on the rank's channel, and a failure is
+  raised where it happens.  The per-rank mpi4py-style API of ``Comm``
+  (``comm.bcast(obj)``) is this view over ``(comm,)``.
+* :class:`~repro.mpi.flatworld.ColumnarWorld` — **the whole world, no
+  threads**.  ``comms`` is a communicator's membership in rank order;
+  ``collective`` snapshots the stage itself and books everybody in the
+  epilogue's one loop.  Failures go to a ledger, the failed rank is
+  left out of later bookkeeping, and the world aborts
+  (:class:`~repro.mpi.errors.FlatAbort`) at the next checked collective.
+
+Both views therefore evaluate the same statements on the same floats:
+clocks, phase breakdowns, counters, memory peaks and traces are
+bit-for-bit identical across backends.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
-from .comm import Comm
+from .comm import Comm, _max_clock, collective_charge, payload_nbytes
+from .errors import FlatAbort
 
-__all__ = ["World", "LaneWorld", "LANE"]
+__all__ = ["World", "LaneWorld", "LANE", "Epilogue", "phase_all"]
+
+
+class Epilogue:
+    """A collective's epilogue, written once over the ranks it closes over.
+
+    ``whole(shared)`` books it on those ranks and returns their outputs,
+    aligned with them: a columnar world hands in a membership and calls
+    it once; a lane hands in itself and calls the value as the per-rank
+    ``finish(i, comm, shared)`` that :meth:`World.collective` documents.
+    Riding inside ``finish`` keeps the ``collective`` signature — worlds
+    that wrap it forward the value untouched.  A rank that is refused
+    (a memory charge) goes through ``world.fail`` — a lane raises, a
+    columnar world records it and leaves it exactly there: later
+    statements of that rank's epilogue skipped, ``None`` in its output
+    slot, every other rank booked in full.  Ranks already dead (lost in
+    this collective's fault verdict) are left out the same way.
+    """
+
+    __slots__ = ("whole",)
+
+    def __init__(self, whole: Callable[[Any], list]):
+        self.whole = whole
+
+    def __call__(self, i: int, comm: Comm, shared: Any) -> Any:
+        return self.whole(shared)[i]
+
+
+class phase_all:
+    """Enter/exit one named phase on many ranks of one world at once.
+
+    Each rank records its own ``(t0, t1)`` from its own clock —
+    including partial time when an exception unwinds through the
+    region — into its phase times, its trace and the tracer: one clock
+    snapshot on entry, one loop on exit.  No rank, nothing booked.
+    """
+
+    def __init__(self, comms: Sequence[Comm], name: str):
+        self._sim = comms[0]._world if comms else None
+        self._name = name
+        self._granks = [c.grank for c in comms]
+
+    def __enter__(self) -> "phase_all":
+        if self._sim is not None:
+            clocks = self._sim.clocks
+            self._t0 = [clocks[g] for g in self._granks]
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        sim, name = self._sim, self._name
+        if sim is None:
+            return False
+        clocks, phase_times, traces = sim.clocks, sim.phase_times, sim.traces
+        tr = sim.tracer
+        for g, t0 in zip(self._granks, self._t0):
+            t1 = clocks[g]
+            pt = phase_times[g]
+            pt[name] = (pt[name] if name in pt else 0.0) + (t1 - t0)
+            traces[g].append((t0, t1, name))
+            if tr is not None:
+                tr.span(g, "phase", name, t0, t1)
+        return False
 
 
 class World:
-    """Abstract execution view a phase implementation runs against.
+    """Execution view a phase implementation runs against.
 
     Per-rank values are lists aligned with ``comms``; collective
     results come back the same way (``None`` in slots whose rank is
-    dead or excluded, e.g. off-root gathers).  ``check=False`` skips
-    the abort point at collective entry (used for collectives that are
-    conditionally entered per sub-group, like node-merge gathers).
+    dead or excluded, e.g. off-root gathers).  The ``comms`` of a
+    collective are ranks of one communicator — all of it, in rank
+    order, or one lane; phase brackets and the charge verbs take any
+    ranks of one world, or none.  ``check=False`` skips the abort point
+    at collective entry (used for collectives that are conditionally
+    entered per sub-group, like node-merge gathers).
+
+    A view supplies :meth:`collective`, :meth:`sendrecv` and
+    :meth:`fail`; one that records failures also keeps ``failures`` and
+    ``dead`` and overrides :meth:`check`.
     """
 
     #: Failure ledger ``[(global_rank, exception), ...]`` of this run.
-    failures: Sequence[tuple[int, BaseException]]
+    failures: Sequence[tuple[int, BaseException]] = ()
+    #: Global ranks that failed: every epilogue leaves them out.
+    dead: Any = frozenset()
 
     # -- fault / abort surface -----------------------------------------
     def alive(self, comm: Comm) -> bool:
-        raise NotImplementedError
+        return comm.grank not in self.dead
 
     def fail(self, comm: Comm, exc: BaseException) -> None:
         """Record (columnar) or raise (lane) a per-rank failure."""
@@ -68,39 +142,71 @@ class World:
 
     def check(self) -> None:
         """Abort point: entering a collective with failures pending."""
-        raise NotImplementedError
 
     def first_live(self, comms: Sequence[Comm], values: Sequence[Any]) -> Any:
         """``values`` entry of the first surviving rank."""
-        raise NotImplementedError
+        dead = self.dead
+        for c, v in zip(comms, values):
+            if c.grank not in dead:
+                return v
+        raise FlatAbort
 
     # -- phase brackets ------------------------------------------------
-    def phase(self, comms: Sequence[Comm], name: str):
+    def phase(self, comms: Sequence[Comm], name: str) -> phase_all:
         """Context manager bracketing one named phase on every rank."""
-        raise NotImplementedError
+        return phase_all(comms, name)
 
     # -- charge verbs --------------------------------------------------
-    # Per-rank values are sequences aligned with ``comms`` (any ranks,
-    # not necessarily a whole communicator).  A rank whose charge is
-    # refused (negative time, simulated OOM) fails exactly as if it had
-    # called its own ``Comm``: recorded (columnar) or raised (lane).
+    # A rank whose charge is refused (negative time, simulated OOM)
+    # fails through :meth:`fail`, alone, and is left where it stood.
     def charge_compute(self, comms: Sequence[Comm],
                        seconds: Sequence[float]) -> None:
-        """``comm.charge(seconds[i])`` on every rank."""
-        raise NotImplementedError
+        """Advance every rank's clock by its modelled compute cost."""
+        if not comms:
+            return
+        sim = comms[0]._world
+        clocks, tr, slowed = sim.clocks, sim.tracer, sim.faults is not None
+        for c, s in zip(comms, seconds):
+            if s < 0:
+                try:  # ``Comm.charge`` words the refusal
+                    c.charge(s)
+                except ValueError as exc:
+                    self.fail(c, exc)
+                continue
+            g = c.grank
+            # a straggler computes slowly (``Comm.charge``)
+            scaled = s * c._slowdown if slowed and c._slowdown != 1.0 else s
+            clocks[g] += scaled
+            if tr is not None:
+                tr.add(g, "cost.compute", s)
+                if scaled != s:  # the surcharge is fault debt
+                    tr.add(g, "cost.fault_debt", scaled - s)
 
     def alloc(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
         """``comm.mem.alloc(nbytes[i])`` on every rank."""
-        raise NotImplementedError
+        mem = comms[0]._world.mem if comms else ()
+        for c, nb in zip(comms, nbytes):
+            try:
+                mem[c.grank].alloc(nb)
+            except BaseException as exc:  # mirrors the engine's catch-all
+                self.fail(c, exc)
 
     def free(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
         """``comm.mem.free(nbytes[i])`` on every rank."""
-        raise NotImplementedError
+        mem = comms[0]._world.mem if comms else ()
+        for c, nb in zip(comms, nbytes):
+            try:
+                mem[c.grank].free(nb)
+            except BaseException as exc:
+                self.fail(c, exc)
 
     def trace_counter(self, comms: Sequence[Comm], name: str,
                       values: Sequence[float]) -> None:
-        """``comm.trace_counter(name, values[i])`` on every rank."""
-        raise NotImplementedError
+        """Accumulate a tracer counter on every rank (no-op untraced)."""
+        tr = comms[0]._world.tracer if comms else None
+        if tr is not None:
+            for c, v in zip(comms, values):
+                tr.add(c.grank, name, v)
 
     # -- staged collectives --------------------------------------------
     def collective(self, comms: Sequence[Comm], deposits: Sequence[Any],
@@ -109,49 +215,185 @@ class World:
                    *, check: bool = True) -> tuple[Any, list]:
         """One staged collective: deposit, designated compute, epilogue.
 
-        ``compute(stage)`` sees ``[(deposit, clock), ...]`` once;
-        ``finish(i, comm, shared)`` is rank ``i``'s epilogue (an
-        :class:`~repro.mpi.flatworld.Epilogue` books all of ``comms``
-        in its one call).  Returns ``(shared, outs)``.
+        ``compute(stage)`` sees the communicator's ``[(deposit, clock),
+        ...]`` once; ``finish(i, comm, shared)`` is the epilogue of
+        ``comms[i]`` (an :class:`Epilogue` books all of ``comms`` in its
+        one call).  Returns ``(shared, outs)``.
         """
         raise NotImplementedError
 
+    def _finish_all(self, comms: Sequence[Comm], name: str, t: float,
+                    nbytes: int = 0) -> None:
+        """Book the collective ``name`` on the live ranks of ``comms``,
+        members of one communicator that deposited ``nbytes`` each: one
+        ``t + dt``, clocks overwritten (``Comm.set_clock`` where a rank
+        may carry collective fault debt), span and cost split traced,
+        operation counter ticked."""
+        first = comms[0]
+        sim = first._world
+        dt, lat, counter = collective_charge(sim.cost, name, first.size,
+                                             nbytes)
+        t1 = t + dt
+        clocks, counters, tr = sim.clocks, sim.counters, sim.tracer
+        hooked = tr is not None or sim.faults is not None
+        dead = self.dead
+        for c in comms:
+            g = c.grank
+            if dead and g in dead:
+                continue
+            if hooked:
+                c0, debt = clocks[g], c._fault_debt
+                c.set_clock(t1)  # folds the debt in
+                if tr is not None:
+                    tr.collective(g, name, c0, clocks[g], t, dt, lat, debt)
+            else:
+                clocks[g] = t1
+            if counter is not None:
+                tally = counters[g]
+                tally[counter] = (tally[counter] if counter in tally
+                                  else 0.0) + 1.0
+
     def barrier(self, comms: Sequence[Comm], *, check: bool = True) -> None:
-        raise NotImplementedError
+        def whole(t):
+            self._finish_all(comms, "barrier", t)
+            return [None] * len(comms)
+
+        self.collective(comms, [None] * len(comms), _max_clock,
+                        Epilogue(whole), check=check)
 
     def bcast(self, comms: Sequence[Comm], values: Sequence[Any],
               root: int = 0, *, check: bool = True) -> list:
-        raise NotImplementedError
+        def compute(stage):
+            v = stage[root][0]
+            return v, _max_clock(stage), payload_nbytes(v)
+
+        def whole(shared):
+            v, t, nbytes = shared
+            self._finish_all(comms, "bcast", t, nbytes)
+            return [v] * len(comms)
+
+        return self.collective(comms, values, compute, Epilogue(whole),
+                               check=check)[1]
 
     def gather(self, comms: Sequence[Comm], values: Sequence[Any],
                root: int = 0, *, check: bool = True) -> list:
-        raise NotImplementedError
+        def compute(stage):
+            vals = [e[0] for e in stage]
+            return vals, _max_clock(stage), max(map(payload_nbytes, vals))
+
+        def whole(shared):
+            vals, t, nbytes = shared
+            self._finish_all(comms, "gather", t, nbytes)
+            return [vals if c.rank == root else None for c in comms]
+
+        return self.collective(comms, values, compute, Epilogue(whole),
+                               check=check)[1]
 
     def allreduce(self, comms: Sequence[Comm], values: Sequence[Any],
                   op: Callable[[Any, Any], Any] | None = None, *,
                   check: bool = True) -> list:
-        raise NotImplementedError
+        """All-reduce with a deterministic rank-order reduction."""
+        def compute(stage):
+            return Comm._fold(stage, op), _max_clock(stage)
 
-    def allgather(self, comms: Sequence[Comm], values: Sequence[Any],
-                  *, check: bool = True) -> list:
-        raise NotImplementedError
+        def whole(shared):
+            acc, t = shared
+            sizes = list(map(payload_nbytes, values))
+            distinct = set(sizes)
+            for nbytes in distinct:
+                self._finish_all(
+                    comms if len(distinct) == 1 else
+                    [c for c, s in zip(comms, sizes) if s == nbytes],
+                    "allreduce", t, nbytes)
+            return [acc] * len(comms)
+
+        return self.collective(comms, values, compute, Epilogue(whole),
+                               check=check)[1]
 
     def allgather_staged(self, comms: Sequence[Comm],
                          deposits: Sequence[Any],
                          compute_objs: Callable[[list], Any], *,
                          check: bool = True) -> list:
-        raise NotImplementedError
+        """Allgather-accounted collective whose ranks all receive
+        ``compute_objs(objs)``, evaluated once on the deposits."""
+        def compute(stage):
+            objs = [e[0] for e in stage]
+            return (compute_objs(objs), _max_clock(stage),
+                    max(map(payload_nbytes, objs)))
+
+        def whole(shared):
+            val, t, nbytes = shared
+            self._finish_all(comms, "allgather", t, nbytes)
+            return [val] * len(comms)
+
+        return self.collective(comms, deposits, compute, Epilogue(whole),
+                               check=check)[1]
+
+    def allgather(self, comms: Sequence[Comm], values: Sequence[Any],
+                  *, check: bool = True) -> list:
+        outs = self.allgather_staged(comms, values, lambda vals: vals,
+                                     check=check)
+        # a private list per rank; the elements stay shared
+        return [None if o is None else list(o) for o in outs]
 
     def split(self, comms: Sequence[Comm], colors: Sequence[Any],
               keys: Sequence[int] | None = None, *,
               check: bool = True) -> list:
-        raise NotImplementedError
+        """MPI_Comm_split: per-rank child ``Comm``, members ordered by
+        ``(key, rank)``; ``None`` for a rank whose color is ``None``."""
+        ctx, sim = comms[0]._ctx, comms[0]._world
+        deposits = [(col, c.rank if keys is None else keys[i])
+                    for i, (c, col) in enumerate(zip(comms, colors))]
+
+        def compute(stage):
+            groups: dict[Any, list[tuple[int, int]]] = {}
+            for r, ((col, k), _t) in enumerate(stage):
+                if col is not None:
+                    groups.setdefault(col, []).append((k, r))
+            # where every member went, so that an epilogue finds its
+            # ranks' seats without searching the new groups
+            seats: dict[int, tuple[Any, int]] = {}
+            for _col, members in sorted(groups.items()):
+                members.sort()
+                newctx = sim.make_context([ctx.group[r] for _, r in members])
+                for rank, g in enumerate(newctx.group):
+                    seats[g] = (newctx, rank)
+            return seats, _max_clock(stage)
+
+        def whole(shared):
+            seats, t = shared
+            self._finish_all(comms, "split", t)
+            return [Comm(sim, *seats[c.grank]) if c.grank in seats else None
+                    for c in comms]
+
+        return self.collective(comms, deposits, compute, Epilogue(whole),
+                               check=check)[1]
 
     def alltoallv(self, comms: Sequence[Comm], sends: Sequence[Any],
                   *, check: bool = True) -> list:
-        """Per-rank ``sends[i]`` is the list of batches rank ``i``
-        sends (one per destination); returns per-rank received lists."""
-        raise NotImplementedError
+        """MPI_Alltoallv: ``sends[i]`` is the list of batches rank ``i``
+        sends (one per destination); returns per-rank received lists,
+        indexed by source.  One size-matrix scan, an epilogue a rank
+        (its receive buffer may be refused)."""
+        deposits = []
+        for c, batches in zip(comms, sends):
+            if len(batches) != c.size:
+                raise ValueError(
+                    f"alltoallv needs {c.size} batches, got {len(batches)}")
+            deposits.append((list(batches), [b.nbytes for b in batches]))
+
+        def compute(stage):
+            return Comm._size_scan(stage), stage
+
+        def finish(i, c, shared):
+            scan, stage = shared
+            me = c.rank
+            received = [stage[src][0][0][me] for src in range(c.size)]
+            c._finish_alltoallv(scan, stage[me][0][1])
+            return received
+
+        return self.collective(comms, deposits, compute, finish,
+                               check=check)[1]
 
     def sendrecv(self, comms: Sequence[Comm], objs: Sequence[Any],
                  peers: Sequence[int], tag: int = 0) -> list:
@@ -161,52 +403,17 @@ class World:
 
 
 class LaneWorld(World):
-    """One logical rank; every operation delegates to its ``Comm``.
+    """One rank of a thread world: ``comms`` is that rank alone.
 
-    The staged protocol inside ``Comm`` does the synchronising with
-    the sibling rank threads, so this view is a stateless passthrough — phase code written in
-    world form costs a rank thread nothing extra.
+    ``Comm.staged`` does the meeting with the sibling rank threads, so
+    this view is stateless — :data:`LANE` serves every rank thread —
+    and a failure is raised by the rank that met it.
     """
 
     __slots__ = ()
 
-    #: a lane raises its failure instead of recording it
-    failures = ()
-
-    def alive(self, comm: Comm) -> bool:
-        return True
-
     def fail(self, comm: Comm, exc: BaseException) -> None:
         raise exc
-
-    def check(self) -> None:
-        pass
-
-    def first_live(self, comms: Sequence[Comm], values: Sequence[Any]) -> Any:
-        return values[0]
-
-    def phase(self, comms: Sequence[Comm], name: str):
-        return comms[0].phase(name)
-
-    # the charge verbs may be handed no rank at all (this lane is not
-    # among the ranks a phase charges), hence loops, not ``comms[0]``
-    def charge_compute(self, comms: Sequence[Comm],
-                       seconds: Sequence[float]) -> None:
-        for comm, s in zip(comms, seconds):
-            comm.charge(s)
-
-    def alloc(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
-        for comm, nb in zip(comms, nbytes):
-            comm.mem.alloc(nb)
-
-    def free(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
-        for comm, nb in zip(comms, nbytes):
-            comm.mem.free(nb)
-
-    def trace_counter(self, comms: Sequence[Comm], name: str,
-                      values: Sequence[float]) -> None:
-        for comm, v in zip(comms, values):
-            comm.trace_counter(name, v)
 
     def collective(self, comms: Sequence[Comm], deposits: Sequence[Any],
                    compute: Callable[[list], Any],
@@ -216,47 +423,12 @@ class LaneWorld(World):
         shared, _ = comm.staged(deposits[0], compute)
         return shared, [finish(0, comm, shared)]
 
-    def barrier(self, comms: Sequence[Comm], *, check: bool = True) -> None:
-        comms[0].barrier()
-
-    def bcast(self, comms: Sequence[Comm], values: Sequence[Any],
-              root: int = 0, *, check: bool = True) -> list:
-        return [comms[0].bcast(values[0], root)]
-
-    def gather(self, comms: Sequence[Comm], values: Sequence[Any],
-               root: int = 0, *, check: bool = True) -> list:
-        return [comms[0].gather(values[0], root)]
-
-    def allreduce(self, comms: Sequence[Comm], values: Sequence[Any],
-                  op: Callable[[Any, Any], Any] | None = None, *,
-                  check: bool = True) -> list:
-        return [comms[0].allreduce(values[0], op)]
-
-    def allgather(self, comms: Sequence[Comm], values: Sequence[Any],
-                  *, check: bool = True) -> list:
-        return [comms[0].allgather(values[0])]
-
-    def allgather_staged(self, comms: Sequence[Comm],
-                         deposits: Sequence[Any],
-                         compute_objs: Callable[[list], Any], *,
-                         check: bool = True) -> list:
-        return [comms[0].allgather_staged(deposits[0], compute_objs)]
-
-    def split(self, comms: Sequence[Comm], colors: Sequence[Any],
-              keys: Sequence[int] | None = None, *,
-              check: bool = True) -> list:
-        return [comms[0].split(colors[0],
-                               key=None if keys is None else keys[0])]
-
-    def alltoallv(self, comms: Sequence[Comm], sends: Sequence[Any],
-                  *, check: bool = True) -> list:
-        return [comms[0].alltoallv(sends[0])]
-
     def sendrecv(self, comms: Sequence[Comm], objs: Sequence[Any],
                  peers: Sequence[int], tag: int = 0) -> list:
         return [comms[0].sendrecv(objs[0], peers[0], tag)]
 
 
-#: Shared stateless lane view — what ``sds_sort(comm, ...)`` and the
-#: other per-rank entry points hand to the world-form implementations.
+#: Shared stateless lane view — what ``Comm``'s per-rank collectives and
+#: the per-rank entry points (``sds_sort(comm, ...)``) hand to the
+#: world-form implementations.
 LANE = LaneWorld()

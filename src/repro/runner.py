@@ -184,11 +184,12 @@ def eligible_backends(algorithm: str) -> list[str]:
 
 @dataclass(frozen=True)
 class _SortProgram:
-    """The per-rank program of :func:`run_sort`, as a picklable value.
+    """The rank program of :func:`run_sort`, with both engine entry points.
 
-    The captured state lives in dataclass fields (not a closure over
-    ``run_sort``'s locals) and the algorithm is resolved from
-    :data:`ALGORITHMS` by name at call time.
+    Calling it with one ``Comm`` is the thread backend's per-rank
+    contract; :meth:`flat_run` over the world's handles is the flat
+    backend's.  The algorithm is resolved from :data:`ALGORITHMS` by
+    name at call time.
     """
 
     algorithm: str

@@ -82,6 +82,21 @@ class JobSpec:
         — the service maps it to a typed ``invalid`` rejection instead
         of letting a bad spec reach the engine.
         """
+        # types first: the wire hands over any JSON value, and a
+        # comparison on the wrong one (``in`` on a list, ``str > 0``)
+        # would escape as a TypeError instead of a rejection
+        for name in ("algorithm", "backend", "machine", "workload"):
+            value = getattr(self, name)
+            _require(isinstance(value, str),
+                     f"{name} must be a string, got {value!r}")
+        for name in ("workload_opts", "algo_opts"):
+            value = getattr(self, name)
+            _require(isinstance(value, dict),
+                     f"{name} must be an object, got {value!r}")
+        _require(self.mem_factor is None
+                 or isinstance(self.mem_factor, (int, float)),
+                 f"mem_factor must be None or a number, "
+                 f"got {self.mem_factor!r}")
         _require(self.algorithm in ALGORITHMS,
                  f"unknown algorithm {self.algorithm!r}; "
                  f"options: {sorted(ALGORITHMS)}")

@@ -138,25 +138,30 @@ def test_run_sort_equals_thread(backend):
 
 
 #: Algorithms newly eligible for the columnar engine, with a workload
-#: and options that exercise their distinctive code paths.
+#: and options that exercise their distinctive code paths, at ``(p, n)``:
+#: a fixed-strategy baseline and the iterative pivot selector run four
+#: nodes wide.
 CROSS_CASES = [
-    ("psrs", "zipf", None),
-    ("hyksort", "zipf", None),
-    ("hyksort-sk", "zipf", None),
-    ("bitonic", "uniform", None),
-    ("radix", "staggered", None),
-    ("sds", "zipf", {"pivot_method": "histogram"}),
+    ("psrs", "zipf", None, (64, 500)),
+    ("hyksort", "zipf", None, (16, 200)),
+    ("hyksort-sk", "zipf", None, (16, 200)),
+    ("bitonic", "uniform", None, (16, 200)),
+    ("radix", "staggered", None, (16, 200)),
+    ("sds", "zipf", {"pivot_method": "histogram"}, (64, 500)),
 ]
 
 
 @pytest.mark.parametrize(
-    "algorithm,workload,opts", CROSS_CASES,
-    ids=[f"{a}-histogram" if o else a for a, _, o in CROSS_CASES])
-def test_flat_equals_thread_newly_eligible(algorithm, workload, opts):
-    kw = dict(n_per_rank=200, p=16, mem_factor=None, algo_opts=opts)
+    "algorithm,workload,opts,shape", CROSS_CASES,
+    ids=[f"{a}-histogram" if o else a for a, _, o, _ in CROSS_CASES])
+def test_flat_equals_thread_newly_eligible(algorithm, workload, opts, shape):
+    p, n = shape
+    kw = dict(n_per_rank=n, p=p, mem_factor=None, algo_opts=opts)
     t = run_sort(algorithm, by_name(workload), **kw, backend="thread")
     f = run_sort(algorithm, by_name(workload), **kw, backend="flat")
     assert t.ok and f.ok
+    assert t.extras["engine"]["backend"] == "thread"
+    assert f.extras["engine"]["backend"] == "flat"
     assert t.elapsed == f.elapsed
     assert t.loads == f.loads
     assert t.phase_times == f.phase_times
@@ -166,9 +171,11 @@ def test_flat_equals_thread_newly_eligible(algorithm, workload, opts):
     assert t.extras["mem_peaks"] == f.extras["mem_peaks"]
 
 
-#: The hooks (tracer, fault plan) live once in ``Comm`` — what a rank
-#: thread runs — and once in the columnar world's loops; these two tests
-#: are their only cross-backend guard, so they cover every algorithm
+#: The hooks (tracer, fault plan) live once, in the ``World`` verbs both
+#: backends run; what differs is the rendezvous (``Comm.staged`` between
+#: rank threads, ``ColumnarWorld.collective`` over a membership, which
+#: also hands out the fault verdicts).  These two tests compare whole
+#: reports across it, so they cover every algorithm
 #: with a world form, both exchanges (``sds`` overlaps at these widths,
 #: ``tau_o=0`` and the others synchronise), a sub-node world, one node
 #: plus one rank and a power of two.

@@ -23,6 +23,7 @@ import pytest
 from repro.core import SdsParams, sds_sort
 from repro.machine import EDISON
 from repro.mpi import run_spmd
+from repro.obs import Tracer
 from repro.records import tag_provenance
 from repro.workloads import uniform, zipf
 
@@ -40,13 +41,17 @@ def _prog(comm, n, workload, params):
     return float(out.batch.keys.sum()), len(out.batch)
 
 
-@pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_matches_seed_engine_exactly(case):
+# tracing is purely observational: the golden gate holds with it on
+@pytest.mark.parametrize("case,traced", [
+    pytest.param(case, traced, id=case + "-traced" * traced)
+    for case in sorted(GOLDEN) for traced in (False, True)])
+def test_matches_seed_engine_exactly(case, traced):
     ref = GOLDEN[case]
     res = run_spmd(
         _prog, ref["p"], machine=EDISON,
         args=(ref["n_per_rank"], ref.get("workload", "uniform"),
               ref.get("params", {})),
+        tracer=Tracer(ref["p"]) if traced else None,
     )
     assert res.ok
     # == on float lists is exact equality — no tolerance, by design

@@ -43,6 +43,21 @@ def service_doc(envelope: dict) -> dict:
     return comparable(envelope["result"])
 
 
+#: Spec fields of the wrong JSON type, as a client can send them.
+WRONG_TYPED = [
+    {"algorithm": ["sds"]},
+    {"algorithm": {"name": "sds"}},
+    {"backend": ["flat"]},
+    {"machine": ["edison"]},
+    {"workload": ["uniform"]},
+    {"workload": 7},
+    {"workload_opts": "alpha"},
+    {"algo_opts": [1]},
+    {"mem_factor": "abc"},
+    {"mem_factor": [2.0]},
+]
+
+
 class TestJobSpec:
     def test_round_trips_through_dict(self):
         spec = JobSpec(algorithm="sds-stable", workload="zipf",
@@ -56,7 +71,7 @@ class TestJobSpec:
                                   "n_per_rank": 200})
         assert spec.faults is not None and not spec.faults.empty
 
-    @pytest.mark.parametrize("bad", [
+    @pytest.mark.parametrize("bad", WRONG_TYPED + [
         {"algorithm": "quicksort3"},
         {"backend": "gpu"},
         {"p": 0},
@@ -235,6 +250,27 @@ class TestServiceLifecycle:
             assert env["status"] == "rejected"
             assert env["admission"]["code"] == "invalid"
             assert "nope" in env["error"]
+            # a field of the wrong JSON type is the same rejection — it
+            # used to escape ``validate`` as a TypeError and leave a job
+            # counted ``submitted`` with no spec and no terminal state
+            for bad in WRONG_TYPED:
+                env = c.submit(bad)
+                assert env["status"] == "rejected", bad
+                assert env["admission"]["code"] == "invalid", bad
+                assert "must be" in env["error"], bad
+                assert c.status(env["job_id"])["status"] == "rejected"
+            assert c.run(JobSpec(p=8, n_per_rank=100))["status"] == "done"
+            counts = c.stats()["counts"]
+            assert counts["submitted"] == len(WRONG_TYPED) + 2
+            assert counts["rejected"] == len(WRONG_TYPED) + 1
+            assert counts["submitted"] == sum(
+                n for state, n in counts.items() if state != "submitted")
+            # every remembered job is terminal, so the service's cap on
+            # terminal jobs bounds what malformed input can leave behind
+            jobs = c.service._jobs.values()
+            assert all(j.terminal and j.spec is not None for j in jobs)
+            assert len(jobs) == len(c.service._terminal) == len(
+                WRONG_TYPED) + 2
 
     @pytest.mark.parametrize("field", ["seed", "fault_seed"])
     @pytest.mark.parametrize("bad", [-1, 1.5, "3"])

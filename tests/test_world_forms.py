@@ -18,8 +18,13 @@ compared too.
 
 from __future__ import annotations
 
+import ast
 import cProfile
 import gc
+import inspect
+import os
+import subprocess
+import sys
 import threading
 
 import numpy as np
@@ -31,6 +36,7 @@ from repro.core import pipeline
 from repro.faults.chaos import PRESETS
 from repro.machine import EDISON, CostModel, MemoryTracker, SimOOMError
 from repro.mpi import (
+    LANE,
     ColumnarWorld,
     Comm,
     FlatAbort,
@@ -39,7 +45,7 @@ from repro.mpi import (
     make_world_comms,
     run_spmd,
 )
-from repro.obs import Tracer
+from repro.obs import TraceReport, Tracer
 from repro.records import (
     RecordBatch,
     kway_merge_batches,
@@ -531,21 +537,269 @@ def test_charge_verbs_fail_the_offending_rank_only(traced):
 
 
 # ---------------------------------------------------------------------------
-# (d) the hooks live in the loops: nothing is replayed rank by rank
+# (d) the hooks live in the verbs' loops: nothing is replayed rank by rank
 #     (a lost collective: tests/test_faults.py; what a lane's epilogue
 #     costs: tests/test_exchange.py)
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("algorithm", ["sds", "sds-stable", "psrs"])
 def test_a_hooked_flat_world_replays_no_comm_chain(monkeypatch, algorithm):
+    # what a rank can still book on itself: its phase bracket, a compute
+    # charge, a clock overwrite.  A columnar world never opens a rank's
+    # bracket; it charges one rank by hand (the pivot root pays for its
+    # own sort); and it overwrites clocks through ``Comm.set_clock``
+    # only where a rank may carry fault debt or a tracer wants the split
+    calls = {"charge": 0, "set_clock": 0}
+
     def replayed(*args, **kwargs):
-        raise AssertionError("a columnar world called a rank's Comm chain")
+        raise AssertionError("a columnar world opened a rank's bracket")
+
+    def counted(name):
+        real = getattr(Comm, name)
+
+        def method(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return method
 
     monkeypatch.setattr(Comm, "phase", replayed)
-    monkeypatch.setattr(Comm, "_finish_coll", replayed)
+    for name in calls:
+        monkeypatch.setattr(Comm, name, counted(name))
     kw = dict(n_per_rank=64, p=50, mem_factor=None, backend="flat")
+    assert run_sort(algorithm, uniform(), **kw).ok
+    assert calls == {"charge": 1, "set_clock": 0}
     assert run_sort(algorithm, uniform(), trace=True, **kw).ok
     assert run_sort(algorithm, uniform(), faults=PRESETS["mixed"], **kw).ok
+    assert calls["charge"] == 3
+
+
+# ---------------------------------------------------------------------------
+# (e) every verb is written once: ``Comm.<verb>`` on rank threads is the
+#     ``World`` verb a columnar world runs on the membership
+# ---------------------------------------------------------------------------
+
+def _payload(rank: int) -> np.ndarray:
+    return np.arange(rank + 1, dtype=np.int64)     # sizes differ by rank
+
+
+def _batches(c: Comm) -> list[RecordBatch]:
+    return [RecordBatch(np.full(c.rank + 2 * d, c.rank, dtype=np.int64))
+            for d in range(c.size)]
+
+
+def _total(objs: list) -> int:
+    return sum(o.size for o in objs)
+
+
+def _color(c: Comm):
+    return None if c.rank == 2 else c.rank % 2
+
+
+def _membership(children: list) -> list[list[Comm]]:
+    """Children of a columnar split, one rank-ordered list a context."""
+    by_ctx: dict[int, list[Comm]] = {}
+    for child in children:
+        if child is not None:
+            by_ctx.setdefault(id(child._ctx), []).append(child)
+    return [sorted(m, key=lambda c: c.rank) for m in by_ctx.values()]
+
+
+def _seat(child, summed) -> tuple | None:
+    return None if child is None else (
+        child.rank, child.size, child._ctx.group, summed)
+
+
+def _split_rank(c: Comm):
+    child = c.split(_color(c), key=-c.rank)
+    return _seat(child, None if child is None else child.allreduce(c.grank))
+
+
+def _split_world(world, comms):
+    children = world.split(comms, [_color(c) for c in comms],
+                           [-c.rank for c in comms])
+    summed = {}
+    for members in _membership(children):
+        sums = world.allreduce(members, [c.grank for c in members])
+        summed.update((c.grank, v) for c, v in zip(members, sums))
+    return [_seat(child, summed.get(c.grank))
+            for c, child in zip(comms, children)]
+
+
+#: verb -> (what a rank thread calls, the world verb on a membership);
+#: roots are the *last* rank and deposits differ by rank, so a verb that
+#: mistook a lane's list index (always 0) for its rank would show
+VERBS = {
+    "barrier": (lambda c: c.barrier(),
+                lambda w, cs: [w.barrier(cs)] * len(cs)),
+    "bcast": (lambda c: c.bcast(_payload(c.rank), c.size - 1),
+              lambda w, cs: w.bcast(cs, [_payload(c.rank) for c in cs],
+                                    len(cs) - 1)),
+    "gather": (lambda c: c.gather(_payload(c.rank), c.size - 1),
+               lambda w, cs: w.gather(cs, [_payload(c.rank) for c in cs],
+                                      len(cs) - 1)),
+    "allreduce": (lambda c: c.allreduce(c.rank + 1),
+                  lambda w, cs: w.allreduce(cs, [c.rank + 1 for c in cs])),
+    # list "sums" of two lengths: one charge per distinct payload size
+    "allreduce-op": (
+        lambda c: c.allreduce([c.rank] * (1 + c.rank % 2),
+                              lambda a, b: a + b),
+        lambda w, cs: w.allreduce(cs, [[c.rank] * (1 + c.rank % 2)
+                                       for c in cs], lambda a, b: a + b)),
+    "allgather": (lambda c: c.allgather(_payload(c.rank)),
+                  lambda w, cs: w.allgather(cs, [_payload(c.rank)
+                                                 for c in cs])),
+    "allgather_staged": (
+        lambda c: c.allgather_staged(_payload(c.rank), _total),
+        lambda w, cs: w.allgather_staged(cs, [_payload(c.rank) for c in cs],
+                                         _total)),
+    "split": (_split_rank, _split_world),
+    "alltoallv": (lambda c: c.alltoallv(_batches(c)),
+                  lambda w, cs: w.alltoallv(cs, [_batches(c) for c in cs])),
+}
+
+
+class _VerbProgram:
+    """One verb inside a phase bracket, entered at unequal clocks."""
+
+    def __init__(self, verb: str) -> None:
+        self.verb = verb
+        self.per_rank, self.whole = VERBS[verb]
+
+    def __call__(self, comm):
+        comm.charge(1e-3 * (comm.rank + 1))
+        with comm.phase(self.verb):
+            return self.per_rank(comm)
+
+    def flat_run(self, comms):
+        world = ColumnarWorld(comms[0]._world)
+        world.charge_compute(comms, [1e-3 * (c.rank + 1) for c in comms])
+        with world.phase(comms, self.verb):
+            outs = self.whole(world, comms)
+        return outs, world.failures
+
+
+def _plain(value):
+    """Verb outputs as values ``==`` can compare."""
+    if isinstance(value, RecordBatch):
+        return ("batch", value.keys.tolist())
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.tolist())
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
+@pytest.mark.parametrize("mode", ["plain", "traced", "mixed"])
+@pytest.mark.parametrize("p", [1, 5, 25])
+def test_comm_verbs_on_threads_equal_world_verbs_on_the_membership(p, mode):
+    for verb in VERBS:
+        seen = {}
+        for backend in ("thread", "flat"):
+            tracer = Tracer(p) if mode == "traced" else None
+            res = run_spmd(
+                _VerbProgram(verb), p, machine=EDISON, check=False,
+                backend=backend, tracer=tracer,
+                faults=PRESETS["mixed"].compile(p, 11)
+                if mode == "mixed" else None)
+            assert res.failure is None, (verb, backend)
+            seen[backend] = {
+                "outs": _plain(res.results), "clocks": res.clocks,
+                "phase_times": res.phase_times, "traces": res.traces,
+                "counters": [{k: v for k, v in c.items()
+                              if k not in WALL_COUNTERS}
+                             for c in res.counters],
+                "mem_peaks": res.mem_peaks,
+                "trace": tracer and TraceReport.from_run(
+                    tracer, clocks=res.clocks).as_dict(),
+            }
+        _assert_same(seen["thread"], seen["flat"], f"{verb} p={p} {mode}")
+
+
+def test_a_lane_split_builds_its_own_child_and_no_other(monkeypatch):
+    # the columnar epilogue seats a whole membership; a lane running it
+    # must seat itself alone, or a p-rank thread world builds p^2 handles
+    p, built = 512, []
+    real = Comm.__init__
+
+    def counted(self, *args):
+        built.append(1)
+        real(self, *args)
+
+    monkeypatch.setattr(Comm, "__init__", counted)
+    res = run_spmd(lambda comm: comm.split(comm.rank % 4).size, p,
+                   machine=EDISON, backend="thread")
+    assert res.results == [p // 4] * p
+    assert len(built) <= 2 * p            # the world's handles + a child each
+
+
+def test_charge_verbs_and_brackets_take_no_rank_at_all():
+    # a lane that is not among the ranks a phase charges hands in nothing
+    sim = SimWorld(2, EDISON, tracer=Tracer(2))
+    for world in (LANE, ColumnarWorld(sim)):
+        world.charge_compute([], [])
+        world.alloc([], [])
+        world.free([], [])
+        world.trace_counter([], "kernel.sort.records", [])
+        with world.phase([], "nobody"):
+            pass
+    assert sim.clocks == [0.0, 0.0] and sim.traces == [[], []]
+
+
+#: the verbs that exist once, on ``World``
+WRITTEN_ONCE = ("barrier", "bcast", "gather", "allreduce", "allgather_staged",
+                "allgather", "split", "alltoallv", "_finish_all",
+                "charge_compute", "alloc", "free", "trace_counter")
+
+
+def _class_defs(module) -> dict[str, dict[str, ast.FunctionDef]]:
+    tree = ast.parse(inspect.getsource(module))
+    return {cls.name: {f.name: f for f in cls.body
+                       if isinstance(f, ast.FunctionDef)}
+            for cls in tree.body if isinstance(cls, ast.ClassDef)}
+
+
+def test_every_verb_has_one_body():
+    from repro.mpi import comm, flatworld, world
+    views = {**_class_defs(world), **_class_defs(flatworld)}
+    assert set(WRITTEN_ONCE) <= set(views["World"])
+    assert not set(WRITTEN_ONCE) & set(views["LaneWorld"])
+    assert not set(WRITTEN_ONCE) & set(views["ColumnarWorld"])
+    assert "phase" not in views["LaneWorld"]
+    # the columnar bracket is the one bracket behind the cancel poll
+    assert [ast.unparse(st) for st in views["ColumnarWorld"]["phase"].body
+            ] == ["self.poll_cancel()", "return super().phase(comms, name)"]
+    # a rank's collectives are the lane's, called on itself
+    methods = _class_defs(comm)["Comm"]
+    assert "_finish_coll" not in methods
+    for name in WRITTEN_ONCE[:8]:
+        body = [st for st in methods[name].body
+                if not (isinstance(st, ast.Expr)
+                        and isinstance(st.value, ast.Constant))]  # docstring
+        assert len(body) == 1, name
+        assert f"LANE.{name}((self,)" in ast.unparse(body[0]), name
+    assert ast.unparse(methods["phase"].body[-1]) == (
+        "return phase_all((self,), name)")
+
+
+@pytest.mark.parametrize("first", ["world", "comm", "flatworld"])
+def test_comm_and_world_import_each_other_at_module_level(first):
+    from repro.mpi import comm, world
+    for module in (comm, world):
+        tree = ast.parse(inspect.getsource(module))
+        inner = [node for fn in ast.walk(tree)
+                 if isinstance(fn, (ast.FunctionDef, ast.Lambda))
+                 for node in ast.walk(fn)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))]
+        assert not inner, module.__name__
+    # whichever module a fresh interpreter asks for first
+    done = subprocess.run(
+        [sys.executable, "-c",
+         f"import repro.mpi.{first} as m; from repro.mpi.comm import LANE; "
+         "from repro.mpi.world import Comm; print(LANE.__class__.__name__)"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "LaneWorld"
 
 
 # ---------------------------------------------------------------------------
