@@ -19,7 +19,8 @@ Randomness sources, both seeded and counter-based:
 * aggregate decisions (how many of a collective's ``p - 1`` per-peer
   messages dropped) use a Philox counter-based generator keyed from the
   same coordinates, so one vectorised binomial draw replaces ``p - 1``
-  scalar trials on the per-collective hot path.
+  scalar trials on the per-collective hot path (one generator per
+  thread, re-seated per rank).
 
 The plan prices nothing itself: recovery costs are charged by the
 engine hooks through the machine's LogGP cost model, using the
@@ -28,6 +29,7 @@ engine hooks through the machine's LogGP cost model, using the
 
 from __future__ import annotations
 
+import threading
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
@@ -49,9 +51,9 @@ _DOM_COLL_DROP = 0x56
 _DOM_COLL_FAIL = 0x57
 
 
-def _mix(*parts: int) -> int:
-    """SplitMix64-style avalanche over integer coordinates."""
-    h = 0x9E3779B97F4A7C15
+def _mix(*parts: int, h: int = 0x9E3779B97F4A7C15) -> int:
+    """SplitMix64-style avalanche over integer coordinates; ``h`` resumes
+    a chain (``_mix(a, b) == _mix(b, h=_mix(a))``)."""
     for part in parts:
         h = (h ^ (part & _MASK)) & _MASK
         h = (h * 0xBF58476D1CE4E5B9) & _MASK
@@ -64,6 +66,32 @@ def _mix(*parts: int) -> int:
 def _unit(*parts: int) -> float:
     """Deterministic uniform in [0, 1) from integer coordinates."""
     return _mix(*parts) / 2.0**64
+
+
+def _draw_order(seed: int, dom: int, p: int) -> list[int]:
+    """All ``p`` ranks in the seed's order for one draw family."""
+    h = _mix(seed, dom)
+    return sorted(range(p), key=lambda r: _mix(r, h=h))
+
+
+_LOCAL = threading.local()
+
+
+def _philox(key: int) -> np.random.Generator:
+    """This thread's generator (rank threads share a plan), re-seated to
+    the state ``Philox(key=key)`` starts from — without the constructor's
+    throwaway ``SeedSequence`` drawn from the OS entropy pool."""
+    seat = getattr(_LOCAL, "seat", None)
+    if seat is None:
+        gen, words = np.random.Generator(np.random.Philox(0)), [0, 0]
+        state = {"bit_generator": "Philox", "buffer": [0, 0, 0, 0],
+                 "state": {"counter": [0, 0, 0, 0], "key": words},
+                 "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        seat = _LOCAL.seat = (gen, gen.bit_generator, state, words)
+    gen, bitgen, state, words = seat
+    words[0] = key
+    bitgen.state = state
+    return gen
 
 
 class MessageEvent(NamedTuple):
@@ -101,31 +129,32 @@ class FaultPlan:
         self._group_hashes: dict[tuple[int, ...], int] = {}
 
         # ---- resolve stragglers: seed-drawn ranks become concrete ----
+        # (a draw order sorts all p ranks: built only when a draw reads it)
         slow = [1.0] * p
-        order = sorted(range(p), key=lambda r: _mix(self.seed,
-                                                    _DOM_STRAGGLER, r))
+        order: list[int] = []
         drawn = 0
         for s in spec.stragglers:
             if s.rank >= 0:
                 if s.rank < p:
                     slow[s.rank] = max(slow[s.rank], s.slowdown)
             else:
+                order = order or _draw_order(self.seed, _DOM_STRAGGLER, p)
                 for _ in range(min(s.count, p)):
                     slow[order[drawn % p]] = max(slow[order[drawn % p]],
                                                  s.slowdown)
                     drawn += 1
         self._slowdown = slow
-        self.has_stragglers = any(f != 1.0 for f in slow)
+        self.has_stragglers = max(slow) != 1.0
 
         # ---- resolve crash victims ----
         crashes: dict[int, str] = {}
-        corder = sorted(range(p), key=lambda r: _mix(self.seed,
-                                                     _DOM_CRASH, r))
+        corder: list[int] = []
         cdrawn = 0
         for c in spec.crashes:
             if c.rank >= 0:
                 victim = c.rank
             else:
+                corder = corder or _draw_order(self.seed, _DOM_CRASH, p)
                 victim = corder[cdrawn % p]
                 cdrawn += 1
             if victim < p and victim not in crashes:
@@ -196,9 +225,11 @@ class FaultPlan:
             self._group_hashes[key] = h
         return h
 
-    def collective_penalty(self, group: Sequence[int], seq: int, rank: int,
-                           ) -> CollectivePenalty | None:
-        """Faults ``rank`` observes in the ``seq``-th collective of ``group``.
+    def collective_penalties(self, group: Sequence[int], seq: int,
+                             ranks: Sequence[int],
+                             ) -> list[CollectivePenalty | None]:
+        """Faults each of ``ranks`` observes in the ``seq``-th collective
+        of ``group`` (communicator ranks, any subset), aligned with them.
 
         Two components:
 
@@ -213,51 +244,48 @@ class FaultPlan:
           scalar trials.
         * **transient whole-collective failures** — ``k`` consecutive
           failed attempts with ``collectives.transient_rate`` each;
-          identical for every member (keyed without ``rank``), so the
-          re-synchronisation debt keeps the group's clocks aligned.
+          identical for every member (drawn once, keyed without ``rank``),
+          so the re-synchronisation debt keeps the group's clocks aligned.
 
-        Returns ``None`` when this collective observes no fault (the
-        common case, kept allocation-free).
+        ``detect_seconds`` adds drop timeouts first, then each transient
+        one; ``None`` marks a rank that observes no fault (the common case).
         """
-        size = len(group)
-        if size <= 1:
-            return None
-        m = self.spec.messages
-        r = self.spec.retry
-        detect = 0.0
-        resend = 0
-        dropped = 0
-        lost = False
-        if m.drop_rate > 0:
-            gh = self._group_hash(group)
-            gen = np.random.Generator(np.random.Philox(
-                key=_mix(self.seed, _DOM_COLL_DROP, gh, seq, rank)))
-            pending = size - 1
-            attempt = 0
-            while pending:
-                fell = int(gen.binomial(pending, m.drop_rate))
-                if fell == 0:
-                    break
-                if attempt >= r.max_retries:
-                    lost = True
-                    break
-                detect += r.timeout * r.backoff ** attempt
-                dropped += fell
-                resend += fell
-                pending = fell
-                attempt += 1
-        resync = 0
-        rate = self.spec.collectives.transient_rate
-        if rate > 0:
-            gh = self._group_hash(group)
-            while (resync < r.max_retries
-                   and _unit(self.seed, _DOM_COLL_FAIL, gh, seq, resync)
-                   < rate):
-                detect += r.timeout * r.backoff ** resync
-                resync += 1
-        if not (detect or resend or resync or lost):
-            return None
-        return CollectivePenalty(detect, resend, resync, dropped, lost)
+        size, r, gh = len(group), self.spec.retry, self._group_hash(group)
+        drop, rate = self.spec.messages.drop_rate, self.spec.collectives.transient_rate
+        timeout, backoff, retries = r.timeout, r.backoff, r.max_retries
+        steps = []  # timeout of each failed whole-collective attempt
+        while (rate and len(steps) < retries
+               and _unit(self.seed, _DOM_COLL_FAIL, gh, seq, len(steps)) < rate):
+            steps.append(timeout * backoff ** len(steps))
+        if size <= 1 or not (drop or steps):
+            return [None] * len(ranks)
+        prefix = _mix(self.seed, _DOM_COLL_DROP, gh, seq)
+        out: list[CollectivePenalty | None] = []
+        for rank in ranks:
+            detect = 0.0
+            dropped = 0
+            lost = False
+            if drop:
+                binomial = _philox(_mix(rank, h=prefix)).binomial
+                pending = size - 1
+                attempt = 0
+                while pending:
+                    fell = int(binomial(pending, drop))
+                    if fell == 0:
+                        break
+                    if attempt >= retries:
+                        lost = True
+                        break
+                    detect += timeout * backoff ** attempt
+                    dropped += fell
+                    pending = fell
+                    attempt += 1
+            for step in steps:
+                detect += step
+            out.append(CollectivePenalty(detect, dropped, len(steps),
+                                         dropped, lost)
+                       if detect or dropped or steps or lost else None)
+        return out
 
     # ------------------------------------------------------------------
     def describe(self) -> dict[str, Any]:

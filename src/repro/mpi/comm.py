@@ -12,13 +12,14 @@ What lives here is what one rank owns: its handle on the shared
 rendezvous with its sibling rank threads (:meth:`Comm.staged` — deposit,
 barrier, and the shared quantities computed **once per call** by the
 barrier's last arriver, see :mod:`repro.mpi.context`), its fault
-verdicts, and point-to-point messaging.  The collectives themselves —
+state, and point-to-point messaging.  The collectives themselves —
 ``barrier`` / ``bcast`` / ``gather`` / ``allreduce`` / ``allgather`` /
-``split`` / ``alltoallv`` and the ``phase`` bracket — are written once
-as :class:`~repro.mpi.world.World` verbs over a list of ranks; the
-per-rank methods below are those verbs on the lane view of this one
-rank (``LANE.bcast((self,), (obj,), root)[0]``), so a rank thread and
-the threadless flat engine book the very same statements.  Reductions
+``split`` / ``alltoallv``, the ``phase`` bracket and the collective
+fault verdicts — are written once as :class:`~repro.mpi.world.World`
+verbs over a list of ranks; the per-rank methods below are those verbs
+on the lane view of this one rank (``LANE.bcast((self,), (obj,),
+root)[0]``), so a rank thread and the threadless flat engine book the
+very same statements.  Reductions
 apply the operator in rank order, so results — including floating
 point — are bit-for-bit identical to a per-rank formulation.
 Reduction/scan results are shared objects: treat them as read-only
@@ -398,47 +399,8 @@ class Comm:
         mine = reader(stage) if reader is not None else None
         f = self._faults
         if f is not None and f.affects_collectives:
-            self._charge_collective_faults()
+            LANE.charge_collective_faults((self,))
         return shared, mine
-
-    def _charge_collective_faults(self) -> None:
-        """Deterministic per-collective fault debt (drops + transients).
-
-        Every rank of the communicator calls collectives in lockstep,
-        so the private ``_coll_seq`` counters agree across ranks and
-        each rank derives its verdict from the fault plan without any
-        extra communication.  The resulting debt is accumulated and
-        folded into the next :meth:`set_clock` — which is always the
-        collective's own cost application — because collectives
-        overwrite the clock absolutely.
-        """
-        seq = self._coll_seq
-        self._coll_seq = seq + 1
-        pen = self._faults.collective_penalty(self._ctx.group, seq, self.rank)
-        if pen is None:
-            return
-        if pen.lost:
-            raise MessageLostError(
-                f"collective #{seq} on a {self.size}-rank communicator: "
-                f"rank {self.grank} exhausted "
-                f"{self._faults.spec.retry.max_retries} retries")
-        debt = pen.detect_seconds
-        if pen.resend_messages:
-            debt += pen.resend_messages * self.cost.p2p_time(0)
-            self.count("faults.coll_msg_dropped", pen.dropped)
-            if self._tracer is not None:
-                self._tracer.instant(self.grank, "fault", "coll_msg_dropped",
-                                     self.clock, {"seq": seq,
-                                                  "dropped": pen.dropped})
-        if pen.resync_rounds:
-            debt += pen.resync_rounds * self.cost.barrier_time(self.size)
-            self.count("faults.coll_transient", pen.resync_rounds)
-            if self._tracer is not None:
-                self._tracer.instant(self.grank, "fault", "coll_transient",
-                                     self.clock, {"seq": seq,
-                                                  "rounds": pen.resync_rounds})
-        self._fault_debt += debt
-        self.count("retry.time", debt)
 
     # ------------------------------------------------------------------
     # collectives: each is the world verb (``World.bcast`` ...) on the

@@ -16,7 +16,7 @@ rule:
 * :meth:`ColumnarWorld.collective` *is* the meeting: the deposits are
   snapshotted in rank order together with the per-rank virtual clocks,
   the designated-rank ``compute`` runs a single time, under a fault plan
-  every rank draws its own collective verdict, and the epilogue is
+  the membership's verdicts are drawn in one pass, and the epilogue is
   booked on the membership — an :class:`~repro.mpi.world.Epilogue` in
   its one call, any other ``finish`` rank by rank;
 * a rank whose epilogue or charge is refused (simulated OOM, a lost
@@ -42,9 +42,9 @@ properties:
   per-rank order, including the partial time recorded when a
   ``FlatAbort`` unwinds through a bracket;
 * fault verdicts are pure functions of structural position
-  (``FaultPlan.collective_penalty(group, seq, rank)``), and the
-  per-communicator ``_coll_seq`` counters advance in lockstep, so the
-  order in which ranks are booked is immaterial.
+  (``FaultPlan.collective_penalties(group, seq, ranks)``, rank by rank),
+  and the per-communicator ``_coll_seq`` counters advance in lockstep,
+  so the order in which ranks are booked is immaterial.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Any, Callable, Sequence
 from ..machine import LAPTOP, MachineSpec
 from .comm import Comm, SimWorld
 from .engine import SpmdResult
-from .errors import FlatAbort, MessageLostError, RankFailure, RunCancelled
+from .errors import FlatAbort, RankFailure, RunCancelled
 from .world import Epilogue, World
 
 __all__ = ["FlatAbort", "ColumnarWorld", "run_spmd_flat", "make_world_comms"]
@@ -114,8 +114,8 @@ class ColumnarWorld(World):
 
         Mirrors ``Comm.staged`` plus the caller's epilogue: snapshot
         the stage, run the designated-rank ``compute`` once, under a
-        fault plan let each rank draw its deterministic collective
-        verdict, then book the epilogue — an :class:`Epilogue` in its
+        fault plan charge the membership's deterministic collective
+        verdicts, then book the epilogue — an :class:`Epilogue` in its
         one call, anything else rank by rank.  Per-rank exceptions (a
         lost collective, a refused charge) are recorded, not raised,
         and that rank is left out of the epilogue — the next checked
@@ -129,11 +129,7 @@ class ColumnarWorld(World):
         shared = compute(stage)
         f = self.world.faults
         if f is not None and f.affects_collectives:
-            for c in comms:
-                try:
-                    c._charge_collective_faults()
-                except MessageLostError as exc:
-                    self.fail(c, exc)
+            self.charge_collective_faults(comms)
         if isinstance(finish, Epilogue):
             return shared, finish.whole(shared)
         dead = self.dead

@@ -17,7 +17,8 @@ whole surface, each verb written once over the ranks handed in:
   the *whole communicator* once and whose epilogue books ``comms``
   (:meth:`World._finish_all`: cost from
   :func:`~repro.mpi.comm.collective_charge`, clock overwrite, tracer
-  span and cost split, fault debt, operation counter).
+  span and cost split, fault debt, operation counter) — the debt left
+  by :meth:`World.charge_collective_faults`.
 
 What a view adds is how ranks meet and what a failure does:
 
@@ -44,7 +45,7 @@ from __future__ import annotations
 from typing import Any, Callable, Sequence
 
 from .comm import Comm, _max_clock, collective_charge, payload_nbytes
-from .errors import FlatAbort
+from .errors import FlatAbort, MessageLostError
 
 __all__ = ["World", "LaneWorld", "LANE", "Epilogue", "phase_all"]
 
@@ -221,6 +222,44 @@ class World:
         one call).  Returns ``(shared, outs)``.
         """
         raise NotImplementedError
+
+    def charge_collective_faults(self, comms: Sequence[Comm]) -> None:
+        """One collective's fault debt (drops + transients) on ``comms``,
+        ranks of one communicator in lockstep (their ``_coll_seq`` agree):
+        the plan's verdicts drawn in one pass, each debt left for the
+        rank's next ``set_clock`` (collectives overwrite the clock), a
+        lost collective failed."""
+        first = comms[0]
+        sim, plan, seq = first._world, first._faults, first._coll_seq
+        pens = plan.collective_penalties(first._ctx.group, seq,
+                                         [c.rank for c in comms])
+        clocks, tr = sim.clocks, sim.tracer
+        resend_s, resync_s = sim.cost.p2p_time(0), sim.cost.barrier_time(first.size)
+        for c, pen in zip(comms, pens):
+            c._coll_seq = seq + 1
+            if pen is None:
+                continue
+            g = c.grank
+            if pen.lost:
+                self.fail(c, MessageLostError(
+                    f"collective #{seq} on a {c.size}-rank communicator: rank "
+                    f"{g} exhausted {plan.spec.retry.max_retries} retries"))
+                continue
+            debt = pen.detect_seconds
+            if pen.resend_messages:
+                debt += pen.resend_messages * resend_s
+                c.count("faults.coll_msg_dropped", pen.dropped)
+                if tr is not None:
+                    tr.instant(g, "fault", "coll_msg_dropped", clocks[g],
+                               {"seq": seq, "dropped": pen.dropped})
+            if pen.resync_rounds:
+                debt += pen.resync_rounds * resync_s
+                c.count("faults.coll_transient", pen.resync_rounds)
+                if tr is not None:
+                    tr.instant(g, "fault", "coll_transient", clocks[g],
+                               {"seq": seq, "rounds": pen.resync_rounds})
+            c._fault_debt += debt
+            c.count("retry.time", debt)
 
     def _finish_all(self, comms: Sequence[Comm], name: str, t: float,
                     nbytes: int = 0) -> None:

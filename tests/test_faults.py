@@ -6,8 +6,12 @@ same output, same report), the golden invariant (no plan / empty spec
 degraded-completion crash path, and the chaos harness.
 """
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.faults import (
     CRASH_BOUNDARIES,
@@ -34,6 +38,8 @@ from repro.mpi import (
 from repro.obs import Tracer
 from repro.runner import run_sort
 from repro.workloads import by_name
+
+from . import oracles_faults
 
 UNIFORM = by_name("uniform")
 
@@ -113,8 +119,8 @@ class TestFaultPlan:
                 b.p2p_event(src, dst, tag, seq)
         group = tuple(range(64))
         for seq in range(5):
-            assert a.collective_penalty(group, seq, 11) == \
-                b.collective_penalty(group, seq, 11)
+            assert a.collective_penalties(group, seq, [11, 40]) == \
+                b.collective_penalties(group, seq, [11, 40])
 
     def test_different_seed_different_schedule(self):
         spec = FaultSpec(stragglers=(StragglerFault(count=2, slowdown=4.0),))
@@ -153,19 +159,94 @@ class TestFaultPlan:
         plan = FaultSpec(
             collectives=CollectiveFaults(transient_rate=0.5)).compile(8, 3)
         group = tuple(range(8))
-        pens = [plan.collective_penalty(group, 2, r) for r in range(8)]
+        pens = plan.collective_penalties(group, 2, range(8))
         assert len({(p.detect_seconds, p.resync_rounds)
                     for p in pens if p is not None}) <= 1
 
     def test_singleton_group_no_penalty(self):
         plan = FaultSpec(
             messages=MessageFaults(drop_rate=0.9)).compile(4, 0)
-        assert plan.collective_penalty((2,), 0, 2) is None
+        assert plan.collective_penalties((2,), 0, [0]) == [None]
 
     def test_plan_world_size_mismatch_rejected(self):
         plan = FaultSpec(messages=MessageFaults(drop_rate=0.1)).compile(8, 0)
         with pytest.raises(ValueError, match="p=8"):
             run_spmd(lambda c: c.barrier(), 4, faults=plan)
+
+
+# ------------------------------------ the plan against its replaced forms
+@st.composite
+def _members(draw):
+    """``(group size, communicator ranks asked for)``: sizes 1, 2, primes
+    and the BTPE branch of numpy's binomial (``(size - 1) * min(q, 1 - q)
+    > 30``: size >= 1502 at drop 0.02)."""
+    size = draw(st.one_of(
+        st.sampled_from([1, 2, 3, 7, 31, 61, 1501, 1531, 2053]),
+        st.integers(1, 300)))
+    return size, draw(st.lists(st.integers(0, size - 1), max_size=48))
+
+
+@settings(max_examples=80, deadline=None)
+@given(members=_members(),
+       drop=st.one_of(st.sampled_from([0.0, 0.02, 0.05, 0.5, 0.6, 0.93, 1.0]),
+                      st.floats(0.0, 1.0)),
+       transient=st.sampled_from([0.0, 0.05, 0.5, 0.95]),
+       retry=st.builds(RetryPolicy, timeout=st.sampled_from([1e-3, 3.3e-4]),
+                       backoff=st.sampled_from([1.0, 1.7, 2.0]),
+                       max_retries=st.sampled_from([0, 1, 8])),
+       seed=st.integers(0, 2**40), seq=st.integers(0, 300),
+       first=st.integers(0, 4096))
+# drops and two or more transients: a precomputed transient sum is 1 ulp off
+@example(members=(35, [0]), drop=0.05, transient=0.95,
+         retry=RetryPolicy(timeout=3.3e-4, backoff=1.7), seed=0, seq=0,
+         first=0)
+def test_collective_penalties_equal_the_per_rank_oracle(
+        members, drop, transient, retry, seed, seq, first):
+    size, ranks = members
+    spec = FaultSpec(messages=MessageFaults(drop_rate=drop),
+                     collectives=CollectiveFaults(transient_rate=transient),
+                     retry=retry)
+    plan = spec.compile(first + size, seed)
+    group = tuple(range(first, first + size))
+    # ``==`` on the tuples: detect_seconds must match to the last bit
+    assert plan.collective_penalties(group, seq, ranks) == [
+        oracles_faults.collective_penalty(plan, group, seq, r)
+        for r in ranks]
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=st.integers(1, 400), seed=st.integers(0, 2**40),
+       stragglers=st.lists(st.tuples(st.integers(-1, 420),
+                                     st.integers(1, 5),
+                                     st.sampled_from([1.0, 1.5, 4.0])),
+                           max_size=3),
+       crashes=st.lists(st.tuples(st.integers(-1, 420),
+                                  st.sampled_from(CRASH_BOUNDARIES)),
+                        max_size=3))
+def test_compiled_schedule_equals_the_eager_oracle(p, seed, stragglers,
+                                                   crashes):
+    spec = FaultSpec(
+        stragglers=tuple(StragglerFault(rank=r, count=k, slowdown=f)
+                         for r, k, f in stragglers),
+        crashes=tuple(CrashFault(rank=r, phase=ph) for r, ph in crashes))
+    plan = spec.compile(p, seed)
+    slow, crashed = oracles_faults.schedule(spec, p, seed)
+    assert [plan.slowdown(r) for r in range(p)] == slow
+    assert plan.crash_schedule == crashed
+    assert plan.has_stragglers == any(f != 1.0 for f in slow)
+    assert plan.describe()["stragglers"] == {
+        str(r): f for r, f in enumerate(slow) if f != 1.0}
+
+
+def test_each_thread_reseats_its_own_generator():
+    """Rank threads share a plan: a generator shared between them would
+    let one thread re-seat another's stream between two draws."""
+    from repro.faults.plan import _philox
+    theirs = []
+    t = threading.Thread(target=lambda: theirs.append(_philox(1)))
+    t.start()
+    t.join()
+    assert theirs[0] is not _philox(1)
 
 
 # ------------------------------------------------------- golden invariance
@@ -521,8 +602,8 @@ def test_a_lost_collective_leaves_its_rank_out_and_nobody_else():
     p = 16
     sim, world, outs = _lossy_allreduce(p, traced=True)
     plan, group = sim.faults, sim.world_ctx.group
-    lost = [r for r in range(p)
-            if (pen := plan.collective_penalty(group, 0, r)) and pen.lost]
+    lost = [r for r, pen in enumerate(plan.collective_penalties(
+        group, 0, range(p))) if pen and pen.lost]
     assert 0 < len(lost) < p and outs == [sum(range(p))] * p
     assert [(r, type(e)) for r, e in world.failures] == [
         (r, MessageLostError) for r in lost]
