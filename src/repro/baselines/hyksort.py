@@ -32,7 +32,7 @@ import numpy as np
 from ..core.histosel import histogram_refine_world
 from ..core.partition import partition_classic
 from ..core.pipeline import RunContext, SortOutcome, get_phase
-from ..mpi import LANE, Comm, FlatAbort, World
+from ..mpi import LANE, Comm, Cuts, FlatAbort, World
 from ..records import RecordBatch, kway_merge_batches
 
 
@@ -147,31 +147,21 @@ def hyksort_world(world: World, comms: list[Comm],
                     c = ln["comm"]
                     try:
                         cur = ln["cur"]
-                        ln["displs"] = partition_classic(cur.keys,
-                                                         ln["splitters"])
+                        cuts = Cuts.from_displs(
+                            partition_classic(cur.keys, ln["splitters"]))
+                        # bucket g goes to the rank of group g sharing my
+                        # within-group index
+                        ln["cuts"] = Cuts(p, cuts.dst * gs
+                                          + ln["active"].rank % gs, cuts.offs)
                         c.charge(c.cost.binary_search_time(
                             len(cur), max(1, kk - 1)))
                     except BaseException as exc:
                         world.fail(c, exc)
-            prune()
-            for ln in lanes:
-                try:
-                    cur = ln["cur"]
-                    buckets = cur.split([int(d) for d in ln["displs"]])
-                    # bucket g goes to the rank of group g sharing my
-                    # within-group index
-                    sends = [RecordBatch.empty_like(cur) for _ in range(p)]
-                    my_index = ln["active"].rank % gs
-                    for g in range(kk):
-                        sends[g * gs + my_index] = buckets[g]
-                    ln["sends"] = sends
-                except BaseException as exc:
-                    world.fail(ln["comm"], exc)
-            prune()
             with world.phase([ln["comm"] for ln in lanes], "exchange"):
                 for grp in _group_lanes(lanes):
                     outs = world.alltoallv([ln["active"] for ln in grp],
-                                           [ln["sends"] for ln in grp])
+                                           [ln["cur"] for ln in grp],
+                                           [ln["cuts"] for ln in grp])
                     for ln, chunks in zip(grp, outs):
                         ln["chunks"] = chunks
                 for ln in lanes:
@@ -182,12 +172,11 @@ def hyksort_world(world: World, comms: list[Comm],
                 for ln in lanes:
                     c = ln["comm"]
                     try:
-                        chunks = ln["chunks"]
-                        incoming = [ch for ch in chunks if len(ch)]
-                        cur = (kway_merge_batches(incoming) if incoming
+                        chunks = ln.pop("chunks")
+                        cur = (kway_merge_batches(chunks) if chunks
                                else RecordBatch.empty_like(ln["cur"]))
                         c.charge(c.cost.merge_time(len(cur),
-                                                   max(2, len(incoming))))
+                                                   max(2, len(chunks))))
                         # streaming merge: received chunks release as
                         # output fills
                         c.mem.free(sum(ch.nbytes for ch in chunks))

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pipeline import SortOutcome, local_delta
-from ..mpi import LANE, Comm, FlatAbort, World
+from ..mpi import LANE, Comm, Cuts, FlatAbort, World
 from ..records import RecordBatch, sort_batch
 
 #: Number of top bits histogrammed (65536 buckets).
@@ -105,19 +105,19 @@ def radix_sort_world(world: World, comms: list[Comm],
                 try:
                     dest = ln["owner"][ln["buckets"]]
                     order = np.argsort(dest, kind="stable")
-                    arranged = ln["batch"].take(order)
+                    ln["sends"] = ln["batch"].take(order)
                     counts = np.bincount(dest, minlength=p)
-                    displs = np.concatenate(
-                        ([0], np.cumsum(counts))).astype(np.int64)
+                    ln["cuts"] = Cuts.from_displs(np.concatenate(
+                        ([0], np.cumsum(counts))))
                     c.charge(c.cost.scan_time(len(ln["batch"])))
-                    ln["sends"] = arranged.split([int(d) for d in displs])
                 except BaseException as exc:
                     world.fail(c, exc)
         prune()
 
         with world.phase([ln["comm"] for ln in lanes], "exchange"):
             outs = world.alltoallv([ln["comm"] for ln in lanes],
-                                   [ln["sends"] for ln in lanes])
+                                   [ln["sends"] for ln in lanes],
+                                   [ln["cuts"] for ln in lanes])
             for ln, chunks in zip(lanes, outs):
                 if world.alive(ln["comm"]):
                     ln["chunks"] = chunks
@@ -128,12 +128,13 @@ def radix_sort_world(world: World, comms: list[Comm],
             for ln in lanes:
                 c = ln["comm"]
                 try:
-                    merged = RecordBatch.concat(ln["chunks"])
-                    out = sort_batch(merged)
+                    chunks = ln["chunks"]
+                    out = sort_batch(RecordBatch.concat(chunks) if chunks
+                                     else RecordBatch.empty_like(ln["batch"]))
                     c.charge(c.cost.sort_time(len(out),
                                               delta=local_delta(out.keys)))
                     c.mem.alloc(out.nbytes)
-                    c.mem.free(sum(ch.nbytes for ch in ln["chunks"]))
+                    c.mem.free(sum(ch.nbytes for ch in chunks))
                     ln["out"] = out
                 except BaseException as exc:
                     world.fail(c, exc)

@@ -2,11 +2,7 @@
 
 from .bitonic import bitonic_sort, bitonic_sort_rounds, is_power_of_two
 from .histosel import histogram_refine, select_pivots_histogram
-from .exchange import (
-    ExchangeStats,
-    exchange_overlapped_fused,
-    exchange_sync_fused,
-)
+from .exchange import ExchangeStats
 from .localsort import SharedSortStats, sdss_local_sort, shared_merge_loads
 from .nodemerge import NodeMergeResult, node_merge
 from .params import (
@@ -70,8 +66,6 @@ __all__ = [
     "derive_tau_s",
     "local_delta",
     "ExchangeStats",
-    "exchange_overlapped_fused",
-    "exchange_sync_fused",
     "SharedSortStats",
     "sdss_local_sort",
     "shared_merge_loads",

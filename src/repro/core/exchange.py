@@ -18,12 +18,12 @@ Two final-ordering modes (the ``tau_s`` decision):
   the sequential-sort constant, so it wins once ``p`` is large.
 
 Each mode is one staged collective: a whole-world compute
-(:func:`sync_exchange_compute` / :func:`overlapped_exchange_compute`)
-and an epilogue that books clocks, counters, memory and outputs —
-written once, over the ranks handed in: a columnar world hands in a
-membership, a lane hands in itself (:func:`exchange_sync_fused` /
-:func:`exchange_overlapped_fused` are the lane's sequence as a per-rank
-call; their docstrings hold the exactness audits).
+(:func:`sync_exchange_compute` / :func:`overlapped_exchange_compute`,
+whose docstrings hold the exactness audits) and an epilogue that books
+clocks, counters, memory and outputs — written once, over the ranks
+handed in: a columnar world hands in a membership, a lane hands in
+itself.  The synchronous mode is ``World.alltoallv``'s cell accounting
+and booking plus the final ordering.
 """
 
 from __future__ import annotations
@@ -38,9 +38,9 @@ from ..kernels import (
     sequential_argsort,
     stable_argsort_segments,
 )
-from ..mpi import LANE, Comm, World
+from ..mpi import Comm, World
+from ..mpi.cells import alltoallv_cells
 from ..records import RecordBatch, concat_batch_arrays
-from .partition import Cuts
 
 #: Most records whose whole-form outputs share one gather per column
 #: (:func:`_world_outputs`).  World-sized columns that outlive the
@@ -59,68 +59,40 @@ class ExchangeStats:
     chunks: int          # runs entering local ordering
 
 
-def _by_destination(src: np.ndarray, dst: np.ndarray, p: int) -> np.ndarray:
-    """Order of the source-major non-empty cells by (destination, source).
-
-    Defined as the stable argsort on ``dst``.  The pairs are unique, so
-    ranking ``dst * p + src`` with any algorithm, numpy's SIMD sort
-    included, is the same permutation without a timsort merge of ``p``
-    runs; from ``p = 2**31`` the product could overflow int64.
-    """
-    if p < 1 << 31:
-        return np.argsort(dst * p + src)
-    return np.argsort(dst, kind="stable")
-
-
 def sync_exchange_compute(stage: list, *, p: int, merge: bool,
                           stable: bool) -> dict:
     """Whole-world compute of the fused synchronous exchange.
 
     ``stage`` holds one ``((batch, cuts), clock)`` deposit per rank in
-    group-rank order — what :meth:`Comm.staged` hands the designated-
-    rank action; ``cuts`` is the rank's checked
-    :class:`~repro.core.partition.Cuts`.  The thread backend runs it as
-    the staged collective's action, the flat backend on a synthesized
-    stage; :func:`exchange_sync_fused` holds the exactness audit.
-    Cell-sparse (CSR): of the p x p ``(src, dst)`` chunks at most
-    ``min(N, p^2)`` are non-empty; the deposits list exactly those, and
-    every array here is O(N + p).
+    group-rank order, ``cuts`` the rank's checked
+    :class:`~repro.mpi.cells.Cuts`.  Delivery and its accounting are
+    :func:`~repro.mpi.cells.alltoallv_cells` (its docstring: why the
+    integers equal the p x p matrix reduction); on top of them every
+    destination's input — its chunks in source order, addressed in the
+    concatenation of all batches — is ordered once.  Bit-for-bit what
+    splitting each batch, a dense p-slot alltoallv and a per-rank merge or
+    sort produce (the oracle in ``tests/oracles_exchange.py``):
+
+    * for the ``merge`` branch (``p < tau_s``) the k-way merge of
+      sorted source runs with earlier-chunk tie-breaking produces the
+      unique stable permutation of each destination's input, which is
+      what :func:`~repro.kernels.stable_argsort_segments` returns for
+      all destinations at once (its docstring: why one packed sort of
+      many destinations equals their separate sorts); its sorted keys
+      are the outputs' key column, one ``ordered`` array read in slices;
+    * the ``sort`` branch applies, destination by destination, the
+      *same kernels* the per-rank path dispatches to
+      (``natural_merge_sort_perm`` / ``sequential_argsort``) on
+      value-identical keys: the unstable permutation is reproduced too.
     """
-    start = max(e[1] for e in stage)
-    batches = [e[0][0] for e in stage]
-    cuts = [e[0][1] for e in stage]
-    widths = np.array([b.row_nbytes for b in batches], dtype=np.int64)
-    all_keys, all_cols, offs = concat_batch_arrays(batches)
+    shared = alltoallv_cells(stage, p)
+    all_keys, all_cols, offs = concat_batch_arrays(shared["batches"])
     N = int(offs[-1])
-
-    # -- non-empty cells: the deposits, concatenated source-major --
-    src = np.repeat(np.arange(p, dtype=np.int64),
-                    [c.dst.size for c in cuts])
-    dst = np.concatenate([c.dst for c in cuts])
-    edges = np.concatenate([c.offs for c in cuts])    # one closer per rank
-    at = np.arange(src.size, dtype=np.int64) + src
-    first = edges[at]
-    cnt = edges[at + 1] - first
-    own = np.zeros(p, dtype=np.int64)                 # chunk to itself
-    diag = src == dst
-    own[src[diag]] = cnt[diag] * widths[src[diag]]
-
-    # -- destination-major in source order --
-    by_dst = _by_destination(src, dst, p)
-    src, dst = src[by_dst], dst[by_dst]
-    first, cnt = first[by_dst], cnt[by_dst]
-    cell = np.searchsorted(dst, np.arange(p + 1))     # first cell per dst
+    src, first, cnt = shared["src"], shared["first"], shared["cnt"]
     excl = np.concatenate(([0], np.cumsum(cnt)))      # records before cell
     G = (np.repeat(offs[src] + first - excl[:-1], cnt)
          + np.arange(N, dtype=np.int64))
-    bounds = excl[cell]
-    nbytes = np.concatenate(([0], np.cumsum(cnt * widths[src])))
-    recv_all = np.diff(nbytes[cell])                  # includes own chunk
-
-    # -- alltoallv accounting (Comm.size_scan_matrix's integers; totals
-    #    exclude the rank's chunk to itself) --
-    sent = np.diff(offs) * widths                     # cuts span [0, n]
-    send_tot, recv_tot = sent - own, recv_all - own
+    bounds = excl[shared["cell"]]
 
     # -- final local ordering of every destination, once --
     keys_g = all_keys[G]
@@ -139,16 +111,9 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
                 perm = sequential_argsort(seg, stable=False)
                 np.take(seg, perm, out=ordered[lo:hi])
             final[lo:hi] = G[lo:hi][perm]
-    return {
-        "t": start,
-        "max_send": int(send_tot.max()), "max_recv": int(recv_tot.max()),
-        "total": int(sent.sum()),
-        "send_tot": send_tot, "recv_tot": recv_tot, "recv_all": recv_all,
-        "cuts": cuts, "widths": widths,               # traced edge rows
-        "m": np.diff(bounds),
-        "ordered": ordered, "cols": all_cols,
-        "final": final, "bounds": bounds,
-    }
+    shared.update(m=np.diff(bounds), ordered=ordered, cols=all_cols,
+                  final=final, bounds=bounds)
+    return shared
 
 
 def _sync_exchange_network(world: World, comms: Sequence[Comm],
@@ -156,54 +121,15 @@ def _sync_exchange_network(world: World, comms: Sequence[Comm],
     """``alltoallv`` epilogue of the fused synchronous exchange, on the
     ranks handed in (any ranks of the communicator; a lane: itself).
 
-    Runs inside the ``exchange`` phase: memory for the received data is
-    allocated, the clock advances by ``alltoallv_time`` (evaluated once
-    per distinct ``ranks_per_node``; a tracer gets the span, the cost
-    split and the rank's edge row), byte/collective counters land, and
-    the send buffer is released.  A refused allocation fails its rank
-    before the clock moves, and nobody else.
+    Runs inside the ``exchange`` phase: ``World.alltoallv``'s booking
+    (receive allocated, clock, trace, counters), then the send buffer
+    of every rank it booked is released.
     """
-    sim = comms[0]._world
-    clocks, counters, mem, tr = sim.clocks, sim.counters, sim.mem, sim.tracer
-    hooked = tr is not None or sim.faults is not None
-    p, t, total = comms[0].size, shared["t"], shared["total"]
-    biggest = max(shared["max_send"], shared["max_recv"])
-    ranks = [c.rank for c in comms]
-    dts: dict[int, tuple[float, float]] = {}
-    for c, r, recv, sent, held in zip(
-            comms, ranks, shared["recv_tot"][ranks].tolist(),
-            shared["send_tot"][ranks].tolist(), send_nbytes):
-        if world.failures and not world.alive(c):
-            continue
-        g = c.grank
-        try:
-            mem[g].alloc(recv)
-        except BaseException as exc:  # mirrors the engine's catch-all
-            world.fail(c, exc)
-            continue
-        rpn = c.ranks_per_node
-        if rpn not in dts:
-            dts[rpn] = (
-                sim.cost.alltoallv_time(p, biggest, ranks_per_node=rpn,
-                                        total_bytes=total),
-                sim.cost.alltoallv_time(p, 0, ranks_per_node=rpn,
-                                        total_bytes=0)
-                if tr is not None else 0.0)
-        dt, lat = dts[rpn]
-        if hooked:
-            c0, debt = clocks[g], c._fault_debt
-            c.set_clock(t + dt)  # folds pending fault debt in
-            if tr is not None:
-                tr.collective(g, "alltoallv", c0, clocks[g], t, dt, lat, debt)
-                c.trace_edges(np.diff(shared["cuts"][r].displs())
-                              * shared["widths"][r])
-        else:
-            clocks[g] = t + dt
-        tally = counters[g]
-        for name, value in (("coll.alltoallv", 1.0), ("bytes.recv", recv),
-                            ("bytes.sent", sent)):
-            tally[name] = (tally[name] if name in tally else 0.0) + value
-        mem[g].free(held)                             # send buffer released
+    world._book_alltoallv(comms, shared)
+    mem = comms[0]._world.mem
+    for c, held in zip(comms, send_nbytes):
+        if world.alive(c):
+            mem[c.grank].free(held)                   # send buffer released
     return [None] * len(comms)
 
 
@@ -283,80 +209,6 @@ def _sync_exchange_ordering(world: World, comms: Sequence[Comm],
     return outs
 
 
-def exchange_sync_fused(comm: Comm, batch: RecordBatch, displs: np.ndarray,
-                        *, stable: bool, tau_s: int, delta_hint: float = 0.0
-                        ) -> tuple[RecordBatch, ExchangeStats]:
-    """The synchronous exchange + local ordering, as one staged collective.
-
-    Bit-for-bit identical (clocks, phase breakdowns, counters, memory
-    charges, outputs) to the first-generation path — split ``batch`` at
-    ``displs``, ``Comm.alltoallv``, a per-rank merge or sort; now the
-    oracle in ``tests/oracles_exchange.py`` — without its per-rank
-    costs: no p^2 sub-batches, sizes derived once from the ``(batch,
-    cuts)`` deposits (each rank's non-empty ``(src, dst)`` cells; counts
-    x row bytes, the integers ``RecordBatch.split`` pre-computes), every
-    destination ordered once, inside the designated-rank action.  A rank
-    reads back its clock, counters, memory and output slice in O(m + p).
-    ``displs`` is validated here, on this rank, before the deposit
-    (:meth:`Cuts.check`).  ``stable`` and ``tau_s`` must be SPMD-uniform
-    (fields of the communicator-uniform ``SdsParams``); ``delta_hint``
-    is per-rank and only enters the rank's own local-ordering charge.
-
-    Exactness notes (audited against the per-rank formulation):
-
-    * ``alltoallv`` accounting reproduces the integers
-      :meth:`Comm.size_scan_matrix` yields on the byte matrix
-      ``S[s, d] = (D[s, d+1] - D[s, d]) * row_nbytes[s]`` without
-      building ``S`` or ``D``: gross received bytes per destination are
-      segment differences of one running sum over the non-empty cells,
-      sent bytes per rank are ``len(batch_r) * row_nbytes[r]`` (a row
-      of counts telescopes to ``D[r, p] - D[r, 0]``, pinned to the
-      batch length by the entry check), the diagonal is rank ``r``'s
-      cell with ``dst == r`` (zero when it has none), subtracted from
-      both, and the gross total is the sum of the sent bytes — all
-      int64, where addition is associative and empty cells add zero, so
-      each value equals the matrix reduction; the scalar
-      ``alltoallv_time`` / ordering-cost calls are the unfused path's,
-      so every IEEE operation sequence is unchanged;
-    * destination ``d``'s input is its chunks concatenated in **source
-      order** (the ``alltoallv`` delivery-order guarantee): a rank's
-      cuts list its non-empty cells by ascending destination, so the
-      deposits concatenated in rank order are the non-empty cells
-      source-major, and ordering them by ``(dst, src)``
-      (:func:`_by_destination`) is the row-major walk of the transposed
-      ``(dst, src)`` layout with the empty cells left out;
-    * for the ``merge`` branch (``p < tau_s``) the k-way merge of
-      sorted source runs with earlier-chunk tie-breaking produces the
-      unique stable permutation of each destination's input, which is
-      what :func:`~repro.kernels.stable_argsort_segments` returns for
-      all destinations at once (its docstring: why one packed sort of
-      many destinations equals their separate sorts); its sorted keys
-      are the outputs' key column, one ``ordered`` array read in slices;
-    * the ``sort`` branch applies, destination by destination, the
-      *same kernels* the unfused path dispatches to
-      (``natural_merge_sort_perm`` / ``sequential_argsort``) on
-      value-identical keys: the unstable permutation is reproduced too.
-
-    Phases as in the unfused driver: the ``alltoallv`` advance and the
-    send-buffer release in ``exchange``, the ordering charge after it.
-    """
-    p = comm.size
-    cuts = Cuts.from_displs(displs).check(p, len(batch))
-    merge = p < tau_s
-
-    def compute(stage: list) -> dict:
-        return sync_exchange_compute(stage, p=p, merge=merge, stable=stable)
-
-    with comm.phase("exchange"):
-        shared, _ = comm.staged((batch, cuts), compute)
-        _sync_exchange_network(LANE, [comm], shared, [batch.nbytes])
-
-    with comm.phase("local_ordering"):
-        return _sync_exchange_ordering(
-            LANE, [comm], shared, merge=merge, stable=stable,
-            delta_hints=[delta_hint])[0]
-
-
 def _counter_spans(p: int) -> list[tuple[int, int]]:
     """Arrival spans of the binary-counter merge over ``p`` arrivals.
 
@@ -382,9 +234,25 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
     group-rank order; ``group`` is the communicator's global-rank tuple,
     ``spec`` the machine, ``rate`` the per-element merge cost and
     ``progress`` the (SPMD-uniform) ``async_progress_overhead(p)``.
-    Run by both backends; :func:`exchange_overlapped_fused` holds the
-    exactness audit.  The ring arrival schedule is p x p by the cost
-    model's definition, so the cuts are expanded here.
+    Run by both backends.  The ring arrival schedule is p x p by the
+    cost model's definition, so the cuts are expanded here.  Bit-for-bit
+    what splitting each batch, the dense ring arrival schedule
+    and a per-rank binary-counter merge produce (the oracle in
+    ``tests/oracles_exchange.py``), with the O(p^2) work — size matrix,
+    every rank's arrival schedule, the merge-clock replay — and the
+    stable ordering of every rank's received data done once, vectorised:
+
+    * sub-batch sizes are ``count * row_nbytes`` — the same integers
+      ``RecordBatch.split`` pre-computes;
+    * arrival times are sequential float accumulations; ``np.cumsum``
+      accumulates in the same order, so the IEEE rounding sequence is
+      unchanged;
+    * ``merge_time(n, 2)`` is ``(n * 1.0) * rate``, reproduced
+      element-wise on exact int64 run lengths;
+    * the stable permutation of each rank's chunk concatenation is
+      unique, so one :func:`~repro.kernels.stable_argsort_segments`
+      over the globally gathered key array equals the per-rank merge
+      trees.
     """
     start = max(e[1] for e in stage)
     batches = [e[0][0] for e in stage]
@@ -524,48 +392,3 @@ def _overlapped_exchange_finish(world: World, comms: Sequence[Comm],
         outs[i] = (out, ExchangeStats("overlap", "overlap-merge", m, p))
     return outs
 
-
-def exchange_overlapped_fused(comm: Comm, batch: RecordBatch,
-                              displs: np.ndarray
-                              ) -> tuple[RecordBatch, ExchangeStats]:
-    """The overlapped exchange without materialising p^2 sub-batches.
-
-    Bit-for-bit identical (clocks, counters, outputs) to splitting
-    ``batch`` at ``displs`` and replaying ``alltoallv_async`` arrivals
-    through a per-rank binary-counter merge (the first generation, now
-    the oracle in ``tests/oracles_exchange.py``), but the O(p^2) work —
-    size matrix, every rank's arrival schedule, the merge-clock replay —
-    and the stable ordering of every rank's received data happen once,
-    vectorised, inside the designated-rank action.  A rank reads back
-    its clock, output slice and memory/counter charges in O(m + p).
-
-    Exactness notes (audited against the per-rank formulation):
-
-    * sub-batch sizes are ``count * row_nbytes`` — the same integers
-      ``RecordBatch.split`` pre-computes;
-    * arrival times are sequential float accumulations; ``np.cumsum``
-      accumulates in the same order, so the IEEE rounding sequence is
-      unchanged;
-    * ``merge_time(n, 2)`` is ``(n * 1.0) * rate``, reproduced
-      element-wise on exact int64 run lengths;
-    * the stable permutation of each rank's chunk concatenation is
-      unique, so one :func:`~repro.kernels.stable_argsort_segments`
-      over the globally gathered key array equals the per-rank merge
-      trees.
-    """
-    p = comm.size
-    cuts = Cuts.from_displs(displs).check(p, len(batch))
-    spec = comm.machine
-    rate = comm.cost.spec.merge_cost_per_elem
-    group = comm._ctx.group
-    progress = comm.cost.async_progress_overhead(p)
-    traced = comm.tracer is not None  # world-uniform: safe in the action
-
-    def compute(stage: list) -> dict:
-        return overlapped_exchange_compute(
-            stage, p=p, group=group, spec=spec, rate=rate,
-            progress=progress, traced=traced)
-
-    shared, _ = comm.staged((batch, cuts), compute)
-    return _overlapped_exchange_finish(LANE, [comm], shared,
-                                       [batch.nbytes])[0]

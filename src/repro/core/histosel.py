@@ -43,6 +43,27 @@ def _segment_samples(sorted_keys: np.ndarray, lo_val, hi_val,
     return seg[idx.astype(np.int64)]
 
 
+class _Counts:
+    """One rank's ``searchsorted(keys, cands, "right")``, counted only
+    when the allreduce folds it in: the host holds one running sum, not
+    a candidate-long vector per rank.  ``nbytes`` is that vector's wire
+    size, which is what the allreduce charges."""
+
+    __array_ufunc__ = None  # ``ndarray + _Counts`` defers to ``__radd__``
+
+    def __init__(self, keys: np.ndarray, cands: np.ndarray):
+        self.keys, self.cands, self.nbytes = keys, cands, 8 * cands.size
+
+    def __array__(self, dtype=None, copy=None):
+        return np.searchsorted(self.keys, self.cands,
+                               side="right").astype(np.int64)
+
+    def __add__(self, other):
+        return np.asarray(self) + other
+
+    __radd__ = __add__
+
+
 def histogram_refine_world(world: World, comms: list[Comm],
                            keys_list: list, nsplit: int, *,
                            tolerance: float = 0.10, max_iters: int = 8,
@@ -72,10 +93,10 @@ def histogram_refine_world(world: World, comms: list[Comm],
     targets = (np.arange(1, nsplit + 1, dtype=np.int64) * n_total) // (nsplit + 1)
     tol = max(1, int(tolerance * n_total / (nsplit + 1)))
 
-    gathered = world.allgather(
-        comms,
-        [_segment_samples(a, None, None, samples_per_rank) for a in arrs])
-    cands = np.unique(np.concatenate(world.first_live(comms, gathered)))
+    # one concatenation for the whole membership, not a p-long list per rank
+    cands = np.unique(world.first_live(comms, world.allgather_staged(
+        comms, [_segment_samples(a, None, None, samples_per_rank)
+                for a in arrs], np.concatenate)))
     best_val = np.empty(nsplit, dtype=dtype)
     best_err = np.full(nsplit, np.iinfo(np.int64).max, dtype=np.int64)
     best_rank = np.zeros(nsplit, dtype=np.int64)
@@ -83,9 +104,9 @@ def histogram_refine_world(world: World, comms: list[Comm],
     for _ in range(max_iters):
         if cands.size == 0:
             break
-        locs = [np.searchsorted(a, cands, side="right").astype(np.int64)
-                for a in arrs]
-        global_ranks = world.first_live(comms, world.allreduce(comms, locs))
+        # a lone rank's deposit comes back from the fold uncounted
+        global_ranks = np.asarray(world.first_live(comms, world.allreduce(
+            comms, [_Counts(a, cands) for a in arrs])))
         for i, c in enumerate(comms):
             if world.alive(c):
                 c.charge(c.cost.binary_search_time(arrs[i].size, cands.size))
@@ -111,8 +132,8 @@ def histogram_refine_world(world: World, comms: list[Comm],
                 new.append(_segment_samples(arrs[i], lo, hi, samples_per_rank))
             news.append(np.concatenate(new) if new
                         else np.zeros(0, dtype=dtype))
-        gathered = world.allgather(comms, news)
-        fresh = np.unique(np.concatenate(world.first_live(comms, gathered)))
+        fresh = np.unique(world.first_live(comms, world.allgather_staged(
+            comms, news, np.concatenate)))
         fresh = np.setdiff1d(fresh, cands, assume_unique=False)
         if fresh.size == 0:
             break  # duplicate wall: no values left between brackets

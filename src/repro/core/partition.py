@@ -3,7 +3,7 @@
 Given a rank's *sorted* local data and the ``p-1`` global pivots, a
 partitioner produces ``p+1`` displacements ``d`` such that records
 ``A[d[j]:d[j+1]]`` are sent to rank ``j``; the exchange receives them
-as :class:`Cuts`, the non-empty buckets only.  The classic rule
+as :class:`~repro.mpi.cells.Cuts`, the non-empty buckets only.  The classic rule
 (``d[j+1] = upper_bound(A, Pg[j])``, Li et al. '93) assigns *all*
 records equal to a duplicated pivot to one rank, which is exactly how
 skew becomes load imbalance.  SDS-Sort's partitioners detect runs of
@@ -34,6 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from ..kernels import bounded_upper_bound, stable_prefix_layout
+from ..mpi.cells import Cuts
 
 
 @dataclass(frozen=True)
@@ -94,54 +95,6 @@ def partition_classic(sorted_keys: np.ndarray, pg: np.ndarray) -> np.ndarray:
     a, pg = _checked(sorted_keys, pg)
     inner = np.searchsorted(a, pg, side="right").astype(np.int64)
     return np.concatenate(([0], inner, [a.size]))
-
-
-class Cuts:
-    """A rank's ``p+1`` displacements, as its non-empty buckets only.
-
-    ``dst`` lists the destinations that receive at least one record,
-    ascending; ``offs[j]`` is the first record of bucket ``dst[j]`` and
-    ``offs[-1]`` closes the last one — at most ``min(n, p) + 1``
-    entries, where the dense vector has ``p + 1`` of which all but
-    ``min(n, p)`` repeat their neighbour.  This is what travels from
-    the partition phase to the exchange.
-    """
-
-    __slots__ = ("p", "dst", "offs")
-
-    def __init__(self, p: int, dst: np.ndarray, offs: np.ndarray):
-        self.p = p
-        self.dst = dst
-        self.offs = offs
-
-    @classmethod
-    def from_displs(cls, displs: np.ndarray) -> "Cuts":
-        """Encode a dense displacement vector (validated by :meth:`check`).
-
-        Lossless for any input :meth:`check` accepts; an input it must
-        reject (wrong length, wrong span, a decreasing step) keeps the
-        offending entries, so the rejection still happens there.
-        """
-        d = np.asarray(displs, dtype=np.int64)
-        dst = np.flatnonzero(d[1:] != d[:-1])
-        return cls(len(d) - 1, dst, np.concatenate((d[dst], d[-1:])))
-
-    def check(self, p: int, n: int) -> "Cuts":
-        """Require ``p`` buckets spanning ``[0, n]``, non-decreasing."""
-        offs = self.offs
-        if self.p != p or offs[0] != 0 or offs[-1] != n:
-            raise ValueError("displacements must span [0, len) with p+1 bounds")
-        if np.any(offs[1:] < offs[:-1]):
-            raise ValueError("displacements must be non-decreasing")
-        return self
-
-    def displs(self) -> np.ndarray:
-        """The dense ``p+1`` displacement vector."""
-        counts = np.zeros(self.p, dtype=np.int64)
-        counts[self.dst] = np.diff(self.offs)
-        d = np.zeros(self.p + 1, dtype=np.int64)
-        np.cumsum(counts, out=d[1:])
-        return d
 
 
 def cuts_all_valid(cuts: Sequence[Cuts], p: int, lens: Sequence[int]) -> bool:

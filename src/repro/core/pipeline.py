@@ -637,7 +637,7 @@ class Partition:
     ``local_pivot_accel`` selects the two-level local-pivot search cost
     of Section 2.5.1 (``None`` defers to ``params``).
 
-    Every variant leaves :class:`~repro.core.partition.Cuts` on the
+    Every variant leaves :class:`~repro.mpi.cells.Cuts` on the
     context.  ``classic`` partitioning stacks same-shape shards for
     :func:`~repro.core.partition.classic_cuts`; ``fast`` and ``stable``
     call the per-rank kernels directly (already vectorised numpy — the

@@ -11,6 +11,7 @@ through one rank's :class:`Comm` (thread backend) and
 batched columnar passes without rank threads (flat backend).
 """
 
+from .cells import Cuts
 from .comm import Comm, SimWorld, payload_nbytes
 from .context import AbortFlag, Channel, CommContext
 from .engine import (
@@ -31,6 +32,7 @@ __all__ = [
     "AbortFlag",
     "Channel",
     "CommContext",
+    "Cuts",
     "ColumnarWorld",
     "ENGINE_BACKENDS",
     "Epilogue",

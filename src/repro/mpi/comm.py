@@ -19,19 +19,18 @@ fault verdicts — are written once as :class:`~repro.mpi.world.World`
 verbs over a list of ranks; the per-rank methods below are those verbs
 on the lane view of this one rank (``LANE.bcast((self,), (obj,),
 root)[0]``), so a rank thread and the threadless flat engine book the
-very same statements.  Reductions
-apply the operator in rank order, so results — including floating
-point — are bit-for-bit identical to a per-rank formulation.
-Reduction/scan results are shared objects: treat them as read-only
-(the engine avoids copies by design).
+very same statements.  Reductions apply the operator in rank order, so
+results — floating point included — are bit-for-bit identical to a
+per-rank formulation, and are shared objects: treat them as read-only.
 
 Key deviations from real MPI, by design:
 
-* ``alltoallv_async`` performs the data movement synchronously but
-  returns a deterministic *arrival schedule* (per-source completion
-  times under the derated async bandwidth model); callers overlap
-  compute against that schedule.  This keeps the engine deterministic
-  while still exercising the paper's overlapped exchange+merge path.
+* ``alltoallv`` takes one send batch and its :class:`~repro.mpi.cells.Cuts`
+  (the non-empty buckets) instead of ``p`` counts and displacements, and
+  hands back only the non-empty chunks received, in source order: a
+  rank's exchange state is O(cells), never O(p).  The paper's
+  overlapped exchange is the fused collective of
+  :mod:`repro.core.exchange`, not a nonblocking MPI call.
 * Memory is accounted per rank through
   :class:`~repro.machine.memory.MemoryTracker`; receiving more than the
   rank's capacity raises :class:`~repro.machine.memory.SimOOMError`
@@ -49,6 +48,7 @@ import numpy as np
 
 from ..machine import CostModel, MachineSpec, MemoryTracker
 from ..records import RecordBatch
+from .cells import Cuts
 from .context import AbortFlag, Channel, CommContext
 from .errors import MessageLostError
 
@@ -327,25 +327,6 @@ class Comm:
             sizes = row
         tr.edge_row(self.grank, sizes)
 
-    def trace_collective(self, name: str, t: float, dt: float,
-                         lat: float) -> None:
-        """Traced twin of ``set_clock(t + dt)`` for the two exchanges a
-        rank books on itself (:meth:`_finish_alltoallv`,
-        :meth:`alltoallv_async`).
-
-        Records the op span (entry clock to new clock) and the LogGP
-        split of the advance (:meth:`Tracer.collective`); pending
-        collective fault debt is consumed by :meth:`set_clock` here.
-        Callers only reach this with a tracer installed; ``t + dt`` is
-        computed exactly as in the untraced branch, so virtual clocks
-        are bit-for-bit unchanged by tracing.
-        """
-        c0 = self.clock
-        debt = self._fault_debt
-        self.set_clock(t + dt)
-        self._tracer.collective(self.grank, name, c0, self.clock, t, dt, lat,
-                                debt)
-
     # ------------------------------------------------------------------
     # staged-collective plumbing
     # ------------------------------------------------------------------
@@ -449,123 +430,17 @@ class Comm:
         """All-reduce with a deterministic rank-order reduction."""
         return LANE.allreduce((self,), (value,), op)[0]
 
-    @staticmethod
-    def size_scan_matrix(sizes: np.ndarray) -> tuple:
-        """Alltoallv accounting quantities from a ``(p, p)`` byte matrix.
+    def alltoallv(self, batch: RecordBatch, cuts: Cuts) -> list[RecordBatch]:
+        """Synchronous all-to-all of one batch cut into ``size`` buckets
+        (MPI_Alltoallv; ``cuts`` checked against ``batch`` here).
 
-        Returns ``(max_send, max_recv, total_bytes, send_tot, recv_tot)``
-        where the per-rank totals exclude the diagonal (a rank's chunk
-        to itself never crosses the wire) while ``total_bytes`` includes
-        it (the fabric-cap term of :meth:`CostModel.alltoallv_time` is
-        calibrated on gross volume).  Public so fused exchanges that
-        *derive* the size matrix (counts x row bytes) charge the exact
-        integers :meth:`alltoallv` computes from staged size vectors.
+        Returns the non-empty chunks received, in source order — which
+        is what the stable variant of SDS-Sort relies on.  Received
+        bytes are charged to this rank's memory tracker and may raise
+        :class:`SimOOMError`.
         """
-        diag = np.diagonal(sizes)
-        send_tot = sizes.sum(axis=1) - diag
-        recv_tot = sizes.sum(axis=0) - diag
-        return (int(send_tot.max()), int(recv_tot.max()),
-                int(sizes.sum()), send_tot, recv_tot)
-
-    @staticmethod
-    def _size_scan(stage: list) -> tuple:
-        """Shared alltoallv accounting: one vectorised pass over the
-        p x p size matrix instead of O(p) Python scans on every rank."""
-        sizes = np.array([e[0][1] for e in stage], dtype=np.int64)
-        max_send, max_recv, total, send_tot, recv_tot = \
-            Comm.size_scan_matrix(sizes)
-        return (_max_clock(stage), max_send, max_recv, total,
-                send_tot, recv_tot, sizes)
-
-    def alltoallv(self, batches: Sequence[RecordBatch]) -> list[RecordBatch]:
-        """Synchronous all-to-all of record batches (MPI_Alltoallv).
-
-        ``batches[d]`` goes to rank ``d``; the return value is the list
-        of batches received, indexed by source rank — already in source
-        order, which is what the stable variant of SDS-Sort relies on.
-        Received bytes are charged to this rank's memory tracker and
-        may raise :class:`SimOOMError`.
-        """
-        return LANE.alltoallv((self,), (batches,))[0]
-
-    def _finish_alltoallv(self, shared: tuple, sizes: Sequence[int]) -> None:
-        """Per-rank alltoallv epilogue over a ``_size_scan`` result.
-
-        What ``World.alltoallv`` runs on each rank: memory charge for the
-        received bytes, LogGP cost application (or its traced twin with
-        the per-destination ``sizes`` edge matrix), operation counters.
-        """
-        t, max_send, max_recv, total_bytes, send_tot, recv_tot, _ = shared
-        me = self.rank
-        recv_bytes = int(recv_tot[me])
-        self.mem.alloc(recv_bytes)
-        dt = self.cost.alltoallv_time(
-            self.size, max(max_send, max_recv),
-            ranks_per_node=self.ranks_per_node, total_bytes=total_bytes)
-        if self._tracer is None:
-            self.set_clock(t + dt)
-        else:
-            self.trace_collective(
-                "alltoallv", t, dt, self.cost.alltoallv_time(
-                    self.size, 0, ranks_per_node=self.ranks_per_node,
-                    total_bytes=0))
-            self.trace_edges(sizes)
-        self.count("coll.alltoallv")
-        self.count("bytes.recv", recv_bytes)
-        self.count("bytes.sent", int(send_tot[me]))
-
-    def alltoallv_async(self, batches: Sequence[RecordBatch]
-                        ) -> list[tuple[int, RecordBatch, float]]:
-        """Nonblocking all-to-all returning a deterministic arrival schedule.
-
-        Returns ``[(source, batch, t_complete), ...]`` sorted by
-        modelled completion time.  Data movement itself is staged (and
-        memory-charged) up front; only the *timing* is asynchronous:
-        chunks "arrive" one by one under the derated async bandwidth,
-        letting the caller overlap merging per the paper's Section 2.6.
-        The rank's clock is advanced only past the synchronisation
-        point; callers finish the overlap clock arithmetic.
-        """
-        if len(batches) != self.size:
-            raise ValueError(f"alltoallv needs {self.size} batches, got {len(batches)}")
-        sizes = [b.nbytes for b in batches]
-        me = self.rank
-
-        def reader(stage: list) -> list[RecordBatch]:
-            return [stage[src][0][0][me] for src in range(self.size)]
-
-        shared, received = self.staged((list(batches), sizes),
-                                        self._size_scan, reader)
-        start = shared[0]
-        recv_tot, size_matrix = shared[5], shared[6]
-        inbound = size_matrix[:, me].tolist()  # bytes arriving per source
-        recv_bytes = int(recv_tot[me])
-        self.mem.alloc(recv_bytes)
-        spec = self.machine
-        bw = (spec.nic_bandwidth if self.ranks_per_node > 1
-              else spec.single_stream_bandwidth)
-        bw *= spec.async_bandwidth_factor
-        # ring schedule: receive from rank+1, rank+2, ... wrapping around
-        order = [(me + off) % self.size for off in range(1, self.size)]
-        arrivals: list[tuple[int, RecordBatch, float]] = []
-        t = start + spec.net_latency
-        node_factor = min(self.ranks_per_node, self.size)
-        for src in order:
-            t += (inbound[src] * node_factor) / bw + spec.per_message_overhead
-            arrivals.append((src, received[src], t))
-        # own chunk is available immediately
-        arrivals.insert(0, (me, received[me], start))
-        dt = self.cost.async_progress_overhead(self.size)
-        if self._tracer is None:
-            self.set_clock(start + dt)
-        else:
-            # the byte time is overlapped by the caller against the
-            # arrival schedule; only the progress CPU is charged here
-            self.trace_collective("alltoallv_async", start, dt, dt)
-            self.trace_edges(sizes)
-        self.count("coll.alltoallv_async")
-        self.count("bytes.recv", recv_bytes)
-        return arrivals
+        return LANE.alltoallv((self,), (batch,),
+                              (cuts.check(self.size, len(batch)),))[0]
 
     # ------------------------------------------------------------------
     # communicator management

@@ -44,6 +44,9 @@ from __future__ import annotations
 
 from typing import Any, Callable, Sequence
 
+import numpy as np
+
+from .cells import Cuts, alltoallv_cells
 from .comm import Comm, _max_clock, collective_charge, payload_nbytes
 from .errors import FlatAbort, MessageLostError
 
@@ -408,31 +411,81 @@ class World:
         return self.collective(comms, deposits, compute, Epilogue(whole),
                                check=check)[1]
 
-    def alltoallv(self, comms: Sequence[Comm], sends: Sequence[Any],
-                  *, check: bool = True) -> list:
-        """MPI_Alltoallv: ``sends[i]`` is the list of batches rank ``i``
-        sends (one per destination); returns per-rank received lists,
-        indexed by source.  One size-matrix scan, an epilogue a rank
-        (its receive buffer may be refused)."""
-        deposits = []
-        for c, batches in zip(comms, sends):
-            if len(batches) != c.size:
-                raise ValueError(
-                    f"alltoallv needs {c.size} batches, got {len(batches)}")
-            deposits.append((list(batches), [b.nbytes for b in batches]))
+    def alltoallv(self, comms: Sequence[Comm], batches: Sequence[Any],
+                  cuts: Sequence[Cuts], *, check: bool = True) -> list:
+        """MPI_Alltoallv: rank ``i`` sends ``batches[i]`` cut at
+        ``cuts[i]`` (its non-empty buckets, spanning the batch); returns
+        per-rank lists of the non-empty chunks received, in source
+        order — views of the senders' batches, O(cells) a rank."""
+        p = comms[0].size
 
-        def compute(stage):
-            return Comm._size_scan(stage), stage
+        def whole(shared):
+            self._book_alltoallv(comms, shared)
+            src, first, cnt, cell, sent = (shared[k] for k in (
+                "src", "first", "cnt", "cell", "batches"))
+            outs: list = []
+            for c in comms:
+                if not self.alive(c):
+                    outs.append(None)
+                    continue
+                lo, hi = cell[c.rank], cell[c.rank + 1]
+                outs.append([sent[s].slice(f, e) for s, f, e in zip(
+                    src[lo:hi].tolist(), first[lo:hi].tolist(),
+                    (first[lo:hi] + cnt[lo:hi]).tolist())])
+            return outs
 
-        def finish(i, c, shared):
-            scan, stage = shared
-            me = c.rank
-            received = [stage[src][0][0][me] for src in range(c.size)]
-            c._finish_alltoallv(scan, stage[me][0][1])
-            return received
+        return self.collective(comms, list(zip(batches, cuts)),
+                               lambda stage: alltoallv_cells(stage, p),
+                               Epilogue(whole), check=check)[1]
 
-        return self.collective(comms, deposits, compute, finish,
-                               check=check)[1]
+    def _book_alltoallv(self, comms: Sequence[Comm], shared: dict) -> None:
+        """Book an :func:`~repro.mpi.cells.alltoallv_cells` result on
+        the live ranks of ``comms``: the receive allocated (a refusal
+        fails the rank before its clock moves, and nobody else),
+        ``alltoallv_time`` evaluated once per distinct ranks-per-node,
+        clock overwritten (a tracer gets the span, the cost split and
+        the rank's edge row), byte and collective counters ticked."""
+        sim = comms[0]._world
+        clocks, counters, mem, tr = sim.clocks, sim.counters, sim.mem, sim.tracer
+        hooked = tr is not None or sim.faults is not None
+        p, t, total = comms[0].size, shared["t"], shared["total"]
+        biggest = max(shared["max_send"], shared["max_recv"])
+        ranks = [c.rank for c in comms]
+        dts: dict[int, tuple[float, float]] = {}
+        for c, r, recv, sent in zip(comms, ranks,
+                                    shared["recv_tot"][ranks].tolist(),
+                                    shared["send_tot"][ranks].tolist()):
+            if self.failures and not self.alive(c):
+                continue
+            g = c.grank
+            try:
+                mem[g].alloc(recv)
+            except BaseException as exc:  # mirrors the engine's catch-all
+                self.fail(c, exc)
+                continue
+            rpn = c.ranks_per_node
+            if rpn not in dts:
+                dts[rpn] = (
+                    sim.cost.alltoallv_time(p, biggest, ranks_per_node=rpn,
+                                            total_bytes=total),
+                    sim.cost.alltoallv_time(p, 0, ranks_per_node=rpn,
+                                            total_bytes=0)
+                    if tr is not None else 0.0)
+            dt, lat = dts[rpn]
+            if hooked:
+                c0, debt = clocks[g], c._fault_debt
+                c.set_clock(t + dt)  # folds pending fault debt in
+                if tr is not None:
+                    tr.collective(g, "alltoallv", c0, clocks[g], t, dt, lat,
+                                  debt)
+                    c.trace_edges(np.diff(shared["cuts"][r].displs())
+                                  * shared["widths"][r])
+            else:
+                clocks[g] = t + dt
+            tally = counters[g]
+            for name, value in (("coll.alltoallv", 1.0), ("bytes.recv", recv),
+                                ("bytes.sent", sent)):
+                tally[name] = (tally[name] if name in tally else 0.0) + value
 
     def sendrecv(self, comms: Sequence[Comm], objs: Sequence[Any],
                  peers: Sequence[int], tag: int = 0) -> list:

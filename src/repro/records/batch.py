@@ -75,9 +75,8 @@ class RecordBatch:
         """Validation-free constructor for internal structural ops.
 
         Callers guarantee ``keys``/``payload`` are aligned ndarrays
-        (slices or fancy-indexed views of an already-validated batch).
-        Skipping ``__post_init__`` matters: the exchange path creates
-        ``p`` sub-batches per rank, i.e. p^2 per collective.
+        (slices or fancy-indexed views of an already-validated batch):
+        an exchange builds one per received chunk.
         """
         b = object.__new__(cls)
         b.keys = keys
@@ -89,9 +88,8 @@ class RecordBatch:
         """Storage bytes per record, robust to multi-dimensional payload.
 
         ``len(b) * b.row_nbytes == b.nbytes`` for contiguous batches;
-        the communicator uses it to size the ``p^2`` logical sub-batches
-        of an exchange without materialising them.  Cached like
-        :attr:`nbytes`, under the same immutability note.
+        an exchange sizes its chunks with it without building them.
+        Cached like :attr:`nbytes`, under the same immutability note.
         """
         width = self.__dict__.get("_row_nbytes")
         if width is None:

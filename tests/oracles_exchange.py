@@ -10,19 +10,32 @@ temporaries in all.  Production now addresses only the non-empty
 ``tests/test_exchange.py`` keeps checking the sparse one against it,
 key for key (``S`` is the oracle for the per-rank traced edge rows).
 
-``check_displs`` is the dense displacement validator production ran up
-to PR 14; ``repro.core.partition.Cuts.check`` must reject exactly what
-it rejects.
+``check_displs`` is the dense displacement validator production ran
+before the cell-sparse cuts; ``repro.mpi.Cuts.check`` must reject
+exactly what it rejects.
+
+**The dense collectives** — :func:`alltoallv_dense` (``p`` send batches
+a rank, a p x p size-matrix scan, a p-long received list) and
+:func:`alltoallv_async_dense` (the same data movement plus the ring
+arrival schedule of the derated async bandwidth model).  They were
+``Comm.alltoallv`` / ``Comm.alltoallv_async`` until the cell-sparse
+``World.alltoallv`` replaced them; rebuilt here on the public
+:meth:`Comm.staged`, they are the reference its accounting — clocks,
+counters, memory, traced spans and edge rows — is compared against.
 
 **The first exchange generation** — ``split_for_sends``,
 ``exchange_sync``, ``order_received``, ``exchange_overlapped``: p^2
-materialised sub-batches through ``Comm.alltoallv`` /
-``alltoallv_async``, then a per-rank merge, sort or event replay.
-Production (``core/exchange.py``) left them behind for the fused staged
-collectives long ago and nothing in ``src/`` called them; they moved
-here from there in PR 19 as the differential oracle
-``tests/test_exchange.py`` and ``tests/test_engine_determinism.py`` run
-the fused paths against, clock for clock.
+materialised sub-batches through the dense collectives, then a per-rank
+merge, sort or event replay.  Production (``core/exchange.py``) left
+them behind for the fused staged collectives long ago; they are the
+differential oracle ``tests/test_exchange.py`` and
+``tests/test_engine_determinism.py`` run the fused paths against, clock
+for clock.
+
+**The production exchanges as a per-rank call** —
+:func:`lane_exchange_sync` / :func:`lane_exchange_overlapped` run the
+``Exchange`` phase's computes and epilogues through ``LANE`` on one
+rank: not references but the code under test, called like the oracles.
 """
 
 from __future__ import annotations
@@ -31,13 +44,14 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.core import exchange
 from repro.core.exchange import ExchangeStats
 from repro.kernels import (
     natural_merge_sort_perm,
     sequential_argsort,
     stable_argsort,
 )
-from repro.mpi import Comm
+from repro.mpi import LANE, Comm, Cuts
 from repro.records import (
     RecordBatch,
     adaptive_sort_batch,
@@ -63,10 +77,7 @@ def sync_exchange_compute_dense(stage: list, *, p: int, merge: bool,
 
     ``stage`` holds one ``((batch, displs), clock)`` deposit per rank in
     group-rank order — exactly what :meth:`Comm.staged` hands the
-    designated-rank action.  Shared by the thread backend (as the
-    staged collective's action) and the flat backend (called directly on
-    a synthesized stage); see :func:`exchange_sync_fused` for the
-    exactness audit.
+    designated-rank action.
     """
     start = max(e[1] for e in stage)
     batches = [e[0][0] for e in stage]
@@ -74,8 +85,7 @@ def sync_exchange_compute_dense(stage: list, *, p: int, merge: bool,
     C = np.diff(D, axis=1)                            # counts[src, dst]
     widths = np.array([b.row_nbytes for b in batches], dtype=np.int64)
     S = C * widths[:, None]                           # bytes[src, dst]
-    max_send, max_recv, total, send_tot, recv_tot = \
-        Comm.size_scan_matrix(S)
+    max_send, max_recv, total, send_tot, recv_tot = size_scan_matrix(S)
     all_keys, all_cols, offs = concat_batch_arrays(batches)
 
     # -- gather indices, destination-major in source order --
@@ -115,6 +125,106 @@ def sync_exchange_compute_dense(stage: list, *, p: int, merge: bool,
     }
 
 
+def size_scan_matrix(sizes: np.ndarray) -> tuple:
+    """Alltoallv accounting quantities from a ``(p, p)`` byte matrix.
+
+    Returns ``(max_send, max_recv, total_bytes, send_tot, recv_tot)``
+    where the per-rank totals exclude the diagonal (a rank's chunk to
+    itself never crosses the wire) while ``total_bytes`` includes it
+    (the fabric-cap term of ``CostModel.alltoallv_time`` is calibrated
+    on gross volume).
+    """
+    diag = np.diagonal(sizes)
+    send_tot = sizes.sum(axis=1) - diag
+    recv_tot = sizes.sum(axis=0) - diag
+    return (int(send_tot.max()), int(recv_tot.max()),
+            int(sizes.sum()), send_tot, recv_tot)
+
+
+def _dense_stage(comm: Comm, batches: Sequence[RecordBatch]) -> tuple:
+    """Stage ``p`` send batches; ``((t, size scan..., S), received)``
+    with ``received[src]`` the batch ``src`` sent this rank."""
+    if len(batches) != comm.size:
+        raise ValueError(f"alltoallv needs {comm.size} batches, "
+                         f"got {len(batches)}")
+    me = comm.rank
+
+    def compute(stage: list) -> tuple:
+        S = np.array([e[0][1] for e in stage], dtype=np.int64)
+        return (max(e[1] for e in stage), *size_scan_matrix(S), S)
+
+    return comm.staged((list(batches), [b.nbytes for b in batches]),
+                       compute, lambda stage: [e[0][0][me] for e in stage])
+
+
+def _book_collective(comm: Comm, name: str, t: float, dt: float,
+                     lat: float, sizes) -> None:
+    """``set_clock(t + dt)``, and with a tracer the op span, its LogGP
+    split and the rank's edge row."""
+    tr = comm.tracer
+    if tr is None:
+        comm.set_clock(t + dt)
+        return
+    c0, debt = comm.clock, comm._fault_debt
+    comm.set_clock(t + dt)
+    tr.collective(comm.grank, name, c0, comm.clock, t, dt, lat, debt)
+    comm.trace_edges(sizes)
+
+
+def alltoallv_dense(comm: Comm, batches: Sequence[RecordBatch]
+                    ) -> list[RecordBatch]:
+    """Dense synchronous all-to-all: ``batches[d]`` goes to rank ``d``;
+    returns the ``p`` batches received, indexed by source."""
+    (t, max_send, max_recv, total, send_tot, recv_tot, S), received = \
+        _dense_stage(comm, batches)
+    me, cost, rpn = comm.rank, comm.cost, comm.ranks_per_node
+    recv = int(recv_tot[me])
+    comm.mem.alloc(recv)
+    dt = cost.alltoallv_time(comm.size, max(max_send, max_recv),
+                             ranks_per_node=rpn, total_bytes=total)
+    lat = (cost.alltoallv_time(comm.size, 0, ranks_per_node=rpn,
+                               total_bytes=0)
+           if comm.tracer is not None else 0.0)
+    _book_collective(comm, "alltoallv", t, dt, lat, S[me])
+    comm.count("coll.alltoallv")
+    comm.count("bytes.recv", recv)
+    comm.count("bytes.sent", int(send_tot[me]))
+    return received
+
+
+def alltoallv_async_dense(comm: Comm, batches: Sequence[RecordBatch]
+                          ) -> list[tuple[int, RecordBatch, float]]:
+    """Nonblocking all-to-all returning a deterministic arrival schedule.
+
+    Returns ``[(source, batch, t_complete), ...]`` sorted by modelled
+    completion time.  Data movement itself is staged (and
+    memory-charged) up front; only the *timing* is asynchronous: chunks
+    "arrive" one by one under the derated async bandwidth, ring order
+    from ``rank + 1``.  The rank's clock is advanced only past the
+    synchronisation point; callers finish the overlap clock arithmetic.
+    """
+    (start, *_, recv_tot, S), received = _dense_stage(comm, batches)
+    me, size, spec = comm.rank, comm.size, comm.machine
+    recv = int(recv_tot[me])
+    comm.mem.alloc(recv)
+    bw = (spec.nic_bandwidth if comm.ranks_per_node > 1
+          else spec.single_stream_bandwidth) * spec.async_bandwidth_factor
+    node_factor = min(comm.ranks_per_node, size)
+    inbound = S[:, me].tolist()                       # bytes per source
+    arrivals = [(me, received[me], start)]            # own chunk at once
+    t = start + spec.net_latency
+    for src in [(me + off) % size for off in range(1, size)]:
+        t += (inbound[src] * node_factor) / bw + spec.per_message_overhead
+        arrivals.append((src, received[src], t))
+    dt = comm.cost.async_progress_overhead(size)
+    # the byte time is overlapped by the caller against the arrival
+    # schedule; only the progress CPU is charged here
+    _book_collective(comm, "alltoallv_async", start, dt, dt, S[me])
+    comm.count("coll.alltoallv_async")
+    comm.count("bytes.recv", recv)
+    return arrivals
+
+
 def split_for_sends(batch: RecordBatch, displs: np.ndarray) -> list[RecordBatch]:
     """Cut the sorted local batch at the partition displacements."""
     return batch.split([int(d) for d in displs])
@@ -122,7 +232,7 @@ def split_for_sends(batch: RecordBatch, displs: np.ndarray) -> list[RecordBatch]
 
 def exchange_sync(comm: Comm, sends: Sequence[RecordBatch]) -> list[RecordBatch]:
     """Synchronous personalised exchange; returns chunks in source order."""
-    return comm.alltoallv(list(sends))
+    return alltoallv_dense(comm, list(sends))
 
 
 def order_received(comm: Comm, chunks: Sequence[RecordBatch], *,
@@ -179,7 +289,7 @@ def exchange_overlapped(comm: Comm, sends: Sequence[RecordBatch]
     sorted — which one stable argsort computes without the ``p - 1``
     per-rank python merge calls the seed engine paid.
     """
-    arrivals = comm.alltoallv_async(list(sends))
+    arrivals = alltoallv_async_dense(comm, list(sends))
     t_cpu = comm.clock
     m = sum(len(b) for _, b, _ in arrivals)
     # replay: levels hold (records absorbed, leaf order) per counter bit
@@ -215,7 +325,7 @@ def exchange_overlapped(comm: Comm, sends: Sequence[RecordBatch]
         comm.set_clock(max(comm.clock, t_cpu))
     else:
         # oracle path: the arrival/merge interleave past the async
-        # progress charge (attributed inside alltoallv_async) is one
+        # progress charge (attributed inside alltoallv_async_dense) is one
         # bandwidth-bucket advance
         c0 = comm.clock
         comm.set_clock(max(comm.clock, t_cpu))
@@ -229,3 +339,47 @@ def exchange_overlapped(comm: Comm, sends: Sequence[RecordBatch]
     comm.mem.free(sum(b.nbytes for _, b, _ in arrivals))
     comm.mem.alloc(out.nbytes)
     return out, ExchangeStats("overlap", "overlap-merge", m, len(arrivals))
+
+
+# ----------------------------------------------------------------------
+# the production exchanges, as a lane's per-rank call
+# ----------------------------------------------------------------------
+
+def lane_exchange_sync(comm: Comm, batch: RecordBatch, displs: np.ndarray,
+                       *, stable: bool, tau_s: int, delta_hint: float = 0.0
+                       ) -> tuple[RecordBatch, ExchangeStats]:
+    """Production's synchronous exchange on one rank: the ``Exchange``
+    phase's compute and epilogues through ``LANE`` (what the phase runs
+    for a lane), phases as there — the ``alltoallv`` advance and the
+    send-buffer release in ``exchange``, the ordering charge after it."""
+    p = comm.size
+    merge = p < tau_s
+    with comm.phase("exchange"):
+        shared, _ = comm.staged(
+            (batch, Cuts.from_displs(displs).check(p, len(batch))),
+            lambda stage: exchange.sync_exchange_compute(
+                stage, p=p, merge=merge, stable=stable))
+        exchange._sync_exchange_network(LANE, [comm], shared, [batch.nbytes])
+    with comm.phase("local_ordering"):
+        return exchange._sync_exchange_ordering(
+            LANE, [comm], shared, merge=merge, stable=stable,
+            delta_hints=[delta_hint])[0]
+
+
+def lane_exchange_overlapped(comm: Comm, batch: RecordBatch,
+                             displs: np.ndarray
+                             ) -> tuple[RecordBatch, ExchangeStats]:
+    """Production's overlapped exchange on one rank, through ``LANE``."""
+    p = comm.size
+
+    def compute(stage: list) -> dict:
+        return exchange.overlapped_exchange_compute(
+            stage, p=p, group=comm._ctx.group, spec=comm.machine,
+            rate=comm.cost.spec.merge_cost_per_elem,
+            progress=comm.cost.async_progress_overhead(p),
+            traced=comm.tracer is not None)
+
+    shared, _ = comm.staged(
+        (batch, Cuts.from_displs(displs).check(p, len(batch))), compute)
+    return exchange._overlapped_exchange_finish(LANE, [comm], shared,
+                                                [batch.nbytes])[0]

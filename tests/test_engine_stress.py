@@ -6,7 +6,7 @@ import pytest
 from repro.core import SdsParams, sds_sort
 from repro.machine import EDISON, SimOOMError
 from repro.metrics import check_sorted
-from repro.mpi import RankFailure, run_spmd
+from repro.mpi import Cuts, RankFailure, run_spmd
 from repro.records import RecordBatch, tag_provenance
 from repro.workloads import uniform
 
@@ -41,8 +41,8 @@ class TestFailureInjection:
         """OOM raised mid-collective aborts everyone cleanly."""
         def prog(comm):
             big = 10_000 if comm.rank == 0 else 10
-            sends = [RecordBatch(np.zeros(big)) for _ in range(comm.size)]
-            comm.alltoallv(sends)
+            comm.alltoallv(RecordBatch(np.zeros(big * comm.size)),
+                           Cuts.from_displs(np.arange(comm.size + 1) * big))
             comm.barrier()
         res = run_spmd(prog, 8, mem_capacity=50_000, check=False)
         assert res.failure is not None

@@ -5,10 +5,10 @@ import threading
 import numpy as np
 import pytest
 
-from repro.core import exchange_sync_fused, pipeline
-from repro.core.exchange import _by_destination, sync_exchange_compute
-from repro.core.partition import Cuts
-from repro.mpi import run_spmd
+from repro.core import pipeline
+from repro.core.exchange import sync_exchange_compute
+from repro.mpi import Cuts, run_spmd
+from repro.mpi.cells import by_destination
 from repro.obs import Tracer
 from repro.records import RecordBatch
 from repro.runner import run_sort
@@ -18,6 +18,7 @@ from .oracles_exchange import (
     check_displs,
     exchange_overlapped,
     exchange_sync,
+    lane_exchange_sync,
     order_received,
     split_for_sends,
     sync_exchange_compute_dense,
@@ -75,7 +76,8 @@ class TestSyncExchangeAndOrdering:
 
 
 class TestFusedSyncExchange:
-    """exchange_sync_fused == split + alltoallv + order_received,
+    """The production sync exchange through LANE == split + dense
+    alltoallv + order_received,
     bit-for-bit: outputs, clocks, phase times, counters, mem peaks."""
 
     P = 5  # non-power-of-two on purpose
@@ -109,8 +111,8 @@ class TestFusedSyncExchange:
     def _fused(cls, comm, stable, tau_s):
         batch, displs = cls._mk(comm)
         comm.mem.alloc(batch.nbytes)
-        out, stats = exchange_sync_fused(comm, batch, displs, stable=stable,
-                                         tau_s=tau_s, delta_hint=0.0)
+        out, stats = lane_exchange_sync(comm, batch, displs, stable=stable,
+                                        tau_s=tau_s, delta_hint=0.0)
         return (out.keys.tobytes(), out.payload["src"].tobytes(),
                 out.payload["pos"].tobytes(), comm.clock, stats)
 
@@ -190,6 +192,15 @@ class TestSparseSyncExchangeCompute:
                                            stable=stable)
         S = want.pop("S")
         cuts, widths = got.pop("cuts"), got.pop("widths")
+        assert got.pop("batches") == [b for (b, _), _ in stage]
+        # the cells are the non-zero counts, walked (dst, src)-major
+        D = np.stack([d for (_, d), _ in stage])
+        C = np.diff(D, axis=1)
+        dst, src = np.nonzero(C.T)
+        for name, cells in (("src", src), ("first", D[src, dst]),
+                            ("cnt", C[src, dst]),
+                            ("cell", np.searchsorted(dst, np.arange(p + 1)))):
+            _assert_same(got.pop(name), cells)
         # production hands each destination its gathered sorted keys;
         # the oracle leaves the gather to the per-rank epilogue
         _assert_same(got.pop("ordered"), want.pop("keys")[want["final"]])
@@ -251,8 +262,8 @@ class TestSparseSyncExchangeCompute:
                         [c.dst.size for c in cells])
         dst = np.concatenate([c.dst for c in cells])
         want = np.argsort(dst, kind="stable")
-        _assert_same(_by_destination(src, dst, p), want)
-        _assert_same(_by_destination(src, dst, 1 << 31), want)
+        _assert_same(by_destination(src, dst, p), want)
+        _assert_same(by_destination(src, dst, 1 << 31), want)
         assert ((1 << 31) - 1) ** 2 <= np.iinfo(np.int64).max   # below it
 
     def test_empty_world(self):
@@ -270,7 +281,7 @@ class TestSparseSyncExchangeCompute:
         def prog(comm):
             batch, displs = stage[comm.rank][0]
             comm.mem.alloc(batch.nbytes)
-            exchange_sync_fused(comm, batch, displs, stable=True, tau_s=1)
+            lane_exchange_sync(comm, batch, displs, stable=True, tau_s=1)
 
         tracer = Tracer(p)
         assert run_spmd(prog, p, tracer=tracer).ok

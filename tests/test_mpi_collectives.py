@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from repro.machine import EDISON
-from repro.mpi import run_spmd
+from repro.mpi import Cuts, run_spmd
+from repro.obs import Tracer
 from repro.records import RecordBatch
+
+from .oracles_exchange import alltoallv_async_dense, alltoallv_dense
 
 
 def results(fn, p, **kw):
@@ -51,45 +54,117 @@ class TestBasicCollectives:
         assert all(t >= 5.0 for t in out)
 
 
+def _steady(counters):
+    """Counters without the host-wall-clock ones."""
+    return [{k: v for k, v in c.items()
+             if k not in ("coll.sync_wait", "p2p.wait")} for c in counters]
+
+
+def _even(c, batch):
+    """``batch`` cut into ``c.size`` equal buckets (its length divides)."""
+    return batch, Cuts.from_displs(
+        np.arange(c.size + 1) * (len(batch) // c.size))
+
+
 class TestAlltoallv:
     def test_chunks_arrive_in_source_order(self):
         def prog(c):
-            sends = [RecordBatch(np.full(2, float(c.rank))) for _ in range(c.size)]
-            chunks = c.alltoallv(sends)
+            chunks = c.alltoallv(*_even(c, RecordBatch(
+                np.full(2 * c.size, float(c.rank)))))
             return [float(ch.keys[0]) for ch in chunks]
         out = results(prog, 4)
         assert all(r == [0.0, 1.0, 2.0, 3.0] for r in out)
 
+    def test_only_non_empty_chunks_arrive(self):
+        """Rank ``r`` sends only to ``r + 1``: every rank gets one chunk
+        (rank 0 none), never ``p`` empty ones."""
+        def prog(c):
+            b = RecordBatch(np.array([float(c.rank)]))
+            d = np.zeros(c.size + 1, dtype=np.int64)
+            if c.rank + 1 < c.size:
+                d[c.rank + 2:] = 1
+            else:
+                d[:] = 0
+                b = RecordBatch(np.zeros(0))
+            return [float(ch.keys[0]) for ch in
+                    c.alltoallv(b, Cuts.from_displs(d))]
+        assert results(prog, 4) == [[], [0.0], [1.0], [2.0]]
+
     def test_payload_travels(self):
         def prog(c):
-            sends = [
-                RecordBatch(np.array([float(d)]), {"src": np.array([c.rank])})
-                for d in range(c.size)
-            ]
-            chunks = c.alltoallv(sends)
+            b = RecordBatch(np.arange(float(c.size)),
+                            {"src": np.full(c.size, c.rank)})
+            chunks = c.alltoallv(*_even(c, b))
             return [int(ch.payload["src"][0]) for ch in chunks]
         out = results(prog, 3)
         assert all(r == [0, 1, 2] for r in out)
 
     def test_length_validated(self):
-        def prog(c):
-            c.alltoallv([RecordBatch(np.array([1.0]))])
-        with pytest.raises(Exception):
-            run_spmd(prog, 3)
+        """``Cuts.check`` refuses, on the rank, cuts that do not span
+        the batch in ``p`` non-decreasing buckets."""
+        for displs, message in (
+                ([0, 1], "with p+1 bounds"),          # 1 bucket for p=3
+                ([0, 0, 0, 2], "with p+1 bounds"),    # past the batch
+                ([0, 1, 0, 1], "must be non-decreasing")):
+            def prog(c):
+                c.alltoallv(RecordBatch(np.array([1.0])),
+                            Cuts.from_displs(np.array(displs)))
+            res = run_spmd(prog, 3, check=False)
+            assert isinstance(res.failure.cause, ValueError)
+            assert message in str(res.failure.cause)
 
     def test_memory_charged_for_received(self):
         def prog(c):
-            sends = [RecordBatch(np.zeros(100)) for _ in range(c.size)]
-            c.alltoallv(sends)
+            c.alltoallv(*_even(c, RecordBatch(np.zeros(100 * c.size))))
             return c.mem.in_use
         out = results(prog, 4)
         # 3 remote chunks of 800 bytes each
         assert all(m == 2400 for m in out)
 
+    @pytest.mark.parametrize("p", [1, 5, 24])
+    def test_matches_the_dense_oracle(self, p):
+        """The cell-sparse verb books what the dense p-slot alltoallv
+        booked — clocks, counters, memory, traced spans, cost split and
+        edge rows — and delivers its non-empty chunks."""
+        def sends(c):
+            """A ragged batch cut at random bounds (many empty cells);
+            ranks enter at staggered clocks."""
+            c.set_clock(c.rank * 1e-6)
+            rng = np.random.default_rng(p * 1000 + c.rank)
+            n = int(rng.integers(0, 3 * c.size))
+            d = np.sort(rng.integers(0, n + 1, c.size + 1))
+            d[0], d[-1] = 0, n
+            return RecordBatch(np.arange(float(n)) + 1000 * c.rank), d
+
+        def sparse(c):
+            b, d = sends(c)
+            return [ch.keys.tolist() for ch in
+                    c.alltoallv(b, Cuts.from_displs(d))]
+
+        def dense(c):
+            b, d = sends(c)
+            return [ch.keys.tolist() for ch in
+                    alltoallv_dense(c, b.split([int(x) for x in d]))
+                    if len(ch)]
+
+        runs = []
+        for prog in (sparse, dense):
+            tr = Tracer(p)
+            runs.append((run_spmd(prog, p, machine=EDISON, tracer=tr), tr))
+        (a, ta), (b, tb) = runs
+        assert a.results == b.results
+        assert a.clocks == b.clocks
+        assert a.mem_peaks == b.mem_peaks
+        assert _steady(a.counters) == _steady(b.counters)
+        assert ta.spans == tb.spans and ta.counters == tb.counters
+        assert np.array_equal(ta.edge_matrix(), tb.edge_matrix())
+
     def test_async_schedule_sorted_by_completion(self):
+        """The dense oracle's ring arrival schedule (the reference the
+        overlapped exchange is compared against)."""
         def prog(c):
             sends = [RecordBatch(np.zeros(10)) for _ in range(c.size)]
-            arrivals = c.alltoallv_async(sends)
+            arrivals = alltoallv_async_dense(c, sends)
             times = [t for _, _, t in arrivals]
             srcs = sorted(s for s, _, _ in arrivals)
             return times == sorted(times) and srcs == list(range(c.size))

@@ -39,6 +39,7 @@ from repro.mpi import (
     LANE,
     ColumnarWorld,
     Comm,
+    Cuts,
     FlatAbort,
     RankFailure,
     SimWorld,
@@ -582,9 +583,12 @@ def _payload(rank: int) -> np.ndarray:
     return np.arange(rank + 1, dtype=np.int64)     # sizes differ by rank
 
 
-def _batches(c: Comm) -> list[RecordBatch]:
-    return [RecordBatch(np.full(c.rank + 2 * d, c.rank, dtype=np.int64))
-            for d in range(c.size)]
+def _sends(c: Comm) -> tuple[RecordBatch, Cuts]:
+    """A send batch and its cuts: ``rank + 2 d`` records to ``d`` (rank
+    0's bucket to itself is empty)."""
+    sizes = [c.rank + 2 * d for d in range(c.size)]
+    return (RecordBatch(np.full(sum(sizes), c.rank, dtype=np.int64)),
+            Cuts.from_displs(np.concatenate(([0], np.cumsum(sizes)))))
 
 
 def _total(objs: list) -> int:
@@ -653,8 +657,8 @@ VERBS = {
         lambda w, cs: w.allgather_staged(cs, [_payload(c.rank) for c in cs],
                                          _total)),
     "split": (_split_rank, _split_world),
-    "alltoallv": (lambda c: c.alltoallv(_batches(c)),
-                  lambda w, cs: w.alltoallv(cs, [_batches(c) for c in cs])),
+    "alltoallv": (lambda c: c.alltoallv(*_sends(c)),
+                  lambda w, cs: w.alltoallv(cs, *zip(*map(_sends, cs)))),
 }
 
 
@@ -748,6 +752,7 @@ def test_charge_verbs_and_brackets_take_no_rank_at_all():
 #: the verbs that exist once, on ``World``
 WRITTEN_ONCE = ("barrier", "bcast", "gather", "allreduce", "allgather_staged",
                 "allgather", "split", "alltoallv", "_finish_all",
+                "_book_alltoallv",
                 "charge_compute", "alloc", "free", "trace_counter")
 
 
