@@ -28,7 +28,6 @@ from .pipeline import (
 from .plan import (
     Decision,
     DecisionPolicy,
-    DecisionTrace,
     SortPlan,
     explain_lines,
 )
@@ -79,7 +78,6 @@ __all__ = [
     "PARTITION_VARIANTS",
     "Decision",
     "DecisionPolicy",
-    "DecisionTrace",
     "SortPlan",
     "explain_lines",
     "PHASE_REGISTRY",

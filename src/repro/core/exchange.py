@@ -242,7 +242,7 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
     every rank's arrival schedule, the merge-clock replay — and the
     stable ordering of every rank's received data done once, vectorised:
 
-    * sub-batch sizes are ``count * row_nbytes`` — the same integers
+    * sub-batch sizes are ``count * record_bytes`` — the same integers
       ``RecordBatch.split`` pre-computes;
     * arrival times are sequential float accumulations; ``np.cumsum``
       accumulates in the same order, so the IEEE rounding sequence is
@@ -258,7 +258,7 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
     batches = [e[0][0] for e in stage]
     D = np.stack([e[0][1].displs() for e in stage])   # (p, p+1) bounds
     C = np.diff(D, axis=1)                            # counts[src, dst]
-    widths = np.array([b.row_nbytes for b in batches], dtype=np.int64)
+    widths = np.array([b.record_bytes for b in batches], dtype=np.int64)
     S = C * widths[:, None]                           # bytes[src, dst]
     all_keys, all_cols, offs = concat_batch_arrays(batches)
 

@@ -45,11 +45,7 @@ from ..kernels import (
     stable_prefix_layout,
 )
 from ..mpi import LANE, Comm, Epilogue, FlatAbort, World
-from ..records import (
-    RecordBatch,
-    kway_merge_batches,
-    kway_merge_batches_stacked,
-)
+from ..records import RecordBatch, kway_merge_run_lists
 from .exchange import (
     ExchangeStats,
     _overlapped_exchange_finish,
@@ -187,15 +183,17 @@ def _per_distinct(fn: Callable[..., Any], args: list[tuple]) -> list:
     return [memo[a] for a in args]
 
 
-@dataclass
+@dataclass(slots=True)
 class RunContext:
     """Shared state of one pipeline run on one rank.
 
     ``comm`` is the full communicator (phase annotation and global
-    collectives); ``active`` shrinks to the leader communicator if the
-    node-merge phase fires.  ``plan`` carries the decision policy and
-    the accumulating trace.  The remaining fields are the data flowing
-    between phases.
+    collectives); ``active`` starts as ``comm`` and shrinks to the
+    leader communicator if the node-merge phase fires (or to the
+    survivors of a crash).  ``plan`` carries the decision policy and
+    the accumulating trace.  ``n`` and ``input_nbytes`` are the input's
+    size, read off the batch's stored layout; the remaining fields are
+    the data flowing between phases.
     """
 
     comm: Comm
@@ -203,20 +201,15 @@ class RunContext:
     plan: SortPlan
     batch: RecordBatch
     n: int
-    record_bytes: int
     input_nbytes: int
-    slot: int = 0  # index of this rank in the driver's ``comms``
-    active: Comm = None  # type: ignore[assignment]  # set in __post_init__
+    slot: int  # index of this rank in the driver's ``comms``
+    active: Comm
     delta: float = 0.0
     pg: np.ndarray | None = None
     cuts: Cuts | None = None
     out: RecordBatch | None = None
     xstats: ExchangeStats | None = None
     outcome: SortOutcome | None = None  # early exit (inactive rank)
-
-    def __post_init__(self) -> None:
-        if self.active is None:
-            self.active = self.comm
 
     @classmethod
     def start(cls, world: World, comms: Sequence[Comm],
@@ -229,14 +222,9 @@ class RunContext:
         allocations through the world; a rank whose allocation is
         refused fails and gets no context.
         """
-        ctxs = []
-        for i in _live(world, comms):
-            batch = batches[i]
-            n = batch.keys.size
-            ctxs.append(cls(
-                comm=comms[i], params=params, plan=SortPlan(policy),
-                batch=batch, n=n, record_bytes=batch.record_bytes if n else 8,
-                input_nbytes=batch.nbytes, slot=i))
+        ctxs = [cls(comms[i], params, SortPlan(policy), batches[i],
+                    batches[i].keys.size, batches[i].nbytes, i, comms[i])
+                for i in _live(world, comms)]
         world.alloc([ctx.comm for ctx in ctxs],
                     [ctx.input_nbytes for ctx in ctxs])
         if world.failures:
@@ -430,17 +418,21 @@ class NodeMerge:
     effective process count drops to ``p/c``).
 
     Policy verdicts are evaluated per distinct ``(node_bytes,
-    ranks_per_node, comm_size)`` input, the consensus allreduce runs
-    once per communicator, and the node-level funnelling — two
-    communicator splits plus one gather per node — goes through the
-    world's collectives.  Leader merges of same-shape nodes run as one
-    row-stacked stable argsort (``kway_merge_batches_stacked``, equal
-    to ``kway_merge_batches`` node by node), the ranks that handed
-    their data off share one empty batch per payload schema, and
-    charges go through the world's verbs in the per-rank order (merge,
-    charge, allocate, release) — so merged batches, clocks and memory
-    peaks are bit-equal on every backend, and a leader that cannot
-    hold its node's data fails alone.
+    ranks_per_node, comm_size)`` input — node and ranks-per-node of
+    every rank read off the communicator's one node layout
+    (:meth:`~repro.mpi.comm.SimWorld.node_layout`) — the consensus
+    allreduce runs once per communicator, and the node-level
+    funnelling — two communicator splits plus one gather per node —
+    goes through the world's collectives.  Every leader's node is
+    merged by one call (:func:`~repro.records.kway_merge_run_lists`:
+    nodes of one layout and length in one row-stacked stable argsort,
+    each equal to ``kway_merge_batches`` of that node), the ranks that
+    handed their data off share one outcome per distinct layout and
+    decision trace, and charges go through the world's verbs in the
+    per-rank order (merge, charge, allocate, release) — so merged
+    batches, clocks and memory peaks are bit-equal on every backend,
+    and a leader whose merge raises or whose node's data it cannot
+    hold fails alone.
     """
 
     def run(self, world: World, ctxs: list[RunContext]) -> None:
@@ -448,84 +440,79 @@ class NodeMerge:
         with world.phase(comms, "node_merge"):
             policy = ctxs[0].plan.policy
             size = comms[0].size
-            local_decs = _per_distinct(
-                lambda node_bytes, rpn, comm_size: policy.node_merge(
-                    node_bytes=node_bytes, ranks_per_node=rpn,
-                    comm_size=comm_size),
-                [(ctx.n * ctx.record_bytes * (rpn := c.ranks_per_node),
-                  rpn, c.size) for ctx, c in zip(ctxs, comms)])
+            ranks = [c.rank for c in comms]
+            node, rpn = comms[0]._world.node_layout(comms[0]._ctx)
+            args = [(ctx.batch.nbytes * rpn[r], rpn[r], size)
+                    for ctx, r in zip(ctxs, ranks)]
+            verdict = {a: policy.node_merge(node_bytes=a[0],
+                                            ranks_per_node=a[1],
+                                            comm_size=a[2])
+                       for a in set(args)}
             agg = world.allreduce(
-                comms, [1 if d.choice == "merge" else 0 for d in local_decs])
+                comms, [1 if verdict[a].choice == "merge" else 0
+                        for a in args])
             merged_all = world.first_live(comms, agg)
-            final = {
-                id(local): policy.node_merge_consensus(
+            for a, local in verdict.items():
+                verdict[a] = policy.node_merge_consensus(
                     local, agreeing=merged_all, comm_size=size)
-                for local in {id(d): d for d in local_decs}.values()}
             for i in _live(world, comms):
-                ctxs[i].plan.decide(final[id(local_decs[i])])
+                ctxs[i].plan.decide(verdict[args[i]])
             if merged_all != size:
                 return
             # all nodes agree: funnel each node onto its leader
-            sim = comms[0]._world
-            ranks = [c.rank for c in comms]
-            local_comms = world.split(
-                comms, [sim.node_of(c.grank) for c in comms], keys=ranks)
+            colors = [node[r] for r in ranks]
+            local_comms = world.split(comms, colors, keys=ranks)
             leader_comms = world.split(
-                comms,
-                [0 if (lc is not None and lc.rank == 0) else None
-                 for lc in local_comms],
+                comms, [0 if lc.rank == 0 else None for lc in local_comms],
                 keys=ranks)
-            # one gather per node; the waves run concurrently in the
-            # thread engine, so only the first carries the abort check
-            nodes: dict[int, list[int]] = {}
-            for i, lc in enumerate(local_comms):
-                if lc is not None:
-                    nodes.setdefault(id(lc._ctx), []).append(i)
+            # one gather per node, members in rank order; the waves run
+            # concurrently in the thread engine, so only the first
+            # carries the abort check
+            order = np.argsort(colors, kind="stable")
+            starts = np.flatnonzero(np.diff(np.take(colors, order)))
             gathered_for: dict[int, list] = {}
-            first = True
-            for members in nodes.values():
-                outs = world.gather(
+            for k, members in enumerate(np.split(order, starts + 1)):
+                members = members.tolist()
+                gathered_for[members[0]] = world.gather(
                     [local_comms[i] for i in members],
-                    [ctxs[i].batch for i in members], root=0, check=first)
-                first = False
-                for j, i in enumerate(members):
-                    if outs[j] is not None:
-                        gathered_for[i] = outs[j]
+                    [ctxs[i].batch for i in members], root=0,
+                    check=k == 0)[0]
             live = _live(world, comms)
-            # ranks that handed their data off leave with an empty batch
+            # ranks that handed their data off leave with an empty batch;
+            # equal layouts and traces (the same decision objects) share
+            # one outcome
             rest = [i for i in live if local_comms[i].rank != 0]
             world.free([comms[i] for i in rest],
                        [ctxs[i].input_nbytes for i in rest])
-            empties: dict[tuple, RecordBatch] = {}
+            outcomes: dict[tuple, SortOutcome] = {}
             for i in rest:
                 ctx = ctxs[i]
-                schema = ctx.batch.schema
-                if schema not in empties:
-                    empties[schema] = RecordBatch.empty_like(ctx.batch)
-                ctx.outcome = SortOutcome(
-                    batch=empties[schema],
-                    received=0,
-                    active=False,
-                    info={"node_merged": True, "p_active": 0,
-                          "decisions": ctx.plan.decisions()},
-                )
+                key = (ctx.batch.schema, *map(id, ctx.plan.trace))
+                if key not in outcomes:
+                    outcomes[key] = SortOutcome(
+                        batch=RecordBatch.empty_like(ctx.batch),
+                        received=0,
+                        active=False,
+                        info={"node_merged": True, "p_active": 0,
+                              "decisions": ctx.plan.decisions()},
+                    )
+                ctx.outcome = outcomes[key]
             # leaders merge their node's runs, pay for it, then let the
             # absorbed shard go
             leaders = [i for i in live if local_comms[i].rank == 0]
-            stacked = kway_merge_batches_stacked(
-                [gathered_for[i] for i in leaders])
             merged: dict[int, RecordBatch] = {}
-            for i, batch in zip(leaders, stacked):
-                try:
-                    merged[i] = (kway_merge_batches(gathered_for[i])
-                                 if batch is None else batch)
-                except BaseException as exc:
-                    world.fail(comms[i], exc)
+            for i, batch in zip(leaders, kway_merge_run_lists(
+                    [gathered_for[i] for i in leaders])):
+                if isinstance(batch, Exception):
+                    world.fail(comms[i], batch)
+                else:
+                    merged[i] = batch
             lcomms = [comms[i] for i in merged]
             merge_time = ctxs[0].cost.merge_time
             world.charge_compute(lcomms, _per_distinct(
                 lambda n, c: merge_time(n, max(2, c)) / max(1, c),
-                [(len(merged[i]), local_comms[i].size) for i in merged]))
+                [(merged[i].keys.size, local_comms[i].size)
+                 for i in merged]))
             world.alloc(lcomms, [merged[i].nbytes for i in merged])
             done = [i for i in merged if world.alive(comms[i])]
             # shard absorbed into merge
@@ -535,7 +522,7 @@ class NodeMerge:
                 ctx = ctxs[i]
                 ctx.active = leader_comms[i]
                 ctx.batch = merged[i]
-                ctx.n = len(merged[i])
+                ctx.n = merged[i].keys.size
 
 
 @register_phase("pivot_select")

@@ -9,17 +9,17 @@ inline branch:
 * :class:`Decision` — one adaptive choice: what was decided, the
   threshold and measured value that drove it, and a human-readable
   reason;
-* :class:`DecisionTrace` — the ordered record of a run's decisions,
-  JSON-serialisable so it can flow into ``SortOutcome.info``,
-  ``RunResult.extras["decisions"]``, bench reports and the CLI's
-  ``--explain`` output;
 * :class:`DecisionPolicy` — the pure evaluation rules (no
   communication, no side effects): given the measured inputs it
   returns the :class:`Decision` the driver must follow.  Because the
   policy is communication-free it can be probed offline (what *would*
   the sort do at p=8192?) and unit-tested without an engine run;
 * :class:`SortPlan` — policy + trace for one run, shared through the
-  :class:`~repro.core.pipeline.RunContext` by every phase.
+  :class:`~repro.core.pipeline.RunContext` by every phase.  The trace
+  is the ordered list of the run's decisions, JSON-serialisable (as
+  :meth:`SortPlan.decisions`) so it can flow into ``SortOutcome.info``,
+  ``RunResult.extras["decisions"]``, bench reports and the CLI's
+  ``--explain`` output.
 
 Decisions are evaluated at their phase boundary (node-merge needs the
 measured per-node exchange volume; the exchange mode needs the
@@ -36,7 +36,6 @@ from .params import PARTITION_VARIANTS, PIVOT_METHODS, SdsParams
 
 __all__ = [
     "Decision",
-    "DecisionTrace",
     "DecisionPolicy",
     "SortPlan",
     "PIVOT_METHODS",
@@ -109,35 +108,8 @@ class Decision:
         return plain
 
 
-class DecisionTrace:
-    """Ordered, JSON-serialisable record of one run's decisions."""
-
-    def __init__(self) -> None:
-        self._decisions: list[Decision] = []
-
-    def add(self, decision: Decision) -> Decision:
-        self._decisions.append(decision)
-        return decision
-
-    def get(self, name: str) -> Decision | None:
-        """Latest decision recorded under ``name`` (or ``None``)."""
-        for d in reversed(self._decisions):
-            if d.name == name:
-                return d
-        return None
-
-    def __len__(self) -> int:
-        return len(self._decisions)
-
-    def __iter__(self):
-        return iter(self._decisions)
-
-    def as_dicts(self) -> list[dict[str, Any]]:
-        return [d.as_dict() for d in self._decisions]
-
-
 def explain_lines(decisions: list[dict[str, Any]]) -> list[str]:
-    """Render a recorded trace (``as_dicts`` form) for terminal output."""
+    """Render a recorded trace (:meth:`SortPlan.decisions` form) for terminal output."""
     lines = []
     for d in decisions:
         gate = ""
@@ -318,11 +290,13 @@ class SortPlan:
 
     ``policy`` is ``None`` for drivers whose strategies are fixed by
     the algorithm (PSRS, HykSort): their phases still record what they
-    do into the trace, just without threshold evaluation.
+    do into the trace, just without threshold evaluation.  ``trace`` is
+    the ordered list of recorded decisions; world-form phases record
+    one shared ``Decision`` object on every rank they decide for.
     """
 
     policy: DecisionPolicy | None = None
-    trace: DecisionTrace = field(default_factory=DecisionTrace)
+    trace: list[Decision] = field(default_factory=list)
 
     @classmethod
     def for_params(cls, params: SdsParams) -> "SortPlan":
@@ -330,8 +304,9 @@ class SortPlan:
 
     def decide(self, decision: Decision) -> str:
         """Record ``decision`` and return the winning choice."""
-        self.trace.add(decision)
+        self.trace.append(decision)
         return decision.choice
 
     def decisions(self) -> list[dict[str, Any]]:
-        return self.trace.as_dicts()
+        """The trace in its JSON-plain form."""
+        return [d.as_dict() for d in self.trace]

@@ -51,15 +51,18 @@ class _Columns(NamedTuple):
 
 def _columns(batches: Sequence[RecordBatch],
              keys: np.ndarray | None = None) -> _Columns:
-    """Keys and provenance of ``batches`` (same schema rule as ``concat``);
-    ``keys`` hands in the key column when it is already concatenated."""
+    """Keys and provenance of ``batches`` (same column rule as ``concat``,
+    checked once per distinct layout); ``keys`` hands in the key column
+    when it is already concatenated."""
     batches = list(batches)
-    lengths = np.array([len(b) for b in batches], dtype=np.int64)
+    lengths = np.array([b.keys.size for b in batches], dtype=np.int64)
     if not batches:
         return _Columns(np.zeros(0), None, None, lengths)
     schema = batches[0].columns
-    if any(b.columns != schema for b in batches[1:]):
-        raise ValueError(f"payload schema mismatch within {schema} batches")
+    for layout in {b.schema for b in batches}:
+        if tuple(column[0] for column in layout[1:]) != schema:
+            raise ValueError(
+                f"payload schema mismatch within {schema} batches")
     if keys is None:
         keys = np.concatenate([b.keys for b in batches])
     if SRC_RANK not in schema or SRC_POS not in schema:

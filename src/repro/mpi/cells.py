@@ -90,11 +90,11 @@ def alltoallv_cells(stage: list, p: int) -> dict:
     and ``recv_all`` (with it), the gross ``total`` and the maxima.
 
     Exactness, against the p x p byte matrix ``S[s, d] = (D[s, d+1] -
-    D[s, d]) * row_nbytes[s]`` the dense formulation reduces:
+    D[s, d]) * record_bytes[s]`` the dense formulation reduces:
 
     * received bytes per destination are segment differences of one
       running sum over the non-empty cells; sent bytes per rank are
-      ``len(batch_r) * row_nbytes[r]`` (a row of counts telescopes to
+      ``len(batch_r) * record_bytes[r]`` (a row of counts telescopes to
       ``D[r, p] - D[r, 0]``, the batch length); the diagonal is rank
       ``r``'s cell with ``dst == r`` (zero when it has none),
       subtracted from both; the gross total is the sum of the sent
@@ -110,8 +110,8 @@ def alltoallv_cells(stage: list, p: int) -> dict:
     """
     batches = [e[0][0] for e in stage]
     cuts = [e[0][1] for e in stage]
-    widths = np.array([b.row_nbytes for b in batches], dtype=np.int64)
-    lens = np.array([len(b) for b in batches], dtype=np.int64)
+    widths = np.array([b.record_bytes for b in batches], dtype=np.int64)
+    lens = np.array([b.keys.size for b in batches], dtype=np.int64)
 
     # -- non-empty cells: the deposits, concatenated source-major --
     src = np.repeat(np.arange(p, dtype=np.int64),

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import Counter
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -56,9 +55,9 @@ from .errors import MessageLostError
 def payload_nbytes(obj: Any) -> int:
     """Best-effort wire size of a message payload in bytes.
 
-    ``RecordBatch.nbytes`` is cached on the batch, so repeated size
-    queries of the same payload (sender sizing, receiver accounting,
-    arrival scheduling) cost one dict lookup after the first call.
+    ``RecordBatch.nbytes`` is stored on the batch when it is built, so
+    sizing a batch (sender sizing, receiver accounting, arrival
+    scheduling) reads one attribute.
     """
     if obj is None:
         return 0
@@ -156,6 +155,20 @@ class SimWorld:
     def node_of(self, grank: int) -> int:
         """Node hosting a global rank (dense one-rank-per-core placement)."""
         return grank // self.machine.cores_per_node
+
+    def node_layout(self, ctx: CommContext) -> tuple[list[int], list[int]]:
+        """``(node, ranks_per_node)`` of every member of ``ctx``, in
+        communicator rank order: the node hosting it (:meth:`node_of`)
+        and how many members share that node.  Counted once per
+        communicator and kept on its context — the group is immutable,
+        so a concurrent second count stores equal lists."""
+        layout = ctx.nodes
+        if layout is None:
+            node = (np.asarray(ctx.group, dtype=np.int64)
+                    // self.machine.cores_per_node)
+            layout = ctx.nodes = (node.tolist(),
+                                  np.bincount(node)[node].tolist())
+        return layout
 
     def channel(self, src: int, dst: int, tag: int) -> Channel:
         key = (src, dst, tag)
@@ -275,19 +288,13 @@ class Comm:
     def ranks_per_node(self) -> int:
         """How many members of *this* communicator share my node.
 
-        The group is immutable, so its ranks are counted per node once
-        per communicator — by whichever handle asks first; a concurrent
-        second count stores the same table — and each handle caches its
-        own entry (it sits on the per-collective cost path).
+        Read off the communicator's :meth:`SimWorld.node_layout`; each
+        handle caches its own entry (it sits on the per-collective cost
+        path).
         """
         rpn = self._rpn
         if rpn is None:
-            ctx = self._ctx
-            node_of = self._world.node_of
-            counts = ctx.node_counts
-            if counts is None:
-                counts = ctx.node_counts = Counter(map(node_of, ctx.group))
-            rpn = self._rpn = counts[node_of(self.grank)]
+            rpn = self._rpn = self._world.node_layout(self._ctx)[1][self.rank]
         return rpn
 
     # ------------------------------------------------------------------

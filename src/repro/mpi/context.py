@@ -202,9 +202,9 @@ class CommContext:
         #: reference to the old list need no release barrier before the
         #: next collective reuses the attribute.
         self.stage: list[Any] = [None] * self.size
-        #: ``{node: member count}``, filled by the first
-        #: :attr:`repro.mpi.comm.Comm.ranks_per_node` query.
-        self.node_counts: dict[int, int] | None = None
+        #: ``(node, ranks_per_node)`` per member, filled by the first
+        #: :meth:`repro.mpi.comm.SimWorld.node_layout` query.
+        self.nodes: tuple[list[int], list[int]] | None = None
         #: ``group`` as an index array, filled by the first traced
         #: exchange on a sub-communicator (``Comm.trace_edges``).
         self.group_index: Any = None

@@ -12,7 +12,7 @@ from .batch import (
 from .ops import (
     adaptive_sort_batch,
     kway_merge_batches,
-    kway_merge_batches_stacked,
+    kway_merge_run_lists,
     merge_two_batches,
     sort_batch,
 )
@@ -27,7 +27,7 @@ __all__ = [
     "tag_provenance_world",
     "adaptive_sort_batch",
     "kway_merge_batches",
-    "kway_merge_batches_stacked",
+    "kway_merge_run_lists",
     "merge_two_batches",
     "sort_batch",
 ]

@@ -15,7 +15,6 @@ without influencing the sort itself.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -27,24 +26,52 @@ SRC_RANK = "_src_rank"
 SRC_POS = "_src_pos"
 
 
-@dataclass
+def _layout(keys: np.ndarray, payload: dict[str, np.ndarray]
+            ) -> tuple[tuple, int]:
+    """``(schema, record_bytes)`` read off aligned columns."""
+    schema, width = [keys.dtype], keys.itemsize
+    for name, col in payload.items():
+        trailing = col.shape[1:]
+        schema.append((name, col.dtype, trailing))
+        width += col.itemsize * math.prod(trailing) if trailing else col.itemsize
+    return tuple(schema), width
+
+
 class RecordBatch:
-    """A batch of records: one key column and aligned payload columns."""
+    """A batch of records: one key column and aligned payload columns.
 
-    keys: np.ndarray
-    payload: dict[str, np.ndarray] = field(default_factory=dict)
+    The layout is computed once, when the batch is built, and carried
+    by every structural operation that keeps it:
 
-    def __post_init__(self) -> None:
-        self.keys = np.asarray(self.keys)
-        if self.keys.ndim != 1:
+    * ``schema`` — key dtype, then ``(name, dtype, trailing shape)`` per
+      column: hashable, and everything :meth:`empty_like` takes from a
+      prototype (two batches of one schema concatenate column by column);
+    * ``record_bytes`` — storage bytes per record, trailing dimensions
+      of a payload column included;
+    * ``nbytes`` — ``len(batch) * record_bytes``, what the simulated
+      communicator and memory ledgers charge.
+
+    Batches are immutable once built: to change a column, build a new
+    batch.
+    """
+
+    __slots__ = ("keys", "payload", "schema", "record_bytes", "nbytes")
+
+    def __init__(self, keys: np.ndarray,
+                 payload: Mapping[str, np.ndarray] | None = None) -> None:
+        keys = np.asarray(keys)
+        if keys.ndim != 1:
             raise ValueError("keys must be one-dimensional")
-        self.payload = {k: np.asarray(v) for k, v in self.payload.items()}
-        for name, col in self.payload.items():
-            if len(col) != len(self.keys):
+        columns = {}
+        for name, col in (payload or {}).items():
+            columns[name] = col = np.asarray(col)
+            if len(col) != keys.size:
                 raise ValueError(
                     f"payload column {name!r} has length {len(col)}, "
-                    f"expected {len(self.keys)}"
-                )
+                    f"expected {keys.size}")
+        self.keys, self.payload = keys, columns
+        self.schema, self.record_bytes = _layout(keys, columns)
+        self.nbytes = keys.size * self.record_bytes
 
     # ------------------------------------------------------------------
     # basic protocol
@@ -52,73 +79,35 @@ class RecordBatch:
     def __len__(self) -> int:
         return len(self.keys)
 
-    @property
-    def nbytes(self) -> int:
-        """Total bytes of key and payload storage.
-
-        Cached after the first query: the simulated communicator sizes
-        every staged batch at least twice (sender-side size vectors,
-        receiver-side accounting), and batches are treated as immutable
-        once handed to the engine.  In-place column mutation after a
-        size query would go unnoticed — create a new batch instead.
-        """
-        nb = self.__dict__.get("_nbytes")
-        if nb is None:
-            nb = int(self.keys.nbytes) + sum([int(c.nbytes)
-                                              for c in self.payload.values()])
-            self.__dict__["_nbytes"] = nb
-        return nb
-
     @classmethod
-    def _unsafe(cls, keys: np.ndarray,
-                payload: dict[str, np.ndarray]) -> "RecordBatch":
+    def _unsafe(cls, keys: np.ndarray, payload: dict[str, np.ndarray],
+                like: "RecordBatch | None" = None) -> "RecordBatch":
         """Validation-free constructor for internal structural ops.
 
         Callers guarantee ``keys``/``payload`` are aligned ndarrays
         (slices or fancy-indexed views of an already-validated batch):
-        an exchange builds one per received chunk.
+        an exchange builds one per received chunk.  ``like`` is a batch
+        of the same layout whose ``schema`` and ``record_bytes`` are
+        taken over as they are (a selection of its rows); without it
+        they are read off the arrays.
         """
         b = object.__new__(cls)
-        b.keys = keys
-        b.payload = payload
+        b.keys, b.payload = keys, payload
+        if like is None:
+            b.schema, b.record_bytes = _layout(keys, payload)
+        else:
+            b.schema, b.record_bytes = like.schema, like.record_bytes
+        b.nbytes = keys.size * b.record_bytes
         return b
-
-    @property
-    def row_nbytes(self) -> int:
-        """Storage bytes per record, robust to multi-dimensional payload.
-
-        ``len(b) * b.row_nbytes == b.nbytes`` for contiguous batches;
-        an exchange sizes its chunks with it without building them.
-        Cached like :attr:`nbytes`, under the same immutability note.
-        """
-        width = self.__dict__.get("_row_nbytes")
-        if width is None:
-            width = self.keys.dtype.itemsize + sum(
-                c.dtype.itemsize * math.prod(c.shape[1:])
-                for c in self.payload.values())
-            self.__dict__["_row_nbytes"] = width
-        return width
-
-    @property
-    def record_bytes(self) -> int:
-        """Bytes per record (key + payload width)."""
-        width = self.keys.dtype.itemsize
-        width += sum([c.dtype.itemsize for c in self.payload.values()])
-        return width
 
     @property
     def columns(self) -> tuple[str, ...]:
         return tuple(self.payload)
 
-    @property
-    def schema(self) -> tuple:
-        """Hashable layout: key dtype, then ``(name, dtype)`` per column
-        — everything :meth:`empty_like` takes from a prototype."""
-        return (self.keys.dtype,
-                *[(k, v.dtype) for k, v in self.payload.items()])
-
     def copy(self) -> "RecordBatch":
-        return RecordBatch(self.keys.copy(), {k: v.copy() for k, v in self.payload.items()})
+        return RecordBatch._unsafe(
+            self.keys.copy(), {k: v.copy() for k, v in self.payload.items()},
+            self)
 
     # ------------------------------------------------------------------
     # structural operations
@@ -129,35 +118,26 @@ class RecordBatch:
 
         A sort kernel that already gathered the key column hands it in
         as ``keys`` (it must equal ``self.keys[indices]``) and only the
-        payload is gathered here.  A selection as long as the batch (a
-        permutation) occupies the same storage, so a size already
-        computed is carried over.
+        payload is gathered here.  The selection keeps this batch's
+        layout.
         """
-        out = RecordBatch._unsafe(
+        return RecordBatch._unsafe(
             self.keys[indices] if keys is None else keys,
-            {k: v[indices] for k, v in self.payload.items()},
-        )
-        nbytes = self.__dict__.get("_nbytes")
-        if nbytes is not None and len(out.keys) == len(self.keys):
-            out.__dict__["_nbytes"] = nbytes
-        return out
+            {k: v[indices] for k, v in self.payload.items()}, self)
 
     def slice(self, start: int, stop: int) -> "RecordBatch":
         """Contiguous sub-batch ``[start, stop)`` (views, no copy)."""
         return RecordBatch._unsafe(
             self.keys[start:stop],
-            {k: v[start:stop] for k, v in self.payload.items()},
-        )
+            {k: v[start:stop] for k, v in self.payload.items()}, self)
 
     def split(self, displs: Sequence[int]) -> list["RecordBatch"]:
         """Split at ``p+1`` displacement boundaries into ``p`` sub-batches.
 
         ``displs`` must be non-decreasing with ``displs[0] == 0`` and
         ``displs[-1] == len(self)`` — exactly the send-displacement
-        array the partitioners produce.  Children get their ``nbytes``
-        cache pre-filled from one vectorised per-record-width multiply,
-        saving the communicator a per-chunk column walk when sizing the
-        p^2 sub-batches of an exchange.
+        array the partitioners produce.  Children keep this batch's
+        layout.
         """
         d = np.asarray(displs, dtype=np.int64)
         if d[0] != 0 or d[-1] != len(self):
@@ -165,15 +145,11 @@ class RecordBatch:
         if np.any(np.diff(d) < 0):
             raise ValueError("displacements must be non-decreasing")
         keys, payload = self.keys, self.payload
-        rec_bytes = self.row_nbytes
         bounds = d.tolist()
-        out = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            b = RecordBatch._unsafe(
-                keys[lo:hi], {k: v[lo:hi] for k, v in payload.items()})
-            b.__dict__["_nbytes"] = (hi - lo) * rec_bytes
-            out.append(b)
-        return out
+        return [RecordBatch._unsafe(
+                    keys[lo:hi], {k: v[lo:hi] for k, v in payload.items()},
+                    self)
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def sort(self, *, stable: bool = False) -> "RecordBatch":
         """Return a copy sorted by key, payload reordered alongside."""
@@ -202,11 +178,11 @@ class RecordBatch:
 
     @staticmethod
     def empty_like(proto: "RecordBatch") -> "RecordBatch":
-        """Zero-length batch with ``proto``'s dtypes and schema."""
-        return RecordBatch(
+        """Zero-length batch of ``proto``'s schema."""
+        return RecordBatch._unsafe(
             np.zeros(0, dtype=proto.keys.dtype),
-            {k: np.zeros(0, dtype=v.dtype) for k, v in proto.payload.items()},
-        )
+            {name: np.zeros((0, *shape), dtype=dtype)
+             for name, dtype, shape in proto.schema[1:]}, proto)
 
 
 def concat_batch_arrays(
@@ -249,7 +225,7 @@ def tag_provenance(batch: RecordBatch, rank: int) -> RecordBatch:
     payload = dict(batch.payload)
     payload[SRC_RANK] = np.full(n, rank, dtype=np.int32)
     payload[SRC_POS] = np.arange(n, dtype=np.int64)
-    return RecordBatch(batch.keys.copy(), payload)
+    return RecordBatch._unsafe(batch.keys.copy(), payload)
 
 
 def tag_provenance_world(batches: Sequence[RecordBatch | None],
@@ -261,25 +237,28 @@ def tag_provenance_world(batches: Sequence[RecordBatch | None],
     ``tag_provenance(batches[i], ranks[i])``, built with what a whole
     world makes redundant left out: keys and payload columns are shared
     with the input batch, not copied (the caller hands over freshly
-    generated shards it drops), equal-length shards share one read-only
-    ``_src_pos`` column and cut their ``_src_rank`` columns from one
-    block, and the already-validated input plus length-``n``-by-
-    construction tag columns need no second validation.
+    generated shards it drops), shards of equal length and schema share
+    one read-only ``_src_pos`` column and one layout and cut their
+    ``_src_rank`` columns from one block, and the already-validated
+    input plus length-``n``-by-construction tag columns need no second
+    validation.
     """
     out: list[RecordBatch | None] = [None] * len(batches)
-    lengths = [-1 if b is None else b.keys.size for b in batches]
-    for members in same_key_groups(lengths):
-        n = lengths[members[0]]
-        if n < 0:
+    shapes = [None if b is None else (b.keys.size, b.schema)
+              for b in batches]
+    for members in same_key_groups(shapes):
+        if shapes[members[0]] is None:
             continue
+        n = shapes[members[0]][0]
         pos = np.arange(n, dtype=np.int64)
         pos.setflags(write=False)
         src = np.repeat(np.array([ranks[i] for i in members],
                                  dtype=np.int32), n).reshape(len(members), n)
+        like = None
         for row, i in zip(src, members):
             b = batches[i]
-            out[i] = RecordBatch._unsafe(
-                b.keys, {**b.payload, SRC_RANK: row, SRC_POS: pos})
+            out[i] = like = RecordBatch._unsafe(
+                b.keys, {**b.payload, SRC_RANK: row, SRC_POS: pos}, like)
     return out
 
 

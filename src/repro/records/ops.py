@@ -39,52 +39,50 @@ def kway_merge_batches(batches: Sequence[RecordBatch]) -> RecordBatch:
     return RecordBatch.concat(batches).take(perm, keys=merged)
 
 
-def kway_merge_batches_stacked(
-        run_lists: Sequence[Sequence[RecordBatch]]
-) -> list[RecordBatch | None]:
-    """:func:`kway_merge_batches` for many run lists in stacked calls.
+def kway_merge_run_lists(run_lists: Sequence[Sequence[RecordBatch]]
+                         ) -> list[RecordBatch | Exception]:
+    """:func:`kway_merge_batches` of every run list, row-stacked.
 
-    Run lists of three or more runs with the same total length are
-    concatenated row-wise into one ``(lists, total)`` key matrix and
-    merged by a single stable argsort along the rows.  The stable
-    permutation of sorted runs is unique, so entry ``j`` equals
-    ``kway_merge_batches(run_lists[j])`` — keys, every payload column,
-    dtypes.  Entries this kernel does not cover come back ``None`` and
-    the caller merges them on their own: fewer than three runs (those
-    keep their dedicated kernels), and lists whose runs disagree on key
-    dtype or payload layout (the per-list merge promotes or raises for
-    exactly the list concerned).
+    Entry ``j`` is ``kway_merge_batches(run_lists[j])`` — keys, every
+    payload column, dtypes — or the exception that call raises.  A list
+    whose runs share one :attr:`~RecordBatch.schema` is merged together
+    with every other list of that schema and total length: their keys
+    and columns are concatenated once, one stable argsort sorts the
+    ``(lists, total)`` key stack along its rows, each column is gathered
+    once and every list gets its rows as slices.  The stable permutation
+    of sorted runs is unique, so that is the definition, for one or two
+    runs as for many.  A list whose runs disagree on layout (or holds
+    none) goes through :func:`kway_merge_batches` itself, which promotes
+    dtypes or raises, for that list alone.
     """
-    out: list[RecordBatch | None] = [None] * len(run_lists)
-    shapes = [(sum([b.keys.size for b in runs]), runs[0].keys.dtype)
-              if len(runs) > 2 else None for runs in run_lists]
+    out: list = [None] * len(run_lists)
+    shapes = []
+    for runs in run_lists:
+        schemas = {b.schema for b in runs}
+        shapes.append((sum([b.keys.size for b in runs]), *schemas)
+                      if len(schemas) == 1 else None)
     for members in same_key_groups(shapes):
         if shapes[members[0]] is None:
+            for j in members:
+                try:
+                    out[j] = kway_merge_batches(run_lists[j])
+                except Exception as exc:
+                    out[j] = exc
             continue
-        total = shapes[members[0]][0]
+        total, schema = shapes[members[0]]
         flat = [b for j in members for b in run_lists[j]]
-        names = tuple(flat[0].payload)
-        if (len({b.keys.dtype for b in flat}) != 1
-                or {tuple(b.payload) for b in flat} != {names}
-                or any(len({b.payload[name].dtype for b in flat}) != 1
-                       for name in names)):
-            continue
-        try:
-            columns = {name: np.concatenate([b.payload[name] for b in flat])
-                       for name in names}
-        except ValueError:  # trailing shapes disagree somewhere
-            continue
-        keys = np.concatenate([b.keys for b in flat])
         rows = len(members)
-        perm, keys = stable_argsort(keys.reshape(rows, total))
+        perm, keys = stable_argsort(
+            np.concatenate([b.keys for b in flat]).reshape(rows, total))
         perm += (np.arange(rows, dtype=perm.dtype) * total)[:, None]
         perm, keys = perm.ravel(), keys.ravel()
-        columns = {name: col[perm] for name, col in columns.items()}
+        columns = {name: np.concatenate([b.payload[name] for b in flat])[perm]
+                   for name, _, _ in schema[1:]}
         for row, j in enumerate(members):
-            lo = row * total
+            lo, hi = row * total, (row + 1) * total
             out[j] = RecordBatch._unsafe(
-                keys[lo:lo + total],
-                {name: col[lo:lo + total] for name, col in columns.items()})
+                keys[lo:hi], {name: col[lo:hi] for name, col in columns.items()},
+                flat[0])
     return out
 
 

@@ -365,7 +365,7 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
     outcomes = [r[1] for r in res.results]
     outputs = [o.batch for o in outcomes]
     crashed_ranks = [r for r, o in enumerate(outcomes)
-                     if o.info.get("crashed")]
+                     if "crashed" in o.info]
     if validate:
         # degraded completion: a crashed rank's input left the world
         # with it — survivors must deliver *their* data sorted
@@ -408,7 +408,7 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         algorithm=algorithm, workload=workload.name, p=p,
         n_per_rank=n_per_rank, record_bytes=record_bytes,
         ok=True, oom=False, elapsed=res.elapsed,
-        loads=[len(b) for b in outputs],
+        loads=[b.keys.size for b in outputs],
         phase_times=res.phase_breakdown(),
         outputs=outputs if keep_outputs else None,
         extras=extras,

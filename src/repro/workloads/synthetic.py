@@ -116,11 +116,9 @@ def nearly_sorted_batch(n: int, rng: np.random.Generator, *,
 def uniform_payload_batch(n: int, rng: np.random.Generator, *,
                           payload_floats: int) -> RecordBatch:
     """Uniform keys plus ``payload_floats`` random float64 columns."""
-    batch = uniform_batch(n, rng)
-    batch.payload.update(
-        {f"v{i}": rng.random(n) for i in range(payload_floats)}
-    )
-    return batch
+    keys = rng.random(n)
+    return RecordBatch(
+        keys, {f"v{i}": rng.random(n) for i in range(payload_floats)})
 
 
 # Workload generators are module-level callables bound with ``partial``

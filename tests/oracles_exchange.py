@@ -83,7 +83,7 @@ def sync_exchange_compute_dense(stage: list, *, p: int, merge: bool,
     batches = [e[0][0] for e in stage]
     D = np.stack([e[0][1] for e in stage])            # (p, p+1) bounds
     C = np.diff(D, axis=1)                            # counts[src, dst]
-    widths = np.array([b.row_nbytes for b in batches], dtype=np.int64)
+    widths = np.array([b.record_bytes for b in batches], dtype=np.int64)
     S = C * widths[:, None]                           # bytes[src, dst]
     max_send, max_recv, total, send_tot, recv_tot = size_scan_matrix(S)
     all_keys, all_cols, offs = concat_batch_arrays(batches)

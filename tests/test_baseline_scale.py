@@ -31,17 +31,17 @@ def _hyksort_levels(p: int, k: int) -> int:
 
 def _count_batches(algorithm: str, workload: str, **kwargs) -> int:
     built = [0]
-    post, unsafe = RecordBatch.__post_init__, RecordBatch._unsafe.__func__
+    init, unsafe = RecordBatch.__init__, RecordBatch._unsafe.__func__
 
-    def counted_post(self):
+    def counted_init(self, *args, **kw):
         built[0] += 1
-        post(self)
+        init(self, *args, **kw)
 
     def counted_unsafe(cls, *args, **kw):
         built[0] += 1
         return unsafe(cls, *args, **kw)
 
-    with mock.patch.object(RecordBatch, "__post_init__", counted_post), \
+    with mock.patch.object(RecordBatch, "__init__", counted_init), \
             mock.patch.object(RecordBatch, "_unsafe",
                               classmethod(counted_unsafe)):
         r = run_sort(algorithm, by_name(workload), p=P,

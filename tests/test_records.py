@@ -32,6 +32,19 @@ class TestConstruction:
         assert b.nbytes == 10 * 8 + 10 * 4
         assert b.record_bytes == 12
 
+    def test_record_bytes_count_trailing_dimensions(self):
+        b = RecordBatch(np.zeros(5), {"vec": np.zeros((5, 3))})
+        assert b.record_bytes == 32 == b.nbytes // len(b)
+        assert b.schema == (np.dtype(np.float64),
+                            ("vec", np.dtype(np.float64), (3,)))
+        for derived in (b.take(np.array([4, 0])), b.slice(1, 3),
+                        *b.split([0, 2, 5]), b.copy()):
+            assert derived.schema == b.schema
+            assert derived.nbytes == len(derived) * 32
+        empty = RecordBatch.empty_like(b)
+        assert empty.payload["vec"].shape == (0, 3)
+        assert empty.schema == b.schema and empty.nbytes == 0
+
     def test_from_mapping(self):
         b = from_mapping(np.array([1.0]), {"a": np.array([2])})
         assert b.payload["a"][0] == 2

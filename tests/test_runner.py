@@ -5,8 +5,28 @@ import math
 import pytest
 
 from repro.machine import LAPTOP
+from repro.records import RecordBatch
 from repro.runner import ALGORITHMS, run_sort
-from repro.workloads import uniform, zipf
+from repro.service import JobSpec, estimate_job_bytes
+from repro.workloads import Workload, uniform, zipf
+
+
+def _vector_batch(n, rng):
+    return RecordBatch(rng.random(n), {"vec": rng.random((n, 3))})
+
+
+def test_a_two_dimensional_column_is_sized_in_full(monkeypatch):
+    # 8-byte key, a (n, 3) float64 column, 12 provenance bytes: sized at
+    # 8 + 8 + 12 the shard and a receive buffer outgrew the capacity and
+    # admission's estimate fell short of the engine's peak
+    wl, n, p = Workload("vector", _vector_batch), 64, 16
+    r = run_sort("sds", wl, n_per_rank=n, p=p, mem_factor=3.0)
+    assert r.ok, r.failure
+    assert r.record_bytes == 8 + 24 + 12
+    monkeypatch.setattr(JobSpec, "build_workload", lambda self: wl)
+    spec = JobSpec(algorithm="sds", workload="uniform", p=p, n_per_rank=n,
+                   mem_factor=None)
+    assert estimate_job_bytes(spec) >= sum(r.extras["mem_peaks"])
 
 
 class TestRunSort:

@@ -32,7 +32,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import pipeline
+from repro.core import SdsParams, pipeline, sds_sort, sds_sort_world
 from repro.faults.chaos import PRESETS
 from repro.machine import EDISON, CostModel, MemoryTracker, SimOOMError
 from repro.mpi import (
@@ -50,7 +50,7 @@ from repro.obs import TraceReport, Tracer
 from repro.records import (
     RecordBatch,
     kway_merge_batches,
-    kway_merge_batches_stacked,
+    kway_merge_run_lists,
     tag_provenance,
     tag_provenance_world,
 )
@@ -351,6 +351,110 @@ def test_psrs_exchange_oom_on_a_duplicate_heavy_destination():
         (heavy, "SimOOMError")]
     _assert_thread_fails_alike(flat, heavy, lambda: _run(
         "psrs", wl, n, p, "thread", capacity=capacity))
+
+
+# ---------------------------------------------------------------------------
+# (a'') node merge, branch by branch of the leaders' merge
+# ---------------------------------------------------------------------------
+
+def _negative_int64_batch(n, rng):
+    return RecordBatch(rng.integers(-1000, 1000, n, dtype=np.int64) - 1000)
+
+
+def _vector_batch(n, rng):
+    return RecordBatch(rng.random(n), {"vec": rng.random((n, 3))})
+
+
+#: ``(workload, p, n)``: a 16-rank last node (two node lengths, two
+#: stacks: 170 rows and one, at p=4096; two rows of 2,400 keys on the
+#: packed stable-argsort path and one of 1,600 on the plain one, at
+#: p=64), a 2-rank last node, int64 keys below zero (the plain stable
+#: argsort), a ``(n, 3)`` payload column (trailing-shape concatenation).
+NODE_MERGE_SHAPES = {
+    "p4096": (uniform(), 4096, 8),
+    "p64": (uniform(), 64, 100),
+    "p50": (uniform(), 50, 64),
+    "negative-int64": (Workload("neg", _negative_int64_batch), 50, 64),
+    "2d-payload": (Workload("vec", _vector_batch), 50, 64),
+}
+
+
+@pytest.mark.parametrize("shape", NODE_MERGE_SHAPES)
+def test_node_merge_shapes_agree_in_every_form(shape):
+    wl, p, n = NODE_MERGE_SHAPES[shape]
+    # no thread leg at p=4096: late in a full tier-1 run, 4,096 rank
+    # threads (thousands pinned to one CPU, the rest free) have taken
+    # from 3 s to over 4 min for the same run; p=64 stacks the same way
+    flat = _three_ways("sds", wl, n, p, observe=_observed_bytes, what=shape,
+                       thread=p < 4096)
+    assert flat["failure"] is None
+    assert flat["active"] == [r % 24 == 0 for r in range(p)]
+    assert {d["choice"] for dec in flat["decisions"] for d in dec
+            if d["decision"] == "node_merge"} == {"merge"}
+
+
+class _DirectSds:
+    """Rank program running SDS-Sort on the batches it is handed: node
+    layouts no registered workload makes, both engine entry points."""
+
+    def __init__(self, batches):
+        self.batches = [tag_provenance(b, r) for r, b in enumerate(batches)]
+
+    def __call__(self, comm):
+        return self.batches[comm.rank], sds_sort(comm,
+                                                 self.batches[comm.rank])
+
+    def flat_run(self, comms):
+        world = ColumnarWorld(comms[0]._world)
+        outs = sds_sort_world(world, comms, self.batches, SdsParams())
+        return [None if o is None else (self.batches[i], o)
+                for i, o in enumerate(outs)], world.failures
+
+
+def _direct_run(batches, backend, trace=False):
+    return run_spmd(_DirectSds(batches), len(batches), machine=EDISON,
+                    check=False, backend=backend,
+                    tracer=Tracer(len(batches)) if trace else None)
+
+
+@pytest.mark.parametrize("odd", ["payload-dtype", "extra-column"])
+def test_a_node_of_mixed_layouts_agrees_in_every_form(odd):
+    # rank 30 sits on the second node: its leader (rank 24) merges runs
+    # of two layouts through the per-list merge, which promotes a payload
+    # dtype or refuses a column set for that leader alone
+    rng = np.random.default_rng(4)
+    batches = [RecordBatch(rng.random(64), {"w": rng.random(64)})
+               for _ in range(50)]
+    w = batches[30].payload["w"]
+    batches[30] = RecordBatch(batches[30].keys, (
+        {"w": (w * 1000).astype(np.int32)} if odd == "payload-dtype"
+        else {"w": w, "extra": w}))
+    flat = _observed_bytes(_direct_run(batches, "flat"))
+    _assert_same(flat, _observed_bytes(_direct_run(batches, "flat", True)),
+                 "flat traced")
+    if odd == "payload-dtype":
+        assert flat["failure"] is None
+        assert flat["columns"][24][1][:2] == ("w", "<f8")     # promoted
+        _assert_same(flat, _observed_bytes(_direct_run(batches, "thread")),
+                     "thread")
+    else:
+        assert [(r, kind) for r, kind, _ in flat["failure"]] == [
+            (24, "ValueError")]
+        _assert_thread_fails_alike(
+            flat, 24, lambda: _direct_run(batches, "thread"))
+
+
+def test_a_leader_refused_by_memory_fails_alone_in_every_form():
+    # p=26: a 24-rank node and a 2-rank node; a capacity of four shards
+    # holds the small node's merge and refuses the big one's
+    wl, n, p = uniform(), 64, 26
+    capacity = 4 * n * 20
+    flat = _three_ways("sds", wl, n, p, capacity=capacity, thread=False)
+    assert [(r, kind) for r, kind, _ in flat["failure"]] == [
+        (0, "SimOOMError")]
+    assert flat["mem_peaks"][24] == 3 * n * 20    # its shard + its node's
+    _assert_thread_fails_alike(flat, 0, lambda: _run(
+        "sds", wl, n, p, "thread", capacity=capacity))
 
 
 def test_whole_form_outputs_outlive_the_run():
@@ -833,10 +937,10 @@ def _sorted_run(rng, n, key_dtype, wide):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31), st.sampled_from([1, 2, 3, 24]),
-       st.integers(1, 5), st.integers(0, 9),
+       st.integers(1, 5), st.sampled_from([0, 1, 2, 5, 9, 100]),
        st.sampled_from([np.int64, np.float64]), st.booleans())
-def test_stacked_node_merge_equals_per_node_merge(seed, k, nodes, n,
-                                                  key_dtype, wide):
+def test_node_merge_of_every_leader_equals_per_node_merge(seed, k, nodes, n,
+                                                          key_dtype, wide):
     rng = np.random.default_rng(seed)
     run_lists = [[_sorted_run(rng, n, key_dtype, wide) for _ in range(k)]
                  for _ in range(nodes)]
@@ -845,17 +949,13 @@ def test_stacked_node_merge_equals_per_node_merge(seed, k, nodes, n,
                       for m in rng.integers(0, 6, max(1, k - 1))])
     run_lists.append([_sorted_run(rng, n, np.int32, wide)
                       for _ in range(k)])
-    stacked = kway_merge_batches_stacked(run_lists)
-    assert len(stacked) == len(run_lists)
-    for runs, got in zip(run_lists, stacked):
-        if len(runs) < 3:
-            assert got is None  # k = 1, 2 keep their dedicated kernels
-        else:
-            assert got is not None
-            _assert_batches_equal(got, kway_merge_batches(runs))
+    merged = kway_merge_run_lists(run_lists)
+    assert len(merged) == len(run_lists)
+    for runs, got in zip(run_lists, merged):
+        _assert_batches_equal(got, kway_merge_batches(runs))
 
 
-def test_stacked_node_merge_leaves_mismatched_runs_to_the_caller():
+def test_node_merge_leaves_mismatched_runs_to_the_per_list_merge():
     rng = np.random.default_rng(0)
     good = [[_sorted_run(rng, 4, np.float64, False) for _ in range(3)]
             for _ in range(2)]
@@ -865,12 +965,15 @@ def test_stacked_node_merge_leaves_mismatched_runs_to_the_caller():
     other_schema = [_sorted_run(rng, 4, np.float64, False),
                     _sorted_run(rng, 4, np.float64, True),
                     _sorted_run(rng, 4, np.float64, False)]
-    # one odd list keeps its whole same-shape group on the per-list path
-    for odd in (mixed_dtype, other_schema):
-        assert kway_merge_batches_stacked(good + [odd]) == [None] * 3
-    with pytest.raises(ValueError, match="schema mismatch"):
-        kway_merge_batches(other_schema)
-    assert kway_merge_batches(mixed_dtype).keys.dtype == np.float64
+    run_lists = good + [mixed_dtype, other_schema, []]
+    merged = kway_merge_run_lists(run_lists)
+    # the per-list merge promotes one list and refuses another, that
+    # list alone: its exception comes back in its slot
+    for j in (0, 1, 2, 4):
+        _assert_batches_equal(merged[j], kway_merge_batches(run_lists[j]))
+    assert merged[2].keys.dtype == np.float64
+    assert isinstance(merged[3], ValueError)
+    assert "schema mismatch" in str(merged[3])
 
 
 @settings(max_examples=25, deadline=None)
@@ -1123,18 +1226,20 @@ def test_every_rank_refused_in_the_sync_network_epilogue():
 # a budget that cannot flake: Python calls per rank
 # ---------------------------------------------------------------------------
 
-#: Measured 95.6 at p=1024 (the parent: 104.3; before PR 16: 295.8),
-#: plus 10 %.  A count, not a time: it repeats exactly on any host and
-#: trips when a per-rank ``Comm`` call chain returns to the flat path.
-CALLS_PER_RANK_BUDGET = 105
+#: Measured 44.1 at p=1024 (95.5 with an outcome, a decision trace and
+#: a column walk per rank that retires at node merge), plus 10 %.  A
+#: count, not a time: it repeats exactly on any host and trips when a
+#: per-rank ``Comm`` call chain returns to the flat path, or when a
+#: retiring rank stops costing O(1) (each of those costs 2-10 calls).
+CALLS_PER_RANK_BUDGET = 48
 
 
-#: Flat PSRS, p=1024 x 64: measured 140.4 (the parent: 149.1), plus
+#: Flat PSRS, p=1024 x 64: measured 91.4 (the parent: 144.4), plus
 #: 10 %.  What is left per rank is the shard generator, the local
 #: sort's payload ``take``, one ``RecordBatch`` / ``ExchangeStats`` /
 #: memory-ledger entry per output and the decision trace; a per-rank
 #: epilogue, cut check, merge or gather coming back costs 10-40 calls.
-PSRS_CALLS_PER_RANK_BUDGET = 154
+PSRS_CALLS_PER_RANK_BUDGET = 100
 
 
 def _calls_per_rank(algorithm: str, p: int) -> float:
