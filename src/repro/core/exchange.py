@@ -40,7 +40,9 @@ from ..kernels import (
 )
 from ..mpi import Comm, World
 from ..mpi.cells import alltoallv_cells
+from ..mpi.world import members, per_rank, values_at
 from ..records import RecordBatch, concat_batch_arrays
+from ..records.batch import record_layout
 
 #: Most records whose whole-form outputs share one gather per column
 #: (:func:`_world_outputs`).  World-sized columns that outlive the
@@ -126,10 +128,9 @@ def _sync_exchange_network(world: World, comms: Sequence[Comm],
     of every rank it booked is released.
     """
     world._book_alltoallv(comms, shared)
-    mem = comms[0]._world.mem
-    for c, held in zip(comms, send_nbytes):
-        if world.alive(c):
-            mem[c.grank].free(held)                   # send buffer released
+    at = members(comms)[0]
+    _, at, held = world._live(comms, at, values_at(at, send_nbytes))
+    comms[0]._world.mem.free(at, held)                # send buffer released
     return [None] * len(comms)
 
 
@@ -144,6 +145,8 @@ def _world_outputs(shared: dict, ranks: Sequence[int]) -> list[RecordBatch]:
     longer destination — and a lane's own — is gathered alone.  Runs in
     the epilogue, once the compute's locals are gone, not on top of them.
     """
+    if not ranks:
+        return []
     first, n = ranks[0], len(ranks)
     if ranks[-1] - first != n - 1:                    # a failed rank between
         return [_world_outputs(shared, [r])[0] for r in ranks]
@@ -182,8 +185,8 @@ def _sync_exchange_ordering(world: World, comms: Sequence[Comm],
     """
     p, sim = comms[0].size, comms[0]._world
     cost, mem = sim.cost, sim.mem
-    ranks = [c.rank for c in comms]
-    ms, recv_all = shared["m"][ranks].tolist(), shared["recv_all"][ranks].tolist()
+    at, ranks, pos = members(comms)
+    ms = per_rank(shared["m"][ranks])[0]
     keys = list(zip(ms, delta_hints))
     dts = {(m, d): (cost.merge_time(m, max(2, p)) if merge else
                     cost.final_sort_time(m, p, stable=stable, delta=d))
@@ -193,19 +196,15 @@ def _sync_exchange_ordering(world: World, comms: Sequence[Comm],
     world.charge_compute(comms, seconds)
     world.trace_counter(comms, f"kernel.{ordering}.records", ms)
     world.trace_counter(comms, f"kernel.{ordering}.seconds", seconds)
+    live, at, ranks, pos = world._live(comms, at, ranks, pos)  # charge refused
+    mem.free(at, shared["recv_all"][ranks])
+    width = record_layout(shared["ordered"], shared["cols"])[1]  # outputs'
+    live, at, ranks, pos = world._refuse(
+        live, mem.alloc(at, shared["m"][ranks] * width), at, ranks, pos)
     outs: list = [None] * len(comms)
-    for i, (c, out, m, recv) in enumerate(zip(
-            comms, _world_outputs(shared, ranks), ms, recv_all)):
-        if world.failures and not world.alive(c):     # its charge was refused
-            continue
-        tracker = mem[c.grank]
-        try:
-            tracker.free(recv)
-            tracker.alloc(out.nbytes)
-        except BaseException as exc:  # mirrors the engine's catch-all
-            world.fail(c, exc)
-            continue
-        outs[i] = (out, ExchangeStats("sync", ordering, m, p))
+    ranks, pos = per_rank(ranks, pos)
+    for i, out in zip(pos, _world_outputs(shared, ranks)):
+        outs[i] = (out, ExchangeStats("sync", ordering, ms[i], p))
     return outs
 
 
@@ -349,46 +348,38 @@ def _overlapped_exchange_finish(world: World, comms: Sequence[Comm],
     moved and the receive buffer released — and the others go on.
     """
     sim = comms[0]._world
-    clocks, counters, mem, tr = sim.clocks, sim.counters, sim.mem, sim.tracer
-    hooked = tr is not None or sim.faults is not None
+    mem, tr = sim.mem, sim.tracer
     p = comms[0].size
     progress = sim.cost.async_progress_overhead(p) if tr is not None else 0.0
-    ranks = [c.rank for c in comms]
+    at, ranks, pos = members(comms)
+    live, at, ranks, pos, held = world._live(comms, at, ranks, pos,
+                                             values_at(at, send_nbytes))
+    recv = shared["recv_net"][ranks]
+    live, at, ranks, pos, held, recv = world._refuse(
+        live, mem.alloc(at, recv), at, ranks, pos, held, recv)
+    t_cpu, m = shared["t_cpu"][ranks], shared["m"]
+    if tr is not None or sim.faults is not None:
+        for c, r, t, nb, mr in zip(live, *per_rank(ranks, t_cpu, recv,
+                                                   m[ranks])):
+            g, c0, debt = c.grank, c.clock, c._fault_debt
+            c.set_clock(max(c0, t))  # folds pending fault debt in
+            if tr is not None:
+                tr.overlapped(g, c0, c.clock, shared["start"], progress, debt,
+                              {"bytes": nb, "records": mr})
+                c.trace_edges(shared["S"][r])
+                tr.add(g, "kernel.merge.records", float(mr))
+                tr.add(g, "kernel.merge.seconds", float(shared["msec"][r]))
+    else:
+        sim.clock[at] = np.maximum(sim.clock[at], t_cpu)
+    mem.free(at, shared["recv_all"][ranks])
+    width = record_layout(shared["ordered"], shared["cols"])[1]  # outputs'
+    live, at, ranks, pos, held, recv = world._refuse(
+        live, mem.alloc(at, m[ranks] * width), at, ranks, pos, held, recv)
+    sim.counters.add(at, "coll.alltoallv_async", 1.0)
+    sim.counters.add(at, "bytes.recv", recv)
+    mem.free(at, held)                                # send buffer released
     outs: list = [None] * len(comms)
-    for i, (c, r, out, recv, recv_all, t_cpu, m) in enumerate(zip(
-            comms, ranks, _world_outputs(shared, ranks),
-            shared["recv_net"][ranks].tolist(),
-            shared["recv_all"][ranks].tolist(),
-            shared["t_cpu"][ranks].tolist(), shared["m"][ranks].tolist())):
-        if world.failures and not world.alive(c):
-            continue
-        g = c.grank
-        tracker = mem[g]
-        try:
-            tracker.alloc(recv)
-            c0 = clocks[g]
-            if hooked:
-                debt = c._fault_debt
-                c.set_clock(max(c0, t_cpu))  # folds pending fault debt in
-                if tr is not None:
-                    tr.overlapped(g, c0, clocks[g], shared["start"], progress,
-                                  debt, {"bytes": recv, "records": m})
-                    c.trace_edges(shared["S"][r])
-                    tr.add(g, "kernel.merge.records", float(m))
-                    tr.add(g, "kernel.merge.seconds",
-                           float(shared["msec"][r]))
-            elif t_cpu > c0:
-                clocks[g] = t_cpu
-            tracker.free(recv_all)
-            tracker.alloc(out.nbytes)
-        except BaseException as exc:  # mirrors the engine's catch-all
-            world.fail(c, exc)
-            continue
-        tally = counters[g]
-        for name, value in (("coll.alltoallv_async", 1.0),
-                            ("bytes.recv", recv)):
-            tally[name] = (tally[name] if name in tally else 0.0) + value
-        tracker.free(send_nbytes[i])                  # send buffer released
-        outs[i] = (out, ExchangeStats("overlap", "overlap-merge", m, p))
+    ranks, pos, m = per_rank(ranks, pos, m[ranks])
+    for i, out, mr in zip(pos, _world_outputs(shared, ranks), m):
+        outs[i] = (out, ExchangeStats("overlap", "overlap-merge", mr, p))
     return outs
-

@@ -6,7 +6,7 @@ XC30).  See DESIGN.md section 2 for the substitution rationale.
 
 from .cost import CostModel, dup_discount
 from .edison import EDISON, EDISON_SLOW_NET, LAPTOP, PRESETS, get_machine
-from .memory import MemoryTracker, SimOOMError
+from .memory import MemoryLedger, RankMemory, SimOOMError
 from .spec import MachineSpec
 
 __all__ = [
@@ -18,6 +18,7 @@ __all__ = [
     "PRESETS",
     "get_machine",
     "MachineSpec",
-    "MemoryTracker",
+    "MemoryLedger",
+    "RankMemory",
     "SimOOMError",
 ]

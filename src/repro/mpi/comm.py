@@ -8,11 +8,12 @@ the machine cost model, so measured "seconds" are simulated Edison
 seconds, deterministic and independent of host thread scheduling.
 
 What lives here is what one rank owns: its handle on the shared
-:class:`SimWorld` ledgers (clock, counters, memory tracker, tracer), the
-rendezvous with its sibling rank threads (:meth:`Comm.staged` — deposit,
-barrier, and the shared quantities computed **once per call** by the
-barrier's last arriver, see :mod:`repro.mpi.context`), its fault
-state, and point-to-point messaging.  The collectives themselves —
+:class:`SimWorld` ledgers (its entries of the world's columns, the
+tracer), the rendezvous with its sibling rank threads
+(:meth:`Comm.staged` — deposit, barrier, and the shared quantities
+computed **once per call** by the barrier's last arriver, see
+:mod:`repro.mpi.context`), its fault state, and point-to-point
+messaging.  The collectives themselves —
 ``barrier`` / ``bcast`` / ``gather`` / ``allreduce`` / ``allgather`` /
 ``split`` / ``alltoallv``, the ``phase`` bracket and the collective
 fault verdicts — are written once as :class:`~repro.mpi.world.World`
@@ -31,9 +32,9 @@ Key deviations from real MPI, by design:
   rank's exchange state is O(cells), never O(p).  The paper's
   overlapped exchange is the fused collective of
   :mod:`repro.core.exchange`, not a nonblocking MPI call.
-* Memory is accounted per rank through
-  :class:`~repro.machine.memory.MemoryTracker`; receiving more than the
-  rank's capacity raises :class:`~repro.machine.memory.SimOOMError`
+* Memory is accounted per rank in the world's
+  :class:`~repro.machine.memory.MemoryLedger`; receiving more than the
+  rank's capacity fails it with :class:`~repro.machine.memory.SimOOMError`
   mid-collective, exactly how the paper's HykSort runs died.
 """
 
@@ -45,7 +46,7 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ..machine import CostModel, MachineSpec, MemoryTracker
+from ..machine import CostModel, MachineSpec, MemoryLedger, RankMemory
 from ..records import RecordBatch
 from .cells import Cuts
 from .context import AbortFlag, Channel, CommContext
@@ -104,8 +105,43 @@ def collective_charge(cost: CostModel, name: str, size: int,
     return time_of(size, nbytes), time_of(size, 0), "coll." + name
 
 
+class Columns(dict):
+    """Named per-rank totals — counters, phase times — over ``p`` ranks:
+    ``name -> (float64 values, bool booked)``.  A name a rank never
+    booked is absent from its row, which is not the same as 0.0."""
+
+    def __init__(self, p: int):
+        super().__init__()
+        self.p = p
+
+    def add(self, at: Any, name: str, value: Any) -> None:
+        """Add ``value`` to ``name`` on the ranks ``at`` (one rank's int,
+        or an index array)."""
+        vals, seen = self.get(name) or self.setdefault(  # threads may race
+            name, (np.zeros(self.p), np.zeros(self.p, dtype=bool)))
+        vals[at] += value
+        seen[at] = True
+
+    def booked(self, name: str) -> list[float]:
+        """``name`` on every rank that booked it, in rank order."""
+        vals, seen = self.get(name, (np.zeros(0), np.zeros(0, dtype=bool)))
+        return vals[seen].tolist()
+
+    def rows(self) -> list[dict[str, float]]:
+        """Every rank's ``{name: value}``."""
+        rows: list[dict[str, float]] = [{} for _ in range(self.p)]
+        for name, (vals, seen) in self.items():
+            for r, v in zip(np.flatnonzero(seen).tolist(),
+                            vals[seen].tolist()):
+                rows[r][name] = v
+        return rows
+
+
 class SimWorld:
-    """Process-global state of one simulated run."""
+    """Process-global state of one simulated run.  Its per-rank ledgers
+    are columns indexed by global rank — ``clock`` (virtual seconds),
+    ``mem``, ``counters``, ``phase_times`` — and ``traces``, one ``(ranks,
+    t0, t1, phase)`` record per closed phase bracket."""
 
     def __init__(self, p: int, machine: MachineSpec,
                  mem_capacity: int | None = None,
@@ -125,12 +161,11 @@ class SimWorld:
         #: engine (None = not cancellable); a columnar world polls it
         #: at its abort points — rank threads have a watcher instead
         self.cancel: Any = None
-        self.clocks: list[float] = [0.0] * p
-        self.mem = [MemoryTracker(capacity=mem_capacity, rank=r) for r in range(p)]
-        self.phase_times: list[dict[str, float]] = [dict() for _ in range(p)]
-        self.counters: list[dict[str, float]] = [dict() for _ in range(p)]
-        #: per-rank (start, end, phase) intervals in virtual time
-        self.traces: list[list[tuple[float, float, str]]] = [[] for _ in range(p)]
+        self.clock = np.zeros(p)
+        self.mem = MemoryLedger(p, mem_capacity)
+        self.counters = Columns(p)
+        self.phase_times = Columns(p)
+        self.traces: list[tuple[Any, Any, Any, str]] = []
         self._channels: dict[tuple[int, int, int], Channel] = {}
         self._channels_lock = threading.Lock()
         self.world_ctx = self.make_context(range(p))
@@ -140,13 +175,9 @@ class SimWorld:
         if faults is not None and not getattr(faults, "active", True):
             faults = None
         self.faults = faults
-        if faults is not None:
-            # per-(edge, tag) message sequence numbers; index [grank]
-            # is touched only by that rank's thread, so no locking.
-            self.p2p_send_seq: list[dict[tuple[int, int], int]] = \
-                [dict() for _ in range(p)]
-            self.p2p_recv_seq: list[dict[tuple[int, int], int]] = \
-                [dict() for _ in range(p)]
+        #: per-(src, dst, tag) message numbers; one rank's thread a key
+        self.p2p_send_seq: dict[tuple[int, int, int], int] = {}
+        self.p2p_recv_seq: dict[tuple[int, int, int], int] = {}
 
     def make_context(self, group: Sequence[int]) -> CommContext:
         """Shared-context factory for new communicators."""
@@ -191,7 +222,6 @@ class Comm:
         self.rank = rank
         self.size = ctx.size
         self.grank = ctx.group[rank]
-        self._rpn: int | None = None  # cached ranks_per_node
         self._tracer = world.tracer
         faults = world.faults
         self._faults = faults
@@ -201,8 +231,6 @@ class Comm:
         if faults is not None:
             self._slowdown = faults.slowdown(self.grank)
             self._coll_seq = 0       # per-communicator collective counter
-            self._send_seq = world.p2p_send_seq[self.grank]
-            self._recv_seq = world.p2p_recv_seq[self.grank]
             if self._slowdown != 1.0 and ctx is world.world_ctx:
                 # mark the condition once per rank per run (world-comm
                 # construction), so reports can count stragglers
@@ -225,13 +253,13 @@ class Comm:
         return self._world.cost
 
     @property
-    def mem(self) -> MemoryTracker:
-        return self._world.mem[self.grank]
+    def mem(self) -> RankMemory:
+        return RankMemory(self._world.mem, self.grank)
 
     @property
     def clock(self) -> float:
         """This rank's virtual time, in simulated seconds."""
-        return self._world.clocks[self.grank]
+        return self._world.clock.item(self.grank)
 
     @property
     def faults(self) -> Any:
@@ -245,14 +273,12 @@ class Comm:
         rank *computes* (including software messaging overheads) runs
         slow, while pure network time — p2p flight times and collective
         costs applied via :meth:`set_clock` — is unaffected.
+        ``World.charge_compute`` books the same statements on many ranks.
         """
         if seconds < 0:
             raise ValueError("cannot charge negative time")
-        if self._slowdown != 1.0:
-            scaled = seconds * self._slowdown
-        else:
-            scaled = seconds
-        self._world.clocks[self.grank] += scaled
+        scaled = seconds * self._slowdown if self._slowdown != 1.0 else seconds
+        self._world.clock[self.grank] += scaled
         tr = self._tracer
         if tr is not None:
             tr.add(self.grank, "cost.compute", seconds)
@@ -261,7 +287,7 @@ class Comm:
 
     def _advance(self, seconds: float) -> None:
         """Raw clock advance (retry timeouts; never straggler-scaled)."""
-        self._world.clocks[self.grank] += seconds
+        self._world.clock[self.grank] += seconds
         if self._tracer is not None:  # only fault paths call _advance
             self._tracer.add(self.grank, "cost.fault_debt", seconds)
 
@@ -269,12 +295,11 @@ class Comm:
         if self._fault_debt:
             t += self._fault_debt
             self._fault_debt = 0.0
-        self._world.clocks[self.grank] = t
+        self._world.clock[self.grank] = t
 
     def count(self, name: str, value: float = 1.0) -> None:
         """Accumulate a named statistic (messages, bytes, elements...)."""
-        c = self._world.counters[self.grank]
-        c[name] = c.get(name, 0.0) + value
+        self._world.counters.add(self.grank, name, value)
 
     def phase(self, name: str) -> "phase_all":
         """Attribute the virtual time spent in the block to ``name``.
@@ -288,14 +313,9 @@ class Comm:
     def ranks_per_node(self) -> int:
         """How many members of *this* communicator share my node.
 
-        Read off the communicator's :meth:`SimWorld.node_layout`; each
-        handle caches its own entry (it sits on the per-collective cost
-        path).
+        Read off the communicator's :meth:`SimWorld.node_layout`.
         """
-        rpn = self._rpn
-        if rpn is None:
-            rpn = self._rpn = self._world.node_layout(self._ctx)[1][self.rank]
-        return rpn
+        return self._world.node_layout(self._ctx)[1][self.rank]
 
     # ------------------------------------------------------------------
     # tracing hooks
@@ -326,11 +346,8 @@ class Comm:
             return
         ctx = self._ctx
         if ctx is not self._world.world_ctx:  # scatter to global ranks
-            index = ctx.group_index
-            if index is None:
-                index = ctx.group_index = np.array(ctx.group, dtype=np.intp)
             row = np.zeros(self._world.p, dtype=np.int64)
-            row[index] = sizes
+            row[ctx.index] = sizes
             sizes = row
         tr.edge_row(self.grank, sizes)
 
@@ -348,9 +365,8 @@ class Comm:
         """
         t0 = time.perf_counter()
         out = self._ctx.sync(action)
-        c = self._world.counters[self.grank]
-        c["coll.sync_wait"] = (c.get("coll.sync_wait", 0.0)
-                               + (time.perf_counter() - t0))
+        self._world.counters.add(self.grank, "coll.sync_wait",
+                                 time.perf_counter() - t0)
         return out
 
     def staged(self, obj: Any, compute: Callable[[list], Any],
@@ -500,9 +516,9 @@ class Comm:
         sent_clock = None
         f = self._faults
         if f is not None and f.has_message_faults:
-            key = (gdest, tag)
-            seq = self._send_seq.get(key, 0)
-            self._send_seq[key] = seq + 1
+            key, sent = (self.grank, gdest, tag), self._world.p2p_send_seq
+            seq = sent.get(key, 0)
+            sent[key] = seq + 1
             ev = f.p2p_event(self.grank, gdest, tag, seq)
             if ev.lost:
                 raise MessageLostError(
@@ -574,9 +590,9 @@ class Comm:
                     tr.add(g, "cost.bandwidth", rest - lat)
         f = self._faults
         if f is not None and f.has_message_faults:
-            key = (gsrc, tag)
-            seq = self._recv_seq.get(key, 0)
-            self._recv_seq[key] = seq + 1
+            key, got = (gsrc, self.grank, tag), self._world.p2p_recv_seq
+            seq = got.get(key, 0)
+            got[key] = seq + 1
             # channels are FIFO per (src, dst, tag), so the receiver's
             # private counter names the same message the sender drew —
             # both sides resolve the identical MessageEvent.

@@ -43,7 +43,10 @@ from __future__ import annotations
 
 import threading
 from collections import deque
+from functools import cached_property
 from typing import Any, Callable, Sequence
+
+import numpy as np
 
 from .errors import SimAbort
 
@@ -205,9 +208,11 @@ class CommContext:
         #: ``(node, ranks_per_node)`` per member, filled by the first
         #: :meth:`repro.mpi.comm.SimWorld.node_layout` query.
         self.nodes: tuple[list[int], list[int]] | None = None
-        #: ``group`` as an index array, filled by the first traced
-        #: exchange on a sub-communicator (``Comm.trace_edges``).
-        self.group_index: Any = None
+
+    @cached_property
+    def index(self) -> np.ndarray:
+        """``group`` as an index array, built on first use."""
+        return np.array(self.group, dtype=np.intp)
 
     def sync(self, action: Callable[[], Any] | None = None) -> Any:
         """Abortable barrier; ``action`` runs once, by the last arriver.

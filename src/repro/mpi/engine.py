@@ -26,12 +26,13 @@ import atexit
 import os
 import sys
 import threading
-from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Sequence
 
 from ..machine import LAPTOP, MachineSpec
 from .comm import Comm, SimWorld
 from .errors import RankFailure, RunCancelled, SimAbort
+from .world import per_rank
 
 #: Per-thread stack size; rank programs are shallow, so a small stack
 #: lets runs with thousands of ranks stay cheap.
@@ -118,8 +119,8 @@ class Seat:
 
 
 def _rank_grew(peak: int) -> None:
-    """``MemoryTracker.on_peak`` of a thread world's ranks: tells the
-    rank's thread (the allocating one) which side of the mark it is on."""
+    """``MemoryLedger.on_peak`` of a thread world: tells the rank's thread
+    (the allocating one) which side of the mark it is on."""
     me = threading.current_thread()
     if isinstance(me, _Worker):
         me.sized(peak >= _DEEP_RANK_BYTES)
@@ -370,19 +371,17 @@ def default_pool() -> SpmdPool:
     return _default_pool
 
 
-@dataclass
 class SpmdResult:
-    """Outcome of one SPMD run."""
+    """Outcome of one SPMD run, over its world's ledger columns.  The
+    per-rank views are built on first read: ``clocks[r]``, ``mem_peaks[r]``,
+    ``counters[r]`` / ``phase_times[r]`` (``{name: value}`` of what rank
+    ``r`` booked) and ``traces[r]`` (its ``(t0, t1, phase)`` brackets)."""
 
-    p: int
-    results: list[Any]
-    clocks: list[float]
-    phase_times: list[dict[str, float]]
-    counters: list[dict[str, float]]
-    mem_peaks: list[int]
-    failure: RankFailure | None = None
-    traces: list[list[tuple[float, float, str]]] = field(default_factory=list)
-    extras: dict[str, Any] = field(default_factory=dict)
+    def __init__(self, world: SimWorld, results: list[Any],
+                 failure: RankFailure | None = None,
+                 extras: dict[str, Any] | None = None):
+        self.world, self.p, self.results = world, world.p, results
+        self.failure, self.extras = failure, extras or {}
 
     @property
     def ok(self) -> bool:
@@ -391,14 +390,26 @@ class SpmdResult:
     @property
     def elapsed(self) -> float:
         """Simulated makespan: the slowest rank's virtual clock."""
-        return max(self.clocks) if self.clocks else 0.0
+        return self.world.clock.max().item()
+
+    clocks = cached_property(lambda self: self.world.clock.tolist())
+    mem_peaks = cached_property(lambda self: self.world.mem.peak.tolist())
+    counters = cached_property(lambda self: self.world.counters.rows())
+    phase_times = cached_property(lambda self: self.world.phase_times.rows())
+
+    @cached_property
+    def traces(self) -> list[list[tuple[float, float, str]]]:
+        rows: list[list] = [[] for _ in range(self.p)]
+        for at, t0, t1, name in self.world.traces:
+            for g, a, b in zip(*per_rank(at, t0, t1)):
+                rows[g].append((a, b, name))
+        return rows
 
     def phase_breakdown(self) -> dict[str, float]:
-        """Max-over-ranks virtual time per phase (the paper's stacked bars)."""
-        names: set[str] = set().union(*self.phase_times)
-        return {name: max([pt[name] if name in pt else 0.0
-                           for pt in self.phase_times])
-                for name in sorted(names)}
+        """Max-over-ranks virtual time per phase (the paper's stacked bars);
+        a rank that never entered a phase counts 0.0 there."""
+        return {name: vals.max().item() for name, (vals, seen)
+                in sorted(self.world.phase_times.items()) if seen.any()}
 
 
 def run_spmd(fn: Callable[..., Any], p: int, *,
@@ -498,12 +509,8 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
             metrics.record_world(backend=executing, p=p, cancelled=True)
         if check:
             raise failure from failure.cause
-        return SpmdResult(
-            p=p, results=[None] * p, clocks=[0.0] * p,
-            phase_times=[{} for _ in range(p)],
-            counters=[{} for _ in range(p)], mem_peaks=[0] * p,
-            failure=failure, traces=[[] for _ in range(p)],
-            extras={"backend": executing})
+        return SpmdResult(SimWorld(p, machine), [None] * p, failure,
+                          {"backend": executing})
     if flat:
         from .flatworld import run_spmd_flat
         res = run_spmd_flat(
@@ -562,8 +569,7 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
             pool_threads = 0
         else:
             run_pool = default_pool() if pool is None else pool
-            for tracker in world.mem:  # deep ranks run off the shared CPU
-                tracker.on_peak = _rank_grew
+            world.mem.on_peak = _rank_grew  # deep ranks leave the shared CPU
             run_pool.run(runner, p)
             pool_threads = run_pool.size
     finally:
@@ -583,20 +589,10 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
     if failure is not None and check:
         raise failure from failure.cause
 
-    return SpmdResult(
-        p=p,
-        results=results,
-        clocks=list(world.clocks),
-        phase_times=[dict(pt) for pt in world.phase_times],
-        counters=[dict(c) for c in world.counters],
-        mem_peaks=[m.peak for m in world.mem],
-        failure=failure,
-        traces=[list(t) for t in world.traces],
-        extras={
-            "backend": "thread",
-            "workers": 1,
-            "pool_threads": pool_threads,
-            "shards": [[0, p]],
-            "coarse_switch": p >= _COARSE_SWITCH_RANKS,
-        },
-    )
+    return SpmdResult(world, results, failure, {
+        "backend": "thread",
+        "workers": 1,
+        "pool_threads": pool_threads,
+        "shards": [[0, p]],
+        "coarse_switch": p >= _COARSE_SWITCH_RANKS,
+    })

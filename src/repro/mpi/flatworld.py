@@ -2,49 +2,36 @@
 
 The thread backend pays O(p) interpreter dispatch per phase: p rank
 threads each stepping through tiny numpy calls.  The flat backend keeps
-the *world* exactly as it is — real :class:`~repro.mpi.comm.Comm`
-handles, per-rank memory trackers, fault plan, tracer — but drives
-every rank from one interpreter loop with zero threads.
-:class:`ColumnarWorld` is the whole-membership view of the
-:class:`~repro.mpi.world.World` protocol.  Every verb — phase bracket,
-charge, collective epilogue — is the base class's one loop over the
-ranks handed in, tracer and fault plan served inside it behind
-``tracer is not None`` / ``faults is not None`` tests that cost a plain
-world nothing; what this view adds is the rendezvous and the failure
-rule:
+the world as it is — :class:`~repro.mpi.comm.Comm` handles, the ledger
+columns, fault plan, tracer — and drives every rank from one interpreter
+loop with zero threads.  :class:`ColumnarWorld` is the whole-membership
+view of the :class:`~repro.mpi.world.World` protocol: every verb is the
+base class's array statements over the ranks handed in (tracer and
+fault hooks per rank, behind ``is not None`` tests); what this view adds
+is the rendezvous and the failure rule:
 
-* :meth:`ColumnarWorld.collective` *is* the meeting: the deposits are
-  snapshotted in rank order together with the per-rank virtual clocks,
-  the designated-rank ``compute`` runs a single time, under a fault plan
-  the membership's verdicts are drawn in one pass, and the epilogue is
-  booked on the membership — an :class:`~repro.mpi.world.Epilogue` in
-  its one call, any other ``finish`` rank by rank;
-* a rank whose epilogue or charge is refused (simulated OOM, a lost
-  collective, exhausted retries) is recorded in the ledger and skips the
-  rest of *its* epilogue exactly where a rank thread would have raised —
-  nobody else's.  Ranks that still have collectives ahead of them
-  observe the abort at their next collective boundary
-  (:class:`~repro.mpi.errors.FlatAbort`, the sequential analogue of
-  :class:`~repro.mpi.errors.SimAbort`), while ranks already past their
-  last collective complete normally — the same completion pattern the
-  thread engine produces when a sibling dies.
+* :meth:`ColumnarWorld.collective` *is* the meeting: deposits and clocks
+  snapshotted in rank order, the designated-rank ``compute`` run once, a
+  fault plan's verdicts drawn in one pass, the epilogue booked on the
+  membership — an :class:`~repro.mpi.world.Epilogue` in its one call,
+  any other ``finish`` rank by rank;
+* a rank whose charge or epilogue is refused (simulated OOM, a lost
+  collective) is recorded in the ledger and skips the rest of *its*
+  epilogue, exactly where a rank thread would have raised — nobody
+  else's.  Ranks with collectives ahead observe the abort at their next
+  collective boundary (:class:`~repro.mpi.errors.FlatAbort`, the
+  sequential analogue of :class:`~repro.mpi.errors.SimAbort`); ranks
+  past their last collective complete normally, as rank threads do when
+  a sibling dies.
 
-Bit-for-bit equivalence with the thread backend falls out of three
-properties:
-
-* the bookkeeping statements are the same ones — a rank thread runs
-  them through :class:`~repro.mpi.world.LaneWorld` on itself — and a
-  collective's virtual time is a pure function of the deposit clocks
-  and the LogGP model (:func:`~repro.mpi.comm.collective_charge`), so
-  every rank's clock is overwritten with the same ``t + dt`` float;
-* counters receive the same increments (``+ 1.0`` per operation) and
-  phase brackets the same ``(t0, t1, name)`` tuples in the same
-  per-rank order, including the partial time recorded when a
-  ``FlatAbort`` unwinds through a bracket;
-* fault verdicts are pure functions of structural position
-  (``FaultPlan.collective_penalties(group, seq, ranks)``, rank by rank),
-  and the per-communicator ``_coll_seq`` counters advance in lockstep,
-  so the order in which ranks are booked is immaterial.
+Bit-for-bit equivalence with the thread backend holds because the
+statements are the same — a rank thread runs them through
+:class:`~repro.mpi.world.LaneWorld` on its own ledger index — and each
+is elementwise: a rank's clock, counters and phase times see the same
+float operations in the same order.  A collective's time is a pure
+function of the deposit clocks and the LogGP model; fault verdicts are
+pure functions of structural position, and the per-communicator
+``_coll_seq`` counters advance in lockstep.
 """
 
 from __future__ import annotations
@@ -56,7 +43,7 @@ from ..machine import LAPTOP, MachineSpec
 from .comm import Comm, SimWorld
 from .engine import SpmdResult
 from .errors import FlatAbort, RankFailure, RunCancelled
-from .world import Epilogue, World
+from .world import Epilogue, World, members, per_rank
 
 __all__ = ["FlatAbort", "ColumnarWorld", "run_spmd_flat", "make_world_comms"]
 
@@ -124,8 +111,8 @@ class ColumnarWorld(World):
         """
         if check:
             self.check()
-        clocks = self.world.clocks
-        stage = [(d, clocks[c.grank]) for d, c in zip(deposits, comms)]
+        stage = list(zip(deposits, per_rank(
+            self.world.clock[members(comms)[0]])[0]))
         shared = compute(stage)
         f = self.world.faults
         if f is not None and f.affects_collectives:
@@ -244,17 +231,7 @@ def run_spmd_flat(fn: Any, p: int, *, machine: MachineSpec = LAPTOP,
         failure = RankFailure(failures)
         if check:
             raise failure from failure.cause
-    # the SimWorld dies with this call: its per-rank ledgers are handed
-    # to the result as they are, nobody else holds them
     return SpmdResult(
-        p=p,
-        results=list(results),
-        clocks=world.clocks,
-        phase_times=world.phase_times,
-        counters=world.counters,
-        mem_peaks=[m.peak for m in world.mem],
-        failure=failure,
-        traces=world.traces,
-        extras={"backend": "flat", "workers": 0, "pool_threads": 0,
-                "shards": [[0, p]], "coarse_switch": False},
-    )
+        world, list(results), failure,
+        {"backend": "flat", "workers": 0, "pool_threads": 0,
+         "shards": [[0, p]], "coarse_switch": False})

@@ -30,14 +30,17 @@ What a view adds is how ranks meet and what a failure does:
   (``comm.bcast(obj)``) is this view over ``(comm,)``.
 * :class:`~repro.mpi.flatworld.ColumnarWorld` — **the whole world, no
   threads**.  ``comms`` is a communicator's membership in rank order;
-  ``collective`` snapshots the stage itself and books everybody in the
-  epilogue's one loop.  Failures go to a ledger, the failed rank is
-  left out of later bookkeeping, and the world aborts
+  ``collective`` snapshots the stage itself and books everybody at once.
+  Failures go to a ledger, the failed rank is left out of later
+  bookkeeping, and the world aborts
   (:class:`~repro.mpi.errors.FlatAbort`) at the next checked collective.
 
-Both views therefore evaluate the same statements on the same floats:
-clocks, phase breakdowns, counters, memory peaks and traces are
-bit-for-bit identical across backends.
+A verb books the world's ledger columns (:class:`~repro.mpi.comm.SimWorld`)
+with one array statement per ledger, indexed by the ranks' global
+ranks (:func:`members`); a lane runs the same statements on one int.
+Every statement is elementwise, so both views evaluate the same float
+operations: clocks, phase breakdowns, counters, memory peaks and traces
+are bit-for-bit identical across backends.
 """
 
 from __future__ import annotations
@@ -50,7 +53,8 @@ from .cells import Cuts, alltoallv_cells
 from .comm import Comm, _max_clock, collective_charge, payload_nbytes
 from .errors import FlatAbort, MessageLostError
 
-__all__ = ["World", "LaneWorld", "LANE", "Epilogue", "phase_all"]
+__all__ = ["World", "LaneWorld", "LANE", "Epilogue", "phase_all",
+           "members", "per_rank", "values_at"]
 
 
 class Epilogue:
@@ -78,39 +82,60 @@ class Epilogue:
         return self.whole(shared)[i]
 
 
+def members(comms: Sequence[Comm]) -> tuple[Any, Any, Any]:
+    """``(at, ranks, pos)``: the global ranks of ``comms`` (their ledger
+    index), communicator ranks and positions — ints for one rank, so a
+    lane builds no array; a whole membership reads its group's index."""
+    first = comms[0]
+    if len(comms) == 1:
+        return first.grank, first.rank, 0
+    pos, ctx = np.arange(len(comms)), first._ctx
+    if len(comms) == ctx.size and first.rank == 0 and comms[-1]._ctx is ctx:
+        return ctx.index, pos, pos
+    return (np.array([c.grank for c in comms]),
+            np.array([c.rank for c in comms]), pos)
+
+
+def per_rank(*cols: Any) -> list[list]:
+    """Columns as lists of Python values, for per-rank hooks to zip."""
+    return [np.atleast_1d(col).tolist() for col in cols]
+
+
+def values_at(at: Any, values: Sequence[Any]) -> Any:
+    """Per-rank ``values`` shaped like ``at``: one value, or an array."""
+    return values[0] if type(at) is int else np.asarray(values)
+
+
 class phase_all:
     """Enter/exit one named phase on many ranks of one world at once.
 
     Each rank records its own ``(t0, t1)`` from its own clock —
     including partial time when an exception unwinds through the
-    region — into its phase times, its trace and the tracer: one clock
-    snapshot on entry, one loop on exit.  No rank, nothing booked.
+    region — into its phase times, the world's bracket records and the
+    tracer: one clock read on entry, one on exit.  No rank, nothing
+    booked.
     """
 
     def __init__(self, comms: Sequence[Comm], name: str):
-        self._sim = comms[0]._world if comms else None
-        self._name = name
-        self._granks = [c.grank for c in comms]
+        self._comms, self._name = comms, name
 
     def __enter__(self) -> "phase_all":
-        if self._sim is not None:
-            clocks = self._sim.clocks
-            self._t0 = [clocks[g] for g in self._granks]
+        if self._comms:
+            self._sim = self._comms[0]._world
+            self._at = members(self._comms)[0]
+            self._t0 = self._sim.clock[self._at]
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        sim, name = self._sim, self._name
-        if sim is None:
+        if not self._comms:
             return False
-        clocks, phase_times, traces = sim.clocks, sim.phase_times, sim.traces
-        tr = sim.tracer
-        for g, t0 in zip(self._granks, self._t0):
-            t1 = clocks[g]
-            pt = phase_times[g]
-            pt[name] = (pt[name] if name in pt else 0.0) + (t1 - t0)
-            traces[g].append((t0, t1, name))
-            if tr is not None:
-                tr.span(g, "phase", name, t0, t1)
+        sim, at, t0, name = self._sim, self._at, self._t0, self._name
+        t1 = sim.clock[at]
+        sim.phase_times.add(at, name, t1 - t0)
+        sim.traces.append((at, t0, t1, name))
+        if sim.tracer is not None:
+            for g, a, b in zip(*per_rank(at, t0, t1)):
+                sim.tracer.span(g, "phase", name, a, b)
         return False
 
 
@@ -122,9 +147,9 @@ class World:
     dead or excluded, e.g. off-root gathers).  The ``comms`` of a
     collective are ranks of one communicator — all of it, in rank
     order, or one lane; phase brackets and the charge verbs take any
-    ranks of one world, or none.  ``check=False`` skips the abort point
-    at collective entry (used for collectives that are conditionally
-    entered per sub-group, like node-merge gathers).
+    ranks of one world, in rank order, or none.  ``check=False`` skips
+    the abort point at collective entry (used for collectives that are
+    conditionally entered per sub-group, like node-merge gathers).
 
     A view supplies :meth:`collective`, :meth:`sendrecv` and
     :meth:`fail`; one that records failures also keeps ``failures`` and
@@ -155,6 +180,27 @@ class World:
                 return v
         raise FlatAbort
 
+    def _refuse(self, comms: Sequence[Comm], refused: list, *cols: Any
+                ) -> tuple:
+        """Fail ``comms[i]`` for every refusal ``(i, exc)`` — a lane
+        raises — and return the others, with their aligned columns."""
+        if not refused:
+            return (comms, *cols)
+        keep = np.ones(len(comms), dtype=bool)
+        for i, exc in refused:
+            keep[i] = False
+            if exc is not None:
+                self.fail(comms[i], exc)
+        return ([c for c, k in zip(comms, keep.tolist()) if k],
+                *(np.atleast_1d(col)[keep] for col in cols))
+
+    def _live(self, comms: Sequence[Comm], *cols: Any) -> tuple:
+        """``comms`` without the dead ranks, with their aligned columns."""
+        dead = self.dead
+        return self._refuse(comms, [(i, None) for i, c in enumerate(comms)
+                                    if c.grank in dead] if dead else [],
+                            *cols)
+
     # -- phase brackets ------------------------------------------------
     def phase(self, comms: Sequence[Comm], name: str) -> phase_all:
         """Context manager bracketing one named phase on every rank."""
@@ -168,41 +214,36 @@ class World:
         """Advance every rank's clock by its modelled compute cost."""
         if not comms:
             return
-        sim = comms[0]._world
-        clocks, tr, slowed = sim.clocks, sim.tracer, sim.faults is not None
-        for c, s in zip(comms, seconds):
-            if s < 0:
-                try:  # ``Comm.charge`` words the refusal
-                    c.charge(s)
-                except ValueError as exc:
-                    self.fail(c, exc)
-                continue
-            g = c.grank
-            # a straggler computes slowly (``Comm.charge``)
-            scaled = s * c._slowdown if slowed and c._slowdown != 1.0 else s
-            clocks[g] += scaled
-            if tr is not None:
-                tr.add(g, "cost.compute", s)
-                if scaled != s:  # the surcharge is fault debt
-                    tr.add(g, "cost.fault_debt", scaled - s)
+        sim, at = comms[0]._world, members(comms)[0]
+        s = values_at(at, seconds)
+        neg = s < 0
+        if neg if type(at) is int else neg.any():
+            comms, at, s = self._refuse(comms, [
+                (i, ValueError("cannot charge negative time"))
+                for i in np.flatnonzero(neg).tolist()], at, s)
+        scaled = (s * values_at(at, [c._slowdown for c in comms])  # stragglers
+                  if sim.faults is not None else s)
+        sim.clock[at] += scaled
+        tr = sim.tracer
+        if tr is not None:
+            for g, a, b in zip(*per_rank(at, s, scaled)):
+                tr.add(g, "cost.compute", a)
+                if b != a:  # the surcharge is fault debt
+                    tr.add(g, "cost.fault_debt", b - a)
 
     def alloc(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
         """``comm.mem.alloc(nbytes[i])`` on every rank."""
-        mem = comms[0]._world.mem if comms else ()
-        for c, nb in zip(comms, nbytes):
-            try:
-                mem[c.grank].alloc(nb)
-            except BaseException as exc:  # mirrors the engine's catch-all
-                self.fail(c, exc)
+        if comms:
+            at = members(comms)[0]
+            self._refuse(comms, comms[0]._world.mem.alloc(
+                at, values_at(at, nbytes)))
 
     def free(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
         """``comm.mem.free(nbytes[i])`` on every rank."""
-        mem = comms[0]._world.mem if comms else ()
-        for c, nb in zip(comms, nbytes):
-            try:
-                mem[c.grank].free(nb)
-            except BaseException as exc:
-                self.fail(c, exc)
+        if comms:
+            at = members(comms)[0]
+            self._refuse(comms, comms[0]._world.mem.free(
+                at, values_at(at, nbytes)))
 
     def trace_counter(self, comms: Sequence[Comm], name: str,
                       values: Sequence[float]) -> None:
@@ -236,7 +277,7 @@ class World:
         sim, plan, seq = first._world, first._faults, first._coll_seq
         pens = plan.collective_penalties(first._ctx.group, seq,
                                          [c.rank for c in comms])
-        clocks, tr = sim.clocks, sim.tracer
+        tr = sim.tracer
         resend_s, resync_s = sim.cost.p2p_time(0), sim.cost.barrier_time(first.size)
         for c, pen in zip(comms, pens):
             c._coll_seq = seq + 1
@@ -253,13 +294,13 @@ class World:
                 debt += pen.resend_messages * resend_s
                 c.count("faults.coll_msg_dropped", pen.dropped)
                 if tr is not None:
-                    tr.instant(g, "fault", "coll_msg_dropped", clocks[g],
+                    tr.instant(g, "fault", "coll_msg_dropped", c.clock,
                                {"seq": seq, "dropped": pen.dropped})
             if pen.resync_rounds:
                 debt += pen.resync_rounds * resync_s
                 c.count("faults.coll_transient", pen.resync_rounds)
                 if tr is not None:
-                    tr.instant(g, "fault", "coll_transient", clocks[g],
+                    tr.instant(g, "fault", "coll_transient", c.clock,
                                {"seq": seq, "rounds": pen.resync_rounds})
             c._fault_debt += debt
             c.count("retry.time", debt)
@@ -276,24 +317,19 @@ class World:
         dt, lat, counter = collective_charge(sim.cost, name, first.size,
                                              nbytes)
         t1 = t + dt
-        clocks, counters, tr = sim.clocks, sim.counters, sim.tracer
-        hooked = tr is not None or sim.faults is not None
-        dead = self.dead
-        for c in comms:
-            g = c.grank
-            if dead and g in dead:
-                continue
-            if hooked:
-                c0, debt = clocks[g], c._fault_debt
+        comms, at = self._live(comms, members(comms)[0])
+        tr = sim.tracer
+        if tr is not None or sim.faults is not None:
+            for c in comms:
+                c0, debt = c.clock, c._fault_debt
                 c.set_clock(t1)  # folds the debt in
                 if tr is not None:
-                    tr.collective(g, name, c0, clocks[g], t, dt, lat, debt)
-            else:
-                clocks[g] = t1
-            if counter is not None:
-                tally = counters[g]
-                tally[counter] = (tally[counter] if counter in tally
-                                  else 0.0) + 1.0
+                    tr.collective(c.grank, name, c0, c.clock, t, dt, lat,
+                                  debt)
+        else:
+            sim.clock[at] = t1
+        if counter is not None:
+            sim.counters.add(at, counter, 1.0)
 
     def barrier(self, comms: Sequence[Comm], *, check: bool = True) -> None:
         def whole(t):
@@ -445,47 +481,38 @@ class World:
         ``alltoallv_time`` evaluated once per distinct ranks-per-node,
         clock overwritten (a tracer gets the span, the cost split and
         the rank's edge row), byte and collective counters ticked."""
-        sim = comms[0]._world
-        clocks, counters, mem, tr = sim.clocks, sim.counters, sim.mem, sim.tracer
-        hooked = tr is not None or sim.faults is not None
-        p, t, total = comms[0].size, shared["t"], shared["total"]
+        first = comms[0]
+        sim = first._world
+        tr, cost = sim.tracer, sim.cost
+        p, t, total = first.size, shared["t"], shared["total"]
         biggest = max(shared["max_send"], shared["max_recv"])
-        ranks = [c.rank for c in comms]
-        dts: dict[int, tuple[float, float]] = {}
-        for c, r, recv, sent in zip(comms, ranks,
-                                    shared["recv_tot"][ranks].tolist(),
-                                    shared["send_tot"][ranks].tolist()):
-            if self.failures and not self.alive(c):
-                continue
-            g = c.grank
-            try:
-                mem[g].alloc(recv)
-            except BaseException as exc:  # mirrors the engine's catch-all
-                self.fail(c, exc)
-                continue
-            rpn = c.ranks_per_node
-            if rpn not in dts:
-                dts[rpn] = (
-                    sim.cost.alltoallv_time(p, biggest, ranks_per_node=rpn,
-                                            total_bytes=total),
-                    sim.cost.alltoallv_time(p, 0, ranks_per_node=rpn,
-                                            total_bytes=0)
-                    if tr is not None else 0.0)
-            dt, lat = dts[rpn]
-            if hooked:
-                c0, debt = clocks[g], c._fault_debt
-                c.set_clock(t + dt)  # folds pending fault debt in
+        comms, at, ranks = self._live(comms, *members(comms)[:2])
+        recv = shared["recv_tot"][ranks]
+        comms, at, ranks, recv = self._refuse(
+            comms, sim.mem.alloc(at, recv), at, ranks, recv)
+        rpn = (first.ranks_per_node if type(at) is int
+               else np.asarray(sim.node_layout(first._ctx)[1])[ranks])
+        kinds = np.unique(rpn)
+        dt, lat = np.array([(
+            cost.alltoallv_time(p, biggest, ranks_per_node=k,
+                                total_bytes=total),
+            cost.alltoallv_time(p, 0, ranks_per_node=k, total_bytes=0))
+            for k in kinds.tolist()]).reshape(-1, 2).T[
+                :, np.searchsorted(kinds, rpn)]
+        if tr is not None or sim.faults is not None:
+            for c, r, d, d0 in zip(comms, *per_rank(ranks, dt, lat)):
+                c0, debt = c.clock, c._fault_debt
+                c.set_clock(t + d)  # folds pending fault debt in
                 if tr is not None:
-                    tr.collective(g, "alltoallv", c0, clocks[g], t, dt, lat,
+                    tr.collective(c.grank, "alltoallv", c0, c.clock, t, d, d0,
                                   debt)
                     c.trace_edges(np.diff(shared["cuts"][r].displs())
                                   * shared["widths"][r])
-            else:
-                clocks[g] = t + dt
-            tally = counters[g]
-            for name, value in (("coll.alltoallv", 1.0), ("bytes.recv", recv),
-                                ("bytes.sent", sent)):
-                tally[name] = (tally[name] if name in tally else 0.0) + value
+        else:
+            sim.clock[at] = t + dt
+        sim.counters.add(at, "coll.alltoallv", 1.0)
+        sim.counters.add(at, "bytes.recv", recv)
+        sim.counters.add(at, "bytes.sent", shared["send_tot"][ranks])
 
     def sendrecv(self, comms: Sequence[Comm], objs: Sequence[Any],
                  peers: Sequence[int], tag: int = 0) -> list:

@@ -26,8 +26,8 @@ SRC_RANK = "_src_rank"
 SRC_POS = "_src_pos"
 
 
-def _layout(keys: np.ndarray, payload: dict[str, np.ndarray]
-            ) -> tuple[tuple, int]:
+def record_layout(keys: np.ndarray, payload: dict[str, np.ndarray]
+                  ) -> tuple[tuple, int]:
     """``(schema, record_bytes)`` read off aligned columns."""
     schema, width = [keys.dtype], keys.itemsize
     for name, col in payload.items():
@@ -70,7 +70,7 @@ class RecordBatch:
                     f"payload column {name!r} has length {len(col)}, "
                     f"expected {keys.size}")
         self.keys, self.payload = keys, columns
-        self.schema, self.record_bytes = _layout(keys, columns)
+        self.schema, self.record_bytes = record_layout(keys, columns)
         self.nbytes = keys.size * self.record_bytes
 
     # ------------------------------------------------------------------
@@ -94,7 +94,7 @@ class RecordBatch:
         b = object.__new__(cls)
         b.keys, b.payload = keys, payload
         if like is None:
-            b.schema, b.record_bytes = _layout(keys, payload)
+            b.schema, b.record_bytes = record_layout(keys, payload)
         else:
             b.schema, b.record_bytes = like.schema, like.record_bytes
         b.nbytes = keys.size * b.record_bytes

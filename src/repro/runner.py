@@ -154,6 +154,19 @@ class RunResult:
 #: Counter prefixes aggregated into ``RunResult.extras["faults"]``.
 _FAULT_COUNTER_PREFIXES = ("faults.", "retry.")
 
+
+def fault_totals(counters: Any) -> dict[str, float]:
+    """A world's fault counters (:class:`~repro.mpi.comm.Columns`) summed
+    over the ranks that booked them, one addition at a time in rank
+    order: the sort document's ``faults``."""
+    totals: dict[str, float] = {}
+    for name in sorted(counters):
+        if name.startswith(_FAULT_COUNTER_PREFIXES):
+            for v in counters.booked(name):
+                totals[name] = totals.get(name, 0.0) + v
+    return totals
+
+
 #: Every backend name :func:`run_sort` accepts: the functional engines
 #: and the ``auto`` resolver.
 BACKENDS = (*ENGINE_BACKENDS, "auto")
@@ -378,25 +391,18 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
     # stops at the crash and lacks the recovery record)
     traced = next((o for o in outcomes if o.active), outcomes[0])
 
+    counters = res.world.counters
     extras: dict[str, Any] = {
         "engine": dict(res.extras),
         "backend": backend_info,
         "mem_peaks": res.mem_peaks,
         "decisions": traced.info.get("decisions"),
         "p_active": len([o for o in outcomes if o.active]),
-        "bytes_sent": sum([c["bytes.sent"] for c in res.counters
-                           if "bytes.sent" in c]),
-        "messages": sum([c["p2p.send"] for c in res.counters
-                         if "p2p.send" in c]),
-        "traces": res.traces,
+        "bytes_sent": sum(counters.booked("bytes.sent")),
+        "messages": sum(counters.booked("p2p.send")),
     }
     if fplan is not None:
-        agg: dict[str, float] = {}
-        for c in res.counters:
-            for k, v in c.items():
-                if k.startswith(_FAULT_COUNTER_PREFIXES):
-                    agg[k] = agg.get(k, 0.0) + v
-        extras["faults"] = {k: agg[k] for k in sorted(agg)}
+        extras["faults"] = fault_totals(counters)
         extras["crashed_ranks"] = crashed_ranks
         extras["fault_plan"] = fplan.describe()
     if tracer is not None:

@@ -32,6 +32,7 @@ from repro.mpi import (
     MessageLostError,
     RankFailure,
     SimWorld,
+    SpmdResult,
     make_world_comms,
     run_spmd,
 )
@@ -608,21 +609,23 @@ def test_a_lost_collective_leaves_its_rank_out_and_nobody_else():
     assert [(r, type(e)) for r, e in world.failures] == [
         (r, MessageLostError) for r in lost]
     done = 0.125 * (p - 1) + sim.cost.tree_collective_time(p, 8)
+    views = SpmdResult(sim, outs)
     for r in range(p):
         spans = [s for s in sim.tracer.spans[r] if s[2] == "coll"]
         if r in lost:  # booked nothing: clock, counter, span
-            assert sim.clocks[r] == 0.125 * r
-            assert sim.counters[r] == {} and spans == []
+            assert views.clocks[r] == 0.125 * r
+            assert views.counters[r] == {} and spans == []
             assert set(sim.tracer.counters[r]) <= {"cost.compute"}
         else:
-            assert sim.clocks[r] == done
-            assert sim.counters[r] == {"coll.allreduce": 1.0}
+            assert views.clocks[r] == done
+            assert views.counters[r] == {"coll.allreduce": 1.0}
             assert spans == [(0.125 * r, done, "coll", "allreduce", None)]
     with pytest.raises(FlatAbort):  # the next checked collective aborts
         world.barrier(make_world_comms(sim))
-    plain, pworld, _ = _lossy_allreduce(p, traced=False)
+    plain, pworld, pouts = _lossy_allreduce(p, traced=False)
     again, _, _ = _lossy_allreduce(p, traced=True)
-    assert (plain.clocks, plain.counters) == (sim.clocks, sim.counters)
+    plain = SpmdResult(plain, pouts)
+    assert (plain.clocks, plain.counters) == (views.clocks, views.counters)
     assert [r for r, _ in pworld.failures] == lost
     assert (again.tracer.spans, again.tracer.counters) == (
         sim.tracer.spans, sim.tracer.counters)

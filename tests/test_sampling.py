@@ -13,7 +13,7 @@ from repro.core.sampling import (
     select_pivots_gather_world,
 )
 from repro.machine import LAPTOP
-from repro.mpi import LANE, ColumnarWorld, run_spmd
+from repro.mpi import LANE, ColumnarWorld, SpmdResult, run_spmd
 from repro.mpi.comm import SimWorld, payload_nbytes
 from repro.mpi.flatworld import make_world_comms
 
@@ -229,7 +229,8 @@ class TestRunLengthSelection:
             comms = make_world_comms(world)
             pgs = select(ColumnarWorld(world), comms,
                          _samples(shards, p, runs=runs))
-            out[runs] = (pgs, list(world.clocks), world.counters)
+            views = SpmdResult(world, [None] * p)
+            out[runs] = (pgs, views.clocks, views.counters)
         (got, clocks, counters), (want, wclocks, wcounters) = \
             out[True], out[False]
         for g, w in zip(got, want):
@@ -315,7 +316,8 @@ class TestBitonicAssembly:
             comms = make_world_comms(world)
             pgs = select(ColumnarWorld(world), comms,
                          _samples(shards, p, runs=True))
-            out.append((pgs, list(world.clocks), world.counters))
+            views = SpmdResult(world, [None] * p)
+            out.append((pgs, views.clocks, views.counters))
         (got, clocks, counters), (want, wclocks, wcounters) = out
         assert all(g is got[0] for g in got)  # one vector, by reference
         for g, w in zip(got, want):

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 
 from repro.core import SdsParams, pipeline, sds_sort, sds_sort_world
 from repro.faults.chaos import PRESETS
-from repro.machine import EDISON, CostModel, MemoryTracker, SimOOMError
+from repro.machine import EDISON, CostModel, MemoryLedger
 from repro.mpi import (
     LANE,
     ColumnarWorld,
@@ -43,6 +43,7 @@ from repro.mpi import (
     FlatAbort,
     RankFailure,
     SimWorld,
+    SpmdResult,
     make_world_comms,
     run_spmd,
 )
@@ -312,15 +313,20 @@ def test_refused_output_allocation_stops_the_rank_mid_epilogue(
     # charge (sync) or moved its clock (overlapped) and released its
     # receive buffer; every backend must leave it exactly there.
     victim, calls = 5, {}
-    real = MemoryTracker.alloc
+    real = MemoryLedger.alloc
 
-    def alloc(self, nbytes):
-        calls[self.rank] = calls.get(self.rank, 0) + 1
-        if self.rank == victim and calls[self.rank] == 3:
-            raise SimOOMError(self.rank, nbytes, self.in_use, -1)
-        return real(self, nbytes)
+    def alloc(self, at, nbytes):
+        for g in np.atleast_1d(at).tolist():
+            calls[g] = calls.get(g, 0) + 1
+        if calls.get(victim) != 3 or victim not in np.atleast_1d(at):
+            return real(self, at, nbytes)
+        cap, self.capacity[victim] = self.capacity[victim], -1  # cannot fit
+        try:
+            return real(self, at, nbytes)
+        finally:
+            self.capacity[victim] = cap
 
-    monkeypatch.setattr(MemoryTracker, "alloc", alloc)
+    monkeypatch.setattr(MemoryLedger, "alloc", alloc)
     algorithm, opts = EXCHANGE_PATHS[path]
 
     def run(*args, **kw):
@@ -491,7 +497,7 @@ def test_a_mutated_whole_epilogue_is_caught(monkeypatch, mutant):
                     lambda *a, **k: exact(*a, **k) * (1 + 1e-7))
             outs = real(world, comms, shared, send_nbytes)
         if mutant == "bytes.recv":
-            comms[0]._world.counters[comms[-1].grank]["bytes.recv"] += 1
+            comms[0]._world.counters.add(comms[-1].grank, "bytes.recv", 1)
         return outs
 
     algorithm, opts = EXCHANGE_PATHS["sync-merge"]
@@ -554,14 +560,12 @@ def test_run_sort_result_is_form_independent():
         assert other.phase_times == plain.phase_times
         assert other.loads == plain.loads
         for key in ("mem_peaks", "decisions", "p_active", "bytes_sent",
-                    "messages", "traces"):
+                    "messages"):
             assert other.extras[key] == plain.extras[key], key
     assert type(plain.elapsed) is float
     assert all(type(v) is float for v in plain.phase_times.values())
     assert all(type(v) is int for v in plain.loads)
     assert all(type(v) is int for v in plain.extras["mem_peaks"])
-    assert all(type(t) is float for tr in plain.extras["traces"]
-               for t0, t1, _ in tr for t in (t0, t1))
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +579,7 @@ def test_phase_all_records_partial_time_on_abort(traced):
     comms = make_world_comms(sim)
     world = ColumnarWorld(sim)
     world.charge_compute(comms, [0.5 * (r + 1) for r in range(p)])
-    t0 = list(sim.clocks)
+    t0 = sim.clock.tolist()
     with pytest.raises(FlatAbort):
         with world.phase(comms[1:], "work"):
             world.charge_compute(comms, [0.25] * p)
@@ -598,16 +602,22 @@ def test_phase_all_records_partial_time_on_abort(traced):
                 _inner(c, r)
         except FlatAbort:
             pass
-    assert sim.clocks == ref.clocks
-    assert sim.phase_times == ref.phase_times
-    assert sim.traces == ref.traces
-    assert sim.phase_times[0] == {"inner": 1.0}
-    assert sim.phase_times[5] == {"work": 0.25}
-    assert sim.traces[1] == [(t0[1] + 0.25, t0[1] + 2.25, "inner"),
+    got, want = _views(sim), _views(ref)
+    assert got.clocks == want.clocks
+    assert got.phase_times == want.phase_times
+    assert got.traces == want.traces
+    assert got.phase_times[0] == {"inner": 1.0}
+    assert got.phase_times[5] == {"work": 0.25}
+    assert got.traces[1] == [(t0[1] + 0.25, t0[1] + 2.25, "inner"),
                              (t0[1], t0[1] + 2.25, "work")]
     if traced:  # the tracer saw each bracket close, where it closed
         assert [[(a, b, name) for a, b, cat, name, _ in spans
-                 if cat == "phase"] for spans in sim.tracer.spans] == sim.traces
+                 if cat == "phase"] for spans in sim.tracer.spans] == got.traces
+
+
+def _views(sim: SimWorld) -> SpmdResult:
+    """A world's per-rank ledger views."""
+    return SpmdResult(sim, [None] * sim.p)
 
 
 def _inner(c, r):
@@ -635,9 +645,9 @@ def test_charge_verbs_fail_the_offending_rank_only(traced):
         (2, "ValueError", "cannot charge negative time"),
         (2, "ValueError", "free size must be non-negative"),
     ]
-    assert sim.clocks == [1.0, 1.0, 0.0, 2.0]
-    assert [m.in_use for m in sim.mem] == [5, 0, 30, 100]
-    assert [m.peak for m in sim.mem] == [10, 0, 30, 100]
+    assert sim.clock.tolist() == [1.0, 1.0, 0.0, 2.0]
+    assert sim.mem.in_use.tolist() == [5, 0, 30, 100]
+    assert sim.mem.peak.tolist() == [10, 0, 30, 100]
     assert world.dead == {1, 2}
 
 
@@ -850,7 +860,7 @@ def test_charge_verbs_and_brackets_take_no_rank_at_all():
         world.trace_counter([], "kernel.sort.records", [])
         with world.phase([], "nobody"):
             pass
-    assert sim.clocks == [0.0, 0.0] and sim.traces == [[], []]
+    assert _views(sim).clocks == [0.0, 0.0] and _views(sim).traces == [[], []]
 
 
 #: the verbs that exist once, on ``World``
@@ -1184,25 +1194,42 @@ def test_overlapping_flat_runs_never_leave_the_collector_off(first_out):
         gc.enable()
 
 
+class _BrokenRank(Workload):
+    """Rank 1's shard generator raises."""
+
+    def __init__(self) -> None:
+        super().__init__("broken-rank", uniform().fn)
+
+    def shard(self, n, p, rank, seed=0):
+        if rank == 1:
+            raise RuntimeError("generator blew up")
+        return super().shard(n, p, rank, seed)
+
+
 def test_failed_flat_runs_do_not_pile_up(collector_off):
-    # A failure owns a cycle — exception -> traceback -> the frames of
-    # the whole call stack -> whoever holds the exception — that turns
-    # to garbage only once the caller lets go of the result, so no
-    # sweep inside the run can free it.  What the exit sweep
+    # A raised failure owns a cycle — exception -> traceback -> the
+    # frames of the whole call stack -> whoever holds the exception —
+    # that turns to garbage only once the caller lets go of the result,
+    # so no sweep inside the run can free it.  What the exit sweep
     # guarantees, with no automatic collection to rely on (a paused
     # world never ages anything into one): nothing else is left
     # unreachable, and a failed run frees the failed runs before it.
     def failed_run():
-        res = run_sort("sds", uniform(), n_per_rank=2000, p=48,
+        res = run_sort("sds", _BrokenRank(), n_per_rank=64, p=48,
                        backend="flat")
-        assert res.oom and "SimOOMError" in res.failure
+        assert "generator blew up" in res.failure
 
     run_sort("sds", uniform(), n_per_rank=64, p=48, mem_factor=None,
              backend="flat")                                  # warm
-    held = _leader_oom(check=False)
+    held = run_spmd(_SortProgram("sds", _BrokenRank(), 64, 0, {}), 48,
+                    machine=EDISON, check=False, backend="flat")
     assert gc.collect() == 0          # swept at exit; the rest is held
     del held
     assert gc.collect() > 0
+    # a refusal (the leader's OOM) is recorded, never raised: no cycle
+    held = _leader_oom(check=False)
+    del held
+    assert gc.collect() == 0
     failed_run()
     one = len(gc.get_objects())
     for _ in range(5):
@@ -1226,20 +1253,23 @@ def test_every_rank_refused_in_the_sync_network_epilogue():
 # a budget that cannot flake: Python calls per rank
 # ---------------------------------------------------------------------------
 
-#: Measured 44.1 at p=1024 (95.5 with an outcome, a decision trace and
-#: a column walk per rank that retires at node merge), plus 10 %.  A
-#: count, not a time: it repeats exactly on any host and trips when a
-#: per-rank ``Comm`` call chain returns to the flat path, or when a
-#: retiring rank stops costing O(1) (each of those costs 2-10 calls).
-CALLS_PER_RANK_BUDGET = 48
+#: Measured 39.2 at p=1024 (44.1 with a memory tracker, counter and
+#: phase dicts and a trace list per rank; 95.5 with an outcome, a
+#: decision trace and a column walk per rank that retires at node
+#: merge), plus 10 %.  A count, not a time: it repeats exactly on any
+#: host and trips when a per-rank ``Comm`` call chain or ledger loop
+#: returns to the flat path, or when a retiring rank stops costing O(1)
+#: (each of those costs 2-10 calls).
+CALLS_PER_RANK_BUDGET = 43
 
 
-#: Flat PSRS, p=1024 x 64: measured 91.4 (the parent: 144.4), plus
-#: 10 %.  What is left per rank is the shard generator, the local
-#: sort's payload ``take``, one ``RecordBatch`` / ``ExchangeStats`` /
-#: memory-ledger entry per output and the decision trace; a per-rank
-#: epilogue, cut check, merge or gather coming back costs 10-40 calls.
-PSRS_CALLS_PER_RANK_BUDGET = 100
+#: Flat PSRS, p=1024 x 64: measured 75.8 (91.4 with per-rank ledger
+#: objects and loops; 144.4 before that), plus 10 %.  What is left per
+#: rank is the shard generator, the local sort's payload ``take``, one
+#: ``RecordBatch`` / ``ExchangeStats`` per output and the decision
+#: trace; a per-rank epilogue, ledger entry, cut check, merge or gather
+#: coming back costs 10-40 calls.
+PSRS_CALLS_PER_RANK_BUDGET = 83
 
 
 def _calls_per_rank(algorithm: str, p: int) -> float:
