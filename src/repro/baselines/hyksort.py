@@ -126,7 +126,7 @@ def hyksort_world(world: World, comms: list[Comm],
                 world, [ln["ctx"] for ln in lanes])
             prune()
             for ln in lanes:
-                ln["cur"] = ln["ctx"].batch
+                ln["cur"] = ln["ctx"].sorted_batch()
 
         level = 0
         while lanes and lanes[0]["active"].size > 1:

@@ -49,7 +49,7 @@ def psrs_sort_world(world: World, comms: list[Comm],
         if comms[0].size == 1:
             for ctx in group:
                 outcomes[ctx.slot] = SortOutcome(
-                    batch=ctx.batch, received=ctx.n,
+                    batch=ctx.sorted_batch(), received=ctx.n,
                     info={"p_active": 1, "decisions": ctx.decisions()})
             return outcomes
         if group:

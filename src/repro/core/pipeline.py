@@ -45,7 +45,7 @@ from ..kernels import (
     stable_prefix_layout,
 )
 from ..mpi import LANE, Comm, Epilogue, FlatAbort, World
-from ..records import RecordBatch, kway_merge_run_lists
+from ..records import RecordBatch, SortedRows, merge_sorted_rows
 from .exchange import (
     ExchangeStats,
     _overlapped_exchange_finish,
@@ -193,13 +193,14 @@ class RunContext:
     survivors of a crash).  ``plan`` carries the decision policy and
     the accumulating trace.  ``n`` and ``input_nbytes`` are the input's
     size, read off the batch's stored layout; the remaining fields are
-    the data flowing between phases.
+    the data flowing between phases (after the local sort ``batch`` is a
+    :class:`~repro.records.SortedRows` until :meth:`sorted_batch`).
     """
 
     comm: Comm
     params: SdsParams | None
     plan: SortPlan
-    batch: RecordBatch
+    batch: RecordBatch | SortedRows
     n: int
     input_nbytes: int
     slot: int  # index of this rank in the driver's ``comms``
@@ -243,6 +244,12 @@ class RunContext:
 
     def decisions(self) -> list[dict[str, Any]]:
         return self.plan.decisions()
+
+    def sorted_batch(self) -> RecordBatch:
+        """``batch``, a local sort's payload gathered on the first call."""
+        if type(self.batch) is SortedRows:
+            self.batch = self.batch.batch()
+        return self.batch
 
 
 def fault_health_check(world: World, ctxs: list[RunContext],
@@ -362,8 +369,9 @@ class LocalSort:
     computes (both ``sdss`` at ``c=1`` and ``plain`` reduce to one
     argsort of the shard), so permutations and replication ratios are
     bit-equal on every backend.  The kernel's gathered keys serve the
-    replication ratio and become the sorted batch's key column; only
-    the payload is gathered per rank.  The sort cost is evaluated once
+    replication ratio and become the sorted keys of the
+    :class:`~repro.records.SortedRows` each rank is left: no payload is
+    gathered here.  The sort cost is evaluated once
     per distinct ``(n, delta)`` and booked through the world's charge
     verbs.
     """
@@ -379,10 +387,10 @@ class LocalSort:
                     world.fail(c, ValueError(
                         f"unknown local-sort kernel {self.kernel!r}"))
                 raise FlatAbort
-            sorted_batches: list = [None] * len(ctxs)
             for members in same_key_groups(
                     [(ctx.n, ctx.batch.keys.dtype) for ctx in ctxs]):
-                rows = np.stack([ctxs[i].batch.keys for i in members])
+                rows = np.concatenate([ctxs[i].batch.keys for i in members]
+                                      ).reshape(len(members), ctxs[members[0]].n)
                 if self.stable:
                     perms, ordered = stable_argsort(rows)
                 else:
@@ -391,7 +399,7 @@ class LocalSort:
                 deltas = batched_local_delta(ordered).tolist()
                 for i, perm, keys, delta in zip(members, perms, ordered,
                                                 deltas):
-                    sorted_batches[i] = ctxs[i].batch.take(perm, keys=keys)
+                    ctxs[i].batch = SortedRows(ctxs[i].batch, perm, keys)
                     ctxs[i].delta = delta
             sort_time = ctxs[0].cost.sort_time
             dts = _per_distinct(
@@ -402,8 +410,6 @@ class LocalSort:
             world.trace_counter(comms, "kernel.sort.records",
                                 [ctx.n for ctx in ctxs])
             world.trace_counter(comms, "kernel.sort.seconds", dts)
-        for ctx, batch in zip(ctxs, sorted_batches):
-            ctx.batch = batch
 
 
 @register_phase("node_merge")
@@ -424,9 +430,9 @@ class NodeMerge:
     allreduce runs once per communicator, and the node-level
     funnelling — two communicator splits plus one gather per node —
     goes through the world's collectives.  Every leader's node is
-    merged by one call (:func:`~repro.records.kway_merge_run_lists`:
-    nodes of one layout and length in one row-stacked stable argsort,
-    each equal to ``kway_merge_batches`` of that node), the ranks that
+    merged by one call (:func:`~repro.records.merge_sorted_rows`: nodes
+    of one layout and length in one row-stacked stable argsort, each
+    column gathered once from the members' inputs), the ranks that
     handed their data off share one outcome per distinct layout and
     decision trace, and charges go through the world's verbs in the
     per-rank order (merge, charge, allocate, release) — so merged
@@ -501,7 +507,7 @@ class NodeMerge:
             # absorbed shard go
             leaders = [i for i in live if local_comms[i].rank == 0]
             merged: dict[int, RecordBatch] = {}
-            for i, batch in zip(leaders, kway_merge_run_lists(
+            for i, batch in zip(leaders, merge_sorted_rows(
                     [gathered_for[i] for i in leaders])):
                 if isinstance(batch, Exception):
                     world.fail(comms[i], batch)
@@ -656,7 +662,8 @@ class Partition:
                         [(ctxs[i].batch.keys.size, ctxs[i].batch.keys.dtype,
                           id(ctxs[i].pg)) for i in live]):
                     members = [live[j] for j in members]
-                    rows = np.stack([ctxs[i].batch.keys for i in members])
+                    keys = [ctxs[i].batch.keys for i in members]
+                    rows = np.concatenate(keys).reshape(len(keys), keys[0].size)
                     for i, cuts in zip(members, classic_cuts(
                             rows, ctxs[members[0]].pg)):
                         ctxs[i].cuts = cuts
@@ -816,11 +823,11 @@ class Exchange:
         if len(ctxs) > 1 and cuts_all_valid(
                 [ctx.cuts for ctx in ctxs], p,
                 [ctx.batch.keys.size for ctx in ctxs]):
-            return [(ctx.batch, ctx.cuts) for ctx in ctxs]
+            return [(ctx.sorted_batch(), ctx.cuts) for ctx in ctxs]
         deposits: list = [None] * len(ctxs)
         for i, ctx in enumerate(ctxs):
             try:
-                deposits[i] = (ctx.batch, ctx.cuts.check(p, len(ctx.batch)))
+                deposits[i] = (ctx.sorted_batch(), ctx.cuts.check(p, ctx.n))
             except BaseException as exc:
                 world.fail(acomms[i], exc)
         return deposits

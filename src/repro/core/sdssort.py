@@ -59,7 +59,7 @@ __all__ = ["SortOutcome", "local_delta", "pivot_pad_value", "sds_sort",
 
 def _singleton_outcome(ctx: RunContext) -> SortOutcome:
     """The one-rank short-circuit: locally sorted data is the answer."""
-    return SortOutcome(batch=ctx.batch, received=ctx.n,
+    return SortOutcome(batch=ctx.sorted_batch(), received=ctx.n,
                        info={"p_active": 1, "delta_local": ctx.delta,
                              "decisions": ctx.decisions()})
 
@@ -86,25 +86,20 @@ def sds_sort_world(world: World, comms: list[Comm],
         """Bank finished outcomes; drop failed ranks from the group."""
         nonlocal group
         failed = bool(world.failures)
-        rest = []
         for ctx in group:
             if ctx.outcome is not None:
                 outcomes[ctx.slot] = ctx.outcome
-            elif not failed or world.alive(ctx.comm):
-                rest.append(ctx)
-        group = rest
+        group = [ctx for ctx in group if ctx.outcome is None
+                 and (not failed or world.alive(ctx.comm))]
 
     def settle() -> None:
         """Harvest, then short-circuit ranks whose world shrank to one."""
         nonlocal group
         harvest()
-        rest = []
         for ctx in group:
             if ctx.active.size == 1:
                 outcomes[ctx.slot] = _singleton_outcome(ctx)
-            else:
-                rest.append(ctx)
-        group = rest
+        group = [ctx for ctx in group if ctx.active.size != 1]
 
     try:
         if group:

@@ -47,7 +47,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from ..machine import CostModel, MachineSpec, MemoryLedger, RankMemory
-from ..records import RecordBatch
+from ..records import RecordBatch, SortedRows
 from .cells import Cuts
 from .context import AbortFlag, Channel, CommContext
 from .errors import MessageLostError
@@ -64,7 +64,7 @@ def payload_nbytes(obj: Any) -> int:
         return 0
     if type(obj) is int or type(obj) is float:  # a reduction's operand
         return 8
-    if isinstance(obj, RecordBatch):
+    if isinstance(obj, (RecordBatch, SortedRows)):
         return obj.nbytes
     if isinstance(obj, np.ndarray):
         return int(obj.nbytes)

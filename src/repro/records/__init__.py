@@ -4,6 +4,7 @@ from .batch import (
     SRC_POS,
     SRC_RANK,
     RecordBatch,
+    SortedRows,
     concat_batch_arrays,
     from_mapping,
     tag_provenance,
@@ -12,7 +13,7 @@ from .batch import (
 from .ops import (
     adaptive_sort_batch,
     kway_merge_batches,
-    kway_merge_run_lists,
+    merge_sorted_rows,
     merge_two_batches,
     sort_batch,
 )
@@ -21,13 +22,14 @@ __all__ = [
     "SRC_POS",
     "SRC_RANK",
     "RecordBatch",
+    "SortedRows",
     "concat_batch_arrays",
     "from_mapping",
     "tag_provenance",
     "tag_provenance_world",
     "adaptive_sort_batch",
     "kway_merge_batches",
-    "kway_merge_run_lists",
+    "merge_sorted_rows",
     "merge_two_batches",
     "sort_batch",
 ]

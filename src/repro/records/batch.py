@@ -163,17 +163,7 @@ class RecordBatch:
     @staticmethod
     def concat(batches: Iterable["RecordBatch"]) -> "RecordBatch":
         """Concatenate batches (all must share the same payload schema)."""
-        batches = list(batches)
-        if not batches:
-            return RecordBatch(np.zeros(0, dtype=np.float64))
-        schema = batches[0].columns
-        for b in batches[1:]:
-            if b.columns != schema:
-                raise ValueError(f"payload schema mismatch: {b.columns} != {schema}")
-        keys = np.concatenate([b.keys for b in batches])
-        payload = {
-            name: np.concatenate([b.payload[name] for b in batches]) for name in schema
-        }
+        keys, payload, _ = concat_batch_arrays(list(batches))
         return RecordBatch(keys, payload)
 
     @staticmethod
@@ -183,6 +173,28 @@ class RecordBatch:
             np.zeros(0, dtype=proto.keys.dtype),
             {name: np.zeros((0, *shape), dtype=dtype)
              for name, dtype, shape in proto.schema[1:]}, proto)
+
+
+class SortedRows:
+    """A batch's rows in key order, payload not yet gathered: the input
+    ``rows``, the sort permutation ``perm`` and the sorted ``keys``.
+
+    ``keys``, ``schema``, ``record_bytes``, ``nbytes``, ``len()`` and
+    :meth:`RecordBatch.empty_like` read no payload; :meth:`batch` equals
+    ``rows.take(perm, keys=keys)``.
+    """
+
+    __slots__ = ("rows", "perm", "keys", "schema", "record_bytes", "nbytes")
+
+    def __init__(self, rows: RecordBatch, perm: np.ndarray, keys: np.ndarray) -> None:
+        self.rows, self.perm, self.keys = rows, perm, keys
+        self.schema, self.record_bytes, self.nbytes = rows.schema, rows.record_bytes, rows.nbytes
+
+    def __len__(self) -> int:
+        return self.keys.size
+
+    def batch(self) -> RecordBatch:
+        return self.rows.take(self.perm, keys=self.keys)
 
 
 def concat_batch_arrays(

@@ -19,7 +19,7 @@ from ..kernels import (
     same_key_groups,
     stable_argsort,
 )
-from .batch import RecordBatch
+from .batch import RecordBatch, SortedRows
 
 
 def merge_two_batches(a: RecordBatch, b: RecordBatch) -> RecordBatch:
@@ -39,44 +39,47 @@ def kway_merge_batches(batches: Sequence[RecordBatch]) -> RecordBatch:
     return RecordBatch.concat(batches).take(perm, keys=merged)
 
 
-def kway_merge_run_lists(run_lists: Sequence[Sequence[RecordBatch]]
-                         ) -> list[RecordBatch | Exception]:
-    """:func:`kway_merge_batches` of every run list, row-stacked.
+def merge_sorted_rows(run_lists: Sequence[Sequence[SortedRows]]
+                      ) -> list[RecordBatch | Exception]:
+    """Every run list's stable k-way merge, gathered from the inputs.
 
-    Entry ``j`` is ``kway_merge_batches(run_lists[j])`` — keys, every
-    payload column, dtypes — or the exception that call raises.  A list
-    whose runs share one :attr:`~RecordBatch.schema` is merged together
-    with every other list of that schema and total length: their keys
-    and columns are concatenated once, one stable argsort sorts the
-    ``(lists, total)`` key stack along its rows, each column is gathered
-    once and every list gets its rows as slices.  The stable permutation
-    of sorted runs is unique, so that is the definition, for one or two
-    runs as for many.  A list whose runs disagree on layout (or holds
-    none) goes through :func:`kway_merge_batches` itself, which promotes
-    dtypes or raises, for that list alone.
+    Entry ``j`` is ``kway_merge_batches([r.batch() for r in
+    run_lists[j]])`` — keys, every payload column, dtypes — or the
+    exception that call raises.  A list whose runs share one
+    :attr:`~RecordBatch.schema` is merged together with every other
+    list of that schema and total length: one stable argsort sorts the
+    ``(lists, total)`` stack of their sorted keys along its rows (the
+    stable permutation of sorted runs is unique), and each payload
+    column is gathered once from the concatenated inputs through the
+    composed permutation.  A list whose runs disagree on layout (or
+    holds none) goes through :func:`kway_merge_batches` alone.
     """
     out: list = [None] * len(run_lists)
     shapes = []
     for runs in run_lists:
-        schemas = {b.schema for b in runs}
-        shapes.append((sum([b.keys.size for b in runs]), *schemas)
+        schemas = {r.schema for r in runs}
+        shapes.append((sum([r.keys.size for r in runs]), *schemas)
                       if len(schemas) == 1 else None)
     for members in same_key_groups(shapes):
         if shapes[members[0]] is None:
             for j in members:
                 try:
-                    out[j] = kway_merge_batches(run_lists[j])
+                    out[j] = kway_merge_batches([r.batch() for r in run_lists[j]])
                 except Exception as exc:
                     out[j] = exc
             continue
         total, schema = shapes[members[0]]
-        flat = [b for j in members for b in run_lists[j]]
+        flat = [r for j in members for r in run_lists[j]]
         rows = len(members)
         perm, keys = stable_argsort(
-            np.concatenate([b.keys for b in flat]).reshape(rows, total))
+            np.concatenate([r.keys for r in flat]).reshape(rows, total))
         perm += (np.arange(rows, dtype=perm.dtype) * total)[:, None]
         perm, keys = perm.ravel(), keys.ravel()
-        columns = {name: np.concatenate([b.payload[name] for b in flat])[perm]
+        if len(schema) > 1:  # each run's sort, at its run's offset
+            sizes = [r.keys.size for r in flat]
+            offsets = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+            perm = (np.concatenate([r.perm for r in flat]) + offsets)[perm]
+        columns = {name: np.concatenate([r.rows.payload[name] for r in flat])[perm]
                    for name, _, _ in schema[1:]}
         for row, j in enumerate(members):
             lo, hi = row * total, (row + 1) * total

@@ -382,9 +382,9 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
     if validate:
         # degraded completion: a crashed rank's input left the world
         # with it — survivors must deliver *their* data sorted
-        live_inputs = (inputs if not crashed_ranks
-                       else [inp for r, inp in enumerate(inputs)
-                             if r not in set(crashed_ranks)])
+        crashed = set(crashed_ranks)
+        live_inputs = [inp for r, inp in enumerate(inputs)
+                       if r not in crashed] if crashed else inputs
         check_sorted(live_inputs, outputs, stable=stable)
 
     # the decision trace lives on active ranks (a crashed rank's trace

@@ -4,6 +4,8 @@ A HykSort level talks to ``k`` peers and a rank of a radix exchange to
 at most ``n`` (its record count) destinations; the exchange hands a rank
 only its non-empty chunks.  Building ``p`` send slots a rank (p^2 in
 all) is what made flat HykSort at p=4096 take minutes and gigabytes.
+SDS with node merge builds two batches a rank (drawn, tagged) and the
+leaders' few: a rank that retires at node merge gets no sorted batch.
 These count every ``RecordBatch`` a flat run constructs at p=1024 x 64.
 """
 
@@ -64,3 +66,11 @@ def test_radix_builds_o_pn_batches(workload):
     # one exchange; measured 12-24 a rank, a p-slot send list > 1,000
     built = _count_batches("radix", workload, mem_factor=None)
     assert built <= P * N_PER_RANK, built
+
+
+def test_sds_with_node_merge_builds_two_batches_a_rank():
+    # measured 2,138 (2 a rank plus 90 for the 43 leaders and the
+    # exchange) where a local sort that took every rank's payload built
+    # 3,162; bound: measured + 10 %
+    built = _count_batches("sds", "uniform", mem_factor=None)
+    assert built <= 2352, built

@@ -7,6 +7,7 @@ degraded-completion crash path, and the chaos harness.
 """
 
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -455,6 +456,23 @@ class TestCrashRecovery:
         pivots = [d for d in r.extras["decisions"]
                   if d["decision"] == "pivot_method"]
         assert len(pivots) == 2
+
+    def test_two_crashes_still_validate_the_survivors(self):
+        spec = FaultSpec(crashes=(CrashFault(rank=2, phase="pivot_select"),
+                                  CrashFault(rank=5, phase="exchange")))
+        seen = []
+
+        def spy(inputs, outputs, **kw):
+            seen.append(len(inputs))
+            return check_sorted(inputs, outputs, **kw)
+
+        with mock.patch("repro.runner.check_sorted", spy):
+            r = run_sort("sds", UNIFORM, n_per_rank=300, p=8, seed=0,
+                         faults=spec, keep_outputs=True)
+        assert r.ok and r.extras["crashed_ranks"] == [2, 5]
+        assert seen == [6]  # the survivors' inputs, once
+        assert len(r.outputs[2]) == len(r.outputs[5]) == 0
+        assert sum(len(b) for b in r.outputs) == 6 * 300
 
     def test_two_rank_world_crash_degrades_to_singleton(self):
         spec = FaultSpec(crashes=(CrashFault(rank=1, phase="pivot_select"),))

@@ -26,6 +26,7 @@ import os
 import subprocess
 import sys
 import threading
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -50,14 +51,15 @@ from repro.mpi import (
 from repro.obs import TraceReport, Tracer
 from repro.records import (
     RecordBatch,
-    kway_merge_batches,
-    kway_merge_run_lists,
+    SortedRows,
+    merge_sorted_rows,
     tag_provenance,
     tag_provenance_world,
 )
 from repro.runner import _SortProgram, run_sort
 from repro.workloads import Workload, by_name, cosmology, uniform, zipf
 
+from .oracles_merge import kway_merge_run_lists
 from .test_workloads import registered_names
 
 #: Host-wall counters: no engine reproduces them.
@@ -945,6 +947,29 @@ def _sorted_run(rng, n, key_dtype, wide):
     return RecordBatch(keys, payload)
 
 
+def _pending_run(rng, n, key_dtype, wide):
+    # an unsorted shard as a local sort leaves it: input rows, the
+    # stable permutation and the sorted keys
+    rows = RecordBatch(rng.integers(-3, 4, n).astype(key_dtype),
+                       {"tag": rng.integers(0, 1 << 30, n).astype(np.int32),
+                        **({"vec": rng.random((n, 2))} if wide else {})})
+    perm = np.argsort(rows.keys, kind="stable")
+    return SortedRows(rows, perm, rows.keys[perm])
+
+
+def _assert_merged_equal(run_lists, merged):
+    # the oracle merges the runs' sorted batches (and, for a list of
+    # mismatched runs, promotes or refuses as kway_merge_batches does)
+    want = kway_merge_run_lists([[r.batch() for r in runs]
+                                 for runs in run_lists])
+    assert len(merged) == len(run_lists)
+    for got, oracle in zip(merged, want):
+        if isinstance(oracle, Exception):
+            assert type(got) is type(oracle) and str(got) == str(oracle)
+        else:
+            _assert_batches_equal(got, oracle)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 2**31), st.sampled_from([1, 2, 3, 24]),
        st.integers(1, 5), st.sampled_from([0, 1, 2, 5, 9, 100]),
@@ -952,38 +977,45 @@ def _sorted_run(rng, n, key_dtype, wide):
 def test_node_merge_of_every_leader_equals_per_node_merge(seed, k, nodes, n,
                                                           key_dtype, wide):
     rng = np.random.default_rng(seed)
-    run_lists = [[_sorted_run(rng, n, key_dtype, wide) for _ in range(k)]
+    run_lists = [[_pending_run(rng, n, key_dtype, wide) for _ in range(k)]
                  for _ in range(nodes)]
     # a ragged last node (fewer, uneven runs) and one of another dtype
-    run_lists.append([_sorted_run(rng, m, key_dtype, wide)
+    run_lists.append([_pending_run(rng, m, key_dtype, wide)
                       for m in rng.integers(0, 6, max(1, k - 1))])
-    run_lists.append([_sorted_run(rng, n, np.int32, wide)
+    run_lists.append([_pending_run(rng, n, np.int32, wide)
                       for _ in range(k)])
-    merged = kway_merge_run_lists(run_lists)
-    assert len(merged) == len(run_lists)
-    for runs, got in zip(run_lists, merged):
-        _assert_batches_equal(got, kway_merge_batches(runs))
+    _assert_merged_equal(run_lists, merge_sorted_rows(run_lists))
 
 
 def test_node_merge_leaves_mismatched_runs_to_the_per_list_merge():
     rng = np.random.default_rng(0)
-    good = [[_sorted_run(rng, 4, np.float64, False) for _ in range(3)]
+    good = [[_pending_run(rng, 4, np.float64, False) for _ in range(3)]
             for _ in range(2)]
-    mixed_dtype = [_sorted_run(rng, 4, np.float64, False),
-                   _sorted_run(rng, 4, np.float64, False),
-                   _sorted_run(rng, 4, np.int64, False)]
-    other_schema = [_sorted_run(rng, 4, np.float64, False),
-                    _sorted_run(rng, 4, np.float64, True),
-                    _sorted_run(rng, 4, np.float64, False)]
+    mixed_dtype = [_pending_run(rng, 4, np.float64, False),
+                   _pending_run(rng, 4, np.float64, False),
+                   _pending_run(rng, 4, np.int64, False)]
+    other_schema = [_pending_run(rng, 4, np.float64, False),
+                    _pending_run(rng, 4, np.float64, True),
+                    _pending_run(rng, 4, np.float64, False)]
     run_lists = good + [mixed_dtype, other_schema, []]
-    merged = kway_merge_run_lists(run_lists)
+    merged = merge_sorted_rows(run_lists)
+    _assert_merged_equal(run_lists, merged)
     # the per-list merge promotes one list and refuses another, that
     # list alone: its exception comes back in its slot
-    for j in (0, 1, 2, 4):
-        _assert_batches_equal(merged[j], kway_merge_batches(run_lists[j]))
     assert merged[2].keys.dtype == np.float64
     assert isinstance(merged[3], ValueError)
     assert "schema mismatch" in str(merged[3])
+
+
+def test_sorted_rows_read_their_layout_without_a_gather():
+    rows = _pending_run(np.random.default_rng(1), 7, np.float64, True)
+    with mock.patch.object(RecordBatch, "take", side_effect=AssertionError):
+        layout = (rows.keys.tolist(), rows.schema, rows.record_bytes,
+                  rows.nbytes, len(rows), RecordBatch.empty_like(rows).schema)
+    batch = rows.batch()
+    _assert_batches_equal(batch, rows.rows.take(rows.perm, keys=rows.keys))
+    assert layout == (batch.keys.tolist(), batch.schema, batch.record_bytes,
+                      batch.nbytes, len(batch), batch.schema)
 
 
 @settings(max_examples=25, deadline=None)
@@ -1253,23 +1285,25 @@ def test_every_rank_refused_in_the_sync_network_epilogue():
 # a budget that cannot flake: Python calls per rank
 # ---------------------------------------------------------------------------
 
-#: Measured 39.2 at p=1024 (44.1 with a memory tracker, counter and
-#: phase dicts and a trace list per rank; 95.5 with an outcome, a
-#: decision trace and a column walk per rank that retires at node
-#: merge), plus 10 %.  A count, not a time: it repeats exactly on any
-#: host and trips when a per-rank ``Comm`` call chain or ledger loop
-#: returns to the flat path, or when a retiring rank stops costing O(1)
-#: (each of those costs 2-10 calls).
-CALLS_PER_RANK_BUDGET = 43
+#: Measured 33.0 at p=1024 (39.2 while the local sort took every rank's
+#: payload; 44.1 with a memory tracker, counter and phase dicts and a
+#: trace list per rank; 95.5 with an outcome, a decision trace and a
+#: column walk per rank that retires at node merge), plus 10 %.  A
+#: count, not a time: it repeats exactly on any host and trips when a
+#: per-rank ``Comm`` call chain, ledger loop or payload ``take`` returns
+#: to the flat path, or when a retiring rank stops costing O(1) (each
+#: of those costs 2-10 calls).
+CALLS_PER_RANK_BUDGET = 36.3
 
 
-#: Flat PSRS, p=1024 x 64: measured 75.8 (91.4 with per-rank ledger
-#: objects and loops; 144.4 before that), plus 10 %.  What is left per
-#: rank is the shard generator, the local sort's payload ``take``, one
-#: ``RecordBatch`` / ``ExchangeStats`` per output and the decision
-#: trace; a per-rank epilogue, ledger entry, cut check, merge or gather
-#: coming back costs 10-40 calls.
-PSRS_CALLS_PER_RANK_BUDGET = 83
+#: Flat PSRS, p=1024 x 64: measured 76.8 (75.8 while the local sort
+#: took the payload itself; the exchange deposit takes it now, one
+#: call more a rank; 91.4 with per-rank ledger objects and loops; 144.4
+#: before that), plus 10 %.  What is left per rank is the shard generator, the
+#: payload ``take``, one ``RecordBatch`` / ``ExchangeStats`` per output
+#: and the decision trace; a per-rank epilogue, ledger entry, cut check,
+#: merge or gather coming back costs 10-40 calls.
+PSRS_CALLS_PER_RANK_BUDGET = 84.4
 
 
 def _calls_per_rank(algorithm: str, p: int) -> float:
