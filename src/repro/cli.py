@@ -461,7 +461,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         max_queue_depth=args.max_queue_depth,
         mem_budget_bytes=(None if args.no_mem_budget
                           else int(args.mem_budget_mb * 2**20)),
-        max_pools=args.max_pools,
         telemetry=not args.no_telemetry)
     if args.socket:
         serve_socket(service, args.socket)
@@ -615,11 +614,7 @@ def top_lines(stats: dict, metrics: dict) -> list[str]:
                                      "sdssort_admission_decisions_total")),
         f"committed: {adm['committed_bytes']:,} B of "
         + (f"{adm['budget_bytes']:,} B" if adm["budget_bytes"] is not None
-           else "(no budget)")
-        + "   pools: " + "  ".join(
-            f"{row['labels']['event']}={int(row['value'])}"
-            for row in _metric_group(metrics, "counters",
-                                     "sdssort_pool_events_total")),
+           else "(no budget)"),
     ]
 
     rollup = metrics["rollup"]
@@ -836,8 +831,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "peak across queued+running jobs (MiB)")
     pv.add_argument("--no-mem-budget", action="store_true",
                     help="disable the memory admission gate")
-    pv.add_argument("--max-pools", type=_positive_int, default=8,
-                    help="idle engine pools retained by the warm cache")
     pv.add_argument("--no-telemetry", action="store_true",
                     help="disable the metrics registry and cost rollup "
                          "(the metrics op reports telemetry disabled)")

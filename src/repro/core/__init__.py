@@ -4,7 +4,6 @@ from .bitonic import bitonic_sort, bitonic_sort_rounds, is_power_of_two
 from .histosel import histogram_refine, select_pivots_histogram
 from .exchange import ExchangeStats
 from .localsort import SharedSortStats, sdss_local_sort, shared_merge_loads
-from .nodemerge import NodeMergeResult, node_merge
 from .params import (
     PARTITION_VARIANTS,
     PIVOT_METHODS,
@@ -68,8 +67,6 @@ __all__ = [
     "SharedSortStats",
     "sdss_local_sort",
     "shared_merge_loads",
-    "NodeMergeResult",
-    "node_merge",
     "TAU_M_BYTES",
     "TAU_O",
     "TAU_S",

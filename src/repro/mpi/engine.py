@@ -254,54 +254,17 @@ class SpmdPool:
     no affinity API; a worker whose move is refused (``OSError``) stays
     where it is.  Placement moves threads, not work: clocks, counters,
     traces and results cannot see it.
-
-    Concurrent borrowers (the sort-as-a-service warm-pool cache hands
-    pools to scheduler threads) coordinate through the lease refcount:
-    :meth:`lease`/:meth:`release` are thread-safe, ``leases`` tells a
-    cache whether a pool is idle, and :meth:`shutdown` refuses while
-    any lease is outstanding — a job can never have its rank threads
-    torn down under it by another job's cleanup.
     """
 
     def __init__(self) -> None:
         self._workers: list[_Worker] = []
         self._place = _place()
         self._lock = threading.Lock()
-        self._lease_lock = threading.Lock()
-        self._leases = 0
-        self._down = False
 
     @property
     def size(self) -> int:
         """Current number of pool threads."""
         return len(self._workers)
-
-    @property
-    def leases(self) -> int:
-        """Outstanding lease count (0 = idle, safe to shut down)."""
-        with self._lease_lock:
-            return self._leases
-
-    def lease(self) -> "SpmdPool":
-        """Register a borrower; returns ``self`` for chaining.
-
-        Leasing is advisory refcounting, not mutual exclusion: two
-        borrowers may hold leases at once (their runs serialize on the
-        run lock).  It exists so a pool cache can tell idle pools from
-        busy ones and so :meth:`shutdown` cannot fire mid-job.
-        """
-        with self._lease_lock:
-            if self._down:
-                raise RuntimeError("pool has been shut down")
-            self._leases += 1
-        return self
-
-    def release(self) -> None:
-        """Drop one lease taken with :meth:`lease`."""
-        with self._lease_lock:
-            if self._leases <= 0:
-                raise RuntimeError("release() without a matching lease()")
-            self._leases -= 1
 
     def _grow(self, p: int) -> None:
         if len(self._workers) >= p:
@@ -334,18 +297,7 @@ class SpmdPool:
                     _coarse_exit()
 
     def shutdown(self) -> None:
-        """Stop and join all pool threads (tests / pool-cache eviction).
-
-        Refuses while leases are outstanding: a warm-pool cache evicting
-        this pool must not tear the rank threads down under a job that
-        is still borrowing them.
-        """
-        with self._lease_lock:
-            if self._leases:
-                raise RuntimeError(
-                    f"cannot shut down pool with {self._leases} outstanding "
-                    "lease(s)")
-            self._down = True
+        """Stop and join all pool threads (tests, interpreter exit)."""
         with self._lock:
             for w in self._workers:
                 w.stop()
@@ -359,7 +311,8 @@ _default_pool_lock = threading.Lock()
 
 
 def default_pool() -> SpmdPool:
-    """The process-wide rank-thread pool used by :func:`run_spmd`."""
+    """The process-wide rank-thread pool used by :func:`run_spmd` (and so
+    by every ``thread`` job of the sort service)."""
     global _default_pool
     if _default_pool is None:
         with _default_pool_lock:
@@ -446,8 +399,6 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
     pool:
         :class:`SpmdPool` hosting the rank threads of the thread
         backend (default: the process-wide :func:`default_pool`).  The
-        sort-as-a-service scheduler injects warm cached pools here so
-        concurrent jobs never contend on the shared default.  The
         pool's rank threads share one CPU while their ranks are shallow
         (see :class:`SpmdPool`); this call runs on, and leaves alone,
         the caller's own affinity.
@@ -472,7 +423,9 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
         results and trace counters are bit-for-bit identical across
         backends.
     cancel:
-        Optional :class:`threading.Event`.  Set before the world starts
+        Optional :class:`threading.Event`, or anything with its
+        ``is_set()`` (a service job's token also reads as set once the
+        job's deadline has passed).  Set before the world starts
         (any backend), nothing runs and the result carries a
         :class:`RankFailure` whose cause is :class:`RunCancelled`; fired
         mid-run (a service timeout or an explicit cancel), the world

@@ -29,7 +29,6 @@ from .mpi import (
     ColumnarWorld,
     Comm,
     FlatAbort,
-    SpmdPool,
     run_spmd,
 )
 from .mpi.errors import RunCancelled
@@ -267,8 +266,7 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
              algo_opts: dict[str, Any] | None = None,
              faults: Any = None, fault_seed: int = 0,
              trace: bool = False,
-             backend: str = "auto",
-             pool: SpmdPool | None = None, cancel: Any = None,
+             backend: str = "auto", cancel: Any = None,
              metrics: Any = None) -> RunResult:
     """Run one distributed sort end to end on the simulated machine.
 
@@ -298,10 +296,6 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         identical results, several times slower on small worlds.  The
         resolution and the eligibility list are recorded in
         ``extras["backend"]``.
-    pool: optional warm :class:`~repro.mpi.engine.SpmdPool` hosting the
-        thread backend's ranks.  The sort-as-a-service scheduler leases
-        pools from its cache and injects them here so concurrent jobs
-        reuse rank threads across requests instead of cold-starting.
     cancel: optional :class:`threading.Event`; set before the world
         starts, nothing runs and the result is a ``RunCancelled``
         failure on every functional backend; firing it mid-run aborts
@@ -350,8 +344,7 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
 
     res = run_spmd(prog, p, machine=machine, mem_capacity=capacity,
                    check=False, faults=fplan, tracer=tracer,
-                   backend=backend, pool=pool, cancel=cancel,
-                   metrics=metrics)
+                   backend=backend, cancel=cancel, metrics=metrics)
 
     if res.failure is not None:
         cause = res.failure.cause

@@ -12,14 +12,13 @@ catalog up front (see ``docs/observability.md`` for the full table):
 * queue — ``sdssort_queue_depth{priority}``, ``sdssort_jobs_running``,
   wall-latency histograms ``sdssort_queue_wait_ms{priority}`` /
   ``sdssort_run_ms{priority}`` (counts deterministic, sums wall clock);
-* warm pools — ``sdssort_pool_events_total{event}``;
 * engine boundary — ``sdssort_runs_total{algorithm,backend,outcome}``,
   ``sdssort_run_aborts_total{cause}``,
   ``sdssort_engine_worlds_total{backend}``,
   ``sdssort_engine_cancels_total``.
 
-Fixed label domains (priorities, terminal states, admission codes,
-pool events) are pre-materialised at zero so a snapshot's row set
+Fixed label domains (priorities, terminal states, admission codes)
+are pre-materialised at zero so a snapshot's row set
 never depends on which events happened to fire first — part of the
 determinism contract.  The engine-facing hooks (:meth:`record_run`,
 :meth:`record_world`) are duck-typed: ``run_sort``/``run_spmd`` accept
@@ -42,10 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from .queue import Job
     from .spec import JobSpec
 
-__all__ = ["POOL_EVENTS", "RUN_OUTCOMES", "ServiceMetrics"]
-
-#: Warm-pool cache events (``sdssort_pool_events_total{event}``).
-POOL_EVENTS = ("hit", "miss", "evict")
+__all__ = ["RUN_OUTCOMES", "ServiceMetrics"]
 
 #: Engine-run outcomes (``sdssort_runs_total{outcome}``).
 RUN_OUTCOMES = ("ok", "oom", "cancelled", "failed")
@@ -69,10 +65,6 @@ class ServiceMetrics:
         self.admission_decisions = r.counter(
             "sdssort_admission_decisions_total",
             "Admission decisions, by typed code", labels=("code",))
-        self.pool_events = r.counter(
-            "sdssort_pool_events_total",
-            "Warm-pool leases (hit: no thread start-up, miss: pool built)"
-            " and evictions", labels=("event",))
         self.runs = r.counter(
             "sdssort_runs_total",
             "Engine runs, by algorithm, resolved backend and outcome",
@@ -121,8 +113,6 @@ class ServiceMetrics:
                 self.jobs_total.labels(state=state, priority=priority)
         for code in ADMISSION_CODES:
             self.admission_decisions.labels(code=code)
-        for event in POOL_EVENTS:
-            self.pool_events.labels(event=event)
         self.engine_cancels.labels()
         self.jobs_running.set(0)
         self.committed_bytes.set(0)
@@ -152,9 +142,6 @@ class ServiceMetrics:
                 depth_by_class.get(priority, 0))
         self.jobs_running.set(running)
         self.committed_bytes.set(committed_bytes)
-
-    def record_pool_event(self, event: str) -> None:
-        self.pool_events.labels(event=event).inc()
 
     # -- engine-boundary hooks (duck-typed `metrics=` objects) -----
     def record_run(self, *, algorithm: str, backend: str, outcome: str,

@@ -22,12 +22,35 @@ from .jsondoc import sort_doc
 from .spec import PRIORITIES, JobSpec
 
 #: Every state a job can be in.  ``rejected`` jobs never enter the
-#: queue; ``timeout`` is a cancellation the deadline watchdog issued.
+#: queue; ``timeout`` is a cancellation the job's deadline issued.
 JOB_STATES = ("queued", "running", "done", "failed", "rejected",
               "cancelled", "timeout")
 
 #: States a job never leaves.
 TERMINAL_STATES = ("done", "failed", "rejected", "cancelled", "timeout")
+
+
+class CancelToken(threading.Event):
+    """A job's cancel event that also reads as set once its monotonic
+    ``deadline`` has passed.  The engine polls ``is_set()`` before a
+    world starts, in the thread backend's cancel watcher and at every
+    flat collective, so the deadline is checked there and no timer
+    thread waits for it.  ``timed_out``: the deadline fired first."""
+
+    def __init__(self, deadline: float):
+        super().__init__()
+        self.deadline = deadline
+        self.timed_out = False
+
+    def is_set(self) -> bool:
+        if not super().is_set() and time.monotonic() >= self.deadline:
+            self.timed_out = True
+            super().set()
+        return super().is_set()
+
+    def set(self) -> None:
+        self.is_set()  # a deadline already past fired first
+        super().set()
 
 
 @dataclass
@@ -49,9 +72,18 @@ class Job:
     submitted_at: float = field(default_factory=time.monotonic)
     started_at: float | None = None
     finished_at: float | None = None
-    cancel_event: threading.Event = field(default_factory=threading.Event)
+    cancel_event: threading.Event = field(init=False, repr=False)
     done_event: threading.Event = field(default_factory=threading.Event)
-    timed_out: bool = field(default=False, repr=False)
+
+    def __post_init__(self) -> None:
+        # a job without a deadline polls a plain event: nothing extra
+        self.cancel_event = (threading.Event() if self.timeout_s is None
+                             else CancelToken(self.deadline))
+
+    @property
+    def timed_out(self) -> bool:
+        """The deadline, not a cancel, set the job's cancel token."""
+        return getattr(self.cancel_event, "timed_out", False)
 
     @property
     def deadline(self) -> float | None:

@@ -1,12 +1,13 @@
-"""Concurrent job scheduling with warm pools, drain, and timeouts.
+"""Concurrent job scheduling, drain, and timeouts.
 
 :class:`SortService` is the long-lived object behind every front-end
 (`sdssort serve`, `sdssort submit`, the in-process
 :class:`~repro.service.client.ServiceClient`): it owns the
 :class:`~repro.service.queue.JobQueue`, the
-:class:`~repro.service.admission.AdmissionController`, the
-:class:`~repro.service.pools.WarmPoolCache` and a fixed set of
-:class:`Scheduler` worker threads that drain the queue concurrently.
+:class:`~repro.service.admission.AdmissionController` and a fixed set
+of :class:`Scheduler` worker threads that drain the queue concurrently.
+It owns no engine state: a ``thread`` job runs on the engine's one
+:func:`~repro.mpi.engine.default_pool`.
 
 Lifecycle (the drain state machine, see ``docs/service.md``)::
 
@@ -14,16 +15,17 @@ Lifecycle (the drain state machine, see ``docs/service.md``)::
 
 ``drain`` stops admission immediately (submissions get a typed
 ``draining`` rejection), lets queued and running jobs finish, then
-stops the workers; ``close`` additionally shuts the cached pools down.
-Per-job timeouts cancel: expired queued jobs never start, and a
-running job's deadline fires the job's cancel event, which the engine
-turns into a ``RunCancelled`` abort (before the world starts or
+stops the workers.  Per-job timeouts cancel: a job's deadline rides on
+its cancel token (:class:`~repro.service.queue.CancelToken`), so an
+expired queued job never starts and the engine turns a deadline that
+passes later into a ``RunCancelled`` abort (before the world starts or
 mid-run, on every backend) — either way the job lands in the
 ``timeout`` state and releases its admission budget.
 """
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 from collections import deque
@@ -32,11 +34,10 @@ from typing import Any
 
 import logging
 
-from ..mpi.engine import Seat, _place
+from ..mpi.engine import Seat, _place, default_pool
 from ..runner import resolve_backend
 from .admission import AdmissionController, AdmissionDecision
 from .metrics import ServiceMetrics
-from .pools import WarmPoolCache, pool_key
 from .queue import Job, JobQueue
 from .slog import log_event, service_logger
 from .spec import DEFAULT_PRIORITY, PRIORITIES, JobSpec, JobValidationError
@@ -67,6 +68,17 @@ _DEEP_JOB_RANK_BYTES = 96 * 1024
 MAX_TERMINAL_JOBS = 1024
 
 _LOG = service_logger("service.scheduler")
+
+
+def _check_seconds(name: str, value: Any, *, positive: bool) -> None:
+    """Reject a wire duration that is not ``None`` or a finite int or
+    float (``bool`` is not one), > 0 if ``positive`` else >= 0."""
+    if value is not None and (
+            isinstance(value, bool) or not isinstance(value, (int, float))
+            or not 0 <= value <= sys.float_info.max  # NaN fails it too
+            or positive and value == 0):
+        raise ValueError(f"{name} must be None or a finite number "
+                         f"{'> 0' if positive else '>= 0'}, got {value!r}")
 
 
 class ServiceState(Enum):
@@ -103,15 +115,11 @@ class SortService:
     Parameters
     ----------
     workers:
-        Concurrent jobs (scheduler threads).  Each holds its own lease
-        (with a pool only for a ``thread`` job), so concurrency never
-        shares engine state across jobs.
+        Concurrent jobs (scheduler threads); ``thread`` jobs among them
+        take turns on the engine's one pool.
     max_queue_depth, mem_budget_bytes:
         Admission bounds (see :class:`AdmissionController`); pass
         ``mem_budget_bytes=None`` to disable the memory gate.
-    max_pools:
-        Idle-pool retention bound of the warm cache, which reuses
-        engine pools across same-shaped ``thread`` jobs.
     telemetry:
         Keep a :class:`~repro.service.metrics.ServiceMetrics` (metric
         registry + cross-job cost rollup) updated through the job
@@ -124,7 +132,6 @@ class SortService:
     def __init__(self, *, workers: int = DEFAULT_WORKERS,
                  max_queue_depth: int | None = None,
                  mem_budget_bytes: int | None = ...,  # type: ignore[assignment]
-                 max_pools: int | None = None,
                  telemetry: bool = True):
         admission_kwargs: dict[str, Any] = {}
         if max_queue_depth is not None:
@@ -136,9 +143,6 @@ class SortService:
         self.metrics = ServiceMetrics() if telemetry else None
         self.queue = JobQueue()
         self.admission = AdmissionController(**admission_kwargs)
-        self.pools = WarmPoolCache(**({} if max_pools is None
-                                      else {"max_pools": max_pools}),
-                                   metrics=self.metrics)
         self.state = ServiceState.ACCEPTING
         self._jobs: dict[str, Job] = {}
         self._terminal: deque[str] = deque()   # finished ids, oldest first
@@ -150,6 +154,8 @@ class SortService:
         self._stop_workers = threading.Event()
         self._counts = {"submitted": 0, "rejected": 0, "done": 0,
                         "failed": 0, "cancelled": 0, "timeout": 0}
+        # jobs that reached a worker; a miss started rank threads
+        self._pools = {"hits": 0, "misses": 0}
         self._workers = [Scheduler(self, i) for i in range(workers)]
         for w in self._workers:
             w.start()
@@ -168,9 +174,7 @@ class SortService:
         if priority not in PRIORITIES:
             raise ValueError(f"unknown priority {priority!r}; "
                              f"options: {list(PRIORITIES)}")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError(f"timeout_s must be None or > 0, "
-                             f"got {timeout_s!r}")
+        _check_seconds("timeout_s", timeout_s, positive=True)
         with self._submit_lock:
             with self._lock:
                 self._seq += 1
@@ -239,14 +243,12 @@ class SortService:
         with self._lock:
             if job.done_event.is_set():
                 return  # cancel() finalised it between pop and here
-            now = time.monotonic()
-            if job.cancel_event.is_set():
-                expired = ("cancelled", "cancelled while queued")
-            elif job.deadline is not None and now >= job.deadline:
-                expired = ("timeout", "expired in queue")
+            if job.cancel_event.is_set():  # cancelled, or past its deadline
+                expired = (("timeout", "expired in queue") if job.timed_out
+                           else ("cancelled", "cancelled while queued"))
             else:
                 job.status = "running"
-                job.started_at = now
+                job.started_at = time.monotonic()
                 self._running += 1
         if expired is not None:
             self._finalize(job, expired[0], error=expired[1])
@@ -258,29 +260,18 @@ class SortService:
                   priority=job.priority, queue_ms=round(job.queue_ms, 3))
 
         resolved, _ = resolve_backend(job.spec.backend, job.spec.algorithm)
-        # off the shared CPU before the lease: a pool built from a pinned
-        # thread would read its one-CPU mask and never place its ranks.
-        # Between jobs a worker stays where the last one left it
+        # off the shared CPU before a thread job: the engine's pool, if
+        # this job builds it, would read a pinned worker's one-CPU mask
+        # and never place its ranks.  Between jobs a worker stays where
+        # the last one left it
         p, est = job.spec.p, job.admission  # no estimate: taken for deep
-        seat.move(pool_key(resolved, p) is None and est is not None
+        seat.move(resolved != "thread" and est is not None
                   and est.estimated_bytes // p < _DEEP_JOB_RANK_BYTES)
-        lease = self.pools.lease(resolved, job.spec.p)
-
-        watchdog: threading.Timer | None = None
-        if job.deadline is not None:
-            def _fire() -> None:
-                job.timed_out = True
-                job.cancel_event.set()
-            remaining = job.deadline - time.monotonic()
-            if remaining <= 0:
-                _fire()  # expired while leasing: the world must not start
-            else:
-                watchdog = threading.Timer(remaining, _fire)
-                watchdog.daemon = True
-                watchdog.start()
+        pool = default_pool() if resolved == "thread" else None
+        threads = 0 if pool is None else pool.size
 
         try:
-            result = job.spec.run(pool=lease.pool, cancel=job.cancel_event,
+            result = job.spec.run(cancel=job.cancel_event,
                                   metrics=self.metrics)
             job.result = result
             if self.metrics is not None and result.ok:
@@ -289,18 +280,16 @@ class SortService:
                     self.metrics.fold_job_trace(job.spec, report)
             if result.ok:
                 status, error = "done", None
-            elif job.timed_out:
-                status, error = "timeout", result.failure
             elif job.cancel_event.is_set():
-                status, error = "cancelled", result.failure
+                status = "timeout" if job.timed_out else "cancelled"
+                error = result.failure
             else:
                 status, error = "failed", result.failure
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             status, error = "failed", repr(exc)
-        finally:
-            if watchdog is not None:
-                watchdog.cancel()
-            lease.release()
+        with self._lock:  # exact while thread jobs do not overlap
+            miss = pool is not None and pool.size > threads
+            self._pools["misses" if miss else "hits"] += 1
         self._finalize(job, status, error=error, was_running=True)
 
     def _finalize(self, job: Job, status: str, *, error: str | None = None,
@@ -369,8 +358,10 @@ class SortService:
 
     def wait(self, job_id: str, timeout: float | None = None) -> Job:
         """Block until the job is terminal (or ``timeout`` elapses)."""
+        _check_seconds("timeout", timeout, positive=False)
         job = self.get(job_id)
-        job.done_event.wait(timeout)
+        job.done_event.wait(None if timeout is None
+                            else min(timeout, threading.TIMEOUT_MAX))
         return job
 
     def cancel(self, job_id: str) -> Job:
@@ -388,7 +379,7 @@ class SortService:
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
-            counts = dict(self._counts)
+            counts, pools = dict(self._counts), dict(self._pools)
             running = self._running
             state = self.state.value
         return {
@@ -397,7 +388,7 @@ class SortService:
             "running": running,
             "counts": counts,
             "admission": self.admission.stats(),
-            "pools": self.pools.stats(),
+            "pools": pools,
             "telemetry": self.metrics is not None,
             # p50/p99 wall latency per priority class, from the
             # telemetry histograms (None with telemetry off)
@@ -439,10 +430,7 @@ class SortService:
             log_event(_LOG, "stopped", counts=dict(self._counts))
         return True
 
-    def close(self) -> None:
-        """Drain, then release every cached pool.  Idempotent."""
-        self.drain()
-        self.pools.shutdown()
+    close = drain  # the engine's pool stays warm for the process
 
     def __enter__(self) -> "SortService":
         return self

@@ -56,7 +56,7 @@ class JobSpec:
     value that serialises losslessly — each run rebuilds the workload
     deterministically from ``(name, opts, seed)``.  ``backend`` defaults
     to ``"auto"`` (the flat engine); ``"thread"`` asks for rank threads,
-    and with them a warm pool from the service.
+    which the service runs on the engine's one warm pool.
     """
 
     algorithm: str = "sds"
@@ -134,16 +134,15 @@ class JobSpec:
         """The workload generator this spec names (rebuilt per call)."""
         return by_name(self.workload, **dict(self.workload_opts))
 
-    def run(self, *, pool: Any = None, cancel: Any = None,
-            metrics: Any = None) -> RunResult:
+    def run(self, *, cancel: Any = None, metrics: Any = None) -> RunResult:
         """Execute the job exactly as a direct :func:`run_sort` would.
 
-        ``pool`` / ``cancel`` / ``metrics`` are the scheduler's
-        warm-pool lease, cancellation event and telemetry sink; with
-        all three ``None`` this *is* the direct call, which is what
-        the service's bit-identical contract (``tests/test_service.py``)
-        pins down.  Telemetry is observational either way — the result
-        is byte-identical with or without it.
+        ``cancel`` / ``metrics`` are the scheduler's cancel token and
+        telemetry sink; with both ``None`` this *is* the direct call,
+        which is what the service's bit-identical contract
+        (``tests/test_service.py``) pins down.  Telemetry is
+        observational either way — the result is byte-identical with or
+        without it.
         """
         return run_sort(
             self.algorithm, self.build_workload(),
@@ -152,7 +151,7 @@ class JobSpec:
             mem_factor=self.mem_factor, algo_opts=dict(self.algo_opts),
             faults=self.faults, fault_seed=self.fault_seed,
             trace=self.trace, backend=self.backend,
-            pool=pool, cancel=cancel, metrics=metrics)
+            cancel=cancel, metrics=metrics)
 
     # -- serialisation ------------------------------------------------
     def as_dict(self) -> dict[str, Any]:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.machine import LAPTOP, MachineSpec
-from repro.mpi import run_spmd
+from repro.mpi import engine, run_spmd
 from repro.records import RecordBatch
 
 
@@ -18,6 +18,17 @@ def rng() -> np.random.Generator:
 @pytest.fixture
 def machine() -> MachineSpec:
     return LAPTOP
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """The engine's default pool, reset: the test's first ``thread`` run
+    builds it (read it as ``engine._default_pool``), and it is shut
+    down after the test, when the process's own pool comes back."""
+    monkeypatch.setattr(engine, "_default_pool", None)
+    yield
+    if engine._default_pool is not None:
+        engine._default_pool.shutdown()
 
 
 def random_sorted(rng: np.random.Generator, n: int, dups: float = 0.0) -> np.ndarray:

@@ -387,7 +387,8 @@ def test_removed_proc_rejected_by_jobspec_and_daemon():
                                   ["sort", "--backend", "hybrid"],
                                   ["submit", "--socket", "none",
                                    "--backend", "hybrid"],
-                                  ["serve", "--cold-pools"]])
+                                  ["serve", "--cold-pools"],
+                                  ["serve", "--max-pools", "8"]])
 def test_removed_proc_rejected_by_cli(argv, capsys):
     from repro.cli import main
 

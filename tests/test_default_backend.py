@@ -3,9 +3,10 @@
 ``JobSpec.backend``, ``run_sort(backend=)`` and the CLI default to
 ``auto``, which resolves to ``flat``; ``thread`` is a request.  Pinned
 here at the service boundary: the default path equals the thread oracle
-field for field on the service's own traffic mix, and the warm-pool
-cache counts every lease — a lease with no threads to start is a hit —
-so its hit ratio stays defined on a stream that never builds a pool.
+field for field on the service's own traffic mix, and the service counts
+every job that reaches a worker — one with no rank threads to start is a
+hit — so its pool hit ratio stays defined on a stream that never starts
+one.
 """
 
 import json
@@ -16,9 +17,7 @@ import pytest
 from repro.cli import main
 from repro.mpi import engine
 from repro.runner import run_sort
-from repro.service import (JobSpec, ServiceClient, SortService,
-                           metrics_doc, serve_socket)
-from repro.service import pools as pools_mod
+from repro.service import JobSpec, ServiceClient, SortService, serve_socket
 from repro.workloads import by_name
 
 _NO_MERGE = {"node_merge_enabled": False}
@@ -183,65 +182,32 @@ class TestDefaultPathEqualsThread:
         assert want["failure"] in (failure(0), failure(24))
 
 
-@pytest.fixture()
-def built(monkeypatch):
-    """Every ``SpmdPool`` the warm cache constructs, in order."""
-    made = []
-
-    class CountedPool(engine.SpmdPool):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(pools_mod, "SpmdPool", CountedPool)
-    return made
-
-
-def _pool_events(service: SortService) -> dict[str, int]:
-    return {row["labels"]["event"]: int(row["value"])
-            for row in metrics_doc(service)["counters"]
-            if row["name"] == "sdssort_pool_events_total"}
-
-
 class TestLeaseAccounting:
-    def test_all_flat_stream_is_all_hits(self, built):
+    """``stats()["pools"]``: every job that reached a worker, a miss if
+    the engine's pool had to start rank threads for it."""
+
+    def test_all_flat_stream_is_all_hits(self, fresh_pool):
         with ServiceClient(workers=1) as c:
             for seed, backend in enumerate(("auto", "flat", "auto", "auto")):
                 assert c.run(JobSpec(p=8, n_per_rank=100, seed=seed,
                                      backend=backend))["status"] == "done"
-            pools = c.stats()["pools"]
-            events = _pool_events(c.service)
-        assert (pools["hits"], pools["misses"], pools["evictions"]) \
-            == (4, 0, 0)
-        assert pools["idle"] == {}
-        assert events == {"hit": 4, "miss": 0, "evict": 0}
-        assert built == []
+            assert c.stats()["pools"] == {"hits": 4, "misses": 0}
+        assert engine._default_pool is None  # no rank thread started
 
-    def test_thread_job_builds_one_pool_then_reuses_it(self, built):
+    def test_thread_job_builds_one_pool_then_reuses_it(self, fresh_pool):
         spec = JobSpec(p=8, n_per_rank=100, backend="thread")
         with ServiceClient(workers=1) as c:
             c.run(JobSpec(p=8, n_per_rank=100))
-            assert built == []
+            assert engine._default_pool is None
             c.run(spec)
-            pools = c.stats()["pools"]
-            assert (pools["hits"], pools["misses"]) == (1, 1)
+            assert c.stats()["pools"] == {"hits": 1, "misses": 1}
             c.run(spec)
-            pools = c.stats()["pools"]
-            assert (pools["hits"], pools["misses"]) == (2, 1)
-            assert pools["idle"] == {"thread/8": 1}
-        assert len(built) == 1
+            assert c.stats()["pools"] == {"hits": 2, "misses": 1}
+        assert engine._default_pool.size == 8
 
-    def test_mixed_concurrent_stream_counts_every_lease(self):
+    def test_mixed_concurrent_stream_counts_every_lease(self, fresh_pool):
         threads_before = threading.active_count()
         svc = SortService(workers=2)
-        leases = []
-        lease = svc.pools.lease
-
-        def counting_lease(*args):
-            leases.append(args)
-            return lease(*args)
-
-        svc.pools.lease = counting_lease
         try:
             jobs = [svc.submit(JobSpec(
                 p=8, n_per_rank=100 + s, seed=s,
@@ -251,19 +217,22 @@ class TestLeaseAccounting:
             assert [j.status for j in jobs] == ["done"] * 12
             stats = svc.stats()
             pools = stats["pools"]
-            assert pools["hits"] + pools["misses"] == len(leases) == 12
-            assert 1 <= pools["misses"] <= 4     # only thread jobs build
-            assert sum(pools["idle"].values()) == pools["misses"]
+            assert pools["hits"] + pools["misses"] == 12
+            # only thread jobs start threads, and overlapping ones may
+            # each see the pool grow
+            assert 1 <= pools["misses"] <= 4
             assert stats["admission"]["committed_bytes"] == 0
             assert (stats["queued"], stats["running"]) == (0, 0)
         finally:
             svc.close()
-        assert svc.pools.stats()["idle"] == {}
-        assert threading.active_count() == threads_before  # no leak
+        # no leak: what is left is the engine pool's rank threads
+        assert threading.active_count() == \
+            threads_before + engine._default_pool.size
 
     def test_fresh_daemon_renders_without_leases(self, capsys, daemon):
         assert main(["submit", "--socket", daemon, "--stats"]) == 0
         pools = json.loads(capsys.readouterr().out)["pools"]
-        assert (pools["hits"], pools["misses"], pools["idle"]) == (0, 0, {})
+        assert pools == {"hits": 0, "misses": 0}
         assert main(["top", "--socket", daemon, "--iterations", "1"]) == 0
-        assert "pools: evict=0  hit=0  miss=0" in capsys.readouterr().out
+        frame = capsys.readouterr().out
+        assert "committed: 0 B of" in frame and "pools" not in frame

@@ -2,9 +2,10 @@
 
 The load-bearing contract is bit-identical equivalence: any stream of
 JobSpecs run through the service — serially, concurrently, or
-interleaved with chaos and traced jobs, on fresh pools or reused — must
-produce exactly the result documents direct ``run_sort`` calls would,
-modulo the wall-clock fields ``comparable()`` strips.
+interleaved with chaos and traced jobs, on a fresh engine pool or a
+reused one — must produce exactly the result documents direct
+``run_sort`` calls would, modulo the wall-clock fields ``comparable()``
+strips.
 """
 
 import threading
@@ -12,7 +13,6 @@ import time
 
 import pytest
 
-from repro.mpi.engine import SpmdPool
 from repro.service import (
     AdmissionController,
     Job,
@@ -27,6 +27,8 @@ from repro.service import (
     job_envelope,
     sort_doc,
 )
+from repro.service.daemon import handle_request
+from repro.service.queue import CancelToken
 
 
 def direct_doc(spec: JobSpec) -> dict:
@@ -170,68 +172,17 @@ class TestJobQueue:
     def test_pop_times_out_empty(self):
         assert JobQueue().pop(timeout=0.01) is None
 
-
-class TestSpmdPoolLeases:
-    def test_lease_release_refcount(self):
-        pool = SpmdPool()
-        assert pool.leases == 0
-        assert pool.lease() is pool
-        pool.lease()
-        assert pool.leases == 2
-        pool.release()
-        pool.release()
-        assert pool.leases == 0
-        pool.shutdown()
-
-    def test_shutdown_refuses_leased_pool(self):
-        pool = SpmdPool()
-        pool.lease()
-        with pytest.raises(RuntimeError, match="outstanding lease"):
-            pool.shutdown()
-        pool.release()
-        pool.shutdown()
-
-    def test_lease_after_shutdown_refused(self):
-        pool = SpmdPool()
-        pool.shutdown()
-        with pytest.raises(RuntimeError):
-            pool.lease()
-
-    def test_unmatched_release_refused(self):
-        with pytest.raises(RuntimeError):
-            SpmdPool().release()
-
-    def test_concurrent_lease_hygiene(self):
-        """Many threads lease/run/release one pool without losing counts."""
-        pool = SpmdPool()
-        spec = JobSpec(p=8, n_per_rank=200, backend="thread")
-        errors = []
-
-        def worker(seed):
-            try:
-                for _ in range(3):
-                    pool.lease()
-                    try:
-                        r = JobSpec(p=8, n_per_rank=200, seed=seed,
-                                    backend="thread").run(pool=pool)
-                        assert r.ok
-                        assert r.extras["engine"]["backend"] == "thread"
-                    finally:
-                        pool.release()
-            except Exception as exc:  # pragma: no cover - failure detail
-                errors.append(exc)
-
-        threads = [threading.Thread(target=worker, args=(s,))
-                   for s in range(6)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert not errors
-        assert pool.leases == 0
-        pool.shutdown()
-        del spec
-
+    def test_cancel_token_reads_its_deadline(self):
+        past, future = CancelToken(time.monotonic()), \
+            CancelToken(time.monotonic() + 60)
+        assert past.is_set() and past.timed_out
+        assert not future.is_set()
+        future.set()
+        assert future.is_set() and not future.timed_out
+        late = CancelToken(time.monotonic())
+        late.set()  # the deadline had passed: it fired first
+        assert late.timed_out
+        assert type(self._job(1).cancel_event) is threading.Event
 
 class TestServiceLifecycle:
     def test_submit_run_result(self):
@@ -387,24 +338,26 @@ class TestServiceLifecycle:
 
     @pytest.mark.parametrize("backend", ["thread", "flat"])
     @pytest.mark.parametrize("how", ["cancelled", "timeout"])
-    def test_cancel_between_pop_and_world_start(self, how, backend):
-        # the cancel (or the deadline) lands while the worker is leasing
-        # its pool: the job is already ``running`` but its world has not
-        # started, and no backend may run it to completion
-        svc = SortService(workers=1)
-        leasing, go = threading.Event(), threading.Event()
-        lease = svc.pools.lease
+    def test_cancel_between_pop_and_world_start(self, how, backend,
+                                                monkeypatch):
+        # the cancel (or the deadline) lands after the worker took the
+        # job and before its world starts: the job is already
+        # ``running``, and no backend may run it to completion
+        starting, go = threading.Event(), threading.Event()
+        run = JobSpec.run
 
-        def slow_lease(*args):
-            leasing.set()
+        def gated_run(self, **kwargs):
+            starting.set()
             assert go.wait(10)
-            return lease(*args)
+            return run(self, **kwargs)
 
-        svc.pools.lease = slow_lease
+        monkeypatch.setattr(JobSpec, "run", gated_run)
+        svc = SortService(workers=1)
         try:
             job = svc.submit(JobSpec(p=8, n_per_rank=200, backend=backend),
                              timeout_s=0.05 if how == "timeout" else None)
-            assert leasing.wait(10)
+            assert starting.wait(10)
+            assert job.status == "running"
             if how == "cancelled":
                 svc.cancel(job.id)
             else:
@@ -417,6 +370,58 @@ class TestServiceLifecycle:
         finally:
             go.set()
             svc.close()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"),
+                                     float("-inf"), -1, True, False, "5",
+                                     [5], {}, 10 ** 400],
+                             ids=["nan", "inf", "-inf", "negative", "true",
+                                  "false", "string", "list", "object",
+                                  "huge-int"])
+    def test_malformed_timeouts_are_typed_errors(self, bad):
+        # NaN used to time a job out before it started, Infinity to kill
+        # the watchdog thread and run the job with no deadline, ``true``
+        # to become a 1 s deadline, "5" to escape as a TypeError; the
+        # result op took NaN / ``true`` and raised OverflowError on
+        # Infinity
+        svc = SortService(workers=1)
+        try:
+            response, _ = handle_request(svc, {
+                "op": "submit", "spec": {"p": 4, "n_per_rank": 100},
+                "timeout_s": bad})
+            assert not response["ok"]
+            assert response["error"].startswith(
+                "ValueError: timeout_s must be None or a finite number > 0")
+            job = svc.submit(JobSpec(p=4, n_per_rank=100))
+            response, _ = handle_request(svc, {
+                "op": "result", "job_id": job.id, "timeout": bad})
+            assert not response["ok"]
+            assert response["error"].startswith(
+                "ValueError: timeout must be None or a finite number >= 0")
+            response, _ = handle_request(svc, {
+                "op": "result", "job_id": job.id, "timeout": 1e300})
+            assert response["ok"] and response["job"]["status"] == "done"
+            counts = svc.stats()["counts"]
+            assert counts["submitted"] == counts["done"] == 1
+            assert counts["submitted"] == sum(
+                n for state, n in counts.items() if state != "submitted")
+            assert svc.stats()["admission"]["committed_bytes"] == 0
+        finally:
+            svc.close()
+
+    def test_deadlines_start_no_threads(self, monkeypatch):
+        def no_timer(*args, **kwargs):
+            raise AssertionError("a deadline started a timer thread")
+
+        JobSpec(p=8, n_per_rank=50, backend="thread").run()  # pool grown
+        baseline = threading.active_count()
+        monkeypatch.setattr(threading, "Timer", no_timer)
+        with ServiceClient(workers=2) as c:
+            envs = [c.submit(JobSpec(p=8, n_per_rank=100 + s, seed=s,
+                                     backend=("thread", "auto")[s % 2]),
+                             timeout_s=60) for s in range(20)]
+            assert [c.result(e["job_id"])["status"] for e in envs] \
+                == ["done"] * 20
+        assert threading.active_count() == baseline
 
     def test_cancel_queued_job(self):
         with ServiceClient(workers=1) as c:
@@ -461,22 +466,22 @@ class TestServiceLifecycle:
             assert st["state"] == "accepting"
             assert st["counts"]["done"] == 1
             assert st["admission"]["committed_bytes"] == 0
-            assert st["pools"]["misses"] >= 1
+            assert st["pools"]["hits"] + st["pools"]["misses"] == 1
 
 
 class TestWarmPools:
-    def test_warm_rerun_hits_cache_and_matches(self):
+    """``thread`` jobs run on the engine's one pool, which stays warm."""
+
+    def test_warm_rerun_hits_cache_and_matches(self, fresh_pool):
         spec = JobSpec(p=8, n_per_rank=400, seed=5, backend="thread")
         with ServiceClient(workers=1) as c:
             first = c.run(spec)
             second = c.run(spec)
-            pools = c.stats()["pools"]
-            assert (pools["hits"], pools["misses"]) == (1, 1)
-            assert pools["idle"] == {"thread/8": 1}
+            assert c.stats()["pools"] == {"hits": 1, "misses": 1}
             assert service_doc(first) == service_doc(second)
 
-    def test_pool_reuse_does_not_leak_state(self):
-        """A job replayed after 20 other jobs on the same pools is
+    def test_pool_reuse_does_not_leak_state(self, fresh_pool):
+        """A job replayed after 20 other jobs on the same pool is
         bit-identical to its first run and to the direct path."""
         probe = JobSpec(p=8, n_per_rank=400, seed=9, backend="thread")
         with ServiceClient(workers=2) as c:
@@ -489,6 +494,18 @@ class TestWarmPools:
             again = service_doc(c.run(probe))
             assert c.stats()["pools"]["misses"] == 1  # one pool, reused
         assert first == again == direct_doc(probe)
+
+    def test_concurrent_thread_jobs_match_direct(self):
+        """Thread jobs that arrive together take turns on the one pool."""
+        specs = [JobSpec(algorithm=alg, p=p, n_per_rank=300, seed=s,
+                         backend="thread")
+                 for s, (alg, p) in enumerate([("sds", 8), ("psrs", 16),
+                                               ("sds-stable", 8),
+                                               ("sds", 16)])]
+        with ServiceClient(workers=2) as c:
+            envs = [c.submit(spec) for spec in specs]
+            got = [service_doc(c.result(e["job_id"])) for e in envs]
+        assert got == [direct_doc(spec) for spec in specs]
 
 
 def acceptance_stream() -> list[JobSpec]:

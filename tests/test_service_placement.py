@@ -168,10 +168,6 @@ class TestPlacement:
                     svc.cancel(job.id)
                 else:
                     time.sleep(max(0.0, job.deadline - time.monotonic()))
-                    for _ in range(200):
-                        if job.timed_out:
-                            break
-                        time.sleep(0.01)
                 drawn.go.set()
             svc.wait(job.id, timeout=10)
             assert job.status == how, job.error
@@ -209,12 +205,12 @@ class TestPlacement:
 
     @pytest.mark.parametrize("n_per_rank, deep", [(200, False),
                                                   (40_000, True)])
-    def test_thread_job_ranks_are_placed_as_in_a_direct_run(self, n_per_rank,
-                                                            deep):
+    def test_thread_job_ranks_are_placed_as_in_a_direct_run(
+            self, n_per_rank, deep, fresh_pool):
         # tests/test_engine_placement.py for a direct run: shallow ranks
         # end on the shared CPU, deep ones on the allowed set, and stay
         # there between runs.  Through the service that only holds if
-        # the worker built the pool from off the shared CPU.
+        # the worker built the engine's pool from off the shared CPU.
         allowed = os.sched_getaffinity(0)
         cpu, _ = engine._place()
         spec = JobSpec(p=8, n_per_rank=n_per_rank, backend="thread")
@@ -223,7 +219,7 @@ class TestPlacement:
             job = svc.submit(spec)
             svc.wait(job.id, timeout=60)
             assert job.status == "done", job.error
-            (pool,) = svc.pools._idle[("thread", 8)]
+            pool = engine._default_pool
             assert pool._place == (cpu, sorted(allowed))
             masks = [_mask(w) for w in pool._workers]
             assert masks == [allowed if deep else {cpu}] * 8
