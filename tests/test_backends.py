@@ -39,7 +39,7 @@ from repro.runner import (
 )
 from repro.workloads import by_name
 
-from .test_engine_golden import GOLDEN, WORKLOADS, _prog
+from .test_engine_golden import GOLDEN, _Prog
 
 #: Host-wall-clock counters, excluded from the determinism contract.
 WALL_COUNTERS = ("coll.sync_wait", "p2p.wait")
@@ -53,42 +53,14 @@ def _strip_wall(counters):
             for c in counters]
 
 
-class _WorldProg:
-    """``_prog`` as a program object with a ``flat_run`` columnar path."""
-
-    def __init__(self, n, workload, params):
-        self.n, self.workload, self.params = n, workload, params
-
-    def __call__(self, comm):
-        return _prog(comm, self.n, self.workload, self.params)
-
-    def flat_run(self, comms):
-        from repro.core import SdsParams, sds_sort_world
-        from repro.mpi import ColumnarWorld
-        from repro.records import tag_provenance
-        shards = []
-        for c in comms:
-            shard = WORKLOADS[self.workload]().shard(self.n, c.size,
-                                                     c.rank, 0)
-            shards.append(tag_provenance(shard, c.rank))
-        world = ColumnarWorld(comms[0]._world)
-        outs = sds_sort_world(
-            world, comms, shards,
-            SdsParams(node_merge_enabled=False, **self.params))
-        results = [None if o is None else
-                   (float(o.batch.keys.sum()), len(o.batch))
-                   for o in outs]
-        return results, world.failures
-
-
-class _FlatOnlyProg(_WorldProg):
+class _FlatOnlyProg(_Prog):
     """A program whose per-rank path must never be entered."""
 
     def __call__(self, comm):  # pragma: no cover - must never run
         raise AssertionError("flat backend must not spawn rank threads")
 
 
-def _spmd(backend, ref, prog_cls=_WorldProg):
+def _spmd(backend, ref, prog_cls=_Prog):
     prog = prog_cls(ref["n_per_rank"], ref.get("workload", "uniform"),
                     ref.get("params", {}))
     return run_spmd(prog, ref["p"], machine=EDISON, backend=backend)
@@ -294,8 +266,8 @@ def test_raising_shard_generator_fails_the_service_job():
 
 def test_extras_report_backend_topology():
     ref = GOLDEN["p64_n2000"]
-    args = (ref["n_per_rank"], "uniform", ref.get("params", {}))
-    t = run_spmd(_prog, 64, machine=EDISON, args=args)
+    t = run_spmd(_Prog(ref["n_per_rank"], "uniform", ref.get("params", {})),
+                 64, machine=EDISON)
     assert t.extras["backend"] == "thread"
     assert t.extras["workers"] == 1
     assert t.extras["shards"] == [[0, 64]]
