@@ -424,12 +424,14 @@ class NodeMerge:
     effective process count drops to ``p/c``).
 
     Policy verdicts are evaluated per distinct ``(node_bytes,
-    ranks_per_node, comm_size)`` input — node and ranks-per-node of
-    every rank read off the communicator's one node layout
-    (:meth:`~repro.mpi.comm.SimWorld.node_layout`) — the consensus
-    allreduce runs once per communicator, and the node-level
-    funnelling — two communicator splits plus one gather per node —
-    goes through the world's collectives.  Every leader's node is
+    ranks_per_node, comm_size)`` input — every rank's ranks-per-node
+    read off the communicator's one node layout
+    (:meth:`~repro.mpi.comm.SimWorld.node_layout`) — and the consensus
+    allreduce runs once per communicator.  The funnel itself is one
+    collective, :meth:`~repro.mpi.world.World.node_funnel`: booked as
+    the node split, the leaders' split and a gather per node, it hands
+    every leader its node's runs and the leaders' communicator and
+    builds no per-node one.  Every leader's node is
     merged by one call (:func:`~repro.records.merge_sorted_rows`: nodes
     of one layout and length in one row-stacked stable argsort, each
     column gathered once from the members' inputs), the ranks that
@@ -447,7 +449,7 @@ class NodeMerge:
             policy = ctxs[0].plan.policy
             size = comms[0].size
             ranks = [c.rank for c in comms]
-            node, rpn = comms[0]._world.node_layout(comms[0]._ctx)
+            rpn = comms[0]._world.node_layout(comms[0]._ctx)[1]
             args = [(ctx.batch.nbytes * rpn[r], rpn[r], size)
                     for ctx, r in zip(ctxs, ranks)]
             verdict = {a: policy.node_merge(node_bytes=a[0],
@@ -466,28 +468,12 @@ class NodeMerge:
             if merged_all != size:
                 return
             # all nodes agree: funnel each node onto its leader
-            colors = [node[r] for r in ranks]
-            local_comms = world.split(comms, colors, keys=ranks)
-            leader_comms = world.split(
-                comms, [0 if lc.rank == 0 else None for lc in local_comms],
-                keys=ranks)
-            # one gather per node, members in rank order; the waves run
-            # concurrently in the thread engine, so only the first
-            # carries the abort check
-            order = np.argsort(colors, kind="stable")
-            starts = np.flatnonzero(np.diff(np.take(colors, order)))
-            gathered_for: dict[int, list] = {}
-            for k, members in enumerate(np.split(order, starts + 1)):
-                members = members.tolist()
-                gathered_for[members[0]] = world.gather(
-                    [local_comms[i] for i in members],
-                    [ctxs[i].batch for i in members], root=0,
-                    check=k == 0)[0]
+            funneled = world.node_funnel(comms, [ctx.batch for ctx in ctxs])
             live = _live(world, comms)
             # ranks that handed their data off leave with an empty batch;
             # equal layouts and traces (the same decision objects) share
             # one outcome
-            rest = [i for i in live if local_comms[i].rank != 0]
+            rest = [i for i in live if funneled[i] is None]
             world.free([comms[i] for i in rest],
                        [ctxs[i].input_nbytes for i in rest])
             outcomes: dict[tuple, SortOutcome] = {}
@@ -505,10 +491,10 @@ class NodeMerge:
                 ctx.outcome = outcomes[key]
             # leaders merge their node's runs, pay for it, then let the
             # absorbed shard go
-            leaders = [i for i in live if local_comms[i].rank == 0]
+            leaders = [i for i in live if funneled[i] is not None]
             merged: dict[int, RecordBatch] = {}
             for i, batch in zip(leaders, merge_sorted_rows(
-                    [gathered_for[i] for i in leaders])):
+                    [funneled[i][1] for i in leaders])):
                 if isinstance(batch, Exception):
                     world.fail(comms[i], batch)
                 else:
@@ -517,8 +503,7 @@ class NodeMerge:
             merge_time = ctxs[0].cost.merge_time
             world.charge_compute(lcomms, _per_distinct(
                 lambda n, c: merge_time(n, max(2, c)) / max(1, c),
-                [(merged[i].keys.size, local_comms[i].size)
-                 for i in merged]))
+                [(merged[i].keys.size, rpn[ranks[i]]) for i in merged]))
             world.alloc(lcomms, [merged[i].nbytes for i in merged])
             done = [i for i in merged if world.alive(comms[i])]
             # shard absorbed into merge
@@ -526,7 +511,7 @@ class NodeMerge:
                        [ctxs[i].input_nbytes for i in done])
             for i in done:
                 ctx = ctxs[i]
-                ctx.active = leader_comms[i]
+                ctx.active = funneled[i][0]
                 ctx.batch = merged[i]
                 ctx.n = merged[i].keys.size
 

@@ -57,9 +57,10 @@ def merge_sorted_rows(run_lists: Sequence[Sequence[SortedRows]]
     out: list = [None] * len(run_lists)
     shapes = []
     for runs in run_lists:
-        schemas = {r.schema for r in runs}
-        shapes.append((sum([r.keys.size for r in runs]), *schemas)
-                      if len(schemas) == 1 else None)
+        schemas = [r.schema for r in runs]  # mostly one shared object
+        shapes.append((sum([r.keys.size for r in runs]), schemas[0])
+                      if runs and schemas.count(schemas[0]) == len(runs)
+                      else None)
     for members in same_key_groups(shapes):
         if shapes[members[0]] is None:
             for j in members:
@@ -76,8 +77,8 @@ def merge_sorted_rows(run_lists: Sequence[Sequence[SortedRows]]
         perm += (np.arange(rows, dtype=perm.dtype) * total)[:, None]
         perm, keys = perm.ravel(), keys.ravel()
         if len(schema) > 1:  # each run's sort, at its run's offset
-            sizes = [r.keys.size for r in flat]
-            offsets = np.repeat(np.cumsum([0, *sizes[:-1]]), sizes)
+            sizes = np.array([r.keys.size for r in flat])
+            offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
             perm = (np.concatenate([r.perm for r in flat]) + offsets)[perm]
         columns = {name: np.concatenate([r.rows.payload[name] for r in flat])[perm]
                    for name, _, _ in schema[1:]}

@@ -6,7 +6,9 @@ only its non-empty chunks.  Building ``p`` send slots a rank (p^2 in
 all) is what made flat HykSort at p=4096 take minutes and gigabytes.
 SDS with node merge builds two batches a rank (drawn, tagged) and the
 leaders' few: a rank that retires at node merge gets no sorted batch.
-These count every ``RecordBatch`` a flat run constructs at p=1024 x 64.
+These count every ``RecordBatch`` a flat run constructs at p=1024 x 64,
+and the ``Comm`` handles: node merge funnels every node in one
+collective and builds a communicator only for the leaders.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from unittest import mock
 import pytest
 
 from repro.baselines.hyksort import HykParams, _level_fanout
+from repro.mpi import Comm
 from repro.records import RecordBatch
 from repro.runner import run_sort
 from repro.workloads import by_name
@@ -74,3 +77,21 @@ def test_sds_with_node_merge_builds_two_batches_a_rank():
     # 3,162; bound: measured + 10 %
     built = _count_batches("sds", "uniform", mem_factor=None)
     assert built <= 2352, built
+
+
+def test_sds_with_node_merge_builds_a_comm_only_for_leaders():
+    # the world's p handles plus one leader communicator's 43 (a split
+    # into per-node communicators first built another p)
+    built = [0]
+    init = Comm.__init__
+
+    def counted_init(self, *args, **kw):
+        built[0] += 1
+        init(self, *args, **kw)
+
+    with mock.patch.object(Comm, "__init__", counted_init):
+        r = run_sort("sds", by_name("uniform"), p=P, n_per_rank=N_PER_RANK,
+                     backend="flat", mem_factor=None)
+    assert r.ok, r.failure
+    leaders = -(-P // 24)  # Edison's 24-rank nodes
+    assert built[0] <= P + leaders + 8, built[0]
