@@ -99,15 +99,11 @@ def bitonic_sort_world(world: World, comms: list[Comm],
             for _ in range(rounds):
                 t = ((t + pmo) + p2p) + mt
             replay[t0] = t
+        debt = c.set_clock(t)
         tr = c.tracer
-        if tr is None:
-            c.set_clock(t)
-        else:
-            c0 = c.clock
-            debt = c._fault_debt
-            c.set_clock(t)
+        if tr is not None:
             g = c.grank
-            tr.span(g, "p2p", "bitonic_rounds", c0, c.clock,
+            tr.span(g, "p2p", "bitonic_rounds", t0, c.clock,
                     {"rounds": rounds, "bytes": rounds * nb})
             lat0 = c.cost.p2p_time(0)
             tr.add(g, "cost.compute", rounds * (pmo + mt))

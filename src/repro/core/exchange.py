@@ -357,20 +357,17 @@ def _overlapped_exchange_finish(world: World, comms: Sequence[Comm],
     recv = shared["recv_net"][ranks]
     live, at, ranks, pos, held, recv = world._refuse(
         live, mem.alloc(at, recv), at, ranks, pos, held, recv)
-    t_cpu, m = shared["t_cpu"][ranks], shared["m"]
-    if tr is not None or sim.faults is not None:
-        for c, r, t, nb, mr in zip(live, *per_rank(ranks, t_cpu, recv,
-                                                   m[ranks])):
-            g, c0, debt = c.grank, c.clock, c._fault_debt
-            c.set_clock(max(c0, t))  # folds pending fault debt in
-            if tr is not None:
-                tr.overlapped(g, c0, c.clock, shared["start"], progress, debt,
-                              {"bytes": nb, "records": mr})
-                c.trace_edges(shared["S"][r])
-                tr.add(g, "kernel.merge.records", float(mr))
-                tr.add(g, "kernel.merge.seconds", float(shared["msec"][r]))
-    else:
-        sim.clock[at] = np.maximum(sim.clock[at], t_cpu)
+    m, c0 = shared["m"], sim.clock[at]
+    debt = sim.set_clocks(at, np.maximum(c0, shared["t_cpu"][ranks]))
+    if tr is not None:
+        for c, r, a, b, o, nb, mr in zip(live, *per_rank(*np.broadcast_arrays(
+                ranks, c0, sim.clock[at], debt, recv, m[ranks]))):
+            g = c.grank
+            tr.overlapped(g, a, b, shared["start"], progress, o,
+                          {"bytes": nb, "records": mr})
+            c.trace_edges(shared["S"][r])
+            tr.add(g, "kernel.merge.records", float(mr))
+            tr.add(g, "kernel.merge.seconds", float(shared["msec"][r]))
     mem.free(at, shared["recv_all"][ranks])
     width = record_layout(shared["ordered"], shared["cols"])[1]  # outputs'
     live, at, ranks, pos, held, recv = world._refuse(

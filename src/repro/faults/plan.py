@@ -143,7 +143,8 @@ class FaultPlan:
                     slow[order[drawn % p]] = max(slow[order[drawn % p]],
                                                  s.slowdown)
                     drawn += 1
-        self._slowdown = slow
+        #: compute-charge multiplier of every global rank (>= 1.0)
+        self.slowdowns = slow
         self.has_stragglers = max(slow) != 1.0
 
         # ---- resolve crash victims ----
@@ -174,7 +175,7 @@ class FaultPlan:
     # ------------------------------------------------------------------
     def slowdown(self, grank: int) -> float:
         """Compute-charge multiplier of one global rank (>= 1.0)."""
-        return self._slowdown[grank]
+        return self.slowdowns[grank]
 
     def crash_at(self, grank: int, boundary: str) -> bool:
         """Does ``grank`` die when it reaches ``boundary``?"""
@@ -293,7 +294,7 @@ class FaultPlan:
         return {
             "p": self.p,
             "seed": self.seed,
-            "stragglers": {str(r): f for r, f in enumerate(self._slowdown)
+            "stragglers": {str(r): f for r, f in enumerate(self.slowdowns)
                            if f != 1.0},
             "crashes": {str(r): ph for r, ph in sorted(self._crashes.items())},
             "message_faults": {
@@ -310,7 +311,7 @@ class FaultPlan:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"FaultPlan(p={self.p}, seed={self.seed}, "
-                f"stragglers={sum(1 for f in self._slowdown if f != 1.0)}, "
+                f"stragglers={sum(1 for f in self.slowdowns if f != 1.0)}, "
                 f"crashes={self._crashes}, "
                 f"msg={self.has_message_faults}, "
                 f"coll={self.affects_collectives})")

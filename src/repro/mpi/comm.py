@@ -7,13 +7,14 @@ for real — collectives stage actual numpy arrays / RecordBatches — while
 the machine cost model, so measured "seconds" are simulated Edison
 seconds, deterministic and independent of host thread scheduling.
 
-What lives here is what one rank owns: its handle on the shared
-:class:`SimWorld` ledgers (its entries of the world's columns, the
-tracer), the rendezvous with its sibling rank threads
-(:meth:`Comm.staged` — deposit, barrier, and the shared quantities
-computed **once per call** by the barrier's last arriver, see
-:mod:`repro.mpi.context`), its fault state, and point-to-point
-messaging.  The collectives themselves —
+A :class:`Comm` is a view, ``(world, context, rank)``, and owns no
+state: its clock, memory, counters, straggler slowdown and collective
+fault debt are its entries of the :class:`SimWorld` columns, its
+collective sequence number its entry of the context's.  What it adds
+is the rendezvous with its sibling rank threads (:meth:`Comm.staged` —
+deposit, barrier, and the shared quantities computed **once per call**
+by the barrier's last arriver, see :mod:`repro.mpi.context`) and
+point-to-point messaging.  The collectives themselves —
 ``barrier`` / ``bcast`` / ``gather`` / ``allreduce`` / ``allgather`` /
 ``split`` / ``alltoallv``, the ``phase`` bracket and the collective
 fault verdicts — are written once as :class:`~repro.mpi.world.World`
@@ -158,8 +159,9 @@ class Columns(dict):
 class SimWorld:
     """Process-global state of one simulated run.  Its per-rank ledgers
     are columns indexed by global rank — ``clock`` (virtual seconds),
-    ``mem``, ``counters``, ``phase_times`` — and ``traces``, one ``(ranks,
-    t0, t1, phase)`` record per closed phase bracket."""
+    ``mem``, ``counters``, ``phase_times``, and under a fault plan
+    ``slowdown`` and ``debt`` — and ``traces``, one ``(ranks, t0, t1,
+    phase)`` record per closed phase bracket."""
 
     def __init__(self, p: int, machine: MachineSpec,
                  mem_capacity: int | None = None,
@@ -172,6 +174,9 @@ class SimWorld:
         #: the untraced instruction stream)
         if tracer is not None and getattr(tracer, "p", p) != p:
             raise ValueError(f"tracer allocated for p={tracer.p}, "
+                             f"world has p={p}")
+        if faults is not None and getattr(faults, "p", p) != p:
+            raise ValueError(f"fault plan compiled for p={faults.p}, "
                              f"world has p={p}")
         self.tracer = tracer
         self.abort = AbortFlag()
@@ -193,9 +198,34 @@ class SimWorld:
         if faults is not None and not getattr(faults, "active", True):
             faults = None
         self.faults = faults
+        #: under a plan, every rank's compute-charge multiplier (>= 1.0)
+        #: and the collective fault debt it owes its next clock overwrite
+        #: (:meth:`set_clocks`); both None without one
+        self.slowdown = self.debt = None
+        if faults is not None:
+            self.slowdown, self.debt = np.array(faults.slowdowns), np.zeros(p)
+            slow = np.flatnonzero(self.slowdown != 1.0)  # marked once a run
+            if slow.size:
+                self.counters.add(slow, "faults.straggler", 1.0)
+            for g in slow.tolist() if tracer is not None else ():
+                tracer.instant(g, "fault", "straggler", 0.0,
+                               {"slowdown": faults.slowdown(g)})
         #: per-(src, dst, tag) message numbers; one rank's thread a key
         self.p2p_send_seq: dict[tuple[int, int, int], int] = {}
         self.p2p_recv_seq: dict[tuple[int, int, int], int] = {}
+
+    def set_clocks(self, at: Any, t: Any) -> Any:
+        """Overwrite the clocks of the ranks ``at`` (an int or an index
+        array) with ``t`` plus the collective fault debt they owe (adding
+        a zero debt is exact) and settle it: returns that debt."""
+        debt = self.debt
+        if debt is None:
+            self.clock[at] = t
+            return 0.0
+        owed = debt[at]
+        self.clock[at] = t + owed
+        debt[at] = 0.0
+        return owed
 
     def make_context(self, group: Sequence[int]) -> CommContext:
         """Shared-context factory for new communicators."""
@@ -232,7 +262,10 @@ class SimWorld:
 
 
 class Comm:
-    """Communicator handle of one rank (mirrors the mpi4py surface)."""
+    """Communicator handle of one rank (mirrors the mpi4py surface): a
+    ``(world, context, rank)`` view, with no state and nothing booked."""
+
+    __slots__ = ("_world", "_ctx", "rank", "size", "grank")
 
     def __init__(self, world: SimWorld, ctx: CommContext, rank: int):
         self._world = world
@@ -240,24 +273,6 @@ class Comm:
         self.rank = rank
         self.size = ctx.size
         self.grank = ctx.group[rank]
-        self._tracer = world.tracer
-        faults = world.faults
-        self._faults = faults
-        self._fault_debt = 0.0   # collective penalties, folded into the
-        #                          next set_clock (collectives overwrite
-        #                          the clock absolutely)
-        if faults is not None:
-            self._slowdown = faults.slowdown(self.grank)
-            self._coll_seq = 0       # per-communicator collective counter
-            if self._slowdown != 1.0 and ctx is world.world_ctx:
-                # mark the condition once per rank per run (world-comm
-                # construction), so reports can count stragglers
-                self.count("faults.straggler", 1.0)
-                if self._tracer is not None:
-                    self._tracer.instant(self.grank, "fault", "straggler",
-                                         0.0, {"slowdown": self._slowdown})
-        else:
-            self._slowdown = 1.0
 
     # ------------------------------------------------------------------
     # introspection / accounting
@@ -282,38 +297,29 @@ class Comm:
     @property
     def faults(self) -> Any:
         """The active :class:`~repro.faults.plan.FaultPlan`, or None."""
-        return self._faults
+        return self._world.faults
 
     def charge(self, seconds: float) -> None:
         """Advance the virtual clock by a modelled compute cost.
 
-        Straggler faults scale CPU-side charges here: everything the
-        rank *computes* (including software messaging overheads) runs
-        slow, while pure network time — p2p flight times and collective
-        costs applied via :meth:`set_clock` — is unaffected.
-        ``World.charge_compute`` books the same statements on many ranks.
+        Straggler faults scale CPU-side charges (``SimWorld.slowdown``):
+        everything the rank *computes* (including software messaging
+        overheads) runs slow, while pure network time — p2p flight times
+        and collective costs applied via :meth:`set_clock` — is
+        unaffected.
         """
-        if seconds < 0:
-            raise ValueError("cannot charge negative time")
-        scaled = seconds * self._slowdown if self._slowdown != 1.0 else seconds
-        self._world.clock[self.grank] += scaled
-        tr = self._tracer
-        if tr is not None:
-            tr.add(self.grank, "cost.compute", seconds)
-            if scaled != seconds:  # straggler surcharge is fault debt
-                tr.add(self.grank, "cost.fault_debt", scaled - seconds)
+        LANE.charge_compute((self,), (seconds,))
 
     def _advance(self, seconds: float) -> None:
         """Raw clock advance (retry timeouts; never straggler-scaled)."""
         self._world.clock[self.grank] += seconds
-        if self._tracer is not None:  # only fault paths call _advance
-            self._tracer.add(self.grank, "cost.fault_debt", seconds)
+        tr = self._world.tracer
+        if tr is not None:  # only fault paths call _advance
+            tr.add(self.grank, "cost.fault_debt", seconds)
 
-    def set_clock(self, t: float) -> None:
-        if self._fault_debt:
-            t += self._fault_debt
-            self._fault_debt = 0.0
-        self._world.clock[self.grank] = t
+    def set_clock(self, t: float) -> float:
+        """:meth:`SimWorld.set_clocks` on this rank: the debt settled."""
+        return float(self._world.set_clocks(self.grank, t))
 
     def count(self, name: str, value: float = 1.0) -> None:
         """Accumulate a named statistic (messages, bytes, elements...)."""
@@ -341,25 +347,23 @@ class Comm:
     @property
     def tracer(self) -> Any:
         """The world's :class:`~repro.obs.tracer.Tracer`, or None."""
-        return self._tracer
+        return self._world.tracer
 
     def trace_counter(self, name: str, value: float = 1.0) -> None:
         """Accumulate a tracer counter on this rank (no-op untraced)."""
-        tr = self._tracer
-        if tr is not None:
-            tr.add(self.grank, name, value)
+        LANE.trace_counter((self,), name, (value,))
 
     def trace_instant(self, cat: str, name: str,
                       args: dict | None = None) -> None:
         """Record a zero-width marker at the current virtual time."""
-        tr = self._tracer
+        tr = self._world.tracer
         if tr is not None:
             tr.instant(self.grank, cat, name, self.clock, args)
 
     def trace_edges(self, sizes: Sequence[int]) -> None:
         """Record this rank's per-destination sent bytes (one entry per
         member of this communicator, in communicator rank order)."""
-        tr = self._tracer
+        tr = self._world.tracer
         if tr is None:
             return
         ctx = self._ctx
@@ -419,7 +423,7 @@ class Comm:
 
         shared = self._sync(produce)
         mine = reader(stage) if reader is not None else None
-        f = self._faults
+        f = self._world.faults
         if f is not None and f.affects_collectives:
             LANE.charge_collective_faults((self,))
         return shared, mine
@@ -527,12 +531,12 @@ class Comm:
         deterministic event, so no spurious payload enters the
         channel).
         """
-        tr = self._tracer
+        tr = self._world.tracer
         t0 = self.clock
         self.charge(self.machine.per_message_overhead)
         gdest = self._ctx.group[dest]
         sent_clock = None
-        f = self._faults
+        f = self._world.faults
         if f is not None and f.has_message_faults:
             key, sent = (self.grank, gdest, tag), self._world.p2p_send_seq
             seq = sent.get(key, 0)
@@ -549,21 +553,17 @@ class Comm:
                 self._advance(penalty)
                 self.count("faults.msg_dropped", ev.drops)
                 self.count("retry.time", penalty)
-                if tr is not None:
-                    tr.instant(self.grank, "fault", "msg_dropped", self.clock,
-                               {"dst": gdest, "drops": ev.drops})
+                self.trace_instant("fault", "msg_dropped",
+                                   {"dst": gdest, "drops": ev.drops})
             if ev.delay:
                 sent_clock = self.clock + ev.delay
                 self.count("faults.msg_delayed")
-                if tr is not None:
-                    tr.instant(self.grank, "fault", "msg_delayed", self.clock,
-                               {"dst": gdest, "delay": ev.delay})
+                self.trace_instant("fault", "msg_delayed",
+                                   {"dst": gdest, "delay": ev.delay})
             if ev.duplicate:
                 self._advance(self.machine.per_message_overhead)
                 self.count("faults.msg_duplicated")
-                if tr is not None:
-                    tr.instant(self.grank, "fault", "msg_duplicated",
-                               self.clock, {"dst": gdest})
+                self.trace_instant("fault", "msg_duplicated", {"dst": gdest})
         ch = self._world.channel(self.grank, gdest, tag)
         ch.put((obj, self.clock if sent_clock is None else sent_clock))
         self.count("p2p.send")
@@ -580,16 +580,12 @@ class Comm:
 
     def _complete_recv(self, gsrc: int, tag: int, obj: Any,
                        sent_clock: float) -> Any:
-        tr = self._tracer
-        if tr is None:
-            arrival = sent_clock + self.cost.p2p_time(payload_nbytes(obj))
-            self.set_clock(max(self.clock, arrival))
-        else:
-            nbytes = payload_nbytes(obj)
-            flight = self.cost.p2p_time(nbytes)
-            arrival = sent_clock + flight
-            c0 = self.clock
-            self.set_clock(max(self.clock, arrival))
+        tr = self._world.tracer
+        nbytes = payload_nbytes(obj)
+        flight = self.cost.p2p_time(nbytes)
+        c0 = self.clock
+        self.set_clock(max(c0, sent_clock + flight))
+        if tr is not None:
             adv = self.clock - c0
             if adv > 0.0:
                 # advance = (waiting on a late sender) + flight time;
@@ -606,7 +602,7 @@ class Comm:
                 tr.add(g, "cost.latency", lat)
                 if rest > lat:
                     tr.add(g, "cost.bandwidth", rest - lat)
-        f = self._faults
+        f = self._world.faults
         if f is not None and f.has_message_faults:
             key, got = (gsrc, self.grank, tag), self._world.p2p_recv_seq
             seq = got.get(key, 0)
@@ -618,9 +614,7 @@ class Comm:
             if ev.duplicate:
                 self._advance(self.machine.per_message_overhead)
                 self.count("faults.dup_discarded")
-                if tr is not None:
-                    tr.instant(self.grank, "fault", "dup_discarded",
-                               self.clock, {"src": gsrc})
+                self.trace_instant("fault", "dup_discarded", {"src": gsrc})
         self.count("p2p.recv")
         return obj
 

@@ -205,6 +205,9 @@ class CommContext:
         #: reference to the old list need no release barrier before the
         #: next collective reuses the attribute.
         self.stage: list[Any] = [None] * self.size
+        #: every member's count of the collectives it has entered (the
+        #: fault plan's verdict key); a rank thread writes only its own
+        self.seq = np.zeros(self.size, dtype=np.int64)
         #: ``(node, ranks_per_node)`` per member, filled by the first
         #: :meth:`repro.mpi.comm.SimWorld.node_layout` query.
         self.nodes: tuple[list[int], list[int]] | None = None

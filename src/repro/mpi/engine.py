@@ -446,6 +446,7 @@ def run_spmd(fn: Callable[..., Any], p: int, *,
     if backend not in ENGINE_BACKENDS:
         raise ValueError(f"unknown backend {backend!r}; options: "
                          + ", ".join(repr(b) for b in ENGINE_BACKENDS))
+    # SimWorld checks too, but a run cancelled below builds it planless
     if faults is not None and getattr(faults, "p", p) != p:
         raise ValueError(f"fault plan compiled for p={faults.p}, "
                          f"world has p={p}")

@@ -30,8 +30,9 @@ statements are the same — a rank thread runs them through
 is elementwise: a rank's clock, counters and phase times see the same
 float operations in the same order.  A collective's time is a pure
 function of the deposit clocks and the LogGP model; fault verdicts are
-pure functions of structural position, and the per-communicator
-``_coll_seq`` counters advance in lockstep.
+pure functions of structural position, keyed on the collective sequence
+column of each communicator's context, which its members advance in
+lockstep.
 """
 
 from __future__ import annotations

@@ -125,6 +125,16 @@ def _charges(cost: Any, name: str, size: Any, nbytes: Any) -> tuple:
     return dt, lat, charges[0][2]
 
 
+def _next_seq(comms: Sequence[Comm]) -> int:
+    """Number of the collective ``comms`` enter next (ranks of one
+    communicator, in lockstep), counted on each of them: a lane writes
+    only its own entry of the context's ``seq`` column."""
+    first = comms[0]
+    seq = first._ctx.seq.item(first.rank)
+    first._ctx.seq[members(comms)[1]] = seq + 1
+    return seq
+
+
 def _debt(cost: Any, pen: Any, size: int) -> float:
     """Clock debt of one collective fault verdict on a ``size``-rank
     communicator: detection timeouts, resends, re-synchronisations."""
@@ -252,8 +262,8 @@ class World:
             comms, at, s = self._refuse(comms, [
                 (i, ValueError("cannot charge negative time"))
                 for i in np.flatnonzero(neg).tolist()], at, s)
-        scaled = (s * values_at(at, [c._slowdown for c in comms])  # stragglers
-                  if sim.faults is not None else s)
+        scaled = (s * sim.slowdown[at]  # stragglers
+                  if sim.slowdown is not None else s)
         sim.clock[at] += scaled
         tr = sim.tracer
         if tr is not None:
@@ -300,25 +310,23 @@ class World:
 
     def charge_collective_faults(self, comms: Sequence[Comm]) -> None:
         """One collective's fault debt (drops + transients) on ``comms``,
-        ranks of one communicator in lockstep (their ``_coll_seq`` agree):
-        the plan's verdicts drawn in one pass and booked
+        ranks of one communicator in lockstep (:func:`_next_seq`): the
+        plan's verdicts drawn in one pass and booked
         (:meth:`_book_penalties`)."""
         first = comms[0]
-        seq = first._coll_seq
-        for c in comms:
-            c._coll_seq = seq + 1
-        self._book_penalties(comms, first._faults.collective_penalties(
+        seq = _next_seq(comms)
+        self._book_penalties(comms, first._world.faults.collective_penalties(
             first._ctx.group, seq, [c.rank for c in comms]), seq, first.size)
 
     def _book_penalties(self, comms: Sequence[Comm], pens: Sequence[Any],
                         seq: int, size: Any) -> None:
         """Book the collective verdicts ``pens`` (aligned with ``comms``)
         of the ``seq``-th collective of a ``size``-rank communicator
-        (per rank, or one for all): each debt left for the rank's next
-        ``set_clock`` (collectives overwrite the clock), a lost
-        collective failed."""
-        sim, plan = comms[0]._world, comms[0]._faults
-        tr = sim.tracer
+        (per rank, or one for all): each debt added to the rank's entry
+        of ``SimWorld.debt``, which the collective's clock overwrite
+        settles (:meth:`SimWorld.set_clocks`), a lost collective failed."""
+        sim = comms[0]._world
+        plan = sim.faults
         for c, pen, n in zip(comms, pens, np.broadcast_to(
                 size, len(comms)).tolist()):
             if pen is None:
@@ -332,23 +340,21 @@ class World:
             debt = _debt(sim.cost, pen, n)
             if pen.resend_messages:
                 c.count("faults.coll_msg_dropped", pen.dropped)
-                if tr is not None:
-                    tr.instant(g, "fault", "coll_msg_dropped", c.clock,
-                               {"seq": seq, "dropped": pen.dropped})
+                c.trace_instant("fault", "coll_msg_dropped",
+                                {"seq": seq, "dropped": pen.dropped})
             if pen.resync_rounds:
                 c.count("faults.coll_transient", pen.resync_rounds)
-                if tr is not None:
-                    tr.instant(g, "fault", "coll_transient", c.clock,
-                               {"seq": seq, "rounds": pen.resync_rounds})
-            c._fault_debt += debt
+                c.trace_instant("fault", "coll_transient",
+                                {"seq": seq, "rounds": pen.resync_rounds})
+            sim.debt[g] += debt
             c.count("retry.time", debt)
 
     def _finish_all(self, comms: Sequence[Comm], name: str, t: Any,
                     nbytes: Any = 0, size: Any = None) -> None:
         """Book the collective ``name`` on the live ranks of ``comms``,
         members of one communicator that deposited ``nbytes`` each: one
-        ``t + dt``, clocks overwritten (``Comm.set_clock`` where a rank
-        may carry collective fault debt), span and cost split traced,
+        ``t + dt``, clocks overwritten (:meth:`SimWorld.set_clocks`, which
+        settles their fault debt), span and cost split traced,
         operation counter ticked.  ``t``, ``nbytes`` and ``size`` (the
         communicator's by default) may instead be columns aligned with
         ``comms``: ranks of many communicators booked at once, the cost
@@ -359,21 +365,15 @@ class World:
             collective_charge(sim.cost, name, first.size, nbytes)
             if size is None else _charges(sim.cost, name, size, nbytes))
         t1 = t + dt
-        comms, at, t, t1, dt, lat = self._live(comms, members(comms)[0],
-                                               t, t1, dt, lat)
+        _, at, t, t1, dt, lat = self._live(comms, members(comms)[0],
+                                           t, t1, dt, lat)
         tr = sim.tracer
-        if tr is not None or sim.faults is not None:
-            cols = (t, t1, dt, lat)
-            rows = (zip(*per_rank(*np.broadcast_arrays(*cols)))
-                    if isinstance(t1, np.ndarray)
-                    else [tuple(map(float, cols))] * len(comms))
-            for c, (a, b, d, d0) in zip(comms, rows):
-                c0, debt = c.clock, c._fault_debt
-                c.set_clock(b)  # folds the debt in
-                if tr is not None:
-                    tr.collective(c.grank, name, c0, c.clock, a, d, d0, debt)
-        else:
-            sim.clock[at] = t1
+        c0 = sim.clock[at] if tr is not None else None
+        debt = sim.set_clocks(at, t1)
+        if tr is not None:
+            for g, a, b, s, d, d0, o in zip(*per_rank(*np.broadcast_arrays(
+                    at, c0, sim.clock[at], t, dt, lat, debt))):
+                tr.collective(g, name, a, b, s, d, d0, o)
         if counter is not None:
             sim.counters.add(at, counter, 1.0)
 
@@ -539,7 +539,7 @@ class World:
             # whole membership: a lane's gather waits for its node-mates
             pens, lost, debts = None, (False, False), np.zeros((2, size))
             if plan is not None:
-                seq = first._coll_seq
+                seq = ctx.seq.item(first.rank)
                 pens = [plan.collective_penalties(ctx.group, seq + j,
                                                   range(size))
                         for j in (0, 1)]
@@ -575,11 +575,8 @@ class World:
             if sh["lost"][0]:
                 self._abort_after_loss()
             if pens is not None:  # the parent's next collective
-                seq = first._coll_seq
-                for c in comms:
-                    c._coll_seq = seq + 1
-                self._book_penalties(comms, [pens[1][r] for r in mine], seq,
-                                     size)
+                self._book_penalties(comms, [pens[1][r] for r in mine],
+                                     _next_seq(comms), size)
             self._finish_all(comms, "split", sh["t2"])  # the leaders' split
             if sh["lost"][1]:
                 self._abort_after_loss()
@@ -658,17 +655,15 @@ class World:
             cost.alltoallv_time(p, 0, ranks_per_node=k, total_bytes=0))
             for k in kinds.tolist()]).reshape(-1, 2).T[
                 :, np.searchsorted(kinds, rpn)]
-        if tr is not None or sim.faults is not None:
-            for c, r, d, d0 in zip(comms, *per_rank(ranks, dt, lat)):
-                c0, debt = c.clock, c._fault_debt
-                c.set_clock(t + d)  # folds pending fault debt in
-                if tr is not None:
-                    tr.collective(c.grank, "alltoallv", c0, c.clock, t, d, d0,
-                                  debt)
-                    c.trace_edges(np.diff(shared["cuts"][r].displs())
-                                  * shared["widths"][r])
-        else:
-            sim.clock[at] = t + dt
+        c0 = sim.clock[at] if tr is not None else None
+        debt = sim.set_clocks(at, t + dt)
+        if tr is not None:
+            for c, r, a, b, d, d0, o in zip(comms, *per_rank(
+                    *np.broadcast_arrays(ranks, c0, sim.clock[at], dt, lat,
+                                         debt))):
+                tr.collective(c.grank, "alltoallv", a, b, t, d, d0, o)
+                c.trace_edges(np.diff(shared["cuts"][r].displs())
+                              * shared["widths"][r])
         sim.counters.add(at, "coll.alltoallv", 1.0)
         sim.counters.add(at, "bytes.recv", recv)
         sim.counters.add(at, "bytes.sent", shared["send_tot"][ranks])

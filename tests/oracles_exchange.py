@@ -165,7 +165,8 @@ def _book_collective(comm: Comm, name: str, t: float, dt: float,
     if tr is None:
         comm.set_clock(t + dt)
         return
-    c0, debt = comm.clock, comm._fault_debt
+    owed = comm._world.debt
+    c0, debt = comm.clock, 0.0 if owed is None else owed.item(comm.grank)
     comm.set_clock(t + dt)
     tr.collective(comm.grank, name, c0, comm.clock, t, dt, lat, debt)
     comm.trace_edges(sizes)

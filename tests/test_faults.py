@@ -6,6 +6,7 @@ same output, same report), the golden invariant (no plan / empty spec
 degraded-completion crash path, and the chaos harness.
 """
 
+import sys
 import threading
 from unittest import mock
 
@@ -36,6 +37,7 @@ from repro.mpi import (
     SpmdResult,
     make_world_comms,
     run_spmd,
+    run_spmd_flat,
 )
 from repro.obs import Tracer
 from repro.runner import run_sort
@@ -288,6 +290,35 @@ class TestGoldenInvariance:
 
 
 # ------------------------------------------------------------ fault families
+class _Idle:
+    """A rank program with both entry points that does nothing."""
+
+    def __call__(self, comm):
+        return None
+
+    def flat_run(self, comms):
+        return [None] * len(comms), []
+
+
+@pytest.mark.parametrize("entry", [
+    lambda plan: run_spmd(_Idle(), 8, faults=plan),
+    lambda plan: run_spmd(_Idle(), 8, faults=plan, backend="flat"),
+    lambda plan: run_spmd_flat(_Idle(), 8, faults=plan),
+    lambda plan: run_spmd(_Idle(), 8, faults=plan, cancel=_set_event()),
+    lambda plan: SimWorld(8, EDISON, faults=plan),
+], ids=["thread", "flat", "run_spmd_flat", "cancelled", "SimWorld"])
+def test_a_plan_of_the_wrong_size_is_a_typed_error(entry):
+    with pytest.raises(ValueError,
+                       match="fault plan compiled for p=4, world has p=8"):
+        entry(PRESETS["mixed"].compile(4, 0))
+
+
+def _set_event() -> threading.Event:
+    done = threading.Event()
+    done.set()
+    return done
+
+
 class TestStragglers:
     def test_slowdown_scales_compute_charges(self):
         spec = FaultSpec(stragglers=(StragglerFault(rank=2, slowdown=4.0),))
@@ -421,6 +452,46 @@ class TestCollectiveFaults:
         dropped = sum(c.get("faults.coll_msg_dropped", 0)
                       for c in faulty.counters)
         assert dropped > 0
+
+    def test_rank_threads_switching_every_microsecond_book_flat_debt(self):
+        # 48 rank threads write their own entries of the world's debt
+        # column and the context's sequence column: a lost update moves a
+        # clock or a verdict away from the columnar world's
+        spec = FaultSpec(messages=MessageFaults(drop_rate=0.02),
+                         collectives=CollectiveFaults(transient_rate=0.3))
+        p, interval = 48, sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = run_spmd(_Collectives(), p, machine=EDISON,
+                               faults=spec.compile(p, 5))
+        finally:
+            sys.setswitchinterval(interval)
+        flat = run_spmd(_Collectives(), p, machine=EDISON, backend="flat",
+                        faults=spec.compile(p, 5))
+        assert threads.clocks == flat.clocks
+        assert [{k: v for k, v in c.items() if k != "coll.sync_wait"}
+                for c in threads.counters] == flat.counters
+        assert all(c["faults.coll_transient"] > 0 for c in flat.counters)
+
+
+class _Collectives:
+    """Twelve collectives entered at unequal clocks."""
+
+    def __call__(self, comm):
+        comm.charge(1e-4 * (comm.rank % 5))
+        for i in range(4):
+            comm.allreduce(comm.rank + i)
+            comm.barrier()
+            comm.bcast(i)
+
+    def flat_run(self, comms):
+        world = ColumnarWorld(comms[0]._world)
+        world.charge_compute(comms, [1e-4 * (c.rank % 5) for c in comms])
+        for i in range(4):
+            world.allreduce(comms, [c.rank + i for c in comms])
+            world.barrier(comms)
+            world.bcast(comms, [i] * len(comms))
+        return [None] * len(comms), world.failures
 
 
 class TestCrashRecovery:

@@ -35,6 +35,7 @@ from hypothesis import strategies as st
 
 from repro.core import SdsParams, pipeline, sds_sort, sds_sort_world
 from repro.faults.chaos import PRESETS
+from repro.faults.plan import CollectivePenalty
 from repro.machine import EDISON, CostModel, MemoryLedger
 from repro.mpi import (
     LANE,
@@ -664,8 +665,9 @@ def test_a_hooked_flat_world_replays_no_comm_chain(monkeypatch, algorithm):
     # what a rank can still book on itself: its phase bracket, a compute
     # charge, a clock overwrite.  A columnar world never opens a rank's
     # bracket; it charges one rank by hand (the pivot root pays for its
-    # own sort); and it overwrites clocks through ``Comm.set_clock``
-    # only where a rank may carry fault debt or a tracer wants the split
+    # own sort); and it never overwrites one rank's clock: every epilogue
+    # writes its membership's clocks, fault debt folded in, in one
+    # statement (``SimWorld.set_clocks``), traced and under a plan too
     calls = {"charge": 0, "set_clock": 0}
 
     def replayed(*args, **kwargs):
@@ -686,8 +688,30 @@ def test_a_hooked_flat_world_replays_no_comm_chain(monkeypatch, algorithm):
     assert run_sort(algorithm, uniform(), **kw).ok
     assert calls == {"charge": 1, "set_clock": 0}
     assert run_sort(algorithm, uniform(), trace=True, **kw).ok
+    assert calls == {"charge": 2, "set_clock": 0}
     assert run_sort(algorithm, uniform(), faults=PRESETS["mixed"], **kw).ok
-    assert calls["charge"] == 3
+    assert calls == {"charge": 3, "set_clock": 0}
+
+
+def test_a_comm_is_a_view_that_books_nothing():
+    p = 8
+    plan = PRESETS["straggler"].compile(p, 1)
+    slow = [g for g in range(p) if plan.slowdown(g) != 1.0]
+    sim = SimWorld(p, EDISON, faults=plan, tracer=Tracer(p))
+    for _ in range(2):  # the straggler mark is the world's, once a run
+        comms = [Comm(sim, sim.world_ctx, r) for r in range(p)]
+    assert len(slow) == 2
+    assert _views(sim).counters == [
+        {"faults.straggler": 1.0} if r in slow else {} for r in range(p)]
+    assert [r for r in range(p) if sim.tracer.instants[r]] == slow
+    assert not hasattr(comms[0], "__dict__")
+    # two handles of one rank owe the same debt: one books it, the other's
+    # clock overwrite settles it
+    a, b = Comm(sim, sim.world_ctx, 3), comms[3]
+    LANE._book_penalties((a,), [CollectivePenalty(0.25, 0, 0, 0, False)], 0,
+                         p)
+    b.set_clock(1.0)
+    assert a.clock == b.clock == 1.25 and sim.debt.tolist() == [0.0] * p
 
 
 # ---------------------------------------------------------------------------
@@ -892,12 +916,15 @@ def test_every_verb_has_one_body():
     # a rank's collectives are the lane's, called on itself
     methods = _class_defs(comm)["Comm"]
     assert "_finish_coll" not in methods
-    for name in WRITTEN_ONCE[:8]:
+    # and so are its compute charge and tracer counter
+    for name, verb in [*zip(WRITTEN_ONCE[:8], WRITTEN_ONCE[:8]),
+                       ("charge", "charge_compute"),
+                       ("trace_counter", "trace_counter")]:
         body = [st for st in methods[name].body
                 if not (isinstance(st, ast.Expr)
                         and isinstance(st.value, ast.Constant))]  # docstring
         assert len(body) == 1, name
-        assert f"LANE.{name}((self,)" in ast.unparse(body[0]), name
+        assert f"LANE.{verb}((self,)" in ast.unparse(body[0]), name
     assert ast.unparse(methods["phase"].body[-1]) == (
         "return phase_all((self,), name)")
 
