@@ -23,7 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..core.pipeline import SortOutcome
-from ..mpi import LANE, Comm, World
+from ..mpi import LANE, Comm, FlatAbort, World
 from ..records import RecordBatch
 from .hyksort import HykParams, hyksort_world
 
@@ -122,7 +122,10 @@ def hyksort_secondary_key_world(world: World, comms: list[Comm],
             widened[i] = _widen(b, c.rank)
         except BaseException as exc:
             world.fail(c, exc)
-    composites = _composite_order_keys_world(world, comms, widened)
+    try:
+        composites = _composite_order_keys_world(world, comms, widened)
+    except FlatAbort:
+        return outcomes  # a collective aborted: every rank stays ``None``
     works: list = [None] * len(comms)
     for i, c in enumerate(comms):
         if not world.alive(c):

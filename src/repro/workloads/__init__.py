@@ -1,6 +1,6 @@
 """Dataset generators for every experiment in the paper."""
 
-from .base import Workload
+from .base import OneUniformPerKey, Workload
 from .extra import (
     GRAYSORT_PAYLOAD_WORDS,
     StaggeredWorkload,
@@ -27,9 +27,11 @@ from .synthetic import (
     runs_batch,
     uniform,
     uniform_batch,
+    uniform_keys,
     zipf,
     zipf_batch,
     zipf_delta,
+    zipf_keys,
     zipf_pmf,
 )
 
@@ -62,6 +64,7 @@ def by_name(name: str, **kwargs) -> Workload:
 
 
 __all__ = [
+    "OneUniformPerKey",
     "Workload",
     "by_name",
     "GRAYSORT_PAYLOAD_WORDS",
@@ -85,8 +88,10 @@ __all__ = [
     "runs_batch",
     "uniform",
     "uniform_batch",
+    "uniform_keys",
     "zipf",
     "zipf_batch",
     "zipf_delta",
+    "zipf_keys",
     "zipf_pmf",
 ]

@@ -6,20 +6,23 @@ simulated ranks consume it, so generators are exposed through
 (``numpy.random.SeedSequence.spawn``) — rank ``r``'s shard is a pure
 function of ``(seed, N, p, r)``.
 
-Two routes lead to the same bytes.  :meth:`Workload.shard` is the
+Three routes lead to the same bytes.  :meth:`Workload.shard` is the
 definition: numpy's own ``SeedSequence(seed, spawn_key=(rank,))`` +
 ``default_rng`` per rank — what rank threads run and what every test
 compares against.  :meth:`Workload.shards`, the seam the flat engine
-draws a world through, computes the same PCG64 start states for a block
-of ranks in one pass (:mod:`.seeding`) and drives one generator through
-them; it takes that route only where it is provably the definition (see
-its docstring) and goes rank by rank through ``shard`` otherwise.
+draws a world through, computes the same PCG64 streams for a block of
+ranks in one pass (:mod:`.seeding`): a short shard of a generator that
+declares one uniform per key (:class:`OneUniformPerKey`) is drawn as
+one ``(ranks, n)`` array, any other shard by one generator re-seated on
+each rank's start state.  It takes those routes only where they are
+provably the definition (see its docstring) and goes rank by rank
+through ``shard`` otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Protocol
+from typing import Any, Callable, Iterable, Protocol
 
 import numpy as np
 # Bound once at import: ``np.random`` goes through numpy's module-level
@@ -30,7 +33,28 @@ import numpy as np
 from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from ..records import RecordBatch
-from .seeding import child_states, matches_numpy
+from .seeding import child_states, child_uniforms, matches_numpy
+
+#: Longest shard :meth:`Workload.shards` draws in lockstep.  One block
+#: of 256 ranks, re-seated ``Generator`` against lockstep, best of 15
+#: interleaved (2-core AVX-512 host, numpy 2.4):
+#:
+#: ====  ===================  ===================
+#:  n    uniform              zipf(1.1)
+#: ====  ===================  ===================
+#:   0   1.34 → 0.29 ms       1.79 → 0.29 ms
+#:  16   1.43 → 0.47 ms       2.14 → 0.77 ms
+#:  64   1.57 → 0.89 ms       3.27 → 2.13 ms
+#:  96   1.58 → 1.42 ms       5.00 → 3.77 ms
+#: 128   1.66 → 2.06 ms       5.11 → 4.85 ms
+#: 160   1.64 → 2.58 ms       5.44 → 6.23 ms
+#: ====  ===================  ===================
+#:
+#: Lockstep is ≈ 0.3 ms of seeding a block plus ≈ 40 uint64 array
+#: passes a key, 37 ns a key at n = 64 and more once a block's arrays
+#: leave the cache; a re-seated generator is ≈ 5 µs a rank and draws a
+#: double in a few ns.  Uniform keys cross between 96 and 128.
+_LOCKSTEP_MAX_KEYS = 96
 
 
 class GeneratorFn(Protocol):
@@ -42,10 +66,30 @@ class GeneratorFn(Protocol):
     not — ``Workload.shards`` hands one ``Generator`` to a whole block
     of ranks, re-seated before each call — so a generator function must
     not keep ``rng`` beyond its return, and ``rng.bit_generator.seed_seq``
-    is not the rank's ``SeedSequence``.
+    is not the rank's ``SeedSequence``.  A generator whose keys are an
+    elementwise function of one uniform each says so by being a
+    :class:`OneUniformPerKey`; ``shards`` may then call no generator at
+    all and compute the stream (:func:`.seeding.child_uniforms`).
     """
 
     def __call__(self, n: int, rng: np.random.Generator) -> RecordBatch: ...
+
+
+@dataclass(frozen=True)
+class OneUniformPerKey:
+    """A :class:`GeneratorFn` that declares its stream: the shard is
+    ``RecordBatch(keys_of(rng.random(n)))``, one uniform per key.
+
+    ``keys_of`` must be elementwise — a key depends on its own uniform
+    only, and a 2-D array maps row by row to what each row alone maps
+    to, dtype included — because :meth:`Workload.shards` may hand it a
+    whole block's ``(ranks, n)`` uniforms at once and cut the rows.
+    """
+
+    keys_of: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, n: int, rng: np.random.Generator) -> RecordBatch:
+        return RecordBatch(self.keys_of(rng.random(n)))
 
 
 def check_seed(seed: Any) -> None:
@@ -92,15 +136,20 @@ class Workload:
         Equals ``[self.shard(n, p, r, seed) for r in ranks]`` by
         definition, byte for byte.  The flat engine draws a world
         through this seam, a block of ranks at a time, so the per-rank
-        seeding objects are not built here: the ranks' PCG64 start
-        states come from :func:`.seeding.child_states` in one pass and
-        one ``Generator`` is re-seated on each before ``fn(n, rng)``
-        (``has_uint32`` / ``uinteger`` reset with it: a float32 or
-        uint32 draw leaves a buffered half-word behind).  That route is
-        taken only when it is the definition: ``shard`` is
-        :class:`Workload`'s own (not overridden by a subclass, not
-        patched on the class or the instance), ``seed`` is an ``int``,
-        every rank is in ``[0, min(p, 2**32))``, and
+        seeding objects are not built here.  When ``fn`` is a
+        :class:`OneUniformPerKey` and ``n`` an ``int`` in ``[0,
+        _LOCKSTEP_MAX_KEYS]``, the block's uniforms come from
+        :func:`.seeding.child_uniforms` as one ``(ranks, n)`` array, go
+        through ``keys_of`` once, and every shard is a row of the result
+        (the batches share one layout, validated once).  Otherwise the
+        ranks' PCG64 start states come from :func:`.seeding.child_states`
+        in one pass and one ``Generator`` is re-seated on each before
+        ``fn(n, rng)`` (``has_uint32`` / ``uinteger`` reset with it: a
+        float32 or uint32 draw leaves a buffered half-word behind).
+        Both routes are taken only when they are the definition:
+        ``shard`` is :class:`Workload`'s own (not overridden by a
+        subclass, not patched on the class or the instance), ``seed`` is
+        an ``int``, every rank is in ``[0, min(p, 2**32))``, and
         :func:`.seeding.matches_numpy` agreed with the installed numpy.
         Anything else dispatches through :meth:`shard` rank by rank —
         which also words the error of an out-of-range rank.
@@ -116,6 +165,12 @@ class Workload:
                 and matches_numpy()):
             return [shard(n, p, r, seed) for r in ranks]
         fn = self.fn
+        if (isinstance(fn, OneUniformPerKey) and type(n) is int
+                and 0 <= n <= _LOCKSTEP_MAX_KEYS):
+            keys = fn.keys_of(child_uniforms(int(seed), ranks, n))
+            first = RecordBatch(keys[0])
+            return [first] + [RecordBatch._unsafe(row, {}, first)
+                              for row in keys[1:]]
         bit_generator = PCG64(0)
         rng = Generator(bit_generator)
         out = []

@@ -24,15 +24,20 @@ from functools import lru_cache, partial
 import numpy as np
 
 from ..records import RecordBatch
-from .base import Workload
+from .base import OneUniformPerKey, Workload
 
 #: Universe size that reproduces the paper's alpha -> delta table.
 ZIPF_UNIVERSE = 10_000
 
 
-def uniform_batch(n: int, rng: np.random.Generator) -> RecordBatch:
-    """``n`` uniform float64 keys in [0, 1), no payload."""
-    return RecordBatch(rng.random(n))
+def uniform_keys(u: np.ndarray) -> np.ndarray:
+    """The uniform workload's keys are its uniforms."""
+    return u
+
+
+#: ``uniform_batch(n, rng)``: ``n`` uniform float64 keys in [0, 1), no
+#: payload.
+uniform_batch = OneUniformPerKey(uniform_keys)
 
 
 def zipf_pmf(alpha: float, universe: int = ZIPF_UNIVERSE) -> np.ndarray:
@@ -64,25 +69,33 @@ def zipf_delta(alpha: float, universe: int = ZIPF_UNIVERSE) -> float:
     return float(zipf_pmf(alpha, universe)[0])
 
 
-def zipf_batch(n: int, rng: np.random.Generator, *, alpha: float = 0.7,
-               universe: int = ZIPF_UNIVERSE) -> RecordBatch:
-    """``n`` Zipf-distributed float64 keys.
+def zipf_keys(u: np.ndarray, *, alpha: float = 0.7,
+              universe: int = ZIPF_UNIVERSE) -> np.ndarray:
+    """Zipf keys of uniforms ``u`` (any shape), elementwise.
 
     Keys are the value's rank index (popular values cluster toward the
     low end of the distribution, as the paper describes for skewed
     science data), jittered by nothing — duplicates are exact, which is
     the property that breaks sample-based partitioners.
 
-    The draw is ``rng.choice(universe, size=n, p=zipf_pmf(...))``
-    spelled out — one uniform per key, inverted through the CDF — so
-    the 10 000-entry pmf, its validation and its ``cumsum`` are paid
-    once per ``(alpha, universe)`` instead of once per shard.
+    One uniform per key, inverted through the CDF: what
+    ``rng.choice(universe, size=n, p=zipf_pmf(...))`` does with
+    ``rng.random(n)``, with the 10 000-entry pmf, its validation and its
+    ``cumsum`` paid once per ``(alpha, universe)`` instead of once per
+    shard.
     """
     # ``universe`` is a client's number: memoised up to the default (32 x
     # 80 KB at most), built per call and dropped above it, as ``choice`` does
     build = _zipf_cdf if universe <= ZIPF_UNIVERSE else _zipf_cdf.__wrapped__
-    idx = build(alpha, universe).searchsorted(rng.random(n), side="right")
-    return RecordBatch(idx.astype(np.float64))
+    idx = build(alpha, universe).searchsorted(u, side="right")
+    return idx.astype(np.float64)
+
+
+def zipf_batch(n: int, rng: np.random.Generator, *, alpha: float = 0.7,
+               universe: int = ZIPF_UNIVERSE) -> RecordBatch:
+    """``n`` Zipf-distributed float64 keys (:func:`zipf_keys`)."""
+    return RecordBatch(zipf_keys(rng.random(n), alpha=alpha,
+                                 universe=universe))
 
 
 def runs_batch(n: int, rng: np.random.Generator, *, runs: int = 16) -> RecordBatch:
@@ -138,7 +151,7 @@ def zipf(alpha: float = 0.7, universe: int = ZIPF_UNIVERSE) -> Workload:
     """Zipf workload with the paper's universe calibration."""
     return Workload(
         f"zipf-{alpha:g}",
-        partial(zipf_batch, alpha=alpha, universe=universe),
+        OneUniformPerKey(partial(zipf_keys, alpha=alpha, universe=universe)),
         {"alpha": alpha, "universe": universe, "delta": zipf_delta(alpha, universe)},
     )
 

@@ -1,8 +1,10 @@
 """Secondary-sort-key HykSort (the workaround the paper declines)."""
 
 import numpy as np
+import pytest
 
 from repro.baselines import hyksort_secondary_key
+from repro.faults.spec import FaultSpec, MessageFaults
 from repro.metrics import check_sorted, check_stable, rdfa
 from repro.mpi import run_spmd
 from repro.records import tag_provenance
@@ -77,3 +79,21 @@ class TestCost:
         r = run_sort("hyksort-sk", zipf(1.4), n_per_rank=300, p=8,
                      mem_factor=None)
         assert r.ok
+
+
+class TestFaults:
+    @pytest.mark.parametrize("backend", ["flat", "thread"])
+    def test_lost_collective_fails_the_run_like_plain_hyksort(self, backend):
+        # the first collective of the composite keys loses a message for
+        # good: a failed result (not an exception out of ``run_sort``),
+        # worded as plain HykSort words it on either backend
+        lossy = FaultSpec(messages=MessageFaults(drop_rate=0.6))
+        results = {algo: run_sort(algo, uniform(), n_per_rank=50, p=8,
+                                  seed=1, faults=lossy, fault_seed=3,
+                                  backend=backend)
+                   for algo in ("hyksort", "hyksort-sk")}
+        want = ("rank 4: MessageLostError('collective #0 on a 8-rank "
+                "communicator: rank 4 exhausted 8 retries')")
+        for res in results.values():
+            assert not res.ok
+            assert res.failure == want

@@ -7,13 +7,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from numpy.random import PCG64, SeedSequence, default_rng
+from numpy.random import PCG64, Generator, SeedSequence, default_rng
 
 from repro.metrics import replication_ratio
 from repro.records import RecordBatch
 from repro.workloads import (
     COSMO_DELTA,
     PTF_DELTA,
+    ZIPF_UNIVERSE,
+    OneUniformPerKey,
     Workload,
     by_name,
     cosmology,
@@ -25,8 +27,8 @@ from repro.workloads import (
     zipf_delta,
     zipf_pmf,
 )
-from repro.workloads import seeding
-from repro.workloads.seeding import child_states
+from repro.workloads import base, seeding
+from repro.workloads.seeding import child_states, child_uniforms
 
 
 class TestShardProtocol:
@@ -271,6 +273,8 @@ def registered_names():
 def _same_bytes(got: RecordBatch, want: RecordBatch) -> None:
     assert got.keys.dtype == want.keys.dtype
     assert got.keys.tobytes() == want.keys.tobytes()
+    assert (got.schema, got.record_bytes, got.nbytes) == \
+        (want.schema, want.record_bytes, want.nbytes)
     assert got.columns == want.columns
     for name in want.columns:
         a, b = got.payload[name], want.payload[name]
@@ -301,6 +305,17 @@ class TestBatchedSeeding:
     def test_states_equal_numpy(self, seed, ranks):
         assert child_states(seed, ranks) == _numpy_states(seed, ranks)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**256 - 1),
+           st.lists(st.integers(0, 2**32 - 1), max_size=4),
+           st.integers(0, 130))
+    def test_uniforms_equal_numpy(self, seed, ranks, n):
+        got = child_uniforms(seed, ranks, n)
+        assert got.shape == (len(ranks), n) and got.flags.c_contiguous
+        for r, row in zip(ranks, got):
+            want = Generator(PCG64(SeedSequence(seed, spawn_key=(r,))))
+            assert row.tobytes() == want.random(n).tobytes()
+
     def test_self_check_agrees_with_this_numpy(self):
         seeding.matches_numpy.cache_clear()
         assert seeding.matches_numpy() is True
@@ -315,6 +330,38 @@ class TestBatchedSeeding:
                 assert len(got) == p
                 for r, batch in enumerate(got):
                     _same_bytes(batch, wl.shard(n, p, r, seed))
+
+    @pytest.mark.parametrize("make", [
+        uniform, lambda: zipf(1.1), lambda: zipf(0.7, 3 * ZIPF_UNIVERSE)])
+    @pytest.mark.parametrize("n", [0, 1, 2, 63, 64, base._LOCKSTEP_MAX_KEYS])
+    def test_lockstep_shards_equal_shard_byte_for_byte(self, monkeypatch,
+                                                       make, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("generator built")
+
+        wl = make()
+        assert isinstance(wl.fn, OneUniformPerKey)
+        ranks = [2**32 - 1, 0, 2**31]                     # out of order
+        want = {seed: [wl.shard(n, 2**32, r, seed) for r in ranks]
+                for seed in GRID_SEEDS}
+        for name in ("Generator", "default_rng"):         # lockstep only
+            monkeypatch.setattr(base, name, refuse)
+        for seed in GRID_SEEDS:
+            got = wl.shards(n, 2**32, seed, ranks)
+            assert len(got) == len(ranks)
+            for batch, expected in zip(got, want[seed], strict=True):
+                _same_bytes(batch, expected)
+
+    def test_longer_shards_take_the_generator_route(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("lockstep route taken")
+
+        wl, top = zipf(1.1), base._LOCKSTEP_MAX_KEYS
+        monkeypatch.setattr(base, "child_uniforms", refuse)
+        for r, batch in enumerate(wl.shards(top + 1, 3, 4)):
+            _same_bytes(batch, wl.shard(top + 1, 3, r, 4))
+        with pytest.raises(AssertionError, match="lockstep route taken"):
+            wl.shards(top, 3, 4)
 
     @pytest.mark.parametrize("ranks", [
         [6, 0, 3, 8, 1], [2, 2, 7, 2], [5], [], range(3, 7),
@@ -402,19 +449,21 @@ class TestBatchedSeeding:
                 uniform().shards(3, 4, 0, ranks)
 
     @pytest.mark.parametrize("constant", ["_MULT_A", "_MIX_MULT_R",
-                                          "_MULT_B", "_PCG_MULT"])
+                                          "_MULT_B", "_PCG_MULT",
+                                          "_ROT_SHIFT", "_DOUBLE_SHIFT"])
     def test_self_check_falls_back_to_shard(self, monkeypatch, caplog,
                                             constant):
+        # the last two corrupt only the stream: the start states agree
         monkeypatch.setattr(seeding, constant,
                             getattr(seeding, constant) ^ 2)
         seeding.matches_numpy.cache_clear()
         try:
-            wl = by_name("cosmology")
             with caplog.at_level(logging.WARNING):
                 for _ in range(3):
-                    got = wl.shards(7, 5, 3)
-            for r, batch in enumerate(got):
-                _same_bytes(batch, wl.shard(7, 5, r, 3))
+                    for wl in (by_name("cosmology"), zipf(1.1)):
+                        got = wl.shards(7, 5, 3)
+                        for r, batch in enumerate(got):
+                            _same_bytes(batch, wl.shard(7, 5, r, 3))
             warned = [rec for rec in caplog.records
                       if "disagrees with numpy" in rec.getMessage()]
             assert len(warned) == 1          # once per process
