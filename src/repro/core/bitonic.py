@@ -17,7 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..kernels import merge_two
-from ..mpi import LANE, Comm, World
+from ..mpi import LANE, Comm, Epilogue, World
+from ..mpi.world import members, per_rank, values_at
 
 _TAG_BITONIC = 71
 
@@ -40,8 +41,10 @@ def bitonic_sort_world(world: World, comms: list[Comm],
     after the length allgather every rank's clock is identical, each of
     the ``log2(p)*(log2(p)+1)/2`` rounds exchanges a constant-size block
     and merges ``2n`` elements, so the clock increments are a fixed
-    scalar sequence (replayed add-for-add below, memoised per distinct
-    entry clock); and a sorting network is data-independent, so rank
+    scalar sequence (replayed add-for-add below, once per distinct
+    entry clock, in an :class:`~repro.mpi.Epilogue` that overwrites the
+    membership's clocks at once); and a sorting network is
+    data-independent, so rank
     ``r``'s final block *is* the ``r``-th slice of the sorted
     concatenation — computed once, inside the staged collective, by a
     single ``np.sort``.  Clocks, counters and results are bit-for-bit
@@ -74,55 +77,59 @@ def bitonic_sort_world(world: World, comms: list[Comm],
         return np.sort(np.concatenate([e[0] for e in stage]))
 
     # the per-round scalars are rank-independent (same machine, equal
-    # blocks); the sequential accumulation is memoised per entry clock
+    # blocks); the sequential accumulation runs once per entry clock
+    cost = comms[0].cost
     pmo = comms[0].machine.per_message_overhead
-    mt = comms[0].cost.merge_time(2 * n, 2)
+    mt = cost.merge_time(2 * n, 2)
     stages = p.bit_length() - 1
     rounds = stages * (stages + 1) // 2
-    scalars: dict[int, float] = {}
-    replay: dict[float, float] = {}
 
-    def finish(i: int, c: Comm, sorted_all: np.ndarray):
-        rank = c.rank
-        block = sorted_all[rank * n:(rank + 1) * n]
-        nb = int(block.nbytes)
-        p2p = scalars.get(nb)
-        if p2p is None:
-            p2p = scalars[nb] = c.cost.p2p_time(nb)
+    def whole(sorted_all: np.ndarray) -> list:
+        sim = comms[0]._world
+        live, at, ranks, pos = world._live(comms, *members(comms))
+        outs: list = [None] * len(comms)
+        if not live:
+            return outs
+        nb = n * sorted_all.itemsize
+        p2p = cost.p2p_time(nb)
         # replay the per-round clock arithmetic of the message-passing
         # formulation: send charge, then arrival (= partner's identical
         # clock + p2p), then the 2n-element merge — one add each
-        t0 = c.clock
-        t = replay.get(t0)
-        if t is None:
-            t = t0
+        t0 = per_rank(sim.clock[at])[0]
+        replay: dict[float, float] = {}
+        for t in set(t0):
+            c0 = t
             for _ in range(rounds):
                 t = ((t + pmo) + p2p) + mt
-            replay[t0] = t
-        debt = c.set_clock(t)
-        tr = c.tracer
+            replay[c0] = t
+        debt = sim.set_clocks(at, values_at(at, [replay[t] for t in t0]))
+        tr = sim.tracer
         if tr is not None:
-            g = c.grank
-            tr.span(g, "p2p", "bitonic_rounds", t0, c.clock,
-                    {"rounds": rounds, "bytes": rounds * nb})
-            lat0 = c.cost.p2p_time(0)
-            tr.add(g, "cost.compute", rounds * (pmo + mt))
-            tr.add(g, "cost.latency", rounds * lat0)
-            tr.add(g, "cost.bandwidth", rounds * (p2p - lat0))
-            if debt:
-                tr.add(g, "cost.fault_debt", debt)
-            tr.add(g, "kernel.merge.records", float(rounds * 2 * n))
-            tr.add(g, "kernel.merge.seconds", rounds * mt)
-            group = c._ctx.group
-            for si in range(stages):
-                for sj in range(si, -1, -1):
-                    tr.edge(g, group[rank ^ (1 << sj)], nb)
-        c.count("p2p.send", rounds)
-        c.count("p2p.recv", rounds)
-        c.count("bytes.sent", float(rounds * nb))
-        return block
+            lat0 = cost.p2p_time(0)
+            for c, r, a, b, d in zip(live, *per_rank(*np.broadcast_arrays(
+                    ranks, t0, sim.clock[at], debt))):
+                g = c.grank
+                tr.span(g, "p2p", "bitonic_rounds", a, b,
+                        {"rounds": rounds, "bytes": rounds * nb})
+                tr.add(g, "cost.compute", rounds * (pmo + mt))
+                tr.add(g, "cost.latency", rounds * lat0)
+                tr.add(g, "cost.bandwidth", rounds * (p2p - lat0))
+                if d:
+                    tr.add(g, "cost.fault_debt", d)
+                tr.add(g, "kernel.merge.records", float(rounds * 2 * n))
+                tr.add(g, "kernel.merge.seconds", rounds * mt)
+                group = c._ctx.group
+                for si in range(stages):
+                    for sj in range(si, -1, -1):
+                        tr.edge(g, group[r ^ (1 << sj)], nb)
+        sim.counters.add(at, "p2p.send", rounds)
+        sim.counters.add(at, "p2p.recv", rounds)
+        sim.counters.add(at, "bytes.sent", float(rounds * nb))
+        for i, r in zip(*per_rank(pos, ranks)):
+            outs[i] = sorted_all[r * n:(r + 1) * n]
+        return outs
 
-    _, outs = world.collective(comms, arrs, compute, finish)
+    _, outs = world.collective(comms, arrs, compute, Epilogue(whole))
     return outs
 
 

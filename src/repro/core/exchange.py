@@ -179,7 +179,8 @@ def _sync_exchange_ordering(world: World, comms: Sequence[Comm],
     Runs inside the ``local_ordering`` phase: charges each rank's own
     merge/sort cost (evaluated once per distinct ``(m, delta)``), hands
     out the output slices of the whole-world permutation
-    (:func:`_world_outputs`) and settles memory.  A rank whose output is
+    (:func:`_world_outputs`), with one :class:`ExchangeStats` per distinct
+    received count, and settles memory.  A rank whose output is
     refused has paid its charge and released its receive buffer, and
     gets no output.
     """
@@ -203,8 +204,9 @@ def _sync_exchange_ordering(world: World, comms: Sequence[Comm],
         live, mem.alloc(at, shared["m"][ranks] * width), at, ranks, pos)
     outs: list = [None] * len(comms)
     ranks, pos = per_rank(ranks, pos)
+    stats = {m: ExchangeStats("sync", ordering, m, p) for m in set(ms)}
     for i, out in zip(pos, _world_outputs(shared, ranks)):
-        outs[i] = (out, ExchangeStats("sync", ordering, ms[i], p))
+        outs[i] = (out, stats[ms[i]])
     return outs
 
 
@@ -255,7 +257,10 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
     """
     start = max(e[1] for e in stage)
     batches = [e[0][0] for e in stage]
-    D = np.stack([e[0][1].displs() for e in stage])   # (p, p+1) bounds
+    cuts = [e[0][1] for e in stage]
+    if len(cuts[0]) > 1:                              # the world's one table
+        cuts = list(cuts[0])
+    D = np.stack([c.displs() for c in cuts])          # (p, p+1) bounds
     C = np.diff(D, axis=1)                            # counts[src, dst]
     widths = np.array([b.record_bytes for b in batches], dtype=np.int64)
     S = C * widths[:, None]                           # bytes[src, dst]
@@ -377,6 +382,8 @@ def _overlapped_exchange_finish(world: World, comms: Sequence[Comm],
     mem.free(at, held)                                # send buffer released
     outs: list = [None] * len(comms)
     ranks, pos, m = per_rank(ranks, pos, m[ranks])
+    stats = {mr: ExchangeStats("overlap", "overlap-merge", mr, p)
+             for mr in set(m)}
     for i, out, mr in zip(pos, _world_outputs(shared, ranks), m):
-        outs[i] = (out, ExchangeStats("overlap", "overlap-merge", mr, p))
+        outs[i] = (out, stats[mr])
     return outs

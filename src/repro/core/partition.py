@@ -34,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from ..kernels import bounded_upper_bound, stable_prefix_layout
-from ..mpi.cells import Cuts
+from ..mpi.cells import Cuts, world_table
 
 
 @dataclass(frozen=True)
@@ -97,21 +97,26 @@ def partition_classic(sorted_keys: np.ndarray, pg: np.ndarray) -> np.ndarray:
     return np.concatenate(([0], inner, [a.size]))
 
 
-def cuts_all_valid(cuts: Sequence[Cuts], p: int, lens: Sequence[int]) -> bool:
+def cuts_all_valid(cuts: Sequence[Cuts], p: int, lens: Sequence[int]
+                   ) -> bool:
     """Whether every rank's cuts pass ``check(p, lens[r])``, judged in
-    one pass over their concatenation.
+    one pass over the table of their rows.
 
-    The pass also wants what the partitioners give by construction and
-    the exchange relies on: one closing offset per rank, buckets inside
+    ``cuts`` holds what each rank deposits (:func:`~repro.mpi.cells.
+    world_table`: one table of every rank's row, or each its own).  The
+    pass also wants what the partitioners give by construction and the
+    exchange relies on: one closing offset per rank, buckets inside
     ``[0, p)`` and ascending within a rank.  ``False`` is a verdict on
     no rank — the caller then asks each rank's own :meth:`Cuts.check`,
     which names the offender.
     """
-    if any(c is None or c.p != p for c in cuts):       # None: never cut
+    if None in cuts or {c.p for c in cuts} != {p}:     # None: never cut
         return False
-    sizes = np.array([c.dst.size for c in cuts], dtype=np.int64)
-    dst = np.concatenate([c.dst for c in cuts])
-    offs = np.concatenate([c.offs for c in cuts])
+    cuts = world_table(cuts)
+    if len(cuts) != len(lens):                         # a row a rank
+        return False
+    sizes = cuts.sizes()
+    dst, offs = cuts.dst, cuts.offs
     if offs.size != dst.size + sizes.size:
         return False
     closer = np.cumsum(sizes + 1) - 1                  # per rank, in offs
@@ -128,8 +133,9 @@ def cuts_all_valid(cuts: Sequence[Cuts], p: int, lens: Sequence[int]) -> bool:
     return bool(dst.min() >= 0 and dst.max() < p and rises.all())
 
 
-def classic_cuts(rows: np.ndarray, pg: np.ndarray) -> list[Cuts]:
-    """:func:`partition_classic` cuts for every row of a ``(g, n)`` stack.
+def classic_cuts(rows: np.ndarray, pg: np.ndarray) -> Cuts:
+    """:func:`partition_classic` cuts for every row of a ``(g, n)``
+    stack, as one table of ``g`` rows.
 
     Binary search takes the shorter side as needles.  With ``n >= p``
     that is the pivots, searched into each row.  With ``n < p`` it is
@@ -143,7 +149,8 @@ def classic_cuts(rows: np.ndarray, pg: np.ndarray) -> list[Cuts]:
     g, n = rows.shape
     p = pg.size + 1
     if n >= p:
-        return [Cuts.from_displs(partition_classic(row, pg)) for row in rows]
+        return Cuts.from_displs(np.stack(
+            [partition_classic(row, pg) for row in rows]))
     bucket = np.searchsorted(pg, rows.ravel(), side="left").reshape(g, n)
     brk = np.ones((g, n), dtype=bool)                  # bucket starts
     brk[:, 1:] = bucket[:, 1:] != bucket[:, :-1]
@@ -153,9 +160,7 @@ def classic_cuts(rows: np.ndarray, pg: np.ndarray) -> list[Cuts]:
     # every row's first-record offsets, each closed by its own ``n``
     offs = np.full(cell.size + g, n, dtype=np.int64)
     offs[np.arange(cell.size) + row] = cell - row * n
-    ends = np.searchsorted(row, np.arange(g + 1)).tolist()
-    return [Cuts(p, dst[a:b], offs[a + r:b + r + 1])
-            for r, (a, b) in enumerate(zip(ends[:-1], ends[1:]))]
+    return Cuts(p, dst, offs, np.searchsorted(row, np.arange(g + 1)))
 
 
 def partition_fast(sorted_keys: np.ndarray, pg: np.ndarray) -> np.ndarray:

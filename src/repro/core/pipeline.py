@@ -33,7 +33,8 @@ of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from operator import attrgetter
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,7 +66,9 @@ from .partition import (
 )
 from .plan import Decision, DecisionPolicy, SortPlan
 from .sampling import (
+    SampleRuns,
     local_sample_runs,
+    sample_stack,
     select_pivots_bitonic_world,
     select_pivots_gather_world,
     select_pivots_oversample_world,
@@ -174,6 +177,17 @@ def _live(world: World, comms: Sequence[Comm]) -> Sequence[int]:
     return [i for i, c in enumerate(comms) if world.alive(c)]
 
 
+_plan_of = attrgetter("plan")
+
+
+def _decide(ctxs: Iterable["RunContext"], *decisions: Decision) -> None:
+    """Record ``decisions`` for every rank of ``ctxs``: once per distinct
+    plan (a group shares one)."""
+    for plan in set(map(_plan_of, ctxs)):
+        for decision in decisions:
+            plan.decide(decision)
+
+
 def _per_distinct(fn: Callable[..., Any], args: list[tuple]) -> list:
     """``fn(*a)`` for every tuple of ``args``, evaluated once per
     distinct tuple (cost functions and policy verdicts are pure)."""
@@ -191,10 +205,13 @@ class RunContext:
     collectives); ``active`` starts as ``comm`` and shrinks to the
     leader communicator if the node-merge phase fires (or to the
     survivors of a crash).  ``plan`` carries the decision policy and
-    the accumulating trace.  ``n`` and ``input_nbytes`` are the input's
-    size, read off the batch's stored layout; the remaining fields are
-    the data flowing between phases (after the local sort ``batch`` is a
-    :class:`~repro.records.SortedRows` until :meth:`sorted_batch`).
+    the accumulating trace, shared by the ranks that decided alike.
+    ``n`` and ``input_nbytes`` are the input's size, read off the
+    batch's stored layout; the remaining fields are the data flowing
+    between phases (after the local sort ``batch`` is a
+    :class:`~repro.records.SortedRows` until :meth:`sorted_batch`; the
+    partition leaves the rank's cuts as row ``row`` of the table
+    ``cuts``).
     """
 
     comm: Comm
@@ -208,6 +225,7 @@ class RunContext:
     delta: float = 0.0
     pg: np.ndarray | None = None
     cuts: Cuts | None = None
+    row: int = 0
     out: RecordBatch | None = None
     xstats: ExchangeStats | None = None
     outcome: SortOutcome | None = None  # early exit (inactive rank)
@@ -218,12 +236,13 @@ class RunContext:
               policy: DecisionPolicy | None = None) -> list["RunContext"]:
         """Open a run on every live rank: one context each, in order.
 
-        Snapshots the input sizes, gives each rank its own decision
-        trace over the one shared ``policy``, and accounts the input
-        allocations through the world; a rank whose allocation is
-        refused fails and gets no context.
+        Snapshots the input sizes, starts the group on one decision plan
+        over ``policy``, and accounts the input allocations through the
+        world; a rank whose allocation is refused fails and gets no
+        context.
         """
-        ctxs = [cls(comms[i], params, SortPlan(policy), batches[i],
+        plan = SortPlan(policy)
+        ctxs = [cls(comms[i], params, plan, batches[i],
                     batches[i].keys.size, batches[i].nbytes, i, comms[i])
                 for i in _live(world, comms)]
         world.alloc([ctx.comm for ctx in ctxs],
@@ -292,7 +311,7 @@ def fault_health_check(world: World, ctxs: list[RunContext],
         children = world.split(
             acomms, [None if dead else 0 for dead in me_dead],
             keys=[a.rank for a in acomms])
-        shrink: Decision | None = None
+        survivors: list[RunContext] = []
         for i, ctx in enumerate(ctxs):
             comm = ctx.comm
             if not world.alive(comm):
@@ -301,6 +320,8 @@ def fault_health_check(world: World, ctxs: list[RunContext],
                 comm.count("faults.crashed")
                 comm.trace_instant("fault", "crash", {"boundary": boundary})
                 comm.mem.free(ctx.batch.nbytes)
+                # the trace as it stands: the survivors' recovery is
+                # recorded below, into the plan they may share with it
                 ctx.outcome = SortOutcome(
                     batch=RecordBatch.empty_like(ctx.batch),
                     received=0,
@@ -317,17 +338,17 @@ def fault_health_check(world: World, ctxs: list[RunContext],
                                {"boundary": boundary,
                                 "crashed": list(crashed)})
             ctx.active = survivor
-            if shrink is None:
-                shrink = Decision(
-                    "fault_recovery", "shrink",
-                    measured={"boundary": boundary,
-                              "crashed_ranks": list(crashed),
-                              "p_active": survivor.size},
-                    reason=f"rank(s) {', '.join(map(str, crashed))} "
-                           f"crashed at the {boundary} boundary: "
-                           f"continuing degraded on {survivor.size} "
-                           f"survivors")
-            ctx.plan.decide(shrink)
+            survivors.append(ctx)
+        if survivors:
+            size = survivors[0].active.size
+            _decide(survivors, Decision(
+                "fault_recovery", "shrink",
+                measured={"boundary": boundary,
+                          "crashed_ranks": list(crashed),
+                          "p_active": size},
+                reason=f"rank(s) {', '.join(map(str, crashed))} "
+                       f"crashed at the {boundary} boundary: "
+                       f"continuing degraded on {size} survivors"))
         return "recovered"
 
 
@@ -426,8 +447,11 @@ class NodeMerge:
     Policy verdicts are evaluated per distinct ``(node_bytes,
     ranks_per_node, comm_size)`` input — every rank's ranks-per-node
     read off the communicator's one node layout
-    (:meth:`~repro.mpi.comm.SimWorld.node_layout`) — and the consensus
-    allreduce runs once per communicator.  The funnel itself is one
+    (:meth:`~repro.mpi.comm.SimWorld.node_layout`) — the consensus
+    allreduce runs once per communicator, and each verdict is recorded
+    once per plan that holds ranks it applies to: a plan whose ranks got
+    different verdicts (a partial node's) forks, once per verdict.  The
+    funnel itself is one
     collective, :meth:`~repro.mpi.world.World.node_funnel`: booked as
     the node split, the leaders' split and a gather per node, it hands
     every leader its node's runs and the leaders' communicator and
@@ -436,7 +460,7 @@ class NodeMerge:
     of one layout and length in one row-stacked stable argsort, each
     column gathered once from the members' inputs), the ranks that
     handed their data off share one outcome per distinct layout and
-    decision trace, and charges go through the world's verbs in the
+    decision plan, and charges go through the world's verbs in the
     per-rank order (merge, charge, allocate, release) — so merged
     batches, clocks and memory peaks are bit-equal on every backend,
     and a leader whose merge raises or whose node's data it cannot
@@ -463,23 +487,34 @@ class NodeMerge:
             for a, local in verdict.items():
                 verdict[a] = policy.node_merge_consensus(
                     local, agreeing=merged_all, comm_size=size)
-            for i in _live(world, comms):
-                ctxs[i].plan.decide(verdict[args[i]])
+            # once per (plan, verdict): a plan whose ranks got different
+            # verdicts (a partial node's) forks, once per verdict
+            keys = [(ctxs[i].plan, args[i]) for i in _live(world, comms)]
+            verdicts: dict[SortPlan, list] = {}
+            for plan, a in set(keys):
+                verdicts.setdefault(plan, []).append(a)
+            plans = {}
+            for plan, own in verdicts.items():
+                for a in own:
+                    fork = plan if len(own) == 1 else plan.fork()
+                    fork.decide(verdict[a])
+                    plans[plan, a] = fork
+            for i, key in zip(_live(world, comms), keys):
+                ctxs[i].plan = plans[key]
             if merged_all != size:
                 return
             # all nodes agree: funnel each node onto its leader
             funneled = world.node_funnel(comms, [ctx.batch for ctx in ctxs])
             live = _live(world, comms)
             # ranks that handed their data off leave with an empty batch;
-            # equal layouts and traces (the same decision objects) share
-            # one outcome
+            # equal layouts and plans share one outcome
             rest = [i for i in live if funneled[i] is None]
             world.free([comms[i] for i in rest],
                        [ctxs[i].input_nbytes for i in rest])
             outcomes: dict[tuple, SortOutcome] = {}
             for i in rest:
                 ctx = ctxs[i]
-                key = (ctx.batch.schema, *map(id, ctx.plan.trace))
+                key = (ctx.batch.schema, ctx.plan)
                 if key not in outcomes:
                     outcomes[key] = SortOutcome(
                         batch=RecordBatch.empty_like(ctx.batch),
@@ -528,11 +563,12 @@ class PivotSelect:
     empty ranks; algorithms that cannot tolerate them skip it.
 
     The method decision is computed once per communicator (policy calls
-    are pure and their inputs communicator-uniform) and recorded into
-    every live rank's trace; sampling and selection go through the
+    are pure and their inputs communicator-uniform) and recorded once
+    per plan of the live ranks; sampling and selection go through the
     world-form selectors, which run shared computations once and replay
     the per-rank collective epilogues.  Regular samples are taken only
-    for the selectors that read them, run-length encoded.
+    for the selectors that read them, run-length encoded, one stack per
+    shard length (:meth:`_samples`).
     """
 
     method: str | None = None
@@ -548,8 +584,7 @@ class PivotSelect:
                 dec = Decision("pivot_method", self.method,
                                measured={"p": p},
                                reason="fixed by algorithm")
-                for ctx in ctxs:
-                    ctx.plan.decide(dec)
+                _decide(ctxs, dec)
                 pgs = select_pivots_world(
                     world, acomms,
                     self._samples(world, acomms, ctxs, p, dec.choice),
@@ -559,8 +594,7 @@ class PivotSelect:
                                       [ctx.n for ctx in ctxs], op=min)
                 min_n = world.first_live(acomms, agg)
                 dec = ctxs[0].plan.policy.pivot_method(p=p, min_n=min_n)
-                for i in _live(world, acomms):
-                    ctxs[i].plan.decide(dec)
+                _decide([ctxs[i] for i in _live(world, acomms)], dec)
                 if min_n > 0:
                     pgs = select_pivots_world(
                         world, acomms,
@@ -569,11 +603,9 @@ class PivotSelect:
                 else:
                     # some rank holds no data: gather over whatever
                     # samples exist, pad short pivot vectors
-                    layouts: dict = {}
-                    pls = [(local_sample_runs(ctx.batch.keys, p, layouts)
-                            if ctx.n > 0 else ctx.batch.keys[:0])
-                           for ctx in ctxs]
-                    pgs = select_pivots_gather_world(world, acomms, pls)
+                    pgs = select_pivots_gather_world(
+                        world, acomms, self._samples(world, acomms, ctxs, p,
+                                                     "gather", strict=False))
                     for i, ctx in enumerate(ctxs):
                         pg = pgs[i]
                         if pg is not None and pg.size < p - 1:
@@ -586,22 +618,33 @@ class PivotSelect:
                 ctx.pg = pgs[i]
 
     @staticmethod
-    def _samples(world: World, acomms: list[Comm],
-                 ctxs: list[RunContext], p: int, method: str) -> list:
-        """Per-rank regular samples; a failing rank deposits a stub.
+    def _samples(world: World, acomms: list[Comm], ctxs: list[RunContext],
+                 p: int, method: str, strict: bool = True) -> list:
+        """Every rank's regular samples, one :class:`SampleRuns` stack per
+        shard length and dtype, deposited by each of its ranks.
 
-        ``histogram`` and ``oversample`` never read them (``None``).
+        A rank with no data has none: ``strict`` fails it (with
+        :func:`local_sample_runs`'s own exception), otherwise its stack
+        is empty.  ``histogram`` and ``oversample`` never read samples
+        (``None``).
         """
         if method not in ("bitonic", "gather"):
             return [None] * len(ctxs)
-        layouts: dict = {}
-        pls: list = []
-        for i, ctx in enumerate(ctxs):
+        pls: list = [None] * len(ctxs)
+        for members in same_key_groups(
+                [(ctx.n, ctx.batch.keys.dtype) for ctx in ctxs]):
+            keys = [ctxs[i].batch.keys for i in members]
             try:
-                pls.append(local_sample_runs(ctx.batch.keys, p, layouts))
-            except BaseException as exc:
-                world.fail(acomms[i], exc)
-                pls.append(ctx.batch.keys[:0])
+                runs = sample_stack(keys, p)
+            except ValueError:                         # empty shards
+                runs = SampleRuns.empty(len(keys), keys[0].dtype)
+                for i in members if strict else ():
+                    try:
+                        local_sample_runs(ctxs[i].batch.keys, p)
+                    except ValueError as exc:
+                        world.fail(acomms[i], exc)
+            for i in members:
+                pls[i] = runs
         return pls
 
 
@@ -615,14 +658,16 @@ class Partition:
     ``local_pivot_accel`` selects the two-level local-pivot search cost
     of Section 2.5.1 (``None`` defers to ``params``).
 
-    Every variant leaves :class:`~repro.mpi.cells.Cuts` on the
-    context.  ``classic`` partitioning stacks same-shape shards for
-    :func:`~repro.core.partition.classic_cuts`; ``fast`` and ``stable``
-    call the per-rank kernels directly (already vectorised numpy — the
-    columnar win is dropping the threads, not the arithmetic) and
-    convert their dense result.  The stable variant's layout allgather
-    runs through the world collective with the same
-    :func:`stable_prefix_layout` action.
+    Every variant leaves a :class:`~repro.mpi.cells.Cuts` table on the
+    context and the rank's row of it.  ``classic`` partitioning stacks
+    same-shape shards for :func:`~repro.core.partition.classic_cuts`,
+    whose one table every rank of the stack shares; ``fast`` and
+    ``stable`` call the per-rank kernels directly (already vectorised
+    numpy — the columnar win is dropping the threads, not the
+    arithmetic) and convert their dense result into the rank's own
+    one-row table.  The stable variant's layout allgather runs through
+    the world collective with the same :func:`stable_prefix_layout`
+    action.
     """
 
     variant: str | None = None
@@ -640,8 +685,7 @@ class Partition:
                 dec = ctxs[0].plan.policy.partition_variant()
             variant = dec.choice
             live = _live(world, acomms)
-            for i in live:
-                ctxs[i].plan.decide(dec)
+            _decide([ctxs[i] for i in live], dec)
             if variant == "classic":
                 for members in same_key_groups(
                         [(ctxs[i].batch.keys.size, ctxs[i].batch.keys.dtype,
@@ -649,9 +693,9 @@ class Partition:
                     members = [live[j] for j in members]
                     keys = [ctxs[i].batch.keys for i in members]
                     rows = np.concatenate(keys).reshape(len(keys), keys[0].size)
-                    for i, cuts in zip(members, classic_cuts(
-                            rows, ctxs[members[0]].pg)):
-                        ctxs[i].cuts = cuts
+                    table = classic_cuts(rows, ctxs[members[0]].pg)
+                    for row, i in enumerate(members):
+                        ctxs[i].cuts, ctxs[i].row = table, row
             elif variant == "stable":
                 counts = [
                     (run_dup_counts(ctx.batch.keys, ctx.pg)
@@ -665,10 +709,12 @@ class Partition:
                         ctx.cuts = Cuts.from_displs(partition_stable_arrays(
                             ctx.batch.keys, ctx.pg,
                             prefix[acomms[i].rank], totals))
+                        ctx.row = 0
             elif variant == "fast":
                 for i in live:
                     ctxs[i].cuts = Cuts.from_displs(
                         partition_fast(ctxs[i].batch.keys, ctxs[i].pg))
+                    ctxs[i].row = 0
             else:
                 for c in acomms:
                     world.fail(c, ValueError(
@@ -740,9 +786,7 @@ class Exchange:
             if tau_s is None:
                 tau_s = ctxs[0].params.tau_s
         mode = mode_dec.choice
-        for ctx in ctxs:
-            ctx.plan.decide(mode_dec)
-            ctx.plan.decide(ord_dec)
+        _decide(ctxs, mode_dec, ord_dec)
         send_nbytes = [ctx.batch.nbytes for ctx in ctxs]
         stable = self.stable
         if mode == "sync":
@@ -799,20 +843,31 @@ class Exchange:
                   acomms: list[Comm], p: int) -> list:
         """One ``(batch, checked cuts)`` deposit per rank.
 
-        A world checks every rank's cuts in one pass over their
-        concatenation (:func:`~repro.core.partition.cuts_all_valid`); if
-        that pass objects to anything — and on a lane — each rank runs
-        its own :meth:`Cuts.check`, so an offending rank fails alone,
-        with that check's exception, and deposits nothing.
+        Ranks that hold the rows of one table, in order, each deposit
+        that table (:func:`~repro.mpi.cells.world_table`); otherwise each
+        deposits its own row.  A world checks every rank's cuts in one
+        pass (:func:`~repro.core.partition.cuts_all_valid`); if that pass
+        objects to anything — and on a lane — each rank runs its own
+        row's :meth:`Cuts.check`, so an offending rank fails alone, with
+        that check's exception, and deposits nothing.
         """
+        cuts = [ctx.cuts for ctx in ctxs]
+        first = cuts[0]
+        if (first is None or len(first) != len(cuts)
+                or cuts.count(first) != len(cuts)):
+            cuts = [c if c is None or c.ends is None else c.row(ctx.row)
+                    for c, ctx in zip(cuts, ctxs)]
         if len(ctxs) > 1 and cuts_all_valid(
-                [ctx.cuts for ctx in ctxs], p,
-                [ctx.batch.keys.size for ctx in ctxs]):
-            return [(ctx.sorted_batch(), ctx.cuts) for ctx in ctxs]
+                cuts, p, [ctx.batch.keys.size for ctx in ctxs]):
+            return [(ctx.sorted_batch(), own)
+                    for ctx, own in zip(ctxs, cuts)]
         deposits: list = [None] * len(ctxs)
         for i, ctx in enumerate(ctxs):
             try:
-                deposits[i] = (ctx.sorted_batch(), ctx.cuts.check(p, ctx.n))
+                own = cuts[i]
+                if own is not None and len(own) > 1:
+                    own = own.row(ctx.row)
+                deposits[i] = (ctx.sorted_batch(), own.check(p, ctx.n))
             except BaseException as exc:
                 world.fail(acomms[i], exc)
         return deposits

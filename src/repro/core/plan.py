@@ -15,7 +15,8 @@ inline branch:
   policy is communication-free it can be probed offline (what *would*
   the sort do at p=8192?) and unit-tested without an engine run;
 * :class:`SortPlan` — policy + trace for one run, shared through the
-  :class:`~repro.core.pipeline.RunContext` by every phase.  The trace
+  :class:`~repro.core.pipeline.RunContext` by every phase and by the
+  ranks that decided alike (forked where they do not).  The trace
   is the ordered list of the run's decisions, JSON-serialisable (as
   :meth:`SortPlan.decisions`) so it can flow into ``SortOutcome.info``,
   ``RunResult.extras["decisions"]``, bench reports and the CLI's
@@ -89,9 +90,9 @@ class Decision:
     def as_dict(self) -> dict[str, Any]:
         """The JSON-plain form, converted once per instance.
 
-        World-form phases record one ``Decision`` object in every
-        rank's trace, so all of them hand out this same dict: treat it
-        as read-only.
+        A phase records one ``Decision`` object in every plan it decides
+        for (the forks of a group's plan included), so all of them hand
+        out this same dict: treat it as read-only.
         """
         plain = self.__dict__.get("_plain")
         if plain is None:
@@ -284,19 +285,24 @@ class DecisionPolicy:
             **common)
 
 
-@dataclass
 class SortPlan:
-    """One run's policy plus its accumulating decision trace.
+    """A group's policy plus its accumulating decision trace.
 
     ``policy`` is ``None`` for drivers whose strategies are fixed by
     the algorithm (PSRS, HykSort): their phases still record what they
     do into the trace, just without threshold evaluation.  ``trace`` is
-    the ordered list of recorded decisions; world-form phases record
-    one shared ``Decision`` object on every rank they decide for.
+    the ordered list of recorded decisions.  The ranks of a group share
+    one plan, so a phase records a decision once per distinct plan; where
+    their verdicts differ the plan forks (:meth:`fork`), once per verdict.
     """
 
-    policy: DecisionPolicy | None = None
-    trace: list[Decision] = field(default_factory=list)
+    __slots__ = ("policy", "trace", "_plain")
+
+    def __init__(self, policy: DecisionPolicy | None = None,
+                 trace: list[Decision] | None = None):
+        self.policy = policy
+        self.trace = [] if trace is None else trace
+        self._plain: list[dict[str, Any]] = []
 
     @classmethod
     def for_params(cls, params: SdsParams) -> "SortPlan":
@@ -307,6 +313,16 @@ class SortPlan:
         self.trace.append(decision)
         return decision.choice
 
+    def fork(self) -> "SortPlan":
+        """A plan with this one's policy and trace so far, that records on
+        its own from here on."""
+        return SortPlan(self.policy, list(self.trace))
+
     def decisions(self) -> list[dict[str, Any]]:
-        """The trace in its JSON-plain form."""
-        return [d.as_dict() for d in self.trace]
+        """The trace in its JSON-plain form, built once per trace state:
+        every rank of the plan (and a rank that leaves it, keeping the
+        trace it had) holds the same list — treat it as read-only."""
+        plain = self._plain
+        if len(plain) != len(self.trace):
+            plain = self._plain = [d.as_dict() for d in self.trace]
+        return plain

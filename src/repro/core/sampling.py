@@ -36,6 +36,8 @@ The per-rank entry points below each run the world form over a
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 # Bound once at import: ``np.random.X`` re-enters the interpreter's
 # import lock on every access (numpy lazy-loads the submodule via
@@ -43,6 +45,7 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from ..mpi import LANE, Comm, World
+from ..mpi.comm import stores_size
 from .bitonic import bitonic_sort_world, is_power_of_two
 
 
@@ -77,21 +80,34 @@ def local_pivots(sorted_keys: np.ndarray, p: int) -> np.ndarray:
     return a[_sample_index(a.size, p)]
 
 
+@stores_size
 class SampleRuns:
-    """One rank's regular samples, run-length encoded.
+    """Regular samples, run-length encoded: one rank's, or the stack of a
+    group of ranks whose shards have one length.
 
-    ``values[j]`` was sampled ``counts[j]`` times; ``total`` is the
-    number of samples represented (``p-1``, or 0 for a rank that has
-    none).  ``nbytes`` is the wire size of the *expanded* vector, which
-    is what :func:`~repro.mpi.comm.payload_nbytes` charges.
+    ``values[..., j]`` was sampled ``counts[j]`` times — one row of
+    ``values`` a rank, ``counts`` shared (the layout depends only on the
+    shard length, :func:`sample_layout`); ``total`` is the number of
+    samples a rank represents (``p-1``, or 0 for a rank that has none).
+    ``nbytes`` is the wire size of a rank's *expanded* vector, which is
+    what :func:`~repro.mpi.comm.payload_nbytes` charges, stored when
+    the runs are built.  Every rank of a stack deposits the stack
+    itself: the ``k``-th of them in communicator rank order holds row
+    ``k`` (:func:`_rank_rows`).
     """
 
-    __slots__ = ("values", "counts", "total")
+    __slots__ = ("values", "counts", "total", "nbytes")
 
     def __init__(self, values: np.ndarray, counts: np.ndarray, total: int):
         self.values = values
         self.counts = counts
         self.total = total
+        self.nbytes = total * values.dtype.itemsize
+
+    @classmethod
+    def empty(cls, rows: int, dtype) -> "SampleRuns":
+        """A stack of ``rows`` ranks that have no samples."""
+        return cls(np.empty((rows, 0), dtype), np.zeros(0, np.int64), 0)
 
     @classmethod
     def of(cls, samples) -> "SampleRuns":
@@ -101,12 +117,8 @@ class SampleRuns:
         a = np.asarray(samples)
         return cls(a, np.ones(a.size, dtype=np.int64), a.size)
 
-    @property
-    def nbytes(self) -> int:
-        return self.total * self.values.dtype.itemsize
-
     def expand(self) -> np.ndarray:
-        return np.repeat(self.values, self.counts)
+        return np.repeat(self.values, self.counts, axis=-1)
 
 
 def sample_layout(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -122,23 +134,74 @@ def sample_layout(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[first], np.diff(np.concatenate((first, [idx.size])))
 
 
-def local_sample_runs(sorted_keys: np.ndarray, p: int,
-                      layouts: dict | None = None) -> SampleRuns:
-    """:func:`local_pivots` as :class:`SampleRuns` (same errors).
+def sample_stack(shards: Sequence[np.ndarray], p: int) -> SampleRuns:
+    """:func:`local_pivots` of every one of same-length sorted ``shards``
+    as one :class:`SampleRuns` stack, a row a shard (same errors).
 
-    ``layouts`` memoises :func:`sample_layout` per shard length across
-    the ranks of one communicator.
+    The shards share one :func:`sample_layout`.  While ``n < p`` it is
+    every position — each key is a sample, and the stack is the shards
+    themselves; from ``n >= p`` a shard gives ``p-1`` positions, taken
+    shard by shard rather than through a copy of every row.
     """
-    a = _checked_shard(sorted_keys, p)
+    a = _checked_shard(shards[0], p)
     if p == 1:
-        return SampleRuns.of(a[:0])
-    layout = None if layouts is None else layouts.get(a.size)
-    if layout is None:
-        layout = sample_layout(a.size, p)
-        if layouts is not None:
-            layouts[a.size] = layout
-    pos, counts = layout
-    return SampleRuns(a[pos], counts, p - 1)
+        return SampleRuns.empty(len(shards), a.dtype)
+    pos, counts = sample_layout(a.size, p)
+    values = (np.concatenate(shards) if pos.size == a.size
+              else np.concatenate([s[pos] for s in shards]))
+    return SampleRuns(values.reshape(len(shards), pos.size), counts, p - 1)
+
+
+def local_sample_runs(sorted_keys: np.ndarray, p: int) -> SampleRuns:
+    """:func:`local_pivots` of one shard as :class:`SampleRuns` (same
+    errors): its row of :func:`sample_stack`."""
+    stack = sample_stack([sorted_keys], p)
+    return SampleRuns(stack.values[0], stack.counts, stack.total)
+
+
+def _rank_rows(pls: list) -> list[tuple[SampleRuns, int | None]]:
+    """``(runs, row)`` of every rank of ``pls`` (communicator rank
+    order): a stack's ``k``-th depositor holds its row ``k``; a rank's
+    own one-dimensional runs have row ``None``."""
+    out: list = [None] * len(pls)
+    seen: dict[SampleRuns, int] = {}
+    for i, pl in enumerate(pls):
+        runs = pl if type(pl) is SampleRuns else SampleRuns.of(pl)
+        k = None
+        if runs.values.ndim == 2:
+            k = seen[runs] = seen.get(runs, -1) + 1
+        out[i] = (runs, k)
+    return out
+
+
+def _pooled(runs: list) -> tuple[np.ndarray, np.ndarray, int]:
+    """Every rank's sample runs concatenated in rank order: ``(values,
+    counts, total)``.  One stack holding every rank is read as it is."""
+    first = runs[0]
+    if (first.values.ndim == 2 and first.values.shape[0] == len(runs)
+            and runs.count(first) == len(runs)):
+        return (first.values.ravel(), np.tile(first.counts, len(runs)),
+                first.total * len(runs))
+    rows = _rank_rows(runs)
+    return (np.concatenate([r.values if k is None else r.values[k]
+                            for r, k in rows]),
+            np.concatenate([r.counts for r, _ in rows]),
+            sum(r.total for r, _ in rows))
+
+
+def _expanded(pls: list) -> list[np.ndarray]:
+    """Every rank's expanded sample vector, each stack expanded once."""
+    stacks: dict[SampleRuns, np.ndarray] = {}
+    out = []
+    for runs, k in _rank_rows(pls):
+        if k is None:
+            out.append(runs.expand())
+            continue
+        full = stacks.get(runs)
+        if full is None:
+            full = stacks[runs] = runs.expand()
+        out.append(full[k])
+    return out
 
 
 def _pivot_positions(p: int) -> np.ndarray:
@@ -154,8 +217,9 @@ def select_pivots_gather_world(world: World, comms: list[Comm],
                                pls: list) -> list:
     """Classic PSRS selection: gather samples on rank 0, sort, broadcast.
 
-    ``pls`` holds each rank's samples, as :class:`SampleRuns` or as the
-    plain vector.  The root never expands them: pivot ``k`` is the
+    ``pls`` holds each rank's samples, as :class:`SampleRuns` (a stack
+    deposited by each of its ranks) or as the plain vector.  The root
+    never expands them: pivot ``k`` is the
     smallest value whose cumulative multiplicity over the value-sorted
     runs exceeds position ``(k+1)*p - 1`` — the value
     ``np.sort(concatenate(samples))`` holds there — and the root is
@@ -170,15 +234,13 @@ def select_pivots_gather_world(world: World, comms: list[Comm],
     for i, c in enumerate(comms):
         if gathered_out[i] is None or not world.alive(c):
             continue
-        runs = gathered_out[i]
-        values = np.concatenate([r.values for r in runs])
-        total = sum(r.total for r in runs)
+        values, counts, total = _pooled(gathered_out[i])
         c.charge(c.cost.sort_time(total))
         if total == 0:
             pgs[i] = values[:0]  # degenerate: no samples anywhere
         else:
             order = np.argsort(values)
-            cum = np.cumsum(np.concatenate([r.counts for r in runs])[order])
+            cum = np.cumsum(counts[order])
             pos = np.minimum(_pivot_positions(p), total - 1)
             pgs[i] = values[order[np.searchsorted(cum, pos, side="right")]]
     return world.bcast(comms, pgs, root=0)
@@ -274,7 +336,7 @@ def select_pivots_bitonic_world(world: World, comms: list[Comm],
     p = comms[0].size
     if not is_power_of_two(p):
         return select_pivots_gather_world(world, comms, pls)
-    pls = [SampleRuns.of(pl).expand() for pl in pls]
+    pls = _expanded(pls)
     if p == 1:
         return [pl[:0] for pl in pls]
     blocks = bitonic_sort_world(world, comms, pls)

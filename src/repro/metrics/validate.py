@@ -49,11 +49,19 @@ class _Columns(NamedTuple):
     lengths: np.ndarray               # records per batch
 
 
+def _held(batches: Sequence[RecordBatch]) -> list[RecordBatch]:
+    """The batches that hold records — what a concatenation reads — or,
+    when none does, the first (its empty columns keep their dtypes)."""
+    held = [b for b in batches if b.keys.size]
+    return held or list(batches[:1])
+
+
 def _columns(batches: Sequence[RecordBatch],
              keys: np.ndarray | None = None) -> _Columns:
     """Keys and provenance of ``batches`` (same column rule as ``concat``,
     checked once per distinct layout); ``keys`` hands in the key column
-    when it is already concatenated."""
+    when it is already concatenated.  Only batches that hold records are
+    concatenated."""
     batches = list(batches)
     lengths = np.array([b.keys.size for b in batches], dtype=np.int64)
     if not batches:
@@ -63,14 +71,15 @@ def _columns(batches: Sequence[RecordBatch],
         if tuple(column[0] for column in layout[1:]) != schema:
             raise ValueError(
                 f"payload schema mismatch within {schema} batches")
+    held = _held(batches)
     if keys is None:
-        keys = np.concatenate([b.keys for b in batches])
+        keys = np.concatenate([b.keys for b in held])
     if SRC_RANK not in schema or SRC_POS not in schema:
         return _Columns(keys, None, None, lengths)
     return _Columns(
         keys,
-        np.concatenate([b.payload[SRC_RANK] for b in batches]),
-        np.concatenate([b.payload[SRC_POS] for b in batches]),
+        np.concatenate([b.payload[SRC_RANK] for b in held]),
+        np.concatenate([b.payload[SRC_POS] for b in held]),
         lengths)
 
 
@@ -227,7 +236,7 @@ def check_sorted(inputs: Sequence[RecordBatch], outputs: Sequence[RecordBatch],
     — the definitions — go through the batches to word the verdict.
     """
     outputs = list(outputs)
-    keys = (np.concatenate([b.keys for b in outputs]) if outputs
+    keys = (np.concatenate([b.keys for b in _held(outputs)]) if outputs
             else np.zeros(0))
     if (len({b.keys.dtype for b in outputs}) > 1
             or not bool(np.all(keys[1:] >= keys[:-1]))):

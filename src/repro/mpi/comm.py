@@ -82,15 +82,24 @@ def payload_nbytes(obj: Any) -> int:
     return int(getattr(obj, "nbytes", 64))
 
 
-#: payload types whose wire size :func:`payload_sizes` reads without a call
-_STORED_SIZE = frozenset((RecordBatch, SortedRows))
+#: payload types whose wire size :func:`payload_sizes` reads without a
+#: call: each stores it as ``nbytes`` when it is built
+_STORED_SIZE = {RecordBatch, SortedRows}
 _NUMBERS = frozenset((int, float))
+
+
+def stores_size(cls: type) -> type:
+    """Class decorator for a payload type of a layer above that stores
+    its wire size as ``nbytes`` when it is built: :func:`payload_sizes`
+    then reads it as it reads a batch's."""
+    _STORED_SIZE.add(cls)
+    return cls
 
 
 def payload_sizes(objs: Sequence[Any]) -> list[int]:
     """:func:`payload_nbytes` of each of ``objs`` — with no call a
-    payload when they are all batches (their size is stored) or all
-    Python numbers (8 bytes each)."""
+    payload when they all store their size (batches, :func:`stores_size`
+    types) or are all Python numbers (8 bytes each)."""
     if objs and (type(objs[0]) in _STORED_SIZE or type(objs[0]) in _NUMBERS):
         kinds = {type(o) for o in objs}
         if kinds <= _STORED_SIZE:

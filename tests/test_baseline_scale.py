@@ -8,17 +8,23 @@ SDS with node merge builds two batches a rank (drawn, tagged) and the
 leaders' few: a rank that retires at node merge gets no sorted batch.
 These count every ``RecordBatch`` a flat run constructs at p=1024 x 64,
 and the ``Comm`` handles: node merge funnels every node in one
-collective and builds a communicator only for the leaders.
+collective and builds a communicator only for the leaders.  Flat PSRS
+builds its phase products — decision plans, regular samples, cuts — once
+per communicator or shard shape, not once per rank.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import ExitStack
 from unittest import mock
 
 import pytest
 
 from repro.baselines.hyksort import HykParams, _level_fanout
-from repro.mpi import Comm
+from repro.core.plan import SortPlan
+from repro.core.sampling import SampleRuns
+from repro.mpi import Comm, Cuts
 from repro.records import RecordBatch
 from repro.runner import run_sort
 from repro.workloads import by_name
@@ -95,3 +101,25 @@ def test_sds_with_node_merge_builds_a_comm_only_for_leaders():
     assert r.ok, r.failure
     leaders = -(-P // 24)  # Edison's 24-rank nodes
     assert built[0] <= P + leaders + 8, built[0]
+
+
+def _counted(init, built: Counter, name: str):
+    def counted_init(self, *args, **kw):
+        built[name] += 1
+        init(self, *args, **kw)
+    return counted_init
+
+
+def test_flat_psrs_builds_phase_products_per_shape_not_per_rank():
+    # the ranks of one shard shape share one decision plan, one sample
+    # stack and one cell table: one built per rank is 1,024 of each
+    built: Counter = Counter()
+    with ExitStack() as patches:
+        for cls in (SortPlan, SampleRuns, Cuts):
+            patches.enter_context(mock.patch.object(
+                cls, "__init__", _counted(cls.__init__, built, cls.__name__)))
+        r = run_sort("psrs", by_name("uniform"), p=P, n_per_rank=N_PER_RANK,
+                     backend="flat", mem_factor=None)
+    assert r.ok, r.failure
+    assert set(built) == {"SortPlan", "SampleRuns", "Cuts"}
+    assert max(built.values()) <= 8, built

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.core import local_pivots, select_pivots_bitonic, select_pivots_gather
 from repro.core.sampling import (
     local_sample_runs,
+    sample_stack,
     select_pivots_bitonic_world,
     select_pivots_gather_world,
 )
@@ -198,8 +199,7 @@ def _ragged_shards(p, shape, *, ints, seed):
 
 
 def _samples(shards, p, *, runs):
-    layouts = {}
-    take = ((lambda a: local_sample_runs(a, p, layouts)) if runs
+    take = ((lambda a: local_sample_runs(a, p)) if runs
             else (lambda a: local_pivots(a, p)))
     return [take(a) if a.size else a[:0] for a in shards]
 
@@ -271,10 +271,14 @@ class TestRunLengthSelection:
         assert payload_nbytes(runs) == payload_nbytes(want)
 
     def test_layout_is_shared_per_length(self):
-        layouts = {}
-        a = local_sample_runs(np.arange(5.0), 9, layouts)
-        b = local_sample_runs(np.arange(5.0) + 1, 9, layouts)
-        assert a.counts is b.counts and list(layouts) == [5]
+        # a stack of same-length shards: one layout, one row a shard
+        for n in (5, 9, 40):                           # n < p, = p, > p
+            shards = [np.arange(n, dtype=float) + k for k in range(3)]
+            runs = sample_stack(shards, 9)
+            assert runs.values.shape == (3, runs.counts.size)
+            assert runs.total == 8 and runs.nbytes == 8 * shards[0].itemsize
+            for shard, got in zip(shards, runs.expand()):
+                assert np.array_equal(got, local_pivots(shard, 9))
 
     def test_errors_match_local_pivots(self):
         with pytest.raises(ValueError, match="empty shard"):

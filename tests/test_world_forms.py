@@ -22,6 +22,7 @@ import ast
 import cProfile
 import gc
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -183,6 +184,36 @@ def test_flat_equals_thread_under_faults(algorithm, preset):
         _assert_same(_observed(_run(algorithm, uniform(), n, p, "flat", **kw)),
                      _observed(_run(algorithm, uniform(), n, p, "thread",
                                     **kw)), f"{preset} p={p} n={n} nm={nm}")
+
+
+def _traces(res) -> list:
+    assert res.failure is None, res.failure
+    return [o.info["decisions"] for _, o in res.results]
+
+
+@pytest.mark.parametrize("algorithm,preset", [
+    ("sds", None), ("sds", "crash-pivot"), ("sds", "crash-exchange"),
+    ("psrs", "crash-pivot"), ("psrs", "crash-exchange")])
+def test_every_ranks_decision_trace_agrees_in_every_form(algorithm, preset):
+    # a flat group shares one decision plan and forks it where verdicts
+    # differ; every rank's trace must still be what its thread records.
+    # p=50 is two full nodes and a partial one: the partial node's
+    # node-merge verdict differs, and a crash (node merge off, so that
+    # the victim still holds data) leaves its victim the trace as it
+    # stood while the survivors record their recovery.
+    kw = dict(opts=_opts(algorithm, preset is None),
+              faults=PRESETS[preset] if preset else None)
+    flat = _traces(_run(algorithm, uniform(), 64, 50, "flat", **kw))
+    assert flat == _traces(_run(algorithm, uniform(), 64, 50, "thread", **kw))
+    distinct = {json.dumps(t, sort_keys=True) for t in flat}
+    if algorithm == "psrs":   # no crash barrier: one trace for all
+        assert len(distinct) == 1
+    elif preset is None:      # a full node's verdict and the partial one's
+        assert flat[0][0]["measured"] != flat[48][0]["measured"]
+    else:
+        assert any(d["decision"] == "fault_recovery"
+                   for t in flat for d in t)
+        assert len(distinct) >= 2, distinct
 
 
 def test_leader_oom_fails_the_leader_alone_in_every_form():
@@ -1312,7 +1343,8 @@ def test_every_rank_refused_in_the_sync_network_epilogue():
 # a budget that cannot flake: Python calls per rank
 # ---------------------------------------------------------------------------
 
-#: Measured 24.1 at p=1024 (33.0 while node merge split the world into
+#: Measured 14.1 at p=1024 (18.1 with a decision plan a rank, 24.1
+#: before that; 33.0 while node merge split the world into
 #: per-node communicators, a ``Comm`` a rank, and gathered node by node;
 #: 39.2 while the local sort took every rank's payload; 44.1 with a
 #: memory tracker, counter and phase dicts and a trace list per rank;
@@ -1322,17 +1354,18 @@ def test_every_rank_refused_in_the_sync_network_epilogue():
 #: chain, ledger loop, payload ``take`` or communicator returns to the
 #: flat path, or when a retiring rank stops costing O(1) (each of those
 #: costs 2-10 calls).
-CALLS_PER_RANK_BUDGET = 26.5
+CALLS_PER_RANK_BUDGET = 15.6
 
 
-#: Flat PSRS, p=1024 x 64: measured 76.8 (75.8 while the local sort
-#: took the payload itself; the exchange deposit takes it now, one
-#: call more a rank; 91.4 with per-rank ledger objects and loops; 144.4
-#: before that), plus 10 %.  What is left per rank is the shard generator, the
-#: payload ``take``, one ``RecordBatch`` / ``ExchangeStats`` per output
-#: and the decision trace; a per-rank epilogue, ledger entry, cut check,
-#: merge or gather coming back costs 10-40 calls.
-PSRS_CALLS_PER_RANK_BUDGET = 84.4
+#: Flat PSRS, p=1024 x 64: measured 35.9 (70.9 with a decision plan,
+#: sample runs and cuts a rank, 76.8 before that; 75.8 while the local
+#: sort took the payload itself; 91.4 with per-rank
+#: ledger objects and loops; 144.4 before that), plus 10 %.  What is
+#: left per rank is the payload ``take``, one ``RecordBatch`` per output
+#: and the context and outcome; a per-rank plan, sample run, cut row,
+#: epilogue, ledger entry, cut check, merge or gather coming back costs
+#: 4-40 calls.
+PSRS_CALLS_PER_RANK_BUDGET = 39.5
 
 
 def _calls_per_rank(algorithm: str, p: int) -> float:
