@@ -16,11 +16,13 @@ blow-ups and out-of-memory failures the paper reports (Figures 6c, 8,
 10; Tables 3-4).  No artificial failure is injected here; the OOM falls
 out of the algorithm plus the per-rank memory capacity.
 
-The driver is written in world form (:func:`hyksort_world`): on the
-columnar view one interpreter loop advances every *lane* (one logical
-rank's ``{active communicator, working batch}``) through the levels in
-lockstep — all groups shrink by the same fan-out, so the level counts
-agree — running each group's collectives whole-group at a time.
+The driver is written in world form (:func:`hyksort_world`) on the
+shared run skeleton (:class:`~repro.core.pipeline.Run`): on the
+columnar view one interpreter loop advances every rank's
+:class:`~repro.core.pipeline.RunContext` (active communicator, working
+batch, splitters, cuts, received runs) through the levels in lockstep
+— all groups shrink by the same fan-out, so the level counts agree —
+running each group's collectives whole-group at a time.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ import numpy as np
 
 from ..core.histosel import histogram_refine_world
 from ..core.partition import partition_classic
-from ..core.pipeline import RunContext, SortOutcome, get_phase
-from ..mpi import LANE, Comm, Cuts, FlatAbort, World
+from ..core.pipeline import LocalSort, Run, RunContext, SortOutcome
+from ..mpi import LANE, Comm, Cuts, World
 from ..records import RecordBatch, kway_merge_batches
 
 
@@ -84,17 +86,84 @@ def histogram_splitters(comm: Comm, sorted_keys: np.ndarray, nsplit: int,
                                      params)[0]
 
 
-def _group_lanes(lanes: list) -> list[list]:
-    """Group lanes by their active communicator, preserving rank order."""
-    by: dict[int, list] = {}
-    order: list[int] = []
-    for ln in lanes:
-        key = id(ln["active"]._ctx)
-        if key not in by:
-            by[key] = []
-            order.append(key)
-        by[key].append(ln)
-    return [by[key] for key in order]
+def _groups(ctxs: list[RunContext]) -> list[list[RunContext]]:
+    """Group ranks by their active communicator, preserving rank order."""
+    by: dict[int, list[RunContext]] = {}
+    for ctx in ctxs:
+        by.setdefault(id(ctx.active._ctx), []).append(ctx)
+    return list(by.values())
+
+
+def _level_cuts(ctx: RunContext, p: int, kk: int, gs: int) -> None:
+    """Bucket the rank's data by the level's splitters: bucket g goes to
+    the rank of group g sharing its within-group index."""
+    c, cur = ctx.comm, ctx.batch
+    cuts = Cuts.from_displs(partition_classic(cur.keys, ctx.pg))
+    ctx.cuts = Cuts(p, cuts.dst * gs + ctx.active.rank % gs, cuts.offs)
+    c.charge(c.cost.binary_search_time(len(cur), max(1, kk - 1)))
+
+
+def _merge_level(ctx: RunContext) -> None:
+    """Merge the runs a level's exchange delivered; received chunks
+    release as the output fills (a streaming merge)."""
+    c, chunks, ctx.chunks = ctx.comm, ctx.chunks, None
+    cur = (kway_merge_batches(chunks) if chunks
+           else RecordBatch.empty_like(ctx.batch))
+    c.charge(c.cost.merge_time(len(cur), max(2, len(chunks))))
+    c.mem.free(sum(ch.nbytes for ch in chunks))
+    c.mem.alloc(cur.nbytes)
+    ctx.batch = cur
+
+
+def run_hyksort(run: Run, batches: list, params: HykParams) -> None:
+    """HykSort's body on an entered :class:`~repro.core.pipeline.Run`:
+    open, local sort, then one round of splitters, buckets, exchange and
+    merge per level, until every communicator is a singleton."""
+    world = run.world
+    run.open(batches)
+    # shared strategy with SDS-Sort/PSRS: plain per-rank local sort
+    for ctx in run.step(LocalSort(kernel="plain")):
+        ctx.sorted_batch()
+    level = 0
+    while run.ctxs and run.ctxs[0].active.size > 1:
+        p = run.ctxs[0].active.size
+        kk = _level_fanout(p, params.k)
+        gs = p // kk  # group size after this level
+        with world.phase(run.members(), "pivot_selection"):
+            for grp in _groups(run.ctxs):
+                splits = histogram_splitters_world(
+                    world, [ctx.active for ctx in grp],
+                    [ctx.batch.keys for ctx in grp], kk - 1, params)
+                for ctx, sp in zip(grp, splits):
+                    ctx.pg = sp
+        run.bank()
+        live = run.members()
+        with world.phase(live, "partition"):
+            run.each(lambda ctx: _level_cuts(ctx, p, kk, gs))
+        with world.phase(live, "exchange"):
+            for grp in _groups(run.ctxs):
+                outs = world.alltoallv([ctx.active for ctx in grp],
+                                       [ctx.batch for ctx in grp],
+                                       [ctx.cuts for ctx in grp])
+                for ctx, chunks in zip(grp, outs):
+                    ctx.chunks = chunks
+            ctxs = run.bank()
+            world.free(run.members(), [ctx.batch.nbytes for ctx in ctxs])
+        run.bank()
+        with world.phase(run.members(), "local_ordering"):
+            run.each(_merge_level)
+        for grp in _groups(run.bank()):
+            acomms = [ctx.active for ctx in grp]
+            children = world.split(acomms, [a.rank // gs for a in acomms],
+                                   [a.rank for a in acomms])
+            for ctx, child in zip(grp, children):
+                assert child is not None
+                ctx.active = child
+        level += 1
+    run.finish(lambda ctx: SortOutcome(
+        batch=ctx.batch, received=len(ctx.batch),
+        info={"levels": level, "p_active": ctx.comm.size,
+              "decisions": ctx.decisions()}))
 
 
 def hyksort_world(world: World, comms: list[Comm],
@@ -109,100 +178,9 @@ def hyksort_world(world: World, comms: list[Comm],
     :class:`~repro.machine.memory.SimOOMError` exactly as its thread
     would, and its peers abort at their next collective.
     """
-    outcomes: list[SortOutcome | None] = [None] * len(comms)
-    lanes = [{"i": ctx.slot, "ctx": ctx, "comm": ctx.comm,
-              "active": ctx.comm, "cur": None}
-             for ctx in RunContext.start(world, comms, batches, None)]
-
-    def prune() -> None:
-        nonlocal lanes
-        if world.failures:
-            lanes = [ln for ln in lanes if world.alive(ln["comm"])]
-
-    try:
-        if lanes:
-            # shared strategy with SDS-Sort/PSRS: plain per-rank local sort
-            get_phase("local_sort")(kernel="plain").run(
-                world, [ln["ctx"] for ln in lanes])
-            prune()
-            for ln in lanes:
-                ln["cur"] = ln["ctx"].sorted_batch()
-
-        level = 0
-        while lanes and lanes[0]["active"].size > 1:
-            p = lanes[0]["active"].size
-            kk = _level_fanout(p, params.k)
-            gs = p // kk  # group size after this level
-            live = [ln["comm"] for ln in lanes]
-            with world.phase(live, "pivot_selection"):
-                for grp in _group_lanes(lanes):
-                    splits = histogram_splitters_world(
-                        world, [ln["active"] for ln in grp],
-                        [ln["cur"].keys for ln in grp], kk - 1, params)
-                    for ln, sp in zip(grp, splits):
-                        ln["splitters"] = sp
-            prune()
-            with world.phase([ln["comm"] for ln in lanes], "partition"):
-                for ln in lanes:
-                    c = ln["comm"]
-                    try:
-                        cur = ln["cur"]
-                        cuts = Cuts.from_displs(
-                            partition_classic(cur.keys, ln["splitters"]))
-                        # bucket g goes to the rank of group g sharing my
-                        # within-group index
-                        ln["cuts"] = Cuts(p, cuts.dst * gs
-                                          + ln["active"].rank % gs, cuts.offs)
-                        c.charge(c.cost.binary_search_time(
-                            len(cur), max(1, kk - 1)))
-                    except BaseException as exc:
-                        world.fail(c, exc)
-            with world.phase([ln["comm"] for ln in lanes], "exchange"):
-                for grp in _group_lanes(lanes):
-                    outs = world.alltoallv([ln["active"] for ln in grp],
-                                           [ln["cur"] for ln in grp],
-                                           [ln["cuts"] for ln in grp])
-                    for ln, chunks in zip(grp, outs):
-                        ln["chunks"] = chunks
-                for ln in lanes:
-                    if world.alive(ln["comm"]):
-                        ln["comm"].mem.free(ln["cur"].nbytes)
-            prune()
-            with world.phase([ln["comm"] for ln in lanes], "local_ordering"):
-                for ln in lanes:
-                    c = ln["comm"]
-                    try:
-                        chunks = ln.pop("chunks")
-                        cur = (kway_merge_batches(chunks) if chunks
-                               else RecordBatch.empty_like(ln["cur"]))
-                        c.charge(c.cost.merge_time(len(cur),
-                                                   max(2, len(chunks))))
-                        # streaming merge: received chunks release as
-                        # output fills
-                        c.mem.free(sum(ch.nbytes for ch in chunks))
-                        c.mem.alloc(cur.nbytes)
-                        ln["cur"] = cur
-                    except BaseException as exc:
-                        world.fail(c, exc)
-            prune()
-            for grp in _group_lanes(lanes):
-                acomms = [ln["active"] for ln in grp]
-                children = world.split(acomms,
-                                       [a.rank // gs for a in acomms],
-                                       [a.rank for a in acomms])
-                for ln, child in zip(grp, children):
-                    assert child is not None
-                    ln["active"] = child
-            level += 1
-
-        for ln in lanes:
-            outcomes[ln["i"]] = SortOutcome(
-                batch=ln["cur"], received=len(ln["cur"]),
-                info={"levels": level, "p_active": ln["comm"].size,
-                      "decisions": ln["ctx"].decisions()})
-    except FlatAbort:
-        pass  # a collective aborted: unfinished ranks stay ``None``
-    return outcomes
+    with Run(world, comms) as run:
+        run_hyksort(run, batches, params)
+    return run.outcomes
 
 
 def hyksort(comm: Comm, batch: RecordBatch,

@@ -9,17 +9,20 @@ spikes and non-uniform value distributions translate directly into
 load imbalance — radix is a non-sampling contrast to both PSRS and
 SDS-Sort.
 
-Written in world form; the bucket-ownership table is a pure function
-of the (identical) reduced histogram, so the columnar view computes it
-once per run.
+Written in world form on the shared run skeleton
+(:class:`~repro.core.pipeline.Run`); the bucket-ownership table is a
+pure function of the (identical) reduced histogram, so the columnar
+view computes it once per run.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from ..core.pipeline import SortOutcome, local_delta
-from ..mpi import LANE, Comm, Cuts, FlatAbort, World
+from ..core.pipeline import Run, RunContext, SortOutcome, local_delta
+from ..mpi import LANE, Comm, Cuts, World
 from ..records import RecordBatch, sort_batch
 
 #: Number of top bits histogrammed (65536 buckets).
@@ -41,6 +44,26 @@ def _key_to_uint(keys: np.ndarray) -> np.ndarray:
     raise TypeError(f"unsupported key dtype for radix sort: {keys.dtype}")
 
 
+@dataclass(slots=True)
+class _RadixContext(RunContext):
+    """A rank's run state plus the histogram bucket of each of its keys."""
+
+    buckets: np.ndarray | None = None
+
+
+def _owners(global_hist: np.ndarray, p: int) -> np.ndarray:
+    """Owner rank of every bucket: contiguous bucket ranges, balancing
+    histogram mass."""
+    csum = np.cumsum(global_hist)
+    total = int(csum[-1]) if csum.size else 0
+    targets = (np.arange(1, p, dtype=np.int64) * total) // p
+    cut = np.searchsorted(csum, targets, side="left")
+    owner = np.zeros(1 << _HIST_BITS, dtype=np.int64)
+    for r, cpos in enumerate(cut):
+        owner[int(cpos) + 1:] = r + 1
+    return owner
+
+
 def radix_sort_world(world: World, comms: list[Comm],
                      batches: list) -> list[SortOutcome | None]:
     """Radix-sort record batches over every rank of one ``World`` view.
@@ -48,105 +71,64 @@ def radix_sort_world(world: World, comms: list[Comm],
     Per-rank outcomes in ``comms`` order, ``None`` for failed ranks
     (details in ``world.failures``).
     """
-    outcomes: list[SortOutcome | None] = [None] * len(comms)
     p = comms[0].size
     shift = np.uint64(64 - _HIST_BITS)
-    lanes: list[dict] = []
-    for i, (c, b) in enumerate(zip(comms, batches)):
-        if not world.alive(c):
-            continue
-        try:
-            c.mem.alloc(b.nbytes)
-            u = _key_to_uint(b.keys)
-            lanes.append({"i": i, "comm": c, "batch": b,
-                          "buckets": (u >> shift).astype(np.int64)})
-        except BaseException as exc:
-            world.fail(c, exc)
 
-    def prune() -> None:
-        nonlocal lanes
-        lanes = [ln for ln in lanes if world.alive(ln["comm"])]
+    def bucket(ctx: _RadixContext) -> None:
+        ctx.buckets = (_key_to_uint(ctx.batch.keys) >> shift).astype(np.int64)
 
-    try:
-        with world.phase([ln["comm"] for ln in lanes], "pivot_selection"):
-            for ln in lanes:
-                c = ln["comm"]
-                try:
-                    ln["hist"] = np.bincount(
-                        ln["buckets"],
-                        minlength=1 << _HIST_BITS).astype(np.int64)
-                    c.charge(c.cost.scan_time(len(ln["batch"])))
-                except BaseException as exc:
-                    world.fail(c, exc)
-            prune()
-            agg = world.allreduce([ln["comm"] for ln in lanes],
-                                  [ln["hist"] for ln in lanes])
-            # assign contiguous bucket ranges to ranks, balancing
-            # histogram mass; the table is identical on every rank
-            owner_of_bucket = None
-            for ln, global_hist in zip(lanes, agg):
-                if not world.alive(ln["comm"]) or global_hist is None:
-                    continue
-                if owner_of_bucket is None:
-                    csum = np.cumsum(global_hist)
-                    total = int(csum[-1]) if csum.size else 0
-                    targets = (np.arange(1, p, dtype=np.int64) * total) // p
-                    cut = np.searchsorted(csum, targets, side="left")
-                    owner_of_bucket = np.zeros(1 << _HIST_BITS,
-                                               dtype=np.int64)
-                    for r, cpos in enumerate(cut):
-                        owner_of_bucket[int(cpos) + 1:] = r + 1
-                ln["owner"] = owner_of_bucket
-        prune()
+    def histogram(ctx: _RadixContext) -> np.ndarray:
+        hist = np.bincount(ctx.buckets,
+                           minlength=1 << _HIST_BITS).astype(np.int64)
+        ctx.comm.charge(ctx.cost.scan_time(ctx.n))
+        return hist
 
-        with world.phase([ln["comm"] for ln in lanes], "partition"):
-            for ln in lanes:
-                c = ln["comm"]
-                try:
-                    dest = ln["owner"][ln["buckets"]]
-                    order = np.argsort(dest, kind="stable")
-                    ln["sends"] = ln["batch"].take(order)
-                    counts = np.bincount(dest, minlength=p)
-                    ln["cuts"] = Cuts.from_displs(np.concatenate(
-                        ([0], np.cumsum(counts))))
-                    c.charge(c.cost.scan_time(len(ln["batch"])))
-                except BaseException as exc:
-                    world.fail(c, exc)
-        prune()
+    def partition(ctx: _RadixContext, owner: np.ndarray) -> None:
+        # the rank's records in destination order, and their cuts
+        dest = owner[ctx.buckets]
+        ctx.batch = ctx.batch.take(np.argsort(dest, kind="stable"))
+        ctx.cuts = Cuts.from_displs(np.concatenate(
+            ([0], np.cumsum(np.bincount(dest, minlength=p)))))
+        ctx.comm.charge(ctx.cost.scan_time(ctx.n))
 
-        with world.phase([ln["comm"] for ln in lanes], "exchange"):
-            outs = world.alltoallv([ln["comm"] for ln in lanes],
-                                   [ln["sends"] for ln in lanes],
-                                   [ln["cuts"] for ln in lanes])
-            for ln, chunks in zip(lanes, outs):
-                if world.alive(ln["comm"]):
-                    ln["chunks"] = chunks
-                    ln["comm"].mem.free(ln["batch"].nbytes)
-        prune()
+    def order(ctx: _RadixContext) -> None:
+        c, chunks = ctx.comm, ctx.chunks
+        out = sort_batch(RecordBatch.concat(chunks) if chunks
+                         else RecordBatch.empty_like(ctx.batch))
+        c.charge(c.cost.sort_time(len(out), delta=local_delta(out.keys)))
+        c.mem.alloc(out.nbytes)
+        c.mem.free(sum(ch.nbytes for ch in chunks))
+        ctx.out = out
 
-        with world.phase([ln["comm"] for ln in lanes], "local_ordering"):
-            for ln in lanes:
-                c = ln["comm"]
-                try:
-                    chunks = ln["chunks"]
-                    out = sort_batch(RecordBatch.concat(chunks) if chunks
-                                     else RecordBatch.empty_like(ln["batch"]))
-                    c.charge(c.cost.sort_time(len(out),
-                                              delta=local_delta(out.keys)))
-                    c.mem.alloc(out.nbytes)
-                    c.mem.free(sum(ch.nbytes for ch in chunks))
-                    ln["out"] = out
-                except BaseException as exc:
-                    world.fail(c, exc)
-        prune()
-
-        for ln in lanes:
-            outcomes[ln["i"]] = SortOutcome(batch=ln["out"],
-                                            received=len(ln["out"]),
-                                            info={"p_active": p})
-    except FlatAbort:
-        pass  # a collective aborted: unfinished ranks stay ``None``
-    return outcomes
+    with Run(world, comms) as run:
+        run.open(batches, context=_RadixContext)
+        run.each(bucket)
+        run.bank()
+        live = run.members()
+        with world.phase(live, "pivot_selection"):
+            hists = run.each(histogram)
+            # the table is identical on every rank: built once
+            owner = _owners(world.first_live(
+                live, world.allreduce(live, hists)), p)
+        run.bank()
+        with world.phase(run.members(), "partition"):
+            run.each(lambda ctx: partition(ctx, owner))
+        ctxs = run.bank()
+        live = run.members()
+        with world.phase(live, "exchange"):
+            outs = world.alltoallv(live, [ctx.batch for ctx in ctxs],
+                                   [ctx.cuts for ctx in ctxs])
+            for ctx, chunks in zip(ctxs, outs):
+                ctx.chunks = chunks
+            ctxs = run.bank()
+            world.free(run.members(), [ctx.input_nbytes for ctx in ctxs])
+        run.bank()
+        with world.phase(run.members(), "local_ordering"):
+            run.each(order)
+        run.finish(lambda ctx: SortOutcome(batch=ctx.out,
+                                           received=len(ctx.out),
+                                           info={"p_active": p}))
+    return run.outcomes
 
 
 def radix_sort(comm: Comm, batch: RecordBatch) -> SortOutcome:

@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.pipeline import SortOutcome
-from ..mpi import LANE, Comm, FlatAbort, World
+from ..core.pipeline import Run, SortOutcome
+from ..mpi import LANE, Comm, World
 from ..records import RecordBatch
-from .hyksort import HykParams, hyksort_world
+from .hyksort import HykParams, run_hyksort
 
 #: Composite keys carry the original float64 key plus rank and position
 #: tiebreakers packed into one structured comparison; we model the
@@ -78,30 +78,23 @@ def _composite_order_keys_world(world: World, comms: list[Comm],
         comms, [None if b is None else len(b) for b in batches], op=max)
     gathered = world.allgather(
         comms, [None if b is None else np.unique(b.keys) for b in batches])
-    pooled = None
-    outs: list = [None] * len(comms)
-    for i, c in enumerate(comms):
-        if not world.alive(c):
-            continue
-        try:
-            b = batches[i]
-            ranks = b.payload[_RANK_COL].astype(np.float64)
-            pos = b.payload[_POS_COL].astype(np.float64)
-            # strictly increasing composite: key major, then origin
-            # rank, then position; scale tiebreakers into the
-            # fractional part
-            p = c.size
-            nmax = float(nmaxs[i]) + 1.0
-            tie = (ranks * nmax + pos) / (p * nmax + 1.0)  # in [0, 1)
-            # collapse each key value to its index among global unique
-            # values so adding tie < 1 cannot reorder distinct keys
-            if pooled is None:
-                pooled = np.unique(np.concatenate(gathered[i]))
-            idx = np.searchsorted(pooled, b.keys).astype(np.float64)
-            outs[i] = idx + tie
-        except BaseException as exc:
-            world.fail(c, exc)
-    return outs
+    pooled = np.unique(np.concatenate(world.first_live(comms, gathered)))
+
+    def composite(i: int, c: Comm) -> np.ndarray:
+        b = batches[i]
+        ranks = b.payload[_RANK_COL].astype(np.float64)
+        pos = b.payload[_POS_COL].astype(np.float64)
+        # strictly increasing composite: key major, then origin rank,
+        # then position; scale tiebreakers into the fractional part
+        p = c.size
+        nmax = float(nmaxs[i]) + 1.0
+        tie = (ranks * nmax + pos) / (p * nmax + 1.0)  # in [0, 1)
+        # collapse each key value to its index among global unique
+        # values so adding tie < 1 cannot reorder distinct keys
+        idx = np.searchsorted(pooled, b.keys).astype(np.float64)
+        return idx + tie
+
+    return world.each(comms, composite)
 
 
 def hyksort_secondary_key_world(world: World, comms: list[Comm],
@@ -113,42 +106,23 @@ def hyksort_secondary_key_world(world: World, comms: list[Comm],
     Per-rank outcomes in ``comms`` order, ``None`` for failed ranks
     (details in ``world.failures``).
     """
-    outcomes: list[SortOutcome | None] = [None] * len(comms)
-    widened: list = [None] * len(comms)
-    for i, (c, b) in enumerate(zip(comms, batches)):
-        if not world.alive(c):
-            continue
-        try:
-            widened[i] = _widen(b, c.rank)
-        except BaseException as exc:
-            world.fail(c, exc)
-    try:
+    with Run(world, comms) as run:
+        widened = world.each(comms, lambda i, c: _widen(batches[i], c.rank))
         composites = _composite_order_keys_world(world, comms, widened)
-    except FlatAbort:
-        return outcomes  # a collective aborted: every rank stays ``None``
-    works: list = [None] * len(comms)
-    for i, c in enumerate(comms):
-        if not world.alive(c):
-            continue
-        try:
+
+        def composite_batch(i: int, c: Comm) -> RecordBatch:
             c.charge(c.cost.scan_time(len(batches[i]),
                                       record_bytes=COMPOSITE_EXTRA_BYTES))
-            works[i] = RecordBatch(composites[i], widened[i].payload)
-        except BaseException as exc:
-            world.fail(c, exc)
-    outs = hyksort_world(world, comms, works, params)
-    for i, c in enumerate(comms):
-        out = outs[i]
-        if out is None or not world.alive(c):
-            continue
-        restored = RecordBatch(out.batch.payload[_KEY_COL],
-                               {k: v for k, v in out.batch.payload.items()
-                                if k != _KEY_COL})
-        outcomes[i] = SortOutcome(batch=restored, received=out.received,
-                                  exchange=out.exchange,
-                                  info={**out.info, "composite_extra_bytes":
-                                        COMPOSITE_EXTRA_BYTES})
-    return outcomes
+            return RecordBatch(composites[i], widened[i].payload)
+
+        run_hyksort(run, world.each(comms, composite_batch), params)
+    return [None if out is None else SortOutcome(
+        batch=RecordBatch(out.batch.payload[_KEY_COL],
+                          {k: v for k, v in out.batch.payload.items()
+                           if k != _KEY_COL}),
+        received=out.received, exchange=out.exchange,
+        info={**out.info, "composite_extra_bytes": COMPOSITE_EXTRA_BYTES})
+        for out in run.outcomes]
 
 
 def hyksort_secondary_key(comm: Comm, batch: RecordBatch,

@@ -13,15 +13,13 @@ from .params import (
     SdsParams,
 )
 from .pipeline import (
-    PHASE_REGISTRY,
     Exchange,
     LocalSort,
     NodeMerge,
     Partition,
     PivotSelect,
+    Run,
     RunContext,
-    get_phase,
-    register_phase,
     select_pivots,
 )
 from .plan import (
@@ -77,10 +75,8 @@ __all__ = [
     "DecisionPolicy",
     "SortPlan",
     "explain_lines",
-    "PHASE_REGISTRY",
+    "Run",
     "RunContext",
-    "register_phase",
-    "get_phase",
     "LocalSort",
     "NodeMerge",
     "PivotSelect",

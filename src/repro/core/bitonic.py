@@ -57,17 +57,15 @@ def bitonic_sort_world(world: World, comms: list[Comm],
         raise ValueError(f"bitonic sort needs a power-of-two communicator, got {p}")
     arrs = [np.asarray(a) for a in arrays]
     all_lengths = world.allgather(comms, [len(a) for a in arrs])
-    for i, c in enumerate(comms):
-        if not world.alive(c):
-            continue
-        try:
-            lengths = all_lengths[i]
-            if len(set(lengths)) != 1:
-                raise ValueError(
-                    f"bitonic sort needs equal block lengths, got {lengths}")
-            c.charge(c.cost.sort_time(arrs[i].size))
-        except BaseException as exc:
-            world.fail(c, exc)
+
+    def local_sort(i: int, c: Comm) -> None:
+        lengths = all_lengths[i]
+        if len(set(lengths)) != 1:
+            raise ValueError(
+                f"bitonic sort needs equal block lengths, got {lengths}")
+        c.charge(c.cost.sort_time(arrs[i].size))
+
+    world.each(comms, local_sort)
     if p == 1:
         return [np.sort(a) if world.alive(c) else None
                 for c, a in zip(comms, arrs)]

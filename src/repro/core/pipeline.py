@@ -1,18 +1,26 @@
-"""The phase pipeline: SDS-Sort's stages as registered, reusable strategies.
+"""The phase pipeline: SDS-Sort's stages as reusable strategies, and
+the run skeleton every sort driver shares.
 
 The driver (:func:`repro.core.sdssort.sds_sort`) is a thin composition
 of phase objects sharing one :class:`RunContext` per rank::
 
     LocalSort -> NodeMerge -> PivotSelect -> Partition -> Exchange
 
-Each phase is a small frozen dataclass registered under a stable name
-(:data:`PHASE_REGISTRY`), so baselines compose the *same* strategies
-instead of reimplementing them: PSRS is ``LocalSort(kernel="plain") ->
-PivotSelect(method="gather") -> Partition(variant="classic") ->
-Exchange(mode="sync")``, and HykSort reuses ``LocalSort`` plus the
-shared synchronous exchange.  Every adaptive choice a phase makes goes
+Each phase is a small frozen dataclass, so baselines compose the *same*
+strategies instead of reimplementing them: PSRS is
+``LocalSort(kernel="plain") -> PivotSelect(method="gather") ->
+Partition(variant="classic") -> Exchange(mode="sync")``, and HykSort
+reuses ``LocalSort``.  Every adaptive choice a phase makes goes
 through the :class:`~repro.core.plan.SortPlan` carried by the context,
 which records it into the run's decision trace.
+
+Every driver — SDS-Sort and each baseline — runs on one
+:class:`Run`: it opens the contexts (input allocated and counted),
+banks finished and failed ranks between steps, is the driver's
+:class:`~repro.mpi.FlatAbort` boundary, and assembles the per-rank
+outcomes.  A per-rank statement that may fail goes through
+:meth:`World.each <repro.mpi.world.World.each>`, the one per-rank
+failure rule.
 
 Phases are written once, in *world form*: ``run(world, ctxs)`` where
 ``world`` is a :class:`~repro.mpi.world.World` view and ``ctxs`` the
@@ -77,9 +85,7 @@ from .sampling import (
 __all__ = [
     "SortOutcome",
     "RunContext",
-    "PHASE_REGISTRY",
-    "register_phase",
-    "get_phase",
+    "Run",
     "LocalSort",
     "NodeMerge",
     "PivotSelect",
@@ -211,7 +217,9 @@ class RunContext:
     between phases (after the local sort ``batch`` is a
     :class:`~repro.records.SortedRows` until :meth:`sorted_batch`; the
     partition leaves the rank's cuts as row ``row`` of the table
-    ``cuts``).
+    ``cuts``; ``chunks`` are the runs a baseline's exchange received,
+    awaiting its local ordering).  A driver that carries more per rank
+    subclasses it.
     """
 
     comm: Comm
@@ -228,7 +236,8 @@ class RunContext:
     row: int = 0
     out: RecordBatch | None = None
     xstats: ExchangeStats | None = None
-    outcome: SortOutcome | None = None  # early exit (inactive rank)
+    chunks: list | None = None
+    outcome: SortOutcome | None = None  # set: the rank is done
 
     @classmethod
     def start(cls, world: World, comms: Sequence[Comm],
@@ -271,6 +280,92 @@ class RunContext:
         return self.batch
 
 
+class Run:
+    """One sort driver's run over a world view: the skeleton every
+    driver shares.
+
+    A driver opens the run (:meth:`open`: one context per live rank,
+    input allocated and counted), steps its phases over the live group
+    ``ctxs`` (:meth:`step`) and gives the ranks that remain their
+    outcomes (:meth:`finish`).  Between steps the group is banked
+    (:meth:`bank`): a rank whose ``outcome`` is set leaves with it into
+    ``outcomes`` (by ``ctx.slot``, in ``comms`` order), a failed rank
+    leaves with ``None`` — its details are in ``world.failures``.
+
+    Entered as a context manager, the run is the driver's
+    :class:`~repro.mpi.FlatAbort` boundary: a collective that aborts
+    ends the driver's body and what already finished is banked.  Ranks
+    past their last collective when a peer fails still complete,
+    exactly as their threads would.
+    """
+
+    __slots__ = ("world", "comms", "ctxs", "outcomes")
+
+    def __init__(self, world: World, comms: Sequence[Comm]):
+        self.world, self.comms = world, comms
+        self.ctxs: list[RunContext] = []
+        self.outcomes: list[SortOutcome | None] = [None] * len(comms)
+
+    def open(self, batches: Sequence[RecordBatch],
+             params: SdsParams | None = None,
+             policy: DecisionPolicy | None = None,
+             context: type[RunContext] = RunContext) -> None:
+        """Open the run on every live rank (:meth:`RunContext.start`)."""
+        self.ctxs = context.start(self.world, self.comms, batches, params,
+                                  policy)
+
+    def members(self) -> list[Comm]:
+        """The live group's communicators, in rank order."""
+        return [ctx.comm for ctx in self.ctxs]
+
+    def each(self, fn: Callable[[RunContext], Any]) -> list:
+        """``fn(ctx)`` on every rank of the live group, under the
+        per-rank failure rule (:meth:`World.each
+        <repro.mpi.world.World.each>`); results aligned with ``ctxs``."""
+        ctxs = self.ctxs
+        return self.world.each([ctx.comm for ctx in ctxs],
+                               lambda i, _c: fn(ctxs[i]))
+
+    def step(self, *phases: Any) -> list[RunContext]:
+        """Run ``phases`` in order over the live group, then bank."""
+        if self.ctxs:
+            for phase in phases:
+                phase.run(self.world, self.ctxs)
+        return self.bank()
+
+    def bank(self) -> list[RunContext]:
+        """Bank every finished rank's outcome; keep the ranks that are
+        neither finished nor failed.  Returns the live group."""
+        world, ctxs = self.world, self.ctxs
+        failed = bool(world.failures)
+        live = [ctx for ctx in ctxs if ctx.outcome is None
+                and (not failed or world.alive(ctx.comm))]
+        if len(live) < len(ctxs):
+            for ctx in ctxs:
+                if ctx.outcome is not None:
+                    self.outcomes[ctx.slot] = ctx.outcome
+        self.ctxs = live
+        return live
+
+    def finish(self, outcome: Callable[[RunContext], SortOutcome],
+               where: Callable[[RunContext], bool] | None = None) -> None:
+        """Give every rank of the live group (that ``where`` selects)
+        its ``outcome(ctx)`` and bank it."""
+        for ctx in self.bank():
+            if where is None or where(ctx):
+                ctx.outcome = outcome(ctx)
+        self.bank()
+
+    def __enter__(self) -> "Run":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is not None and not issubclass(exc_type, FlatAbort):
+            return False
+        self.bank()  # a collective aborted: bank what already finished
+        return True
+
+
 def fault_health_check(world: World, ctxs: list[RunContext],
                        boundary: str) -> str | None:
     """Cooperative crash barrier at a pipeline phase boundary.
@@ -282,7 +377,7 @@ def fault_health_check(world: World, ctxs: list[RunContext],
     * a **victim** participates in the split (opting out with a None
       colour, like MPI_UNDEFINED), releases the memory it still holds
       and exits the pipeline with an inactive outcome on
-      ``ctx.outcome`` (the driver harvests it);
+      ``ctx.outcome`` (the run banks it);
     * **survivors** shrink ``ctx.active`` to the reduced communicator
       and record the recovery in the decision trace;
     * with no victim at this boundary the check is a cheap allgather of
@@ -291,10 +386,10 @@ def fault_health_check(world: World, ctxs: list[RunContext],
     The shared return value is ``"recovered"`` when any crash fired at
     this boundary and ``None`` otherwise (a victim's ``"crashed"``
     status is implied by its outcome).  Fault-free runs (no plan, or a
-    plan without crashes) skip the collectives entirely, so healthy
-    virtual clocks are untouched.
+    plan without crashes) and an empty group skip the collectives
+    entirely, so healthy virtual clocks are untouched.
     """
-    fplan = ctxs[0].comm.faults
+    fplan = ctxs[0].comm.faults if ctxs else None
     if fplan is None or not fplan.has_crashes:
         return None
     comms = [ctx.comm for ctx in ctxs]
@@ -352,29 +447,6 @@ def fault_health_check(world: World, ctxs: list[RunContext],
         return "recovered"
 
 
-#: Registered phase strategies, by stable name.
-PHASE_REGISTRY: dict[str, type] = {}
-
-
-def register_phase(name: str) -> Callable[[type], type]:
-    def deco(cls: type) -> type:
-        if name in PHASE_REGISTRY:
-            raise ValueError(f"phase {name!r} already registered")
-        PHASE_REGISTRY[name] = cls
-        cls.phase_name = name
-        return cls
-    return deco
-
-
-def get_phase(name: str) -> type:
-    try:
-        return PHASE_REGISTRY[name]
-    except KeyError:
-        raise KeyError(f"unknown phase {name!r}; options: "
-                       f"{sorted(PHASE_REGISTRY)}") from None
-
-
-@register_phase("local_sort")
 @dataclass(frozen=True)
 class LocalSort:
     """Sort the local shard (Figure 1 line 2).
@@ -433,7 +505,6 @@ class LocalSort:
             world.trace_counter(comms, "kernel.sort.seconds", dts)
 
 
-@register_phase("node_merge")
 @dataclass(frozen=True)
 class NodeMerge:
     """Optional node-level funnelling (Figure 1 lines 3-7, tau_m).
@@ -551,7 +622,6 @@ class NodeMerge:
                 ctx.n = merged[i].keys.size
 
 
-@register_phase("pivot_select")
 @dataclass(frozen=True)
 class PivotSelect:
     """Regular sampling + global pivot selection (Figure 1 lines 8-9).
@@ -648,7 +718,6 @@ class PivotSelect:
         return pls
 
 
-@register_phase("partition")
 @dataclass(frozen=True)
 class Partition:
     """Skew-aware partitioning (Figure 1 line 10, Figure 2).
@@ -736,7 +805,6 @@ class Partition:
             world.charge_compute([ctxs[i].comm for i in live], dts)
 
 
-@register_phase("exchange")
 @dataclass(frozen=True)
 class Exchange:
     """All-to-all exchange + final local ordering (Figure 1 lines 15-27).
@@ -861,13 +929,11 @@ class Exchange:
                 cuts, p, [ctx.batch.keys.size for ctx in ctxs]):
             return [(ctx.sorted_batch(), own)
                     for ctx, own in zip(ctxs, cuts)]
-        deposits: list = [None] * len(ctxs)
-        for i, ctx in enumerate(ctxs):
-            try:
-                own = cuts[i]
-                if own is not None and len(own) > 1:
-                    own = own.row(ctx.row)
-                deposits[i] = (ctx.sorted_batch(), own.check(p, ctx.n))
-            except BaseException as exc:
-                world.fail(acomms[i], exc)
-        return deposits
+
+        def deposit(i: int, _c: Comm) -> tuple:
+            ctx, own = ctxs[i], cuts[i]
+            if own is not None and len(own) > 1:
+                own = own.row(ctx.row)
+            return ctx.sorted_batch(), own.check(p, ctx.n)
+
+        return world.each(acomms, deposit)

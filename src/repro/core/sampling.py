@@ -275,20 +275,16 @@ def select_pivots_oversample_world(world: World, comms: list[Comm],
     arrs = [np.asarray(k) for k in keys_list]
     if p == 1:
         return [a[:0] for a in arrs]
-    samples: list = [None] * len(comms)
-    for i, c in enumerate(comms):
-        if not world.alive(c):
-            continue
-        try:
-            a = arrs[i]
-            if a.size == 0:
-                raise ValueError("cannot sample pivots from an empty shard")
-            rng = default_rng(SeedSequence([seed, c.rank]))
-            take = min(max(1, oversample), a.size)
-            samples[i] = a[rng.integers(0, a.size, size=take)]
-        except BaseException as exc:
-            world.fail(c, exc)
-    all_samples = world.allgather(comms, samples)
+
+    def draw(i: int, c: Comm) -> np.ndarray:
+        a = arrs[i]
+        if a.size == 0:
+            raise ValueError("cannot sample pivots from an empty shard")
+        rng = default_rng(SeedSequence([seed, c.rank]))
+        take = min(max(1, oversample), a.size)
+        return a[rng.integers(0, a.size, size=take)]
+
+    all_samples = world.allgather(comms, world.each(comms, draw))
     pooled = pg = None
     outs: list = [None] * len(comms)
     for i, c in enumerate(comms):

@@ -4,8 +4,9 @@ One call per rank, collectively::
 
     out = sds_sort(comm, my_batch, SdsParams(stable=True))
 
-The driver is a thin composition of the registered phase strategies of
-:mod:`repro.core.pipeline`, mirroring the pseudocode:
+The driver is a thin composition of the phase strategies of
+:mod:`repro.core.pipeline`, run on its :class:`~repro.core.pipeline.Run`
+skeleton, mirroring the pseudocode:
 
 1. ``LocalSort``    — sort the local shard (line 2);
 2. ``NodeMerge``    — optional node-level funnelling when messages
@@ -40,14 +41,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..mpi import LANE, Comm, FlatAbort, World
+from ..mpi import LANE, Comm, World
 from ..records import RecordBatch
 from .params import SdsParams
 from .pipeline import (
+    Exchange,
+    LocalSort,
+    NodeMerge,
+    Partition,
+    PivotSelect,
+    Run,
     RunContext,
     SortOutcome,
     fault_health_check,
-    get_phase,
     local_delta,
     pivot_pad_value,
 )
@@ -64,6 +70,25 @@ def _singleton_outcome(ctx: RunContext) -> SortOutcome:
                              "decisions": ctx.decisions()})
 
 
+def _alone(ctx: RunContext) -> bool:
+    """Whether the rank's active world shrank to itself."""
+    return ctx.active.size == 1
+
+
+def _sorted_outcome(ctx: RunContext) -> SortOutcome:
+    return SortOutcome(
+        batch=ctx.out,
+        received=len(ctx.out),
+        exchange=ctx.xstats,
+        info={
+            "p_active": ctx.active.size,
+            "delta_local": ctx.delta,
+            "n_pivots": int(np.asarray(ctx.pg).size),
+            "decisions": ctx.decisions(),
+        },
+    )
+
+
 def sds_sort_world(world: World, comms: list[Comm],
                    batches: list[RecordBatch],
                    params: SdsParams = SdsParams()
@@ -78,76 +103,28 @@ def sds_sort_world(world: World, comms: list[Comm],
     Ranks past their last collective when a peer fails still complete,
     exactly as their threads would.
     """
-    outcomes: list[SortOutcome | None] = [None] * len(comms)
-    group = RunContext.start(world, comms, batches, params,
-                             DecisionPolicy(params))
-
-    def harvest() -> None:
-        """Bank finished outcomes; drop failed ranks from the group."""
-        nonlocal group
-        failed = bool(world.failures)
-        for ctx in group:
-            if ctx.outcome is not None:
-                outcomes[ctx.slot] = ctx.outcome
-        group = [ctx for ctx in group if ctx.outcome is None
-                 and (not failed or world.alive(ctx.comm))]
-
-    def settle() -> None:
-        """Harvest, then short-circuit ranks whose world shrank to one."""
-        nonlocal group
-        harvest()
-        for ctx in group:
-            if ctx.active.size == 1:
-                outcomes[ctx.slot] = _singleton_outcome(ctx)
-        group = [ctx for ctx in group if ctx.active.size != 1]
-
-    try:
-        if group:
-            get_phase("local_sort")(stable=params.stable).run(world, group)
-            harvest()
+    with Run(world, comms) as run:
+        run.open(batches, params, DecisionPolicy(params))
+        run.step(LocalSort(stable=params.stable))
         if comms[0].size == 1:
-            for ctx in group:
-                outcomes[ctx.slot] = _singleton_outcome(ctx)
-            return outcomes
-        if group:
-            get_phase("node_merge")().run(world, group)
-            settle()
-        if group:
-            # crash barriers run only under a fault plan that schedules
-            # crashes; they are no-ops (not even a collective) otherwise
-            fault_health_check(world, group, "pivot_select")
-            settle()
-        if group:
-            get_phase("pivot_select")().run(world, group)
-            get_phase("partition")().run(world, group)
-            harvest()
-        if group:
-            status = fault_health_check(world, group, "exchange")
-            settle()
-            if status == "recovered" and group:
-                # pivots and displacements are functions of the
-                # communicator size: survivors re-derive both
-                get_phase("pivot_select")().run(world, group)
-                get_phase("partition")().run(world, group)
-                harvest()
-        if group:
-            get_phase("exchange")(stable=params.stable).run(world, group)
-            harvest()
-        for ctx in group:
-            outcomes[ctx.slot] = SortOutcome(
-                batch=ctx.out,
-                received=len(ctx.out),
-                exchange=ctx.xstats,
-                info={
-                    "p_active": ctx.active.size,
-                    "delta_local": ctx.delta,
-                    "n_pivots": int(np.asarray(ctx.pg).size),
-                    "decisions": ctx.decisions(),
-                },
-            )
-    except FlatAbort:
-        harvest()  # a collective aborted: bank what already finished
-    return outcomes
+            run.finish(_singleton_outcome)
+            return run.outcomes
+        run.step(NodeMerge())
+        run.finish(_singleton_outcome, where=_alone)
+        # crash barriers run only under a fault plan that schedules
+        # crashes; they are no-ops (not even a collective) otherwise
+        fault_health_check(world, run.ctxs, "pivot_select")
+        run.finish(_singleton_outcome, where=_alone)
+        run.step(PivotSelect(), Partition())
+        status = fault_health_check(world, run.ctxs, "exchange")
+        run.finish(_singleton_outcome, where=_alone)
+        if status == "recovered":
+            # pivots and displacements are functions of the
+            # communicator size: survivors re-derive both
+            run.step(PivotSelect(), Partition())
+        run.step(Exchange(stable=params.stable))
+        run.finish(_sorted_outcome)
+    return run.outcomes
 
 
 def sds_sort(comm: Comm, batch: RecordBatch,

@@ -125,10 +125,15 @@ def run_chaos(*, p: int, n_per_rank: int = 256,
                 except Exception as exc:  # validation/engine failure
                     ok, failure, elapsed = False, repr(exc), 0.0
                     counters, crashed, recoveries = {}, [], 0
+                # not injected: a crash spec none of whose crashes
+                # fired (no crash barrier reached), nor any other fault
+                idle = (ok and spec.crashes and not crashed
+                        and not any(v for k, v in counters.items()
+                                    if k.startswith("faults.")))
                 report.add(RunRecord(
                     spec_name=spec_name, algorithm=algorithm,
                     workload=workload, p=p, seed=seed,
-                    recovered=ok, elapsed=elapsed,
+                    recovered=None if idle else ok, elapsed=elapsed,
                     baseline=baselines[(algorithm, seed)],
                     fault_counters=counters, crashed_ranks=crashed,
                     recovery_decisions=recoveries, failure=failure))

@@ -27,14 +27,19 @@ def canonical_hash(payload: Any) -> str:
 
 @dataclass
 class RunRecord:
-    """One faulted run of the chaos matrix, vs its fault-free baseline."""
+    """One faulted run of the chaos matrix, vs its fault-free baseline.
+
+    ``recovered`` is ``None`` when the spec's crashes never fired (a
+    driver without crash barriers) and nothing else did either: the
+    cell was *not injected*, so there was nothing to recover from.
+    """
 
     spec_name: str
     algorithm: str
     workload: str
     p: int
     seed: int
-    recovered: bool                 # run completed with validated output
+    recovered: bool | None          # run completed with validated output
     elapsed: float                  # simulated seconds under faults
     baseline: float                 # simulated seconds fault-free
     fault_counters: dict[str, float] = field(default_factory=dict)
@@ -96,7 +101,7 @@ class ChaosReport:
             per_spec[name] = {
                 "runs": len(recs),
                 "recovered": len(ok),
-                "recovery_rate": len(ok) / len(recs) if recs else 0.0,
+                "recovery_rate": _rate(len(ok), recs),
                 "faults_injected": sum(
                     v for r in recs for k, v in r.fault_counters.items()
                     if k.startswith("faults.")),
@@ -107,16 +112,15 @@ class ChaosReport:
                 "mean_overhead": (sum(overheads) / len(overheads)
                                   if overheads else 0.0),
             }
-        total = len(self.records)
         recovered = sum(1 for r in self.records if r.recovered)
         return {
             "p": self.p,
             "n_per_rank": self.n_per_rank,
             "workload": self.workload,
             "seeds": list(self.seeds),
-            "runs": total,
+            "runs": len(self.records),
             "recovered": recovered,
-            "recovery_rate": recovered / total if total else 0.0,
+            "recovery_rate": _rate(recovered, self.records),
             "specs": dict(sorted(per_spec.items())),
         }
 
@@ -132,14 +136,26 @@ class ChaosReport:
         return canonical_hash(self.as_dict())
 
 
+def _rate(recovered: int, recs: list[RunRecord]) -> float | None:
+    """Recovered share of the injected runs; ``None`` when no run was
+    injected (and 0.0 for no run at all)."""
+    injected = sum(1 for r in recs if r.recovered is not None)
+    if injected:
+        return recovered / injected
+    return None if recs else 0.0
+
+
 def render_report(report: ChaosReport) -> list[str]:
     """Terminal rendering of a chaos report (the CLI's output)."""
     s = report.summary()
+    rate = s["recovery_rate"]
+    idle = [r for r in report.records if r.recovered is None]
     lines = [
         f"chaos campaign: p={s['p']} n/rank={s['n_per_rank']} "
         f"workload={s['workload']} seeds={s['seeds']}",
         f"runs: {s['runs']}  recovered: {s['recovered']}  "
-        f"recovery rate: {s['recovery_rate']:.1%}",
+        f"recovery rate: {'n/a' if rate is None else f'{rate:.1%}'}"
+        + (f"  not injected: {len(idle)}" if idle else ""),
         "",
         f"{'spec':<16} {'runs':>5} {'recov':>6} {'faults':>8} "
         f"{'crashes':>8} {'mean ovh':>9} {'max ovh':>9}",
@@ -149,13 +165,21 @@ def render_report(report: ChaosReport) -> list[str]:
             f"{name:<16} {st['runs']:>5} {st['recovered']:>6} "
             f"{st['faults_injected']:>8.0f} {st['crashes']:>8} "
             f"{st['mean_overhead']:>8.1%} {st['max_overhead']:>8.1%}")
-    failures = [r for r in report.records if not r.recovered]
+    failures = [r for r in report.records if r.recovered is False]
     if failures:
         lines.append("")
         lines.append("failed runs:")
         for r in failures:
             lines.append(f"  {r.spec_name}/{r.algorithm} seed={r.seed}: "
                          f"{r.failure}")
+    if idle:
+        cells: dict[tuple[str, str], list[int]] = {}
+        for r in idle:
+            cells.setdefault((r.spec_name, r.algorithm), []).append(r.seed)
+        lines.append("")
+        lines.append("not injected (the spec's crashes never fired):")
+        for (spec, algorithm), seeds in cells.items():
+            lines.append(f"  {spec}/{algorithm} seeds={seeds}")
     lines.append("")
     lines.append(f"report hash: {report.report_hash}")
     return lines

@@ -120,16 +120,7 @@ class ColumnarWorld(World):
             self.charge_collective_faults(comms)
         if isinstance(finish, Epilogue):
             return shared, finish.whole(shared)
-        dead = self.dead
-        outs: list[Any] = [None] * len(comms)
-        for i, c in enumerate(comms):
-            if c.grank in dead:
-                continue
-            try:
-                outs[i] = finish(i, c, shared)
-            except BaseException as exc:  # mirrors the engine's catch-all
-                self.fail(c, exc)
-        return shared, outs
+        return shared, self.each(comms, lambda i, c: finish(i, c, shared))
 
     def sendrecv(self, comms: Sequence[Comm], objs: Sequence[Any],
                  peers: Sequence[int], tag: int = 0) -> list:
@@ -144,14 +135,8 @@ class ColumnarWorld(World):
         analogue is a world abort.
         """
         self.check()
+        self.each(comms, lambda i, c: c.send(objs[i], peers[i], tag))
         outs: list[Any] = [None] * len(comms)
-        for i, c in enumerate(comms):
-            if not self.alive(c):
-                continue
-            try:
-                c.send(objs[i], peers[i], tag)
-            except BaseException as exc:
-                self.fail(c, exc)
         for i, c in enumerate(comms):
             if not self.alive(c):
                 continue

@@ -209,6 +209,23 @@ class World:
         """Record (columnar) or raise (lane) a per-rank failure."""
         raise NotImplementedError
 
+    def each(self, comms: Sequence[Comm],
+             fn: Callable[[int, Comm], Any]) -> list:
+        """``fn(i, comms[i])`` on every live rank, in order: the
+        per-rank failure rule.  A rank whose call raises fails alone
+        (:meth:`fail`: recorded, or raised by a lane); its slot of the
+        returned list, like a dead rank's, is ``None``."""
+        outs: list[Any] = [None] * len(comms)
+        dead = self.dead
+        for i, c in enumerate(comms):
+            if c.grank in dead:
+                continue
+            try:
+                outs[i] = fn(i, c)
+            except BaseException as exc:  # whatever a rank thread dies of
+                self.fail(c, exc)
+        return outs
+
     def check(self) -> None:
         """Abort point: entering a collective with failures pending."""
 

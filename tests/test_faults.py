@@ -622,6 +622,31 @@ class TestChaos:
         assert d["summary"]["specs"]["crash-pivot"]["crashes"] == 1
         assert canonical_hash(d) == rep.report_hash
 
+    def test_a_crash_that_never_fired_is_not_injected(self):
+        # PSRS has no crash barrier: the preset's victim never crashes,
+        # and the cell must not read as a recovery
+        from repro.faults.report import render_report
+        rep = run_chaos(p=8, n_per_rank=100, seeds=[0],
+                        specs=["crash-pivot", "straggler"],
+                        algorithms=["sds", "psrs"])
+        cells = {(r.spec_name, r.algorithm): r for r in rep.records}
+        idle = cells["crash-pivot", "psrs"]
+        assert idle.recovered is None and not idle.crashed_ranks
+        assert cells["crash-pivot", "sds"].recovered is True
+        assert cells["straggler", "psrs"].recovered is True
+        s = rep.summary()
+        assert s["recovered"] == 3 and s["recovery_rate"] == 1.0
+        assert s["specs"]["crash-pivot"]["recovered"] == 1
+        assert s["specs"]["crash-pivot"]["recovery_rate"] == 1.0
+        lines = render_report(rep)
+        assert "not injected: 1" in lines[1]
+        assert "  crash-pivot/psrs seeds=[0]" in lines
+        assert not any(line.startswith("failed runs") for line in lines)
+        only = run_chaos(p=8, n_per_rank=100, seeds=[0],
+                         specs=["crash-pivot"], algorithms=["psrs"])
+        assert only.summary()["recovery_rate"] is None
+        assert "recovery rate: n/a" in render_report(only)[1]
+
 
 # ------------------------------------------------------------------ CLI glue
 class TestFaultsCli:
@@ -655,6 +680,13 @@ class TestFaultsCli:
         assert "recovery rate: 100.0%" in out
         assert "report hash:" in out
         assert out_json.exists()
+
+    def test_chaos_command_passes_cells_that_were_not_injected(self, capsys):
+        code, out = self._run(
+            capsys, "chaos", "--p", "8", "--n", "100", "--seeds", "0",
+            "--specs", "crash-exchange", "--algorithms", "psrs")
+        assert code == 0
+        assert "not injected: 1" in out
 
     @pytest.mark.parametrize("argv", [
         ("sort", "--p", "0"),

@@ -20,9 +20,7 @@ from repro.core import (
     SdsParams,
     SortPlan,
     explain_lines,
-    get_phase,
 )
-from repro.core.pipeline import PHASE_REGISTRY
 from repro.machine import LAPTOP
 from repro.runner import ALGORITHMS, AlgorithmSpec, run_sort
 from repro.workloads import uniform, zipf
@@ -184,22 +182,6 @@ class TestTraceAndPlan:
         assert len(lines) == 2
         assert "overlapped" in lines[0] and f"tau_o={TAU_O}" in lines[0]
         assert "tau_o" not in lines[1]  # no threshold gate on that one
-
-
-class TestPhaseRegistry:
-    def test_registered_phases(self):
-        assert set(PHASE_REGISTRY) == {
-            "local_sort", "node_merge", "pivot_select", "partition",
-            "exchange",
-        }
-
-    def test_unknown_phase(self):
-        with pytest.raises(KeyError, match="unknown phase"):
-            get_phase("teleport")
-
-    def test_get_phase_returns_registered_class(self):
-        cls = get_phase("local_sort")
-        assert cls.phase_name == "local_sort"
 
 
 class TestAlgorithmRegistry:
