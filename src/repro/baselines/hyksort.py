@@ -105,12 +105,17 @@ def _level_cuts(ctx: RunContext, p: int, kk: int, gs: int) -> None:
 
 def _merge_level(ctx: RunContext) -> None:
     """Merge the runs a level's exchange delivered; received chunks
-    release as the output fills (a streaming merge)."""
+    release as the output fills (a streaming merge).  The rank's chunk
+    to itself was never received: it went with the send buffer."""
     c, chunks, ctx.chunks = ctx.comm, ctx.chunks, None
     cur = (kway_merge_batches(chunks) if chunks
            else RecordBatch.empty_like(ctx.batch))
     c.charge(c.cost.merge_time(len(cur), max(2, len(chunks))))
-    c.mem.free(sum(ch.nbytes for ch in chunks))
+    cuts, me = ctx.cuts, ctx.active.rank
+    k = int(np.searchsorted(cuts.dst, me))
+    own = (int(cuts.offs[k + 1] - cuts.offs[k]) * ctx.batch.record_bytes
+           if k < cuts.dst.size and cuts.dst[k] == me else 0)
+    c.mem.free(sum(ch.nbytes for ch in chunks) - own)
     c.mem.alloc(cur.nbytes)
     ctx.batch = cur
 

@@ -41,14 +41,8 @@ from ..kernels import (
 from ..mpi import Comm, World
 from ..mpi.cells import alltoallv_cells
 from ..mpi.world import members, per_rank, values_at
-from ..records import RecordBatch, concat_batch_arrays
+from ..records import BLOCK_RECORDS, RecordBatch, concat_rows, row_tables
 from ..records.batch import record_layout
-
-#: Most records whose whole-form outputs share one gather per column
-#: (:func:`_world_outputs`).  World-sized columns that outlive the
-#: exchange fragment the heap in front of validation: sds-stable 32 x
-#: 100k peaked at 485 MB, against 467 MB with a gather per destination.
-_OUTPUT_BLOCK_RECORDS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -65,15 +59,15 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
                           stable: bool) -> dict:
     """Whole-world compute of the fused synchronous exchange.
 
-    ``stage`` holds one ``((batch, cuts), clock)`` deposit per rank in
-    group-rank order, ``cuts`` the rank's checked
-    :class:`~repro.mpi.cells.Cuts`.  Delivery and its accounting are
+    ``stage`` holds one ``((rows, cuts), clock)`` deposit per rank in
+    group-rank order: its table (:func:`~repro.records.row_tables`) and
+    checked :class:`~repro.mpi.cells.Cuts`.  Delivery and accounting are
     :func:`~repro.mpi.cells.alltoallv_cells` (its docstring: why the
     integers equal the p x p matrix reduction); on top of them every
-    destination's input — its chunks in source order, addressed in the
-    concatenation of all batches — is ordered once.  Bit-for-bit what
-    splitting each batch, a dense p-slot alltoallv and a per-rank merge or
-    sort produce (the oracle in ``tests/oracles_exchange.py``):
+    destination's input — its chunks in source order, addressed in
+    :func:`~repro.records.concat_rows` — is ordered once.  Bit-for-bit
+    what splitting each batch, a dense p-slot alltoallv and a per-rank
+    merge or sort produce (the oracle in ``tests/oracles_exchange.py``):
 
     * for the ``merge`` branch (``p < tau_s``) the k-way merge of
       sorted source runs with earlier-chunk tie-breaking produces the
@@ -88,7 +82,7 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
       value-identical keys: the unstable permutation is reproduced too.
     """
     shared = alltoallv_cells(stage, p)
-    all_keys, all_cols, offs = concat_batch_arrays(shared["batches"])
+    all_keys, all_cols, offs = concat_rows(shared["batches"])
     N = int(offs[-1])
     src, first, cnt = shared["src"], shared["first"], shared["cnt"]
     excl = np.concatenate(([0], np.cumsum(cnt)))      # records before cell
@@ -121,11 +115,8 @@ def sync_exchange_compute(stage: list, *, p: int, merge: bool,
 def _sync_exchange_network(world: World, comms: Sequence[Comm],
                            shared: dict, send_nbytes: Sequence[int]) -> list:
     """``alltoallv`` epilogue of the fused synchronous exchange, on the
-    ranks handed in (any ranks of the communicator; a lane: itself).
-
-    Runs inside the ``exchange`` phase: ``World.alltoallv``'s booking
-    (receive allocated, clock, trace, counters), then the send buffer
-    of every rank it booked is released.
+    ranks handed in (a lane: itself): ``World.alltoallv``'s booking, then
+    the send buffer of every rank it booked is released.
     """
     world._book_alltoallv(comms, shared)
     at = members(comms)[0]
@@ -135,15 +126,12 @@ def _sync_exchange_network(world: World, comms: Sequence[Comm],
 
 
 def _world_outputs(shared: dict, ranks: Sequence[int]) -> list[RecordBatch]:
-    """The outputs of destinations ``ranks`` (ascending), as slices of
-    shared gathers.
-
-    Consecutive destinations holding up to :data:`_OUTPUT_BLOCK_RECORDS`
-    records between them have each payload column gathered once through
-    their stretch of ``final``; rank ``r`` gets views of that gather and
-    of ``ordered`` (:meth:`RecordBatch.split`, sizes pre-computed).  A
-    longer destination — and a lane's own — is gathered alone.  Runs in
-    the epilogue, once the compute's locals are gone, not on top of them.
+    """The outputs of destinations ``ranks`` (ascending), as views of
+    shared gathers: consecutive destinations of up to
+    :data:`~repro.records.BLOCK_RECORDS` records between them share one
+    gather of each payload column through their stretch of ``final`` (a
+    longer one, and a lane's own, is gathered alone).  Runs in the
+    epilogue, once the compute's locals are gone.
     """
     if not ranks:
         return []
@@ -158,7 +146,7 @@ def _world_outputs(shared: dict, ranks: Sequence[int]) -> list[RecordBatch]:
     while k < n:
         lo = edges[k]
         stop = min(n, max(k + 1, int(np.searchsorted(
-            bounds, lo + _OUTPUT_BLOCK_RECORDS, "right")) - 1 - first))
+            bounds, lo + BLOCK_RECORDS, "right")) - 1 - first))
         idx = final[lo:edges[stop]]
         block = RecordBatch._unsafe(ordered[lo:edges[stop]], {
             name: col[idx] for name, col in sources.items()})
@@ -176,13 +164,10 @@ def _sync_exchange_ordering(world: World, comms: Sequence[Comm],
     """Local-ordering epilogue of the fused synchronous exchange, on the
     ranks handed in: per-rank ``(output, ExchangeStats)``.
 
-    Runs inside the ``local_ordering`` phase: charges each rank's own
-    merge/sort cost (evaluated once per distinct ``(m, delta)``), hands
-    out the output slices of the whole-world permutation
-    (:func:`_world_outputs`), with one :class:`ExchangeStats` per distinct
-    received count, and settles memory.  A rank whose output is
-    refused has paid its charge and released its receive buffer, and
-    gets no output.
+    Charges each rank's merge/sort cost (once per distinct ``(m,
+    delta)``), releases its receive buffer, allocates and hands out its
+    output (:func:`_world_outputs`).  A rank whose output is refused has
+    paid its charge and released its receive buffer, and gets none.
     """
     p, sim = comms[0].size, comms[0]._world
     cost, mem = sim.cost, sim.mem
@@ -198,7 +183,7 @@ def _sync_exchange_ordering(world: World, comms: Sequence[Comm],
     world.trace_counter(comms, f"kernel.{ordering}.records", ms)
     world.trace_counter(comms, f"kernel.{ordering}.seconds", seconds)
     live, at, ranks, pos = world._live(comms, at, ranks, pos)  # charge refused
-    mem.free(at, shared["recv_all"][ranks])
+    mem.free(at, shared["recv_tot"][ranks])           # the receive buffer
     width = record_layout(shared["ordered"], shared["cols"])[1]  # outputs'
     live, at, ranks, pos = world._refuse(
         live, mem.alloc(at, shared["m"][ranks] * width), at, ranks, pos)
@@ -262,9 +247,9 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
         cuts = list(cuts[0])
     D = np.stack([c.displs() for c in cuts])          # (p, p+1) bounds
     C = np.diff(D, axis=1)                            # counts[src, dst]
-    widths = np.array([b.record_bytes for b in batches], dtype=np.int64)
+    widths = row_tables(batches)[2]
     S = C * widths[:, None]                           # bytes[src, dst]
-    all_keys, all_cols, offs = concat_batch_arrays(batches)
+    all_keys, all_cols, offs = concat_rows(batches)
 
     # -- per-destination arrival schedules (ring order, from dst+1) --
     nodes = np.asarray(group, dtype=np.int64) // spec.cores_per_node
@@ -343,14 +328,12 @@ def _overlapped_exchange_finish(world: World, comms: Sequence[Comm],
                                 send_nbytes: Sequence[int]) -> list:
     """Epilogue of the fused overlapped exchange plus the send-buffer
     release, on the ranks handed in: per-rank ``(output,
-    ExchangeStats)``.
-
-    Hands out the output slices (:func:`_world_outputs`), advances each
-    clock to its replayed merge-completion time (a tracer gets the one
-    fused span, its cost split, the edge row and the merge kernel
-    counters) and settles memory/counters.  Either allocation can be
-    refused: the rank fails there — before its clock moves, or with it
-    moved and the receive buffer released — and the others go on.
+    ExchangeStats)``.  Advances each clock to its replayed
+    merge-completion time (a tracer gets the fused span, cost split,
+    edge row and merge counters), settles memory and counters and hands
+    out the outputs (:func:`_world_outputs`).  A refused allocation
+    fails its rank there, before its clock moves or with the receive
+    buffer released, and the others go on.
     """
     sim = comms[0]._world
     mem, tr = sim.mem, sim.tracer

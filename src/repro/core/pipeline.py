@@ -1,41 +1,30 @@
 """The phase pipeline: SDS-Sort's stages as reusable strategies, and
 the run skeleton every sort driver shares.
 
-The driver (:func:`repro.core.sdssort.sds_sort`) is a thin composition
-of phase objects sharing one :class:`RunContext` per rank::
+The driver (:func:`repro.core.sdssort.sds_sort`) composes phase objects
+sharing one :class:`RunContext` per rank::
 
     LocalSort -> NodeMerge -> PivotSelect -> Partition -> Exchange
 
 Each phase is a small frozen dataclass, so baselines compose the *same*
-strategies instead of reimplementing them: PSRS is
-``LocalSort(kernel="plain") -> PivotSelect(method="gather") ->
-Partition(variant="classic") -> Exchange(mode="sync")``, and HykSort
-reuses ``LocalSort``.  Every adaptive choice a phase makes goes
-through the :class:`~repro.core.plan.SortPlan` carried by the context,
-which records it into the run's decision trace.
+strategies: PSRS is ``LocalSort(kernel="plain") ->
+PivotSelect(method="gather") -> Partition(variant="classic") ->
+Exchange(mode="sync")``, and HykSort reuses ``LocalSort``.  Every
+adaptive choice goes through the context's
+:class:`~repro.core.plan.SortPlan`, which records the decision trace.
+Every driver runs on one :class:`Run` (contexts opened, finished and
+failed ranks banked, the :class:`~repro.mpi.FlatAbort` boundary), and
+a per-rank statement that may fail goes through :meth:`World.each
+<repro.mpi.world.World.each>`.
 
-Every driver — SDS-Sort and each baseline — runs on one
-:class:`Run`: it opens the contexts (input allocated and counted),
-banks finished and failed ranks between steps, is the driver's
-:class:`~repro.mpi.FlatAbort` boundary, and assembles the per-rank
-outcomes.  A per-rank statement that may fail goes through
-:meth:`World.each <repro.mpi.world.World.each>`, the one per-rank
-failure rule.
-
-Phases are written once, in *world form*: ``run(world, ctxs)`` where
-``world`` is a :class:`~repro.mpi.world.World` view and ``ctxs`` the
-contexts it drives.  On the thread backend the view is a
-:class:`~repro.mpi.world.LaneWorld` over a single rank's ``Comm`` (the
-staged protocol does the synchronising); on the flat backend it is a
-:class:`~repro.mpi.flatworld.ColumnarWorld` over the whole membership,
-so one batched kernel invocation serves every rank.  Modelled costs
-are booked through the world's charge verbs (``charge_compute`` /
-``alloc`` / ``free`` / ``trace_counter``) with each pure cost function
-evaluated once per distinct argument tuple; both views reduce to the
-same ``Comm`` bookkeeping, so virtual clocks, phase breakdowns,
-counters and memory peaks are bit-for-bit identical across backends —
-the golden-engine suite (``tests/data/golden_engine.json``) pins all
-of it.
+Phases are written once, in *world form*: ``run(world, ctxs)`` over a
+:class:`~repro.mpi.world.LaneWorld` (one rank's ``Comm``; thread
+backend) or a :class:`~repro.mpi.flatworld.ColumnarWorld` (the whole
+membership, one batched kernel call for every rank; flat backend).
+Costs are booked through the world's charge verbs, each pure cost
+function evaluated once per distinct argument tuple, so clocks, phase
+breakdowns, counters and memory peaks are bit-for-bit identical across
+backends (``tests/data/golden_engine.json`` pins them).
 """
 
 from __future__ import annotations
@@ -54,7 +43,7 @@ from ..kernels import (
     stable_prefix_layout,
 )
 from ..mpi import LANE, Comm, Epilogue, FlatAbort, World
-from ..records import RecordBatch, SortedRows, merge_sorted_rows
+from ..records import RecordBatch, SortedRows, merge_sorted_rows, row_tables
 from .exchange import (
     ExchangeStats,
     _overlapped_exchange_finish,
@@ -115,11 +104,8 @@ def pivot_pad_value(pg: np.ndarray, key_dtype: np.dtype):
 
     Phantom pivots stand for *empty* ranges, so the pad must never sort
     above a real pivot nor land inside the key domain: use the last
-    real pivot when one exists, else the dtype's ordered minimum.
-    (Padding with a literal 0, as the seed did, breaks all-negative key
-    domains: every record compares below the phantom pivots and the
-    whole dataset collapses onto rank 0 — and with any real pivot
-    present, a 0 pad above it would unsort the pivot vector outright.)
+    real pivot when one exists, else the dtype's ordered minimum (a 0
+    pad would put every record of an all-negative domain on rank 0).
     """
     if pg.size:
         return pg[-1]
@@ -143,14 +129,10 @@ def local_delta(sorted_keys: np.ndarray) -> float:
 
 def select_pivots_world(world: World, acomms: list[Comm], pls: list,
                         keys_list: list, method: str) -> list:
-    """Dispatch to the named pivot selector — strictly (per-rank results).
-
-    Unlike the historical private helper (which silently degraded any
-    unknown name to gather selection), an unrecognised ``method`` is an
-    error; :class:`~repro.core.params.SdsParams` validates the
-    configured name up front and the decision policy resolves the
-    documented fallbacks explicitly, so nothing legitimate reaches the
-    ``raise``.
+    """Dispatch to the named pivot selector (per-rank results).  An
+    unknown ``method`` raises: :class:`~repro.core.params.SdsParams`
+    validates names up front and the policy resolves the fallbacks, so
+    nothing legitimate reaches the ``raise``.
     """
     if method == "bitonic":
         return select_pivots_bitonic_world(world, acomms, pls)
@@ -203,6 +185,36 @@ def _per_distinct(fn: Callable[..., Any], args: list[tuple]) -> list:
     return [memo[a] for a in args]
 
 
+def _stretches(ctxs: Sequence["RunContext"], cut: Sequence[int] = ()
+               ) -> list:
+    """Every rank's ``batch`` as a deposit: ranks holding consecutive
+    rows of one table, between two positions of ``cut``, deposit that
+    stretch of it (the table itself when whole); a batch is its own."""
+    out = [ctx.batch for ctx in ctxs]
+    bounds = [0, *cut, len(ctxs)]
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        i = a
+        while i < b:
+            t, lo, j = out[i], ctxs[i].batch_row, i + 1
+            if type(t) is SortedRows:
+                if (ctxs[b - 1].batch_row - lo == b - 1 - i
+                        and out[i:b].count(t) == b - i):
+                    j = b
+                while j < b and out[j] is t and ctxs[j].batch_row == lo + j - i:
+                    j += 1
+                out[i:j] = [t if j - i == len(t.rows)
+                            else t.slice(lo, lo + j - i)] * (j - i)
+            i = j
+    return out
+
+
+def _key_rows(ctxs: Sequence["RunContext"]) -> np.ndarray:
+    """The ``(g, n)`` keys of same-length ``ctxs``, in order: their
+    tables' key matrices (:func:`_stretches`), a batch as one row."""
+    parts = [np.atleast_2d(t.keys) for t in row_tables(_stretches(ctxs))[0]]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
 @dataclass(slots=True)
 class RunContext:
     """Shared state of one pipeline run on one rank.
@@ -212,14 +224,13 @@ class RunContext:
     leader communicator if the node-merge phase fires (or to the
     survivors of a crash).  ``plan`` carries the decision policy and
     the accumulating trace, shared by the ranks that decided alike.
-    ``n`` and ``input_nbytes`` are the input's size, read off the
-    batch's stored layout; the remaining fields are the data flowing
-    between phases (after the local sort ``batch`` is a
-    :class:`~repro.records.SortedRows` until :meth:`sorted_batch`; the
+    ``n`` and ``input_nbytes`` are the input's size; the remaining
+    fields are the data flowing between phases (after the local sort
+    ``batch`` is a :class:`~repro.records.SortedRows` table whose row
+    ``batch_row`` is the rank's, :attr:`keys` its sorted keys; the
     partition leaves the rank's cuts as row ``row`` of the table
-    ``cuts``; ``chunks`` are the runs a baseline's exchange received,
-    awaiting its local ordering).  A driver that carries more per rank
-    subclasses it.
+    ``cuts``; ``chunks`` are the runs a baseline's exchange received).
+    A driver that carries more per rank subclasses it.
     """
 
     comm: Comm
@@ -234,6 +245,7 @@ class RunContext:
     pg: np.ndarray | None = None
     cuts: Cuts | None = None
     row: int = 0
+    batch_row: int = 0
     out: RecordBatch | None = None
     xstats: ExchangeStats | None = None
     chunks: list | None = None
@@ -273,10 +285,18 @@ class RunContext:
     def decisions(self) -> list[dict[str, Any]]:
         return self.plan.decisions()
 
+    @property
+    def keys(self) -> np.ndarray:
+        """The rank's keys: its row of a table's."""
+        batch = self.batch
+        return (batch.keys[self.batch_row] if type(batch) is SortedRows
+                else batch.keys)
+
     def sorted_batch(self) -> RecordBatch:
-        """``batch``, a local sort's payload gathered on the first call."""
+        """``batch``, its row gathered on the first call: for a rank that
+        goes on alone (a one-rank world, HykSort's first level)."""
         if type(self.batch) is SortedRows:
-            self.batch = self.batch.batch()
+            self.batch, self.batch_row = self.batch.batch(self.batch_row), 0
         return self.batch
 
 
@@ -288,15 +308,11 @@ class Run:
     input allocated and counted), steps its phases over the live group
     ``ctxs`` (:meth:`step`) and gives the ranks that remain their
     outcomes (:meth:`finish`).  Between steps the group is banked
-    (:meth:`bank`): a rank whose ``outcome`` is set leaves with it into
-    ``outcomes`` (by ``ctx.slot``, in ``comms`` order), a failed rank
-    leaves with ``None`` — its details are in ``world.failures``.
-
-    Entered as a context manager, the run is the driver's
-    :class:`~repro.mpi.FlatAbort` boundary: a collective that aborts
-    ends the driver's body and what already finished is banked.  Ranks
-    past their last collective when a peer fails still complete,
-    exactly as their threads would.
+    (:meth:`bank`): a finished rank leaves with its ``outcome`` (into
+    ``outcomes`` by ``ctx.slot``), a failed one with ``None``.  Entered
+    as a context manager, the run is the driver's
+    :class:`~repro.mpi.FlatAbort` boundary: an aborted collective ends
+    the body and what already finished is banked, as on rank threads.
     """
 
     __slots__ = ("world", "comms", "ctxs", "outcomes")
@@ -452,21 +468,13 @@ class LocalSort:
     """Sort the local shard (Figure 1 line 2).
 
     ``kernel="sdss"`` is the paper's shared-memory skew-aware local
-    sort; ``"plain"`` is the classic per-rank sort baselines use.  Both
-    charge the same modelled cost.
-
-    Shards of equal length and key dtype are stacked into one 2-D
-    matrix and sorted with a single row-wise call — ``np.argsort``'s
-    introsort per row, or :func:`~repro.kernels.stable_argsort`, whose
-    permutation is unique — exactly what a standalone per-rank sort
-    computes (both ``sdss`` at ``c=1`` and ``plain`` reduce to one
-    argsort of the shard), so permutations and replication ratios are
-    bit-equal on every backend.  The kernel's gathered keys serve the
-    replication ratio and become the sorted keys of the
-    :class:`~repro.records.SortedRows` each rank is left: no payload is
-    gathered here.  The sort cost is evaluated once
-    per distinct ``(n, delta)`` and booked through the world's charge
-    verbs.
+    sort, ``"plain"`` the classic per-rank sort; both charge the same
+    modelled cost, evaluated once per distinct ``(n, delta)``.  Shards
+    of one length and schema are sorted as one ``(g, n)`` matrix, a row
+    a shard (``np.argsort``'s per-row introsort, or the unique stable
+    permutation), bit-equal to a per-rank sort on every backend, and
+    left as one :class:`~repro.records.SortedRows` table of which each
+    rank holds its row: no payload is gathered here.
     """
 
     kernel: str = "sdss"
@@ -481,19 +489,19 @@ class LocalSort:
                         f"unknown local-sort kernel {self.kernel!r}"))
                 raise FlatAbort
             for members in same_key_groups(
-                    [(ctx.n, ctx.batch.keys.dtype) for ctx in ctxs]):
-                rows = np.concatenate([ctxs[i].batch.keys for i in members]
+                    [(ctx.n, ctx.batch.schema) for ctx in ctxs]):
+                inputs = [ctxs[i].batch for i in members]
+                rows = np.concatenate([b.keys for b in inputs]
                                       ).reshape(len(members), ctxs[members[0]].n)
                 if self.stable:
                     perms, ordered = stable_argsort(rows)
                 else:
                     perms = batched_argsort_rows(rows)
                     ordered = np.take_along_axis(rows, perms, axis=-1)
+                table = SortedRows(inputs, perms, ordered)
                 deltas = batched_local_delta(ordered).tolist()
-                for i, perm, keys, delta in zip(members, perms, ordered,
-                                                deltas):
-                    ctxs[i].batch = SortedRows(ctxs[i].batch, perm, keys)
-                    ctxs[i].delta = delta
+                for k, i in enumerate(members):
+                    ctxs[i].batch, ctxs[i].batch_row, ctxs[i].delta = table, k, deltas[k]
             sort_time = ctxs[0].cost.sort_time
             dts = _per_distinct(
                 lambda n, delta: sort_time(n, stable=self.stable,
@@ -509,33 +517,21 @@ class LocalSort:
 class NodeMerge:
     """Optional node-level funnelling (Figure 1 lines 3-7, tau_m).
 
-    Evaluates the policy's local verdict, takes the historical
-    allreduce consensus (SPMD-uniform data: all nodes must agree), and
-    records the post-consensus decision.  Non-leader ranks exit the
-    pipeline with an empty outcome, exactly as in the paper (the
-    effective process count drops to ``p/c``).
-
-    Policy verdicts are evaluated per distinct ``(node_bytes,
-    ranks_per_node, comm_size)`` input — every rank's ranks-per-node
-    read off the communicator's one node layout
-    (:meth:`~repro.mpi.comm.SimWorld.node_layout`) — the consensus
-    allreduce runs once per communicator, and each verdict is recorded
-    once per plan that holds ranks it applies to: a plan whose ranks got
-    different verdicts (a partial node's) forks, once per verdict.  The
-    funnel itself is one
-    collective, :meth:`~repro.mpi.world.World.node_funnel`: booked as
-    the node split, the leaders' split and a gather per node, it hands
-    every leader its node's runs and the leaders' communicator and
-    builds no per-node one.  Every leader's node is
-    merged by one call (:func:`~repro.records.merge_sorted_rows`: nodes
-    of one layout and length in one row-stacked stable argsort, each
-    column gathered once from the members' inputs), the ranks that
-    handed their data off share one outcome per distinct layout and
-    decision plan, and charges go through the world's verbs in the
-    per-rank order (merge, charge, allocate, release) — so merged
-    batches, clocks and memory peaks are bit-equal on every backend,
-    and a leader whose merge raises or whose node's data it cannot
-    hold fails alone.
+    The policy's local verdict (once per distinct ``(node_bytes,
+    ranks_per_node, comm_size)``) goes through an allreduce consensus:
+    all nodes must agree.  Each verdict is recorded once per plan that
+    holds ranks it applies to (a plan whose ranks got different
+    verdicts, a partial node's, forks).  The funnel is one collective,
+    :meth:`~repro.mpi.world.World.node_funnel`, to which a node's
+    members deposit their stretch of their table; it hands every
+    leader its node's runs, the leaders' communicator and the node's
+    pooled memory capacity.  Leaders merge in one call
+    (:func:`~repro.records.merge_sorted_rows`), the ranks that handed
+    their data off exit with one shared empty outcome per layout and
+    plan (the effective process count drops to ``p/c``), and charges
+    go in the per-rank order (merge, charge, allocate, release): merged
+    batches, clocks and memory peaks are bit-equal on every backend, and
+    a leader whose merge raises or is refused fails alone.
     """
 
     def run(self, world: World, ctxs: list[RunContext]) -> None:
@@ -544,7 +540,7 @@ class NodeMerge:
             policy = ctxs[0].plan.policy
             size = comms[0].size
             ranks = [c.rank for c in comms]
-            rpn = comms[0]._world.node_layout(comms[0]._ctx)[1]
+            node, rpn = comms[0]._world.node_layout(comms[0]._ctx)
             args = [(ctx.batch.nbytes * rpn[r], rpn[r], size)
                     for ctx, r in zip(ctxs, ranks)]
             verdict = {a: policy.node_merge(node_bytes=a[0],
@@ -574,8 +570,11 @@ class NodeMerge:
                 ctxs[i].plan = plans[key]
             if merged_all != size:
                 return
-            # all nodes agree: funnel each node onto its leader
-            funneled = world.node_funnel(comms, [ctx.batch for ctx in ctxs])
+            # all nodes agree: funnel each node (its stretch of its
+            # table) onto its leader
+            nodes = np.asarray(node)[ranks]
+            funneled = world.node_funnel(comms, _stretches(
+                ctxs, (np.flatnonzero(nodes[1:] != nodes[:-1]) + 1).tolist()))
             live = _live(world, comms)
             # ranks that handed their data off leave with an empty batch;
             # equal layouts and plans share one outcome
@@ -618,7 +617,7 @@ class NodeMerge:
             for i in done:
                 ctx = ctxs[i]
                 ctx.active = funneled[i][0]
-                ctx.batch = merged[i]
+                ctx.batch, ctx.batch_row = merged[i], 0
                 ctx.n = merged[i].keys.size
 
 
@@ -627,18 +626,14 @@ class PivotSelect:
     """Regular sampling + global pivot selection (Figure 1 lines 8-9).
 
     ``method=None`` routes through the decision policy (configured
-    method plus the documented empty-rank and non-power-of-two
-    fallbacks); a fixed ``method`` pins the selector, as PSRS does with
-    gather.  ``guard_empty`` is the min-shard allreduce that detects
-    empty ranks; algorithms that cannot tolerate them skip it.
-
-    The method decision is computed once per communicator (policy calls
-    are pure and their inputs communicator-uniform) and recorded once
-    per plan of the live ranks; sampling and selection go through the
-    world-form selectors, which run shared computations once and replay
-    the per-rank collective epilogues.  Regular samples are taken only
-    for the selectors that read them, run-length encoded, one stack per
-    shard length (:meth:`_samples`).
+    method plus the empty-rank and non-power-of-two fallbacks); a fixed
+    ``method`` pins the selector, as PSRS does with gather.
+    ``guard_empty`` is the min-shard allreduce that detects empty ranks;
+    algorithms that cannot tolerate them skip it.  The decision is made
+    once per communicator and recorded once per plan; the world-form
+    selectors run shared computations once.  Regular samples (one
+    run-length encoded stack per shard length, :meth:`_samples`) and
+    keys are taken only for the selectors that read them.
     """
 
     method: str | None = None
@@ -651,38 +646,37 @@ class PivotSelect:
         pgs: list = [None] * len(ctxs)
         with world.phase(comms, "pivot_selection"):
             if not self.guard_empty:
+                min_n = 1
                 dec = Decision("pivot_method", self.method,
                                measured={"p": p},
                                reason="fixed by algorithm")
                 _decide(ctxs, dec)
-                pgs = select_pivots_world(
-                    world, acomms,
-                    self._samples(world, acomms, ctxs, p, dec.choice),
-                    [ctx.batch.keys for ctx in ctxs], dec.choice)
             else:
                 agg = world.allreduce(acomms,
                                       [ctx.n for ctx in ctxs], op=min)
                 min_n = world.first_live(acomms, agg)
                 dec = ctxs[0].plan.policy.pivot_method(p=p, min_n=min_n)
                 _decide([ctxs[i] for i in _live(world, acomms)], dec)
-                if min_n > 0:
-                    pgs = select_pivots_world(
-                        world, acomms,
-                        self._samples(world, acomms, ctxs, p, dec.choice),
-                        [ctx.batch.keys for ctx in ctxs], dec.choice)
-                else:
-                    # some rank holds no data: gather over whatever
-                    # samples exist, pad short pivot vectors
-                    pgs = select_pivots_gather_world(
-                        world, acomms, self._samples(world, acomms, ctxs, p,
-                                                     "gather", strict=False))
-                    for i, ctx in enumerate(ctxs):
-                        pg = pgs[i]
-                        if pg is not None and pg.size < p - 1:
-                            fill = pivot_pad_value(pg, ctx.batch.keys.dtype)
-                            pgs[i] = np.concatenate(
-                                [pg, np.full(p - 1 - pg.size, fill,
-                                             dtype=pg.dtype)])
+            if min_n > 0:
+                method = dec.choice
+                pgs = select_pivots_world(
+                    world, acomms,
+                    self._samples(world, acomms, ctxs, p, method),
+                    [ctx.keys for ctx in ctxs]
+                    if method in ("histogram", "oversample") else None, method)
+            else:
+                # some rank holds no data: gather over whatever
+                # samples exist, pad short pivot vectors
+                pgs = select_pivots_gather_world(
+                    world, acomms, self._samples(world, acomms, ctxs, p,
+                                                 "gather", strict=False))
+                for i, ctx in enumerate(ctxs):
+                    pg = pgs[i]
+                    if pg is not None and pg.size < p - 1:
+                        fill = pivot_pad_value(pg, ctx.batch.keys.dtype)
+                        pgs[i] = np.concatenate(
+                            [pg, np.full(p - 1 - pg.size, fill,
+                                         dtype=pg.dtype)])
         for i, ctx in enumerate(ctxs):
             if pgs[i] is not None:
                 ctx.pg = pgs[i]
@@ -690,27 +684,25 @@ class PivotSelect:
     @staticmethod
     def _samples(world: World, acomms: list[Comm], ctxs: list[RunContext],
                  p: int, method: str, strict: bool = True) -> list:
-        """Every rank's regular samples, one :class:`SampleRuns` stack per
-        shard length and dtype, deposited by each of its ranks.
-
-        A rank with no data has none: ``strict`` fails it (with
-        :func:`local_sample_runs`'s own exception), otherwise its stack
-        is empty.  ``histogram`` and ``oversample`` never read samples
-        (``None``).
+        """Every rank's regular samples (``None`` for ``histogram`` and
+        ``oversample``): one :class:`SampleRuns` stack per shard length
+        and dtype, deposited by each of its ranks.  A rank with no data
+        has none: ``strict`` fails it (:func:`local_sample_runs`'s own
+        exception), otherwise its stack is empty.
         """
         if method not in ("bitonic", "gather"):
             return [None] * len(ctxs)
         pls: list = [None] * len(ctxs)
         for members in same_key_groups(
                 [(ctx.n, ctx.batch.keys.dtype) for ctx in ctxs]):
-            keys = [ctxs[i].batch.keys for i in members]
+            rows = _key_rows([ctxs[i] for i in members])
             try:
-                runs = sample_stack(keys, p)
+                runs = sample_stack(rows, p)
             except ValueError:                         # empty shards
-                runs = SampleRuns.empty(len(keys), keys[0].dtype)
+                runs = SampleRuns.empty(len(rows), rows.dtype)
                 for i in members if strict else ():
                     try:
-                        local_sample_runs(ctxs[i].batch.keys, p)
+                        local_sample_runs(ctxs[i].keys, p)
                     except ValueError as exc:
                         world.fail(acomms[i], exc)
             for i in members:
@@ -725,18 +717,12 @@ class Partition:
     ``variant=None`` consults the policy (classic/fast/stable per the
     skew-aware and stability switches); a fixed variant pins it.
     ``local_pivot_accel`` selects the two-level local-pivot search cost
-    of Section 2.5.1 (``None`` defers to ``params``).
-
-    Every variant leaves a :class:`~repro.mpi.cells.Cuts` table on the
-    context and the rank's row of it.  ``classic`` partitioning stacks
-    same-shape shards for :func:`~repro.core.partition.classic_cuts`,
-    whose one table every rank of the stack shares; ``fast`` and
-    ``stable`` call the per-rank kernels directly (already vectorised
-    numpy — the columnar win is dropping the threads, not the
-    arithmetic) and convert their dense result into the rank's own
-    one-row table.  The stable variant's layout allgather runs through
-    the world collective with the same :func:`stable_prefix_layout`
-    action.
+    of Section 2.5.1 (``None`` defers to ``params``).  Every variant
+    leaves a :class:`~repro.mpi.cells.Cuts` table on the context and
+    the rank's row of it: ``classic`` one table per shard shape, read
+    off the shape's key matrix (:func:`~repro.core.partition.classic_cuts`),
+    ``fast`` and ``stable`` the rank's own one-row table from the
+    per-rank kernels.
     """
 
     variant: str | None = None
@@ -757,17 +743,16 @@ class Partition:
             _decide([ctxs[i] for i in live], dec)
             if variant == "classic":
                 for members in same_key_groups(
-                        [(ctxs[i].batch.keys.size, ctxs[i].batch.keys.dtype,
+                        [(ctxs[i].n, ctxs[i].batch.keys.dtype,
                           id(ctxs[i].pg)) for i in live]):
                     members = [live[j] for j in members]
-                    keys = [ctxs[i].batch.keys for i in members]
-                    rows = np.concatenate(keys).reshape(len(keys), keys[0].size)
-                    table = classic_cuts(rows, ctxs[members[0]].pg)
+                    table = classic_cuts(_key_rows([ctxs[i] for i in members]),
+                                         ctxs[members[0]].pg)
                     for row, i in enumerate(members):
                         ctxs[i].cuts, ctxs[i].row = table, row
             elif variant == "stable":
                 counts = [
-                    (run_dup_counts(ctx.batch.keys, ctx.pg)
+                    (run_dup_counts(ctx.keys, ctx.pg)
                      if world.alive(acomms[i]) else None)
                     for i, ctx in enumerate(ctxs)]
                 layouts = world.allgather_staged(acomms, counts,
@@ -776,13 +761,13 @@ class Partition:
                     if world.alive(acomms[i]) and layouts[i] is not None:
                         prefix, totals = layouts[i]
                         ctx.cuts = Cuts.from_displs(partition_stable_arrays(
-                            ctx.batch.keys, ctx.pg,
+                            ctx.keys, ctx.pg,
                             prefix[acomms[i].rank], totals))
                         ctx.row = 0
             elif variant == "fast":
                 for i in live:
                     ctxs[i].cuts = Cuts.from_displs(
-                        partition_fast(ctxs[i].batch.keys, ctxs[i].pg))
+                        partition_fast(ctxs[i].keys, ctxs[i].pg))
                     ctxs[i].row = 0
             else:
                 for c in acomms:
@@ -811,25 +796,14 @@ class Exchange:
 
     ``mode=None`` routes the tau_o decision through the policy
     (``"sync"``/``"overlapped"`` pin it); ``tau_s`` overrides the
-    merge-vs-sort threshold (``None`` defers to ``params``).  Both
-    paths run the fused staged collectives — no p^2 sub-batch
-    materialisation (see exchange.py).
-
-    Both modes run the fused whole-world actions once per world
-    (:func:`sync_exchange_compute` / ``overlapped_exchange_compute``:
-    delivery, then every destination's received runs ordered by one
-    segmented stable sort) and then their epilogues — the functions of
-    ``exchange.py``, each written once over the ranks handed in and
-    riding as an :class:`~repro.mpi.Epilogue`: a columnar world books
-    clocks, counters and memory of a membership in one pass and hands
-    out outputs as slices of shared gathers, a lane books itself.  A
-    rank whose memory charge is refused fails alone, at that statement
-    — so clocks, counters, memory peaks, OOM verdicts and outputs match
-    across backends operation for operation.  Cuts are checked before
-    the deposit (:meth:`_deposits`).  The sync path annotates
-    ``exchange``/``local_ordering`` on the active communicator (its
-    ordering epilogue is booked a phase after its collective), the
-    overlapped path wraps ``exchange`` around the full communicator.
+    merge-vs-sort threshold (``None`` defers to ``params``).  Either
+    mode is one fused staged collective of ``exchange.py`` (a
+    whole-world compute, then epilogues written once over the ranks
+    handed in), so a rank whose memory charge is refused fails alone
+    and clocks, counters, peaks and outputs match across backends.
+    Cuts are checked at the deposit (:meth:`_deposits`).  The sync path
+    annotates ``exchange``/``local_ordering`` on the active
+    communicator, the overlapped path ``exchange`` on the full one.
     """
 
     mode: str | None = None
@@ -909,15 +883,13 @@ class Exchange:
     @staticmethod
     def _deposits(world: World, ctxs: list[RunContext],
                   acomms: list[Comm], p: int) -> list:
-        """One ``(batch, checked cuts)`` deposit per rank.
-
-        Ranks that hold the rows of one table, in order, each deposit
-        that table (:func:`~repro.mpi.cells.world_table`); otherwise each
-        deposits its own row.  A world checks every rank's cuts in one
-        pass (:func:`~repro.core.partition.cuts_all_valid`); if that pass
-        objects to anything — and on a lane — each rank runs its own
-        row's :meth:`Cuts.check`, so an offending rank fails alone, with
-        that check's exception, and deposits nothing.
+        """One ``(rows, checked cuts)`` deposit per rank: ranks holding
+        the rows of one table, in order, each deposit that table — of
+        sorted rows (:func:`_stretches`) and of cuts
+        (:func:`~repro.mpi.cells.world_table`).  A world checks every
+        rank's cuts in one pass (:func:`~repro.core.partition.cuts_all_valid`);
+        if that objects — and on a lane — each rank runs its own
+        :meth:`Cuts.check` and fails alone, depositing nothing.
         """
         cuts = [ctx.cuts for ctx in ctxs]
         first = cuts[0]
@@ -925,15 +897,14 @@ class Exchange:
                 or cuts.count(first) != len(cuts)):
             cuts = [c if c is None or c.ends is None else c.row(ctx.row)
                     for c, ctx in zip(cuts, ctxs)]
-        if len(ctxs) > 1 and cuts_all_valid(
-                cuts, p, [ctx.batch.keys.size for ctx in ctxs]):
-            return [(ctx.sorted_batch(), own)
-                    for ctx, own in zip(ctxs, cuts)]
+        rows = _stretches(ctxs)
+        if len(ctxs) > 1 and cuts_all_valid(cuts, p, [ctx.n for ctx in ctxs]):
+            return list(zip(rows, cuts))
 
         def deposit(i: int, _c: Comm) -> tuple:
             ctx, own = ctxs[i], cuts[i]
             if own is not None and len(own) > 1:
                 own = own.row(ctx.row)
-            return ctx.sorted_batch(), own.check(p, ctx.n)
+            return rows[i], own.check(p, ctx.n)
 
         return world.each(acomms, deposit)

@@ -36,8 +36,6 @@ The per-rank entry points below each run the world form over a
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 # Bound once at import: ``np.random.X`` re-enters the interpreter's
 # import lock on every access (numpy lazy-loads the submodule via
@@ -134,28 +132,25 @@ def sample_layout(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
     return idx[first], np.diff(np.concatenate((first, [idx.size])))
 
 
-def sample_stack(shards: Sequence[np.ndarray], p: int) -> SampleRuns:
-    """:func:`local_pivots` of every one of same-length sorted ``shards``
-    as one :class:`SampleRuns` stack, a row a shard (same errors).
-
-    The shards share one :func:`sample_layout`.  While ``n < p`` it is
-    every position — each key is a sample, and the stack is the shards
-    themselves; from ``n >= p`` a shard gives ``p-1`` positions, taken
-    shard by shard rather than through a copy of every row.
+def sample_stack(rows: np.ndarray, p: int) -> SampleRuns:
+    """:func:`local_pivots` of every row of a ``(g, n)`` matrix of sorted
+    shards as one :class:`SampleRuns` stack, a row a shard (same errors).
+    The rows share one :func:`sample_layout`: while ``n < p`` every
+    position (the stack is the matrix itself), from ``n >= p`` ``p-1``
+    positions, taken as one column selection.
     """
-    a = _checked_shard(shards[0], p)
+    a = _checked_shard(rows[0], p)
     if p == 1:
-        return SampleRuns.empty(len(shards), a.dtype)
+        return SampleRuns.empty(len(rows), a.dtype)
     pos, counts = sample_layout(a.size, p)
-    values = (np.concatenate(shards) if pos.size == a.size
-              else np.concatenate([s[pos] for s in shards]))
-    return SampleRuns(values.reshape(len(shards), pos.size), counts, p - 1)
+    return SampleRuns(rows if pos.size == a.size else rows[:, pos], counts,
+                      p - 1)
 
 
 def local_sample_runs(sorted_keys: np.ndarray, p: int) -> SampleRuns:
     """:func:`local_pivots` of one shard as :class:`SampleRuns` (same
     errors): its row of :func:`sample_stack`."""
-    stack = sample_stack([sorted_keys], p)
+    stack = sample_stack(np.asarray(sorted_keys)[None], p)
     return SampleRuns(stack.values[0], stack.counts, stack.total)
 
 

@@ -50,8 +50,10 @@ def same_key_groups(keys: Sequence[Hashable]) -> Iterable[Sequence[int]]:
     dtype...) agrees; a world whose ranks all agree — the common case —
     is answered as one ``range`` without touching the ranks one by one.
     """
-    if len(set(keys)) <= 1:
-        return [range(len(keys))] if keys else []
+    if not keys:
+        return []
+    if keys.count(keys[0]) == len(keys):
+        return [range(len(keys))]
     groups: dict[Hashable, list[int]] = {}
     for i, key in enumerate(keys):
         groups.setdefault(key, []).append(i)

@@ -100,6 +100,15 @@ class MemoryLedger:
         return [(i, ValueError("free size must be non-negative"))
                 for i in np.flatnonzero(bad).tolist()]
 
+    def pool(self, at: np.ndarray, starts: np.ndarray) -> np.ndarray:
+        """Capacity of each group of ranks ``at`` cut at ``starts``: its
+        members' summed, unbounded if one of them is."""
+        caps = self.capacity[at]
+        unbounded = caps == _UNBOUNDED
+        pooled = np.add.reduceat(np.where(unbounded, 0, caps), starts)
+        pooled[np.logical_or.reduceat(unbounded, starts)] = _UNBOUNDED
+        return pooled
+
     def _refusal(self, rank: int, nbytes: int) -> Exception:
         if nbytes < 0:
             return ValueError("allocation size must be non-negative")

@@ -15,6 +15,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from ..records import row_tables
+
 __all__ = ["Cuts", "alltoallv_cells", "by_destination", "world_table"]
 
 
@@ -163,15 +165,13 @@ def alltoallv_cells(stage: list, p: int) -> dict:
 
     ``stage`` holds one ``((batch, cuts), clock)`` deposit per rank in
     communicator rank order, each rank's row of ``cuts`` spanning its
-    batch (:func:`world_table`: one table for all, or each its own).
-    Returns
-    the cells destination-major in source order — ``src``, ``first``
+    row of ``batch`` (:func:`world_table`, :func:`~repro.records.row_tables`).
+    Returns the cells destination-major in source order — ``src``, ``first``
     (the chunk's first record in its sender's batch) and ``cnt``, with
     destination ``d``'s cells at ``cell[d]:cell[d+1]`` — and the
     accounting: entry time ``t``, per-rank ``send_tot`` / ``recv_tot``
-    (bytes that cross the wire: a rank's chunk to itself is left out)
-    and ``recv_all`` (with it), the gross ``total``, the maxima and the
-    world's ``cuts`` table.
+    (bytes that cross the wire: a rank's chunk to itself is left out),
+    the gross ``total``, the maxima and the world's ``cuts`` table.
 
     Exactness, against the p x p byte matrix ``S[s, d] = (D[s, d+1] -
     D[s, d]) * record_bytes[s]`` the dense formulation reduces:
@@ -194,8 +194,7 @@ def alltoallv_cells(stage: list, p: int) -> dict:
     """
     batches = [e[0][0] for e in stage]
     cuts = world_table([e[0][1] for e in stage])
-    widths = np.array([b.record_bytes for b in batches], dtype=np.int64)
-    lens = np.array([b.keys.size for b in batches], dtype=np.int64)
+    _, lens, widths = row_tables(batches)
 
     # -- non-empty cells: the table's rows, source-major --
     src = np.repeat(np.arange(p, dtype=np.int64), cuts.sizes())
@@ -214,14 +213,13 @@ def alltoallv_cells(stage: list, p: int) -> dict:
     cell = np.zeros(p + 1, dtype=np.int64)
     np.cumsum(np.bincount(dst, minlength=p), out=cell[1:])
     nbytes = np.concatenate(([0], np.cumsum(cnt * widths[src])))
-    recv_all = np.diff(nbytes[cell])                  # includes own chunk
     sent = lens * widths
-    send_tot, recv_tot = sent - own, recv_all - own
+    send_tot, recv_tot = sent - own, np.diff(nbytes[cell]) - own
     return {
         "t": max(e[1] for e in stage),
         "max_send": int(send_tot.max()), "max_recv": int(recv_tot.max()),
         "total": int(sent.sum()),
-        "send_tot": send_tot, "recv_tot": recv_tot, "recv_all": recv_all,
+        "send_tot": send_tot, "recv_tot": recv_tot,
         "src": src, "first": first, "cnt": cnt, "cell": cell,
         "batches": batches, "cuts": cuts, "widths": widths,
     }

@@ -520,12 +520,13 @@ class World:
         :meth:`~repro.mpi.comm.SimWorld.node_layout`, members in rank
         order), the split of every node's first rank into the leaders'
         communicator, and a gather of each node's ``values`` at its
-        leader.  Clocks, counters, tracer spans and fault verdicts are
-        theirs (a node's gather is collective #0 of its communicator),
-        and a rank lost in a split aborts the world where the next of
-        the three would have.  Only the leaders' communicator is built.
+        leader — their clocks, counters, spans and fault verdicts (a
+        node's gather is collective #0 of its communicator); a rank lost
+        in a split aborts the world where the next would have.  Only the
+        leaders' communicator is built, and a node's memory is the
+        node's: a leader's capacity becomes the sum of its node's.
         Returns, aligned with ``comms``, ``(leaders' Comm, the node's
-        values in rank order)`` on a node's leader and ``None`` elsewhere.
+        values in rank order)`` on a leader, ``None`` elsewhere.
         """
         first = comms[0]
         sim, ctx, size = first._world, first._ctx, first.size
@@ -579,7 +580,9 @@ class World:
                         ((t2 + dt) + debts[1])[order], starts),
                     "node_of": node_of, "sizes": ends - starts,
                     "nbytes": nbytes, "pens": pens, "lost": lost,
-                    "seat": seat, "leaders": sim.make_context(
+                    "seat": seat, "pooled": sim.mem.pool(ctx.index[order],
+                                                         starts),
+                    "leaders": sim.make_context(
                         ctx.index[heads].tolist()),
                     "gathered": [by_node[a:b] for a, b in zip(
                         starts.tolist(), ends.tolist())]}
@@ -606,6 +609,7 @@ class World:
             ranks = np.atleast_1d(ranks)
             lead = np.flatnonzero(sh["seat"][ranks] >= 0)
             for i, r in zip(lead.tolist(), ranks[lead].tolist()):
+                sim.mem.capacity[comms[i].grank] = sh["pooled"][sh["node_of"][r]]
                 outs[i] = (Comm(sim, sh["leaders"], int(sh["seat"][r])),
                            sh["gathered"][sh["node_of"][r]])
             return outs

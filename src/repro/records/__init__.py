@@ -1,12 +1,14 @@
 """Record containers: sort keys with aligned payload columns."""
 
 from .batch import (
+    BLOCK_RECORDS,
     SRC_POS,
     SRC_RANK,
     RecordBatch,
     SortedRows,
-    concat_batch_arrays,
+    concat_rows,
     from_mapping,
+    row_tables,
     tag_provenance,
     tag_provenance_world,
 )
@@ -19,12 +21,14 @@ from .ops import (
 )
 
 __all__ = [
+    "BLOCK_RECORDS",
     "SRC_POS",
     "SRC_RANK",
     "RecordBatch",
     "SortedRows",
-    "concat_batch_arrays",
+    "concat_rows",
     "from_mapping",
+    "row_tables",
     "tag_provenance",
     "tag_provenance_world",
     "adaptive_sort_batch",

@@ -162,9 +162,14 @@ class RecordBatch:
 
     @staticmethod
     def concat(batches: Iterable["RecordBatch"]) -> "RecordBatch":
-        """Concatenate batches (all must share the same payload schema)."""
-        keys, payload, _ = concat_batch_arrays(list(batches))
-        return RecordBatch(keys, payload)
+        """Concatenate batches (all must share the same payload columns)."""
+        batches = list(batches)
+        names = [b.columns for b in batches] or [()]
+        if names.count(names[0]) != len(names):
+            raise ValueError(f"payload schema mismatch: {set(names)}")
+        keys = np.concatenate([b.keys for b in batches]) if batches else np.zeros(0)
+        return RecordBatch(keys, {name: np.concatenate([b.payload[name] for b in batches])
+                                  for name in names[0]})
 
     @staticmethod
     def empty_like(proto: "RecordBatch") -> "RecordBatch":
@@ -175,54 +180,88 @@ class RecordBatch:
              for name, dtype, shape in proto.schema[1:]}, proto)
 
 
-class SortedRows:
-    """A batch's rows in key order, payload not yet gathered: the input
-    ``rows``, the sort permutation ``perm`` and the sorted ``keys``.
+#: Most records one payload gather takes (:func:`concat_rows`, the
+#: exchange outputs): world-sized scratch that outlives the exchange
+#: fragments the heap in front of validation (sds-stable 32 x 100k).
+BLOCK_RECORDS = 1 << 16
 
-    ``keys``, ``schema``, ``record_bytes``, ``nbytes``, ``len()`` and
-    :meth:`RecordBatch.empty_like` read no payload; :meth:`batch` equals
-    ``rows.take(perm, keys=keys)``.
+
+class SortedRows:
+    """Same-shape batches in key order, payload not yet gathered: a table
+    of rows, one a rank.  ``rows`` are the ``g`` input batches (one
+    schema, ``n`` records each), ``perm`` and ``keys`` the ``(g, n)``
+    sort permutations and sorted keys; ``nbytes`` is one row's wire
+    size.  Every rank of a table deposits the table itself: the ``k``-th
+    of them holds row ``k`` (:func:`row_tables`).
     """
 
     __slots__ = ("rows", "perm", "keys", "schema", "record_bytes", "nbytes")
 
-    def __init__(self, rows: RecordBatch, perm: np.ndarray, keys: np.ndarray) -> None:
+    def __init__(self, rows: Sequence[RecordBatch], perm: np.ndarray,
+                 keys: np.ndarray) -> None:
         self.rows, self.perm, self.keys = rows, perm, keys
-        self.schema, self.record_bytes, self.nbytes = rows.schema, rows.record_bytes, rows.nbytes
+        self.schema, self.record_bytes = rows[0].schema, rows[0].record_bytes
+        self.nbytes = keys.shape[1] * self.record_bytes
 
-    def __len__(self) -> int:
-        return self.keys.size
+    def batch(self, k: int) -> RecordBatch:
+        """Row ``k`` gathered."""
+        return self.rows[k].take(self.perm[k], keys=self.keys[k])
 
-    def batch(self) -> RecordBatch:
-        return self.rows.take(self.perm, keys=self.keys)
+    def slice(self, lo: int, hi: int) -> "SortedRows":
+        """Rows ``[lo, hi)`` as a table (views, no copy)."""
+        return SortedRows(self.rows[lo:hi], self.perm[lo:hi], self.keys[lo:hi])
 
 
-def concat_batch_arrays(
-    batches: Sequence[RecordBatch],
-) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
-    """Concatenate keys and payload columns of schema-identical batches.
+def row_tables(deposits: Sequence[RecordBatch | SortedRows]) -> tuple:
+    """``(tables, lens, widths)`` of per-rank ``deposits``: the tables in
+    order — a table of ``g`` rows is deposited by ``g`` consecutive
+    ranks, a batch by one — and every rank's record count and width."""
+    tables, rows, i, end = [], [], 0, len(deposits)
+    while i < end:
+        t = deposits[i]
+        tables.append(t)
+        rows.append(t.keys.shape[0] if type(t) is SortedRows else 1)
+        i += rows[-1]
+    return (tables, np.array([t.keys.shape[-1] for t in tables]).repeat(rows),
+            np.array([t.record_bytes for t in tables]).repeat(rows))
 
-    Returns ``(keys, columns, offsets)`` where ``offsets`` is the
-    ``(len(batches) + 1,)`` int64 start offset of each batch within the
-    concatenation.  This is the slice-free gather the fused exchanges
-    build on: rather than materialising ``p^2`` sub-batches, they
-    concatenate each rank's *whole* batch once and address sub-ranges as
-    ``offsets[src] + local_displacement``.  Raises on payload-schema
-    mismatch (the same check :meth:`RecordBatch.concat` performs).
+
+def concat_rows(deposits: Sequence[RecordBatch | SortedRows],
+                ) -> tuple[np.ndarray, dict[str, np.ndarray], np.ndarray]:
+    """``(keys, columns, offsets)`` of per-rank ``deposits``
+    (:func:`row_tables`) concatenated, ``offsets`` the start of each
+    rank's records: the fused exchanges address a chunk as
+    ``offsets[src] + displacement``.  A table's keys are its key matrix
+    raveled, each payload column gathered once through its stacked
+    permutation, :data:`BLOCK_RECORDS` records at a time (a longer row
+    alone).  Raises on a payload-schema mismatch.
     """
-    batches = list(batches)
-    if not batches:
-        return (np.zeros(0), {}, np.zeros(1, dtype=np.int64))
-    schema = batches[0].columns
-    for b in batches[1:]:
-        if b.columns != schema:
-            raise ValueError(
-                f"payload schema mismatch: {b.columns} != {schema}")
-    offsets = np.zeros(len(batches) + 1, dtype=np.int64)
-    np.cumsum([len(b) for b in batches], out=offsets[1:])
-    keys = np.concatenate([b.keys for b in batches])
-    columns = {name: np.concatenate([b.payload[name] for b in batches])
-               for name in schema}
+    tables, lens, _ = row_tables(deposits)
+    schemas = list({id(t.schema): t.schema for t in tables}.values())
+    if len({tuple(c[0] for c in schema[1:]) for schema in schemas}) > 1:
+        raise ValueError(f"payload schema mismatch: {schemas}")
+    offsets = np.concatenate(([0], np.cumsum(lens, dtype=np.int64)))
+    parts = [t.keys.ravel() for t in tables]
+    keys = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    columns = {}
+    for j, (name, _, shape) in enumerate(schemas[0][1:], 1):
+        col = columns[name] = np.empty((keys.size, *shape), dtype=np.result_type(
+            *[schema[j][1] for schema in schemas]))
+        lo = 0
+        for t in tables:
+            if type(t) is RecordBatch:
+                col[lo:lo + t.keys.size] = t.payload[name]
+                lo += t.keys.size
+                continue
+            n = t.keys.shape[1]
+            step = max(1, BLOCK_RECORDS // max(1, n))
+            for a in range(0, len(t.rows), step):
+                rows, perm = t.rows[a:a + step], t.perm[a:a + step]
+                src = [r.payload[name] for r in rows]
+                np.take(src[0] if len(src) == 1 else np.concatenate(src),
+                        (perm + np.arange(len(rows))[:, None] * n).ravel(),
+                        axis=0, out=col[lo:lo + perm.size], mode="clip")
+                lo += perm.size
     return keys, columns, offsets
 
 

@@ -19,7 +19,7 @@ from ..kernels import (
     same_key_groups,
     stable_argsort,
 )
-from .batch import RecordBatch, SortedRows
+from .batch import RecordBatch, SortedRows, row_tables
 
 
 def merge_two_batches(a: RecordBatch, b: RecordBatch) -> RecordBatch:
@@ -43,9 +43,10 @@ def merge_sorted_rows(run_lists: Sequence[Sequence[SortedRows]]
                       ) -> list[RecordBatch | Exception]:
     """Every run list's stable k-way merge, gathered from the inputs.
 
-    Entry ``j`` is ``kway_merge_batches([r.batch() for r in
-    run_lists[j]])`` — keys, every payload column, dtypes — or the
-    exception that call raises.  A list whose runs share one
+    A run list holds one deposit a run (:func:`~.batch.row_tables`).
+    Entry ``j`` is ``kway_merge_batches`` of the runs of ``run_lists[j]``
+    gathered — keys, every payload column, dtypes — or the exception
+    that call raises.  A list whose runs share one
     :attr:`~RecordBatch.schema` is merged together with every other
     list of that schema and total length: one stable argsort sorts the
     ``(lists, total)`` stack of their sorted keys along its rows (the
@@ -55,32 +56,36 @@ def merge_sorted_rows(run_lists: Sequence[Sequence[SortedRows]]
     holds none) goes through :func:`kway_merge_batches` alone.
     """
     out: list = [None] * len(run_lists)
+    laid = [row_tables(runs) for runs in run_lists]
     shapes = []
-    for runs in run_lists:
-        schemas = [r.schema for r in runs]  # mostly one shared object
-        shapes.append((sum([r.keys.size for r in runs]), schemas[0])
-                      if runs and schemas.count(schemas[0]) == len(runs)
+    for tables, _, _ in laid:
+        schemas = [t.schema for t in tables]  # mostly one shared object
+        shapes.append((sum([t.keys.size for t in tables]), schemas[0])
+                      if tables and schemas.count(schemas[0]) == len(tables)
                       else None)
     for members in same_key_groups(shapes):
         if shapes[members[0]] is None:
             for j in members:
                 try:
-                    out[j] = kway_merge_batches([r.batch() for r in run_lists[j]])
+                    out[j] = kway_merge_batches(
+                        [t.batch(k) for t in laid[j][0] for k in range(len(t.rows))])
                 except Exception as exc:
                     out[j] = exc
             continue
         total, schema = shapes[members[0]]
-        flat = [r for j in members for r in run_lists[j]]
+        flat = [t for j in members for t in laid[j][0]]
         rows = len(members)
-        perm, keys = stable_argsort(
-            np.concatenate([r.keys for r in flat]).reshape(rows, total))
+        perm, keys = stable_argsort(np.concatenate(
+            [t.keys.ravel() for t in flat]).reshape(rows, total))
         perm += (np.arange(rows, dtype=perm.dtype) * total)[:, None]
         perm, keys = perm.ravel(), keys.ravel()
         if len(schema) > 1:  # each run's sort, at its run's offset
-            sizes = np.array([r.keys.size for r in flat])
+            sizes = np.concatenate([laid[j][1] for j in members])
             offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
-            perm = (np.concatenate([r.perm for r in flat]) + offsets)[perm]
-        columns = {name: np.concatenate([r.rows.payload[name] for r in flat])[perm]
+            perm = (np.concatenate([t.perm.ravel() for t in flat])
+                    + offsets)[perm]
+        columns = {name: np.concatenate([r.payload[name] for t in flat
+                                         for r in t.rows])[perm]
                    for name, _, _ in schema[1:]}
         for row, j in enumerate(members):
             lo, hi = row * total, (row + 1) * total

@@ -7,7 +7,6 @@ import pytest
 
 from repro.machine import LAPTOP, MachineSpec
 from repro.mpi import engine, run_spmd
-from repro.records import RecordBatch
 
 
 @pytest.fixture
@@ -29,19 +28,6 @@ def fresh_pool(monkeypatch):
     yield
     if engine._default_pool is not None:
         engine._default_pool.shutdown()
-
-
-def random_sorted(rng: np.random.Generator, n: int, dups: float = 0.0) -> np.ndarray:
-    """Sorted float keys with an optional duplicate fraction."""
-    a = rng.random(n)
-    if dups > 0 and n:
-        k = int(n * dups)
-        a[:k] = 0.5
-    return np.sort(a)
-
-
-def batch_of(keys, **payload) -> RecordBatch:
-    return RecordBatch(np.asarray(keys), {k: np.asarray(v) for k, v in payload.items()})
 
 
 def spmd(fn, p, **kwargs):

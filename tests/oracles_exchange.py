@@ -55,7 +55,7 @@ from repro.mpi import LANE, Comm, Cuts
 from repro.records import (
     RecordBatch,
     adaptive_sort_batch,
-    concat_batch_arrays,
+    concat_rows,
     kway_merge_batches,
     sort_batch,
 )
@@ -86,7 +86,7 @@ def sync_exchange_compute_dense(stage: list, *, p: int, merge: bool,
     widths = np.array([b.record_bytes for b in batches], dtype=np.int64)
     S = C * widths[:, None]                           # bytes[src, dst]
     max_send, max_recv, total, send_tot, recv_tot = size_scan_matrix(S)
-    all_keys, all_cols, offs = concat_batch_arrays(batches)
+    all_keys, all_cols, offs = concat_rows(batches)
 
     # -- gather indices, destination-major in source order --
     starts = offs[:-1][None, :] + D[:, :p].T          # (dst, src)
@@ -117,7 +117,6 @@ def sync_exchange_compute_dense(stage: list, *, p: int, merge: bool,
         "t": start,
         "max_send": max_send, "max_recv": max_recv, "total": total,
         "send_tot": send_tot, "recv_tot": recv_tot,
-        "recv_all": S.sum(axis=0),                    # includes own chunk
         "S": S,                                       # bytes[src, dst]
         "m": m_per_dst,
         "keys": all_keys, "cols": all_cols,

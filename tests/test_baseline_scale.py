@@ -1,16 +1,12 @@
 """The baselines hold O(k) batches a rank per level, never O(p).
 
-A HykSort level talks to ``k`` peers and a rank of a radix exchange to
-at most ``n`` (its record count) destinations; the exchange hands a rank
-only its non-empty chunks.  Building ``p`` send slots a rank (p^2 in
-all) is what made flat HykSort at p=4096 take minutes and gigabytes.
-SDS with node merge builds two batches a rank (drawn, tagged) and the
-leaders' few: a rank that retires at node merge gets no sorted batch.
-These count every ``RecordBatch`` a flat run constructs at p=1024 x 64,
-and the ``Comm`` handles: node merge funnels every node in one
-collective and builds a communicator only for the leaders.  Flat PSRS
-builds its phase products — decision plans, regular samples, cuts — once
-per communicator or shard shape, not once per rank.
+A HykSort level talks to ``k`` peers and a radix rank to at most ``n``
+destinations: ``p`` send slots a rank (p^2 in all) made flat HykSort at
+p=4096 take minutes and gigabytes.  SDS with node merge builds two
+batches a rank (drawn, tagged) and the leaders' few, and a communicator
+only for the leaders.  Flat PSRS builds its phase products — decision
+plans, regular samples, cuts, sorted rows — once per communicator or
+shard shape, not once per rank.  Counted at p=1024 x 64, flat.
 """
 
 from __future__ import annotations
@@ -25,7 +21,7 @@ from repro.baselines.hyksort import HykParams, _level_fanout
 from repro.core.plan import SortPlan
 from repro.core.sampling import SampleRuns
 from repro.mpi import Comm, Cuts
-from repro.records import RecordBatch
+from repro.records import RecordBatch, SortedRows
 from repro.runner import run_sort
 from repro.workloads import by_name
 
@@ -106,7 +102,7 @@ def test_sds_with_node_merge_builds_a_comm_only_for_leaders():
 def _counted(init, built: Counter, name: str):
     def counted_init(self, *args, **kw):
         built[name] += 1
-        init(self, *args, **kw)
+        return init(self, *args, **kw)
     return counted_init
 
 
@@ -123,3 +119,18 @@ def test_flat_psrs_builds_phase_products_per_shape_not_per_rank():
     assert r.ok, r.failure
     assert set(built) == {"SortPlan", "SampleRuns", "Cuts"}
     assert max(built.values()) <= 8, built
+
+
+def test_flat_psrs_keeps_sorted_rows_one_table_to_the_exchange():
+    # the exchange reads the local sort's matrices whole (1,024 a rank)
+    built: Counter = Counter()
+    with ExitStack() as patches:
+        for cls, name, what in ((SortedRows, "__init__", "tables"),
+                                (SortedRows, "batch", "takes"),
+                                (RecordBatch, "take", "takes")):
+            patches.enter_context(mock.patch.object(
+                cls, name, _counted(getattr(cls, name), built, what)))
+        r = run_sort("psrs", by_name("uniform"), p=P, n_per_rank=N_PER_RANK,
+                     backend="flat", mem_factor=None)
+    assert r.ok, r.failure
+    assert built["tables"] <= 8 and built["takes"] <= 8, built

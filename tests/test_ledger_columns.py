@@ -21,12 +21,13 @@ from __future__ import annotations
 import gc
 import sys
 from contextlib import nullcontext
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.machine import EDISON, CostModel
+from repro.machine import EDISON, CostModel, MemoryLedger
 from repro.mpi import (
     LANE,
     ColumnarWorld,
@@ -352,24 +353,32 @@ def test_a_world_of_paper_scale_holds_no_per_rank_objects():
     assert world.clock.shape == world.mem.in_use.shape == (131072,)
 
 
-def test_the_sync_exchange_clamps_its_double_release_on_both_backends():
-    # A known ledger defect, pinned until node memory is re-accounted:
-    # the sync exchange releases a rank's chunk to itself twice — with
-    # the send buffer, then inside the receive buffer it frees before
-    # allocating its output — and only the clamp at zero hides it.  A
-    # rank ends holding its output's bytes, where exact bookkeeping
-    # would leave it one own chunk lower.
-    prog = _SortProgram("sds", uniform(), 64, 3,
-                        {"node_merge_enabled": False, "tau_o": 0})
-    held = []
-    for backend in ("flat", "thread"):
-        res = run_spmd(prog, 25, machine=EDISON, backend=backend)
-        outs = [out.batch.nbytes for _, out in res.results]
-        assert res.world.mem.in_use.tolist() == outs
-        held.append(res.world.mem.in_use.tolist())
-    own = [int(np.count_nonzero(out.batch.payload["_src_rank"] == r))
-           for r, (_, out) in enumerate(res.results)]
-    assert held[0] == held[1] and sum(own) > 0
+def test_the_sync_exchange_releases_each_chunk_once_on_both_backends():
+    # The sync exchange releases the send buffer, then the receive
+    # buffer it allocated — a rank's chunk to itself never left the
+    # first — and a HykSort level likewise.  Exact bookkeeping: no
+    # rank-free reaches the clamp at zero, and every rank ends holding
+    # its output's bytes
+    clamped, held, free = [], [], MemoryLedger.free
+
+    def checked(self, at, nbytes):
+        clamped.append(int(np.count_nonzero(self.in_use[at] < nbytes)))
+        return free(self, at, nbytes)
+
+    with mock.patch.object(MemoryLedger, "free", checked):
+        for algorithm, opts in (("sds", {"node_merge_enabled": False,
+                                         "tau_o": 0}), ("hyksort", {})):
+            prog = _SortProgram(algorithm, uniform(), 64, 3, opts)
+            for backend in ("flat", "thread"):
+                res = run_spmd(prog, 25, machine=EDISON, backend=backend)
+                outs = [out.batch.nbytes for _, out in res.results]
+                assert res.world.mem.in_use.tolist() == outs
+                held.append(outs)
+                own = [np.count_nonzero(out.batch.payload["_src_rank"] == r)
+                       for r, (_, out) in enumerate(res.results)]
+                assert sum(own) > 0
+    assert len(clamped) > 100 and sum(clamped) == 0
+    assert held[0] == held[1] and held[2] == held[3]
 
 
 def test_rank_threads_sharing_the_columns_lose_no_update():

@@ -274,7 +274,7 @@ class TestRunLengthSelection:
         # a stack of same-length shards: one layout, one row a shard
         for n in (5, 9, 40):                           # n < p, = p, > p
             shards = [np.arange(n, dtype=float) + k for k in range(3)]
-            runs = sample_stack(shards, 9)
+            runs = sample_stack(np.stack(shards), 9)
             assert runs.values.shape == (3, runs.counts.size)
             assert runs.total == 8 and runs.nbytes == 8 * shards[0].itemsize
             for shard, got in zip(shards, runs.expand()):

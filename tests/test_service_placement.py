@@ -290,7 +290,8 @@ class TestRetention:
 
     def test_a_failed_job_keeps_its_document_too(self):
         with ServiceClient(workers=1) as c:
-            env = c.run(JobSpec(algorithm="sds", p=48, n_per_rank=2000))
+            env = c.run(JobSpec(algorithm="hyksort", workload="ptf", p=48,
+                                n_per_rank=2000))  # the paper's OOM
             assert env["status"] == "failed"
             assert env["result"]["oom"] is True
             assert env["result"]["failure"] == env["error"]

@@ -354,10 +354,6 @@ def _counter_sum(doc, name, **labels):
                and all(row["labels"].get(k) == v for k, v in want.items()))
 
 
-def _gauge_rows(doc, name):
-    return [row for row in doc["gauges"] if row["name"] == name]
-
-
 def _hist_counts(doc):
     """The deterministic histogram fields: observation totals only.
 
