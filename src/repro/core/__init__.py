@@ -38,7 +38,6 @@ from .partition import (
     partition_local_pivots,
     partition_stable_arrays,
     run_dup_counts,
-    stable_layout_collective,
 )
 from .sampling import (
     local_pivots,
@@ -92,7 +91,6 @@ __all__ = [
     "partition_local_pivots",
     "partition_stable_arrays",
     "run_dup_counts",
-    "stable_layout_collective",
     "local_pivots",
     "select_pivots_bitonic",
     "select_pivots_gather",

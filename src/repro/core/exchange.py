@@ -39,7 +39,7 @@ from ..kernels import (
     stable_argsort_segments,
 )
 from ..mpi import Comm, World
-from ..mpi.cells import alltoallv_cells
+from ..mpi.cells import alltoallv_cells, dense_table
 from ..mpi.world import members, per_rank, values_at
 from ..records import BLOCK_RECORDS, RecordBatch, concat_rows, row_tables
 from ..records.batch import record_layout
@@ -221,7 +221,10 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
     ``spec`` the machine, ``rate`` the per-element merge cost and
     ``progress`` the (SPMD-uniform) ``async_progress_overhead(p)``.
     Run by both backends.  The ring arrival schedule is p x p by the
-    cost model's definition, so the cuts are expanded here.  Bit-for-bit
+    cost model's definition, so the world's cuts table is scattered
+    into dense counts and first-record matrices here, once
+    (:func:`~repro.mpi.cells.dense_table`; an empty chunk's start is
+    never read).  Bit-for-bit
     what splitting each batch, the dense ring arrival schedule
     and a per-rank binary-counter merge produce (the oracle in
     ``tests/oracles_exchange.py``), with the O(p^2) work — size matrix,
@@ -242,11 +245,8 @@ def overlapped_exchange_compute(stage: list, *, p: int, group, spec,
     """
     start = max(e[1] for e in stage)
     batches = [e[0][0] for e in stage]
-    cuts = [e[0][1] for e in stage]
-    if len(cuts[0]) > 1:                              # the world's one table
-        cuts = list(cuts[0])
-    D = np.stack([c.displs() for c in cuts])          # (p, p+1) bounds
-    C = np.diff(D, axis=1)                            # counts[src, dst]
+    # counts[src, dst] and each chunk's first record in its sender's batch
+    C, D = dense_table([e[0][1] for e in stage])
     widths = row_tables(batches)[2]
     S = C * widths[:, None]                           # bytes[src, dst]
     all_keys, all_cols, offs = concat_rows(batches)

@@ -24,6 +24,10 @@ the duplicated value and can break global order.  We split only the
 exact duplicates ``[lower_bound(v), upper_bound(v))``; values in
 ``(ppv, v)`` go to the first rank of the run.  Theorem 1's O(4N/p)
 bound is preserved (tested in ``tests/test_workload_bound.py``).
+
+One kernel cuts a ``(g, n)`` stack of same-shape ranks in every
+variant, as one table (:func:`partition_cuts`); the per-rank
+displacement functions are its one-row case.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..kernels import bounded_upper_bound, stable_prefix_layout
+from ..kernels import bounded_upper_bound
 from ..mpi.cells import Cuts, world_table
 
 
@@ -55,12 +59,11 @@ class ReplicatedRun:
 
 def _replicated_run_bounds(pg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(starts, lengths)`` of the replicated (length >= 2) pivot runs."""
-    if pg.size == 0:
+    differ = pg[1:] != pg[:-1]
+    if differ.all():
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
-    bounds = np.concatenate(
-        ([0], np.nonzero(pg[1:] != pg[:-1])[0] + 1, [pg.size])
-    ).astype(np.int64)
+    bounds = np.concatenate(([0], np.flatnonzero(differ) + 1, [pg.size]))
     lengths = np.diff(bounds)
     rep = lengths >= 2
     return bounds[:-1][rep], lengths[rep]
@@ -133,126 +136,122 @@ def cuts_all_valid(cuts: Sequence[Cuts], p: int, lens: Sequence[int]
     return bool(dst.min() >= 0 and dst.max() < p and rises.all())
 
 
-def classic_cuts(rows: np.ndarray, pg: np.ndarray) -> Cuts:
-    """:func:`partition_classic` cuts for every row of a ``(g, n)``
-    stack, as one table of ``g`` rows.
-
-    Binary search takes the shorter side as needles.  With ``n >= p``
-    that is the pivots, searched into each row.  With ``n < p`` it is
-    the keys: a key's bucket is the number of pivots strictly below it
-    (the upper-bound rule read from the record's side), so one
-    ``searchsorted`` over the whole stack plus the run boundaries of
-    the bucket ids gives every row's non-empty buckets without
-    touching the ``p - n`` empty ones.
-    """
-    pg = np.asarray(pg)
-    g, n = rows.shape
-    p = pg.size + 1
-    if n >= p:
-        return Cuts.from_displs(np.stack(
-            [partition_classic(row, pg) for row in rows]))
-    bucket = np.searchsorted(pg, rows.ravel(), side="left").reshape(g, n)
-    brk = np.ones((g, n), dtype=bool)                  # bucket starts
-    brk[:, 1:] = bucket[:, 1:] != bucket[:, :-1]
-    cell = np.flatnonzero(brk.ravel())
-    row = cell // n
-    dst = bucket.ravel()[cell]
-    # every row's first-record offsets, each closed by its own ``n``
-    offs = np.full(cell.size + g, n, dtype=np.int64)
-    offs[np.arange(cell.size) + row] = cell - row * n
-    return Cuts(p, dst, offs, np.searchsorted(row, np.arange(g + 1)))
-
-
 def partition_fast(sorted_keys: np.ndarray, pg: np.ndarray) -> np.ndarray:
     """SDS-Sort's fast (non-stable) skew-aware partition.
 
     Each source rank splits its duplicates of every replicated pivot
     value evenly across the run's ranks — implicitly appending the
-    run-rank ``rr`` as a virtual secondary key (Figure 4, left).
+    run-rank ``rr`` as a virtual secondary key (Figure 4, left).  The
+    one-row case of :func:`partition_cuts`.
     """
     a, pg = _checked(sorted_keys, pg)
-    displs = partition_classic(a, pg)
-    starts, rs = _replicated_run_bounds(pg)
-    if starts.size == 0:
-        return displs
-    vals = pg[starts]
-    lo = np.searchsorted(a, vals, side="left").astype(np.int64)
-    hi = np.searchsorted(a, vals, side="right").astype(np.int64)
-    dups = hi - lo
-    # one flat expression over every (run, k) pair, k = 1..rs per run;
-    # the k == rs entry rewrites upper_bound(value) with itself
-    run = np.repeat(np.arange(rs.size), rs)
-    k = (np.arange(int(rs.sum()), dtype=np.int64)
-         - np.repeat(np.cumsum(rs) - rs, rs) + 1)
-    displs[np.repeat(starts, rs) + k] = lo[run] + (dups[run] * k) // rs[run]
-    return displs
+    return _displs(a[None], pg, "fast")[0]
 
 
 def run_dup_counts(sorted_keys: np.ndarray, pg: np.ndarray) -> np.ndarray:
-    """Local duplicate count of each replicated run's value.
-
-    Returns one int64 per run (in :func:`find_replicated_runs` order);
-    the driver allgathers these vectors to build the ``my_prefix`` /
-    ``totals`` inputs of :func:`partition_stable_arrays`.
-    """
+    """Local duplicate count of each replicated run's value (one int64 a
+    run, :func:`find_replicated_runs` order): the one-row case of
+    :func:`dup_counts`."""
     a, pg = _checked(sorted_keys, pg)
-    starts, _ = _replicated_run_bounds(pg)
-    vals = pg[starts]
-    lo = np.searchsorted(a, vals, side="left")
-    hi = np.searchsorted(a, vals, side="right")
-    return (hi - lo).astype(np.int64)
-
-
-def stable_layout_collective(comm, counts: np.ndarray
-                             ) -> tuple[np.ndarray, np.ndarray]:
-    """Fused replacement for ``allgather(counts)`` + per-rank assembly.
-
-    One staged collective over the ``(p, runs)`` int64 counts matrix:
-    the designated rank stacks every deposit and computes all exclusive
-    prefixes and totals at once (:func:`~repro.kernels.stable_prefix_layout`);
-    each rank reads back its prefix row.  Clock and counter accounting
-    go through :meth:`~repro.mpi.comm.Comm.allgather_staged`, so
-    virtual time is bit-for-bit what ``allgather(run_dup_counts(...))``
-    + per-rank assembly charged — only the O(p * runs) python
-    re-assembly on every rank is gone.
-
-    Returns ``(my_prefix, totals)`` as arrays indexed by run ordinal
-    (the :func:`find_replicated_runs` order), the inputs of
-    :func:`partition_stable_arrays`.
-    """
-    prefix, totals = comm.allgather_staged(counts, stable_prefix_layout)
-    return prefix[comm.rank], totals
+    return dup_counts(a[None], pg)[0]
 
 
 def partition_stable_arrays(sorted_keys: np.ndarray, pg: np.ndarray,
                             my_prefix: np.ndarray,
                             totals: np.ndarray) -> np.ndarray:
-    """The stable skew-aware partition, vectorised over groups.
-
-    ``my_prefix`` / ``totals`` are indexed by run ordinal (the layout
-    :func:`stable_layout_collective` hands back).  The per-group
-    overlap loop is one array expression; the results are
-    integer-identical to the seed's scalar per-group formulation,
-    which lives on as ``tests/oracles_partition.py``.
-    """
+    """The stable skew-aware partition of one rank (``my_prefix`` /
+    ``totals`` by run ordinal): the one-row case of :func:`partition_cuts`,
+    equal to the seed's per-group loop (``tests/oracles_partition.py``)."""
     a, pg = _checked(sorted_keys, pg)
-    displs = partition_classic(a, pg)
-    starts, lengths = _replicated_run_bounds(pg)
-    for i in range(starts.size):
-        start, rs = int(starts[i]), int(lengths[i])
-        value = pg[start]
-        lo = int(np.searchsorted(a, value, side="left"))
-        hi = int(np.searchsorted(a, value, side="right"))
-        cr = hi - lo
-        total = int(totals[i])
-        sb = int(my_prefix[i])
-        # group g owns global duplicate positions [g*total//rs, (g+1)*total//rs);
-        # my overlap with each group, prefix-summed, is my cut sequence
-        gb = (total * np.arange(rs + 1, dtype=np.int64)) // rs
-        overlap = (np.minimum(sb + cr, gb[1:])
-                   - np.maximum(sb, gb[:-1])).clip(min=0)
-        displs[start + 1:start + rs + 1] = lo + np.cumsum(overlap)
-    return displs
+    return _displs(a[None], pg, "stable",
+                   (np.asarray(my_prefix)[None], np.asarray(totals)))[0]
+
+
+def dup_counts(rows: np.ndarray, pg: np.ndarray) -> np.ndarray:
+    """``(g, runs)``: each row's duplicates of each replicated run's value."""
+    vals = pg[_replicated_run_bounds(pg)[0]]
+    out = np.empty((len(rows), vals.size), dtype=np.int64)
+    for r, row in enumerate(rows):
+        out[r] = (np.searchsorted(row, vals, side="right")
+                  - np.searchsorted(row, vals, side="left"))
+    return out
+
+
+def _displs(rows: np.ndarray, pg: np.ndarray, variant: str,
+            layout: tuple | None = None) -> np.ndarray:
+    """The ``(g, p+1)`` displacements of a sorted stack: the classic upper
+    bounds, a run's ``k``-th of ``rs`` cuts re-set to ``lo + clip(total *
+    k // rs - sb, 0, dups)``."""
+    g, n = rows.shape
+    d = np.empty((g, pg.size + 2), dtype=np.int64)
+    d[:, 0], d[:, -1] = 0, n
+    starts, rs = _replicated_run_bounds(pg[:0] if variant == "classic" else pg)
+    # every (run, k) pair, k = 1..rs: its run and the run's first pivot
+    run = np.repeat(np.arange(rs.size), rs) if rs.size else rs
+    first = starts[run]
+    vals, lo = pg[first], np.empty((g, run.size), dtype=np.int64)
+    for r, row in enumerate(rows):
+        d[r, 1:-1] = np.searchsorted(row, pg, side="right")
+        if run.size:
+            lo[r] = np.searchsorted(row, vals, side="left")
+    if run.size:
+        k = np.arange(1, run.size + 1) - (np.cumsum(rs) - rs)[run]
+        dups, rs = d[:, first + 1] - lo, rs[run]       # upper_bound(v) - lo
+        if layout is None:                             # sb = 0, total = dups
+            cut = dups * k // rs
+        else:
+            cut = np.minimum(np.maximum(layout[1][run] * k // rs
+                                        - layout[0][:, run], 0), dups)
+        d[:, first + k] = lo + cut
+    return d
+
+
+def partition_cuts(rows: np.ndarray, pg: np.ndarray, variant: str = "classic",
+                   layout: tuple | None = None) -> Cuts:
+    """The cuts of every row of a ``(g, n)`` stack of sorted keys, one
+    table: row ``r`` is :meth:`Cuts.from_displs` of ``rows[r]``'s
+    displacements in ``variant`` (``stable``: ``layout`` is the rows'
+    ``(g, runs)`` prefixes and the ``(runs,)`` totals).
+
+    The shorter side are the needles: from ``n >= p`` the pivots, into
+    each row (a ``(g, p+1)`` matrix is no larger than the keys); below,
+    the keys, a key's bucket the number of pivots below it, duplicate
+    ``j`` of a row's run (start ``s``, ``rs`` pivots) at global position
+    ``sb + j`` of ``total`` (``fast``: ``0`` of the row's own) going to
+    ``s + ceil((sb + j + 1) * rs / total) - 1``; the breaks of the
+    bucket ids are every row's non-empty buckets.
+    """
+    pg = np.asarray(pg)
+    g, n = rows.shape
+    p = pg.size + 1
+    if n >= p:
+        return Cuts.from_displs(_displs(rows, pg, variant, layout))
+    keys = rows.ravel()
+    bucket = np.searchsorted(pg, keys, side="left")
+    starts, rs = _replicated_run_bounds(pg[:0] if variant == "classic" else pg)
+    if starts.size:
+        run_of = np.full(p, -1, dtype=np.int64)
+        run_of[starts] = np.arange(starts.size)
+        at = np.flatnonzero(run_of[bucket] >= 0)
+        at = at[keys[at] == pg[bucket[at]]]            # duplicates of a run
+        rid, row = run_of[bucket[at]], at // n
+        # a row's duplicates of one run are consecutive
+        first = np.flatnonzero(np.diff(row * p + rid, prepend=-1))
+        dups = np.diff(first, append=at.size)
+        j = np.arange(at.size) - np.repeat(first, dups)
+        dups = np.repeat(dups, dups)
+        sb, total = ((0, dups) if layout is None
+                     else (layout[0][row, rid], layout[1][rid]))
+        bucket[at] = starts[rid] - 1 + ((sb + j + 1) * rs[rid] + total - 1) // total
+    bucket = bucket.reshape(g, n)
+    brk = np.ones((g, n), dtype=bool)                  # bucket starts
+    brk[:, 1:] = bucket[:, 1:] != bucket[:, :-1]
+    cell = np.flatnonzero(brk.ravel())
+    row = cell // n
+    # every row's first-record offsets, each closed by its own ``n``
+    offs = np.full(cell.size + g, n, dtype=np.int64)
+    offs[np.arange(cell.size) + row] = cell - row * n
+    return Cuts(p, bucket.ravel()[cell], offs, np.searchsorted(row, np.arange(g + 1)))
 
 
 def partition_local_pivots(sorted_keys: np.ndarray, pl: np.ndarray,

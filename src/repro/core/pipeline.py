@@ -55,11 +55,9 @@ from .exchange import (
 from .params import PIVOT_METHODS, SdsParams
 from .partition import (
     Cuts,
-    classic_cuts,
     cuts_all_valid,
-    partition_fast,
-    partition_stable_arrays,
-    run_dup_counts,
+    dup_counts,
+    partition_cuts,
 )
 from .plan import Decision, DecisionPolicy, SortPlan
 from .sampling import (
@@ -211,6 +209,8 @@ def _stretches(ctxs: Sequence["RunContext"], cut: Sequence[int] = ()
 def _key_rows(ctxs: Sequence["RunContext"]) -> np.ndarray:
     """The ``(g, n)`` keys of same-length ``ctxs``, in order: their
     tables' key matrices (:func:`_stretches`), a batch as one row."""
+    if len(ctxs) == 1:
+        return ctxs[0].keys[None]
     parts = [np.atleast_2d(t.keys) for t in row_tables(_stretches(ctxs))[0]]
     return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
@@ -718,11 +718,10 @@ class Partition:
     skew-aware and stability switches); a fixed variant pins it.
     ``local_pivot_accel`` selects the two-level local-pivot search cost
     of Section 2.5.1 (``None`` defers to ``params``).  Every variant
-    leaves a :class:`~repro.mpi.cells.Cuts` table on the context and
-    the rank's row of it: ``classic`` one table per shard shape, read
-    off the shape's key matrix (:func:`~repro.core.partition.classic_cuts`),
-    ``fast`` and ``stable`` the rank's own one-row table from the
-    per-rank kernels.
+    cuts each shard shape's keys into one :class:`~repro.mpi.cells.Cuts`
+    table (:func:`~repro.core.partition.partition_cuts`), left on the
+    context with the rank's row; ``stable`` first allgathers every
+    rank's row of its shape's duplicate counts.
     """
 
     variant: str | None = None
@@ -741,39 +740,30 @@ class Partition:
             variant = dec.choice
             live = _live(world, acomms)
             _decide([ctxs[i] for i in live], dec)
-            if variant == "classic":
-                for members in same_key_groups(
-                        [(ctxs[i].n, ctxs[i].batch.keys.dtype,
-                          id(ctxs[i].pg)) for i in live]):
-                    members = [live[j] for j in members]
-                    table = classic_cuts(_key_rows([ctxs[i] for i in members]),
-                                         ctxs[members[0]].pg)
-                    for row, i in enumerate(members):
-                        ctxs[i].cuts, ctxs[i].row = table, row
-            elif variant == "stable":
-                counts = [
-                    (run_dup_counts(ctx.keys, ctx.pg)
-                     if world.alive(acomms[i]) else None)
-                    for i, ctx in enumerate(ctxs)]
-                layouts = world.allgather_staged(acomms, counts,
-                                                 stable_prefix_layout)
-                for i, ctx in enumerate(ctxs):
-                    if world.alive(acomms[i]) and layouts[i] is not None:
-                        prefix, totals = layouts[i]
-                        ctx.cuts = Cuts.from_displs(partition_stable_arrays(
-                            ctx.keys, ctx.pg,
-                            prefix[acomms[i].rank], totals))
-                        ctx.row = 0
-            elif variant == "fast":
-                for i in live:
-                    ctxs[i].cuts = Cuts.from_displs(
-                        partition_fast(ctxs[i].keys, ctxs[i].pg))
-                    ctxs[i].row = 0
-            else:
+            if variant not in ("classic", "fast", "stable"):
                 for c in acomms:
                     world.fail(c, ValueError(
                         f"unknown partition variant {variant!r}"))
                 raise FlatAbort
+            groups = [[live[j] for j in members] for members in same_key_groups(
+                [(ctxs[i].n, ctxs[i].batch.keys.dtype, id(ctxs[i].pg))
+                 for i in live])]
+            rows = [_key_rows([ctxs[i] for i in members]) for members in groups]
+            if variant == "stable":
+                counts: list = [None] * len(ctxs)
+                for members, keys in zip(groups, rows):
+                    for i, c in zip(members, dup_counts(keys, ctxs[members[0]].pg)):
+                        counts[i] = c
+                layouts = world.allgather_staged(acomms, counts,
+                                                 stable_prefix_layout)
+            for members, keys in zip(groups, rows):
+                layout = None
+                if variant == "stable":
+                    prefix, totals = layouts[members[0]]
+                    layout = (prefix[[acomms[i].rank for i in members]], totals)
+                table = partition_cuts(keys, ctxs[members[0]].pg, variant, layout)
+                for row, i in enumerate(members):
+                    ctxs[i].cuts, ctxs[i].row = table, row
             # cost: the local-pivot two-level search (Section 2.5.1)
             # does two binary searches over O(n/p) instead of one
             # over O(n)

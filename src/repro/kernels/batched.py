@@ -18,12 +18,12 @@ per-rank twin:
   int-exact maximum divided by the same ``n``);
 * :func:`stable_prefix_layout` — the exclusive column prefix + totals
   of a ``(p, runs)`` duplicate-count matrix: the designated-rank
-  arithmetic of ``stable_layout_collective`` as a pure function, also
-  the production replacement for the seed's per-rank dict assembly
+  action of the stable partition's allgather, also the production
+  replacement for the seed's per-rank dict assembly
   (``assemble_stable_inputs``, now a test oracle).
 
-Classic partitioning's batched form lives with the cuts it produces
-(:func:`repro.core.partition.classic_cuts`); :func:`same_key_groups`
+Partitioning's batched form lives with the cuts it produces
+(:func:`repro.core.partition.partition_cuts`); :func:`same_key_groups`
 finds the ranks that can share one stacked call.
 """
 
@@ -109,8 +109,8 @@ def stable_prefix_layout(all_counts: list[np.ndarray]
     ``(p, runs)`` exclusive prefix matrix (row ``r`` = duplicates held
     by ranks before ``r``) and the per-run totals — the array inputs of
     ``partition_stable_arrays``.  This is the designated-rank action of
-    ``stable_layout_collective`` as a pure function; integer-identical
-    to assembling ``assemble_stable_inputs`` dicts per rank.
+    the stable partition's ``allgather_staged``; integer-identical to
+    assembling ``assemble_stable_inputs`` dicts per rank.
     """
     matrix = np.stack(all_counts)
     totals = matrix.sum(axis=0)

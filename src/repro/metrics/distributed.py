@@ -58,10 +58,6 @@ class DistributedReport:
     stable: bool | None            # None when stability wasn't checked
     first_bad_rank: int | None
 
-    def raise_if_failed(self) -> None:
-        if not self.ok:
-            raise AssertionError(f"distributed validation failed: {self}")
-
 
 def validate_distributed(comm: Comm, inputs: RecordBatch,
                          outputs: RecordBatch, *,

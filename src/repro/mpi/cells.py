@@ -17,7 +17,7 @@ import numpy as np
 
 from ..records import row_tables
 
-__all__ = ["Cuts", "alltoallv_cells", "by_destination", "world_table"]
+__all__ = ["Cuts", "alltoallv_cells", "by_destination", "dense_table", "world_table"]
 
 
 class Cuts:
@@ -31,9 +31,9 @@ class Cuts:
     of which all but ``min(n, p)`` repeat their neighbour.  ``ends`` is
     ``None`` for a one-row table — one rank's own cuts.  This is what
     travels from the partition phase to the exchange: a columnar world's
-    classic partition leaves every rank's row in one table
-    (:func:`~repro.core.partition.classic_cuts`), and every rank deposits
-    it (:func:`world_table`).
+    partition leaves every rank's row of a shard shape in one table
+    (:func:`~repro.core.partition.partition_cuts`), and every rank
+    deposits it (:func:`world_table`).
     """
 
     __slots__ = ("p", "dst", "offs", "ends")
@@ -55,7 +55,8 @@ class Cuts:
         offending entries, so the rejection still happens there.
         """
         d = np.asarray(displs, dtype=np.int64)
-        if d.ndim == 1:
+        if d.ndim == 1 or len(d) == 1:
+            d = d.reshape(-1)
             dst = np.flatnonzero(d[1:] != d[:-1])
             return cls(len(d) - 1, dst, np.concatenate((d[dst], d[-1:])))
         g, p = d.shape[0], d.shape[1] - 1
@@ -106,6 +107,13 @@ class Cuts:
 
     __getitem__ = row
 
+    def cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(row, first, cnt)`` of every non-empty bucket, row-major."""
+        row = np.repeat(np.arange(len(self), dtype=np.int64), self.sizes())
+        at = np.arange(row.size, dtype=np.int64) + row   # one closer a row
+        first = self.offs[at]
+        return row, first, self.offs[at + 1] - first
+
     def check(self, p: int, n: int) -> "Cuts":
         """Require one row of ``p`` buckets spanning ``[0, n]``,
         non-decreasing."""
@@ -134,13 +142,25 @@ def world_table(cuts: Sequence[Cuts]) -> Cuts:
 
     ``cuts`` holds what every rank deposited: one table of
     ``len(cuts)`` rows, deposited by all of them (a columnar world's
-    classic partition), is read as it is; anything else is each rank's
+    partition), is read as it is; anything else is each rank's
     own one-row table, stacked.
     """
     first = cuts[0]
     if len(first) == len(cuts) and cuts.count(first) == len(cuts):
         return first
     return Cuts.stack(cuts)
+
+
+def dense_table(cuts: Sequence[Cuts]) -> tuple[np.ndarray, np.ndarray]:
+    """Every rank's record count and first record per destination, two
+    ``(ranks, p)`` matrices (0 where it sends nothing), scattered from
+    :func:`world_table`'s cells, and allocated first: on a rank thread the
+    cell-sized scratch dies above them, leaving no holes (docs/engine.md)."""
+    out = np.zeros((2, len(cuts), cuts[0].p), dtype=np.int64)
+    table = world_table(cuts)
+    row, first, cnt = table.cells()
+    out[0, row, table.dst], out[1, row, table.dst] = cnt, first
+    return out[0], out[1]
 
 
 def by_destination(src: np.ndarray, dst: np.ndarray, p: int) -> np.ndarray:
@@ -197,12 +217,8 @@ def alltoallv_cells(stage: list, p: int) -> dict:
     _, lens, widths = row_tables(batches)
 
     # -- non-empty cells: the table's rows, source-major --
-    src = np.repeat(np.arange(p, dtype=np.int64), cuts.sizes())
+    src, first, cnt = cuts.cells()
     dst = cuts.dst
-    edges = cuts.offs                                 # one closer per rank
-    at = np.arange(src.size, dtype=np.int64) + src
-    first = edges[at]
-    cnt = edges[at + 1] - first
     own = np.zeros(p, dtype=np.int64)                 # chunk to itself
     diag = src == dst
     own[src[diag]] = cnt[diag] * widths[src[diag]]

@@ -13,7 +13,8 @@ with ``max_load`` from the count-space load model when the workload has
 one (`analytic_model_for` + `countspace_loads`) and a conservative
 2x-skew assumption otherwise, clamped to the engine's enforced
 capacity ``mem_factor * shard_bytes + shard_bytes`` (past that the run
-OOMs before using more).  A job is admitted only while
+OOMs before using more); where SDS may merge nodes, a node leader's
+peak is modelled too.  A job is admitted only while
 
     committed_bytes + estimate <= budget_bytes
 
@@ -30,6 +31,7 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Any
 
+from ..machine import get_machine
 from ..simfast import countspace_loads
 from ..simfast.scaling import analytic_model_for
 from .spec import JobSpec
@@ -56,33 +58,43 @@ def estimate_job_bytes(spec: JobSpec) -> int:
     Uses the exact probe :func:`repro.runner.run_sort` uses for the
     record size (shard probe + 12 provenance bytes), the count-space
     load model for the heaviest rank, and the engine's enforced
-    capacity as a ceiling.
+    capacity as a ceiling.  Where SDS may merge nodes, a leader holding
+    its node's shards is modelled too, and the larger model counts.
     """
     workload = spec.build_workload()
     probe = workload.shard(max(1, min(spec.n_per_rank, 64)), spec.p, 0,
                            spec.seed)
     record_bytes = probe.record_bytes + 12
     shard = spec.n_per_rank * record_bytes
-
     model = analytic_model_for(workload)
-    if model is not None and spec.p > 1 and spec.n_per_rank > 0:
-        if spec.algorithm.startswith("hyksort"):
-            method = "hyksort"  # histogram splitters: the OOM-prone one
-        elif spec.algorithm == "sds-stable":
-            method = "stable"
+    # hyksort: histogram splitters, the OOM-prone one
+    method = ("hyksort" if spec.algorithm.startswith("hyksort")
+              else "stable" if spec.algorithm == "sds-stable" else "fast")
+
+    def peak(ranks: int, p: int) -> int:
+        """The heaviest of ``p`` ranks each holding ``ranks`` shards (and
+        receiving its load), capped by those ranks' pooled capacity."""
+        n = ranks * spec.n_per_rank
+        if model is not None and p > 1 and n > 0:
+            max_load = int(countspace_loads(model, n, p, method=method,
+                                            seed=spec.seed).max())
         else:
-            method = "fast"
-        loads = countspace_loads(model, spec.n_per_rank, spec.p,
-                                 method=method, seed=spec.seed)
-        max_load = int(loads.max())
-    else:
-        max_load = int(FALLBACK_SKEW * spec.n_per_rank)
-    peak_per_rank = shard + max_load * record_bytes
-    if spec.mem_factor is not None:
-        # the engine OOMs the rank before it can use more than this
-        capacity = int(spec.mem_factor * shard)
-        peak_per_rank = min(peak_per_rank, shard + capacity)
-    return spec.p * peak_per_rank
+            max_load = int(FALLBACK_SKEW * n)
+        held = ranks * shard + max_load * record_bytes
+        if spec.mem_factor is None:
+            return held
+        return min(held, shard + ranks * int(spec.mem_factor * shard))
+
+    estimate = spec.p * peak(1, spec.p)
+    rpn = get_machine(spec.machine).cores_per_node
+    leaders, last = -(-spec.p // rpn), spec.p % rpn or rpn
+    # merging needs every rank's vote, and a one-rank node votes skip
+    if (spec.algorithm in ("sds", "sds-stable") and leaders > 1 and last > 1
+            and spec.algo_opts.get("node_merge_enabled", True)):
+        merged = ((spec.p - leaders) * shard
+                  + (leaders - 1) * peak(rpn, leaders) + peak(last, leaders))
+        estimate = max(estimate, merged)
+    return estimate
 
 
 @dataclass(frozen=True)

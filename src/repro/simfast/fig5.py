@@ -106,9 +106,3 @@ def crossover(points: list[CurvePoint]) -> float | None:
                 return px + frac * (pt.x - px)
         prev = (diff, pt.x)
     return None
-
-
-def _log2(x: float) -> float:
-    import math
-
-    return math.log2(x) if x > 0 else 0.0

@@ -10,7 +10,7 @@ formulation in ``tests/test_partition.py``.
 
 ``batched_partition_classic`` is the dense ``(g, p + 1)`` classic
 partition the flat backend ran up to PR 14; production builds the
-non-empty buckets directly (``repro.core.partition.classic_cuts``) and
+non-empty buckets directly (``repro.core.partition.partition_cuts``) and
 is checked against it there too.
 """
 

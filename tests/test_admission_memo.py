@@ -37,9 +37,11 @@ def _grid():
         PINNED["n_per_rank"], PINNED["seeds"])
 
 
-def _spec(workload, opts, algorithm, p, n, seed) -> JobSpec:
+def _spec(workload, opts, algorithm, p, n, seed, merge=True) -> JobSpec:
+    off = not merge and algorithm.startswith("sds")
     return JobSpec(algorithm=algorithm, workload=workload,
-                   workload_opts=opts, p=p, n_per_rank=n, seed=seed)
+                   workload_opts=opts, p=p, n_per_rank=n, seed=seed,
+                   algo_opts={"node_merge_enabled": False} if off else {})
 
 
 def test_pinned_grid_covers_models_and_the_fallback():
@@ -51,12 +53,19 @@ def test_pinned_grid_covers_models_and_the_fallback():
 
 
 def test_estimates_equal_the_unmemoised_parent():
-    got = [estimate_job_bytes(_spec(w, o, a, p, n, s))
+    # the pinned grid predates the node-merge leader model: what it pins
+    # is the per-rank model, SDS's with node merge off
+    got = [estimate_job_bytes(_spec(w, o, a, p, n, s, merge=False))
            for (w, o), a, p, n, s in _grid()]
     assert got == PINNED["estimates"]
     # and again, now that every cache is warm
-    assert [estimate_job_bytes(_spec(w, o, a, p, n, s))
+    assert [estimate_job_bytes(_spec(w, o, a, p, n, s, merge=False))
             for (w, o), a, p, n, s in _grid()] == got
+    # node merge on adds the leader model: never less, the same on one node
+    merged = [estimate_job_bytes(_spec(w, o, a, p, n, s))
+              for (w, o), a, p, n, s in _grid()]
+    assert all(m >= g for m, g in zip(merged, got))
+    assert all(m == g for m, g, cell in zip(merged, got, _grid()) if cell[2] <= 24)
 
 
 def test_loads_equal_a_model_built_from_scratch():

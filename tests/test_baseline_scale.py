@@ -6,7 +6,8 @@ p=4096 take minutes and gigabytes.  SDS with node merge builds two
 batches a rank (drawn, tagged) and the leaders' few, and a communicator
 only for the leaders.  Flat PSRS builds its phase products — decision
 plans, regular samples, cuts, sorted rows — once per communicator or
-shard shape, not once per rank.  Counted at p=1024 x 64, flat.
+shard shape, not once per rank, and flat SDS its cuts in every
+partition variant.  Counted at p=1024 x 64, flat.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from unittest import mock
 import pytest
 
 from repro.baselines.hyksort import HykParams, _level_fanout
+from repro.core.pipeline import Partition
 from repro.core.plan import SortPlan
 from repro.core.sampling import SampleRuns
 from repro.mpi import Comm, Cuts
@@ -134,3 +136,22 @@ def test_flat_psrs_keeps_sorted_rows_one_table_to_the_exchange():
                      backend="flat", mem_factor=None)
     assert r.ok, r.failure
     assert built["tables"] <= 8 and built["takes"] <= 8, built
+
+
+@pytest.mark.parametrize("algorithm", ["sds", "sds-stable"])
+def test_flat_sds_builds_partition_tables_per_shape_not_per_rank(algorithm):
+    # every variant cuts a shard shape into one table: one a rank is 1,024
+    built: Counter = Counter()
+    run = Partition.run
+
+    def counted_run(self, world, ctxs):
+        with mock.patch.object(Cuts, "__init__", _counted(
+                Cuts.__init__, built, "Cuts")):
+            return run(self, world, ctxs)
+
+    with mock.patch.object(Partition, "run", counted_run):
+        r = run_sort(algorithm, by_name("zipf"), p=P, n_per_rank=N_PER_RANK,
+                     backend="flat", mem_factor=None,
+                     algo_opts={"node_merge_enabled": False})
+    assert r.ok, r.failure
+    assert 1 <= built["Cuts"] <= 8, built

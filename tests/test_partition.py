@@ -23,7 +23,8 @@ from repro.core import (
     run_dup_counts,
 )
 
-from repro.core.partition import Cuts, classic_cuts, cuts_all_valid
+from repro.core.partition import Cuts, cuts_all_valid, dup_counts, partition_cuts
+from repro.kernels import stable_prefix_layout
 
 from .oracles_exchange import check_displs
 from .oracles_partition import (
@@ -448,12 +449,12 @@ class TestWorldCutCheck:
 
 
 class TestClassicCuts:
-    """``classic_cuts`` on a stack against per-row ``partition_classic``
+    """``partition_cuts`` on a stack against per-row ``partition_classic``
     (and the dense batched kernel it replaced), both search regimes."""
 
     @staticmethod
     def _check(rows, pg):
-        got = classic_cuts(rows, pg)
+        got = partition_cuts(rows, pg)
         dense = batched_partition_classic(rows, pg)
         assert len(got) == len(rows)
         for row, cuts, d in zip(rows, got, dense):
@@ -487,3 +488,80 @@ class TestClassicCuts:
         rng = np.random.default_rng(seed)
         rows = np.sort(rng.integers(0, 8, (g, n)), axis=1)
         self._check(rows, np.sort(rng.integers(0, 8, p - 1)))
+
+
+def _per_row_displs(variant, rows, pg):
+    """Every row's displacements by the per-row definitions — the seed
+    loops for ``fast`` and ``stable``, the stack's rows as the world."""
+    if variant == "classic":
+        return [partition_classic(row, pg) for row in rows]
+    if variant == "fast":
+        return [_fast_oracle(row, pg) for row in rows]
+    counts = [_dup_counts_oracle(row, pg) for row in rows]
+    return [partition_stable_local(row, pg, *assemble_stable_inputs(counts, r, pg))
+            for r, row in enumerate(rows)]
+
+
+def _check_kernel(rows, pg):
+    """``partition_cuts`` against :meth:`Cuts.from_displs` of the per-row
+    definitions, every variant; the one-row functions too."""
+    counts = dup_counts(rows, pg)
+    assert counts.shape == (len(rows), len(find_replicated_runs(pg)))
+    for row, c in zip(rows, counts):
+        assert np.array_equal(c, _dup_counts_oracle(row, pg))
+        assert np.array_equal(run_dup_counts(row, pg), c)
+    prefix, totals = stable_prefix_layout(list(counts))
+    for variant in ("classic", "fast", "stable"):
+        want = _per_row_displs(variant, rows, pg)
+        got = partition_cuts(rows, pg, variant,
+                             (prefix, totals) if variant == "stable" else None)
+        assert len(got) == len(rows)
+        assert np.array_equal(got.sizes(), [np.count_nonzero(np.diff(d)) for d in want])
+        _same_cuts(got, Cuts.stack([Cuts.from_displs(d) for d in want]))
+        for r, (row, d) in enumerate(zip(rows, want)):
+            got.row(r).check(pg.size + 1, row.size)
+            one = {"classic": lambda: partition_classic(row, pg),
+                   "fast": lambda: partition_fast(row, pg),
+                   "stable": lambda: partition_stable_arrays(row, pg, prefix[r], totals)}
+            assert np.array_equal(one[variant](), d), (variant, r)
+
+
+@st.composite
+def _stacks(draw):
+    """A ``(g, n)`` stack of sorted keys and ``p - 1`` sorted pivots from
+    a few values, so keys equal pivots and pivots repeat: n around p on
+    both sides of the kernel's switch, int64 or float keys."""
+    g = draw(st.integers(1, 4))
+    p = draw(st.integers(1, 12))
+    n = draw(st.sampled_from([0, 1, max(0, p - 1), p, p + 1]) | st.integers(0, 3 * p))
+    values = st.integers(-4, 4)
+    keys = np.array(draw(st.lists(values, min_size=g * n, max_size=g * n)),
+                    dtype=np.int64).reshape(g, n)
+    pg = np.array(draw(st.lists(values, min_size=p - 1, max_size=p - 1)),
+                  dtype=np.int64)
+    if draw(st.booleans()):
+        keys, pg = keys / 2.0, pg / 2.0
+    return np.sort(keys, axis=1), np.sort(pg)
+
+
+class TestPartitionCuts:
+    """The one kernel of every variant against the per-row definitions."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stacks())
+    def test_property_rows_match_the_per_row_definitions(self, stack):
+        _check_kernel(*stack)
+
+    @pytest.mark.parametrize("pg", [
+        [-3, -3, 0, 2],            # a run at the first pivot
+        [-3, 0, 2, 2, 2],          # a run at the last pivot
+        [1, 1, 1, 1, 1, 1, 1],     # all pivots equal
+        [-2, -2, 1, 1, 1, 3, 3],   # runs back to back
+    ])
+    @pytest.mark.parametrize("n", [0, 1, 4, 8, 40])
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_replicated_runs_at_the_edges(self, pg, n, g, dtype):
+        rng = np.random.default_rng(n * 10 + g)
+        rows = np.sort(rng.integers(-3, 4, (g, n)), axis=1).astype(dtype)
+        _check_kernel(rows, np.asarray(pg, dtype=dtype))

@@ -111,6 +111,17 @@ class TestAdmission:
         large = estimate_job_bytes(JobSpec(p=64, n_per_rank=1000))
         assert large > small
 
+    @pytest.mark.parametrize("workload", ["uniform", "zipf", "ptf"])
+    @pytest.mark.parametrize("algorithm", ["sds", "sds-stable"])
+    @pytest.mark.parametrize("p", [25, 48, 64])
+    def test_estimate_bounds_the_default_run(self, p, algorithm, workload):
+        # node merge on (the default): a leader holds its node's data
+        spec = JobSpec(algorithm=algorithm, workload=workload, p=p,
+                       backend="flat")
+        r = spec.run()
+        assert r.ok, r.failure
+        assert estimate_job_bytes(spec) >= sum(r.extras["mem_peaks"])
+
     def test_over_budget_is_typed_backpressure(self):
         ctrl = AdmissionController(mem_budget_bytes=1)
         d = ctrl.admit(JobSpec(p=8, n_per_rank=1000), queue_depth=0)

@@ -556,10 +556,10 @@ def test_bad_cuts_fail_their_rank_alone_in_every_form(monkeypatch, damage,
                                                       message):
     # the world checks all cuts in one pass; when that pass objects, the
     # per-rank checks name the offender, with their own exception
-    real = pipeline.classic_cuts
+    real = pipeline.partition_cuts
 
-    def damaged(rows, pg):
-        out = real(rows, pg)
+    def damaged(rows, pg, variant, layout):
+        out = real(rows, pg, variant, layout)
         for cuts in out:
             if cuts.offs[-1] == 63:           # rank 3 alone holds 63 records
                 offs = cuts.offs.copy()
@@ -577,7 +577,7 @@ def test_bad_cuts_fail_their_rank_alone_in_every_form(monkeypatch, damage,
         def shard(self, n, p, rank, seed=0):
             return super().shard(63 if rank == 3 else n, p, rank, seed)
 
-    monkeypatch.setattr(pipeline, "classic_cuts", damaged)
+    monkeypatch.setattr(pipeline, "partition_cuts", damaged)
     flat = _three_ways("psrs", Ragged(), 64, 25, thread=False)
     assert flat["failure"] == [(3, "ValueError", message)]
     thread = _observed(_run("psrs", Ragged(), 64, 25, "thread"))
