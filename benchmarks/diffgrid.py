@@ -37,7 +37,8 @@ FAULTS = (None, "crash-exchange", "mixed")
 MEM = (None, 6, "default")
 N_PER_RANK = (64, 200)
 #: counters of host seconds a rank thread waited, not of the simulation
-#: (and rank threads book counter names in no fixed order: sorted)
+#: (a rank's counters are hashed name-sorted, so that a revision whose
+#: rows listed names in booking order hashes the same)
 HOST = ("coll.sync_wait", "p2p.wait")
 
 

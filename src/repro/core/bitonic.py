@@ -104,22 +104,18 @@ def bitonic_sort_world(world: World, comms: list[Comm],
         tr = sim.tracer
         if tr is not None:
             lat0 = cost.p2p_time(0)
-            for c, r, a, b, d in zip(live, *per_rank(*np.broadcast_arrays(
-                    ranks, t0, sim.clock[at], debt))):
-                g = c.grank
-                tr.span(g, "p2p", "bitonic_rounds", a, b,
-                        {"rounds": rounds, "bytes": rounds * nb})
-                tr.add(g, "cost.compute", rounds * (pmo + mt))
-                tr.add(g, "cost.latency", rounds * lat0)
-                tr.add(g, "cost.bandwidth", rounds * (p2p - lat0))
-                if d:
-                    tr.add(g, "cost.fault_debt", d)
-                tr.add(g, "kernel.merge.records", float(rounds * 2 * n))
-                tr.add(g, "kernel.merge.seconds", rounds * mt)
-                group = c._ctx.group
-                for si in range(stages):
-                    for sj in range(si, -1, -1):
-                        tr.edge(g, group[r ^ (1 << sj)], nb)
+            tr.span(at, "p2p", "bitonic_rounds", values_at(at, t0), sim.clock[at],
+                    {"rounds": rounds, "bytes": rounds * nb})
+            tr.add(at, "cost.compute", rounds * (pmo + mt))
+            tr.add(at, "cost.latency", rounds * lat0)
+            tr.add(at, "cost.bandwidth", rounds * (p2p - lat0))
+            tr.add(at, "cost.fault_debt", debt, debt != 0)
+            tr.add(at, "kernel.merge.records", float(rounds * 2 * n))
+            tr.add(at, "kernel.merge.seconds", rounds * mt)
+            # stage j's partner, met in the stages - j rounds of stage >= j
+            tr.edge(np.reshape(at, (-1, 1)), comms[0]._ctx.index[
+                np.reshape(ranks, (-1, 1)) ^ (1 << np.arange(stages))],
+                nb * np.arange(stages, 0, -1))
         sim.counters.add(at, "p2p.send", rounds)
         sim.counters.add(at, "p2p.recv", rounds)
         sim.counters.add(at, "bytes.sent", float(rounds * nb))

@@ -330,8 +330,8 @@ def _overlapped_exchange_finish(world: World, comms: Sequence[Comm],
     release, on the ranks handed in: per-rank ``(output,
     ExchangeStats)``.  Advances each clock to its replayed
     merge-completion time (a tracer gets the fused span, cost split,
-    edge row and merge counters), settles memory and counters and hands
-    out the outputs (:func:`_world_outputs`).  A refused allocation
+    the nonzeros of ``S`` as edges and merge counters), settles memory
+    and counters and hands out the outputs (:func:`_world_outputs`).  A refused allocation
     fails its rank there, before its clock moves or with the receive
     buffer released, and the others go on.
     """
@@ -348,14 +348,14 @@ def _overlapped_exchange_finish(world: World, comms: Sequence[Comm],
     m, c0 = shared["m"], sim.clock[at]
     debt = sim.set_clocks(at, np.maximum(c0, shared["t_cpu"][ranks]))
     if tr is not None:
-        for c, r, a, b, o, nb, mr in zip(live, *per_rank(*np.broadcast_arrays(
-                ranks, c0, sim.clock[at], debt, recv, m[ranks]))):
-            g = c.grank
-            tr.overlapped(g, a, b, shared["start"], progress, o,
-                          {"bytes": nb, "records": mr})
-            c.trace_edges(shared["S"][r])
-            tr.add(g, "kernel.merge.records", float(mr))
-            tr.add(g, "kernel.merge.seconds", float(shared["msec"][r]))
+        tr.overlapped(at, c0, sim.clock[at], shared["start"], progress, debt,
+                      {"bytes": recv, "records": m[ranks]})
+        S = shared["S"]
+        sent = S if np.size(ranks) == len(S) else S[np.atleast_1d(ranks)]
+        i, d = np.nonzero(sent)
+        tr.edge(np.atleast_1d(at)[i], comms[0]._ctx.index[d], sent[i, d])
+        tr.add(at, "kernel.merge.records", m[ranks])
+        tr.add(at, "kernel.merge.seconds", shared["msec"][ranks])
     mem.free(at, shared["recv_all"][ranks])
     width = record_layout(shared["ordered"], shared["cols"])[1]  # outputs'
     live, at, ranks, pos, held, recv = world._refuse(

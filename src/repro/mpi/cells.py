@@ -125,17 +125,6 @@ class Cuts:
             raise ValueError("displacements must be non-decreasing")
         return self
 
-    def displs(self) -> np.ndarray:
-        """The dense ``p+1`` displacement vector of a one-row table."""
-        if len(self) != 1:
-            raise ValueError(f"a table of {len(self)} rows has no one "
-                             f"displacement vector")
-        counts = np.zeros(self.p, dtype=np.int64)
-        counts[self.dst] = np.diff(self.offs)
-        d = np.zeros(self.p + 1, dtype=np.int64)
-        np.cumsum(counts, out=d[1:])
-        return d
-
 
 def world_table(cuts: Sequence[Cuts]) -> Cuts:
     """The table of a stage's rows, one a rank in rank order.

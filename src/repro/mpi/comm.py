@@ -156,9 +156,10 @@ class Columns(dict):
         return vals[seen].tolist()
 
     def rows(self) -> list[dict[str, float]]:
-        """Every rank's ``{name: value}``."""
+        """Every rank's ``{name: value}``, names in sorted order (not in
+        the order rank threads happened to book them first)."""
         rows: list[dict[str, float]] = [{} for _ in range(self.p)]
-        for name, (vals, seen) in self.items():
+        for name, (vals, seen) in sorted(self.items()):
             for r, v in zip(np.flatnonzero(seen).tolist(),
                             vals[seen].tolist()):
                 rows[r][name] = v
@@ -216,9 +217,9 @@ class SimWorld:
             slow = np.flatnonzero(self.slowdown != 1.0)  # marked once a run
             if slow.size:
                 self.counters.add(slow, "faults.straggler", 1.0)
-            for g in slow.tolist() if tracer is not None else ():
-                tracer.instant(g, "fault", "straggler", 0.0,
-                               {"slowdown": faults.slowdown(g)})
+            if slow.size and tracer is not None:
+                tracer.instant(slow, "fault", "straggler", 0.0,
+                               {"slowdown": self.slowdown[slow]})
         #: per-(src, dst, tag) message numbers; one rank's thread a key
         self.p2p_send_seq: dict[tuple[int, int, int], int] = {}
         self.p2p_recv_seq: dict[tuple[int, int, int], int] = {}
@@ -368,19 +369,6 @@ class Comm:
         tr = self._world.tracer
         if tr is not None:
             tr.instant(self.grank, cat, name, self.clock, args)
-
-    def trace_edges(self, sizes: Sequence[int]) -> None:
-        """Record this rank's per-destination sent bytes (one entry per
-        member of this communicator, in communicator rank order)."""
-        tr = self._world.tracer
-        if tr is None:
-            return
-        ctx = self._ctx
-        if ctx is not self._world.world_ctx:  # scatter to global ranks
-            row = np.zeros(self._world.p, dtype=np.int64)
-            row[ctx.index] = sizes
-            sizes = row
-        tr.edge_row(self.grank, sizes)
 
     # ------------------------------------------------------------------
     # staged-collective plumbing

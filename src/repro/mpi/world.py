@@ -174,8 +174,7 @@ class phase_all:
         sim.phase_times.add(at, name, t1 - t0)
         sim.traces.append((at, t0, t1, name))
         if sim.tracer is not None:
-            for g, a, b in zip(*per_rank(at, t0, t1)):
-                sim.tracer.span(g, "phase", name, a, b)
+            sim.tracer.span(at, "phase", name, t0, t1)
         return False
 
 
@@ -284,10 +283,9 @@ class World:
         sim.clock[at] += scaled
         tr = sim.tracer
         if tr is not None:
-            for g, a, b in zip(*per_rank(at, s, scaled)):
-                tr.add(g, "cost.compute", a)
-                if b != a:  # the surcharge is fault debt
-                    tr.add(g, "cost.fault_debt", b - a)
+            tr.add(at, "cost.compute", s)
+            # the straggler surcharge is fault debt
+            tr.add(at, "cost.fault_debt", scaled - s, scaled != s)
 
     def alloc(self, comms: Sequence[Comm], nbytes: Sequence[int]) -> None:
         """``comm.mem.alloc(nbytes[i])`` on every rank."""
@@ -308,8 +306,8 @@ class World:
         """Accumulate a tracer counter on every rank (no-op untraced)."""
         tr = comms[0]._world.tracer if comms else None
         if tr is not None:
-            for c, v in zip(comms, values):
-                tr.add(c.grank, name, v)
+            at = members(comms)[0]
+            tr.add(at, name, values_at(at, values))
 
     # -- staged collectives --------------------------------------------
     def collective(self, comms: Sequence[Comm], deposits: Sequence[Any],
@@ -388,9 +386,7 @@ class World:
         c0 = sim.clock[at] if tr is not None else None
         debt = sim.set_clocks(at, t1)
         if tr is not None:
-            for g, a, b, s, d, d0, o in zip(*per_rank(*np.broadcast_arrays(
-                    at, c0, sim.clock[at], t, dt, lat, debt))):
-                tr.collective(g, name, a, b, s, d, d0, o)
+            tr.collective(at, name, c0, sim.clock[at], t, dt, lat, debt)
         if counter is not None:
             sim.counters.add(at, counter, 1.0)
 
@@ -657,7 +653,8 @@ class World:
         fails the rank before its clock moves, and nobody else),
         ``alltoallv_time`` evaluated once per distinct ranks-per-node,
         clock overwritten (a tracer gets the span, the cost split and
-        the rank's edge row), byte and collective counters ticked."""
+        the ranks' non-empty cells as edges), byte and collective
+        counters ticked."""
         first = comms[0]
         sim = first._world
         tr, cost = sim.tracer, sim.cost
@@ -679,12 +676,12 @@ class World:
         c0 = sim.clock[at] if tr is not None else None
         debt = sim.set_clocks(at, t + dt)
         if tr is not None:
-            for c, r, a, b, d, d0, o in zip(comms, *per_rank(
-                    *np.broadcast_arrays(ranks, c0, sim.clock[at], dt, lat,
-                                         debt))):
-                tr.collective(c.grank, "alltoallv", a, b, t, d, d0, o)
-                c.trace_edges(np.diff(shared["cuts"][r].displs())
-                              * shared["widths"][r])
+            tr.collective(at, "alltoallv", c0, sim.clock[at], t, dt, lat, debt)
+            src, index = shared["src"], first._ctx.index
+            dst = np.repeat(np.arange(p), np.diff(shared["cell"]))
+            sent = np.isin(src, ranks)                # the booked senders
+            tr.edge(index[src[sent]], index[dst[sent]],
+                    (shared["cnt"] * shared["widths"][src])[sent])
         sim.counters.add(at, "coll.alltoallv", 1.0)
         sim.counters.add(at, "bytes.recv", recv)
         sim.counters.add(at, "bytes.sent", shared["send_tot"][ranks])

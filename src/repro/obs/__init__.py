@@ -2,12 +2,14 @@
 
 The subsystem has three stages, one module each:
 
-* :mod:`repro.obs.tracer` — :class:`Tracer`, the per-rank recorder the
-  engine writes into (zero overhead when absent);
+* :mod:`repro.obs.tracer` — :class:`Tracer`, the recorder the engine
+  writes into (counter columns, bracket records, COO edges; zero
+  overhead when absent);
 * :mod:`repro.obs.report` — :class:`TraceReport`, the frozen aggregate
-  (phase stats, critical path, LogGP cost split, comm matrix);
-* :mod:`repro.obs.export` / :mod:`repro.obs.viz` — Chrome/Perfetto
-  trace-event JSON and the terminal renderings.
+  (phase stats, critical path, LogGP cost split, comm totals);
+* :mod:`repro.obs.export` — Chrome/Perfetto trace-event JSON; the
+  terminal renderings live in :mod:`repro.viz` and are re-exported
+  here.
 
 Two service-facing modules ride on the same contracts:
 
@@ -40,7 +42,7 @@ from .telemetry import (
     render_prometheus,
 )
 from .tracer import COST_COUNTERS, SPAN_CATEGORIES, Tracer
-from .viz import comm_heat, phase_flame, rank_timeline
+from ..viz import comm_heat, phase_flame, rank_timeline
 
 __all__ = [
     "Tracer",

@@ -19,12 +19,15 @@ Everything here is a pure function of virtual quantities, so reports
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
+from functools import cached_property, reduce
 from typing import Any
 
 import numpy as np
 
-from .tracer import COST_COUNTERS, Tracer
+from ..mpi.comm import Columns
+from .tracer import COST_COUNTERS, Tracer, expand
 
 __all__ = ["PhaseStat", "TraceReport"]
 
@@ -68,64 +71,64 @@ class PhaseStat:
         }
 
 
-@dataclass
 class TraceReport:
-    """One run's trace, aggregated and ready for export/analysis."""
+    """One run's trace, aggregated and ready for export/analysis.
 
-    p: int
-    elapsed: float                               # simulated makespan
-    clocks: list[float]                          # final per-rank clocks
-    spans: list[list[tuple]]                     # (t0, t1, cat, name, args)
-    instants: list[list[tuple]]                  # (t, cat, name, args)
-    counters: list[dict[str, float]]             # tracer counters per rank
-    engine_counters: list[dict[str, float]] = field(default_factory=list)
-    edges: np.ndarray | None = None              # (p, p) bytes [src, dst]
-    meta: dict[str, Any] = field(default_factory=dict)
+    It reads the run's :class:`~repro.obs.tracer.Tracer` in place: phase
+    stats, the cost split and the comm totals come straight off its
+    records, counter columns and COO edges.  The per-rank ``spans``
+    (``(t0, t1, cat, name, args)``), ``instants`` (``(t, cat, name,
+    args)``) and ``counters`` lists are expanded on first read, and only
+    :meth:`comm_matrix` (and :meth:`as_dict`, which embeds it) builds a
+    ``(p, p)`` array.
+    """
 
-    # ------------------------------------------------------------------
-    # construction
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_run(cls, tracer: Tracer, *, clocks: list[float],
-                 engine_counters: list[dict[str, float]] | None = None,
-                 meta: dict[str, Any] | None = None) -> "TraceReport":
-        """Freeze a finished run's tracer into a report."""
-        return cls(
-            p=tracer.p,
-            elapsed=max(clocks) if clocks else 0.0,
-            clocks=list(clocks),
-            spans=[list(s) for s in tracer.spans],
-            instants=[list(i) for i in tracer.instants],
-            counters=[dict(c) for c in tracer.counters],
-            engine_counters=[dict(c) for c in (engine_counters or [])],
-            edges=tracer.edge_matrix(),
-            meta={**tracer.meta, **(meta or {})},
-        )
+    def __init__(self, tracer: Tracer, *, clocks: list[float],
+                 engine_counters: Columns | list[dict[str, float]]
+                 | None = None, meta: dict[str, Any] | None = None):
+        """Freeze a finished run's tracer into a report (the engine's
+        counters as its ``Columns`` or as per-rank dicts)."""
+        self.tracer = tracer
+        self.p = tracer.p
+        self.clocks = list(clocks)                # final per-rank clocks
+        self.elapsed = max(self.clocks) if self.clocks else 0.0
+        self._engine = engine_counters or []
+        self.meta = {**tracer.meta, **(meta or {})}
+
+    #: the constructor, under the name the engine's callers use
+    from_run = classmethod(lambda cls, tracer, **kw: cls(tracer, **kw))
+
+    spans = cached_property(lambda self: self.tracer.rank_spans())
+    instants = cached_property(lambda self: self.tracer.rank_instants())
+    counters = cached_property(lambda self: self.tracer.counters.rows())
+    engine_counters = cached_property(lambda self: (
+        self._engine.rows() if isinstance(self._engine, Columns)
+        else [dict(c) for c in self._engine]))
 
     # ------------------------------------------------------------------
     # phase analysis
     # ------------------------------------------------------------------
     def phase_stats(self) -> list[PhaseStat]:
         """Per-phase aggregates, ordered by earliest start (run order)."""
-        per_phase: dict[str, dict[int, float]] = {}
-        starts: dict[str, float] = {}
-        for r, spans in enumerate(self.spans):
-            for t0, t1, cat, name, _args in spans:
-                if cat != "phase":
-                    continue
-                per_rank = per_phase.setdefault(name, {})
-                per_rank[r] = per_rank.get(r, 0.0) + (t1 - t0)
-                if name not in starts or t0 < starts[name]:
-                    starts[name] = t0
+        per_phase: dict[str, list] = {}     # name -> [seconds, entered, start]
+        for at, t0, t1, cat, name, _args in self.tracer.spans:
+            if cat != "phase":
+                continue
+            col = per_phase.setdefault(name, [
+                np.zeros(self.p), np.zeros(self.p, dtype=bool), np.inf])
+            col[0][at] += t1 - t0
+            col[1][at] = True
+            col[2] = min(col[2], float(np.min(t0)))
         out = []
-        for name, per_rank in per_phase.items():
-            crit = max(per_rank, key=lambda r: (per_rank[r], -r))
-            total = sum(per_rank.values())
+        for name, (seconds, entered, start) in per_phase.items():
+            ranks = np.flatnonzero(entered)
+            crit = int(ranks[np.argmax(seconds[ranks])])
+            total = sum(seconds[ranks].tolist())
             out.append(PhaseStat(
-                name=name, start=starts[name],
-                max_seconds=per_rank[crit], critical_rank=crit,
-                mean_seconds=total / len(per_rank), total_seconds=total,
-                ranks=len(per_rank)))
+                name=name, start=start,
+                max_seconds=float(seconds[crit]), critical_rank=crit,
+                mean_seconds=total / ranks.size, total_seconds=total,
+                ranks=ranks.size))
         out.sort(key=lambda s: (s.start, s.name))
         return out
 
@@ -161,13 +164,14 @@ class TraceReport:
     # counters
     # ------------------------------------------------------------------
     def counter_totals(self, prefix: str = "") -> dict[str, float]:
-        """Sum tracer counters over ranks, optionally filtered by prefix."""
+        """Sum tracer counters over ranks, optionally filtered by prefix
+        (in rank order, one addition a rank)."""
         agg: dict[str, float] = {}
-        for c in self.counters:
-            for k, v in c.items():
-                if k.startswith(prefix):
-                    agg[k] = agg.get(k, 0.0) + v
-        return dict(sorted(agg.items()))
+        for name in sorted(self.tracer.counters):
+            vals, seen = self.tracer.counters[name]
+            if name.startswith(prefix) and seen.any():
+                agg[name] = reduce(operator.add, vals[seen].tolist(), 0.0)
+        return agg
 
     def cost_split(self) -> dict[str, float]:
         """Run-wide LogGP attribution (sum over ranks, all buckets)."""
@@ -183,44 +187,53 @@ class TraceReport:
           — for pipelines whose phases tile the timeline (SDS-Sort),
           the phase spans must cover the whole run.
         """
+        counters = self.tracer.counters
+        zero = np.zeros(self.p)
+        cost = zip(*(counters.get(k, (zero,))[0].tolist()
+                     for k in COST_COUNTERS))
+        phase: list[list[float]] = [[] for _ in range(self.p)]
+        for g, t0, t1, *_ in expand(s for s in self.tracer.spans
+                                    if s[3] == "phase"):
+            phase[g].append(t1 - t0)
         max_cost = 0.0
         max_phase = 0.0
-        for r in range(self.p):
-            clock = self.clocks[r]
-            cost = sum(self.counters[r].get(k, 0.0) for k in COST_COUNTERS)
-            max_cost = max(max_cost, abs(cost - clock))
-            phase = sum(t1 - t0 for t0, t1, cat, _n, _a in self.spans[r]
-                        if cat == "phase")
-            max_phase = max(max_phase, abs(phase - clock))
+        for clock, c, ph in zip(self.clocks, cost, phase):
+            max_cost = max(max_cost, abs(sum(c) - clock))
+            max_phase = max(max_phase, abs(sum(ph) - clock))
         return {"max_cost_gap": max_cost, "max_phase_gap": max_phase}
 
     # ------------------------------------------------------------------
     # communication
     # ------------------------------------------------------------------
     def comm_matrix(self) -> np.ndarray:
-        """The ``(p, p)`` bytes-sent matrix (``[src, dst]``)."""
-        if self.edges is None:
-            return np.zeros((self.p, self.p), dtype=np.int64)
-        return self.edges
+        """The ``(p, p)`` bytes-sent matrix (``[src, dst]``), built on
+        request."""
+        return self.tracer.edge_matrix()
+
+    def comm_edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(src, dst, bytes)`` of every edge charged, each ``(src,
+        dst)`` once, ascending: the tracer's COO edges summed."""
+        src, dst, nbytes = self.tracer.edges()
+        key, inv = np.unique(src * self.p + dst, return_inverse=True)
+        sums = np.zeros(key.size, dtype=np.int64)
+        np.add.at(sums, inv, nbytes)
+        return *np.divmod(key, self.p), sums
 
     def comm_totals(self) -> dict[str, int]:
-        m = self.comm_matrix()
-        off_diag = int(m.sum() - np.diagonal(m).sum())
+        src, dst, nbytes = self.comm_edges()
         return {
-            "total_bytes": int(m.sum()),
-            "wire_bytes": off_diag,           # excludes rank-to-self
-            "max_edge_bytes": int(m.max()) if m.size else 0,
-            "edges_used": int((m > 0).sum()),
+            "total_bytes": int(nbytes.sum()),
+            "wire_bytes": int(nbytes[src != dst].sum()),  # not rank-to-self
+            "max_edge_bytes": int(nbytes.max()) if nbytes.size else 0,
+            "edges_used": int((nbytes > 0).sum()),
         }
 
     def fault_markers(self) -> list[dict[str, Any]]:
         """All injected-event markers, ordered by (time, rank)."""
-        out = []
-        for r, instants in enumerate(self.instants):
-            for t, cat, name, args in instants:
-                if cat == "fault":
-                    out.append({"t": t, "rank": r, "name": name,
-                                "args": _jsonable(args) if args else None})
+        out = [{"t": t, "rank": g, "name": name,
+                "args": _jsonable(args) if args else None}
+               for g, t, _t, _c, name, args in expand(
+                   i for i in self.tracer.instants if i[3] == "fault")]
         out.sort(key=lambda e: (e["t"], e["rank"], e["name"]))
         return out
 
@@ -232,7 +245,7 @@ class TraceReport:
         return _jsonable({
             "p": self.p,
             "elapsed": self.elapsed,
-            "spans": sum(len(s) for s in self.spans),
+            "spans": sum(np.size(s[0]) for s in self.tracer.spans),
             "phases": [s.as_dict() for s in self.phase_stats()],
             "critical_path": self.critical_path(),
             "cost_split": self.cost_split(),

@@ -1,12 +1,18 @@
 """Virtual-time tracing: the recording side of the observability layer.
 
-A :class:`Tracer` collects, per rank, everything the engine reports
-while it runs: **spans** (phases and communication operations, as
-``[start, end)`` intervals in *virtual* seconds), **instants**
-(zero-width markers — injected faults, crash verdicts), **counters**
-(typed accumulators: the LogGP cost split, kernel attribution, byte
-volumes) and the **per-edge byte matrix** of all point-to-point and
-all-to-all traffic.
+A :class:`Tracer` keeps what the engine reports in the engine's own
+ledger forms: **counters** (the LogGP cost split, kernel attribution,
+byte volumes) in a :class:`~repro.mpi.comm.Columns`, like
+``SimWorld.counters``; **spans** (phases and communication operations,
+``[t0, t1)`` in *virtual* seconds) and **instants** (zero-width markers
+— injected faults, crash verdicts) as one ``(at, t0, t1, cat, name,
+args)`` record per bracket over a membership, like ``SimWorld.traces``
+(``at`` is an int on a lane, an index array of global ranks for a
+membership; ``t0``, ``t1`` and any numpy value of ``args`` are columns
+aligned with it; an instant's ``t1`` is its ``t0``); and **edges** as
+COO ``(src, dst, bytes)`` global-rank chunks from what each exchange
+already holds (its non-empty cells, its partner pairs, one triple a
+p2p send).
 
 Design constraints, in order:
 
@@ -16,26 +22,26 @@ Design constraints, in order:
    virtual clocks are bit-for-bit those of an untraced engine.  (They
    are bit-for-bit identical with tracing *on* too — the tracer only
    observes — but the guarantee the golden suite pins is the off case.)
-2. **No locking.**  Storage is sharded by rank exactly like the
-   engine's own clocks and counters: slot ``r`` is touched only by
-   rank ``r``'s thread, so appends need no synchronisation.
+2. **The engine's cost, not p².**  A hook is one statement per
+   membership and the tracer holds O(records + cells); only the dense
+   export :meth:`Tracer.edge_matrix` is ``(p, p)``.  Rank threads need
+   no lock: they append whole records and book only their own entry of
+   a counter column.  Per-rank lists are expanded on read.
 3. **Virtual quantities only.**  Nothing host-dependent (wall time,
    thread ids, memory addresses) is recorded, so two runs of the same
    ``(algorithm, p, seed, spec)`` produce identical traces — the
    determinism contract ``tests/test_obs.py`` pins.
-
-Span/instant records are plain tuples (not dataclasses) because the
-hooks sit on the engine's hot path; :class:`~repro.obs.report.TraceReport`
-gives them structure after the run.
 """
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Iterable, Iterator
 
 import numpy as np
 
-__all__ = ["Tracer", "COST_COUNTERS", "SPAN_CATEGORIES"]
+from ..mpi.comm import Columns
+
+__all__ = ["Tracer", "COST_COUNTERS", "SPAN_CATEGORIES", "expand"]
 
 #: The LogGP cost-split counter names (see docs/observability.md).
 #: Per rank, their sum reconciles with the rank's final virtual clock:
@@ -52,71 +58,89 @@ COST_COUNTERS = (
 SPAN_CATEGORIES = ("phase", "coll", "p2p")
 
 
+def expand(records: Iterable[tuple]) -> Iterator[tuple]:
+    """Every member of ``records``, in record order: one ``(rank, t0,
+    t1, cat, name, args)`` a rank booked, with Python values and the
+    ``args`` columns taken at that rank."""
+    for at, t0, t1, cat, name, args in records:
+        cols = [k for k, v in args.items()
+                if isinstance(v, (np.ndarray, np.generic))] if args else []
+        vals = np.broadcast_arrays(at, t0, t1, *(args[k] for k in cols))
+        for g, a, b, *v in zip(*(np.atleast_1d(c).tolist() for c in vals)):
+            yield g, a, b, cat, name, (
+                {**args, **dict(zip(cols, v))} if cols else args)
+
+
 class Tracer:
-    """Per-rank recorder of one simulated run's virtual-time events.
+    """Recorder of one simulated run's virtual-time events.
 
     Create one per run and hand it to :func:`repro.mpi.engine.run_spmd`
     (or ``run_sort(..., trace=True)``); after the run, wrap it in a
     :class:`~repro.obs.report.TraceReport` for analysis and export.
+    Every hook takes the ranks it books as ``at`` (``src`` / ``dst`` for
+    edges): one global rank's int, or an index array with the values as
+    columns aligned with it.
     """
 
-    __slots__ = ("p", "spans", "instants", "counters", "_edges", "meta")
+    __slots__ = ("p", "counters", "spans", "instants", "_edges", "meta")
 
     def __init__(self, p: int):
         if p < 1:
             raise ValueError("p must be >= 1")
         self.p = p
-        #: per-rank ``(t0, t1, category, name, args|None)`` span tuples
-        self.spans: list[list[tuple]] = [[] for _ in range(p)]
-        #: per-rank ``(t, category, name, args|None)`` marker tuples
-        self.instants: list[list[tuple]] = [[] for _ in range(p)]
-        #: per-rank typed accumulators (``cost.*``, ``kernel.*``, ...)
-        self.counters: list[dict[str, float]] = [dict() for _ in range(p)]
-        #: per-sender byte rows (lazily allocated ``int64[p]``)
-        self._edges: list[np.ndarray | None] = [None] * p
+        #: typed accumulators (``cost.*``, ``kernel.*``, ...) per rank
+        self.counters = Columns(p)
+        #: ``(at, t0, t1, category, name, args|None)`` span records
+        self.spans: list[tuple] = []
+        #: ``(at, t, t, category, name, args|None)`` marker records
+        self.instants: list[tuple] = []
+        #: ``(src, dst, bytes)`` COO chunks
+        self._edges: list[tuple] = []
         #: free-form run metadata, set by the driver (runner/CLI)
         self.meta: dict[str, Any] = {}
 
     # ------------------------------------------------------------------
-    # recording (called from rank threads; slot `rank` only)
+    # recording
     # ------------------------------------------------------------------
-    def span(self, rank: int, cat: str, name: str, t0: float, t1: float,
+    def span(self, at: Any, cat: str, name: str, t0: Any, t1: Any,
              args: dict | None = None) -> None:
-        """Record a ``[t0, t1)`` interval on ``rank``'s timeline."""
-        self.spans[rank].append((t0, t1, cat, name, args))
+        """Record a ``[t0, t1)`` interval on the timelines of ``at``."""
+        self.spans.append((at, t0, t1, cat, name, args))
 
-    def instant(self, rank: int, cat: str, name: str, t: float,
+    def instant(self, at: Any, cat: str, name: str, t: Any,
                 args: dict | None = None) -> None:
         """Record a zero-width marker (fault injections, crash events)."""
-        self.instants[rank].append((t, cat, name, args))
+        self.instants.append((at, t, t, cat, name, args))
 
-    def add(self, rank: int, name: str, value: float) -> None:
-        """Accumulate a typed counter on ``rank``."""
-        c = self.counters[rank]
-        c[name] = c.get(name, 0.0) + value
+    def add(self, at: Any, name: str, value: Any, where: Any = True) -> None:
+        """Accumulate a typed counter on the ranks ``at`` — on those of
+        them ``where`` holds for (one bool, or a mask aligned with
+        ``at``)."""
+        if np.ndim(where):
+            at, value = at[where], value[where] if np.ndim(value) else value
+        elif not where:
+            return
+        self.counters.add(at, name, value)
 
-    def collective(self, rank: int, name: str, c0: float, c1: float,
-                   t: float, dt: float, lat: float, debt: float) -> None:
+    def collective(self, at: Any, name: str, c0: Any, c1: Any,
+                   t: Any, dt: Any, lat: Any, debt: Any) -> None:
         """Span and LogGP split of one collective's clock advance.
 
-        ``rank`` went from ``c0`` to ``c1 = (t + dt) + debt``: skipping
+        Each rank went from ``c0`` to ``c1 = (t + dt) + debt``: skipping
         forward to the barrier release ``t`` is **wait**, ``lat`` (the
         cost function at zero bytes) **latency**, the rest of ``dt``
         **bandwidth**, the collective fault debt it carried
         **fault_debt**.
         """
-        self.span(rank, "coll", name, c0, c1)
+        self.span(at, "coll", name, c0, c1)
         wait = t - c0
-        if wait > 0.0:
-            self.add(rank, "cost.wait", wait)
-        self.add(rank, "cost.latency", lat)
-        if dt > lat:
-            self.add(rank, "cost.bandwidth", dt - lat)
-        if debt:
-            self.add(rank, "cost.fault_debt", debt)
+        self.add(at, "cost.wait", wait, wait > 0.0)
+        self.add(at, "cost.latency", lat)
+        self.add(at, "cost.bandwidth", dt - lat, dt > lat)
+        self.add(at, "cost.fault_debt", debt, debt != 0)
 
-    def overlapped(self, rank: int, c0: float, c1: float, start: float,
-                   progress: float, debt: float, args: dict) -> None:
+    def overlapped(self, at: Any, c0: Any, c1: Any, start: float,
+                   progress: float, debt: Any, args: dict) -> None:
         """Span and split of the overlapped exchange's one fused advance.
 
         It covers barrier skew (up to ``start``: **wait**), the async
@@ -124,43 +148,51 @@ class Tracer:
         interleave, whose remainder is attributed to **bandwidth** (the
         merge CPU it hides is reported through ``kernel.merge.*``).
         """
-        self.span(rank, "coll", "alltoallv_async+merge", c0, c1, args)
+        self.span(at, "coll", "alltoallv_async+merge", c0, c1, args)
         adv = c1 - c0
-        if adv > 0.0:
-            wait = max(0.0, min(adv, start - c0))
-            lat = min(adv - wait, progress)
-            self.add(rank, "cost.wait", wait)
-            self.add(rank, "cost.latency", lat)
-            rest = adv - wait - lat - debt
-            if rest > 0.0:
-                self.add(rank, "cost.bandwidth", rest)
-            if debt:
-                self.add(rank, "cost.fault_debt", debt)
+        moved = adv > 0.0
+        wait = np.maximum(0.0, np.minimum(adv, start - c0))
+        lat = np.minimum(adv - wait, progress)
+        rest = adv - wait - lat - debt
+        self.add(at, "cost.wait", wait, moved)
+        self.add(at, "cost.latency", lat, moved)
+        self.add(at, "cost.bandwidth", rest, moved & (rest > 0.0))
+        self.add(at, "cost.fault_debt", debt, moved & (debt != 0))
 
-    def edge(self, src: int, dst: int, nbytes: int) -> None:
-        """Charge ``nbytes`` to the directed edge ``src -> dst``."""
-        row = self._edges[src]
-        if row is None:
-            row = self._edges[src] = np.zeros(self.p, dtype=np.int64)
-        row[dst] += nbytes
-
-    def edge_row(self, src: int, row_bytes: np.ndarray) -> None:
-        """Charge a whole destination row at once (fused exchanges)."""
-        row = self._edges[src]
-        if row is None:
-            row = self._edges[src] = np.zeros(self.p, dtype=np.int64)
-        row += np.asarray(row_bytes, dtype=np.int64)
+    def edge(self, src: Any, dst: Any, nbytes: Any) -> None:
+        """Charge ``nbytes`` to the directed edges ``src -> dst`` (ints,
+        or arrays that broadcast together)."""
+        self._edges.append((src, dst, nbytes))
 
     # ------------------------------------------------------------------
     # post-run access
     # ------------------------------------------------------------------
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every charged ``(src, dst, bytes)``, as three int64 columns
+        (an edge charged twice appears twice)."""
+        chunks = [np.broadcast_arrays(*e) for e in self._edges] or [[[]] * 3]
+        return tuple(np.concatenate([np.ravel(c[i]) for c in chunks]).astype(
+            np.int64) for i in range(3))  # type: ignore[return-value]
+
     def edge_matrix(self) -> np.ndarray:
-        """The ``(p, p)`` bytes-sent matrix (``[src, dst]``)."""
+        """The ``(p, p)`` bytes-sent matrix (``[src, dst]``): the one
+        dense export, built on request."""
         out = np.zeros((self.p, self.p), dtype=np.int64)
-        for r, row in enumerate(self._edges):
-            if row is not None:
-                out[r] = row
+        src, dst, nbytes = self.edges()
+        np.add.at(out, (src, dst), nbytes)
         return out
 
-    def span_count(self) -> int:
-        return sum(len(s) for s in self.spans)
+    def rank_spans(self) -> list[list[tuple]]:
+        """Every rank's ``(t0, t1, category, name, args)`` spans, in the
+        order it booked them."""
+        return self._rows(self.spans, 0)
+
+    def rank_instants(self) -> list[list[tuple]]:
+        """Every rank's ``(t, category, name, args)`` markers, in order."""
+        return self._rows(self.instants, 1)
+
+    def _rows(self, records: list[tuple], skip: int) -> list[list[tuple]]:
+        rows: list[list[tuple]] = [[] for _ in range(self.p)]
+        for g, *rec in expand(records):
+            rows[g].append(tuple(rec[skip:]))
+        return rows

@@ -401,7 +401,7 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
     if tracer is not None:
         from .obs import TraceReport
         extras["trace"] = TraceReport.from_run(
-            tracer, clocks=res.clocks, engine_counters=res.counters)
+            tracer, clocks=res.clocks, engine_counters=counters)
 
     return RunResult(
         algorithm=algorithm, workload=workload.name, p=p,

@@ -1,18 +1,29 @@
-"""Terminal plotting: render the paper's figures as ASCII charts.
+"""Terminal plotting: render the paper's figures and a run's trace as text.
 
 No plotting dependency is available offline, so the CLI and examples
 render line charts (the Figure 5/7/8 curves) and stacked bars (the
-Figure 9/10 phase breakdowns) as text.  Pure functions returning
-strings — easy to test, easy to pipe.
+Figure 9/10 phase breakdowns) as text, and a traced run's
+:class:`~repro.obs.report.TraceReport` as a phase flame, a comm heat
+matrix and a rank timeline (re-exported by :mod:`repro.obs`; the
+Perfetto JSON of :mod:`repro.obs.export` is the high-fidelity view).
+Pure functions returning strings — easy to test, easy to pipe.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
+
+import numpy as np
+
+if TYPE_CHECKING:
+    from .obs.report import TraceReport
 
 #: Symbols assigned to series in declaration order.
 _MARKS = "*o+x#@%&"
+
+#: intensity ramp for the heat matrix (low -> high)
+_RAMP = " .:-=+*#%@"
 
 
 def _scale(vals: Sequence[float], lo: float, hi: float, steps: int,
@@ -171,3 +182,68 @@ def sparkline(values: Sequence[float]) -> str:
         else:
             out.append(blocks[min(7, int((v - lo) / span * 7.999))])
     return "".join(out)
+
+
+def phase_flame(report: "TraceReport", *, width: int = 48) -> str:
+    """Flame-style phase summary: one bar per phase, sized by critical
+    time, annotated with the skew between the slowest and mean rank —
+    pipeline phases do not nest, so a phase whose max is far above its
+    mean is where load imbalance (or a straggler) lives."""
+    stats = report.phase_stats()
+    if not stats:
+        return "(no phase spans)"
+    t_max = max(s.max_seconds for s in stats) or 1.0
+    name_w = max(len(s.name) for s in stats)
+    lines = [f"{'phase':<{name_w}}  {'max(s)':>12s} {'mean(s)':>12s} "
+             f"{'skew':>6s}  critical"]
+    for s in stats:
+        bar = "#" * max(1, int(round(s.max_seconds / t_max * width)))
+        skew = s.max_seconds / s.mean_seconds if s.mean_seconds > 0 else 1.0
+        lines.append(
+            f"{s.name:<{name_w}}  {s.max_seconds:>12.6f} "
+            f"{s.mean_seconds:>12.6f} {skew:>5.2f}x  rank {s.critical_rank}")
+        lines.append(f"{'':<{name_w}}  |{bar}")
+    cp = report.critical_path()
+    lines.append(f"{'':<{name_w}}  phase sum {cp['explained']:.6f}s "
+                 f"explains {cp['coverage']:.1%} of {cp['elapsed']:.6f}s")
+    return "\n".join(lines)
+
+
+def comm_heat(report: "TraceReport", *, max_cells: int = 32) -> str:
+    """Byte-volume heat matrix, senders as rows, receivers as columns.
+
+    Worlds larger than ``max_cells`` ranks are tiled down to contiguous
+    rank blocks, the report's edges binned into the grid (never a
+    ``(p, p)`` matrix), so totals are kept.  Intensity is linear in
+    bytes within the displayed matrix."""
+    p = report.p
+    src, dst, nbytes = report.comm_edges()
+    if nbytes.sum() == 0:
+        return "(no communication recorded)"
+    blocks = min(p, max_cells)
+    bounds = np.linspace(0, p, blocks + 1).astype(np.int64)
+    m = np.zeros((blocks, blocks), dtype=np.int64)
+    np.add.at(m, (np.searchsorted(bounds, src, side="right") - 1,
+                  np.searchsorted(bounds, dst, side="right") - 1), nbytes)
+    label = (f"{p} ranks tiled to {blocks}x{blocks} blocks "
+             f"(block = {p // blocks}+ ranks)" if p > max_cells
+             else f"{p} ranks")
+    peak = m.max() or 1
+    lines = [f"bytes sent, src rows -> dst cols ({label}; "
+             f"peak cell {int(peak):,} B)"]
+    for i in range(blocks):
+        row = "".join(
+            _RAMP[min(len(_RAMP) - 1, int(m[i, j] / peak * (len(_RAMP) - 1)))]
+            for j in range(blocks))
+        lines.append(f"{i:>4d} |{row}|")
+    lines.append(f"{'':>4s}  scale: '{_RAMP[0]}'=0 .. '{_RAMP[-1]}'=peak")
+    return "\n".join(lines)
+
+
+def rank_timeline(report: "TraceReport", *, width: int = 64,
+                  max_ranks: int = 12) -> str:
+    """Per-rank phase gantt of a traced run (:func:`gantt`)."""
+    traces = [[(t0, t1, name) for t0, t1, cat, name, _a in spans
+               if cat == "phase"] for spans in report.spans]
+    return gantt(traces, width=width, max_ranks=max_ranks,
+                 title=f"virtual-time phases, p={report.p}")

@@ -71,6 +71,14 @@ def check_displs(displs: np.ndarray, p: int, n: int) -> np.ndarray:
     return d
 
 
+def displs_of(cuts: Cuts) -> np.ndarray:
+    """The dense ``p+1`` displacement vector a one-row table encodes."""
+    assert len(cuts) == 1
+    counts = np.zeros(cuts.p, dtype=np.int64)
+    counts[cuts.dst] = np.diff(cuts.offs)
+    return np.concatenate(([0], np.cumsum(counts)))
+
+
 def sync_exchange_compute_dense(stage: list, *, p: int, merge: bool,
                                 stable: bool) -> dict:
     """Whole-world compute of the fused synchronous exchange.
@@ -168,7 +176,7 @@ def _book_collective(comm: Comm, name: str, t: float, dt: float,
     c0, debt = comm.clock, 0.0 if owed is None else owed.item(comm.grank)
     comm.set_clock(t + dt)
     tr.collective(comm.grank, name, c0, comm.clock, t, dt, lat, debt)
-    comm.trace_edges(sizes)
+    tr.edge(comm.grank, comm._ctx.index, sizes)
 
 
 def alltoallv_dense(comm: Comm, batches: Sequence[RecordBatch]

@@ -82,7 +82,8 @@ def trace_hash(tracer: Tracer) -> str:
     """Digest of every rank's ``split`` / ``gather`` spans and counters."""
     rows = [[[s for s in spans if s[2] == "coll"
               and s[3] in ("split", "gather")], counters]
-            for spans, counters in zip(tracer.spans, tracer.counters)]
+            for spans, counters in zip(tracer.rank_spans(),
+                                       tracer.counters.rows())]
     blob = json.dumps(rows, sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -731,12 +731,14 @@ def test_a_lost_collective_leaves_its_rank_out_and_nobody_else():
         (r, MessageLostError) for r in lost]
     done = 0.125 * (p - 1) + sim.cost.tree_collective_time(p, 8)
     views = SpmdResult(sim, outs)
+    rank_spans, rank_counters = (sim.tracer.rank_spans(),
+                                 sim.tracer.counters.rows())
     for r in range(p):
-        spans = [s for s in sim.tracer.spans[r] if s[2] == "coll"]
+        spans = [s for s in rank_spans[r] if s[2] == "coll"]
         if r in lost:  # booked nothing: clock, counter, span
             assert views.clocks[r] == 0.125 * r
             assert views.counters[r] == {} and spans == []
-            assert set(sim.tracer.counters[r]) <= {"cost.compute"}
+            assert set(rank_counters[r]) <= {"cost.compute"}
         else:
             assert views.clocks[r] == done
             assert views.counters[r] == {"coll.allreduce": 1.0}
@@ -748,5 +750,5 @@ def test_a_lost_collective_leaves_its_rank_out_and_nobody_else():
     plain = SpmdResult(plain, pouts)
     assert (plain.clocks, plain.counters) == (views.clocks, views.counters)
     assert [r for r, _ in pworld.failures] == lost
-    assert (again.tracer.spans, again.tracer.counters) == (
-        sim.tracer.spans, sim.tracer.counters)
+    assert (again.tracer.rank_spans(), again.tracer.counters.rows()) == (
+        rank_spans, rank_counters)

@@ -39,7 +39,8 @@ from repro.mpi import (
     run_spmd,
 )
 from repro.mpi.cells import alltoallv_cells
-from repro.mpi.comm import _max_clock
+from repro.mpi.comm import Columns, _max_clock
+from repro.obs import Tracer
 from repro.records import RecordBatch
 from repro.runner import _SortProgram, fault_totals
 from repro.workloads import uniform
@@ -398,13 +399,30 @@ def test_rank_threads_sharing_the_columns_lose_no_update():
         clock += 1e-6
     old = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
+    tracer = Tracer(16)   # the tracer's records and columns are shared too
     try:
-        res = run_spmd(prog, 16, machine=EDISON, backend="thread")
+        res = run_spmd(prog, 16, machine=EDISON, backend="thread",
+                       tracer=tracer)
     finally:
         sys.setswitchinterval(old)
+    assert tracer.counters.rows() == [{"cost.compute": clock}] * 16
+    assert [len(s) for s in tracer.rank_spans()] == [300] * 16
     want = {f"c{j}": float(len(range(j, 300, 7))) for j in range(7)}
     assert all({k: v for k, v in c.items() if k != "coll.sync_wait"} == want
                for c in res.counters)
     assert res.clocks == [clock] * 16
     assert res.world.mem.in_use.tolist() == [300] * 16
     assert all(len(t) == 300 for t in res.traces)
+
+
+def test_a_row_lists_its_names_in_one_order_whoever_booked_first():
+    # rank threads race to book a name first; a rank's row must not
+    # depend on who won
+    rows = []
+    for first, second in (("b.late", "a.early"), ("a.early", "b.late")):
+        cols = Columns(2)
+        cols.add(0, first, 1.0)
+        cols.add(np.arange(2), second, 2.0)
+        cols.add(1, first, 3.0)
+        rows.append([list(row) for row in cols.rows()])
+    assert rows[0] == rows[1] == [["a.early", "b.late"]] * 2

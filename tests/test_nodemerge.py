@@ -156,7 +156,7 @@ def test_funnel_under_a_tracer_and_faults(p, hooks, backend):
         # inside its node_merge phase every rank books the funnel as
         # two splits and a gather
         colls = []
-        for spans in tracer.spans:
+        for spans in tracer.rank_spans():
             (a, b), = [s[:2] for s in spans if s[2:4] == ("phase",
                                                           "node_merge")]
             colls.append([s[3] for s in spans if s[2] == "coll"

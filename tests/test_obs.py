@@ -16,6 +16,8 @@ The contract under test, in order of importance:
 from __future__ import annotations
 
 import json
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -34,7 +36,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.export import to_chrome_trace
-from repro.obs.viz import comm_heat, phase_flame, rank_timeline
+from repro.viz import comm_heat, phase_flame, rank_timeline
 from repro.runner import run_sort
 from repro.workloads import by_name
 
@@ -53,30 +55,95 @@ def traced(algorithm="sds", p=16, n=300, workload="uniform", seed=3,
 
 class TestTracerUnit:
     def test_span_and_counter_storage(self):
-        tr = Tracer(2)
+        tr = Tracer(3)
         tr.span(0, "phase", "x", 0.0, 1.5)
-        tr.span(1, "coll", "barrier", 0.5, 0.75, {"k": 1})
+        tr.span(np.array([1, 2]), "coll", "barrier", np.array([0.5, 0.25]),
+                0.75, {"k": 1, "bytes": np.array([8, 16])})
         tr.instant(0, "fault", "crash", 0.25)
         tr.add(0, "cost.compute", 1.0)
-        tr.add(0, "cost.compute", 0.5)
-        assert tr.span_count() == 2
-        assert tr.counters[0]["cost.compute"] == 1.5
-        assert tr.spans[1][0][2:4] == ("coll", "barrier")
+        tr.add(np.array([0, 2]), "cost.compute", np.array([0.5, 2.0]))
+        tr.add(np.array([1, 2]), "cost.wait", np.array([1.0, 4.0]),
+               np.array([True, False]))
+        tr.add(1, "cost.wait", 9.0, False)
+        tr.add(np.array([0, 1]), "cost.latency", 1.0, np.array([False] * 2))
+        assert len(tr.spans) == 2                 # one record a bracket
+        assert tr.counters.rows() == [{"cost.compute": 1.5},
+                                      {"cost.wait": 1.0},
+                                      {"cost.compute": 2.0}]
+        spans = tr.rank_spans()
+        assert spans[0] == [(0.0, 1.5, "phase", "x", None)]
+        assert spans[2] == [(0.25, 0.75, "coll", "barrier",
+                             {"k": 1, "bytes": 16})]
+        assert tr.rank_instants() == [[(0.25, "fault", "crash", None)],
+                                      [], []]
 
     def test_edge_matrix(self):
         tr = Tracer(3)
         tr.edge(0, 2, 100)
         tr.edge(0, 2, 50)
-        tr.edge_row(1, np.array([1, 2, 3], dtype=np.int64))
+        tr.edge(1, np.arange(3), np.array([1, 2, 3]))
+        tr.edge(np.array([[2], [0]]), np.array([0, 1]), np.array([5, 7]))
         m = tr.edge_matrix()
-        assert m[0, 2] == 150
-        assert list(m[1]) == [1, 2, 3]
-        assert m[2].sum() == 0
+        assert m.tolist() == [[5, 7, 150], [1, 2, 3], [5, 7, 0]]
+        rep = TraceReport.from_run(tr, clocks=[0.0] * 3)
+        src, dst, nbytes = rep.comm_edges()
+        assert np.array_equal(m[src, dst], nbytes)
+        assert int((m > 0).sum()) == nbytes.size
+        assert rep.comm_totals() == {"total_bytes": 180, "wire_bytes": 173,
+                                     "max_edge_bytes": 150, "edges_used": 8}
 
     def test_taxonomy_constants(self):
         assert "cost.compute" in COST_COUNTERS
         assert "cost.fault_debt" in COST_COUNTERS
         assert set(SPAN_CATEGORIES) == {"phase", "coll", "p2p"}
+
+
+def _counting(method, calls: Counter):
+    def hook(self, *args, **kw):
+        calls[method.__name__] += 1
+        return method(self, *args, **kw)
+    return hook
+
+
+class TestTracerCost:
+    """The tracer stores what the engine stores: its hooks are one
+    statement a membership, and no (p, p) array is built unless asked."""
+
+    @pytest.mark.parametrize("algorithm", ["psrs", "sds"])
+    def test_tracer_calls_do_not_grow_with_p(self, algorithm, monkeypatch):
+        calls: Counter = Counter()
+        for name in ("span", "instant", "add", "collective", "overlapped",
+                     "edge"):
+            monkeypatch.setattr(Tracer, name,
+                                _counting(getattr(Tracer, name), calls))
+        seen = []
+        for p in (256, 2048):
+            calls.clear()
+            r = run_sort(algorithm, by_name("uniform"), p=p, n_per_rank=64,
+                         backend="flat", mem_factor=None, trace=True)
+            assert r.ok
+            seen.append(dict(calls))
+        assert seen[0] and seen[0] == seen[1]
+
+    def test_a_traced_run_holds_no_dense_matrix(self):
+        p = 4096
+
+        def peak(trace: bool) -> int:
+            tracemalloc.start()
+            try:
+                r = run_sort("psrs", by_name("uniform"), p=p, n_per_rank=16,
+                             backend="flat", mem_factor=None, trace=trace)
+                assert r.ok
+                if trace:
+                    assert r.extras["trace"].summary()["comm"]["total_bytes"]
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_sort("psrs", by_name("uniform"), p=64, n_per_rank=16,
+                 backend="flat", mem_factor=None, trace=True)  # warm caches
+        plain = peak(False)
+        assert peak(True) < plain + p * p * 8 // 4
 
 
 class TestZeroInterference:

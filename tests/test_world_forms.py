@@ -647,7 +647,8 @@ def test_phase_all_records_partial_time_on_abort(traced):
                              (t0[1], t0[1] + 2.25, "work")]
     if traced:  # the tracer saw each bracket close, where it closed
         assert [[(a, b, name) for a, b, cat, name, _ in spans
-                 if cat == "phase"] for spans in sim.tracer.spans] == got.traces
+                 if cat == "phase"] for spans in sim.tracer.rank_spans()
+                ] == got.traces
 
 
 def _views(sim: SimWorld) -> SpmdResult:
@@ -735,7 +736,8 @@ def test_a_comm_is_a_view_that_books_nothing():
     assert len(slow) == 2
     assert _views(sim).counters == [
         {"faults.straggler": 1.0} if r in slow else {} for r in range(p)]
-    assert [r for r in range(p) if sim.tracer.instants[r]] == slow
+    assert [r for r, ins in enumerate(sim.tracer.rank_instants())
+            if ins] == slow
     assert not hasattr(comms[0], "__dict__")
     # two handles of one rank owe the same debt: one books it, the other's
     # clock overwrite settles it
