@@ -36,10 +36,6 @@ WORKLOADS = ("uniform", "zipf", "ptf")
 FAULTS = (None, "crash-exchange", "mixed")
 MEM = (None, 6, "default")
 N_PER_RANK = (64, 200)
-#: counters of host seconds a rank thread waited, not of the simulation
-#: (a rank's counters are hashed name-sorted, so that a revision whose
-#: rows listed names in booking order hashes the same)
-HOST = ("coll.sync_wait", "p2p.wait")
 
 
 def grid(quick: bool) -> list[tuple]:
@@ -67,6 +63,10 @@ def observe(cell: tuple, spmd: list) -> dict[str, str]:
     from repro.faults.chaos import PRESETS
     from repro.runner import run_sort
     from repro.workloads import by_name
+    try:
+        from repro.mpi import HOST_COUNTERS
+    except ImportError:  # a revision from before the name
+        HOST_COUNTERS = ("coll.sync_wait", "p2p.wait")
     algorithm, workload, p, n, faults, mem, backend = cell
     kw = {} if mem == "default" else {"mem_factor": mem}
     try:
@@ -90,7 +90,10 @@ def observe(cell: tuple, spmd: list) -> dict[str, str]:
     if r.ok or backend == "flat":   # rank threads abort where they stand
         fields.update(
             clocks=_digest(r.elapsed, res.clocks, r.phase_times),
-            counters=_digest([sorted((k, v) for k, v in c.items() if k not in HOST)
+            # host seconds left out; names sorted, so that a revision
+            # whose rows listed them in booking order hashes the same
+            counters=_digest([sorted((k, v) for k, v in c.items()
+                                     if k not in HOST_COUNTERS)
                               for c in res.counters]),
             memory=_digest(res.mem_peaks, res.world.mem.in_use.tolist()))
     return fields

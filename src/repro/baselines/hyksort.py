@@ -127,7 +127,7 @@ def run_hyksort(run: Run, batches: list, params: HykParams) -> None:
     world = run.world
     run.open(batches)
     # shared strategy with SDS-Sort/PSRS: plain per-rank local sort
-    for ctx in run.step(LocalSort(kernel="plain")):
+    for ctx in run.step(LocalSort()):
         ctx.sorted_batch()
     level = 0
     while run.ctxs and run.ctxs[0].active.size > 1:

@@ -55,7 +55,7 @@ def psrs_sort_world(world: World, comms: list[Comm],
     """
     with Run(world, comms) as run:
         run.open(batches)
-        run.step(LocalSort(kernel="plain", stable=stable))
+        run.step(LocalSort(stable=stable))
         if comms[0].size == 1:
             run.finish(_singleton_outcome)
             return run.outcomes

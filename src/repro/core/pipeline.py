@@ -7,9 +7,9 @@ sharing one :class:`RunContext` per rank::
     LocalSort -> NodeMerge -> PivotSelect -> Partition -> Exchange
 
 Each phase is a small frozen dataclass, so baselines compose the *same*
-strategies: PSRS is ``LocalSort(kernel="plain") ->
-PivotSelect(method="gather") -> Partition(variant="classic") ->
-Exchange(mode="sync")``, and HykSort reuses ``LocalSort``.  Every
+strategies: PSRS is ``LocalSort() -> PivotSelect(method="gather") ->
+Partition(variant="classic") -> Exchange(mode="sync")``, and HykSort
+reuses ``LocalSort``.  Every
 adaptive choice goes through the context's
 :class:`~repro.core.plan.SortPlan`, which records the decision trace.
 Every driver runs on one :class:`Run` (contexts opened, finished and
@@ -467,9 +467,8 @@ def fault_health_check(world: World, ctxs: list[RunContext],
 class LocalSort:
     """Sort the local shard (Figure 1 line 2).
 
-    ``kernel="sdss"`` is the paper's shared-memory skew-aware local
-    sort, ``"plain"`` the classic per-rank sort; both charge the same
-    modelled cost, evaluated once per distinct ``(n, delta)``.  Shards
+    Every driver's local sort, charged by the modelled ``sort_time``,
+    evaluated once per distinct ``(n, delta)``.  Shards
     of one length and schema are sorted as one ``(g, n)`` matrix, a row
     a shard (``np.argsort``'s per-row introsort, or the unique stable
     permutation), bit-equal to a per-rank sort on every backend, and
@@ -477,17 +476,11 @@ class LocalSort:
     rank holds its row: no payload is gathered here.
     """
 
-    kernel: str = "sdss"
     stable: bool = False
 
     def run(self, world: World, ctxs: list[RunContext]) -> None:
         comms = [ctx.comm for ctx in ctxs]
         with world.phase(comms, "local_sort"):
-            if self.kernel not in ("sdss", "plain"):
-                for c in comms:
-                    world.fail(c, ValueError(
-                        f"unknown local-sort kernel {self.kernel!r}"))
-                raise FlatAbort
             for members in same_key_groups(
                     [(ctx.n, ctx.batch.schema) for ctx in ctxs]):
                 inputs = [ctxs[i].batch for i in members]
@@ -540,13 +533,17 @@ class NodeMerge:
             policy = ctxs[0].plan.policy
             size = comms[0].size
             ranks = [c.rank for c in comms]
-            node, rpn = comms[0]._world.node_layout(comms[0]._ctx)
-            args = [(ctx.batch.nbytes * rpn[r], rpn[r], size)
-                    for ctx, r in zip(ctxs, ranks)]
-            verdict = {a: policy.node_merge(node_bytes=a[0],
-                                            ranks_per_node=a[1],
-                                            comm_size=a[2])
-                       for a in set(args)}
+            sim = comms[0]._world
+            node, rpn = sim.node_layout(comms[0]._ctx)
+            caps = sim.mem.capacity[comms[0]._ctx.index[ranks]].tolist()
+            # (shard bytes, ranks on the node, a rank's capacity: huge
+            # where unenforced)
+            args = [(ctx.batch.nbytes, rpn[r], c)
+                    for ctx, r, c in zip(ctxs, ranks, caps)]
+            nodes = len(set(node))
+            verdict = {a: policy.node_merge(
+                node_bytes=a[0] * a[1], ranks_per_node=a[1], comm_size=size,
+                nodes=nodes, capacity=a[2]) for a in set(args)}
             agg = world.allreduce(
                 comms, [1 if verdict[a].choice == "merge" else 0
                         for a in args])

@@ -135,13 +135,17 @@ class DecisionPolicy:
 
     # -------------------------------------------------- node merge (tau_m)
     def node_merge(self, *, node_bytes: int, ranks_per_node: int,
-                   comm_size: int) -> Decision:
+                   comm_size: int, nodes: int = 1,
+                   capacity: int | None = None) -> Decision:
         """This rank's node-merge verdict (Section 2.3).
 
         The verdict is local; the driver still takes the existing
         allreduce consensus (all ranks must agree before merging) and
         records the post-consensus decision via
-        :meth:`node_merge_consensus`.
+        :meth:`node_merge_consensus`.  A node of ``nodes`` whose ranks'
+        pooled ``capacity`` cannot hold what its leader would (the node's
+        data and an even share of the exchange) votes skip where its ranks
+        alone have room for theirs; or a short last node's leader OOMs.
         """
         p = self.params
         measured = {"node_bytes": node_bytes,
@@ -160,18 +164,31 @@ class DecisionPolicy:
             return Decision("node_merge", "skip",
                             reason="single node: merging would serialise the "
                                    "whole sort onto one leader", **common)
-        if node_bytes <= p.tau_m_bytes:
+        if node_bytes > p.tau_m_bytes:
             return Decision(
-                "node_merge", "merge",
-                reason=f"per-node exchange volume {node_bytes} B <= "
-                       f"tau_m ({p.tau_m_bytes} B): small messages, "
-                       f"funnel {ranks_per_node} ranks into one leader",
-                **common)
+                "node_merge", "skip",
+                reason=f"per-node exchange volume {node_bytes} B > "
+                       f"tau_m ({p.tau_m_bytes} B): messages large enough "
+                       f"to saturate the NIC from every rank", **common)
+        shard = node_bytes // ranks_per_node
+        leader_bytes = node_bytes + shard * comm_size // nodes
+        node_capacity = None if capacity is None else capacity * ranks_per_node
+        if (capacity is not None and leader_bytes > node_capacity
+                and 2 * shard <= capacity):
+            return Decision(
+                "node_merge", "skip", threshold="tau_m_bytes",
+                threshold_value=p.tau_m_bytes,
+                measured={**measured, "leader_bytes": leader_bytes,
+                          "node_capacity": node_capacity},
+                reason=f"leader capacity: a leader would hold ~"
+                       f"{leader_bytes} B but its node's {ranks_per_node} "
+                       f"rank(s) pool only {node_capacity} B")
         return Decision(
-            "node_merge", "skip",
-            reason=f"per-node exchange volume {node_bytes} B > "
-                   f"tau_m ({p.tau_m_bytes} B): messages large enough "
-                   f"to saturate the NIC from every rank", **common)
+            "node_merge", "merge",
+            reason=f"per-node exchange volume {node_bytes} B <= "
+                   f"tau_m ({p.tau_m_bytes} B): small messages, "
+                   f"funnel {ranks_per_node} ranks into one leader",
+            **common)
 
     def node_merge_consensus(self, local: Decision, *, agreeing: int,
                              comm_size: int) -> Decision:

@@ -12,7 +12,7 @@ batched columnar passes without rank threads (flat backend).
 """
 
 from .cells import Cuts
-from .comm import Comm, SimWorld, payload_nbytes
+from .comm import HOST_COUNTERS, Comm, SimWorld, payload_nbytes
 from .context import AbortFlag, Channel, CommContext
 from .engine import (
     ENGINE_BACKENDS,
@@ -26,6 +26,7 @@ from .flatworld import ColumnarWorld, make_world_comms, run_spmd_flat
 from .world import LANE, Epilogue, LaneWorld, World, phase_all
 
 __all__ = [
+    "HOST_COUNTERS",
     "Comm",
     "SimWorld",
     "payload_nbytes",

@@ -82,6 +82,10 @@ def payload_nbytes(obj: Any) -> int:
     return int(getattr(obj, "nbytes", 64))
 
 
+#: Counters of host seconds a rank blocked (:meth:`Comm._sync`,
+#: :meth:`Comm.recv`): they differ run to run, so no digest includes them.
+HOST_COUNTERS = ("coll.sync_wait", "p2p.wait")
+
 #: payload types whose wire size :func:`payload_sizes` reads without a
 #: call: each stores it as ``nbytes`` when it is built
 _STORED_SIZE = {RecordBatch, SortedRows}
@@ -384,7 +388,7 @@ class Comm:
         """
         t0 = time.perf_counter()
         out = self._ctx.sync(action)
-        self._world.counters.add(self.grank, "coll.sync_wait",
+        self._world.counters.add(self.grank, HOST_COUNTERS[0],
                                  time.perf_counter() - t0)
         return out
 
@@ -627,7 +631,7 @@ class Comm:
         if got is None:
             t0 = time.perf_counter()
             got = ch.get(self._world.abort)
-            self.count("p2p.wait", time.perf_counter() - t0)
+            self.count(HOST_COUNTERS[1], time.perf_counter() - t0)
         return self._complete_recv(gsrc, tag, *got)
 
     def sendrecv(self, obj: Any, peer: int, tag: int = 0) -> Any:

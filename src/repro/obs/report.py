@@ -26,7 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from ..mpi.comm import Columns
+from ..mpi.comm import HOST_COUNTERS, Columns
 from .tracer import COST_COUNTERS, Tracer, expand
 
 __all__ = ["PhaseStat", "TraceReport"]
@@ -257,14 +257,17 @@ class TraceReport:
         })
 
     def as_dict(self) -> dict[str, Any]:
-        """Full JSON-safe dump (spans, instants, counters, edges)."""
+        """Full JSON-safe dump (spans, instants, counters, edges); the
+        engine's host-wall :data:`~repro.mpi.comm.HOST_COUNTERS` are left
+        out, so the dump is a pure function of the run."""
         return _jsonable({
             "summary": self.summary(),
             "clocks": list(self.clocks),
             "spans": [[list(s) for s in spans] for spans in self.spans],
             "instants": [[list(i) for i in ins] for ins in self.instants],
             "counters": [dict(sorted(c.items())) for c in self.counters],
-            "engine_counters": [dict(sorted(c.items()))
-                                for c in self.engine_counters],
+            "engine_counters": [
+                {k: v for k, v in sorted(c.items()) if k not in HOST_COUNTERS}
+                for c in self.engine_counters],
             "edges": self.comm_matrix(),
         })

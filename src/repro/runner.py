@@ -262,7 +262,7 @@ class _SortProgram:
 def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
              machine: MachineSpec = EDISON, seed: int = 0,
              mem_factor: float | None = MEM_FACTOR,
-             validate: bool = True, keep_outputs: bool = False,
+             keep_outputs: bool = False,
              algo_opts: dict[str, Any] | None = None,
              faults: Any = None, fault_seed: int = 0,
              trace: bool = False,
@@ -277,7 +277,6 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
     n_per_rank, p: weak-scaling shape (records per rank, ranks).
     mem_factor: per-rank memory capacity as a multiple of the input
         shard's bytes (default: Edison's 6.7x).  ``None`` disables OOM.
-    validate: check sortedness/stability/multiset on success.
     keep_outputs: retain per-rank output batches on the result.
     faults: optional :class:`~repro.faults.spec.FaultSpec`; compiled
         against ``(p, fault_seed)`` into the deterministic plan the
@@ -372,13 +371,12 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
     outputs = [o.batch for o in outcomes]
     crashed_ranks = [r for r, o in enumerate(outcomes)
                      if "crashed" in o.info]
-    if validate:
-        # degraded completion: a crashed rank's input left the world
-        # with it — survivors must deliver *their* data sorted
-        crashed = set(crashed_ranks)
-        live_inputs = [inp for r, inp in enumerate(inputs)
-                       if r not in crashed] if crashed else inputs
-        check_sorted(live_inputs, outputs, stable=stable)
+    # validation; degraded completion: a crashed rank's input left the
+    # world with it — survivors must deliver *their* data sorted
+    crashed = set(crashed_ranks)
+    live_inputs = [inp for r, inp in enumerate(inputs)
+                   if r not in crashed] if crashed else inputs
+    check_sorted(live_inputs, outputs, stable=stable)
 
     # the decision trace lives on active ranks (a crashed rank's trace
     # stops at the crash and lacks the recovery record)

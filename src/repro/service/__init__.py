@@ -14,7 +14,7 @@ from .jsondoc import (JOB_SCHEMA, METRICS_SCHEMA, SORT_SCHEMA,
                       comparable, job_envelope, metrics_doc, sort_doc)
 from .metrics import RUN_OUTCOMES, ServiceMetrics
 from .queue import JOB_STATES, TERMINAL_STATES, Job, JobQueue
-from .scheduler import Scheduler, ServiceState, SortService
+from .scheduler import ServiceState, SortService
 from .slog import LOG_LEVELS, configure_logging, log_event, \
     service_logger
 from .spec import (DEFAULT_PRIORITY, PRIORITIES, JobSpec,
@@ -26,7 +26,7 @@ __all__ = [
     "METRICS_SCHEMA", "PRIORITIES", "RUN_OUTCOMES", "SORT_SCHEMA",
     "TERMINAL_STATES", "AdmissionController", "AdmissionDecision",
     "Job", "JobQueue", "JobSpec", "JobValidationError",
-    "Scheduler", "ServiceClient", "ServiceError", "ServiceMetrics",
+    "ServiceClient", "ServiceError", "ServiceMetrics",
     "ServiceState", "SocketClient", "SortService", "comparable",
     "configure_logging", "estimate_job_bytes", "job_envelope",
     "log_event", "metrics_doc", "serve_socket", "serve_stdio",

@@ -27,7 +27,6 @@ always draws the same admit/reject sequence.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import asdict, dataclass
 from typing import Any
 
@@ -129,13 +128,13 @@ class AdmissionDecision:
 
 
 class AdmissionController:
-    """Thread-safe gate tracking committed memory across jobs.
+    """The two gates, and the memory committed across jobs.
 
-    :meth:`admit` atomically checks both gates and, on success, commits
-    the job's estimate; :meth:`release` returns it when the job leaves
-    the system (done, failed, cancelled, or timed out).  The queue
-    depth is supplied by the caller (the service holds the submit lock,
-    so depth cannot race the decision).
+    :meth:`admit` checks both gates and, on success, commits the job's
+    estimate; :meth:`release` returns it when the job leaves the system
+    (done, failed, cancelled, or timed out).  No lock of its own: the
+    service calls it under its monitor, which also supplies the queue
+    depth, so depth and commitment cannot race the decision.
     """
 
     def __init__(self, *, max_queue_depth: int = DEFAULT_QUEUE_DEPTH,
@@ -146,75 +145,72 @@ class AdmissionController:
             raise ValueError("mem_budget_bytes must be None or >= 1")
         self.max_queue_depth = max_queue_depth
         self.mem_budget_bytes = mem_budget_bytes
-        self._lock = threading.Lock()
-        self._committed = 0
+        self.committed_bytes = 0
         self._in_flight = 0
 
-    @property
-    def committed_bytes(self) -> int:
-        with self._lock:
-            return self._committed
-
-    def _decision(self, admitted: bool, code: str, reason: str,
-                  estimate: int, queue_depth: int) -> AdmissionDecision:
+    def decision(self, admitted: bool, code: str, reason: str,
+                 estimate: int, queue_depth: int) -> AdmissionDecision:
+        """A decision carrying the ledger as it stands."""
         return AdmissionDecision(
             admitted=admitted, code=code, reason=reason,
-            estimated_bytes=estimate, committed_bytes=self._committed,
+            estimated_bytes=estimate, committed_bytes=self.committed_bytes,
             budget_bytes=self.mem_budget_bytes, queue_depth=queue_depth,
             max_queue_depth=self.max_queue_depth,
             headroom_bytes=(None if self.mem_budget_bytes is None
-                            else self.mem_budget_bytes - self._committed))
+                            else self.mem_budget_bytes - self.committed_bytes))
 
     def admit(self, spec: JobSpec, *, queue_depth: int,
               draining: bool = False) -> AdmissionDecision:
         """Decide one submission; commits the estimate when admitted."""
-        estimate = estimate_job_bytes(spec)
-        with self._lock:
-            if draining:
-                return self._decision(
-                    False, "draining",
-                    "service is draining and no longer admits jobs",
-                    estimate, queue_depth)
-            if queue_depth >= self.max_queue_depth:
-                return self._decision(
-                    False, "queue-full",
-                    f"queue depth {queue_depth} is at the bound "
-                    f"{self.max_queue_depth}; retry after jobs drain",
-                    estimate, queue_depth)
-            budget = self.mem_budget_bytes
-            if budget is not None and self._committed + estimate > budget:
-                headroom = budget - self._committed
-                return self._decision(
-                    False, "over-budget",
-                    f"job needs ~{estimate:,} B of modelled engine peak "
-                    f"but only {headroom:,} B of the {budget:,} B budget "
-                    f"is uncommitted; shrink the job or retry after "
-                    f"{self._in_flight} in-flight job(s) release",
-                    estimate, queue_depth)
-            self._committed += estimate
-            self._in_flight += 1
-            return self._decision(
-                True, "admitted",
-                f"committed ~{estimate:,} B of {budget:,} B budget"
-                if budget is not None else
-                f"committed ~{estimate:,} B (no budget configured)",
+        return self.decide(estimate_job_bytes(spec), queue_depth=queue_depth,
+                           draining=draining)
+
+    def decide(self, estimate: int, *, queue_depth: int,
+               draining: bool = False) -> AdmissionDecision:
+        """:meth:`admit` for a job whose estimate is already known."""
+        if draining:
+            return self.decision(
+                False, "draining",
+                "service is draining and no longer admits jobs",
                 estimate, queue_depth)
+        if queue_depth >= self.max_queue_depth:
+            return self.decision(
+                False, "queue-full",
+                f"queue depth {queue_depth} is at the bound "
+                f"{self.max_queue_depth}; retry after jobs drain",
+                estimate, queue_depth)
+        budget = self.mem_budget_bytes
+        if budget is not None and self.committed_bytes + estimate > budget:
+            headroom = budget - self.committed_bytes
+            return self.decision(
+                False, "over-budget",
+                f"job needs ~{estimate:,} B of modelled engine peak "
+                f"but only {headroom:,} B of the {budget:,} B budget "
+                f"is uncommitted; shrink the job or retry after "
+                f"{self._in_flight} in-flight job(s) release",
+                estimate, queue_depth)
+        self.committed_bytes += estimate
+        self._in_flight += 1
+        return self.decision(
+            True, "admitted",
+            f"committed ~{estimate:,} B of {budget:,} B budget"
+            if budget is not None else
+            f"committed ~{estimate:,} B (no budget configured)",
+            estimate, queue_depth)
 
     def release(self, decision: AdmissionDecision) -> None:
         """Return an admitted job's committed estimate to the budget."""
         if not decision.admitted:
             return
-        with self._lock:
-            self._committed -= decision.estimated_bytes
-            self._in_flight -= 1
-            if self._committed < 0 or self._in_flight < 0:
-                raise RuntimeError("admission release without matching admit")
+        self.committed_bytes -= decision.estimated_bytes
+        self._in_flight -= 1
+        if self.committed_bytes < 0 or self._in_flight < 0:
+            raise RuntimeError("admission release without matching admit")
 
     def stats(self) -> dict[str, Any]:
-        with self._lock:
-            return {
-                "committed_bytes": self._committed,
-                "in_flight": self._in_flight,
-                "budget_bytes": self.mem_budget_bytes,
-                "max_queue_depth": self.max_queue_depth,
-            }
+        return {
+            "committed_bytes": self.committed_bytes,
+            "in_flight": self._in_flight,
+            "budget_bytes": self.mem_budget_bytes,
+            "max_queue_depth": self.max_queue_depth,
+        }

@@ -3,8 +3,9 @@
 Protocol: one JSON object per line in, one per line out, in lock step
 per connection.  Requests carry ``{"op": ...}`` plus op-specific
 fields; responses are ``{"ok": true, ...}`` or ``{"ok": false,
-"error": "..."}`` — a malformed line is an error *response*, never a
-dead daemon.  Ops:
+"error": "..."}`` — a malformed line (bad JSON, not UTF-8, longer than
+:data:`MAX_REQUEST_BYTES`) is an error *response*, never a dead
+daemon or a dropped connection.  Ops:
 
     submit  {"spec": {...}, "priority"?, "timeout_s"?} -> {"job": env}
     status  {"job_id"}                                 -> {"job": env}
@@ -36,7 +37,7 @@ import logging
 import os
 import socket
 import threading
-from typing import Any, Callable, TextIO
+from typing import Any, BinaryIO, Callable, TextIO
 
 from ..mpi.engine import Seat, _place
 from .jsondoc import job_envelope, metrics_doc
@@ -46,6 +47,12 @@ from .slog import log_event, service_logger
 #: Ops a request may name (anything else is an error response).
 OPS = ("submit", "status", "result", "cancel", "stats", "metrics",
        "drain")
+
+#: Longest request line read, newline included: a longer line is
+#: answered with a ``request too long`` error and skipped, never held.
+MAX_REQUEST_BYTES = 1 << 20
+
+NEWLINES = (b"\n", "\n")  # a line's end, read as bytes or as text
 
 _LOG = service_logger("service.daemon")
 
@@ -103,10 +110,13 @@ def handle_request(service: SortService, doc: dict[str, Any],
                 # the drain response is the last possible scrape
                 response["metrics"] = metrics_doc(service)
             return response, True
-        return {"ok": False,
-                "error": f"unknown op {op!r}; options: {list(OPS)}"}, False
+        return _refused(f"unknown op {op!r}; options: {list(OPS)}")
     except Exception as exc:  # noqa: BLE001 - protocol error boundary
-        return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}, False
+        return _refused(f"{type(exc).__name__}: {exc}")
+
+
+def _refused(error: str) -> tuple[dict[str, Any], bool]:
+    return {"ok": False, "error": error}, False
 
 
 def _job_id(doc: dict[str, Any]) -> str:
@@ -116,37 +126,66 @@ def _job_id(doc: dict[str, Any]) -> str:
     return job_id
 
 
-def _dispatch_line(service: SortService, line: str
+def _dispatch_line(service: SortService, line: bytes | str
                    ) -> tuple[dict[str, Any], bool]:
+    if isinstance(line, bytes):
+        try:
+            line = line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return _refused(f"bad encoding: request line is not UTF-8 "
+                            f"({exc.reason} at byte {exc.start})")
     line = line.strip()
     if not line:
-        return {"ok": False, "error": "empty request line"}, False
+        return _refused("empty request line")
     try:
         doc = json.loads(line)
     except json.JSONDecodeError as exc:
-        return {"ok": False, "error": f"bad JSON: {exc}"}, False
+        return _refused(f"bad JSON: {exc}")
     if not isinstance(doc, dict):
-        return {"ok": False, "error": "request must be a JSON object"}, False
+        return _refused("request must be a JSON object")
     response, should_exit = handle_request(service, doc)
     log_event(_LOG, "request", level=logging.DEBUG, op=doc.get("op"),
               ok=bool(response.get("ok")), job_id=doc.get("job_id"))
     return response, should_exit
 
 
+def _serve_lines(service: SortService, rfile: BinaryIO | TextIO,
+                 write: Callable[[str], Any]) -> bool:
+    """Answer every request line of ``rfile`` with one response line
+    until EOF (``False``) or a ``drain`` (``True``).
+
+    A line is read at most :data:`MAX_REQUEST_BYTES` at a time, so a
+    longer one is answered with an error and skipped to its newline
+    without ever being held whole.
+    """
+    while line := rfile.readline(MAX_REQUEST_BYTES):
+        if len(line) == MAX_REQUEST_BYTES and line[-1:] not in NEWLINES:
+            while line and line[-1:] not in NEWLINES:
+                line = rfile.readline(MAX_REQUEST_BYTES)
+            response, should_exit = _refused(
+                f"request too long: over {MAX_REQUEST_BYTES} bytes")
+        else:
+            response, should_exit = _dispatch_line(service, line)
+        write(json.dumps(response, sort_keys=True) + "\n")
+        if should_exit:
+            return True
+    return False
+
+
 def serve_stdio(service: SortService, rfile: TextIO, wfile: TextIO) -> None:
     """Serve one client over text streams until EOF or ``drain``.
 
+    Requests are read as bytes where the stream has them (``stdin``).
     EOF without a ``drain`` still drains before returning — closing the
     pipe is the polite way to stop a stdio daemon.
     """
+    def write(text: str) -> None:
+        wfile.write(text)
+        wfile.flush()
+
     try:
-        for line in rfile:
-            response, should_exit = _dispatch_line(service, line)
-            wfile.write(json.dumps(response, sort_keys=True) + "\n")
-            wfile.flush()
-            if should_exit:
-                return
-        service.drain()
+        if not _serve_lines(service, getattr(rfile, "buffer", rfile), write):
+            service.drain()
     finally:
         service.close()
 
@@ -158,7 +197,8 @@ def serve_socket(service: SortService, path: str, *,
     Each connection gets its own thread so one client blocking on
     ``result`` doesn't starve the rest; ``ready`` (if given) fires once
     the socket is listening — the CLI uses it to print the path only
-    when connecting can succeed.
+    when connecting can succeed.  The connection that drained shuts the
+    listener down, which wakes the blocked ``accept``.
     """
     if os.path.exists(path):
         os.unlink(path)  # a stale socket from a dead daemon
@@ -168,19 +208,20 @@ def serve_socket(service: SortService, path: str, *,
     try:
         listener.bind(path)
         listener.listen()
-        listener.settimeout(0.2)
         log_event(_LOG, "listening", socket=path)
         if ready is not None:
             ready()
-        while not stop.is_set():
+        while True:
             try:
                 conn, _ = listener.accept()
-            except socket.timeout:
-                continue
+            except OSError:
+                if stop.is_set():
+                    break
+                raise
             log_event(_LOG, "connection_opened", level=logging.DEBUG,
                       socket=path)
             t = threading.Thread(target=_serve_connection,
-                                 args=(service, conn, stop),
+                                 args=(service, conn, listener, stop),
                                  name="sort-service-conn", daemon=True)
             t.start()
             conns = {t: c for t, c in conns.items() if t.is_alive()}
@@ -202,17 +243,14 @@ def serve_socket(service: SortService, path: str, *,
 
 
 def _serve_connection(service: SortService, conn: socket.socket,
-                      stop: threading.Event) -> None:
-    rfile = conn.makefile("r", encoding="utf-8")
+                      listener: socket.socket, stop: threading.Event) -> None:
+    rfile = conn.makefile("rb")
     Seat(_place()).move(True)  # interpreter-bound: share the workers' CPU
     try:
-        for line in rfile:
-            response, should_exit = _dispatch_line(service, line)
-            conn.sendall((json.dumps(response, sort_keys=True)
-                          + "\n").encode("utf-8"))
-            if should_exit:
-                stop.set()
-                return
+        if _serve_lines(service, rfile,
+                        lambda text: conn.sendall(text.encode("utf-8"))):
+            stop.set()
+            listener.shutdown(socket.SHUT_RDWR)  # wakes the accept loop
     except OSError:
         pass  # client went away mid-write; the service is unaffected
     finally:

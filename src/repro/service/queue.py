@@ -5,7 +5,8 @@ PRIORITIES`), FIFO within a class — a deterministic total order over
 any submission sequence, which is what makes the service's scheduling
 reproducible enough to golden-test.  Cancellation is lazy: a cancelled
 job stays in the heap but is skipped at pop time, so cancel is O(1)
-and never perturbs sibling ordering.
+and never perturbs sibling ordering.  The queue has no lock: the
+service's monitor guards it with the rest of the service's state.
 """
 
 from __future__ import annotations
@@ -137,64 +138,41 @@ class Job:
 
 
 class JobQueue:
-    """Bounded-by-admission priority queue of queued :class:`Job`\\ s.
+    """Priority order over queued :class:`Job`\\ s, and their count.
 
-    Depth bounding lives in the admission controller (the decision must
-    be typed, not an exception from a full queue); this class only
-    orders and hands out work.  ``pop`` skips jobs that were cancelled
-    while queued, returning them via the ``reaped`` callback so the
-    scheduler can finalise their bookkeeping.
+    No lock of its own: :class:`~repro.service.scheduler.SortService`
+    calls it only under its monitor.  Depth bounding lives in the
+    admission controller (the decision must be typed, not an exception
+    from a full queue); this class only orders.  ``pop`` skips jobs
+    cancelled while queued (``cancel`` already finished them).
     """
 
     def __init__(self) -> None:
         self._heap: list[tuple[int, int, Job]] = []
-        self._cond = threading.Condition()
 
     def depth(self) -> int:
-        """Jobs still waiting (cancelled-but-unreaped ones excluded)."""
-        with self._cond:
-            return sum(1 for _, _, j in self._heap if j.status == "queued")
+        """Jobs still waiting (cancelled-but-unpopped ones excluded)."""
+        return sum(1 for _, _, j in self._heap if j.status == "queued")
 
     def depth_by_class(self) -> dict[str, int]:
         """Waiting jobs per priority class (telemetry gauges)."""
         out = {priority: 0 for priority in PRIORITIES}
-        with self._cond:
-            for _, _, j in self._heap:
-                if j.status == "queued":
-                    out[j.priority] += 1
+        for _, _, j in self._heap:
+            if j.status == "queued":
+                out[j.priority] += 1
         return out
 
     def push(self, job: Job) -> None:
-        rank = PRIORITIES.index(job.priority)
-        with self._cond:
-            heapq.heappush(self._heap, (rank, job.seq, job))
-            self._cond.notify()
+        heapq.heappush(self._heap,
+                       (PRIORITIES.index(job.priority), job.seq, job))
 
-    def pop(self, timeout: float | None = None) -> Job | None:
-        """Next runnable job in (priority, seq) order, or ``None``.
-
-        Jobs cancelled while queued are skipped (their terminal state
-        was already set by ``cancel``); returns ``None`` on timeout.
-        """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._cond:
-            while True:
-                while self._heap:
-                    _, _, job = heapq.heappop(self._heap)
-                    if job.status == "queued":
-                        return job
-                if deadline is None:
-                    self._cond.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        return None
-                    self._cond.wait(remaining)
-
-    def wake_all(self) -> None:
-        """Wake blocked poppers (service shutdown)."""
-        with self._cond:
-            self._cond.notify_all()
+    def pop(self) -> Job | None:
+        """Next queued job in (priority, seq) order, ``None`` if none is."""
+        while self._heap:
+            _, _, job = heapq.heappop(self._heap)
+            if job.status == "queued":
+                return job
+        return None
 
 
 def envelope_timing(job: Job) -> dict[str, Any]:

@@ -5,9 +5,18 @@
 :class:`~repro.service.client.ServiceClient`): it owns the
 :class:`~repro.service.queue.JobQueue`, the
 :class:`~repro.service.admission.AdmissionController` and a fixed set
-of :class:`Scheduler` worker threads that drain the queue concurrently.
-It owns no engine state: a ``thread`` job runs on the engine's one
+of worker threads that drain the queue concurrently.  It owns no
+engine state: a ``thread`` job runs on the engine's one
 :func:`~repro.mpi.engine.default_pool`.
+
+The service is a monitor: the job table, the queue, the running count,
+the counters, the admission ledger and the lifecycle state change only
+under its one lock, and its one condition is notified whenever they
+do.  Workers wait on it for a job (or for ``STOPPED``), ``drain`` for an
+empty queue and no running job; neither wait polls.  Admitting
+a job, popping and starting one, cancelling a queued one, finishing one
+and each drain step are single critical sections, so no job can be
+seen half moved between two of them.
 
 Lifecycle (the drain state machine, see ``docs/service.md``)::
 
@@ -25,6 +34,7 @@ mid-run, on every backend) — either way the job lands in the
 
 from __future__ import annotations
 
+import logging
 import sys
 import threading
 import time
@@ -32,11 +42,9 @@ from collections import deque
 from enum import Enum
 from typing import Any
 
-import logging
-
 from ..mpi.engine import Seat, _place, default_pool
 from ..runner import resolve_backend
-from .admission import AdmissionController, AdmissionDecision
+from .admission import AdmissionController, estimate_job_bytes
 from .metrics import ServiceMetrics
 from .queue import Job, JobQueue
 from .slog import log_event, service_logger
@@ -89,33 +97,13 @@ class ServiceState(Enum):
     STOPPED = "stopped"
 
 
-class Scheduler(threading.Thread):
-    """One worker draining the queue; runs jobs to completion."""
-
-    def __init__(self, service: "SortService", index: int):
-        super().__init__(name=f"sort-service-worker-{index}", daemon=True)
-        self._service = service
-
-    def run(self) -> None:
-        svc = self._service
-        seat = Seat(_place())
-        seat.move(True)
-        while True:
-            job = svc.queue.pop(timeout=0.05)
-            if job is None:
-                if svc._stop_workers.is_set():
-                    return
-                continue
-            svc._execute(job, seat)
-
-
 class SortService:
     """The sort-as-a-service engine host.
 
     Parameters
     ----------
     workers:
-        Concurrent jobs (scheduler threads); ``thread`` jobs among them
+        Concurrent jobs (worker threads); ``thread`` jobs among them
         take turns on the engine's one pool.
     max_queue_depth, mem_budget_bytes:
         Admission bounds (see :class:`AdmissionController`); pass
@@ -141,22 +129,22 @@ class SortService:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         self.metrics = ServiceMetrics() if telemetry else None
+        # the monitor: everything below changes under this one lock
+        self._cond = threading.Condition(threading.Lock())
         self.queue = JobQueue()
         self.admission = AdmissionController(**admission_kwargs)
         self.state = ServiceState.ACCEPTING
         self._jobs: dict[str, Job] = {}
         self._terminal: deque[str] = deque()   # finished ids, oldest first
-        self._lock = threading.Lock()          # jobs dict + state + counters
-        self._submit_lock = threading.Lock()   # serialises admission order
         self._seq = 0
         self._running = 0
-        self._idle = threading.Condition(self._lock)
-        self._stop_workers = threading.Event()
         self._counts = {"submitted": 0, "rejected": 0, "done": 0,
                         "failed": 0, "cancelled": 0, "timeout": 0}
         # jobs that reached a worker; a miss started rank threads
         self._pools = {"hits": 0, "misses": 0}
-        self._workers = [Scheduler(self, i) for i in range(workers)]
+        self._workers = [threading.Thread(
+            target=self._work, name=f"sort-service-worker-{i}", daemon=True)
+            for i in range(workers)]
         for w in self._workers:
             w.start()
 
@@ -169,93 +157,88 @@ class SortService:
         Always returns a :class:`Job`: rejected submissions come back
         in the ``rejected`` state with ``job.admission`` (or
         ``job.error`` for validation failures) explaining why — the
-        caller never has to catch anything to see backpressure.
+        caller never has to catch anything to see backpressure.  The
+        spec is parsed and its memory estimated before the monitor is
+        entered; numbering, the admission decision and the queue push
+        are one critical section, so decisions follow job ids.
         """
         if priority not in PRIORITIES:
             raise ValueError(f"unknown priority {priority!r}; "
                              f"options: {list(PRIORITIES)}")
         _check_seconds("timeout_s", timeout_s, positive=True)
-        with self._submit_lock:
-            with self._lock:
-                self._seq += 1
-                job = Job(id=f"j-{self._seq:06d}", spec=None,  # type: ignore
-                          priority=priority, seq=self._seq,
-                          timeout_s=timeout_s)
-                self._jobs[job.id] = job
-                self._counts["submitted"] += 1
-                draining = self.state is not ServiceState.ACCEPTING
-            if self.metrics is not None:
-                self.metrics.job_submitted(priority)
-            try:
-                if isinstance(spec, dict):
-                    spec = JobSpec.from_dict(spec)
-                else:
-                    spec.validate()
-            except JobValidationError as exc:
-                job.spec = spec if isinstance(spec, JobSpec) else JobSpec()
-                self._reject(job, AdmissionDecision(
-                    admitted=False, code="invalid", reason=str(exc),
-                    estimated_bytes=0,
-                    committed_bytes=self.admission.committed_bytes,
-                    budget_bytes=self.admission.mem_budget_bytes,
-                    queue_depth=self.queue.depth(),
-                    max_queue_depth=self.admission.max_queue_depth,
-                    headroom_bytes=(
-                        None if self.admission.mem_budget_bytes is None
-                        else self.admission.mem_budget_bytes
-                        - self.admission.committed_bytes)))
-                return job
-            job.spec = spec
-            decision = self.admission.admit(
-                spec, queue_depth=self.queue.depth(), draining=draining)
-            job.admission = decision
+        submitted_at, invalid = time.monotonic(), None
+        try:
+            spec = (JobSpec.from_dict(spec) if isinstance(spec, dict)
+                    else spec.validate())
+            estimate = estimate_job_bytes(spec)
+        except JobValidationError as exc:
+            spec = spec if isinstance(spec, JobSpec) else JobSpec()
+            invalid, estimate = str(exc), 0
+        with self._cond:
+            self._seq += 1
+            job = Job(id=f"j-{self._seq:06d}", spec=spec, priority=priority,
+                      seq=self._seq, timeout_s=timeout_s,
+                      submitted_at=submitted_at)
+            self._jobs[job.id] = job
+            self._counts["submitted"] += 1
+            depth = self.queue.depth()
+            job.admission = decision = (
+                self.admission.decision(False, "invalid", invalid, 0, depth)
+                if invalid is not None else self.admission.decide(
+                    estimate, queue_depth=depth,
+                    draining=self.state is not ServiceState.ACCEPTING))
+            if decision.admitted:
+                self.queue.push(job)
+                self._changed()
+            else:
+                self._finish(job, "rejected", decision.reason)
+        if self.metrics is not None:
+            self.metrics.job_submitted(priority)
+            self.metrics.admission_decision(decision.code)
             if not decision.admitted:
-                self._reject(job, decision)
-                return job
-            if self.metrics is not None:
-                self.metrics.admission_decision(decision.code)
-            self.queue.push(job)
-            self._refresh_gauges()
+                self.metrics.job_finished(job, was_running=False)
+        if decision.admitted:
             log_event(_LOG, "job_queued", job_id=job.id,
                       priority=priority, algorithm=spec.algorithm,
                       workload=spec.workload, backend=spec.backend,
                       p=spec.p, n_per_rank=spec.n_per_rank,
                       estimated_bytes=decision.estimated_bytes)
-            return job
-
-    def _reject(self, job: Job, decision: AdmissionDecision) -> None:
-        job.admission = decision
-        with self._lock:
-            self._counts["rejected"] += 1
-            self._finish(job, "rejected", decision.reason)
-        if self.metrics is not None:
-            self.metrics.admission_decision(decision.code)
-            self.metrics.job_finished(job, was_running=False)
-        log_event(_LOG, "job_rejected", level=logging.WARNING,
-                  job_id=job.id, priority=job.priority,
-                  code=decision.code, reason=decision.reason,
-                  estimated_bytes=decision.estimated_bytes,
-                  headroom_bytes=decision.headroom_bytes)
+        else:
+            log_event(_LOG, "job_rejected", level=logging.WARNING,
+                      job_id=job.id, priority=job.priority,
+                      code=decision.code, reason=decision.reason,
+                      estimated_bytes=decision.estimated_bytes,
+                      headroom_bytes=decision.headroom_bytes)
+        return job
 
     # -- execution (worker threads) -----------------------------------
-    def _execute(self, job: Job, seat: Seat) -> None:
-        expired: tuple[str, str] | None = None
-        with self._lock:
-            if job.done_event.is_set():
-                return  # cancel() finalised it between pop and here
-            if job.cancel_event.is_set():  # cancelled, or past its deadline
-                expired = (("timeout", "expired in queue") if job.timed_out
-                           else ("cancelled", "cancelled while queued"))
+    def _work(self) -> None:
+        """One worker: pop and start, run, finish; return once stopped."""
+        seat = Seat(_place())
+        seat.move(True)
+        while True:
+            with self._cond:
+                while (job := self.queue.pop()) is None:
+                    if self.state is ServiceState.STOPPED:
+                        return
+                    self._cond.wait()
+                # ``cancel`` finishes a queued job itself, so a set token
+                # here is a deadline that passed in the queue
+                expired = job.cancel_event.is_set()
+                if expired:
+                    self._finish(job, "timeout", "expired in queue")
+                else:
+                    job.status, job.started_at = "running", time.monotonic()
+                    self._running += 1
+                    self._changed()
+            if expired:
+                self._finished(job, was_running=False)
             else:
-                job.status = "running"
-                job.started_at = time.monotonic()
-                self._running += 1
-        if expired is not None:
-            self._finalize(job, expired[0], error=expired[1])
-            return
+                self._execute(job, seat)
+
+    def _execute(self, job: Job, seat: Seat) -> None:
         if self.metrics is not None:
             self.metrics.job_started(job)
-        self._refresh_gauges()
         log_event(_LOG, "job_started", job_id=job.id,
                   priority=job.priority, queue_ms=round(job.queue_ms, 3))
 
@@ -264,8 +247,8 @@ class SortService:
         # this job builds it, would read a pinned worker's one-CPU mask
         # and never place its ranks.  Between jobs a worker stays where
         # the last one left it
-        p, est = job.spec.p, job.admission  # no estimate: taken for deep
-        seat.move(resolved != "thread" and est is not None
+        p, est = job.spec.p, job.admission
+        seat.move(resolved != "thread"
                   and est.estimated_bytes // p < _DEEP_JOB_RANK_BYTES)
         pool = default_pool() if resolved == "thread" else None
         threads = 0 if pool is None else pool.size
@@ -287,70 +270,48 @@ class SortService:
                 status, error = "failed", result.failure
         except Exception as exc:  # noqa: BLE001 - job isolation boundary
             status, error = "failed", repr(exc)
-        with self._lock:  # exact while thread jobs do not overlap
+        with self._cond:  # exact while thread jobs do not overlap
             miss = pool is not None and pool.size > threads
             self._pools["misses" if miss else "hits"] += 1
-        self._finalize(job, status, error=error, was_running=True)
-
-    def _finalize(self, job: Job, status: str, *, error: str | None = None,
-                  was_running: bool = False) -> None:
-        """Move a job to a terminal state exactly once.
-
-        Idempotent: a worker and a concurrent ``cancel`` may both reach
-        here; only the first transition counts, finishes the job and
-        releases its admission budget.
-        """
-        with self._lock:
-            if was_running:
-                self._running -= 1
-                self._idle.notify_all()
-            if job.done_event.is_set():
-                self._refresh_gauges_locked()
-                return
-            self._counts[status] = self._counts.get(status, 0) + 1
+            self._running -= 1
             self._finish(job, status, error)
-            self._idle.notify_all()
-        if job.admission is not None:
-            self.admission.release(job.admission)
-        if self.metrics is not None:
-            self.metrics.job_finished(job, was_running=was_running)
-        self._refresh_gauges()
-        log_event(_LOG, "job_finished",
-                  level=(logging.INFO if status == "done"
-                         else logging.WARNING),
-                  job_id=job.id, status=status, priority=job.priority,
-                  error=error, queue_ms=round(job.queue_ms, 3),
-                  run_ms=round(job.run_ms, 3))
+        self._finished(job, was_running=True)
 
     def _finish(self, job: Job, status: str, error: str | None) -> None:
-        """Finish ``job`` and forget the oldest over the cap (``_lock`` held)."""
+        """Move ``job`` to a terminal state, release its budget and forget
+        the oldest finished job over the cap (monitor held)."""
+        self._counts[status] += 1
+        self.admission.release(job.admission)
         job.finish(status, error=error)
         self._terminal.append(job.id)
         while len(self._terminal) > MAX_TERMINAL_JOBS:
             del self._jobs[self._terminal.popleft()]
+        self._changed()
 
-    def _refresh_gauges(self) -> None:
-        """Re-derive the point-in-time gauges from the ground truth."""
-        if self.metrics is None:
-            return
-        with self._lock:
-            running = self._running
-        self.metrics.update_queue_gauges(
-            depth_by_class=self.queue.depth_by_class(), running=running,
-            committed_bytes=self.admission.committed_bytes)
+    def _changed(self) -> None:
+        """Wake every waiter and re-derive the point-in-time gauges
+        (monitor held)."""
+        self._cond.notify_all()
+        if self.metrics is not None:
+            self.metrics.update_queue_gauges(
+                depth_by_class=self.queue.depth_by_class(),
+                running=self._running,
+                committed_bytes=self.admission.committed_bytes)
 
-    def _refresh_gauges_locked(self) -> None:
-        """Gauge refresh for call sites already holding ``_lock``."""
-        if self.metrics is None:
-            return
-        self.metrics.update_queue_gauges(
-            depth_by_class=self.queue.depth_by_class(),
-            running=self._running,
-            committed_bytes=self.admission.committed_bytes)
+    def _finished(self, job: Job, *, was_running: bool) -> None:
+        """Telemetry and the log line of a job that just finished."""
+        if self.metrics is not None:
+            self.metrics.job_finished(job, was_running=was_running)
+        log_event(_LOG, "job_finished",
+                  level=(logging.INFO if job.status == "done"
+                         else logging.WARNING),
+                  job_id=job.id, status=job.status, priority=job.priority,
+                  error=job.error, queue_ms=round(job.queue_ms, 3),
+                  run_ms=round(job.run_ms, 3))
 
     # -- queries ------------------------------------------------------
     def get(self, job_id: str) -> Job:
-        with self._lock:
+        with self._cond:
             try:
                 return self._jobs[job_id]
             except KeyError:
@@ -367,28 +328,28 @@ class SortService:
     def cancel(self, job_id: str) -> Job:
         """Cancel a queued job now, or abort a running one in flight."""
         job = self.get(job_id)
-        with self._lock:
+        with self._cond:
             if job.terminal:
                 return job
-            queued = job.status == "queued"
             job.cancel_event.set()
-        if queued:
-            # reap immediately rather than waiting for a worker's pop
-            self._finalize(job, "cancelled", error="cancelled while queued")
+            if job.status == "running":
+                return job  # the engine aborts it; its worker finishes it
+            self._finish(job, "cancelled", "cancelled while queued")
+        self._finished(job, was_running=False)
         return job
 
     def stats(self) -> dict[str, Any]:
-        with self._lock:
-            counts, pools = dict(self._counts), dict(self._pools)
-            running = self._running
-            state = self.state.value
+        with self._cond:
+            out = {
+                "state": self.state.value,
+                "queued": self.queue.depth(),
+                "running": self._running,
+                "counts": dict(self._counts),
+                "admission": self.admission.stats(),
+                "pools": dict(self._pools),
+            }
         return {
-            "state": state,
-            "queued": self.queue.depth(),
-            "running": running,
-            "counts": counts,
-            "admission": self.admission.stats(),
-            "pools": pools,
+            **out,
             "telemetry": self.metrics is not None,
             # p50/p99 wall latency per priority class, from the
             # telemetry histograms (None with telemetry off)
@@ -403,31 +364,23 @@ class SortService:
         Returns ``True`` when the service fully drained (always, unless
         ``timeout`` expired first).  Idempotent.
         """
-        with self._lock:
+        with self._cond:
             if self.state is ServiceState.ACCEPTING:
                 self.state = ServiceState.DRAINING
                 log_event(_LOG, "draining",
                           queued=self.queue.depth(), running=self._running)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._idle:
-            while self.queue.depth() or self._running:
-                remaining = None if deadline is None \
-                    else deadline - time.monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._idle.wait(0.05 if remaining is None
-                                else min(0.05, remaining))
-        self._stop_workers.set()
-        self.queue.wake_all()
-        for w in self._workers:
-            w.join()
-        stopped = False
-        with self._lock:
+            if not self._cond.wait_for(
+                    lambda: not self.queue.depth() and not self._running,
+                    timeout):
+                return False
             stopped = self.state is not ServiceState.STOPPED
             self.state = ServiceState.STOPPED
-        self._refresh_gauges()
+            self._cond.notify_all()
+            counts = dict(self._counts)
+        for w in self._workers:
+            w.join()
         if stopped:
-            log_event(_LOG, "stopped", counts=dict(self._counts))
+            log_event(_LOG, "stopped", counts=counts)
         return True
 
     close = drain  # the engine's pool stays warm for the process

@@ -1,7 +1,8 @@
 """Admission's load model is memoised; its values are not touched.
 
-``estimate_job_bytes`` runs under the service's submit lock for every
-job.  What it reads from the count-space model that does not depend on
+``estimate_job_bytes`` runs for every submitted job, outside the
+service's lock, on as many connection threads as submit at once.  What
+it reads from the count-space model that does not depend on
 the job's seed — the ``UniverseModel`` of a workload family, its cdf,
 the pivot indices and cumulative counts of one ``(model, n, p)`` — is
 built once, kept on the model and shared read-only; the per-seed jitter, the run walk and

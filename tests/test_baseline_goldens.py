@@ -32,15 +32,13 @@ import pytest
 
 from repro import runner
 from repro.faults.chaos import run_chaos
+from repro.mpi import HOST_COUNTERS
 from repro.workloads import by_name
 
 DATA = Path(__file__).parent / "data" / "baseline_goldens.json"
 ALGORITHMS = ("hyksort", "hyksort-sk", "radix")
 WORKLOADS = ("uniform", "zipf", "ptf")
 N_PER_RANK = 64
-
-#: Host-wall-clock counters: no two runs agree on them.
-WALL_COUNTERS = ("coll.sync_wait", "p2p.wait")
 
 RUNS = ([(a, w, p, "flat") for a in ALGORITHMS for w in WORKLOADS
          for p in (16, 48, 131, 256, 1024)]
@@ -79,7 +77,7 @@ def run_case(algorithm: str, workload: str, p: int, backend: str) -> dict:
         "ranks": None if not pinned else _digest({
             "clocks": res.clocks,
             "counters": [{k: v for k, v in sorted(c.items())
-                          if k not in WALL_COUNTERS} for c in res.counters],
+                          if k not in HOST_COUNTERS} for c in res.counters],
             "mem_peaks": res.mem_peaks,
             "phase_times": res.phase_times,
             "loads": r.loads,

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from repro.core import pipeline
 from repro.faults import CrashFault, FaultSpec
 from repro.machine import EDISON
-from repro.mpi import run_spmd
+from repro.mpi import HOST_COUNTERS, run_spmd
 from repro.records import SRC_RANK, SortedRows, kway_merge_batches
 from repro.runner import _SortProgram
 from repro.workloads import Workload, cosmology, ptf, uniform
@@ -81,7 +81,7 @@ def _run(algorithm, workload, n, p, opts, fault, backend, oracle=False):
         "failure": None if res.failure is None else str(res.failure),
         "clocks": res.clocks, "phase_times": res.phase_times,
         "counters": [{k: v for k, v in c.items()
-                      if k not in ("coll.sync_wait", "p2p.wait")}
+                      if k not in HOST_COUNTERS}
                      for c in res.counters],
         "mem_peaks": res.mem_peaks,
         "outcomes": [o and (o.active, o.info.get("decisions"),

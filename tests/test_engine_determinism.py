@@ -24,7 +24,7 @@ import pytest
 from repro.core import SdsParams, sds_sort
 from repro.core.bitonic import bitonic_sort, bitonic_sort_rounds
 from repro.machine import EDISON
-from repro.mpi import run_spmd
+from repro.mpi import HOST_COUNTERS, run_spmd
 from repro.mpi.comm import Comm
 from repro.records import RecordBatch, tag_provenance
 from repro.workloads import uniform
@@ -36,7 +36,6 @@ from .oracles_exchange import (
 )
 
 #: Host-time observability counters, excluded from determinism claims.
-WALL_COUNTERS = frozenset({"coll.sync_wait", "p2p.wait"})
 
 
 @contextmanager
@@ -71,7 +70,7 @@ def _sort_prog(comm, n, params):
 
 
 def _fingerprint(res):
-    counters = [{k: v for k, v in c.items() if k not in WALL_COUNTERS}
+    counters = [{k: v for k, v in c.items() if k not in HOST_COUNTERS}
                 for c in res.counters]
     return (res.clocks, res.phase_times, counters, res.mem_peaks,
             res.results)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import pipeline
 from repro.core.exchange import sync_exchange_compute
-from repro.mpi import Cuts, run_spmd
+from repro.mpi import HOST_COUNTERS, Cuts, run_spmd
 from repro.mpi.cells import by_destination
 from repro.obs import Tracer
 from repro.records import RecordBatch
@@ -130,10 +130,9 @@ class TestFusedSyncExchange:
         assert a.phase_times == b.phase_times
         # host-time observability counters are the one non-deterministic
         # exception (same exclusion as test_engine_determinism)
-        wall = {"coll.sync_wait", "p2p.wait"}
-        assert ([{k: v for k, v in c.items() if k not in wall}
+        assert ([{k: v for k, v in c.items() if k not in HOST_COUNTERS}
                  for c in a.counters]
-                == [{k: v for k, v in c.items() if k not in wall}
+                == [{k: v for k, v in c.items() if k not in HOST_COUNTERS}
                     for c in b.counters])
         assert a.mem_peaks == b.mem_peaks
 

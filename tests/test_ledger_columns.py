@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 from repro.machine import EDISON, CostModel, MemoryLedger
 from repro.mpi import (
+    HOST_COUNTERS,
     LANE,
     ColumnarWorld,
     Comm,
@@ -241,7 +242,7 @@ def _seen(sim: SimWorld, failures: list) -> dict:
         "clocks": views.clocks,
         "in_use": sim.mem.in_use.tolist(),
         "peaks": views.mem_peaks,
-        "counters": [{k: v for k, v in c.items() if k != "coll.sync_wait"}
+        "counters": [{k: v for k, v in c.items() if k not in HOST_COUNTERS}
                      for c in views.counters],
         "phase_times": views.phase_times,
         "breakdown": views.phase_breakdown(),
@@ -408,7 +409,7 @@ def test_rank_threads_sharing_the_columns_lose_no_update():
     assert tracer.counters.rows() == [{"cost.compute": clock}] * 16
     assert [len(s) for s in tracer.rank_spans()] == [300] * 16
     want = {f"c{j}": float(len(range(j, 300, 7))) for j in range(7)}
-    assert all({k: v for k, v in c.items() if k != "coll.sync_wait"} == want
+    assert all({k: v for k, v in c.items() if k not in HOST_COUNTERS} == want
                for c in res.counters)
     assert res.clocks == [clock] * 16
     assert res.world.mem.in_use.tolist() == [300] * 16

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.machine import EDISON
-from repro.mpi import Cuts, run_spmd
+from repro.mpi import HOST_COUNTERS, Cuts, run_spmd
 from repro.obs import Tracer
 from repro.records import RecordBatch
 
@@ -57,7 +57,7 @@ class TestBasicCollectives:
 def _steady(counters):
     """Counters without the host-wall-clock ones."""
     return [{k: v for k, v in c.items()
-             if k not in ("coll.sync_wait", "p2p.wait")} for c in counters]
+             if k not in HOST_COUNTERS} for c in counters]
 
 
 def _even(c, batch):

@@ -25,7 +25,7 @@ from repro.core import NodeMerge, SdsParams, sds_sort, sds_sort_world
 from repro.faults import FaultSpec, MessageFaults
 from repro.faults.chaos import PRESETS
 from repro.machine import EDISON, LAPTOP
-from repro.mpi import LANE, ColumnarWorld, FlatAbort, run_spmd
+from repro.mpi import HOST_COUNTERS, LANE, ColumnarWorld, FlatAbort, run_spmd
 from repro.obs import TraceReport, Tracer
 from repro.records import RecordBatch
 
@@ -111,6 +111,28 @@ class TestNodeMerge:
             _, merged = run_merge(48, EDISON, backend, _keys(48, n=4))
             assert sorted(merged) == [0, 24], backend  # two 24-wide nodes
 
+    def test_a_short_last_node_votes_skip(self):
+        # p=26 on 24-wide nodes: the 2-rank node pools 2 ranks' memory but
+        # its leader would hold its node's data and half the exchange
+        from repro.runner import run_sort
+        from repro.workloads import by_name
+
+        for backend in BACKENDS:
+            r = run_sort("sds", by_name("uniform"), p=26, n_per_rank=50,
+                         backend=backend, keep_outputs=True)
+            assert r.ok and r.extras["p_active"] == 26, (backend, r.failure)
+            (d,) = [d for d in r.extras["decisions"]
+                    if d["decision"] == "node_merge"]
+            assert d["choice"] == "skip" and "24/26" in d["reason"], backend
+
+        outs, merged = run_merge(26, EDISON, "flat", _keys(26),
+                                 mem_capacity=6 * 16 * 8)
+        assert merged == {}
+        short = [d for d in outs[25].info["decisions"]
+                 if d["decision"] == "node_merge"]
+        assert [d["reason"].split(":")[0] for d in short] == \
+            ["leader capacity"]
+
     def test_merge_preserves_multiset(self):
         keys = [np.full(4, float(r)) for r in range(16)]
         for backend in BACKENDS:
@@ -169,7 +191,6 @@ def test_funnel_under_a_tracer_and_faults(p, hooks, backend):
 # the fused funnel against the collectives it stands for
 # ---------------------------------------------------------------------------
 
-WALL_COUNTERS = ("coll.sync_wait", "p2p.wait")
 
 
 def _value(rank):
@@ -245,7 +266,7 @@ def _observed(fused, p, backend, *, traced=False, faults=None, seed=3):
         "outs": res.results if res.failure is None else None,
         "clocks": res.clocks, "phase_times": res.phase_times,
         "traces": res.traces, "mem_peaks": res.mem_peaks,
-        "counters": [{k: v for k, v in c.items() if k not in WALL_COUNTERS}
+        "counters": [{k: v for k, v in c.items() if k not in HOST_COUNTERS}
                      for c in res.counters],
         "trace": tracer and TraceReport.from_run(
             tracer, clocks=res.clocks).as_dict(),

@@ -15,6 +15,7 @@ The contract under test, in order of importance:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import tracemalloc
 from collections import Counter
@@ -196,6 +197,19 @@ class TestDeterminism:
         a = self._export(tmp_path, "a.json", **kw)
         b = self._export(tmp_path, "b.json", **kw)
         assert a == b
+
+    @pytest.mark.parametrize("algorithm", ["sds", "psrs"])
+    def test_as_dict_of_thread_runs_hashes_equal(self, algorithm):
+        # rank threads book host seconds waited (HOST_COUNTERS) into the
+        # engine counters: the dump must leave them out
+        def digest():
+            rep = traced(algorithm=algorithm, p=16, backend="thread")
+            assert any(c.get("coll.sync_wait")
+                       for c in rep.extras["trace"].engine_counters)
+            blob = json.dumps(rep.extras["trace"].as_dict(), sort_keys=True)
+            return hashlib.sha256(blob.encode()).hexdigest()
+
+        assert digest() == digest()
 
 
 class TestReconciliation:

@@ -58,6 +58,21 @@ class TestNodeMergePolicy:
         d = policy().node_merge(node_bytes=1, ranks_per_node=8, comm_size=8)
         assert d.choice == "skip"
 
+    def test_skips_when_the_node_cannot_hold_its_leader(self):
+        # p=26 on 24-wide nodes, 1000 B shards: the 2-rank node's leader
+        # would hold 2000 B + 26,000 B / 2 nodes
+        pol = policy()
+        kw = dict(node_bytes=2000, ranks_per_node=2, comm_size=26, nodes=2)
+        fits = pol.node_merge(**kw, capacity=7500)
+        assert fits.choice == "merge" and "leader_bytes" not in fits.measured
+        d = pol.node_merge(**kw, capacity=6700)
+        assert d.choice == "skip" and d.reason.startswith("leader capacity")
+        assert d.measured["leader_bytes"] == 15_000
+        assert d.measured["node_capacity"] == 13_400
+        # where the ranks alone have no room for their own share either,
+        # skipping would not help: the vote stays merge
+        assert pol.node_merge(**kw, capacity=1999).choice == "merge"
+
     def test_consensus_overrides_local_merge(self):
         pol = policy()
         local = pol.node_merge(node_bytes=1, ranks_per_node=8, comm_size=16)

@@ -14,7 +14,7 @@ from repro.core.sampling import (
     select_pivots_gather_world,
 )
 from repro.machine import LAPTOP
-from repro.mpi import LANE, ColumnarWorld, SpmdResult, run_spmd
+from repro.mpi import HOST_COUNTERS, LANE, ColumnarWorld, SpmdResult, run_spmd
 from repro.mpi.comm import SimWorld, payload_nbytes
 from repro.mpi.flatworld import make_world_comms
 
@@ -205,8 +205,7 @@ def _samples(shards, p, *, runs):
 
 
 def _deterministic(counters):
-    wall = {"coll.sync_wait", "p2p.wait"}
-    return [{k: v for k, v in c.items() if k not in wall} for c in counters]
+    return [{k: v for k, v in c.items() if k not in HOST_COUNTERS} for c in counters]
 
 
 class TestRunLengthSelection:

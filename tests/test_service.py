@@ -168,7 +168,7 @@ class TestJobQueue:
         q.push(self._job(2, "batch"))
         q.push(self._job(3, "interactive"))
         q.push(self._job(4, "interactive"))
-        order = [q.pop(timeout=0.1).seq for _ in range(4)]
+        order = [q.pop().seq for _ in range(4)]
         assert order == [3, 4, 2, 1]
 
     def test_pop_skips_cancelled(self):
@@ -177,11 +177,13 @@ class TestJobQueue:
         q.push(a)
         q.push(b)
         a.finish("cancelled")
-        assert q.pop(timeout=0.1) is b
+        assert q.pop() is b
         assert q.depth() == 0
+        assert q.pop() is None
 
-    def test_pop_times_out_empty(self):
-        assert JobQueue().pop(timeout=0.01) is None
+    def test_pop_of_an_empty_queue_is_none(self):
+        # a worker waits on the service's condition, never in the queue
+        assert JobQueue().pop() is None
 
     def test_cancel_token_reads_its_deadline(self):
         past, future = CancelToken(time.monotonic()), \

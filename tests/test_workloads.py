@@ -237,7 +237,7 @@ class TestCosmology:
         from repro.runner import run_sort
         for algorithm in ("sds", "sds-stable"):   # psrs refuses empty shards
             res = run_sort(algorithm, cosmology(), n_per_rank=0, p=4,
-                           backend=backend)       # validate=True
+                           backend=backend)       # and validated
             assert res.ok and res.loads == [0, 0, 0, 0]
 
 

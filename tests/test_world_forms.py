@@ -39,6 +39,7 @@ from repro.faults.chaos import PRESETS
 from repro.faults.plan import CollectivePenalty
 from repro.machine import EDISON, CostModel, MemoryLedger
 from repro.mpi import (
+    HOST_COUNTERS,
     LANE,
     ColumnarWorld,
     Comm,
@@ -65,7 +66,6 @@ from .oracles_merge import kway_merge_run_lists
 from .test_workloads import registered_names
 
 #: Host-wall counters: no engine reproduces them.
-WALL_COUNTERS = ("coll.sync_wait", "p2p.wait")
 
 ALGORITHMS = ("sds", "sds-stable", "psrs", "hyksort")
 
@@ -104,7 +104,7 @@ def _observed(res) -> dict:
         "clocks": res.clocks,
         "phase_times": res.phase_times,
         "traces": res.traces,
-        "counters": [{k: v for k, v in c.items() if k not in WALL_COUNTERS}
+        "counters": [{k: v for k, v in c.items() if k not in HOST_COUNTERS}
                      for c in res.counters],
         "mem_peaks": res.mem_peaks,
         "failure": None,
@@ -884,7 +884,7 @@ def test_comm_verbs_on_threads_equal_world_verbs_on_the_membership(p, mode):
                 "outs": _plain(res.results), "clocks": res.clocks,
                 "phase_times": res.phase_times, "traces": res.traces,
                 "counters": [{k: v for k, v in c.items()
-                              if k not in WALL_COUNTERS}
+                              if k not in HOST_COUNTERS}
                              for c in res.counters],
                 "mem_peaks": res.mem_peaks,
                 "trace": tracer and TraceReport.from_run(
