@@ -535,15 +535,14 @@ class NodeMerge:
             ranks = [c.rank for c in comms]
             sim = comms[0]._world
             node, rpn = sim.node_layout(comms[0]._ctx)
-            caps = sim.mem.capacity[comms[0]._ctx.index[ranks]].tolist()
-            # (shard bytes, ranks on the node, a rank's capacity: huge
-            # where unenforced)
-            args = [(ctx.batch.nbytes, rpn[r], c)
-                    for ctx, r, c in zip(ctxs, ranks, caps)]
-            nodes = len(set(node))
+            args = [(ctx.batch.nbytes * rpn[r], rpn[r], size)
+                    for ctx, r in zip(ctxs, ranks)]
+            # every rank's capacity is the run's until node_funnel pools a
+            # node's (huge where unenforced)
+            cap, nodes = sim.mem.capacity.item(comms[0].grank), len(set(node))
             verdict = {a: policy.node_merge(
-                node_bytes=a[0] * a[1], ranks_per_node=a[1], comm_size=size,
-                nodes=nodes, capacity=a[2]) for a in set(args)}
+                node_bytes=a[0], ranks_per_node=a[1], comm_size=a[2],
+                nodes=nodes, capacity=cap) for a in set(args)}
             agg = world.allreduce(
                 comms, [1 if verdict[a].choice == "merge" else 0
                         for a in args])
