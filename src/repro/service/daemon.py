@@ -52,7 +52,7 @@ OPS = ("submit", "status", "result", "cancel", "stats", "metrics",
 #: answered with a ``request too long`` error and skipped, never held.
 MAX_REQUEST_BYTES = 1 << 20
 
-NEWLINES = (b"\n", "\n")  # a line's end, read as bytes or as text
+_NEWLINES = (b"\n", "\n")  # a line's end, read as bytes or as text
 
 _LOG = service_logger("service.daemon")
 
@@ -159,8 +159,8 @@ def _serve_lines(service: SortService, rfile: BinaryIO | TextIO,
     without ever being held whole.
     """
     while line := rfile.readline(MAX_REQUEST_BYTES):
-        if len(line) == MAX_REQUEST_BYTES and line[-1:] not in NEWLINES:
-            while line and line[-1:] not in NEWLINES:
+        if len(line) == MAX_REQUEST_BYTES and line[-1:] not in _NEWLINES:
+            while line and line[-1:] not in _NEWLINES:
                 line = rfile.readline(MAX_REQUEST_BYTES)
             response, should_exit = _refused(
                 f"request too long: over {MAX_REQUEST_BYTES} bytes")
