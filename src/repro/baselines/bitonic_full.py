@@ -38,7 +38,7 @@ def _check_network(p: int, lengths: Sequence[int] = ()) -> None:
 
 
 def _local_sort(ctx: RunContext) -> None:
-    ctx.batch = sort_batch(ctx.batch)
+    ctx.batch = sort_batch(ctx.own_batch())
     ctx.comm.charge(ctx.cost.sort_time(ctx.n))
 
 

@@ -34,7 +34,7 @@ _ALWAYS_MERGE = 2**62
 
 
 def _singleton_outcome(ctx: RunContext) -> SortOutcome:
-    return SortOutcome(batch=ctx.sorted_batch(), received=ctx.n,
+    return SortOutcome(batch=ctx.own_batch(), received=ctx.n,
                        info={"p_active": 1, "decisions": ctx.decisions()})
 
 

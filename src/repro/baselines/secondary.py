@@ -24,7 +24,7 @@ import numpy as np
 
 from ..core.pipeline import Run, SortOutcome
 from ..mpi import LANE, Comm, World
-from ..records import RecordBatch
+from ..records import RecordBatch, rank_batches
 from .hyksort import HykParams, run_hyksort
 
 #: Composite keys carry the original float64 key plus rank and position
@@ -106,6 +106,7 @@ def hyksort_secondary_key_world(world: World, comms: list[Comm],
     Per-rank outcomes in ``comms`` order, ``None`` for failed ranks
     (details in ``world.failures``).
     """
+    batches = rank_batches(batches)
     with Run(world, comms) as run:
         widened = world.each(comms, lambda i, c: _widen(batches[i], c.rank))
         composites = _composite_order_keys_world(world, comms, widened)

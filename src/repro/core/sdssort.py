@@ -65,7 +65,7 @@ __all__ = ["SortOutcome", "local_delta", "pivot_pad_value", "sds_sort",
 
 def _singleton_outcome(ctx: RunContext) -> SortOutcome:
     """The one-rank short-circuit: locally sorted data is the answer."""
-    return SortOutcome(batch=ctx.sorted_batch(), received=ctx.n,
+    return SortOutcome(batch=ctx.own_batch(), received=ctx.n,
                        info={"p_active": 1, "delta_local": ctx.delta,
                              "decisions": ctx.decisions()})
 

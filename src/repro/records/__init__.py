@@ -5,12 +5,15 @@ from .batch import (
     SRC_POS,
     SRC_RANK,
     RecordBatch,
+    ShardRows,
+    ShardTable,
     SortedRows,
     concat_rows,
     from_mapping,
+    rank_batches,
     row_tables,
+    table_rows,
     tag_provenance,
-    tag_provenance_world,
 )
 from .ops import (
     adaptive_sort_batch,
@@ -25,12 +28,15 @@ __all__ = [
     "SRC_POS",
     "SRC_RANK",
     "RecordBatch",
+    "ShardRows",
+    "ShardTable",
     "SortedRows",
     "concat_rows",
     "from_mapping",
+    "rank_batches",
     "row_tables",
+    "table_rows",
     "tag_provenance",
-    "tag_provenance_world",
     "adaptive_sort_batch",
     "kway_merge_batches",
     "merge_sorted_rows",

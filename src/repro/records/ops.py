@@ -19,7 +19,7 @@ from ..kernels import (
     same_key_groups,
     stable_argsort,
 )
-from .batch import RecordBatch, SortedRows, row_tables
+from .batch import RecordBatch, SortedRows, gathered, row_tables
 
 
 def merge_two_batches(a: RecordBatch, b: RecordBatch) -> RecordBatch:
@@ -51,9 +51,10 @@ def merge_sorted_rows(run_lists: Sequence[Sequence[SortedRows]]
     list of that schema and total length: one stable argsort sorts the
     ``(lists, total)`` stack of their sorted keys along its rows (the
     stable permutation of sorted runs is unique), and each payload
-    column is gathered once from the concatenated inputs through the
-    composed permutation.  A list whose runs disagree on layout (or
-    holds none) goes through :func:`kway_merge_batches` alone.
+    column is gathered from the runs' input tables in key order
+    (:func:`~.batch.gathered`) and put in merged order by one take.  A
+    list whose runs disagree on layout (or holds none) goes through
+    :func:`kway_merge_batches` alone.
     """
     out: list = [None] * len(run_lists)
     laid = [row_tables(runs) for runs in run_lists]
@@ -68,7 +69,7 @@ def merge_sorted_rows(run_lists: Sequence[Sequence[SortedRows]]
             for j in members:
                 try:
                     out[j] = kway_merge_batches(
-                        [t.batch(k) for t in laid[j][0] for k in range(len(t.rows))])
+                        [t.row(k) for t in laid[j][0] for k in range(len(t.keys))])
                 except Exception as exc:
                     out[j] = exc
             continue
@@ -79,14 +80,8 @@ def merge_sorted_rows(run_lists: Sequence[Sequence[SortedRows]]
             [t.keys.ravel() for t in flat]).reshape(rows, total))
         perm += (np.arange(rows, dtype=perm.dtype) * total)[:, None]
         perm, keys = perm.ravel(), keys.ravel()
-        if len(schema) > 1:  # each run's sort, at its run's offset
-            sizes = np.concatenate([laid[j][1] for j in members])
-            offsets = np.repeat(np.cumsum(sizes) - sizes, sizes)
-            perm = (np.concatenate([t.perm.ravel() for t in flat])
-                    + offsets)[perm]
-        columns = {name: np.concatenate([r.payload[name] for t in flat
-                                         for r in t.rows])[perm]
-                   for name, _, _ in schema[1:]}
+        columns = {name: gathered(flat, name, np.empty(
+            (keys.size, *shape), dtype))[perm] for name, dtype, shape in schema[1:]}
         for row, j in enumerate(members):
             lo, hi = row * total, (row + 1) * total
             out[j] = RecordBatch._unsafe(

@@ -30,7 +30,9 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any
 
+from ..core.plan import DecisionPolicy
 from ..machine import get_machine
+from ..runner import ALGORITHMS
 from ..simfast import countspace_loads
 from ..simfast.scaling import analytic_model_for
 from .spec import JobSpec
@@ -85,11 +87,18 @@ def estimate_job_bytes(spec: JobSpec) -> int:
         return min(held, shard + ranks * int(spec.mem_factor * shard))
 
     estimate = spec.p * peak(1, spec.p)
-    rpn = get_machine(spec.machine).cores_per_node
+    if spec.algorithm not in ("sds", "sds-stable"):
+        return estimate
+    algo, rpn = ALGORITHMS[spec.algorithm], get_machine(spec.machine).cores_per_node
     leaders, last = -(-spec.p // rpn), spec.p % rpn or rpn
-    # merging needs every rank's vote, and a one-rank node votes skip
-    if (spec.algorithm in ("sds", "sds-stable") and leaders > 1 and last > 1
-            and spec.algo_opts.get("node_merge_enabled", True)):
+    policy = DecisionPolicy(algo.params_type(**{**algo.defaults, **spec.algo_opts}))
+    cap = (None if spec.mem_factor is None
+           else int(spec.mem_factor * spec.n_per_rank * record_bytes))
+    # merging needs every rank's vote: each node size's, at the run's capacity
+    if all(policy.node_merge(
+            node_bytes=size * shard, ranks_per_node=size, comm_size=spec.p,
+            nodes=leaders, capacity=cap).choice == "merge"
+           for size in {last, rpn if spec.p > last else last}):
         merged = ((spec.p - leaders) * shard
                   + (leaders - 1) * peak(rpn, leaders) + peak(last, leaders))
         estimate = max(estimate, merged)

@@ -2,9 +2,9 @@
 
 A HykSort level talks to ``k`` peers and a radix rank to at most ``n``
 destinations: ``p`` send slots a rank (p^2 in all) made flat HykSort at
-p=4096 take minutes and gigabytes.  SDS with node merge builds two
-batches a rank (drawn, tagged) and the leaders' few, and a communicator
-only for the leaders.  Flat PSRS builds its phase products — decision
+p=4096 take minutes and gigabytes.  SDS with node merge builds no batch
+for a rank's input (a world's input is one table per shard shape), only
+the leaders' few, and a communicator only for the leaders.  Flat PSRS builds its phase products — decision
 plans, regular samples, cuts, sorted rows — once per communicator or
 shard shape, not once per rank, and flat SDS its cuts in every
 partition variant.  Counted at p=1024 x 64, flat.
@@ -38,7 +38,8 @@ def _hyksort_levels(p: int, k: int) -> int:
     return levels
 
 
-def _count_batches(algorithm: str, workload: str, **kwargs) -> int:
+def _count_batches(algorithm: str, workload: str, p: int = P,
+                   **kwargs) -> tuple[int, int]:
     built = [0]
     init, unsafe = RecordBatch.__init__, RecordBatch._unsafe.__func__
 
@@ -53,10 +54,10 @@ def _count_batches(algorithm: str, workload: str, **kwargs) -> int:
     with mock.patch.object(RecordBatch, "__init__", counted_init), \
             mock.patch.object(RecordBatch, "_unsafe",
                               classmethod(counted_unsafe)):
-        r = run_sort(algorithm, by_name(workload), p=P,
+        r = run_sort(algorithm, by_name(workload), p=p,
                      n_per_rank=N_PER_RANK, backend="flat", **kwargs)
     assert r.ok, r.failure
-    return built[0]
+    return built[0], r.extras["p_active"]
 
 
 @pytest.mark.parametrize("algorithm,workload", [
@@ -64,23 +65,24 @@ def _count_batches(algorithm: str, workload: str, **kwargs) -> int:
 def test_hyksort_builds_o_pk_batches_per_level(algorithm, workload):
     # measured: 66-69 a rank over 2 levels; a p-slot send list is > 1,100
     levels = _hyksort_levels(P, HykParams().k)
-    built = _count_batches(algorithm, workload, mem_factor=None)
+    built, _ = _count_batches(algorithm, workload, mem_factor=None)
     assert built <= P * levels * N_PER_RANK, built
 
 
 @pytest.mark.parametrize("workload", ["uniform", "zipf"])
 def test_radix_builds_o_pn_batches(workload):
     # one exchange; measured 12-24 a rank, a p-slot send list > 1,000
-    built = _count_batches("radix", workload, mem_factor=None)
+    built, _ = _count_batches("radix", workload, mem_factor=None)
     assert built <= P * N_PER_RANK, built
 
 
-def test_sds_with_node_merge_builds_two_batches_a_rank():
-    # measured 2,138 (2 a rank plus 90 for the 43 leaders and the
-    # exchange) where a local sort that took every rank's payload built
-    # 3,162; bound: measured + 10 %
-    built = _count_batches("sds", "uniform", mem_factor=None)
-    assert built <= 2352, built
+def test_sds_with_node_merge_builds_batches_only_for_leaders():
+    # p=4096: 350 measured, two for each of the 171 leaders (merged,
+    # output) and a few shared; a batch a rank drawn and one tagged,
+    # the input form this replaced, built 8,542
+    built, leaders = _count_batches("sds", "uniform", p=4096, mem_factor=None)
+    assert leaders == -(-4096 // 24)
+    assert built <= 2 * leaders + 32, built
 
 
 def test_sds_with_node_merge_builds_a_comm_only_for_leaders():
@@ -128,7 +130,7 @@ def test_flat_psrs_keeps_sorted_rows_one_table_to_the_exchange():
     built: Counter = Counter()
     with ExitStack() as patches:
         for cls, name, what in ((SortedRows, "__init__", "tables"),
-                                (SortedRows, "batch", "takes"),
+                                (SortedRows, "row", "takes"),
                                 (RecordBatch, "take", "takes")):
             patches.enter_context(mock.patch.object(
                 cls, name, _counted(getattr(cls, name), built, what)))

@@ -52,7 +52,7 @@ def _oracle_merge(run_lists):
 def _taking_local_sort(self, world, ctxs, _local_sort=pipeline.LocalSort.run):
     _local_sort(self, world, ctxs)
     for ctx in ctxs:
-        ctx.sorted_batch()
+        ctx.own_batch()
 
 
 def _run(algorithm, workload, n, p, opts, fault, backend, oracle=False):
@@ -61,15 +61,15 @@ def _run(algorithm, workload, n, p, opts, fault, backend, oracle=False):
               .compile(p, 3) if fault and fault[1] != "open" else None)
     # a shard of 20-byte uniform records is refused at open if it is full
     capacity = (n - 1) * 20 if fault and fault[1] == "open" else None
-    gathered, take = [], SortedRows.batch
+    gathered, take = [], SortedRows.row
 
     def spy(rows, k):
-        gathered.extend(rows.rows[k].payload[SRC_RANK][:1].tolist())
+        gathered.extend(rows.rows.payload[SRC_RANK][rows.lo + k, :1].tolist())
         return take(rows, k)
 
     # blocks of 16 records: one row a block from n=16 on, edges inside
     with mock.patch("repro.records.batch.BLOCK_RECORDS", 16), \
-            mock.patch.object(SortedRows, "batch", spy), \
+            mock.patch.object(SortedRows, "row", spy), \
             mock.patch.object(pipeline, "merge_sorted_rows", _oracle_merge
                               if oracle else pipeline.merge_sorted_rows), \
             mock.patch.object(pipeline.LocalSort, "run", _taking_local_sort

@@ -383,6 +383,21 @@ def test_the_sync_exchange_releases_each_chunk_once_on_both_backends():
     assert held[0] == held[1] and held[2] == held[3]
 
 
+def test_radix_releases_each_chunk_once_on_both_backends():
+    # radix releases its send buffer at the exchange, its own chunk to
+    # itself with it, and the chunks received after its local sort:
+    # every rank ends holding exactly its output's bytes (it used to
+    # release its own chunk a second time and end below them)
+    prog = _SortProgram("radix", uniform(), 64, 0, {})
+    held = []
+    for backend in ("flat", "thread"):
+        res = run_spmd(prog, 25, machine=EDISON, backend=backend)
+        outs = [out.batch.nbytes for _, out in res.results]
+        assert res.world.mem.in_use.tolist() == outs, backend
+        held.append((outs, res.mem_peaks))
+    assert held[0] == held[1]
+
+
 def test_rank_threads_sharing_the_columns_lose_no_update():
     # every rank thread writes only its own entries, and the first
     # booking of a name is one setdefault: with the interpreter switching

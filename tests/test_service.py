@@ -113,14 +113,17 @@ class TestAdmission:
 
     @pytest.mark.parametrize("workload", ["uniform", "zipf", "ptf"])
     @pytest.mark.parametrize("algorithm", ["sds", "sds-stable"])
-    @pytest.mark.parametrize("p", [25, 48, 64])
+    @pytest.mark.parametrize("p", [25, 26, 48, 50, 64, 74])
     def test_estimate_bounds_the_default_run(self, p, algorithm, workload):
-        # node merge on (the default): a leader holds its node's data
+        # node merge on (the default): a leader holds its node's data,
+        # unless a short last node votes merging off (p = 26, 50, 74)
+        # and no leader is modelled; either way the bound stays close
         spec = JobSpec(algorithm=algorithm, workload=workload, p=p,
                        backend="flat")
         r = spec.run()
         assert r.ok, r.failure
-        assert estimate_job_bytes(spec) >= sum(r.extras["mem_peaks"])
+        peak = sum(r.extras["mem_peaks"])
+        assert peak <= estimate_job_bytes(spec) <= 1.25 * peak
 
     def test_over_budget_is_typed_backpressure(self):
         ctrl = AdmissionController(mem_budget_bytes=1)

@@ -54,10 +54,12 @@ from repro.mpi import (
 from repro.obs import TraceReport, Tracer
 from repro.records import (
     RecordBatch,
+    ShardRows,
     SortedRows,
     merge_sorted_rows,
+    rank_batches,
+    table_rows,
     tag_provenance,
-    tag_provenance_world,
 )
 from repro.runner import _SortProgram, run_sort
 from repro.workloads import Workload, by_name, cosmology, uniform, zipf
@@ -1015,13 +1017,14 @@ def _pending_run(rng, n, key_dtype, wide):
                        {"tag": rng.integers(0, 1 << 30, n).astype(np.int32),
                         **({"vec": rng.random((n, 2))} if wide else {})})
     perm = np.argsort(rows.keys, kind="stable")
-    return SortedRows([rows], perm[None], rows.keys[perm][None])
+    return SortedRows(table_rows([rows])[0][0], perm[None],
+                      rows.keys[perm][None])
 
 
 def _assert_merged_equal(run_lists, merged):
     # the oracle merges the runs' sorted batches (and, for a list of
     # mismatched runs, promotes or refuses as kway_merge_batches does)
-    want = kway_merge_run_lists([[r.batch(0) for r in runs]
+    want = kway_merge_run_lists([[r.row(0) for r in runs]
                                  for runs in run_lists])
     assert len(merged) == len(run_lists)
     for got, oracle in zip(merged, want):
@@ -1085,11 +1088,16 @@ def test_shards_equals_shard_per_rank(n, p, seed, data):
 @given(st.lists(st.one_of(st.none(), st.integers(0, 6)), max_size=8),
        st.integers(0, 2**31 - 1), st.booleans())
 def test_world_tagging_equals_tag_provenance(lengths, seed, wide):
+    # a world's shards written into one table per shape and tagged
+    # there: every rank's row equals its shard tagged alone
     rng = np.random.default_rng(seed)
     ranks = [int(r) for r in rng.permutation(100)[:len(lengths)]]
     batches = [None if n is None else _sorted_run(rng, n, np.float64, wide)
                for n in lengths]
-    tagged = tag_provenance_world(batches, ranks)
+    rows = ShardRows(len(batches))
+    for batch in batches:
+        rows.add(batch)
+    tagged = rank_batches(rows.entries(ranks))
     assert len(tagged) == len(batches)
     for got, batch, rank in zip(tagged, batches, ranks):
         if batch is None:
