@@ -55,37 +55,26 @@ def _int_list(text: str) -> list[int]:
     return [int(x) for x in text.split(",") if x]
 
 
-def _positive_int(text: str) -> int:
-    """argparse type: integer >= 1 (clear error, no engine traceback)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _number(cast, least: int, strict: bool = False):
+    """argparse type: a ``cast`` number ``>= least`` (``> least`` when
+    ``strict``), with a clear error instead of an engine traceback."""
+    noun, bound = ("an integer" if cast is int else "a number",
+                   f"{'>' if strict else '>='} {least}")
+
+    def parse(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not {noun}")
+        if value < least or (strict and value == least):
+            raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
+        return value
+
+    return parse
 
 
-def _nonneg_int(text: str) -> int:
-    """argparse type: integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    """argparse type: float > 0."""
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0, got {value}")
-    return value
+_positive_int, _nonneg_int = _number(int, 1), _number(int, 0)
+_positive_float = _number(float, 0, strict=True)
 
 
 def _seed_list(text: str) -> list[int]:
@@ -132,6 +121,14 @@ def _fault_spec(text: str):
         f"{', '.join(sorted(FAULT_PRESETS))}) and not inline JSON")
 
 
+def _algo_opts(args: argparse.Namespace) -> dict:
+    """The SDS options ``--no-node-merge`` and ``--sync`` ask for."""
+    if not args.algorithm.startswith("sds"):
+        return {}
+    return ({"node_merge_enabled": False} if args.no_node_merge else {}) | (
+        {"tau_o": 0} if args.sync else {})
+
+
 def _sort_json_doc(args: argparse.Namespace, machine, r) -> dict:
     """The ``sort --json`` document (schema ``sdssort.sort/v5``).
 
@@ -147,16 +144,10 @@ def _sort_json_doc(args: argparse.Namespace, machine, r) -> dict:
 
 def cmd_sort(args: argparse.Namespace) -> int:
     machine = get_machine(args.machine)
-    opts = {}
-    if args.algorithm.startswith("sds"):
-        if args.no_node_merge:
-            opts["node_merge_enabled"] = False
-        if args.sync:
-            opts["tau_o"] = 0
     r = run_sort(args.algorithm, _workload(args), n_per_rank=args.n,
                  p=args.p, machine=machine, seed=args.seed,
                  mem_factor=None if args.no_mem_limit else args.mem_factor,
-                 algo_opts=opts, faults=args.fault_spec,
+                 algo_opts=_algo_opts(args), faults=args.fault_spec,
                  fault_seed=args.fault_seed,
                  trace=args.trace is not None or args.json,
                  backend=args.backend)
@@ -243,10 +234,8 @@ def cmd_scaling(args: argparse.Namespace) -> int:
     header = f"{'p':>6s}" + "".join(f" {alg:>12s}" for alg in algos)
     print(header)
     for i, p in enumerate(args.p):
-        cells = []
-        for alg in algos:
-            pt = series[alg][i]
-            cells.append("OOM" if pt.oom else f"{pt.total:.2f}s")
+        cells = ["OOM" if (pt := series[alg][i]).oom else f"{pt.total:.2f}s"
+                 for alg in algos]
         print(f"{fmt_p(p):>6s}" + "".join(f" {c:>12s}" for c in cells))
     print("\nthroughput at largest p:")
     for alg in algos:
@@ -272,14 +261,10 @@ def cmd_rdfa(args: argparse.Namespace) -> int:
     print(f"workload={args.workload} n/rank={args.n:,}")
     print(f"{'p':>8s}" + "".join(f" {m:>10s}" for m in methods))
     for p in args.p:
-        cells = []
-        for m in methods:
-            loads = countspace_loads(model, args.n, p, method=m, seed=p)
-            factor = loads.max() / args.n
-            if 1 + factor > args.mem_factor:
-                cells.append("inf(OOM)")
-            else:
-                cells.append(f"{rdfa(loads):.4f}")
+        loads = [countspace_loads(model, args.n, p, method=m, seed=p)
+                 for m in methods]
+        cells = ["inf(OOM)" if 1 + ld.max() / args.n > args.mem_factor
+                 else f"{rdfa(ld):.4f}" for ld in loads]
         print(f"{fmt_p(p):>8s}" + "".join(f" {c:>10s}" for c in cells))
     return 0
 
@@ -339,27 +324,18 @@ def cmd_figure(args: argparse.Namespace) -> int:
     name = args.name
 
     if name in ("fig5a", "fig5b", "fig5c"):
-        if name == "fig5a":
-            pts = fig5a_merging(machine, [m * mb for m in
-                                          (4, 16, 64, 160, 256, 1024, 4096)])
-            series = {"merged": [(pt.x / mb, pt.a) for pt in pts],
-                      "unmerged": [(pt.x / mb, pt.b) for pt in pts]}
-            label, paper, unit = "tau_m", "~160 MB", "MB/node"
-            x = (crossover(pts) or 0) / mb
-        elif name == "fig5b":
-            ps = [512, 1024, 2048, 4096, 8192, 16384, 32768, 65536]
-            pts = fig5b_overlap(machine, ps)
-            series = {"overlap": [(pt.x, pt.a) for pt in pts],
-                      "no-overlap": [(pt.x, pt.b) for pt in pts]}
-            label, paper, unit = "tau_o", "~4096", "processes"
-            x = crossover(pts) or 0
-        else:
-            ps = [512, 1024, 2048, 4096, 8192, 16384, 32768, 65536]
-            pts = fig5c_local_order(machine, ps)
-            series = {"sort": [(pt.x, pt.a) for pt in pts],
-                      "merge": [(pt.x, pt.b) for pt in pts]}
-            label, paper, unit = "tau_s", "~4000", "processes"
-            x = crossover(pts) or 0
+        fig, names, label, paper, unit, scale = {
+            "fig5a": (fig5a_merging, ("merged", "unmerged"), "tau_m",
+                      "~160 MB", "MB/node", mb),
+            "fig5b": (fig5b_overlap, ("overlap", "no-overlap"), "tau_o",
+                      "~4096", "processes", 1),
+            "fig5c": (fig5c_local_order, ("sort", "merge"), "tau_s",
+                      "~4000", "processes", 1)}[name]
+        pts = fig(machine, [m * mb for m in (4, 16, 64, 160, 256, 1024, 4096)]
+                  if name == "fig5a" else [512 << i for i in range(8)])
+        series = {names[0]: [(pt.x / scale, pt.a) for pt in pts],
+                  names[1]: [(pt.x / scale, pt.b) for pt in pts]}
+        x = (crossover(pts) or 0) / scale
         print(line_chart(series, logx=True, title=f"{name} ({machine.name})",
                          ylabel="t(s)"))
         print(f"\ncrossover ({label}): {x:,.0f} {unit}   (paper: {paper})")
@@ -409,17 +385,15 @@ def cmd_dataset(args: argparse.Namespace) -> int:
             print(f"{name:20s} workload={info['workload']} p={info['p']} "
                   f"n/rank={info['n_per_rank']} seed={info['seed']}")
         return 0
+    if args.action in ("create", "delete") and not args.name:
+        raise SystemExit(f"--name is required for {args.action}")
     if args.action == "create":
-        if not args.name:
-            raise SystemExit("--name is required for create")
         cat.materialize(args.name, _workload(args), n_per_rank=args.n,
                         p=args.p, seed=args.seed, overwrite=args.overwrite)
         print(f"created {args.name}: {args.p} shards x {args.n} records "
               f"under {cat.root}")
         return 0
     if args.action == "delete":
-        if not args.name:
-            raise SystemExit("--name is required for delete")
         cat.delete(args.name)
         print(f"deleted {args.name}")
         return 0
@@ -479,16 +453,7 @@ def _submit_spec(args: argparse.Namespace) -> dict:
         if not isinstance(doc, dict):
             raise SystemExit("--spec must be a JSON object")
         return doc
-    algo_opts = {}
-    if args.algorithm.startswith("sds"):
-        if args.no_node_merge:
-            algo_opts["node_merge_enabled"] = False
-        if args.sync:
-            algo_opts["tau_o"] = 0
     workload_opts = {"alpha": args.alpha} if args.workload == "zipf" else {}
-    faults = None
-    if args.fault_spec is not None:
-        faults = args.fault_spec.as_dict()
     return {
         "algorithm": args.algorithm,
         "workload": args.workload,
@@ -499,8 +464,9 @@ def _submit_spec(args: argparse.Namespace) -> dict:
         "machine": args.machine,
         "seed": args.seed,
         "mem_factor": None if args.no_mem_limit else args.mem_factor,
-        "algo_opts": algo_opts,
-        "faults": faults,
+        "algo_opts": _algo_opts(args),
+        "faults": (None if args.fault_spec is None
+                   else args.fault_spec.as_dict()),
         "fault_seed": args.fault_seed,
         "trace": args.job_trace,
         "explain": args.explain,
@@ -532,10 +498,8 @@ def cmd_submit(args: argparse.Namespace) -> int:
                 out = client.drain()
                 # the daemon exits after replying, so this response is
                 # the final stats report and the last possible scrape
-                final = {"stats": out["stats"]}
-                if "metrics" in out:
-                    final["metrics"] = out["metrics"]
-                print(json.dumps(final, indent=2, sort_keys=True))
+                print(json.dumps({k: out[k] for k in ("stats", "metrics")
+                                  if k in out}, indent=2, sort_keys=True))
                 return 0
             if args.status is not None:
                 env = client.status(args.status)
@@ -682,6 +646,33 @@ def cmd_info(args: argparse.Namespace) -> int:
     return 0
 
 
+def _job_args(parser: argparse.ArgumentParser) -> None:
+    """The job a ``sort`` or ``submit`` describes."""
+    add = parser.add_argument
+    add("--algorithm", default="sds", choices=sorted(ALGORITHMS))
+    add("--workload", default="uniform")
+    add("--alpha", type=float, default=0.7,
+        help="Zipf exponent (zipf workload only)")
+    add("--n", type=_nonneg_int, default=2000, help="records per rank")
+    add("--p", type=_positive_int, default=16, help="simulated ranks")
+    add("--machine", default="edison")
+    add("--backend", default="auto", choices=BACKENDS,
+        help="engine backend: auto (default) = flat, whole-world batched "
+             "columnar phases with no rank threads (every algorithm); "
+             "thread = rank threads, the bit-for-bit identical oracle")
+    add("--seed", type=_nonneg_int, default=0)
+    add("--mem-factor", type=_positive_float, default=6.7,
+        help="per-rank memory capacity as multiple of input")
+    add("--no-mem-limit", action="store_true")
+    add("--no-node-merge", action="store_true")
+    add("--sync", action="store_true",
+        help="force the synchronous exchange (tau_o = 0)")
+    add("--fault-spec", type=_fault_spec, default=None, metavar="PRESET|JSON",
+        help="inject faults: a chaos preset name or an inline JSON FaultSpec")
+    add("--fault-seed", type=_nonneg_int, default=0,
+        help="seed of the fault schedule (independent of the data seed)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sdssort",
@@ -690,35 +681,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     ps = sub.add_parser("sort", help="run one distributed sort end to end")
-    ps.add_argument("--algorithm", default="sds", choices=sorted(ALGORITHMS))
-    ps.add_argument("--workload", default="uniform")
-    ps.add_argument("--alpha", type=float, default=0.7,
-                    help="Zipf exponent (zipf workload only)")
-    ps.add_argument("--n", type=_nonneg_int, default=2000,
-                    help="records per rank")
-    ps.add_argument("--p", type=_positive_int, default=16,
-                    help="simulated ranks")
-    ps.add_argument("--machine", default="edison")
-    ps.add_argument("--backend", default="auto",
-                    choices=BACKENDS,
-                    help="engine backend: auto (default) = flat, "
-                         "whole-world batched columnar phases with no "
-                         "rank threads (every algorithm); thread = rank "
-                         "threads, the bit-for-bit identical oracle")
-    ps.add_argument("--seed", type=_nonneg_int, default=0)
-    ps.add_argument("--mem-factor", type=_positive_float, default=6.7,
-                    help="per-rank memory capacity as multiple of input")
-    ps.add_argument("--no-mem-limit", action="store_true")
-    ps.add_argument("--no-node-merge", action="store_true")
-    ps.add_argument("--sync", action="store_true",
-                    help="force the synchronous exchange (tau_o = 0)")
-    ps.add_argument("--fault-spec", type=_fault_spec, default=None,
-                    metavar="PRESET|JSON",
-                    help="inject faults: a chaos preset name or an inline "
-                         "JSON FaultSpec")
-    ps.add_argument("--fault-seed", type=_nonneg_int, default=0,
-                    help="seed of the fault schedule (independent of the "
-                         "data seed)")
+    _job_args(ps)
     ps.add_argument("--explain", action="store_true",
                     help="print every adaptive decision the sort made "
                          "(thresholds, measured values, winners)")
@@ -850,24 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--spec", default=None, metavar="JSON",
                     help="full JobSpec as inline JSON (overrides the "
                          "per-field flags)")
-    pm.add_argument("--algorithm", default="sds", choices=sorted(ALGORITHMS))
-    pm.add_argument("--workload", default="uniform")
-    pm.add_argument("--alpha", type=float, default=0.7)
-    pm.add_argument("--n", type=_nonneg_int, default=2000,
-                    help="records per rank")
-    pm.add_argument("--p", type=_positive_int, default=16,
-                    help="simulated ranks")
-    pm.add_argument("--machine", default="edison")
-    pm.add_argument("--backend", default="auto", choices=BACKENDS,
-                    help="engine backend (default auto = flat)")
-    pm.add_argument("--seed", type=_nonneg_int, default=0)
-    pm.add_argument("--mem-factor", type=_positive_float, default=6.7)
-    pm.add_argument("--no-mem-limit", action="store_true")
-    pm.add_argument("--no-node-merge", action="store_true")
-    pm.add_argument("--sync", action="store_true")
-    pm.add_argument("--fault-spec", type=_fault_spec, default=None,
-                    metavar="PRESET|JSON")
-    pm.add_argument("--fault-seed", type=_nonneg_int, default=0)
+    _job_args(pm)
     pm.add_argument("--job-trace", action="store_true",
                     help="record a virtual-time trace; its digest rides "
                          "in the result document")

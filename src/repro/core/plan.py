@@ -47,15 +47,9 @@ __all__ = [
 
 def _plain(value: Any) -> Any:
     """Coerce numpy scalars to builtin types so traces JSON-serialise."""
-    if isinstance(value, bool) or value is None or isinstance(value, str):
+    if value is None or isinstance(value, (bool, int, float, str)):
         return value
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        return value
-    if hasattr(value, "item"):  # numpy scalar
-        return value.item()
-    return value
+    return value.item() if hasattr(value, "item") else value  # numpy scalar
 
 
 @dataclass(frozen=True)
@@ -111,14 +105,10 @@ class Decision:
 
 def explain_lines(decisions: list[dict[str, Any]]) -> list[str]:
     """Render a recorded trace (:meth:`SortPlan.decisions` form) for terminal output."""
-    lines = []
-    for d in decisions:
-        gate = ""
-        if d.get("threshold") is not None:
-            gate = f"[{d['threshold']}={d['threshold_value']}] "
-        lines.append(f"{d['decision']:15s} -> {d['choice']:12s} "
-                     f"{gate}{d.get('reason', '')}")
-    return lines
+    return [f"{d['decision']:15s} -> {d['choice']:12s} "
+            + ("" if d.get("threshold") is None
+               else f"[{d['threshold']}={d['threshold_value']}] ")
+            + d.get("reason", "") for d in decisions]
 
 
 @dataclass(frozen=True)

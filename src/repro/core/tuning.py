@@ -25,38 +25,36 @@ _DATA_SIZES = [m * _MB for m in (2, 4, 8, 16, 32, 64, 128, 160, 192,
 _P_LIST = [256, 512, 1024, 2048, 4096, 8192, 16384, 32768, 65536, 131072]
 
 
+def _crossing(pts, a_wins: int, b_wins: int) -> int:
+    """The crossover of two cost curves, or — with none — ``a_wins``
+    when curve ``a`` is the cheaper everywhere, else ``b_wins``."""
+    x = crossover(pts)
+    if x is not None:
+        return int(x)
+    return a_wins if pts[0].a < pts[0].b else b_wins
+
+
 def derive_tau_m(machine: MachineSpec, *, record_bytes: int = 8) -> int:
     """Node-merge threshold in bytes/node (Figure 5a crossover).
 
     Returns a huge sentinel when merging always wins (very slow
     networks) and 0 when it never does.
     """
-    pts = fig5a_merging(machine, _DATA_SIZES, record_bytes=record_bytes)
-    x = crossover(pts)
-    if x is not None:
-        return int(x)
-    return 2**62 if pts[0].a < pts[0].b else 0
+    return _crossing(fig5a_merging(machine, _DATA_SIZES,
+                                   record_bytes=record_bytes), 2**62, 0)
 
 
 def derive_tau_o(machine: MachineSpec, *, n_per_rank: int = 100_000_000,
                  record_bytes: int = 4) -> int:
     """Overlap threshold in processes (Figure 5b crossover)."""
-    pts = fig5b_overlap(machine, _P_LIST, n_per_rank=n_per_rank,
-                        record_bytes=record_bytes)
-    x = crossover(pts)
-    if x is not None:
-        return int(x)
-    return 2**31 if pts[0].a < pts[0].b else 0
+    return _crossing(fig5b_overlap(machine, _P_LIST, n_per_rank=n_per_rank,
+                                   record_bytes=record_bytes), 2**31, 0)
 
 
 def derive_tau_s(machine: MachineSpec, *, m: int = 100_000_000) -> int:
     """Local-ordering threshold in processes (Figure 5c crossover)."""
-    pts = fig5c_local_order(machine, _P_LIST, m=m)
-    x = crossover(pts)
-    if x is not None:
-        return int(x)
-    # a (sort) cheaper everywhere -> never merge; else always merge
-    return 0 if pts[0].a < pts[0].b else 2**31
+    # sort cheaper everywhere: never merge; else always merge
+    return _crossing(fig5c_local_order(machine, _P_LIST, m=m), 0, 2**31)
 
 
 def auto_params(machine: MachineSpec, *, stable: bool = False,

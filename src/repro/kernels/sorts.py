@@ -23,35 +23,20 @@ from __future__ import annotations
 import numpy as np
 
 #: Below this many keys ``np.argsort(kind="stable")`` is the faster
-#: route.  The packed path is ten array passes, 15-20 us of fixed cost
-#: on the 2-core AVX-512 host this was measured on (numpy 2.4).  Random
-#: keys cross over at 1 Ki (timsort 22 us, packed 21 us; at 2 Ki 94 us
-#: against 29 us), but what the merge sites hand over is a few sorted
-#: runs, which timsort only has to merge: 2 Ki keys in 8 runs take it
-#: 17 us (packed 34 us) and in 32 runs 47 us (packed 30 us), 4 Ki keys
-#: in 8 runs 69 us (packed 47 us).  The floor is on the whole input, so
-#: a tall stack of short rows still packs (4096 x 64: 7.7 -> 4.0 ms)
-#: while a loop over 2 048 separate 64-record merges (flat PSRS) pays
-#: 0.4 us per call over the plain argsort, not 15.
+#: route: the packed path's ten array passes cost a fixed 15-20 us, and
+#: what the merge sites hand over is a few sorted runs, which timsort
+#: only has to merge.  The floor is on the whole input, so a tall stack
+#: of short rows still packs (measurements in CHANGELOG.md).
 _PACKED_MIN_KEYS = 2048
 
 #: Most keys :func:`stable_argsort_segments` sorts in one packed
 #: ``ndarray.sort``.  Fusing shares the fixed cost of a sort call; a
-#: block that stays in the L2 cache (2 MiB a core here; a key costs 17
-#: bytes of scratch plus its input and two outputs) is passed over ten
-#: times at cache speed; and the scratch, allocated once per call at the
-#: longest block, has to stay small for the allocator: on the thread
-#: backend the designated rank's thread runs this, and scratch arrays of
-#: 256 KiB and up stick in that thread's malloc arena.  Same host as
-#: above, median of 30, blocks of 2**12 / 2**13 / 2**14 / 2**15 / 2**17
-#: keys: 2 048 segments of 64 keys (flat PSRS p=2048; 11.0 ms one
-#: timsort merge at a time) 2.5 / 2.3 / 2.3 / 2.5 / 3.3 ms; 16 Ki such
-#: segments (86 ms) 22.2 / 20.9 / 21.6 / 22.7 / 26.3 ms; 256 segments of
-#: 2 000 keys (thread SDS p=256; 22 ms) 7.6 / 7.2 / 6.1 / 6.3 / 7.6 ms —
-#: and the peak RSS of that thread world over 16 jobs, 168 MB with the
-#: per-destination loop: 165-177 / 164-176 / 165-181 / 200-213 /
-#: 178-192 MB.  A longer segment is its own block, so a 100k-key
-#: destination sorts exactly as one ``stable_argsort`` call.
+#: block that stays in the L2 cache is passed over ten times at cache
+#: speed; and the scratch, allocated once per call at the longest
+#: block, stays under the 256 KiB from which it sticks in a rank
+#: thread's malloc arena (block sweep in CHANGELOG.md).  A longer
+#: segment is its own block, so a 100k-key destination sorts exactly as
+#: one ``stable_argsort`` call.
 _SEGMENT_BLOCK_KEYS = 1 << 13
 
 _SIGN = np.int64(-1 << 63)
@@ -74,10 +59,8 @@ def stable_argsort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     overwritten with the element's index in its row, and the packed
     words — all distinct, so the outcome depends on neither the sort
     algorithm nor numpy's SIMD dispatch — are sorted in place by
-    ``ndarray.sort`` (6 ns per key on a 100k ptf shard here, against
-    82 ns per key for the timsort argsort; 32 x 100k ptf rows 359 ->
-    85 ms with the gather, a 32-run merge of 100k keys 2.9 -> 1.7 ms,
-    the 171 x 1536 node-merge stack 10.9 -> 4.9 ms).  The permutation is the low bits; the keys
+    ``ndarray.sort`` (6 ns per key on a 100k ptf shard, against 82 ns
+    for the timsort argsort).  The permutation is the low bits; the keys
     are gathered once, from the caller's array, so ``-0.0`` comes back
     as it went in.
 
@@ -99,14 +82,11 @@ def stable_argsort(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     :func:`stable_argsort_segments` together, not through here one by
     one.
 
-    Worst case: keys that differ only in the low 16 mantissa bits at
-    ``n`` = 100 000 collide in every row, and the packed sort plus the
-    repair cost 473 ms where the plain stable argsort costs 411 ms
-    (32 x 100k).  No workload of the paper or of the benchmark ledger
-    has that shape — scores, cluster ids and uniform draws differ in
-    their high bits or are exactly equal: about one 100k-key row in 80
-    of ptf or uniform keys holds two draws that share their top 47
-    bits, and repairing such an almost sorted row costs 0.4 ms.
+    Worst case: keys that differ only in the low mantissa bits collide
+    in every row and pay the packed sort plus the repair, about 15 %
+    over the plain stable argsort.  No workload of the paper or of the
+    benchmark ledger has that shape: scores, cluster ids and uniform
+    draws differ in their high bits or are exactly equal.
     """
     keys = np.asarray(keys)
     if keys.size < _PACKED_MIN_KEYS or keys.dtype != np.float64:

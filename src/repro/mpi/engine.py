@@ -41,11 +41,10 @@ _STACK_BYTES = 512 * 1024
 #: Worlds at least this large run under a coarser GIL switch interval.
 #: CPython's default 5 ms preemption quantum makes a thousand runnable
 #: rank threads thrash: each forced GIL hand-off wakes another thread
-#: for a sliver of bytecode.  Sharing one CPU (see :class:`SpmdPool`)
-#: shrinks the convoy but does not remove it: p=1024 x 500 takes
-#: 1.6-1.9 s with the coarse interval, 2.3-2.9 s without.  Rank threads
-#: block voluntarily at every collective, so coarse preemption costs
-#: nothing in responsiveness.
+#: for a sliver of bytecode; sharing one CPU (see :class:`SpmdPool`)
+#: shrinks the convoy but does not remove it.  Rank threads block
+#: voluntarily at every collective, so coarse preemption costs nothing
+#: in responsiveness.
 _COARSE_SWITCH_RANKS = 64
 _COARSE_SWITCH_INTERVAL = 0.05
 
@@ -66,13 +65,9 @@ _switch_saved = 0.0
 #: thread leaves, or stays off, the pool's shared CPU.  Sharing a core
 #: saves ~40 us per rank per collective; running free lets the rank's
 #: numpy sections, which release the GIL, overlap with its siblings'.
-#: On the 2-core development host (p=128 SDS, uniform 20-byte records,
-#: best of 4, five invocations a side) 8 000 records per rank — a
-#: ledger peak of 0.28-0.38 MB — run faster shared (174-316 against
-#: 274-516 ms, ahead in 4 of 5) and 32 000 — 1.2-1.4 MB, the shard
-#: alone 0.64 MB — are about even, free ahead in 4 of 5 (528-1105
-#: against 634-1243 ms).  More cores move the crossover down, so the
-#: mark sits just above the first shape.
+#: On two cores 8 000 uniform records per rank run faster shared and
+#: 32 000 about even (CHANGELOG.md); more cores move the crossover
+#: down, so the mark sits just above the first shape.
 _DEEP_RANK_BYTES = 512 * 1024
 
 

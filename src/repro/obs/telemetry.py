@@ -148,12 +148,8 @@ class Counter(_Metric):
         return self._default_child().value
 
 
-class _GaugeChild:
-    __slots__ = ("_lock", "value")
-
-    def __init__(self, lock: threading.Lock) -> None:
-        self._lock = lock
-        self.value = 0.0
+class _GaugeChild(_CounterChild):
+    __slots__ = ()
 
     def set(self, value: float) -> None:
         with self._lock:
@@ -167,7 +163,7 @@ class _GaugeChild:
         self.inc(-amount)
 
 
-class Gauge(_Metric):
+class Gauge(Counter):
     kind = "gauge"
 
     def _new_child(self) -> _GaugeChild:
@@ -176,15 +172,8 @@ class Gauge(_Metric):
     def set(self, value: float) -> None:
         self._default_child().set(value)
 
-    def inc(self, amount: float = 1.0) -> None:
-        self._default_child().inc(amount)
-
     def dec(self, amount: float = 1.0) -> None:
         self._default_child().dec(amount)
-
-    @property
-    def value(self) -> float:
-        return self._default_child().value
 
 
 class _HistogramChild:

@@ -57,18 +57,9 @@ DEFAULT_WORKERS = 2
 #: flat job is *deep*: its worker leaves the process's shared CPU for the
 #: run, so deep jobs overlap in numpy's GIL-free sections; under it a job
 #: is interpreter-bound and free workers only pass one GIL between cores.
-#: Sweep, 2-core host, 2 workers x 2 connections, one shape per 3 s loop,
-#: twice: jobs/s with every worker pinned over every worker free (what the
-#: parent did), lowest-highest of p = 16 / 32 / 64 / 128:
-#:   n/rank       200       500       1000      2000      3000      4000      8000
-#:   sds, psrs    9-12      20-25     41-47     80-89     120-130   159-170   317-332 KiB
-#:    sds uniform 1.26-1.76 1.34-1.50 1.24-1.47 1.04-1.36 0.87-1.35 0.78-1.19 0.61-0.94
-#:    psrs unif.  1.33-1.62 1.22-1.67 1.17-1.39 0.99-1.52 0.72-1.41 0.63-1.23 0.50-1.01
-#:   sds-stable   16-22     37-45     75-84     149-160   224-233   298-305   585-600 KiB
-#:    on ptf      1.68-2.13 1.41-1.94 1.28-1.74 1.03-1.37 0.86-1.13 0.83-1.30 0.55-1.00
-#: Under ~90 KiB staying never loses; from ~120 KiB the worlds of p >= 64 do
-#: (p = 16 still gains to ~300), so the mark sits between: over it a job
-#: runs as on the parent.  More cores move the crossover down.
+#: Under ~90 KiB staying pinned never lost in a two-core sweep, from
+#: ~120 KiB the worlds of p >= 64 did (CHANGELOG.md), so the mark sits
+#: between.  More cores move the crossover down.
 _DEEP_JOB_RANK_BYTES = 96 * 1024
 
 #: Terminal jobs the service remembers, ~8 KB of result document each; the

@@ -71,18 +71,11 @@ def line_chart(series: Mapping[str, Sequence[tuple[float, float]]], *,
     lines = []
     if title:
         lines.append(title)
-    ytop = f"{yhi:.4g}"
-    ybot = f"{ylo:.4g}"
+    ytop, ybot = f"{yhi:.4g}", f"{ylo:.4g}"
     pad = max(len(ytop), len(ybot), len(ylabel))
     for i, row in enumerate(grid):
-        if i == 0:
-            label = ytop
-        elif i == height - 1:
-            label = ybot
-        elif i == height // 2 and ylabel:
-            label = ylabel
-        else:
-            label = ""
+        label = (ytop if i == 0 else ybot if i == height - 1
+                 else ylabel if i == height // 2 else "")
         lines.append(f"{label:>{pad}} |{''.join(row)}|")
     lines.append(f"{'':>{pad}} +{'-' * width}+")
     xaxis = f"{xlo:.4g}{' ' * max(1, width - len(f'{xlo:.4g}') - len(f'{xhi:.4g}'))}{xhi:.4g}"
@@ -95,6 +88,15 @@ def line_chart(series: Mapping[str, Sequence[tuple[float, float]]], *,
     return "\n".join(lines)
 
 
+def _letters(names) -> dict[str, str]:
+    """One letter a name, in order: its first alphanumeric not yet taken."""
+    letters: dict[str, str] = {}
+    for name in names:
+        letters[name] = next((ch for ch in name if ch.isalnum() and
+                              ch.upper() not in letters.values()), "?").upper()
+    return letters
+
+
 def stacked_bars(bars: Mapping[str, Mapping[str, float]], *,
                  width: int = 56, title: str = "") -> str:
     """Render stacked horizontal bars (the Figure 9/10 breakdowns).
@@ -105,16 +107,8 @@ def stacked_bars(bars: Mapping[str, Mapping[str, float]], *,
     """
     if not bars:
         return f"{title}\n(no data)"
-    segments: list[str] = []
-    for segs in bars.values():
-        for s in segs:
-            if s not in segments:
-                segments.append(s)
-    letters = {}
-    for s in segments:
-        letter = next((ch for ch in s if ch.isalnum() and
-                       ch.upper() not in letters.values()), "?").upper()
-        letters[s] = letter
+    segments = list(dict.fromkeys(s for segs in bars.values() for s in segs))
+    letters = _letters(segments)
     total_max = max(sum(v.values()) for v in bars.values()) or 1.0
     lines = [title] if title else []
     label_w = max(len(k) for k in bars)
@@ -143,16 +137,7 @@ def gantt(traces: Sequence[Sequence[tuple[float, float, str]]], *,
     if not traces:
         return f"{title}\n(no trace)"
     t_end = max(end for t in traces for _, end, _ in t) or 1.0
-    phases: list[str] = []
-    for t in traces:
-        for _, _, name in t:
-            if name not in phases:
-                phases.append(name)
-    letters = {}
-    for name in phases:
-        letter = next((ch for ch in name if ch.isalnum() and
-                       ch.upper() not in letters.values()), "?").upper()
-        letters[name] = letter
+    letters = _letters(dict.fromkeys(name for t in traces for _, _, name in t))
     lines = [title] if title else []
     for r, t in enumerate(traces):
         row = [" "] * width
@@ -175,13 +160,8 @@ def sparkline(values: Sequence[float]) -> str:
         return ""
     lo, hi = min(finite), max(finite)
     span = (hi - lo) or 1.0
-    out = []
-    for v in values:
-        if not math.isfinite(v):
-            out.append("!")
-        else:
-            out.append(blocks[min(7, int((v - lo) / span * 7.999))])
-    return "".join(out)
+    return "".join(blocks[min(7, int((v - lo) / span * 7.999))]
+                   if math.isfinite(v) else "!" for v in values)
 
 
 def phase_flame(report: "TraceReport", *, width: int = 48) -> str:
