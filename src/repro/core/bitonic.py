@@ -3,8 +3,12 @@
 SDS-Sort uses bitonic sort for pivot selection (Section 2.4): the
 ``p*(p-1)`` local pivots are sorted across all ``p`` ranks without ever
 gathering them on one node, avoiding the single-rank memory blow-up of
-classic PSRS pivot gathering at large ``p``.  It also doubles as the
-``bitonic sort`` baseline from the related-work comparison.
+classic PSRS pivot gathering at large ``p``.  The network is charged in
+closed form (:func:`bitonic_network_world`), over whatever the caller
+computes once from the pooled blocks: the pivot selector's shared host
+selection, which never expands the sample runs
+(:func:`~repro.core.sampling.select_pivots_bitonic_world`), or
+:func:`bitonic_sort_world`'s sort of the pooled keys.
 
 The block-bitonic formulation: every rank keeps a sorted block of equal
 length; a compare-exchange step merges a rank's block with its
@@ -13,6 +17,8 @@ communicator (callers fall back to gather-based selection otherwise).
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -27,53 +33,40 @@ def is_power_of_two(p: int) -> bool:
     return p >= 1 and (p & (p - 1)) == 0
 
 
-def bitonic_sort_world(world: World, comms: list[Comm],
-                       arrays: list) -> list:
-    """Sort blocks of equal length across all ranks of one communicator.
-
-    On return, rank ``r`` holds the ``r``-th block of the globally
-    sorted concatenation.  All ranks must pass blocks of the same
-    length; the communicator size must be a power of two.  Returns the
-    per-rank sorted block (``None`` for ranks recorded as failed) in
-    ``comms`` order.
-
-    The compare-exchange network itself is *simulated in closed form*:
-    after the length allgather every rank's clock is identical, each of
-    the ``log2(p)*(log2(p)+1)/2`` rounds exchanges a constant-size block
-    and merges ``2n`` elements, so the clock increments are a fixed
-    scalar sequence (replayed add-for-add below, once per distinct
-    entry clock, in an :class:`~repro.mpi.Epilogue` that overwrites the
-    membership's clocks at once); and a sorting network is
-    data-independent, so rank
-    ``r``'s final block *is* the ``r``-th slice of the sorted
-    concatenation — computed once, inside the staged collective, by a
-    single ``np.sort``.  Clocks, counters and results are bit-for-bit
-    those of :func:`bitonic_sort_rounds`, at O(p log p) total host cost
-    instead of O(p log^2 p) round-trip messages (the pivot-selection
-    wall at thousands of ranks).
+def bitonic_network_world(world: World, comms: list[Comm], blocks: list,
+                          lengths: list[int],
+                          compute: Callable[[list], np.ndarray]) -> list:
+    """Charge and book the block-bitonic network over one communicator:
+    the lengths allgather, each rank's local sort of ``lengths[i]`` keys
+    and the ``log2(p)*(log2(p)+1)/2`` compare-exchange rounds, as
+    :func:`bitonic_sort_rounds` books them, *in closed form*: after the
+    allgather every clock is identical and each round exchanges a
+    constant-size block and merges ``2n`` elements, so the increments
+    are a fixed scalar sequence, replayed add-for-add once per distinct
+    entry clock in one :class:`~repro.mpi.Epilogue`.  A sorting network
+    is data-independent, so ``compute(blocks)`` (the deposits, in rank
+    order) runs once in the staged collective; its result, an array
+    whose itemsize prices a key on the wire, goes to every live rank by
+    reference (``None`` for failed ranks), in ``comms`` order.
     """
     p = comms[0].size
     if not is_power_of_two(p):
         raise ValueError(f"bitonic sort needs a power-of-two communicator, got {p}")
-    arrs = [np.asarray(a) for a in arrays]
-    all_lengths = world.allgather(comms, [len(a) for a in arrs])
+    # the lengths allgather, checked once: every rank receives the
+    # lengths only if they differ (no private list per rank)
+    unequal = world.allgather_staged(
+        comms, lengths, lambda ls: None if len(set(ls)) == 1 else ls)
 
     def local_sort(i: int, c: Comm) -> None:
-        lengths = all_lengths[i]
-        if len(set(lengths)) != 1:
+        if unequal[i] is not None:
             raise ValueError(
-                f"bitonic sort needs equal block lengths, got {lengths}")
-        c.charge(c.cost.sort_time(arrs[i].size))
+                f"bitonic sort needs equal block lengths, got {unequal[i]}")
+        c.charge(c.cost.sort_time(lengths[i]))
 
     world.each(comms, local_sort)
     if p == 1:
-        return [np.sort(a) if world.alive(c) else None
-                for c, a in zip(comms, arrs)]
-    n = arrs[0].size
-
-    def compute(stage: list) -> np.ndarray:
-        return np.sort(np.concatenate([e[0] for e in stage]))
-
+        return [compute(blocks) if world.alive(c) else None for c in comms]
+    n = lengths[0]
     # the per-round scalars are rank-independent (same machine, equal
     # blocks); the sequential accumulation runs once per entry clock
     cost = comms[0].cost
@@ -82,13 +75,12 @@ def bitonic_sort_world(world: World, comms: list[Comm],
     stages = p.bit_length() - 1
     rounds = stages * (stages + 1) // 2
 
-    def whole(sorted_all: np.ndarray) -> list:
+    def whole(shared: np.ndarray) -> list:
         sim = comms[0]._world
-        live, at, ranks, pos = world._live(comms, *members(comms))
-        outs: list = [None] * len(comms)
+        live, at, ranks = world._live(comms, *members(comms)[:2])
         if not live:
-            return outs
-        nb = n * sorted_all.itemsize
+            return [None] * len(comms)
+        nb = n * shared.itemsize
         p2p = cost.p2p_time(nb)
         # replay the per-round clock arithmetic of the message-passing
         # formulation: send charge, then arrival (= partner's identical
@@ -119,12 +111,29 @@ def bitonic_sort_world(world: World, comms: list[Comm],
         sim.counters.add(at, "p2p.send", rounds)
         sim.counters.add(at, "p2p.recv", rounds)
         sim.counters.add(at, "bytes.sent", float(rounds * nb))
-        for i, r in zip(*per_rank(pos, ranks)):
-            outs[i] = sorted_all[r * n:(r + 1) * n]
-        return outs
+        return [shared if world.alive(c) else None for c in comms]
 
-    _, outs = world.collective(comms, arrs, compute, Epilogue(whole))
-    return outs
+    return world.collective(
+        comms, blocks, lambda stage: compute([e[0] for e in stage]),
+        Epilogue(whole))[1]
+
+
+def bitonic_sort_world(world: World, comms: list[Comm],
+                       arrays: list) -> list:
+    """Sort blocks of equal length across all ranks of one communicator:
+    rank ``r`` receives the ``r``-th block of the sorted concatenation
+    (``None`` for failed ranks), in ``comms`` order.  The network's
+    closed-form charge over one ``np.sort`` of the pooled blocks:
+    clocks, counters and results are bit-for-bit those of
+    :func:`bitonic_sort_rounds`, at O(p log p) host cost.
+    """
+    arrs = [np.asarray(a) for a in arrays]
+    n = arrs[0].size
+    pooled = bitonic_network_world(
+        world, comms, arrs, [a.size for a in arrs],
+        lambda blocks: np.sort(np.concatenate(blocks)))
+    return [None if s is None else s[c.rank * n:(c.rank + 1) * n]
+            for c, s in zip(comms, pooled)]
 
 
 def bitonic_sort(comm: Comm, keys: np.ndarray) -> np.ndarray:

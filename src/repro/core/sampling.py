@@ -19,17 +19,18 @@ Samples travel **run-length encoded** (:class:`SampleRuns`): a rank's
 ``p-1`` regular samples are ``keys[floor(k*n/p)]``, so they are fully
 described by the distinct sampled positions and how often each is hit,
 and that layout depends only on ``(n, p)`` — at most ``min(n, p-1)``
-entries per rank instead of ``p-1``.  The gather selector works on the
-runs directly (O(E log E) with ``E <= min(N, p*(p-1))`` entries), so the
-host never holds ``p*(p-1)`` samples; only the bitonic selector, which
-really distributes them, expands the runs.  The *modelled* volume is
-unchanged: a deposit's wire size is still ``(p-1) * itemsize`` and the
-root's sort charge still counts every sample.
+entries per rank instead of ``p-1``.  Bitonic and gather pick the same
+positions of the same sorted samples, so the host selects once, on the
+runs (:func:`pooled_pivots`, O(E log E) with ``E <= min(N, p*(p-1))``
+entries), and never holds ``p*(p-1)`` samples.  The method decides only
+what is *modelled*: the bitonic network's closed-form charge, or the
+gather (a deposit's wire size still ``(p-1) * itemsize``) and the
+root's sort of every sample.
 
 Selectors are written once in world form (``*_world`` over a
 :class:`~repro.mpi.world.World` view): shared computations — the
-pooled sample sort, the pivot stride — run once per communicator, and
-every rank replays only its own collective epilogues and cost charges.
+pooled sample selection — run once per communicator, and every rank
+replays only its own collective epilogues and cost charges.
 The per-rank entry points below each run the world form over a
 :class:`~repro.mpi.world.LaneWorld` singleton.
 """
@@ -43,8 +44,8 @@ import numpy as np
 from numpy.random import SeedSequence, default_rng
 
 from ..mpi import LANE, Comm, World
-from ..mpi.comm import stores_size
-from .bitonic import bitonic_sort_world, is_power_of_two
+from ..mpi.comm import payload_nbytes, stores_size
+from .bitonic import bitonic_network_world, is_power_of_two
 
 
 def _checked_shard(sorted_keys: np.ndarray, p: int) -> np.ndarray:
@@ -91,7 +92,7 @@ class SampleRuns:
     what :func:`~repro.mpi.comm.payload_nbytes` charges, stored when
     the runs are built.  Every rank of a stack deposits the stack
     itself: the ``k``-th of them in communicator rank order holds row
-    ``k`` (:func:`_rank_rows`).
+    ``k`` (:func:`_pooled`).
     """
 
     __slots__ = ("values", "counts", "total", "nbytes")
@@ -154,49 +155,23 @@ def local_sample_runs(sorted_keys: np.ndarray, p: int) -> SampleRuns:
     return SampleRuns(stack.values[0], stack.counts, stack.total)
 
 
-def _rank_rows(pls: list) -> list[tuple[SampleRuns, int | None]]:
-    """``(runs, row)`` of every rank of ``pls`` (communicator rank
-    order): a stack's ``k``-th depositor holds its row ``k``; a rank's
-    own one-dimensional runs have row ``None``."""
-    out: list = [None] * len(pls)
-    seen: dict[SampleRuns, int] = {}
-    for i, pl in enumerate(pls):
-        runs = pl if type(pl) is SampleRuns else SampleRuns.of(pl)
-        k = None
-        if runs.values.ndim == 2:
-            k = seen[runs] = seen.get(runs, -1) + 1
-        out[i] = (runs, k)
-    return out
-
-
-def _pooled(runs: list) -> tuple[np.ndarray, np.ndarray, int]:
-    """Every rank's sample runs concatenated in rank order: ``(values,
-    counts, total)``.  One stack holding every rank is read as it is."""
+def _pooled(runs: list) -> np.ndarray:
+    """Every rank's :class:`SampleRuns` values concatenated in
+    communicator rank order.  A stack's ``k``-th depositor holds its row
+    ``k``; one stack holding every rank is read as it is."""
     first = runs[0]
     if (first.values.ndim == 2 and first.values.shape[0] == len(runs)
             and runs.count(first) == len(runs)):
-        return (first.values.ravel(), np.tile(first.counts, len(runs)),
-                first.total * len(runs))
-    rows = _rank_rows(runs)
-    return (np.concatenate([r.values if k is None else r.values[k]
-                            for r, k in rows]),
-            np.concatenate([r.counts for r, _ in rows]),
-            sum(r.total for r, _ in rows))
-
-
-def _expanded(pls: list) -> list[np.ndarray]:
-    """Every rank's expanded sample vector, each stack expanded once."""
-    stacks: dict[SampleRuns, np.ndarray] = {}
-    out = []
-    for runs, k in _rank_rows(pls):
-        if k is None:
-            out.append(runs.expand())
-            continue
-        full = stacks.get(runs)
-        if full is None:
-            full = stacks[runs] = runs.expand()
-        out.append(full[k])
-    return out
+        return first.values.ravel()
+    rows: dict[SampleRuns, int] = {}
+    values = []
+    for r in runs:
+        if r.values.ndim == 2:
+            rows[r] = k = rows.get(r, -1) + 1
+            values.append(r.values[k])
+        else:
+            values.append(r.values)
+    return np.concatenate(values)
 
 
 def _pivot_positions(p: int) -> np.ndarray:
@@ -208,19 +183,35 @@ def _pivot_positions(p: int) -> np.ndarray:
     return (np.arange(1, p, dtype=np.int64) * p) - 1
 
 
+def pooled_pivots(runs: list, p: int) -> tuple[np.ndarray, int]:
+    """The host pivot selection: ``(pivots, samples represented)`` of
+    every rank's :class:`SampleRuns` (rank order), never expanded.
+    Pivot ``k`` is the smallest value whose cumulative multiplicity over
+    the value-sorted runs exceeds position ``(k+1)*p - 1`` — the value
+    ``np.sort(concatenate(samples))`` holds there.  Gather and bitonic
+    both select here and differ only in what they charge.
+    """
+    values, total = _pooled(runs), sum(r.total for r in runs)
+    if total == 0:
+        return values[:0], 0  # degenerate: no samples anywhere
+    pos = np.minimum(_pivot_positions(p), total - 1)
+    if total == values.size:  # every run one sample: the runs are the samples
+        return np.sort(values)[pos], total
+    order = np.argsort(values)
+    cum = np.cumsum(np.concatenate([r.counts for r in runs])[order])
+    return values[order[np.searchsorted(cum, pos, side="right")]], total
+
+
 def select_pivots_gather_world(world: World, comms: list[Comm],
                                pls: list) -> list:
     """Classic PSRS selection: gather samples on rank 0, sort, broadcast.
 
     ``pls`` holds each rank's samples, as :class:`SampleRuns` (a stack
     deposited by each of its ranks) or as the plain vector.  The root
-    never expands them: pivot ``k`` is the
-    smallest value whose cumulative multiplicity over the value-sorted
-    runs exceeds position ``(k+1)*p - 1`` — the value
-    ``np.sort(concatenate(samples))`` holds there — and the root is
-    charged for sorting every sample represented.  The selection runs
-    once; every other rank only replays its gather/bcast epilogues.
-    Per-rank results (``None`` for failed ranks) in ``comms`` order.
+    selects with :func:`pooled_pivots` and is charged for sorting every
+    sample represented.  The selection runs once; every other rank only
+    replays its gather/bcast epilogues.  Per-rank results (``None`` for
+    failed ranks) in ``comms`` order.
     """
     p = comms[0].size
     gathered_out = world.gather(comms, [SampleRuns.of(pl) for pl in pls],
@@ -229,15 +220,8 @@ def select_pivots_gather_world(world: World, comms: list[Comm],
     for i, c in enumerate(comms):
         if gathered_out[i] is None or not world.alive(c):
             continue
-        values, counts, total = _pooled(gathered_out[i])
+        pgs[i], total = pooled_pivots(gathered_out[i], p)
         c.charge(c.cost.sort_time(total))
-        if total == 0:
-            pgs[i] = values[:0]  # degenerate: no samples anywhere
-        else:
-            order = np.argsort(values)
-            cum = np.cumsum(counts[order])
-            pos = np.minimum(_pivot_positions(p), total - 1)
-            pgs[i] = values[order[np.searchsorted(cum, pos, side="right")]]
     return world.bcast(comms, pgs, root=0)
 
 
@@ -302,55 +286,35 @@ def select_pivots_oversample(comm: Comm, sorted_keys: np.ndarray, *,
         LANE, [comm], [sorted_keys], oversample=oversample, seed=seed)[0]
 
 
-def _assemble_pivots(chunks: list) -> np.ndarray:
-    """The pivot vector from every block's ``(position, value)`` pairs."""
-    pairs = sorted(pair for chunk in chunks for pair in chunk)
-    return np.asarray([v for _, v in pairs])
-
-
 def select_pivots_bitonic_world(world: World, comms: list[Comm],
                                 pls: list) -> list:
     """SdssSelectPivots: sort samples with parallel bitonic, pick stride p.
 
-    After the bitonic sort, rank ``r`` holds global sample positions
-    ``[r*(p-1), (r+1)*(p-1))``; each rank contributes the pivot
-    positions ``j*p - 1`` that landed in its block (``j`` from
-    ``ceil((lo+1)/p)`` to ``floor(hi/p)``: at most one per rank, found
-    without a pass over all ``p-1``) and one allgather-accounted staged
-    collective assembles the full pivot vector once per communicator
-    and hands it to every rank by reference.
-    This selector really distributes the ``p*(p-1)`` samples, so
-    :class:`SampleRuns` inputs are expanded here.  Falls back to
-    :func:`select_pivots_gather_world` when the communicator is not a
-    power of two.
+    The network leaves rank ``r`` sorted positions ``[r*(p-1),
+    (r+1)*(p-1))``, which hold one pivot position, ``r*p - 1``, for
+    ``r >= 1`` (none for rank 0); an allgather of those ``(position,
+    value)`` pairs assembles the pivots.  The network is
+    data-independent, so :func:`pooled_pivots` reads them off the runs
+    once, inside its staged collective; what is booked is the network
+    (:func:`~repro.core.bitonic.bitonic_network_world`, blocks of
+    ``p-1``) and the allgather of each rank's pair.  Every rank receives
+    the one vector by reference.  Non-power-of-two communicators fall
+    back to :func:`select_pivots_gather_world`.
     """
     p = comms[0].size
     if not is_power_of_two(p):
         return select_pivots_gather_world(world, comms, pls)
-    pls = _expanded(pls)
+    runs = [SampleRuns.of(pl) for pl in pls]
     if p == 1:
-        return [pl[:0] for pl in pls]
-    blocks = bitonic_sort_world(world, comms, pls)
-    m = p - 1  # block length
-    mines: list = [None] * len(comms)
-    for i, c in enumerate(comms):
-        if blocks[i] is None:
-            continue
-        lo, hi = c.rank * m, (c.rank + 1) * m
-        mines[i] = [(j * p - 1, blocks[i][j * p - 1 - lo])
-                    for j in range(-(-(lo + 1) // p), hi // p + 1)]
-    pgs = world.allgather_staged(comms, mines, _assemble_pivots)
-    outs: list = [None] * len(comms)
-    for i, c in enumerate(comms):
-        if not world.alive(c):
-            continue
-        pg = pgs[i]
-        if pg.size != p - 1:
-            world.fail(c, AssertionError(
-                f"expected {p - 1} global pivots, got {pg.size}"))
-            continue
-        outs[i] = pg
-    return outs
+        return [r.values.ravel()[:0] for r in runs]
+    pg = world.first_live(comms, bitonic_network_world(
+        world, comms, runs, [r.total for r in runs],
+        lambda objs: pooled_pivots(objs, p)[0]))
+    # a (position, value) pair's wire bytes; rank 0 holds no pair
+    wire = [b"", bytes(payload_nbytes((0, pg[0])))]
+    world.allgather_staged(comms, [wire[c.rank > 0] for c in comms],
+                           lambda _: pg)
+    return [pg if world.alive(c) else None for c in comms]
 
 
 def select_pivots_bitonic(comm: Comm, pl: np.ndarray) -> np.ndarray:

@@ -20,7 +20,7 @@ from ..core.partition import (
     partition_stable_arrays,
     run_dup_counts,
 )
-from ..core.sampling import local_pivots
+from ..core.sampling import local_sample_runs, pooled_pivots
 from ..kernels import stable_prefix_layout
 from ..metrics import rdfa
 from ..workloads import Workload
@@ -55,18 +55,14 @@ def generate_sorted_shards(workload: Workload, n_per_rank: int, p: int,
 
 
 def sds_global_pivots(shards: list[np.ndarray]) -> np.ndarray:
-    """Regular sampling + stride-p selection over the pooled local pivots.
-
-    Mirrors ``local_pivots`` + ``select_pivots_bitonic`` exactly — the
-    bitonic sort is just a distributed sort, so sorting the pooled
-    samples directly yields the identical pivot vector.
+    """Regular sampling + stride-p selection over the pooled local pivots,
+    by the engine's own host selection (``pooled_pivots``): the pivots
+    its bitonic and gather selectors return.
     """
     p = len(shards)
     if p <= 1:
         return np.zeros(0)
-    pooled = np.sort(np.concatenate([local_pivots(s, p) for s in shards]))
-    pos = np.minimum((np.arange(1, p, dtype=np.int64) * p) - 1, pooled.size - 1)
-    return pooled[pos]
+    return pooled_pivots([local_sample_runs(s, p) for s in shards], p)[0]
 
 
 def partition_loads(shards: list[np.ndarray], pg: np.ndarray,

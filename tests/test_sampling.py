@@ -1,5 +1,7 @@
 """Regular sampling and pivot selection (Section 2.4)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,8 @@ from repro.machine import LAPTOP
 from repro.mpi import HOST_COUNTERS, LANE, ColumnarWorld, SpmdResult, run_spmd
 from repro.mpi.comm import SimWorld, payload_nbytes
 from repro.mpi.flatworld import make_world_comms
+from repro.runner import run_sort
+from repro.workloads import by_name
 
 from .oracles_sampling import (
     select_pivots_bitonic_per_rank,
@@ -287,7 +291,7 @@ class TestRunLengthSelection:
         assert local_sample_runs(np.array([]), 1).total == 0
 
     @pytest.mark.parametrize("p", [2, 8])
-    def test_bitonic_expands_runs(self, p):
+    def test_bitonic_runs_equal_plain_vectors(self, p):
         shards = _ragged_shards(p, "mixed", ints=False, seed=p)
 
         def prog(runs):
@@ -302,23 +306,37 @@ class TestRunLengthSelection:
         assert got.clocks == want.clocks
 
 
-class TestBitonicAssembly:
-    """``select_pivots_bitonic_world`` — block positions found
-    arithmetically, one assembly per world inside an allgather-accounted
-    staged collective — against the per-rank filter and assembly it
-    replaced: pivots, clocks and counters, on both world views."""
+def _bitonic_inputs(p, inputs, seed):
+    """``(deposits, runs)``: the selector's deposits, and each rank's own
+    runs for the oracle.  ``"stack*"`` deposit the flat ``PivotSelect``'s
+    :func:`sample_stack` of each shard length (``n >= p``; two-lengths
+    interleaves ``n < p``), ``"negative-dups"`` int64 keys in [-3, 1]."""
+    rng = np.random.default_rng(seed)
+    if inputs == "negative-dups":
+        runs = _samples([np.sort(rng.integers(-3, 2, int(n), np.int64))
+                         for n in rng.integers(1, 2 * p + 2, p)], p, runs=True)
+        return runs, runs
+    shards = [np.sort(rng.random(2 * p + 3 if inputs == "stack" or r % 3
+                                 else max(1, p // 2))) for r in range(p)]
+    stacks = {n: sample_stack(np.stack([a for a in shards if a.size == n]),
+                              p) for n in {a.size for a in shards}}
+    return [stacks[a.size] for a in shards], _samples(shards, p, runs=True)
 
-    @pytest.mark.parametrize("ints", [False, True])
-    @pytest.mark.parametrize("p", [2, 4, 8, 32, 256])
-    def test_columnar_matches_per_rank_oracle(self, p, ints):
-        shards = _ragged_shards(p, "mixed", ints=ints, seed=p)
+
+class TestBitonicAssembly:
+    """``select_pivots_bitonic_world`` — the network charged in closed
+    form over the shared host selection, the assembly allgather sized
+    from the positions — against the per-rank filter and assembly over
+    expanded samples it replaced: pivots, dtype, clocks and counters, on
+    both world views."""
+
+    @staticmethod
+    def _columnar(p, deposits, runs):
         out = []
-        for select in (select_pivots_bitonic_world,
-                       select_pivots_bitonic_per_rank):
+        for select, pls in ((select_pivots_bitonic_world, deposits),
+                            (select_pivots_bitonic_per_rank, runs)):
             world = SimWorld(p, LAPTOP)
-            comms = make_world_comms(world)
-            pgs = select(ColumnarWorld(world), comms,
-                         _samples(shards, p, runs=True))
+            pgs = select(ColumnarWorld(world), make_world_comms(world), pls)
             views = SpmdResult(world, [None] * p)
             out.append((pgs, views.clocks, views.counters))
         (got, clocks, counters), (want, wclocks, wcounters) = out
@@ -328,21 +346,70 @@ class TestBitonicAssembly:
         assert clocks == wclocks
         assert counters == wcounters
 
-    @pytest.mark.parametrize("ints", [False, True])
-    @pytest.mark.parametrize("p", [2, 4, 8, 32, 256])
-    def test_lane_matches_per_rank_oracle(self, p, ints):
-        shards = _ragged_shards(p, "mixed", ints=ints, seed=100 + p)
-
-        def prog(select):
-            def rank(comm):
-                pl = _samples([shards[comm.rank]], p, runs=True)
-                return select(LANE, [comm], pl)[0]
+    @staticmethod
+    def _lane(p, deposits, runs):
+        def prog(select, pls):
+            def rank(comm):  # a stack is one object, deposited by its rows
+                return select(LANE, [comm], [pls[comm.rank]])[0]
             return rank
 
-        got = run_spmd(prog(select_pivots_bitonic_world), p)
-        want = run_spmd(prog(select_pivots_bitonic_per_rank), p)
+        got = run_spmd(prog(select_pivots_bitonic_world, deposits), p)
+        want = run_spmd(prog(select_pivots_bitonic_per_rank, runs), p)
         assert all(g is got.results[0] for g in got.results)
         for g, w in zip(got.results, want.results):
             assert g.dtype == w.dtype and np.array_equal(g, w)
         assert got.clocks == want.clocks
         assert _deterministic(got.counters) == _deterministic(want.counters)
+
+    @pytest.mark.parametrize("ints", [False, True])
+    @pytest.mark.parametrize("p", [2, 4, 8, 32, 256])
+    def test_columnar_matches_per_rank_oracle(self, p, ints):
+        runs = _samples(_ragged_shards(p, "mixed", ints=ints, seed=p), p,
+                        runs=True)
+        self._columnar(p, runs, runs)
+
+    @pytest.mark.parametrize("ints", [False, True])
+    @pytest.mark.parametrize("p", [2, 4, 8, 32, 256])
+    def test_lane_matches_per_rank_oracle(self, p, ints):
+        runs = _samples(_ragged_shards(p, "mixed", ints=ints, seed=100 + p),
+                        p, runs=True)
+        self._lane(p, runs, runs)
+
+    INPUTS = ["stack", "stack-two-lengths", "negative-dups"]
+
+    @pytest.mark.parametrize("inputs", INPUTS)
+    @pytest.mark.parametrize("p", [2, 8, 32, 256])
+    def test_columnar_inputs_match_per_rank_oracle(self, p, inputs):
+        self._columnar(p, *_bitonic_inputs(p, inputs, seed=p))
+
+    @pytest.mark.parametrize("inputs", INPUTS)
+    @pytest.mark.parametrize("p", [2, 8, 32, 256])
+    def test_lane_inputs_match_per_rank_oracle(self, p, inputs):
+        self._lane(p, *_bitonic_inputs(p, inputs, seed=100 + p))
+
+
+class TestSelectionHostMemory:
+    def test_bitonic_holds_no_expanded_samples(self):
+        """The bitonic selector reads its pivots off the sample runs, as
+        gather does: its host peak stays within a quarter of the
+        ``p*p*8`` bytes that expanding the ``p*(p-1)`` samples takes."""
+        p = 4096
+
+        def peak(method: str) -> int:
+            tracemalloc.start()
+            try:
+                r = run_sort("sds", by_name("uniform"), p=p, n_per_rank=16,
+                             backend="flat", mem_factor=None, algo_opts={
+                                 "pivot_method": method,
+                                 "node_merge_enabled": False})
+                assert r.ok
+                assert {(d["decision"], d["choice"])
+                        for d in r.extras["decisions"]} >= {
+                            ("pivot_method", method)}
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        run_sort("sds", by_name("uniform"), p=64, n_per_rank=16,
+                 backend="flat", mem_factor=None)  # warm caches
+        assert peak("bitonic") < peak("gather") + p * p * 8 // 4
