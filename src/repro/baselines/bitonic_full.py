@@ -75,7 +75,7 @@ def bitonic_sort_batch_world(world: World, comms: list[Comm],
         world.each(comms, lambda i, c: _check_network(p))
         run.open(batches)
         live = run.members()
-        lens = world.allgather(live, [ctx.n for ctx in run.ctxs])
+        lens = world.allgather_staged(live, [ctx.n for ctx in run.ctxs], set)
         world.each(live, lambda i, c: _check_network(p, lens[i]))
         run.bank()
         with world.phase(run.members(), "local_sort"):
@@ -94,8 +94,7 @@ def bitonic_sort_batch_world(world: World, comms: list[Comm],
                             ctxs[i], others[i], si, sj))
                         run.bank()
                         stages += 1
-        run.finish(lambda ctx: SortOutcome(batch=ctx.batch,
-                                           received=len(ctx.batch),
+        run.finish(lambda ctx: SortOutcome(ctx.batch,
                                            info={"stages": stages}))
     return run.outcomes
 

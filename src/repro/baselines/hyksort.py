@@ -162,9 +162,8 @@ def run_hyksort(run: Run, batches: list, params: HykParams) -> None:
                 ctx.active = child
         level += 1
     run.finish(lambda ctx: SortOutcome(
-        batch=ctx.batch, received=len(ctx.batch),
-        info={"levels": level, "p_active": ctx.comm.size,
-              "decisions": ctx.decisions()}))
+        ctx.batch, info={"levels": level, "p_active": ctx.comm.size,
+                         "decisions": ctx.decisions()}))
 
 
 def hyksort_world(world: World, comms: list[Comm],

@@ -34,13 +34,12 @@ _ALWAYS_MERGE = 2**62
 
 
 def _singleton_outcome(ctx: RunContext) -> SortOutcome:
-    return SortOutcome(batch=ctx.own_batch(), received=ctx.n,
+    return SortOutcome(ctx.own_batch(),
                        info={"p_active": 1, "decisions": ctx.decisions()})
 
 
 def _sorted_outcome(ctx: RunContext) -> SortOutcome:
-    return SortOutcome(batch=ctx.out, received=len(ctx.out),
-                       exchange=ctx.xstats,
+    return SortOutcome(ctx.out, exchange=ctx.xstats, row=ctx.out_row,
                        info={"p_active": ctx.comm.size,
                              "decisions": ctx.decisions()})
 

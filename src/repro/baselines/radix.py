@@ -125,9 +125,7 @@ def radix_sort_world(world: World, comms: list[Comm],
         run.bank()
         with world.phase(run.members(), "local_ordering"):
             run.each(order)
-        run.finish(lambda ctx: SortOutcome(batch=ctx.out,
-                                           received=len(ctx.out),
-                                           info={"p_active": p}))
+        run.finish(lambda ctx: SortOutcome(ctx.out, info={"p_active": p}))
     return run.outcomes
 
 

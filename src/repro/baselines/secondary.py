@@ -72,13 +72,13 @@ def _composite_order_keys_world(world: World, comms: list[Comm],
     with the tiebreaker offsets — one allgather of per-rank duplicate
     counts, the same collective budget the stable partition uses.  The
     pooled unique-value vector is identical on every rank, so it is
-    computed once per communicator.
+    computed once per communicator, in the allgather.
     """
     nmaxs = world.allreduce(
         comms, [None if b is None else len(b) for b in batches], op=max)
-    gathered = world.allgather(
-        comms, [None if b is None else np.unique(b.keys) for b in batches])
-    pooled = np.unique(np.concatenate(world.first_live(comms, gathered)))
+    pooled = world.first_live(comms, world.allgather_staged(
+        comms, [None if b is None else np.unique(b.keys) for b in batches],
+        lambda uniques: np.unique(np.concatenate(uniques))))
 
     def composite(i: int, c: Comm) -> np.ndarray:
         b = batches[i]
@@ -118,10 +118,10 @@ def hyksort_secondary_key_world(world: World, comms: list[Comm],
 
         run_hyksort(run, world.each(comms, composite_batch), params)
     return [None if out is None else SortOutcome(
-        batch=RecordBatch(out.batch.payload[_KEY_COL],
-                          {k: v for k, v in out.batch.payload.items()
-                           if k != _KEY_COL}),
-        received=out.received, exchange=out.exchange,
+        RecordBatch(out.batch.payload[_KEY_COL],
+                    {k: v for k, v in out.batch.payload.items()
+                     if k != _KEY_COL}),
+        exchange=out.exchange,
         info={**out.info, "composite_extra_bytes": COMPOSITE_EXTRA_BYTES})
         for out in run.outcomes]
 

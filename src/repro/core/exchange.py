@@ -41,7 +41,7 @@ from ..kernels import (
 from ..mpi import Comm, World
 from ..mpi.cells import alltoallv_cells, dense_table
 from ..mpi.world import members, per_rank, values_at
-from ..records import BLOCK_RECORDS, RecordBatch, concat_rows, row_tables
+from ..records import BLOCK_RECORDS, RaggedTable, concat_rows, row_tables
 from ..records.batch import record_layout
 
 
@@ -125,14 +125,14 @@ def _sync_exchange_network(world: World, comms: Sequence[Comm],
     return [None] * len(comms)
 
 
-def _world_outputs(shared: dict, ranks: Sequence[int]) -> list[RecordBatch]:
-    """The outputs of destinations ``ranks`` (ascending), as views of
-    shared gathers: consecutive destinations of up to
+def _world_outputs(shared: dict, ranks: Sequence[int]) -> list[tuple]:
+    """The outputs of destinations ``ranks`` (ascending), a ``(table,
+    row)`` each: consecutive destinations of up to
     :data:`~repro.records.BLOCK_RECORDS` records between them share one
-    gather of each payload column through their stretch of ``final`` (a
-    longer one, and a lane's own, is gathered alone).  Runs in the
-    epilogue, once the compute's locals are gone.
-    """
+    gather of each payload column through their stretch of ``final``,
+    one :class:`~repro.records.RaggedTable` (a longer one, and a lane's
+    own, is gathered alone).  Runs in the epilogue, once the compute's
+    locals are gone."""
     if not ranks:
         return []
     first, n = ranks[0], len(ranks)
@@ -140,20 +140,18 @@ def _world_outputs(shared: dict, ranks: Sequence[int]) -> list[RecordBatch]:
         return [_world_outputs(shared, [r])[0] for r in ranks]
     final, ordered, sources = shared["final"], shared["ordered"], shared["cols"]
     bounds = shared["bounds"]
-    edges = bounds[first:first + n + 1].tolist()      # of the n asked for
-    outs: list[RecordBatch] = []
+    edges = bounds[first:first + n + 1]               # of the n asked for
+    outs: list[tuple] = []
     k = 0
     while k < n:
-        lo = edges[k]
+        lo = int(edges[k])
         stop = min(n, max(k + 1, int(np.searchsorted(
             bounds, lo + BLOCK_RECORDS, "right")) - 1 - first))
         idx = final[lo:edges[stop]]
-        block = RecordBatch._unsafe(ordered[lo:edges[stop]], {
-            name: col[idx] for name, col in sources.items()})
-        if stop == k + 1:
-            outs.append(block)
-        else:
-            outs += block.split([e - lo for e in edges[k:stop + 1]])
+        table = RaggedTable(ordered[lo:edges[stop]], {
+            name: col[idx] for name, col in sources.items()},
+            edges[k:stop + 1] - lo)
+        outs += [(table, row) for row in range(stop - k)]
         k = stop
     return outs
 
@@ -162,7 +160,7 @@ def _sync_exchange_ordering(world: World, comms: Sequence[Comm],
                             shared: dict, *, merge: bool, stable: bool,
                             delta_hints: Sequence[float]) -> list:
     """Local-ordering epilogue of the fused synchronous exchange, on the
-    ranks handed in: per-rank ``(output, ExchangeStats)``.
+    ranks handed in: per-rank ``(table, row, ExchangeStats)``.
 
     Charges each rank's merge/sort cost (once per distinct ``(m,
     delta)``), releases its receive buffer, allocates and hands out its
@@ -191,7 +189,7 @@ def _sync_exchange_ordering(world: World, comms: Sequence[Comm],
     ranks, pos = per_rank(ranks, pos)
     stats = {m: ExchangeStats("sync", ordering, m, p) for m in set(ms)}
     for i, out in zip(pos, _world_outputs(shared, ranks)):
-        outs[i] = (out, stats[ms[i]])
+        outs[i] = (*out, stats[ms[i]])
     return outs
 
 
@@ -327,7 +325,7 @@ def _overlapped_exchange_finish(world: World, comms: Sequence[Comm],
                                 shared: dict,
                                 send_nbytes: Sequence[int]) -> list:
     """Epilogue of the fused overlapped exchange plus the send-buffer
-    release, on the ranks handed in: per-rank ``(output,
+    release, on the ranks handed in: per-rank ``(table, row,
     ExchangeStats)``.  Advances each clock to its replayed
     merge-completion time (a tracer gets the fused span, cost split,
     the nonzeros of ``S`` as edges and merge counters), settles memory
@@ -368,5 +366,5 @@ def _overlapped_exchange_finish(world: World, comms: Sequence[Comm],
     stats = {mr: ExchangeStats("overlap", "overlap-merge", mr, p)
              for mr in set(m)}
     for i, out, mr in zip(pos, _world_outputs(shared, ranks), m):
-        outs[i] = (out, stats[mr])
+        outs[i] = (*out, stats[mr])
     return outs

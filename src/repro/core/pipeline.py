@@ -43,8 +43,8 @@ from ..kernels import (
     stable_prefix_layout,
 )
 from ..mpi import LANE, Comm, Epilogue, FlatAbort, World
-from ..records import (RecordBatch, ShardTable, SortedRows, merge_sorted_rows,
-                       row_tables, table_rows)
+from ..records import (RaggedTable, RecordBatch, ShardTable, SortedRows,
+                       merge_sorted_rows, row_tables, table_rows)
 from .exchange import (
     ExchangeStats,
     _overlapped_exchange_finish,
@@ -89,13 +89,19 @@ __all__ = [
 
 @dataclass
 class SortOutcome:
-    """Per-rank result of one distributed sort."""
+    """Per-rank result of one distributed sort: output ``table``, a batch,
+    or row ``row`` of ``table``, an exchange's gather (:attr:`batch`)."""
 
-    batch: RecordBatch
-    received: int = 0
+    table: RecordBatch | RaggedTable
     active: bool = True
     exchange: ExchangeStats | None = None
     info: dict[str, Any] = field(default_factory=dict)
+    row: int = 0
+
+    @property
+    def batch(self) -> RecordBatch:
+        """The rank's output as its own batch (views)."""
+        return self.table if type(self.table) is RecordBatch else self.table.row(self.row)
 
 
 def pivot_pad_value(pg: np.ndarray, key_dtype: np.dtype):
@@ -230,7 +236,8 @@ class RunContext:
     table, after the local sort a :class:`~repro.records.SortedRows`,
     whose row ``batch_row`` is the rank's, :attr:`keys` its keys; the
     partition leaves the rank's cuts as row ``row`` of the table
-    ``cuts``; ``chunks`` are the runs a baseline's exchange received).
+    ``cuts``; the exchange its output as row ``out_row`` of ``out``;
+    ``chunks`` are the runs a baseline's exchange received).
     A driver that carries more per rank subclasses it.
     """
 
@@ -247,7 +254,8 @@ class RunContext:
     pg: np.ndarray | None = None
     cuts: Cuts | None = None
     row: int = 0
-    out: RecordBatch | None = None
+    out: RecordBatch | RaggedTable | None = None
+    out_row: int = 0
     xstats: ExchangeStats | None = None
     chunks: list | None = None
     outcome: SortOutcome | None = None  # set: the rank is done
@@ -424,11 +432,10 @@ def fault_health_check(world: World, ctxs: list[RunContext],
     acomms = [ctx.active for ctx in ctxs]
     with world.phase(comms, "fault_recovery"):
         me_dead = [fplan.crash_at(c.grank, boundary) for c in comms]
-        all_verdicts = world.allgather(
+        crashed = world.first_live(acomms, world.allgather_staged(
             acomms,
-            [c.grank if dead else -1 for c, dead in zip(comms, me_dead)])
-        verdicts = world.first_live(acomms, all_verdicts)
-        crashed = sorted(g for g in verdicts if g >= 0)
+            [c.grank if dead else -1 for c, dead in zip(comms, me_dead)],
+            lambda verdicts: sorted(g for g in verdicts if g >= 0)))
         if not crashed:
             return None
         children = world.split(
@@ -446,8 +453,7 @@ def fault_health_check(world: World, ctxs: list[RunContext],
                 # the trace as it stands: the survivors' recovery is
                 # recorded below, into the plan they may share with it
                 ctx.outcome = SortOutcome(
-                    batch=RecordBatch.empty_like(ctx.batch),
-                    received=0,
+                    RecordBatch.empty_like(ctx.batch),
                     active=False,
                     info={"crashed": True, "crash_boundary": boundary,
                           "p_active": 0,
@@ -592,8 +598,7 @@ class NodeMerge:
                 key = (ctx.batch.schema, ctx.plan)
                 if key not in outcomes:
                     outcomes[key] = SortOutcome(
-                        batch=RecordBatch.empty_like(ctx.batch),
-                        received=0,
+                        RecordBatch.empty_like(ctx.batch),
                         active=False,
                         info={"node_merged": True, "p_active": 0,
                               "decisions": ctx.plan.decisions()},
@@ -851,7 +856,7 @@ class Exchange:
                 ) if lcomms else []
             for i, res in zip(live, outs):
                 if res is not None:
-                    ctxs[i].out, ctxs[i].xstats = res
+                    ctxs[i].out, ctxs[i].out_row, ctxs[i].xstats = res
         else:
             spec = acomms[0].machine
             rate = acomms[0].cost.spec.merge_cost_per_elem
@@ -873,7 +878,7 @@ class Exchange:
                             world, acomms, sh, send_nbytes)))
             for ctx, res in zip(ctxs, outs):
                 if res is not None:
-                    ctx.out, ctx.xstats = res
+                    ctx.out, ctx.out_row, ctx.xstats = res
 
     @staticmethod
     def _deposits(world: World, ctxs: list[RunContext],

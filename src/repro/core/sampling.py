@@ -246,9 +246,9 @@ def select_pivots_oversample_world(world: World, comms: list[Comm],
     ``bench_ext_oversampling.py`` measures the gap.
 
     The per-rank RNG draws use ``SeedSequence([seed, rank])`` streams;
-    the pooled sort and stride selection run once — every rank's pooled
-    vector is identical — and each live rank charges its own
-    ``sort_time`` replay.
+    the pooled sort runs once, in the allgather (every rank reads the
+    one sorted vector), the stride selection once, and each live rank
+    charges its own ``sort_time`` replay.
     """
     p = comms[0].size
     arrs = [np.asarray(k) for k in keys_list]
@@ -263,17 +263,17 @@ def select_pivots_oversample_world(world: World, comms: list[Comm],
         take = min(max(1, oversample), a.size)
         return a[rng.integers(0, a.size, size=take)]
 
-    all_samples = world.allgather(comms, world.each(comms, draw))
-    pooled = pg = None
+    pooled = world.allgather_staged(comms, world.each(comms, draw),
+                                    lambda runs: np.sort(np.concatenate(runs)))
+    pg = None
     outs: list = [None] * len(comms)
     for i, c in enumerate(comms):
         if not world.alive(c):
             continue
-        if pooled is None:
-            pooled = np.sort(np.concatenate(all_samples[i]))
-            pos = (np.arange(1, p, dtype=np.int64) * pooled.size) // p
-            pg = pooled[np.minimum(pos, pooled.size - 1)]
-        c.charge(c.cost.sort_time(pooled.size))
+        if pg is None:
+            pos = (np.arange(1, p, dtype=np.int64) * pooled[i].size) // p
+            pg = pooled[i][np.minimum(pos, pooled[i].size - 1)]
+        c.charge(c.cost.sort_time(pooled[i].size))
         outs[i] = pg
     return outs
 

@@ -65,7 +65,7 @@ __all__ = ["SortOutcome", "local_delta", "pivot_pad_value", "sds_sort",
 
 def _singleton_outcome(ctx: RunContext) -> SortOutcome:
     """The one-rank short-circuit: locally sorted data is the answer."""
-    return SortOutcome(batch=ctx.own_batch(), received=ctx.n,
+    return SortOutcome(ctx.own_batch(),
                        info={"p_active": 1, "delta_local": ctx.delta,
                              "decisions": ctx.decisions()})
 
@@ -77,9 +77,7 @@ def _alone(ctx: RunContext) -> bool:
 
 def _sorted_outcome(ctx: RunContext) -> SortOutcome:
     return SortOutcome(
-        batch=ctx.out,
-        received=len(ctx.out),
-        exchange=ctx.xstats,
+        ctx.out, exchange=ctx.xstats, row=ctx.out_row,
         info={
             "p_active": ctx.active.size,
             "delta_local": ctx.delta,

@@ -1,7 +1,7 @@
 """In-situ distributed validation — no gathering required.
 
-The validators in :mod:`repro.metrics.validate` concatenate every
-rank's data on the host, which is fine for tests but impossible at the
+The validators in :mod:`repro.metrics.validate` read every rank's
+data on one host, which is fine for tests but impossible at the
 paper's scale (52 TB).  This module validates the same properties the
 way a production run would: O(1) boundary metadata per rank plus
 order-independent checksums reduced across the communicator.

@@ -18,39 +18,36 @@ Inputs enter as tables (:class:`~repro.records.ShardTable`: a flat
 world's own, or per-rank batches stacked by shape).  Tagged the way
 :meth:`~repro.records.ShardTable.tagged` tags a world — each row one
 rank's, no rank on two rows, positions ``0..n-1`` in every row — the
-tags are an index instead: an output record names the input slot of
-``(rank, pos)``, and the check is that every tag is in range, every
-slot is named exactly once, and the key stored in the slot is the key
-the record carries.  That is O(N), reads three columns, and proves
-more: it implies all three sorted comparisons and also pins each key to
-its record, which the column-wise form does not (two records trading
-tags, or a key overwritten with another record's value, keep every
-column's multiset).  Untagged inputs, and tagged inputs in any other
-arrangement, are judged by the definition.
+tags are an index instead: every tag must be in range, every input slot
+named exactly once, with the key the record carries.  That is O(N) and
+proves more: it pins each key to its record, which the column-wise
+form does not (two records trading tags, or a key overwritten with
+another record's value, keep every column's multiset).  Untagged
+inputs, and tagged inputs in any other arrangement, are judged by the
+definition.  Outputs enter as the exchange hands them out (one
+:class:`~repro.records.RaggedTable` per gather, named once per row) and
+as loose batches, and are read in rank order a part at a time
+(:func:`_parts`): no output column of the world is concatenated, and
+verdicts are raised in the definitions' order however the outputs are
+cut.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from itertools import groupby
+from typing import Sequence
 
 import numpy as np
 
-from ..records import SRC_POS, SRC_RANK, RecordBatch, ShardTable, table_rows
+from ..records import (SRC_POS, SRC_RANK, RaggedTable, RecordBatch,
+                       ShardTable, rank_batches, table_rows)
 
 
 class ValidationError(AssertionError):
     """A sort output violated one of the correctness properties."""
 
 
-class _Columns(NamedTuple):
-    """The columns validation reads, concatenated over a world's batches."""
-
-    keys: np.ndarray
-    ranks: np.ndarray | None          # None: no provenance columns
-    pos: np.ndarray | None
-
-
-def _names(parts: Sequence[RecordBatch | ShardTable]) -> tuple[str, ...]:
+def _names(parts: Sequence) -> tuple[str, ...]:
     """The payload column names ``parts`` share (checked once per
     distinct layout, the ``concat`` rule); raises when they differ."""
     names = tuple(parts[0].payload) if parts else ()
@@ -61,16 +58,21 @@ def _names(parts: Sequence[RecordBatch | ShardTable]) -> tuple[str, ...]:
     return names
 
 
-def _columns(batches: Sequence[RecordBatch],
-             keys: np.ndarray | None = None) -> _Columns:
-    """Keys and provenance of ``batches`` (:func:`_names`, :func:`_flat`);
-    ``keys`` hands in the key column when it is already concatenated."""
-    batches = list(batches)
-    names = _names(batches)
-    keys = _flat(batches) if keys is None else keys
-    if SRC_RANK not in names or SRC_POS not in names:
-        return _Columns(keys, None, None)
-    return _Columns(keys, _flat(batches, SRC_RANK), _flat(batches, SRC_POS))
+def _parts(outputs: Sequence[RecordBatch | RaggedTable]) -> list[RecordBatch]:
+    """The records of per-rank ``outputs`` in rank order, a batch a part:
+    a loose batch, or a stretch of one table's consecutive rows (ranks
+    without records between do not break it)."""
+    parts, seen = [], {}
+    for entry, named in groupby(o for o in outputs if type(o) is not
+                                RecordBatch or o.keys.size):
+        g = sum(1 for _ in named)
+        if type(entry) is RecordBatch:
+            parts += [entry] * g
+            continue
+        k = seen.get(id(entry), 0)                    # the k-th naming: row k
+        seen[id(entry)] = k + g
+        parts.append(entry.slice(entry.offs[k], entry.offs[k + g]))
+    return [b for b in parts if b.keys.size]
 
 
 def _tables(inputs: Sequence) -> list[ShardTable]:
@@ -122,7 +124,7 @@ def check_globally_ordered(outputs: Sequence[RecordBatch]) -> None:
 
 
 def check_multiset(inputs: Sequence[RecordBatch | ShardTable],
-                   outputs: Sequence[RecordBatch]) -> None:
+                   outputs: Sequence[RecordBatch | RaggedTable]) -> None:
     """Property 3: no record created, lost, or corrupted.
 
     Inputs tagged as a world is (one rank a row, positions ``0..n-1``)
@@ -130,31 +132,32 @@ def check_multiset(inputs: Sequence[RecordBatch | ShardTable],
     else compares sorted key arrays and, when provenance columns are
     present, the sorted rank and position columns (module docstring).
     """
-    _check_multiset(_tables(inputs), _columns(outputs))
+    _check_multiset(_tables(inputs), _names(list(dict.fromkeys(outputs))),
+                    _parts(outputs))
 
 
-def _check_multiset(tables: list[ShardTable], outs: _Columns) -> None:
-    names, keys = _names(tables), _flat(tables)
-    if keys.size != outs.keys.size:
+def _check_multiset(tables: list[ShardTable], names: tuple[str, ...],
+                    parts: list[RecordBatch]) -> None:
+    """Property 3 on the output ``parts``, whose payload is ``names``."""
+    keys, count = _flat(tables), sum(len(b) for b in parts)
+    if keys.size != count:
         raise ValidationError(
-            f"record count changed: {keys.size} in, "
-            f"{outs.keys.size} out"
-        )
-    tagged = SRC_RANK in names and SRC_POS in names and outs.ranks is not None
+            f"record count changed: {keys.size} in, {count} out")
+    tags = (SRC_RANK, SRC_POS)
+    tagged = set(tags) <= set(_names(tables)) and set(tags) <= set(names)
     # tags promoted to float by the sort under test: the definition
     # compares them by value, the index cannot address with them
-    if tagged and outs.ranks.dtype.kind in "iu" \
-            and outs.pos.dtype.kind in "iu":
+    if tagged and all(b.payload[c].dtype.kind in "iu" for b in parts
+                      for c in tags):
         index = _provenance_index(tables)
         if index is not None:
-            _check_records(keys, outs, *index)
-            return
-    if not np.array_equal(np.sort(keys), np.sort(outs.keys)):
+            return _check_records(keys, parts, *index)
+    if not np.array_equal(np.sort(keys), np.sort(_flat(parts))):
         raise ValidationError("key multiset changed")
-    if tagged:
-        for col, b in ((SRC_RANK, outs.ranks), (SRC_POS, outs.pos)):
-            if not np.array_equal(np.sort(_flat(tables, col)), np.sort(b)):
-                raise ValidationError(f"provenance multiset changed in {col}")
+    for col in tags if tagged else ():
+        if not np.array_equal(np.sort(_flat(tables, col)),
+                              np.sort(_flat(parts, col))):
+            raise ValidationError(f"provenance multiset changed in {col}")
 
 
 def _provenance_index(tables: Sequence[ShardTable]
@@ -189,78 +192,98 @@ def _provenance_index(tables: Sequence[ShardTable]
     return base, size
 
 
-def _check_records(keys: np.ndarray, outs: _Columns, base: np.ndarray,
-                   size: np.ndarray) -> None:
-    """Every output record is one input record, each taken exactly once."""
-    ranks = outs.ranks.astype(np.int64, copy=False)
-    pos = outs.pos.astype(np.int64, copy=False)
-    if np.any((ranks < 0) | (ranks >= size.size)):
-        raise ValidationError(
-            f"provenance multiset changed in {SRC_RANK}: a record names a "
-            f"rank that held no input")
-    if np.any((pos < 0) | (pos >= size[ranks])):
-        raise ValidationError(
-            f"provenance multiset changed in {SRC_POS}: a record names a "
-            f"position past its source rank's input")
-    slot = base[ranks] + pos
-    taken = np.zeros(keys.size, dtype=bool)
-    taken[slot] = True
+_RECORD_VERDICTS = (
+    f"provenance multiset changed in {SRC_RANK}: a record names a rank "
+    "that held no input",
+    f"provenance multiset changed in {SRC_POS}: a record names a position "
+    "past its source rank's input",
+    "provenance multiset changed: an input record is missing and another "
+    "appears twice",
+    "key multiset changed: a record's key is not the key of the input "
+    "record its provenance names")
+
+
+def _check_records(keys: np.ndarray, parts: list[RecordBatch],
+                   base: np.ndarray, size: np.ndarray) -> None:
+    """Every output record is one input record, each taken exactly once:
+    tags in range, slot and key checked a part at a time, the verdicts
+    (``_RECORD_VERDICTS``) raised in order."""
+    taken, found = np.zeros(keys.size, dtype=bool), set()
+    for b in parts:
+        ranks = b.payload[SRC_RANK].astype(np.int64, copy=False)
+        pos = b.payload[SRC_POS].astype(np.int64, copy=False)
+        if ranks.min() < 0 or ranks.max() >= size.size:
+            found.add(0)
+        elif pos.min() < 0 or (pos >= size[ranks]).any():
+            found.add(1)
+        else:
+            slot = base[ranks] + pos
+            taken[slot] = True
+            if not (keys[slot] == b.keys).all():
+                found.add(3)
     if not taken.all():                    # equal counts: a miss = a repeat
-        raise ValidationError(
-            "provenance multiset changed: an input record is missing and "
-            "another appears twice")
-    if not np.array_equal(keys[slot], outs.keys):
-        raise ValidationError(
-            "key multiset changed: a record's key is not the key of the "
-            "input record its provenance names")
+        found.add(2)
+    if found:
+        raise ValidationError(_RECORD_VERDICTS[min(found)])
 
 
-def check_stable(outputs: Sequence[RecordBatch]) -> None:
+def check_stable(outputs: Sequence[RecordBatch | RaggedTable]) -> None:
     """Property 4: equal keys keep their (source rank, position) order.
 
     Requires provenance columns (see :func:`repro.records.tag_provenance`).
     """
-    _check_stable(_columns(outputs))
+    _check_stable(_names(list(dict.fromkeys(outputs))), _parts(outputs))
 
 
-def _check_stable(outs: _Columns) -> None:
-    if outs.ranks is None:
+def _check_stable(names: tuple[str, ...], parts: list[RecordBatch]) -> None:
+    if SRC_RANK not in names or SRC_POS not in names:
         raise ValidationError("stability check needs provenance columns")
-    keys = outs.keys
-    ranks = outs.ranks.astype(np.int64)
-    pos = outs.pos.astype(np.int64)
-    same = keys[1:] == keys[:-1]
-    tag = ranks * (pos.max() + 1 if pos.size else 1) + pos
-    bad = same & (tag[1:] <= tag[:-1])
-    if np.any(bad):
-        i = int(np.nonzero(bad)[0][0])
-        raise ValidationError(
-            f"stability violated at global position {i + 1}: key "
-            f"{keys[i + 1]!r} from (rank {ranks[i + 1]}, pos {pos[i + 1]}) "
-            f"follows (rank {ranks[i]}, pos {pos[i]})"
-        )
+    at, last = 0, None                 # ``last``: the record before a part
+    for b in parts:
+        keys = b.keys
+        ranks, pos = (b.payload[c].astype(np.int64) for c in (SRC_RANK, SRC_POS))
+        first = (keys[0], ranks[0], pos[0])
+        if last is not None and first[0] == last[0] and first[1:] <= last[1:]:
+            raise _unstable(at, last, first)
+        r0, r1 = ranks[:-1], ranks[1:]
+        bad = (keys[1:] == keys[:-1]) & (
+            (r1 < r0) | ((r1 == r0) & (pos[1:] <= pos[:-1])))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise _unstable(at + i + 1, (keys[i], ranks[i], pos[i]),
+                            (keys[i + 1], ranks[i + 1], pos[i + 1]))
+        at, last = at + keys.size, (keys[-1], ranks[-1], pos[-1])
+
+
+def _unstable(at: int, a: tuple, b: tuple) -> ValidationError:
+    """Record ``b`` = ``(key, rank, pos)``, at ``at``, follows ``a``."""
+    return ValidationError(
+        f"stability violated at global position {at}: key {b[0]!r} from "
+        f"(rank {b[1]}, pos {b[2]}) follows (rank {a[1]}, pos {a[2]})")
 
 
 def check_sorted(inputs: Sequence[RecordBatch | ShardTable],
-                 outputs: Sequence[RecordBatch],
+                 outputs: Sequence[RecordBatch | RaggedTable],
                  *, stable: bool = False) -> None:
     """Run all applicable validators; raise :class:`ValidationError` on failure.
 
-    Properties 1 and 2 together say the concatenated output keys do not
-    decrease, so that column — multiset validation reads it anyway — is
-    tested in one pass (a NaN fails it, as it fails
-    :meth:`RecordBatch.is_sorted`).  Only when that pass objects, or
-    batches of different key dtypes would be compared after promotion,
-    do :func:`check_locally_sorted` and :func:`check_globally_ordered`
-    — the definitions — go through the batches to word the verdict.
+    Properties 1 and 2 together say the output keys, in rank order, do
+    not decrease: each part's, and from one part to the next (a NaN
+    fails it, as it fails :meth:`RecordBatch.is_sorted`).  Only when
+    that objects, or outputs of different key dtypes would be compared
+    after promotion, do :func:`check_locally_sorted` and
+    :func:`check_globally_ordered` — the definitions — go through the
+    per-rank batches to word the verdict.
     """
     outputs = list(outputs)
-    keys = _flat(outputs)
-    if (len({b.keys.dtype for b in outputs}) > 1
-            or not bool(np.all(keys[1:] >= keys[:-1]))):
-        check_locally_sorted(outputs)
-        check_globally_ordered(outputs)
-    outs = _columns(outputs, keys)
-    _check_multiset(_tables(inputs), outs)
+    parts, entries = _parts(outputs), list(dict.fromkeys(outputs))
+    if (len({e.keys.dtype for e in entries}) > 1
+            or not all(b.is_sorted() for b in parts)
+            or not all(a.keys[-1] <= b.keys[0] for a, b in zip(parts, parts[1:]))):
+        batches = rank_batches(outputs)
+        check_locally_sorted(batches)
+        check_globally_ordered(batches)
+    names = _names(entries)
+    _check_multiset(_tables(inputs), names, parts)
     if stable:
-        _check_stable(outs)
+        _check_stable(names, parts)

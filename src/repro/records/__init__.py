@@ -4,6 +4,7 @@ from .batch import (
     BLOCK_RECORDS,
     SRC_POS,
     SRC_RANK,
+    RaggedTable,
     RecordBatch,
     ShardRows,
     ShardTable,
@@ -27,6 +28,7 @@ __all__ = [
     "BLOCK_RECORDS",
     "SRC_POS",
     "SRC_RANK",
+    "RaggedTable",
     "RecordBatch",
     "ShardRows",
     "ShardTable",

@@ -145,12 +145,8 @@ class RecordBatch:
             raise ValueError("displacements must span [0, len)")
         if np.any(np.diff(d) < 0):
             raise ValueError("displacements must be non-decreasing")
-        keys, payload = self.keys, self.payload
         bounds = d.tolist()
-        return [RecordBatch._unsafe(
-                    keys[lo:hi], {k: v[lo:hi] for k, v in payload.items()},
-                    self)
-                for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return [self.slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
     def sort(self, *, stable: bool = False) -> "RecordBatch":
         """Return a copy sorted by key, payload reordered alongside."""
@@ -159,7 +155,7 @@ class RecordBatch:
     def is_sorted(self) -> bool:
         if len(self) <= 1:
             return True
-        return bool(np.all(self.keys[1:] >= self.keys[:-1]))
+        return bool((self.keys[1:] >= self.keys[:-1]).all())
 
     @staticmethod
     def concat(batches: Iterable["RecordBatch"]) -> "RecordBatch":
@@ -240,6 +236,30 @@ class ShardTable:
         return ShardTable(np.concatenate([t.keys for t in tables]), {
             name: np.concatenate([t.payload[name] for t in tables])
             for name in tables[0].payload}, tables[0])
+
+
+class RaggedTable:
+    """Rows of any lengths end to end, a row a rank: 1-D ``keys`` and
+    payload columns, row ``k`` at ``[offs[k], offs[k + 1])``.  An
+    exchange's outputs are one table per gather, named in a per-rank
+    list as a :class:`ShardTable` is (:func:`table_rows`).
+    """
+
+    __slots__ = ("keys", "payload", "offs", "schema", "record_bytes")
+
+    def __init__(self, keys: np.ndarray, payload: dict[str, np.ndarray],
+                 offs: np.ndarray) -> None:
+        self.keys, self.payload, self.offs = keys, payload, offs
+        self.schema, self.record_bytes = record_layout(keys, payload)
+
+    def row(self, k: int) -> RecordBatch:
+        """Row ``k`` as a batch (views)."""
+        return self.slice(self.offs[k], self.offs[k + 1])
+
+    def slice(self, start: int, stop: int) -> RecordBatch:
+        """Records ``[start, stop)`` as a batch (views)."""
+        return RecordBatch._unsafe(self.keys[start:stop], {
+            name: col[start:stop] for name, col in self.payload.items()}, self)
 
 
 def table_rows(entries: Sequence) -> tuple[list, Sequence[int]]:

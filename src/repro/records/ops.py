@@ -19,7 +19,7 @@ from ..kernels import (
     same_key_groups,
     stable_argsort,
 )
-from .batch import RecordBatch, SortedRows, gathered, row_tables
+from .batch import RaggedTable, RecordBatch, SortedRows, gathered, row_tables
 
 
 def merge_two_batches(a: RecordBatch, b: RecordBatch) -> RecordBatch:
@@ -82,11 +82,9 @@ def merge_sorted_rows(run_lists: Sequence[Sequence[SortedRows]]
         perm, keys = perm.ravel(), keys.ravel()
         columns = {name: gathered(flat, name, np.empty(
             (keys.size, *shape), dtype))[perm] for name, dtype, shape in schema[1:]}
+        merged = RaggedTable(keys, columns, np.arange(rows + 1) * total)
         for row, j in enumerate(members):
-            lo, hi = row * total, (row + 1) * total
-            out[j] = RecordBatch._unsafe(
-                keys[lo:hi], {name: col[lo:hi] for name, col in columns.items()},
-                flat[0])
+            out[j] = merged.row(row)
     return out
 
 

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
+import numpy as np
+
 from .baselines import (
     HykParams,
     bitonic_sort_batch_world,
@@ -259,6 +261,14 @@ class _SortProgram:
         return results, world.failures
 
 
+def _loads(outcomes: list) -> list[int]:
+    """Every rank's output record count, a table's read off its offsets."""
+    rows = {id(t): np.diff(t.offs).tolist() for t in dict.fromkeys(
+        o.table for o in outcomes) if type(t) is not RecordBatch}
+    return [rows[id(o.table)][o.row] if id(o.table) in rows
+            else len(o.table) for o in outcomes]
+
+
 def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
              machine: MachineSpec = EDISON, seed: int = 0,
              mem_factor: float | None = MEM_FACTOR,
@@ -366,9 +376,7 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         metrics.record_run(algorithm=algorithm, backend=backend,
                            outcome="ok")
 
-    inputs = [r[0] for r in res.results]
-    outcomes = [r[1] for r in res.results]
-    outputs = [o.batch for o in outcomes]
+    inputs, outcomes = map(list, zip(*res.results))
     crashed_ranks = [r for r, o in enumerate(outcomes)
                      if "crashed" in o.info]
     # validation; degraded completion: a crashed rank's input left the
@@ -377,7 +385,7 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         crashed = set(crashed_ranks)
         inputs = [inp for r, inp in enumerate(rank_batches(inputs))
                   if r not in crashed]
-    check_sorted(inputs, outputs, stable=stable)
+    check_sorted(inputs, [o.table for o in outcomes], stable=stable)
 
     # the decision trace lives on active ranks (a crashed rank's trace
     # stops at the crash and lacks the recovery record)
@@ -406,9 +414,9 @@ def run_sort(algorithm: str, workload: Workload, *, n_per_rank: int, p: int,
         algorithm=algorithm, workload=workload.name, p=p,
         n_per_rank=n_per_rank, record_bytes=record_bytes,
         ok=True, oom=False, elapsed=res.elapsed,
-        loads=[b.keys.size for b in outputs],
+        loads=_loads(outcomes),
         phase_times=res.phase_breakdown(),
-        outputs=outputs if keep_outputs else None,
+        outputs=[o.batch for o in outcomes] if keep_outputs else None,
         extras=extras,
     )
 

@@ -369,9 +369,10 @@ def lane_exchange_sync(comm: Comm, batch: RecordBatch, displs: np.ndarray,
                 stage, p=p, merge=merge, stable=stable))
         exchange._sync_exchange_network(LANE, [comm], shared, [batch.nbytes])
     with comm.phase("local_ordering"):
-        return exchange._sync_exchange_ordering(
+        table, row, stats = exchange._sync_exchange_ordering(
             LANE, [comm], shared, merge=merge, stable=stable,
             delta_hints=[delta_hint])[0]
+    return table.row(row), stats
 
 
 def lane_exchange_overlapped(comm: Comm, batch: RecordBatch,
@@ -389,5 +390,6 @@ def lane_exchange_overlapped(comm: Comm, batch: RecordBatch,
 
     shared, _ = comm.staged(
         (batch, Cuts.from_displs(displs).check(p, len(batch))), compute)
-    return exchange._overlapped_exchange_finish(LANE, [comm], shared,
-                                                [batch.nbytes])[0]
+    table, row, stats = exchange._overlapped_exchange_finish(
+        LANE, [comm], shared, [batch.nbytes])[0]
+    return table.row(row), stats

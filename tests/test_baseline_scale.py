@@ -6,8 +6,9 @@ p=4096 take minutes and gigabytes.  SDS with node merge builds no batch
 for a rank's input (a world's input is one table per shard shape), only
 the leaders' few, and a communicator only for the leaders.  Flat PSRS builds its phase products — decision
 plans, regular samples, cuts, sorted rows — once per communicator or
-shard shape, not once per rank, and flat SDS its cuts in every
-partition variant.  Counted at p=1024 x 64, flat.
+shard shape, not once per rank, and its outputs once per exchange
+gather; flat SDS builds its cuts in every partition variant.  Counted
+at p=1024 x 64, flat.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from repro.core.pipeline import Partition
 from repro.core.plan import SortPlan
 from repro.core.sampling import SampleRuns
 from repro.mpi import Comm, Cuts
-from repro.records import RecordBatch, SortedRows
+from repro.records import RaggedTable, RecordBatch, SortedRows
 from repro.runner import run_sort
 from repro.workloads import by_name
 
@@ -77,12 +78,13 @@ def test_radix_builds_o_pn_batches(workload):
 
 
 def test_sds_with_node_merge_builds_batches_only_for_leaders():
-    # p=4096: 350 measured, two for each of the 171 leaders (merged,
-    # output) and a few shared; a batch a rank drawn and one tagged,
-    # the input form this replaced, built 8,542
+    # p=4096: 174 measured, one for each of the 171 leaders (merged)
+    # and a few shared; the leaders' outputs are rows of the exchange's
+    # gathers (a batch each built 350); a batch a rank drawn and one
+    # tagged, the input form this replaced, built 8,542
     built, leaders = _count_batches("sds", "uniform", p=4096, mem_factor=None)
     assert leaders == -(-4096 // 24)
-    assert built <= 2 * leaders + 32, built
+    assert built <= leaders + 32, built
 
 
 def test_sds_with_node_merge_builds_a_comm_only_for_leaders():
@@ -138,6 +140,19 @@ def test_flat_psrs_keeps_sorted_rows_one_table_to_the_exchange():
                      backend="flat", mem_factor=None)
     assert r.ok, r.failure
     assert built["tables"] <= 8 and built["takes"] <= 8, built
+
+
+def test_flat_psrs_hands_out_one_table_per_output_gather():
+    # p=2048: each exchange gather of <= BLOCK_RECORDS records stays one
+    # table from the exchange to validation; cut into a batch a rank, and
+    # validated as such, the run built 2,051
+    built: Counter = Counter()
+    with mock.patch.object(RaggedTable, "__init__", _counted(
+            RaggedTable.__init__, built, "gathers")):
+        batches, _ = _count_batches("psrs", "uniform", p=2048,
+                                    mem_factor=None)
+    assert 1 <= built["gathers"] <= 8, built
+    assert batches <= built["gathers"] + 8, (batches, built)
 
 
 @pytest.mark.parametrize("algorithm", ["sds", "sds-stable"])

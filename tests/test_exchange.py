@@ -10,7 +10,7 @@ from repro.core.exchange import sync_exchange_compute
 from repro.mpi import HOST_COUNTERS, Cuts, run_spmd
 from repro.mpi.cells import by_destination
 from repro.obs import Tracer
-from repro.records import RecordBatch
+from repro.records import RaggedTable, RecordBatch
 from repro.runner import run_sort
 from repro.workloads import uniform
 
@@ -336,10 +336,11 @@ class TestOverlappedExchange:
 
 
 @pytest.mark.parametrize("tau_o", [0, 4096], ids=["sync", "overlapped"])
-def test_a_lane_epilogue_builds_one_batch_and_reads_nothing_world_sized(
+def test_a_lane_epilogue_builds_one_table_and_reads_nothing_world_sized(
         monkeypatch, tau_o):
     # what would make the thread backend quadratic: an epilogue written
-    # for a membership doing p-sized work when a lane hands in itself
+    # for a membership doing p-sized work when a lane hands in itself;
+    # a lane's output is a one-row table of its own gather
     p, reads, built, inside = 64, [], [], threading.local()
 
     class Spy(np.ndarray):
@@ -347,12 +348,12 @@ def test_a_lane_epilogue_builds_one_batch_and_reads_nothing_world_sized(
             reads.append(self.size)
             return super().tolist()
 
-    unsafe = RecordBatch._unsafe.__func__
+    init = RaggedTable.__init__
 
-    def counted(cls, *args):
+    def counted(self, *args):
         if getattr(inside, "rank", None) is not None:
             built.append(inside.rank)
-        return unsafe(cls, *args)
+        init(self, *args)
 
     def spied(epilogue):
         def run(world, comms, shared, *args, **kwargs):
@@ -366,7 +367,7 @@ def test_a_lane_epilogue_builds_one_batch_and_reads_nothing_world_sized(
                 inside.rank = None
         return run
 
-    monkeypatch.setattr(RecordBatch, "_unsafe", classmethod(counted))
+    monkeypatch.setattr(RaggedTable, "__init__", counted)
     for name in ("_sync_exchange_network", "_sync_exchange_ordering",
                  "_overlapped_exchange_finish"):
         monkeypatch.setattr(pipeline, name, spied(getattr(pipeline, name)))

@@ -1,12 +1,15 @@
 """Metrics: RDFA, replication ratio, throughput, validators."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import runner
 from repro.metrics import (
     KeyProfile,
     LoadStats,
@@ -26,12 +29,14 @@ from repro.metrics.validate import _provenance_index, _tables
 from repro.records import (
     SRC_POS,
     SRC_RANK,
+    RaggedTable,
     RecordBatch,
     ShardRows,
     ShardTable,
     rank_batches,
     tag_provenance,
 )
+from repro.workloads import by_name
 
 
 class TestRdfa:
@@ -420,6 +425,152 @@ class TestTableInputs:
         tables = _tables(inputs)
         assert [sorted(t.payload) for t in tables] == [[SRC_POS, SRC_RANK]] * 2
         check_sorted(inputs, outputs, stable=True)
+
+
+def _output_tables(outputs, groups, loose=()):
+    """Per-rank ``outputs`` as an exchange hands them out: each run of
+    ``groups[k]`` consecutive ranks one table named once per row, or, for
+    ``k`` in ``loose``, left as its batches."""
+    entries, at = [], 0
+    for k, g in enumerate(groups):
+        rows, at = outputs[at:at + g], at + g
+        if k in loose:
+            entries += rows
+            continue
+        whole = RecordBatch.concat(rows)
+        offs = np.cumsum([0] + [len(b) for b in rows])
+        entries += [RaggedTable(whole.keys, whole.payload, offs)] * g
+    return entries
+
+
+def _verdict(inputs, outputs, stable=True):
+    try:
+        check_sorted(inputs, outputs, stable=stable)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
+class TestTableOutputs:
+    """The validator on the exchange's output form: one table per gather,
+    read a stretch of rows at a time.  Each mutant sits at the boundary
+    between two tables and is caught with the verdict the per-rank
+    batches get."""
+
+    @staticmethod
+    def _boundary(values=100):
+        """Four ranks in two two-row tables; the records either side of
+        the boundary as ``(rank, index)`` of the per-rank outputs."""
+        inputs, outputs = _world([5, 5, 5, 5], seed=11, values=values)
+        return inputs, outputs, (1, len(outputs[1]) - 1), (2, 0)
+
+    @staticmethod
+    def _judged(inputs, outputs, match, stable=False):
+        want = _verdict(inputs, outputs, stable)
+        assert want is not None and match in want
+        assert _verdict(inputs, _output_tables(outputs, [2, 2]), stable) == want
+
+    @staticmethod
+    def _set(outputs, at, **values):
+        r, i = at
+        b = outputs[r]
+        cols = {name: (b.keys if name == "keys" else b.payload[name]).copy()
+                for name in values}
+        for name, value in values.items():
+            cols[name][i] = value
+        return _edit(outputs, r, **cols)
+
+    def test_a_valid_world_passes_in_any_cut(self):
+        inputs, outputs, _, _ = self._boundary(values=3)
+        for groups, loose in (([4], ()), ([2, 2], ()), ([1, 3], (0,)),
+                              ([1, 1, 2], (1,)), ([2, 2], (0, 1))):
+            check_sorted(inputs, _output_tables(outputs, groups, loose),
+                         stable=True)
+        tables = _output_tables(outputs, [2, 2])
+        assert [len(b) for b in rank_batches(tables)] == [len(b) for b in outputs]
+
+    def test_records_swapped_across_two_tables(self):
+        # the tags of the records either side trade places: every column
+        # keeps its multiset and its order, only the index sees it
+        inputs, outputs, a, b = self._boundary()
+        tags = {c: (outputs[a[0]].payload[c][a[1]], outputs[b[0]].payload[c][b[1]])
+                for c in (SRC_RANK, SRC_POS)}
+        swapped = self._set(outputs, a, **{c: v[1] for c, v in tags.items()})
+        swapped = self._set(swapped, b, **{c: v[0] for c, v in tags.items()})
+        assert _columnwise_multiset(inputs, swapped)
+        self._judged(inputs, swapped, "key")
+
+    def test_one_record_in_two_tables(self):
+        inputs, outputs, a, b = self._boundary()
+        last = outputs[a[0]]
+        twice = self._set(outputs, b, keys=last.keys[a[1]], **{
+            c: last.payload[c][a[1]] for c in (SRC_RANK, SRC_POS)})
+        self._judged(inputs, twice, "appears twice")
+
+    def test_a_key_overwritten(self):
+        inputs, outputs, a, b = self._boundary()
+        overwritten = self._set(outputs, b, keys=outputs[a[0]].keys[a[1]])
+        self._judged(inputs, overwritten, "key")
+
+    def test_a_stability_break_across_the_boundary(self):
+        # one key everywhere: the two records either side trade places
+        inputs, outputs, a, b = self._boundary(values=1)
+        ra, rb = outputs[a[0]], outputs[b[0]]
+        broken = self._set(outputs, a, **{c: rb.payload[c][b[1]]
+                                          for c in (SRC_RANK, SRC_POS)})
+        broken = self._set(broken, b, **{c: ra.payload[c][a[1]]
+                                         for c in (SRC_RANK, SRC_POS)})
+        check_sorted(inputs, _output_tables(broken, [2, 2]))
+        self._judged(inputs, broken, "stability violated at global position 10",
+                     stable=True)
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.lists(st.integers(0, 5), min_size=1, max_size=6),
+           st.integers(0, 2 ** 31), st.sampled_from(["keys", SRC_RANK,
+                                                     SRC_POS, "none"]),
+           st.booleans(), st.data())
+    def test_property_table_and_batch_forms_agree(self, lengths, seed, column,
+                                                  stable, data):
+        inputs, outputs = _world(lengths, seed=seed, values=3, payload=False)
+        full = [r for r, b in enumerate(outputs) if len(b)]
+        if column != "none" and full:
+            r = data.draw(st.sampled_from(full))
+            i = data.draw(st.integers(0, len(outputs[r]) - 1))
+            outputs = self._set(outputs, (r, i),
+                                **{column: data.draw(st.integers(-1, 6))})
+        groups, left = [], len(outputs)
+        while left:
+            groups.append(data.draw(st.integers(1, left)))
+            left -= groups[-1]
+        loose = data.draw(st.sets(st.integers(0, len(groups) - 1)))
+        assert (_verdict(inputs, _output_tables(outputs, groups, loose), stable)
+                == _verdict(inputs, outputs, stable))
+
+
+def test_check_sorted_holds_one_gather_of_scratch():
+    # flat sds-stable ptf p=8 x 50k: above its entry, validation holds the
+    # ``taken`` mask and one gather's worth of scratch at a time;
+    # concatenating the world's output columns rose 17.6 MiB
+    seen = {}
+    check = runner.check_sorted
+
+    def traced(inputs, outputs, **kw):
+        tracemalloc.start()
+        try:
+            check(inputs, outputs, **kw)
+            seen["rise"] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        tables = list(dict.fromkeys(outputs))
+        seen["records"] = sum(t.keys.size for t in tables)
+        seen["gather"] = max(t.keys.size * t.record_bytes for t in tables)
+
+    with mock.patch.object(runner, "check_sorted", traced):
+        r = runner.run_sort("sds-stable", by_name("ptf"), p=8,
+                            n_per_rank=50_000, backend="flat")
+    assert r.ok, r.failure
+    assert seen["records"] == 8 * 50_000
+    assert seen["rise"] <= seen["records"] + seen["gather"], seen
 
 
 class TestOnePassSortedness:

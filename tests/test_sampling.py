@@ -389,27 +389,37 @@ class TestBitonicAssembly:
 
 
 class TestSelectionHostMemory:
+    P = 4096
+
+    @classmethod
+    def _peak(cls, method: str) -> int:
+        """Host peak of flat SDS at ``P`` x 16, node merge off, with
+        ``method`` selecting the pivots (caches warmed first)."""
+        run_sort("sds", by_name("uniform"), p=64, n_per_rank=16,
+                 backend="flat", mem_factor=None)
+        tracemalloc.start()
+        try:
+            r = run_sort("sds", by_name("uniform"), p=cls.P, n_per_rank=16,
+                         backend="flat", mem_factor=None, algo_opts={
+                             "pivot_method": method,
+                             "node_merge_enabled": False})
+            assert r.ok
+            assert {(d["decision"], d["choice"])
+                    for d in r.extras["decisions"]} >= {
+                        ("pivot_method", method)}
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_bitonic_holds_no_expanded_samples(self):
         """The bitonic selector reads its pivots off the sample runs, as
         gather does: its host peak stays within a quarter of the
         ``p*p*8`` bytes that expanding the ``p*(p-1)`` samples takes."""
-        p = 4096
+        p = self.P
+        assert self._peak("bitonic") < self._peak("gather") + p * p * 8 // 4
 
-        def peak(method: str) -> int:
-            tracemalloc.start()
-            try:
-                r = run_sort("sds", by_name("uniform"), p=p, n_per_rank=16,
-                             backend="flat", mem_factor=None, algo_opts={
-                                 "pivot_method": method,
-                                 "node_merge_enabled": False})
-                assert r.ok
-                assert {(d["decision"], d["choice"])
-                        for d in r.extras["decisions"]} >= {
-                            ("pivot_method", method)}
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-
-        run_sort("sds", by_name("uniform"), p=64, n_per_rank=16,
-                 backend="flat", mem_factor=None)  # warm caches
-        assert peak("bitonic") < peak("gather") + p * p * 8 // 4
+    def test_oversample_shares_one_gathered_list(self):
+        """The oversample allgather hands every rank one shared list: a
+        private ``p``-element list per rank is ``p*p*8`` bytes."""
+        p = self.P
+        assert self._peak("oversample") < self._peak("gather") + p * p * 8 // 4

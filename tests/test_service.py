@@ -297,12 +297,31 @@ class TestServiceLifecycle:
             assert env["result"]["ok"] is False
             assert env["result"]["oom"] is True
 
-    def test_timeout_cancels_running_job(self):
-        # one test id for both backends: the tier-1 floor compares ids
+    def test_timeout_cancels_running_job(self, monkeypatch):
+        # one test id for both backends: the tier-1 floor compares ids.
+        # Rank 3's shard draw holds the job until its deadline has
+        # passed, so the deadline finds it running: a fast host could
+        # otherwise pass the job's last cancel poll inside the 30 ms
+        from repro.workloads import Workload
+
+        shard, jobs, known = Workload.shard, [], threading.Event()
+
+        def gated_shard(self, n, p, rank, seed=0):
+            if p == 16 and rank == 3:  # run_sort's own probe draws rank 0 only
+                assert known.wait(10)
+                token, give_up = jobs[-1].cancel_event, time.monotonic() + 10
+                while not token.is_set() and time.monotonic() < give_up:
+                    time.sleep(0.001)
+            return shard(self, n, p, rank, seed)
+
+        monkeypatch.setattr(Workload, "shard", gated_shard)
         for backend in ("thread", "flat"):
             with ServiceClient(workers=1) as c:
-                env = c.run(JobSpec(p=16, n_per_rank=50_000,
-                                    backend=backend), timeout_s=0.03)
+                known.clear()
+                jobs.append(c.service.submit(JobSpec(
+                    p=16, n_per_rank=50_000, backend=backend), timeout_s=0.03))
+                known.set()
+                env = job_envelope(c.service.wait(jobs[-1].id))
                 assert env["status"] == "timeout", backend
                 assert "RunCancelled" in (env["error"] or ""), backend
                 # the service stays healthy afterwards
